@@ -4,8 +4,8 @@ package commfree
 // testdata/affine/ is an affine program paired with a hand-uniformized
 // twin X.uniform.cf. The conformance dimension proves the pair compiles
 // to the identical canonical plan and executes bit-identically — final
-// state and machine accounting — across the oracle, compiled, and
-// specialized-kernel engines under all four strategies, including under
+// state and machine accounting — across the oracle and
+// specialized-kernel engines under every strategy, including under
 // a seeded chaos schedule.
 
 import (

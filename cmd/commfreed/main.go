@@ -10,7 +10,7 @@
 // Usage:
 //
 //	commfreed [-addr :8377] [-workers 8] [-queue 128] [-cache 256]
-//	          [-timeout 30s] [-max-iterations 4194304] [-engine compiled]
+//	          [-timeout 30s] [-max-iterations 4194304] [-engine kernel|oracle]
 //	          [-trace-ring 256] [-chaos-seed 0] [-debug]
 //	          [-store-dir DIR [-store-warm]]
 //	          [-node NAME -peers NAME=URL,... [-replicas 2]
@@ -116,7 +116,6 @@ func run() error {
 		cacheN    = flag.Int("cache", 256, "plan cache entries")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		maxIter   = flag.Int64("max-iterations", 1<<22, "per-request simulated-iteration budget (negative = unlimited)")
-		engine    = flag.String("engine", "kernel", "execution engine: kernel (specialized, pooled arenas), compiled (dense, parallel), or oracle (map-based reference)")
 		batchWin  = flag.Duration("batch-window", 0, "coalesce identical /v1/execute requests arriving within this window into one execution (0 disables)")
 		batchMax  = flag.Int("batch-max", 16, "cap on requests per coalesced execution batch (leader included)")
 		drainFor  = flag.Duration("drain", 60*time.Second, "graceful-shutdown drain limit")
@@ -139,6 +138,13 @@ func run() error {
 		advertise    = flag.String("advertise", "", "cluster: base URL peers reach this node at (with -join)")
 		leaveOnDrain = flag.Bool("leave-on-drain", false, "cluster: announce leave on shutdown, migrating this node's plans to the survivors before draining")
 	)
+	// flag.Func makes an unknown engine a usage error (message, usage,
+	// exit 2) instead of a silent fall-through to the default.
+	engine := "kernel"
+	flag.Func("engine", "execution engine: kernel (specialized, pooled arenas; the default) or oracle (map-based reference)", func(v string) (err error) {
+		engine, err = service.ParseEngine(v)
+		return err
+	})
 	flag.Parse()
 
 	svc, err := service.NewWithStore(service.Config{
@@ -147,7 +153,7 @@ func run() error {
 		CacheEntries:   *cacheN,
 		RequestTimeout: *timeout,
 		MaxIterations:  *maxIter,
-		Engine:         *engine,
+		Engine:         engine,
 		BatchWindow:    *batchWin,
 		BatchMax:       *batchMax,
 		TraceRing:      *traceRing,
@@ -245,7 +251,7 @@ func run() error {
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("commfreed: listening on %s (%d workers, queue %d, cache %d entries, %s engine)",
-			*addr, *workers, *queue, *cacheN, *engine)
+			*addr, *workers, *queue, *cacheN, engine)
 		errc <- srv.ListenAndServe()
 	}()
 

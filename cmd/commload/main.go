@@ -68,11 +68,15 @@ func run() error {
 		admission   = flag.String("admission", "slo", "fleet admission mode: slo or queue")
 		workers     = flag.Int("workers", 2, "fleet: worker-pool size per node")
 		queueDepth  = flag.Int("queue-depth", 512, "fleet: request queue depth per node")
-		engine      = flag.String("engine", "kernel", "fleet: execution engine")
 		replicas    = flag.Int("replicas", 2, "fleet: replicas per plan")
 		hedgeAfter  = flag.Duration("hedge-after", 50*time.Millisecond, "fleet: hedge budget (0 disables)")
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "fleet: execute coalescing window (0 disables)")
 	)
+	engine := "kernel"
+	flag.Func("engine", "fleet: execution engine, kernel (default) or oracle", func(v string) (err error) {
+		engine, err = service.ParseEngine(v)
+		return err
+	})
 	flag.Parse()
 
 	var procList []int
@@ -117,7 +121,7 @@ func run() error {
 		fleet, err := cluster.NewLocal(*local, service.Config{
 			Workers:     *workers,
 			QueueDepth:  *queueDepth,
-			Engine:      *engine,
+			Engine:      engine,
 			BatchWindow: *batchWindow,
 			Admission:   *admission,
 			SLOTarget:   perNode,

@@ -19,8 +19,8 @@ import (
 )
 
 // CheckChaos runs one nest under the seed's failure schedule on every
-// parallel engine (oracle, plus compiled and kernel when the nest is
-// within the dense engine's caps) and verifies chaos-recovery:
+// parallel engine (the map oracle, plus the kernel when the nest is
+// within the dense caps) and verifies chaos-recovery:
 //
 //   - final state equals the fault-free sequential reference exactly;
 //   - block retries stay within blocks × MaxFailuresPerBlock;
@@ -67,11 +67,6 @@ func CheckChaos(nest *loop.Nest, strat partition.Strategy, seed int64) error {
 		return err
 	}
 	if prog, cerr := exec.CompileNest(nest, res.Redundant); cerr == nil {
-		if err := check("compiled", func(inj *chaos.Injector) (*exec.Report, error) {
-			return prog.ParallelOpts(res, procs, cost, exec.Options{Chaos: inj})
-		}); err != nil {
-			return err
-		}
 		kern, serr := prog.Specialize(res, procs)
 		if serr != nil {
 			return fmt.Errorf("conformance: %s: kernel specialization failed: %w", strat, serr)

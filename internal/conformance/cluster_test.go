@@ -21,9 +21,9 @@ func clusterCrashSeedCount() int {
 }
 
 // TestClusterConformance3Node: a 3-node fleet must be bit-identical to
-// a single node for the corpus × four strategies, on every engine.
+// a single node for the corpus × four strategies, on both engines.
 func TestClusterConformance3Node(t *testing.T) {
-	for _, engine := range []string{"kernel", "compiled", "oracle"} {
+	for _, engine := range []string{"kernel", "oracle"} {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			if err := CheckCluster(3, engine, 0); err != nil {
@@ -39,7 +39,7 @@ func TestClusterConformance5Node(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5-node sweep skipped in -short")
 	}
-	for _, engine := range []string{"compiled", "oracle"} {
+	for _, engine := range []string{"kernel", "oracle"} {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			if err := CheckCluster(5, engine, 0); err != nil {
@@ -61,7 +61,7 @@ func TestClusterConformanceCrash(t *testing.T) {
 	for _, seed := range clusterCrashSeeds[:n] {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			if err := CheckCluster(3, "compiled", seed); err != nil {
+			if err := CheckCluster(3, "kernel", seed); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -80,12 +80,12 @@ func TestClusterBatchCoalesces(t *testing.T) {
 // TestClusterPlacementPurity: same seed, same fleet ⇒ same placement.
 // Two independently built fleets must agree on every corpus key's home.
 func TestClusterPlacementPurity(t *testing.T) {
-	if err := CheckCluster(3, "compiled", 0); err != nil {
+	if err := CheckCluster(3, "kernel", 0); err != nil {
 		t.Fatal(err)
 	}
 	// CheckCluster already asserts all nodes of one fleet agree; running
 	// it twice asserts the derivation is reproducible across fleets.
-	if err := CheckCluster(3, "compiled", 0); err != nil {
+	if err := CheckCluster(3, "kernel", 0); err != nil {
 		t.Fatal(err)
 	}
 }

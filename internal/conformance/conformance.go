@@ -15,10 +15,12 @@
 //     computations never costs parallelism;
 //   - the loop transformation T is a bijection on the iteration space:
 //     Original(NewPoint(ī)) = ī for every iteration;
-//   - the compiled dense engine and the map-based oracle agree on the
-//     final sequential state, with and without elimination;
+//   - the dense sequential reference and the map-based oracle agree on
+//     the final sequential state, with and without elimination;
 //   - parallel execution under the partition reproduces the sequential
-//     state exactly with zero inter-node messages.
+//     state exactly with zero inter-node messages, and the kernel
+//     engine is indistinguishable from the map oracle in final state
+//     and machine accounting.
 //
 // The test harness generates nests with loopgen, checks them here, and
 // shrinks any failure to a minimal DSL repro (loopgen.Shrink +
@@ -211,8 +213,8 @@ func checkMars(nest *loop.Nest, results map[partition.Strategy]*partition.Result
 	return nil
 }
 
-// checkSequentialAgreement verifies the compiled dense engine against
-// the map-based oracle on the sequential semantics, both with the
+// checkSequentialAgreement verifies the dense sequential reference
+// against the map-based oracle, both with the
 // redundancy pruning of the minimal strategies and without (Section
 // III.C: elimination leaves the final state unchanged).
 func checkSequentialAgreement(nest *loop.Nest, results map[partition.Strategy]*partition.Result) error {
@@ -224,18 +226,19 @@ func checkSequentialAgreement(nest *loop.Nest, results map[partition.Strategy]*p
 		}
 		prog, cerr := exec.CompileNest(nest, red)
 		if cerr != nil {
-			continue // beyond the dense engine's caps — oracle-only nest
+			continue // beyond the dense caps — oracle-only nest
 		}
 		if err := exec.Equal(prog.Sequential(), want); err != nil {
-			return fmt.Errorf("conformance: %s: compiled engine diverges from oracle: %w", strat, err)
+			return fmt.Errorf("conformance: %s: dense sequential reference diverges from oracle: %w", strat, err)
 		}
 	}
 	return nil
 }
 
 // checkParallelExecution runs the partition on the simulated machine —
-// oracle scheduler and, when compilable, the dense parallel scheduler —
-// and demands the exact sequential state with zero inter-node traffic.
+// the map oracle and, when within the dense caps, the kernel — and
+// demands the exact sequential state with zero inter-node traffic, and
+// a kernel report indistinguishable from the oracle's.
 func checkParallelExecution(nest *loop.Nest, res *partition.Result) error {
 	const procs = 4
 	cost := machine.Transputer()
@@ -253,13 +256,6 @@ func checkParallelExecution(nest *loop.Nest, res *partition.Result) error {
 	}
 
 	if prog, cerr := exec.CompileNest(nest, res.Redundant); cerr == nil {
-		crep, err := prog.ParallelBudget(res, procs, cost, nil)
-		if err != nil {
-			return fmt.Errorf("conformance: %s: compiled parallel execution failed: %w", res.Strategy, err)
-		}
-		if err := exec.Equal(crep.Final, want); err != nil {
-			return fmt.Errorf("conformance: %s: compiled parallel state diverges: %w", res.Strategy, err)
-		}
 		kern, serr := prog.Specialize(res, procs)
 		if serr != nil {
 			return fmt.Errorf("conformance: %s: kernel specialization failed: %w", res.Strategy, serr)
@@ -268,8 +264,8 @@ func checkParallelExecution(nest *loop.Nest, res *partition.Result) error {
 		if err != nil {
 			return fmt.Errorf("conformance: %s: kernel parallel execution failed: %w", res.Strategy, err)
 		}
-		if err := exec.Equal(krep.Final, want); err != nil {
-			return fmt.Errorf("conformance: %s: kernel parallel state diverges: %w", res.Strategy, err)
+		if err := compareReports(res.Strategy, "kernel vs oracle", krep, rep); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -6,7 +6,7 @@ package conformance
 // blocks than any theorem strategy, and has zero redundant-copy volume
 // (hence ≤ Selective's for every duplication subset). The tests here
 // drive that through 500 usage-biased seeded nests with Mars as the
-// execution strategy — all three engines, bit-identical to the oracle
+// execution strategy — both engines, the kernel bit-identical to the oracle
 // — plus seeded chaos schedules and the corpus strict-improvement
 // witness.
 

@@ -15,10 +15,10 @@ package conformance
 //     normalized nest and relabeling every element through the
 //     recorded index maps reproduces, bit for bit, the sequential
 //     state of the raw nest with its symbolic constants bound;
-//   - under all four allocation strategies, oracle, compiled, and
-//     specialized-kernel execution of the normalized nest agree with
-//     the twin's — final state and machine accounting (messages, data
-//     moved, distribution time, per-node workloads) exactly equal;
+//   - under every allocation strategy, oracle and kernel execution of
+//     the normalized nest agree with the twin's — final state and
+//     machine accounting (messages, data moved, distribution time,
+//     per-node workloads) exactly equal;
 //   - a seeded chaos schedule perturbs neither.
 
 import (
@@ -118,31 +118,16 @@ func checkNormalizedExecution(nest, twin *loop.Nest, chaosSeed int64) error {
 		if err := exec.Equal(nrep.Final, want); err != nil {
 			return fmt.Errorf("conformance: %s: oracle parallel state diverges from sequential: %w", strat, err)
 		}
-		if err := compareReports(strat, "oracle", nrep, trep); err != nil {
+		if err := compareReports(strat, "oracle, normalized nest vs twin", nrep, trep); err != nil {
 			return err
 		}
 
 		nprog, nerr := exec.CompileNest(nest, nres.Redundant)
 		tprog, terr := exec.CompileNest(twin, tres.Redundant)
 		if (nerr == nil) != (terr == nil) {
-			return fmt.Errorf("conformance: %s: dense-engine compilability differs: normalized %v, twin %v", strat, nerr, terr)
+			return fmt.Errorf("conformance: %s: dense compilability differs: normalized %v, twin %v", strat, nerr, terr)
 		}
 		if nerr == nil {
-			ncrep, err := nprog.ParallelBudget(nres, procs, cost, nil)
-			if err != nil {
-				return fmt.Errorf("conformance: %s: compiled execution of normalized nest failed: %w", strat, err)
-			}
-			tcrep, err := tprog.ParallelBudget(tres, procs, cost, nil)
-			if err != nil {
-				return fmt.Errorf("conformance: %s: compiled execution of twin failed: %w", strat, err)
-			}
-			if err := exec.Equal(ncrep.Final, want); err != nil {
-				return fmt.Errorf("conformance: %s: compiled parallel state diverges from sequential: %w", strat, err)
-			}
-			if err := compareReports(strat, "compiled", ncrep, tcrep); err != nil {
-				return err
-			}
-
 			nkern, err := nprog.Specialize(nres, procs)
 			if err != nil {
 				return fmt.Errorf("conformance: %s: kernel specialization of normalized nest failed: %w", strat, err)
@@ -162,7 +147,7 @@ func checkNormalizedExecution(nest, twin *loop.Nest, chaosSeed int64) error {
 			if err := exec.Equal(nkrep.Final, want); err != nil {
 				return fmt.Errorf("conformance: %s: kernel parallel state diverges from sequential: %w", strat, err)
 			}
-			if err := compareReports(strat, "kernel", nkrep, tkrep); err != nil {
+			if err := compareReports(strat, "kernel, normalized nest vs twin", nkrep, tkrep); err != nil {
 				return err
 			}
 		}
@@ -189,29 +174,29 @@ func checkNormalizedExecution(nest, twin *loop.Nest, chaosSeed int64) error {
 
 // compareReports demands that two execution reports are indistinguishable
 // in result and machine accounting.
-func compareReports(strat partition.Strategy, engine string, a, b *exec.Report) error {
+func compareReports(strat partition.Strategy, pair string, a, b *exec.Report) error {
 	if err := exec.Equal(a.Final, b.Final); err != nil {
-		return fmt.Errorf("conformance: %s/%s: final state differs between normalized nest and twin: %w", strat, engine, err)
+		return fmt.Errorf("conformance: %s/%s: final state differs: %w", strat, pair, err)
 	}
 	am, bm := a.Machine, b.Machine
 	if x, y := am.InterNodeMessages(), bm.InterNodeMessages(); x != y {
-		return fmt.Errorf("conformance: %s/%s: inter-node messages differ: %d vs %d", strat, engine, x, y)
+		return fmt.Errorf("conformance: %s/%s: inter-node messages differ: %d vs %d", strat, pair, x, y)
 	}
 	if x, y := am.Messages(), bm.Messages(); x != y {
-		return fmt.Errorf("conformance: %s/%s: total messages differ: %d vs %d", strat, engine, x, y)
+		return fmt.Errorf("conformance: %s/%s: total messages differ: %d vs %d", strat, pair, x, y)
 	}
 	if x, y := am.DataMoved(), bm.DataMoved(); x != y {
-		return fmt.Errorf("conformance: %s/%s: data moved differs: %d vs %d", strat, engine, x, y)
+		return fmt.Errorf("conformance: %s/%s: data moved differs: %d vs %d", strat, pair, x, y)
 	}
 	if x, y := am.DistributionTime(), bm.DistributionTime(); x != y {
-		return fmt.Errorf("conformance: %s/%s: distribution time differs: %v vs %v", strat, engine, x, y)
+		return fmt.Errorf("conformance: %s/%s: distribution time differs: %v vs %v", strat, pair, x, y)
 	}
 	if len(a.IterationsPerNode) != len(b.IterationsPerNode) {
-		return fmt.Errorf("conformance: %s/%s: node counts differ: %d vs %d", strat, engine, len(a.IterationsPerNode), len(b.IterationsPerNode))
+		return fmt.Errorf("conformance: %s/%s: node counts differ: %d vs %d", strat, pair, len(a.IterationsPerNode), len(b.IterationsPerNode))
 	}
 	for i := range a.IterationsPerNode {
 		if a.IterationsPerNode[i] != b.IterationsPerNode[i] {
-			return fmt.Errorf("conformance: %s/%s: node %d workload differs: %d vs %d", strat, engine, i, a.IterationsPerNode[i], b.IterationsPerNode[i])
+			return fmt.Errorf("conformance: %s/%s: node %d workload differs: %d vs %d", strat, pair, i, a.IterationsPerNode[i], b.IterationsPerNode[i])
 		}
 	}
 	return nil

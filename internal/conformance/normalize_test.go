@@ -9,8 +9,8 @@ import (
 )
 
 // nNormalizeCases is the generated-case count of the normalization
-// conformance sweep: each case runs 4 strategies × oracle/compiled/
-// kernel engines on both the normalized nest and its hand-uniformized
+// conformance sweep: each case runs every strategy ×
+// oracle/kernel engines on both the normalized nest and its hand-uniformized
 // twin — the "≥500 affine nests" gate.
 const nNormalizeCases = 500
 
@@ -32,7 +32,7 @@ func reportShrunkAffine(t *testing.T, c *loopgen.AffineCase, firstErr error, cha
 // affine nest, once normalized, must be canonically identical to its
 // hand-uniformized twin, semantically identical to the raw nest under
 // bound symbolic constants, and bit-identical to the twin in final
-// state and machine accounting across 4 strategies × 3 engines —
+// state and machine accounting across every strategy × both engines —
 // periodically under seeded chaos.
 func TestNormalizeConformance(t *testing.T) {
 	if testing.Short() {

@@ -10,7 +10,7 @@ import (
 // same directory must be bit-identical with zero recompiles, on both
 // engines.
 func TestRestartConformance(t *testing.T) {
-	for _, engine := range []string{"compiled", "oracle"} {
+	for _, engine := range []string{"kernel", "oracle"} {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			if err := CheckRestartWarm(engine, t.TempDir()); err != nil {
@@ -44,7 +44,7 @@ func TestRestartConformanceTorn(t *testing.T) {
 	for _, seed := range restartTornSeeds[:n] {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			if err := CheckRestartTorn("compiled", t.TempDir(), seed); err != nil {
+			if err := CheckRestartTorn("kernel", t.TempDir(), seed); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -55,7 +55,7 @@ func TestRestartConformanceTorn(t *testing.T) {
 // move exactly the ring-computed key set and stay bit-identical to a
 // single node, on both engines.
 func TestMembershipConformance(t *testing.T) {
-	for _, engine := range []string{"compiled", "oracle"} {
+	for _, engine := range []string{"kernel", "oracle"} {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			if err := CheckMembership(3, engine, 0); err != nil {
@@ -89,7 +89,7 @@ func TestMembershipConformanceDrops(t *testing.T) {
 	for _, seed := range membershipDropSeeds[:n] {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			if err := CheckMembership(3, "compiled", seed); err != nil {
+			if err := CheckMembership(3, "kernel", seed); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,10 +1,10 @@
 package exec
 
-// Benchmarks comparing the map-based oracle with the compiled engine
-// on the paper's matmul nest (L5) plus stencil and convolution
-// kernels. Partitioning and compilation happen outside the timed
-// loop: the subject is the executor, not the planner. BENCH_exec.json
-// records a snapshot of old engine vs new.
+// Benchmarks comparing the map-based oracle with the dense sequential
+// reference and the kernel engine on the paper's matmul nest (L5) plus
+// stencil and convolution kernels. Partitioning, compilation and
+// specialization happen outside the timed loop: the subject is the
+// executor, not the planner. BENCH_exec.json records the trajectory.
 
 import (
 	"testing"
@@ -79,6 +79,8 @@ func BenchmarkExecSequential(b *testing.B) {
 				}
 			}
 		})
+		// "compiled" is Program.Sequential, the dense reference; the
+		// row name is kept so the BENCH_exec.json trajectory lines up.
 		b.Run(c.name+"/compiled", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -102,14 +104,6 @@ func BenchmarkExecParallel(b *testing.B) {
 				}
 			}
 		})
-		b.Run(c.name+"/compiled", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.prog.ParallelBudget(c.res, p, cost, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(c.name+"/kernel", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -121,7 +115,7 @@ func BenchmarkExecParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkExecParallelTraced is BenchmarkExecParallel/compiled with a
+// BenchmarkExecParallelTraced is BenchmarkExecParallel/kernel with a
 // live trace attached — the instrumentation-overhead benchmark. The
 // acceptance bound is ns/op within 5% of the untraced BENCH_exec.json
 // snapshot (block spans are recorded lock-free into preallocated slots
@@ -130,17 +124,6 @@ func BenchmarkExecParallelTraced(b *testing.B) {
 	cost := machine.Transputer()
 	const p = 16
 	for _, c := range benchCases(b) {
-		b.Run(c.name+"/compiled", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				trc := obs.New("bench")
-				root := trc.Start(0, "exec_run")
-				if _, err := c.prog.ParallelTraced(c.res, p, cost, nil, trc, root.ID()); err != nil {
-					b.Fatal(err)
-				}
-				root.End()
-			}
-		})
 		b.Run(c.name+"/kernel", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

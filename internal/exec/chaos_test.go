@@ -10,9 +10,9 @@ import (
 	"commfree/internal/partition"
 )
 
-// chaosEngines names the three parallel engines the chaos properties
-// must hold on.
-var chaosEngines = []string{"oracle", "compiled", "kernel"}
+// chaosEngines names the parallel engines the chaos properties must
+// hold on.
+var chaosEngines = []string{"oracle", "kernel"}
 
 // chaosRun executes the partition under the injector on the requested
 // engine, asserting the run stays communication-free.
@@ -21,16 +21,9 @@ func chaosRun(t *testing.T, res *partition.Result, p int, inj *chaos.Injector, e
 	opts := Options{Chaos: inj}
 	var rep *Report
 	var err error
-	switch engine {
-	case "oracle":
+	if engine == "oracle" {
 		rep, err = ParallelOpts(res, p, machine.Transputer(), opts)
-	case "compiled":
-		prog, cerr := CompileNest(res.Analysis.Nest, res.Redundant)
-		if cerr != nil {
-			t.Fatal(cerr)
-		}
-		rep, err = prog.ParallelOpts(res, p, machine.Transputer(), opts)
-	default: // kernel
+	} else {
 		rep, err = ParallelKernel(res, p, machine.Transputer(), opts)
 	}
 	if err != nil {
@@ -42,7 +35,7 @@ func chaosRun(t *testing.T, res *partition.Result, p int, inj *chaos.Injector, e
 	return rep, nil
 }
 
-// All three engines, all strategies: a chaos run must end bit-identical to
+// Both engines, all strategies: a chaos run must end bit-identical to
 // the sequential reference, with retries bounded by the schedule's
 // per-block cap — the executable form of "blocks are atomic recovery
 // units".

@@ -18,7 +18,7 @@ import (
 )
 
 // TestKernelEdgeCases runs each nest through the full differential
-// harness: oracle vs compiled vs kernel, all strategies, both machine
+// harness: oracle vs kernel, all strategies, both machine
 // sizes, two kernel rounds (recycled arena).
 func TestKernelEdgeCases(t *testing.T) {
 	cases := []struct{ name, src string }{
@@ -71,7 +71,7 @@ func TestKernelZeroIterations(t *testing.T) {
 			t.Fatalf("CompileNest: %v", err)
 		}
 		if got := prog.Sequential(); len(got) != 0 {
-			t.Errorf("compiled sequential state has %d elements", len(got))
+			t.Errorf("dense sequential state has %d elements", len(got))
 		}
 		kern, err := prog.Specialize(res, 4)
 		if err != nil {

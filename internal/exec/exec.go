@@ -16,7 +16,6 @@ import (
 	"commfree/internal/chaos"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
-	"commfree/internal/obs"
 	"commfree/internal/partition"
 	"commfree/internal/redundant"
 	"commfree/internal/transform"
@@ -168,24 +167,7 @@ func BlockKey(blockID int, elemKey string) string {
 // all nodes concurrently, and gathers the final state from the block
 // holding each element's globally last write.
 func Parallel(res *partition.Result, p int, cost machine.CostModel) (*Report, error) {
-	return ParallelBudget(res, p, cost, nil)
-}
-
-// ParallelBudget is Parallel under an execution budget: every simulated
-// iteration spends one unit, and the run aborts with the budget's error
-// (machine.ErrBudgetExhausted or the context's error) once it is
-// exceeded. A nil budget is unlimited.
-func ParallelBudget(res *partition.Result, p int, cost machine.CostModel, budget *machine.Budget) (*Report, error) {
-	return ParallelOpts(res, p, cost, Options{Budget: budget})
-}
-
-// ParallelTraced is ParallelBudget with span instrumentation matching
-// the compiled engine's: a "distribute" span carrying the simulated
-// distribution traffic, and one "block" child span per executed block
-// (worker, node, block id, iteration count, words moved) under the
-// given parent. A nil trace costs nothing.
-func ParallelTraced(res *partition.Result, p int, cost machine.CostModel, budget *machine.Budget, trc *obs.Trace, parent obs.SpanID) (*Report, error) {
-	return ParallelOpts(res, p, cost, Options{Budget: budget, Trace: trc, Parent: parent})
+	return ParallelOpts(res, p, cost, Options{})
 }
 
 // ParallelOpts is the oracle scheduler under the full option set —

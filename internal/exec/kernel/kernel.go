@@ -153,9 +153,10 @@ func (c *Code) Eval(iter []int64, vals []float64, stack []float64) float64 {
 }
 
 // Fast names the recognized statement shapes whose inner loops skip
-// bytecode dispatch entirely. The fast bodies are written as the same
-// Go expressions the statement closures use, so they produce the same
-// float64 results the interpreting engines do.
+// bytecode dispatch entirely. The fast bodies perform ExprTree.Eval's
+// operations in its order and round every intermediate to float64 (an
+// explicit conversion wherever Go could otherwise fuse a multiply-add),
+// so they produce Eval's results bit for bit on every target.
 type Fast uint8
 
 const (

@@ -141,7 +141,7 @@ func (p *Plan) execSegs(bi int, count int64, bufs [][]float64, scr *Scratch) {
 			r2, s2 := p.ROff[sg.RBase+a[2]], p.RStep[sg.RBase+a[2]]
 			b0, b1, b2 := bufs[st.ReadArrs[a[0]]], bufs[st.ReadArrs[a[1]]], bufs[st.ReadArrs[a[2]]]
 			for t := int64(0); t < n; t++ {
-				wb[w] = b0[r0] + b1[r1]*b2[r2]
+				wb[w] = b0[r0] + float64(b1[r1]*b2[r2])
 				w += ws
 				r0 += s0
 				r1 += s1
@@ -256,7 +256,7 @@ func (p *Plan) execRows(bi int, count int64, bufs [][]float64, scr *Scratch) {
 					}
 				case FastMulAdd:
 					a := st.MulAdd
-					v = vals[a[0]] + vals[a[1]]*vals[a[2]]
+					v = vals[a[0]] + float64(vals[a[1]]*vals[a[2]])
 				default:
 					v = st.Code.Eval(it, vals, scr.Stack)
 				}

@@ -1,8 +1,8 @@
 package exec
 
-// Options and the chaos recovery machinery shared by both parallel
-// schedulers (the map-based oracle in exec.go and the compiled engine
-// in parallel_compiled.go).
+// Options shared by both parallel schedulers (the map-based oracle in
+// exec.go and the kernel engine in specialize.go), and the chaos model
+// they recover from.
 //
 // Fault-tolerant execution leans directly on the paper's theorems:
 // communication-freedom means a block's footprint is disjoint from
@@ -56,32 +56,4 @@ func (o Options) maxRetries() int {
 		return o.MaxRetries
 	}
 	return DefaultMaxRetries
-}
-
-// undoLog records (array, offset, previous value) for every write of a
-// chaos-doomed attempt in the compiled engine; rollback replays it in
-// reverse, restoring the exact pre-attempt buffer image. Disjoint
-// footprints (Theorems 1–4) make the restore purely block-local: no
-// other block can have touched these cells, so no coordination is
-// needed. Reused across attempts and blocks by one worker.
-type undoLog struct {
-	arr []int32
-	off []int64
-	val []float64
-}
-
-func (u *undoLog) push(arr int, off int64, val float64) {
-	u.arr = append(u.arr, int32(arr))
-	u.off = append(u.off, off)
-	u.val = append(u.val, val)
-}
-
-func (u *undoLog) reset() {
-	u.arr, u.off, u.val = u.arr[:0], u.off[:0], u.val[:0]
-}
-
-func (u *undoLog) rollback(bufs [][]float64) {
-	for i := len(u.arr) - 1; i >= 0; i-- {
-		bufs[u.arr[i]][u.off[i]] = u.val[i]
-	}
 }

@@ -1,7 +1,8 @@
 package exec
 
-// Compiled execution engine. CompileNest resolves a nest, once, into a
-// form the executors can run without per-iteration allocation:
+// The dense program. CompileNest resolves a nest, once, into the form
+// the kernel engine lowers from (Specialize) and the dense sequential
+// reference runs on, with no per-iteration allocation:
 //
 //   - every array gets a dense row-major []float64 buffer covering the
 //     bounding box of its footprint over the iteration space, replacing
@@ -14,9 +15,9 @@ package exec
 //     bounding box of the iteration space, so the hot loop tests a bit
 //     instead of formatting a map key.
 //
-// The map-based Sequential/ParallelBudget stay as the reference oracle;
-// the differential tests prove the compiled engine produces bit-identical
-// final state on every nest.
+// The map-based Sequential/Parallel stay as the reference oracle; the
+// differential tests prove Program.Sequential and the kernel produce
+// bit-identical final state on every nest.
 
 import (
 	"fmt"
@@ -90,16 +91,18 @@ func (r *linRef) offset(it []int64) int64 {
 	return off
 }
 
-// compiledStmt pairs the linearized references with the statement's
-// executable expression.
+// compiledStmt pairs the linearized references with the statement
+// (for its right-hand side).
 type compiledStmt struct {
 	write linRef
 	reads []linRef
 	st    *loop.Statement
 }
 
-// Program is a loop nest compiled for dense execution. It is read-only
-// after CompileNest and safe for concurrent executions.
+// Program is a loop nest resolved to dense storage: the footprint
+// layouts, the rank-indexed redundancy bitsets, the sequential
+// reference (Sequential), and the input Specialize lowers from. It is
+// read-only after CompileNest and safe for concurrent use.
 type Program struct {
 	Nest *loop.Nest
 	Red  *redundant.Result
@@ -112,8 +115,8 @@ type Program struct {
 	// Rank encoding: rank(ī) is the mixed-radix position of ī inside
 	// the bounding box of the iteration space. It preserves
 	// lexicographic order, so "globally later computation" reduces to
-	// comparing integers — the compiled replacement for walking the
-	// whole space to find each element's last writer.
+	// comparing integers — the dense replacement for walking the whole
+	// space to find each element's last writer.
 	iterLo     []int64
 	iterRadix  []int64
 	iterVolume int64
@@ -329,7 +332,7 @@ func (p *Program) linearize(r loop.Ref, arrayIdx map[string]int) linRef {
 
 // appendKey formats Key(name, idx) into dst without fmt — the gather
 // loops build one key per written element, and fmt.Sprint would
-// dominate the compiled engine's allocation profile. The output must
+// dominate the allocation profile. The output must
 // stay byte-identical to Key (the differential tests compare final
 // states across engines by these strings).
 func appendKey(dst []byte, name string, idx []int64) []byte {
@@ -343,9 +346,6 @@ func appendKey(dst []byte, name string, idx []int64) []byte {
 	}
 	return append(dst, ']')
 }
-
-// NumIterations returns the exact iteration count of the compiled nest.
-func (p *Program) NumIterations() int64 { return p.iters }
 
 // cloneBuffers returns a fresh working copy of every array buffer,
 // pre-filled with the deterministic initial values.

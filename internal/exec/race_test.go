@@ -1,11 +1,12 @@
 package exec
 
 // The service executes one cached plan from a pool of workers: many
-// goroutines share a single *Program (and its *partition.Result). This
-// test documents — and, under -race, proves — that a compiled Program
-// is read-only after CompileNest: 16 goroutines race ParallelBudget
-// (and the compiled Sequential) over one shared program and must all
-// produce the sequential reference state.
+// goroutines call Run on a single shared *Kernel (and validate against
+// one shared *Program's Sequential). This test documents — and, under
+// -race, proves — that a Kernel is read-only after Specialize apart
+// from its internally synchronized arena pool: 16 goroutines race Run
+// (and the dense Sequential) and must all produce the sequential
+// reference state.
 
 import (
 	"sync"
@@ -16,18 +17,22 @@ import (
 	"commfree/internal/partition"
 )
 
-func TestParallelCompiledConcurrentOnSharedProgram(t *testing.T) {
-	nests := map[string]*loop.Nest{
-		"L1": loop.L1(),
-		"L4": loop.L4(),
-		"L5": loop.L5(6),
+func TestKernelConcurrentRunsOnSharedKernel(t *testing.T) {
+	cases := []struct {
+		name  string
+		nest  *loop.Nest
+		strat partition.Strategy
+	}{
+		{"L1", loop.L1(), partition.Duplicate},
+		{"L4", loop.L4(), partition.NonDuplicate}, // shared-buffer path
+		{"L5", loop.L5(6), partition.Duplicate},   // private-buffer path
 	}
 	cost := machine.Transputer()
-	for name, nest := range nests {
-		nest := nest
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			res, err := partition.Compute(nest, partition.Duplicate)
+			res, err := partition.Compute(tc.nest, tc.strat)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +40,11 @@ func TestParallelCompiledConcurrentOnSharedProgram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := Sequential(nest, nil)
+			kern, err := prog.Specialize(res, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Sequential(tc.nest, nil)
 			const goroutines = 16
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {
@@ -43,23 +52,26 @@ func TestParallelCompiledConcurrentOnSharedProgram(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					if g%4 == 3 {
-						// Every fourth goroutine races the compiled
-						// sequential path against the parallel ones.
+						// Every fourth goroutine races the dense
+						// sequential path against the kernel runs.
 						if err := Equal(want, prog.Sequential()); err != nil {
 							t.Errorf("goroutine %d: sequential: %v", g, err)
 						}
 						return
 					}
-					rep, err := prog.ParallelBudget(res, 1+g%8, cost, nil)
-					if err != nil {
-						t.Errorf("goroutine %d: %v", g, err)
-						return
-					}
-					if err := Equal(want, rep.Final); err != nil {
-						t.Errorf("goroutine %d: %v", g, err)
-					}
-					if msgs := rep.Machine.InterNodeMessages(); msgs != 0 {
-						t.Errorf("goroutine %d: %d inter-node messages", g, msgs)
+					// Two runs each, so recycled arenas cross goroutines.
+					for round := 0; round < 2; round++ {
+						rep, err := kern.Run(cost, Options{})
+						if err != nil {
+							t.Errorf("goroutine %d: %v", g, err)
+							return
+						}
+						if err := Equal(want, rep.Final); err != nil {
+							t.Errorf("goroutine %d: %v", g, err)
+						}
+						if msgs := rep.Machine.InterNodeMessages(); msgs != 0 {
+							t.Errorf("goroutine %d: %d inter-node messages", g, msgs)
+						}
 					}
 				}(g)
 			}

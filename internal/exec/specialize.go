@@ -1,10 +1,10 @@
 package exec
 
-// Per-plan kernel specialization. Specialize fuses everything the
-// compiled engine re-derives on every run — the space transformation,
-// the cyclic assignment, the block prepass (ownership, distribution
-// words, disjointness), and the per-iteration interpretation — into a
-// flat kernel.Plan computed exactly once per (program, partition,
+// The kernel engine. Specialize fuses everything an interpreting
+// executor re-derives on every run — the space transformation, the
+// cyclic assignment, the block prepass (ownership, distribution words,
+// disjointness), and the per-iteration interpretation — into a flat
+// kernel.Plan computed exactly once per (program, partition,
 // processors) triple. A specialized Kernel then executes with
 //
 //   - no odometer: block iteration lists are lowered to straight-line
@@ -18,10 +18,23 @@ package exec
 //     storage live in arenas recycled through a sync.Pool, and gather
 //     keys are interned strings built once at specialization.
 //
-// Chaos semantics are preserved bit for bit: blocks remain the atomic
-// retry unit, crash prefixes land on the same raw iteration counts the
-// interpreting engines use (segment bounds keep raw block positions),
-// and commits stay exactly-once via the same chaosRetryBlock driver.
+// Blocks run on a bounded worker pool against dense flat buffers:
+//
+//   - non-duplicate strategies: communication-freedom means no two
+//     blocks touch the same element, so every worker writes straight
+//     into one shared buffer with no locks; the prepass asserts the
+//     disjointness and refuses to specialize otherwise;
+//   - duplicate strategies: each worker keeps a private buffer that is
+//     reset to the initial values between blocks (the dense form of the
+//     oracle's per-block private copies), and each element's final
+//     value is committed by the block holding its globally last write —
+//     a single owner per element, so the commit buffer needs no locks
+//     either.
+//
+// Chaos semantics match the map oracle bit for bit: blocks remain the
+// atomic retry unit, crash prefixes land on the same raw iteration
+// counts (segment bounds keep raw block positions), and commits stay
+// exactly-once via chaosRetryBlock.
 
 import (
 	"fmt"
@@ -30,8 +43,10 @@ import (
 	"time"
 
 	"commfree/internal/assign"
+	"commfree/internal/chaos"
 	"commfree/internal/exec/kernel"
 	"commfree/internal/machine"
+	"commfree/internal/obs"
 	"commfree/internal/partition"
 	"commfree/internal/transform"
 )
@@ -79,9 +94,9 @@ type kernWorker struct {
 }
 
 // Specialize lowers the program against a partition into a reusable
-// Kernel. Statements whose semantics exist only as a closure (non-nil
-// Expr, nil Tree) are not lowerable and return an error — callers fall
-// back to the interpreting engines.
+// Kernel. Every statement lowers; what it refuses is a partition of
+// another nest, footprints that are not disjoint under a non-duplicate
+// strategy, and blocks beyond the kernel's int32 iteration range.
 func (prog *Program) Specialize(res *partition.Result, p int) (*Kernel, error) {
 	if res.Analysis.Nest != prog.Nest {
 		return nil, fmt.Errorf("exec: partition was computed from a different nest than the program")
@@ -116,6 +131,112 @@ func (prog *Program) Specialize(res *partition.Result, p int) (*Kernel, error) {
 	return k, nil
 }
 
+// blockStats is the outcome of the sequential prepass over the
+// partition blocks.
+type blockStats struct {
+	perNode [][]int // block indexes per processor
+	iters   []int64 // iteration count per block
+	words   []int   // distribution word count per processor
+	bwords  []int   // distribution word count per block (span attribute)
+	// owner[a][off] is the index of the block performing the globally
+	// last non-redundant write to the element (-1: never written) —
+	// the gather authority.
+	owner [][]int32
+}
+
+// prepass sweeps the blocks once, sequentially, computing the block→
+// processor map, per-block iteration counts, per-node distribution
+// words, and per-element write ownership. For non-duplicate strategies
+// it also asserts that block footprints are disjoint — the property
+// that lets the execution phase skip locking entirely.
+func (prog *Program) prepass(res *partition.Result, tr *transform.Transformed, asg *assign.Assignment, used int) (*blockStats, error) {
+	blocks := res.Iter.Blocks
+	if len(blocks) > 1<<30 {
+		return nil, fmt.Errorf("exec: %d blocks exceed the kernel scheduler's range", len(blocks))
+	}
+	dupOK := res.AllowsDuplication()
+	st := &blockStats{
+		perNode: make([][]int, used),
+		iters:   make([]int64, len(blocks)),
+		words:   make([]int, used),
+		bwords:  make([]int, len(blocks)),
+		owner:   make([][]int32, len(prog.arrays)),
+	}
+	bestKey := make([][]int64, len(prog.arrays))
+	epoch := make([][]int32, len(prog.arrays))
+	var touched [][]int32
+	if !dupOK {
+		touched = make([][]int32, len(prog.arrays))
+	}
+	for i, lay := range prog.arrays {
+		st.owner[i] = newInt32s(lay.size, -1)
+		bestKey[i] = make([]int64, lay.size)
+		epoch[i] = newInt32s(lay.size, -1)
+		if !dupOK {
+			touched[i] = newInt32s(lay.size, -1)
+		}
+	}
+	nstmts := int64(len(prog.stmts))
+	for bi, b := range blocks {
+		// The forall point is constant across a block (Q ⊥ Ψ), so the
+		// base iteration names the owning processor.
+		node := asg.OwnerID(tr.NewPoint(b.Base)[:tr.K])
+		st.perNode[node] = append(st.perNode[node], bi)
+		st.iters[bi] = int64(len(b.Iterations))
+		seq := int32(bi)
+		for _, it := range b.Iterations {
+			rank := prog.rankOf(it)
+			for si := range prog.stmts {
+				cs := &prog.stmts[si]
+				if prog.isRedundant(si, it) {
+					continue
+				}
+				for ri := range cs.reads {
+					r := &cs.reads[ri]
+					off := r.offset(it)
+					if epoch[r.array][off] != seq {
+						epoch[r.array][off] = seq
+						st.words[node]++
+						st.bwords[bi]++
+					}
+					if !dupOK {
+						if t := touched[r.array][off]; t < 0 {
+							touched[r.array][off] = seq
+						} else if t != seq {
+							return nil, fmt.Errorf("exec: element of %s touched by blocks %d and %d — footprints not disjoint under %s",
+								prog.arrays[r.array].name, blocks[t].ID, b.ID, res.Strategy)
+						}
+					}
+				}
+				w := &cs.write
+				off := w.offset(it)
+				key := rank*nstmts + int64(si)
+				if st.owner[w.array][off] < 0 || key > bestKey[w.array][off] {
+					bestKey[w.array][off] = key
+					st.owner[w.array][off] = seq
+				}
+				if !dupOK {
+					if t := touched[w.array][off]; t < 0 {
+						touched[w.array][off] = seq
+					} else if t != seq {
+						return nil, fmt.Errorf("exec: element of %s touched by blocks %d and %d — footprints not disjoint under %s",
+							prog.arrays[w.array].name, blocks[t].ID, b.ID, res.Strategy)
+					}
+				}
+			}
+		}
+	}
+	return st, nil
+}
+
+func newInt32s(n int64, fill int32) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = fill
+	}
+	return s
+}
+
 // lower flattens every partition block into kernel segments/rows.
 func (prog *Program) lower(res *partition.Result) (*kernel.Plan, error) {
 	n := prog.Nest.Depth()
@@ -126,13 +247,9 @@ func (prog *Program) lower(res *partition.Result) (*kernel.Plan, error) {
 		for ri := range cs.reads {
 			ks.ReadArrs = append(ks.ReadArrs, int32(cs.reads[ri].array))
 		}
-		tree := cs.st.Tree
-		if tree == nil && cs.st.Expr != nil {
-			return nil, fmt.Errorf("exec: statement %q has closure-only semantics — not lowerable", cs.st.Label)
-		}
-		ks.Fast, ks.MulAdd = kernel.Recognize(tree, len(cs.reads))
+		ks.Fast, ks.MulAdd = kernel.Recognize(cs.st.Tree, len(cs.reads))
 		if ks.Fast == kernel.FastBytecode {
-			code, err := kernel.CompileTree(tree)
+			code, err := kernel.CompileTree(cs.st.Tree)
 			if err != nil {
 				return nil, err
 			}
@@ -351,9 +468,8 @@ func (k *Kernel) getArena(workers int) *kernArena {
 }
 
 // Run executes the specialized kernel. Reports, accounting, and final
-// state are bit-identical to the oracle and compiled engines; the
-// machine's Gantt trace is not recorded (use the compiled engine for
-// timeline rendering).
+// state are bit-identical to the map oracle; the machine's Gantt trace
+// is not recorded (use the oracle for timeline rendering).
 func (k *Kernel) Run(cost machine.CostModel, opts Options) (*Report, error) {
 	trc, parent, inj := opts.Trace, opts.Parent, opts.Chaos
 	mach := machine.New(k.topo, cost)
@@ -415,6 +531,111 @@ func (k *Kernel) Run(cost machine.CostModel, opts Options) (*Report, error) {
 	return rep, nil
 }
 
+// blockTrace is the tracing state of one traced parallel run: one
+// compact int64 row per block, filled lock-free by the block's owning
+// worker (each block index is written exactly once), published with one
+// BulkCompact call after the run. The rows carry no pointers, so the
+// hot path does plain integer stores — no allocation, no GC write
+// barriers — and tracing adds a single allocation per run.
+type blockTrace struct {
+	tr     *obs.Trace
+	parent obs.SpanID
+	vals   []int64 // blockStride entries per block
+}
+
+// blockStride is one row: [startNS, durNS, worker, node, block,
+// iterations, words]; blockKeys names the attribute columns.
+const blockStride = 7
+
+var blockKeys = []string{"worker", "node", "block", "iterations", "words"}
+
+func newBlockTrace(tr *obs.Trace, parent obs.SpanID, blocks int) *blockTrace {
+	if tr == nil {
+		return nil
+	}
+	bt := &blockTrace{tr: tr, parent: parent, vals: make([]int64, blockStride*blocks)}
+	for i := 0; i < blocks; i++ {
+		bt.vals[blockStride*i+1] = -1 // mark "never ran" for BulkCompact
+	}
+	return bt
+}
+
+// record fills block bi's row. Safe without locks: bi is owned by
+// exactly one worker and the row is a disjoint sub-range. The caller
+// supplies both endpoints so consecutive blocks on one worker can chain
+// them and pay one clock read per block.
+func (bt *blockTrace) record(bi, blockID, worker, node int, iters int64, words int, start, now time.Duration) {
+	row := bt.vals[blockStride*bi : blockStride*bi+blockStride]
+	row[0] = start.Nanoseconds()
+	row[1] = (now - start).Nanoseconds()
+	row[2] = int64(worker)
+	row[3] = int64(node)
+	row[4] = int64(blockID)
+	row[5] = iters
+	row[6] = int64(words)
+}
+
+// publish hands the rows to the trace; nil-safe.
+func (bt *blockTrace) publish() {
+	if bt != nil {
+		bt.tr.BulkCompact(bt.parent, "block", blockKeys, bt.vals)
+	}
+}
+
+// chaosRetryBlock drives the bounded retry loop for one block. Each
+// attempt's fate comes from the injector's pure schedule; the hooks do
+// the actual work:
+//
+//	run(count) — execute the first count raw iterations
+//	commit()   — make a completed attempt durable
+//	restore()  — roll a crashed partial attempt back
+//
+// A completed attempt whose crash lands post-commit sets a completion
+// marker, so recovery replays are no-ops (commits are exactly-once).
+// Budget is spent per attempt — retries are real work.
+func chaosRetryBlock(inj *chaos.Injector, node, blockID, maxRetries int, iters int64, budget *machine.Budget, run func(count int64), commit, restore func()) error {
+	done := false
+	for attempt := 0; ; attempt++ {
+		fail, post := inj.BlockFault(blockID, attempt)
+		if !fail {
+			if !done {
+				if err := budget.Spend(iters); err != nil {
+					return err
+				}
+				run(iters)
+				commit()
+			}
+			return nil
+		}
+		switch {
+		case done:
+			// Crash while recovering an already-committed block: the
+			// completion marker makes the retry a no-op.
+		case post:
+			// Crash after the commit point: the work is durable.
+			if err := budget.Spend(iters); err != nil {
+				return err
+			}
+			run(iters)
+			commit()
+			done = true
+		default:
+			// Mid-compute crash: a deterministic prefix runs, then its
+			// writes are rolled back.
+			cut := inj.Cut(blockID, attempt, iters)
+			if err := budget.Spend(cut); err != nil {
+				return err
+			}
+			run(cut)
+			restore()
+		}
+		inj.CountRetry()
+		if attempt+1 > maxRetries {
+			return &chaos.FaultError{Node: node, Block: blockID, Attempt: attempt}
+		}
+	}
+}
+
 // runDisjoint: all workers share one buffer (footprints disjoint by
 // the prepass assertion); chaos recovery checkpoints each block's
 // write ranges before the attempt loop and restores them on a crash.
@@ -437,7 +658,7 @@ func (k *Kernel) runDisjoint(mach *machine.Machine, ar *kernArena, workers int, 
 			} else {
 				kw.checkpoint(pl, bi, shared)
 				err := chaosRetryBlock(inj, nd.ID, blocks[bi].ID, opts.maxRetries(), st.iters[bi], budget,
-					func(count int64, _ bool) { pl.ExecBlock(bi, count, shared, kw.scr) },
+					func(count int64) { pl.ExecBlock(bi, count, shared, kw.scr) },
 					func() {}, // shared-buffer writes are the commit
 					func() { kw.restore(pl, bi, shared) },
 				)
@@ -461,9 +682,8 @@ func (k *Kernel) runDisjoint(mach *machine.Machine, ar *kernArena, workers int, 
 
 // runDuplicate: each worker executes blocks against a lazily cloned
 // private buffer, committing owned cells into the shared final image
-// and resetting the private cells to init between blocks — the kernel
-// form of the compiled engine's dirty-tracking, driven by the plan's
-// precomputed write ranges instead of per-write bookkeeping.
+// and resetting the private cells to init between blocks, both driven
+// by the plan's precomputed write ranges.
 func (k *Kernel) runDuplicate(mach *machine.Machine, ar *kernArena, workers int, bt *blockTrace, opts Options) error {
 	budget, inj := opts.Budget, opts.Chaos
 	blocks := k.res.Iter.Blocks
@@ -487,7 +707,7 @@ func (k *Kernel) runDuplicate(mach *machine.Machine, ar *kernArena, workers int,
 				k.commitAndReset(bi, seq, kw.priv, final)
 			} else {
 				err := chaosRetryBlock(inj, nd.ID, blocks[bi].ID, opts.maxRetries(), st.iters[bi], budget,
-					func(count int64, _ bool) { pl.ExecBlock(bi, count, kw.priv, kw.scr) },
+					func(count int64) { pl.ExecBlock(bi, count, kw.priv, kw.scr) },
 					func() { k.commitAndReset(bi, seq, kw.priv, final) },
 					func() { k.resetRanges(bi, kw.priv) },
 				)

@@ -1,24 +1,20 @@
 package lang
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// Expr is a node of the right-hand-side expression AST. Expressions are
-// built from numeric literals, loop-index variables, array references, the
-// four arithmetic operators, and unary negation.
+// Expr is a node of the parsed expression AST. Expressions are built
+// from numeric literals, loop-index variables, array references, the
+// four arithmetic operators, and unary negation. The AST lives only
+// inside the parser: subscripts and bounds lower to loop.Affine,
+// right-hand sides to loop.ExprTree (toTree), which carries the
+// executable and printable semantics from there on.
 type Expr interface {
-	// evalWith computes the value at iteration iter; array-reference leaf
-	// values are supplied positionally through reads.
-	evalWith(iter []int64, reads []float64) float64
 	String() string
 }
 
 // NumLit is a numeric literal.
 type NumLit struct{ Value float64 }
 
-func (n *NumLit) evalWith([]int64, []float64) float64 { return n.Value }
 func (n *NumLit) String() string {
 	if n.Value == float64(int64(n.Value)) {
 		return fmt.Sprintf("%d", int64(n.Value))
@@ -32,8 +28,7 @@ type VarRef struct {
 	Level int // 0-based loop level
 }
 
-func (v *VarRef) evalWith(iter []int64, _ []float64) float64 { return float64(iter[v.Level]) }
-func (v *VarRef) String() string                             { return v.Name }
+func (v *VarRef) String() string { return v.Name }
 
 // ArrRef is an array read; Slot indexes into the statement's Reads list.
 type ArrRef struct {
@@ -41,28 +36,12 @@ type ArrRef struct {
 	Slot int
 }
 
-func (a *ArrRef) evalWith(_ []int64, reads []float64) float64 { return reads[a.Slot] }
-func (a *ArrRef) String() string                              { return a.Text }
+func (a *ArrRef) String() string { return a.Text }
 
 // BinOp is a binary arithmetic operation.
 type BinOp struct {
 	Op   byte // one of + - * /
 	L, R Expr
-}
-
-func (b *BinOp) evalWith(iter []int64, reads []float64) float64 {
-	l, r := b.L.evalWith(iter, reads), b.R.evalWith(iter, reads)
-	switch b.Op {
-	case '+':
-		return l + r
-	case '-':
-		return l - r
-	case '*':
-		return l * r
-	case '/':
-		return l / r
-	}
-	panic(fmt.Errorf("lang: unknown operator %q", b.Op))
 }
 
 func (b *BinOp) String() string {
@@ -75,44 +54,9 @@ func (b *BinOp) String() string {
 // to SymTerm lists, never evaluated.
 type SymRef struct{ Name string }
 
-func (s *SymRef) evalWith([]int64, []float64) float64 {
-	panic(fmt.Errorf("lang: symbolic constant %s evaluated; normalize the nest first", s.Name))
-}
 func (s *SymRef) String() string { return s.Name }
 
 // Neg is unary negation.
 type Neg struct{ X Expr }
 
-func (n *Neg) evalWith(iter []int64, reads []float64) float64 {
-	return -n.X.evalWith(iter, reads)
-}
 func (n *Neg) String() string { return "-" + n.X.String() }
-
-// renderExprList joins expression strings with commas (diagnostics).
-func renderExprList(es []Expr) string {
-	parts := make([]string, len(es))
-	for i, e := range es {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ", ")
-}
-
-// RenderGo emits the expression as Go source: array-reference leaves are
-// replaced by readExprs[slot], index variables by
-// float64(indexExprs[level]).
-func RenderGo(e Expr, readExprs, indexExprs []string) string {
-	switch v := e.(type) {
-	case *NumLit:
-		return fmt.Sprintf("%v", v.Value)
-	case *VarRef:
-		return "float64(" + indexExprs[v.Level] + ")"
-	case *ArrRef:
-		return readExprs[v.Slot]
-	case *BinOp:
-		return "(" + RenderGo(v.L, readExprs, indexExprs) + " " + string(v.Op) + " " +
-			RenderGo(v.R, readExprs, indexExprs) + ")"
-	case *Neg:
-		return "(-" + RenderGo(v.X, readExprs, indexExprs) + ")"
-	}
-	panic(fmt.Errorf("lang: unknown expression node %T", e))
-}

@@ -24,8 +24,6 @@ import (
 
 // Canonical renders a nest in canonical form. Two nests that differ
 // only by index renaming or source spelling yield identical strings.
-// Statements carrying a custom Expr but no Render fall back to the
-// default 1+Σreads rendering (parser-built nests always carry both).
 func Canonical(nest *loop.Nest) string {
 	names := canonicalNames(nest)
 	cp := &loop.Nest{

@@ -63,13 +63,11 @@ func TestExprStringForms(t *testing.T) {
 	}
 }
 
-func TestRenderGoForms(t *testing.T) {
+func TestRenderRHSForms(t *testing.T) {
 	n := MustParse("for i = 1 to 4\n A[i] = -B[i] + i * 2\nend")
-	got := n.Body[0].RenderRHS([]string{"v0"}, []string{"i"})
-	for _, want := range []string{"(-v0)", "float64(i)", "* 2"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("RenderGo = %q missing %q", got, want)
-		}
+	got := n.Body[0].RenderRHS([]string{"v0"}, []string{"float64(i)"})
+	if want := "((-v0) + (float64(i) * 2))"; got != want {
+		t.Errorf("RenderRHS = %q, want %q", got, want)
 	}
 }
 

@@ -1,21 +1,16 @@
 package lang
 
 // Formatter: emit DSL source from a loop.Nest. Parsed nests round-trip
-// exactly modulo whitespace (the RHS text is kept verbatim); hand-built
-// nests fall back to a generic f(...) right-hand side, which still
-// re-parses into a nest with identical reference structure.
+// exactly modulo whitespace (the RHS text is kept verbatim); statements
+// without source text spell their expression tree (or the default
+// 1 + Σ reads), which re-parses with equal meaning.
 
 import (
 	"fmt"
-	"regexp"
 	"strings"
 
 	"commfree/internal/loop"
 )
-
-// indexCast matches the float64(identifier) wrapper the Go renderer puts
-// around loop-index uses.
-var indexCast = regexp.MustCompile(`float64\((\w+)\)`)
 
 // Format renders a nest as DSL source.
 func Format(nest *loop.Nest) string {
@@ -37,21 +32,11 @@ func Format(nest *loop.Nest) string {
 		}
 		rhs := st.SourceRHS
 		if rhs == "" {
-			var reads []string
-			for _, r := range st.Reads {
-				reads = append(reads, FormatRef(r, names))
+			reads := make([]string, len(st.Reads))
+			for i, r := range st.Reads {
+				reads[i] = FormatRef(r, names)
 			}
-			if st.Render != nil {
-				// Hand-built statements with a renderer (e.g. the paper
-				// loops) emit their real expression. Parser-built
-				// renderers target Go and wrap index uses in float64();
-				// strip the casts back to plain DSL identifiers.
-				rhs = indexCast.ReplaceAllString(st.Render(reads, names), "$1")
-			} else {
-				// Default semantics is 1 + Σ reads; emit exactly that so
-				// the formatted source re-parses with equal meaning.
-				rhs = strings.Join(append([]string{"1"}, reads...), " + ")
-			}
+			rhs = st.RenderRHS(reads, names)
 		}
 		fmt.Fprintf(&b, "%s%s%s = %s\n", indent, label, FormatRef(st.Write, names), rhs)
 	}
@@ -99,11 +84,7 @@ func FormatAffineNest(a *AffineNest) string {
 				}
 				reads = append(reads, formatRefSyms(r, rsym, names))
 			}
-			if st.Render != nil {
-				rhs = indexCast.ReplaceAllString(st.Render(reads, names), "$1")
-			} else {
-				rhs = strings.Join(append([]string{"1"}, reads...), " + ")
-			}
+			rhs = st.RenderRHS(reads, names)
 		}
 		fmt.Fprintf(&b, "%s%s%s = %s\n", indent, label, formatRefSyms(st.Write, ss.Write, names), rhs)
 	}

@@ -376,26 +376,17 @@ func (p *parser) parseStatement(n int) (*loop.Statement, error) {
 		st := StmtSyms{Write: rs[0], Reads: append([]RefSyms(nil), rs[1:]...)}
 		p.stmtSyms = append(p.stmtSyms, st)
 	}
-	expr := p.rewriteVars(rhs)
 	return &loop.Statement{
 		SourceRHS: source,
 		Label:     label,
 		Write:     writeRef,
 		Reads:     reads,
-		Expr: func(iter []int64, readVals []float64) float64 {
-			return expr.evalWith(iter, readVals)
-		},
-		Render: func(readExprs, indexExprs []string) string {
-			return RenderGo(expr, readExprs, indexExprs)
-		},
-		Tree: toTree(expr),
+		Tree:      toTree(p.rewriteVars(rhs)),
 	}, nil
 }
 
-// toTree mirrors the parsed AST into the engine-neutral loop.ExprTree,
-// node for node, so lowered kernels evaluate the identical operation
-// structure (and therefore the identical float64 results) as the
-// evalWith closure.
+// toTree lowers the parsed right-hand side into loop.ExprTree, node for
+// node — the statement's semantics from here on.
 func toTree(e Expr) *loop.ExprTree {
 	switch v := e.(type) {
 	case *NumLit:

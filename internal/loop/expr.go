@@ -1,18 +1,16 @@
 package loop
 
-// ExprTree is the structured, lowerable form of a statement's
-// right-hand side. Statement.Expr (an opaque closure) remains the
-// executable semantics of record; Tree, when set, must denote exactly
-// the same function, with the same operation structure — engines that
-// lower it (internal/exec/kernel) evaluate the nodes in the identical
-// post-order (left, right, op), so a lowered kernel reproduces the
-// closure's float64 results bit for bit.
+import "fmt"
+
+// ExprTree is the one representation of a statement's right-hand side:
+// the sequential reference and the map oracle evaluate it (Eval), the
+// kernel engine lowers it (internal/exec/kernel), and the formatter and
+// code generator spell it (Render). Lowerings evaluate the nodes in
+// Eval's post-order (left, right, op) with every intermediate rounded
+// to float64, so a lowered kernel reproduces Eval bit for bit.
 //
-// A nil Tree on a statement with a nil Expr means the default
-// semantics (1 + Σ reads, in read order), which lowering engines
-// special-case; a nil Tree with a non-nil Expr marks a statement whose
-// semantics exist only as a closure — such statements cannot be
-// lowered and force the interpreting engines.
+// A nil Tree on a statement means the default semantics (1 + Σ reads,
+// in read order); DefaultTree spells it out.
 
 // ExprOp enumerates ExprTree node kinds.
 type ExprOp uint8
@@ -44,27 +42,69 @@ type ExprTree struct {
 // Eval evaluates the tree at iteration iter with the read values in
 // reads — the reference semantics every lowering must match exactly.
 func (e *ExprTree) Eval(iter []int64, reads []float64) float64 {
+	return e.eval(&evalEnv{iter, reads})
+}
+
+// evalEnv is the evaluation point, passed by pointer so the recursion
+// carries two words instead of two slices.
+type evalEnv struct {
+	iter  []int64
+	reads []float64
+}
+
+// eval is small enough to inline, so the common leaves cost no call
+// and only the other nodes recurse (through evalNode).
+func (e *ExprTree) eval(env *evalEnv) float64 {
 	switch e.Op {
+	case ExprRead:
+		return env.reads[e.Arg]
 	case ExprConst:
 		return e.Val
+	}
+	return e.evalNode(env)
+}
+
+func (e *ExprTree) evalNode(env *evalEnv) float64 {
+	switch e.Op {
 	case ExprIndex:
-		return float64(iter[e.Arg])
-	case ExprRead:
-		return reads[e.Arg]
+		return float64(env.iter[e.Arg])
+	case ExprNeg:
+		return -e.L.eval(env)
+	}
+	l, r := e.L.eval(env), e.R.eval(env)
+	switch e.Op {
 	case ExprAdd:
-		return e.L.Eval(iter, reads) + e.R.Eval(iter, reads)
+		return l + r
 	case ExprSub:
-		return e.L.Eval(iter, reads) - e.R.Eval(iter, reads)
+		return l - r
 	case ExprMul:
-		l, r := e.L.Eval(iter, reads), e.R.Eval(iter, reads)
 		return l * r
 	case ExprDiv:
-		l, r := e.L.Eval(iter, reads), e.R.Eval(iter, reads)
 		return l / r
-	case ExprNeg:
-		return -e.L.Eval(iter, reads)
 	}
 	panic("loop: unknown ExprTree op")
+}
+
+// exprSym spells the binary operators, indexed by ExprOp.
+var exprSym = [...]string{ExprAdd: "+", ExprSub: "-", ExprMul: "*", ExprDiv: "/"}
+
+// Render spells the tree as a fully parenthesised infix expression,
+// with reads[slot] for an array-read leaf and index[level] for a
+// loop-index leaf. The spelling is part of lang.Canonical — the plan
+// cache key — so it must not change: literals print with %v, negation
+// as (-x), and every binary node carries its own parentheses.
+func (e *ExprTree) Render(reads, index []string) string {
+	switch e.Op {
+	case ExprConst:
+		return fmt.Sprintf("%v", e.Val)
+	case ExprIndex:
+		return index[e.Arg]
+	case ExprRead:
+		return reads[e.Arg]
+	case ExprNeg:
+		return "(-" + e.L.Render(reads, index) + ")"
+	}
+	return "(" + e.L.Render(reads, index) + " " + exprSym[e.Op] + " " + e.R.Render(reads, index) + ")"
 }
 
 // UsesIndex reports whether any node reads a loop index.

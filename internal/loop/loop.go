@@ -164,25 +164,14 @@ func (r Ref) Clone() Ref {
 }
 
 // Statement is one assignment in the loop body: Write := f(Reads...).
-// Expr is an opaque executable semantics: given the iteration point and the
-// values of the read references (in Reads order), it produces the value to
-// store. A nil Expr defaults to summing the read values plus one, which is
-// enough to make data flow observable in tests.
-//
-// Render, when set, emits the right-hand side as a Go expression for code
-// generation: readExprs[i] is the Go expression yielding the value of
-// Reads[i], and indexExprs[k] the Go expression for loop index k. A nil
-// Render produces the default semantics (1 + Σ reads).
 type Statement struct {
-	Label  string // e.g. "S1"
-	Write  Ref
-	Reads  []Ref
-	Expr   func(iter []int64, reads []float64) float64
-	Render func(readExprs, indexExprs []string) string
-	// Tree is the structured form of the same right-hand side (see
-	// ExprTree); builders that set Expr should set Tree too so the
-	// kernel engine can lower the statement instead of interpreting
-	// the closure. nil Tree + nil Expr means the default semantics.
+	Label string // e.g. "S1"
+	Write Ref
+	Reads []Ref
+	// Tree is the right-hand side f: given the iteration point and the
+	// values of the read references (in Reads order) it produces the
+	// value to store. A nil Tree is the default semantics, 1 + Σ reads,
+	// which is enough to make data flow observable in tests.
 	Tree *ExprTree
 	// SourceRHS is the verbatim DSL text of the right-hand side when the
 	// statement came from the parser; used by the formatter for exact
@@ -190,10 +179,10 @@ type Statement struct {
 	SourceRHS string
 }
 
-// EvalExpr applies the statement's expression (or the default).
+// EvalExpr applies the statement's right-hand side (or the default).
 func (s *Statement) EvalExpr(iter []int64, reads []float64) float64 {
-	if s.Expr != nil {
-		return s.Expr(iter, reads)
+	if s.Tree != nil {
+		return s.Tree.Eval(iter, reads)
 	}
 	v := 1.0
 	for _, r := range reads {
@@ -202,16 +191,16 @@ func (s *Statement) EvalExpr(iter []int64, reads []float64) float64 {
 	return v
 }
 
-// RenderRHS emits the right-hand side as a Go expression (see Render).
+// RenderRHS spells the right-hand side as an infix expression that is
+// valid both as DSL source and as Go: readExprs[i] stands for the value
+// of Reads[i] and indexExprs[k] for loop index k used as a value — the
+// caller chooses the leaf spelling (the formatter passes index names,
+// codegen passes float64(...) casts).
 func (s *Statement) RenderRHS(readExprs, indexExprs []string) string {
-	if s.Render != nil {
-		return s.Render(readExprs, indexExprs)
+	if s.Tree != nil {
+		return s.Tree.Render(readExprs, indexExprs)
 	}
-	out := "1.0"
-	for _, r := range readExprs {
-		out += " + " + r
-	}
-	return out
+	return strings.Join(append([]string{"1"}, readExprs...), " + ")
 }
 
 // Nest is a normalized n-nested loop.
@@ -223,10 +212,10 @@ type Nest struct {
 // Depth returns the nesting depth n.
 func (l *Nest) Depth() int { return len(l.Levels) }
 
-// Clone returns a deep copy of the nest. Statement closures (Expr,
-// Render) and Tree are shared — they are immutable — but every Level,
-// Ref, and slice is freshly allocated so reference rewrites on the copy
-// cannot alias the original.
+// Clone returns a deep copy of the nest. Statement Trees are shared —
+// they are immutable — but every Level, Ref, and slice is freshly
+// allocated so reference rewrites on the copy cannot alias the
+// original.
 func (l *Nest) Clone() *Nest {
 	out := &Nest{Levels: make([]Level, len(l.Levels)), Body: make([]*Statement, len(l.Body))}
 	for k, lv := range l.Levels {
@@ -237,8 +226,6 @@ func (l *Nest) Clone() *Nest {
 			Label:     st.Label,
 			Write:     st.Write.Clone(),
 			Reads:     make([]Ref, len(st.Reads)),
-			Expr:      st.Expr,
-			Render:    st.Render,
 			Tree:      st.Tree,
 			SourceRHS: st.SourceRHS,
 		}

@@ -235,9 +235,33 @@ func TestStatementEvalExprDefault(t *testing.T) {
 	if got := s.EvalExpr(nil, []float64{2, 3}); got != 6 {
 		t.Errorf("default expr = %v, want 6", got)
 	}
-	s = &Statement{Expr: func(_ []int64, r []float64) float64 { return r[0] * 10 }}
+	s = &Statement{Tree: &ExprTree{Op: ExprMul, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprConst, Val: 10}}}
 	if got := s.EvalExpr(nil, []float64{2}); got != 20 {
 		t.Errorf("custom expr = %v", got)
+	}
+}
+
+// TestRenderRHS pins the one RHS spelling: full parenthesisation, %v
+// literals, (-x), caller-spelled leaves, and the nil-Tree default.
+func TestRenderRHS(t *testing.T) {
+	read := func(slot int) *ExprTree { return &ExprTree{Op: ExprRead, Arg: slot} }
+	lit := func(v float64) *ExprTree { return &ExprTree{Op: ExprConst, Val: v} }
+	cases := []struct {
+		tree *ExprTree
+		want string
+	}{
+		{nil, "1 + a + b + c"},
+		{DefaultTree(2), "((1 + a) + b)"},
+		{L5(2).Body[0].Tree, "(a + (b * c))"},
+		{&ExprTree{Op: ExprNeg, L: read(0)}, "(-a)"},
+		{&ExprTree{Op: ExprSub, L: &ExprTree{Op: ExprIndex, Arg: 1}, R: lit(0.5)}, "(j - 0.5)"},
+		{&ExprTree{Op: ExprDiv, L: lit(1e21), R: lit(-3)}, "(1e+21 / -3)"},
+	}
+	for _, c := range cases {
+		s := &Statement{Tree: c.tree}
+		if got := s.RenderRHS([]string{"a", "b", "c"}, []string{"i", "j"}); got != c.want {
+			t.Errorf("RenderRHS = %q, want %q", got, c.want)
+		}
 	}
 }
 
@@ -251,7 +275,7 @@ func TestNestString(t *testing.T) {
 }
 
 func TestL5Semantics(t *testing.T) {
-	// The registered Expr for L5 must compute C += A*B.
+	// L5's tree must compute C += A*B.
 	l := L5(2)
 	s := l.Body[0]
 	got := s.EvalExpr(nil, []float64{10, 2, 3})

@@ -23,9 +23,7 @@ func L1() *Nest {
 				Reads: []Ref{
 					{Array: "C", H: [][]int64{{1, 0}, {0, 1}}, Offset: []int64{0, 0}},
 				},
-				Expr:   func(_ []int64, reads []float64) float64 { return reads[0] * 7 },
-				Render: func(r, _ []string) string { return "(" + r[0] + " * 7)" },
-				Tree:   &ExprTree{Op: ExprMul, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprConst, Val: 7}},
+				Tree: &ExprTree{Op: ExprMul, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprConst, Val: 7}},
 			},
 			{
 				Label: "S2",
@@ -34,9 +32,7 @@ func L1() *Nest {
 					{Array: "A", H: [][]int64{{2, 0}, {0, 1}}, Offset: []int64{-2, -1}},
 					{Array: "C", H: [][]int64{{1, 0}, {0, 1}}, Offset: []int64{-1, -1}},
 				},
-				Expr:   func(_ []int64, reads []float64) float64 { return reads[0] + reads[1] },
-				Render: func(r, _ []string) string { return "(" + r[0] + " + " + r[1] + ")" },
-				Tree:   &ExprTree{Op: ExprAdd, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprRead, Arg: 1}},
+				Tree: &ExprTree{Op: ExprAdd, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprRead, Arg: 1}},
 			},
 		},
 	}
@@ -64,9 +60,7 @@ func L2() *Nest {
 					{Array: "B", H: hB, Offset: []int64{0, 0}},
 					{Array: "A", H: hA, Offset: []int64{-1, 0}},
 				},
-				Expr:   func(_ []int64, reads []float64) float64 { return reads[0] * reads[1] },
-				Render: func(r, _ []string) string { return "(" + r[0] + " * " + r[1] + ")" },
-				Tree:   &ExprTree{Op: ExprMul, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprRead, Arg: 1}},
+				Tree: &ExprTree{Op: ExprMul, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprRead, Arg: 1}},
 			},
 			{
 				Label: "S2",
@@ -74,9 +68,7 @@ func L2() *Nest {
 				Reads: []Ref{
 					{Array: "B", H: hB, Offset: []int64{-1, -1}},
 				},
-				Expr:   func(_ []int64, reads []float64) float64 { return reads[0] / 3 },
-				Render: func(r, _ []string) string { return "(" + r[0] + " / 3)" },
-				Tree:   &ExprTree{Op: ExprDiv, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprConst, Val: 3}},
+				Tree: &ExprTree{Op: ExprDiv, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprConst, Val: 3}},
 			},
 		},
 	}
@@ -102,9 +94,7 @@ func L3() *Nest {
 				Reads: []Ref{
 					{Array: "A", H: hA, Offset: []int64{-1, -1}},
 				},
-				Expr:   func(_ []int64, reads []float64) float64 { return reads[0] * 3 },
-				Render: func(r, _ []string) string { return "(" + r[0] + " * 3)" },
-				Tree:   &ExprTree{Op: ExprMul, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprConst, Val: 3}},
+				Tree: &ExprTree{Op: ExprMul, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprConst, Val: 3}},
 			},
 			{
 				Label: "S2",
@@ -112,9 +102,7 @@ func L3() *Nest {
 				Reads: []Ref{
 					{Array: "A", H: hA, Offset: []int64{1, -2}},
 				},
-				Expr:   func(_ []int64, reads []float64) float64 { return reads[0] / 7 },
-				Render: func(r, _ []string) string { return "(" + r[0] + " / 7)" },
-				Tree:   &ExprTree{Op: ExprDiv, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprConst, Val: 7}},
+				Tree: &ExprTree{Op: ExprDiv, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprConst, Val: 7}},
 			},
 		},
 	}
@@ -142,9 +130,7 @@ func L4() *Nest {
 					{Array: "A", H: hA, Offset: []int64{-1, 1, -1}},
 					{Array: "B", H: hA, Offset: []int64{0, 0, 0}},
 				},
-				Expr:   func(_ []int64, reads []float64) float64 { return reads[0] + reads[1] },
-				Render: func(r, _ []string) string { return "(" + r[0] + " + " + r[1] + ")" },
-				Tree:   &ExprTree{Op: ExprAdd, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprRead, Arg: 1}},
+				Tree: &ExprTree{Op: ExprAdd, L: &ExprTree{Op: ExprRead, Arg: 0}, R: &ExprTree{Op: ExprRead, Arg: 1}},
 			},
 		},
 	}
@@ -172,8 +158,6 @@ func L5(m int64) *Nest {
 					{Array: "A", H: [][]int64{{1, 0, 0}, {0, 0, 1}}, Offset: []int64{0, 0}},
 					{Array: "B", H: [][]int64{{0, 0, 1}, {0, 1, 0}}, Offset: []int64{0, 0}},
 				},
-				Expr:   func(_ []int64, reads []float64) float64 { return reads[0] + reads[1]*reads[2] },
-				Render: func(r, _ []string) string { return "(" + r[0] + " + " + r[1] + "*" + r[2] + ")" },
 				Tree: &ExprTree{Op: ExprAdd, L: &ExprTree{Op: ExprRead, Arg: 0},
 					R: &ExprTree{Op: ExprMul, L: &ExprTree{Op: ExprRead, Arg: 1}, R: &ExprTree{Op: ExprRead, Arg: 2}}},
 			},

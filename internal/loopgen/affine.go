@@ -38,7 +38,7 @@ func (c *AffineCase) Source() string { return lang.FormatAffineNest(c.Affine) }
 // Twin is Uniformize of the decorated concrete nest.
 func GenerateAffine(rnd *rand.Rand, cfg Config) *AffineCase {
 	base := Generate(rnd, cfg)
-	nest := cloneNest(base)
+	nest := base.Clone()
 	syms := make([]lang.StmtSyms, len(nest.Body))
 	for s, st := range nest.Body {
 		syms[s] = lang.StmtSyms{
@@ -240,7 +240,7 @@ func decorateDilation(rnd *rand.Rand, nest *loop.Nest) {
 // differential test. Symbolic terms are not its concern: they live
 // beside the nest and normalization simply drops the shared sums.
 func Uniformize(nest *loop.Nest) *loop.Nest {
-	out := cloneNest(nest)
+	out := nest.Clone()
 	refsIn := func(st *loop.Statement) []*loop.Ref {
 		rs := []*loop.Ref{&st.Write}
 		for i := range st.Reads {
@@ -350,7 +350,7 @@ func ShrinkAffine(a *lang.AffineNest, fails func(*lang.AffineNest) bool) *lang.A
 }
 
 func cloneAffineNest(a *lang.AffineNest) *lang.AffineNest {
-	out := &lang.AffineNest{Nest: cloneNest(a.Nest), Syms: make([]lang.StmtSyms, len(a.Syms))}
+	out := &lang.AffineNest{Nest: a.Nest.Clone(), Syms: make([]lang.StmtSyms, len(a.Syms))}
 	for s, ss := range a.Syms {
 		out.Syms[s] = cloneStmtSyms(ss)
 	}

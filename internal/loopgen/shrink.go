@@ -24,7 +24,7 @@ func Shrink(nest *loop.Nest, fails func(*loop.Nest) bool) *loop.Nest {
 	if !fails(nest) {
 		return nest
 	}
-	cur := cloneNest(nest)
+	cur := nest.Clone()
 	calls := 0
 	for improved := true; improved && calls < shrinkBudget; {
 		improved = false
@@ -86,43 +86,6 @@ func abs64(x int64) int64 {
 	return x
 }
 
-func cloneNest(n *loop.Nest) *loop.Nest {
-	out := &loop.Nest{
-		Levels: make([]loop.Level, len(n.Levels)),
-		Body:   make([]*loop.Statement, len(n.Body)),
-	}
-	for k, lv := range n.Levels {
-		out.Levels[k] = loop.Level{Name: lv.Name, Lower: cloneAffine(lv.Lower), Upper: cloneAffine(lv.Upper)}
-	}
-	for s, st := range n.Body {
-		cp := &loop.Statement{
-			Label:     st.Label,
-			Write:     cloneRef(st.Write),
-			Expr:      st.Expr,
-			Render:    st.Render,
-			Tree:      st.Tree,
-			SourceRHS: st.SourceRHS,
-		}
-		for _, r := range st.Reads {
-			cp.Reads = append(cp.Reads, cloneRef(r))
-		}
-		out.Body[s] = cp
-	}
-	return out
-}
-
-func cloneAffine(a loop.Affine) loop.Affine {
-	return loop.Affine{Coeffs: append([]int64(nil), a.Coeffs...), Const: a.Const}
-}
-
-func cloneRef(r loop.Ref) loop.Ref {
-	h := make([][]int64, len(r.H))
-	for i := range h {
-		h[i] = append([]int64(nil), r.H[i]...)
-	}
-	return loop.Ref{Array: r.Array, H: h, Offset: append([]int64(nil), r.Offset...)}
-}
-
 // candidates enumerates all one-step shrinks of n, biggest wins first
 // (statement drops before coefficient nudges).
 func candidates(n *loop.Nest) []*loop.Nest {
@@ -131,7 +94,7 @@ func candidates(n *loop.Nest) []*loop.Nest {
 	// Drop one statement.
 	if len(n.Body) > 1 {
 		for s := range n.Body {
-			c := cloneNest(n)
+			c := n.Clone()
 			c.Body = append(c.Body[:s], c.Body[s+1:]...)
 			out = append(out, c)
 		}
@@ -149,7 +112,7 @@ func candidates(n *loop.Nest) []*loop.Nest {
 	// Drop one read.
 	for s, st := range n.Body {
 		for r := range st.Reads {
-			c := cloneNest(n)
+			c := n.Clone()
 			c.Body[s].Reads = append(c.Body[s].Reads[:r], c.Body[s].Reads[r+1:]...)
 			out = append(out, c)
 		}
@@ -161,10 +124,10 @@ func candidates(n *loop.Nest) []*loop.Nest {
 			continue
 		}
 		if ext := lv.Upper.Const - lv.Lower.Const + 1; ext > 2 {
-			c := cloneNest(n)
+			c := n.Clone()
 			c.Levels[k].Upper.Const = lv.Lower.Const + 1
 			out = append(out, c)
-			c = cloneNest(n)
+			c = n.Clone()
 			c.Levels[k].Upper.Const = lv.Upper.Const - 1
 			out = append(out, c)
 		}
@@ -187,7 +150,7 @@ func candidates(n *loop.Nest) []*loop.Nest {
 				if o == 0 {
 					continue
 				}
-				c := cloneNest(n)
+				c := n.Clone()
 				tgt := &c.Body[s].Write
 				if ri >= 0 {
 					tgt = &c.Body[s].Reads[ri]
@@ -208,7 +171,7 @@ func dropLevel(n *loop.Nest, k int) (*loop.Nest, bool) {
 			return nil, false
 		}
 	}
-	c := cloneNest(n)
+	c := n.Clone()
 	c.Levels = append(c.Levels[:k], c.Levels[k+1:]...)
 	for i := range c.Levels {
 		c.Levels[i].Lower.Coeffs = dropCol(c.Levels[i].Lower.Coeffs, k)
@@ -257,7 +220,7 @@ func hMoves(n *loop.Nest) []*loop.Nest {
 				if v == 0 {
 					continue
 				}
-				c := cloneNest(n)
+				c := n.Clone()
 				for _, st := range c.Body {
 					if st.Write.Array == name {
 						st.Write.H[i][j] = v / 2

@@ -126,7 +126,7 @@ func (n *Node) CountIteration() {
 	n.mu.Unlock()
 }
 
-// AddIterations charges c loop iterations at once. The compiled
+// AddIterations charges c loop iterations at once. The kernel
 // executor counts per block rather than per iteration, so the counter
 // mutex is taken once per block instead of once per iteration.
 func (n *Node) AddIterations(c int64) {
@@ -241,7 +241,7 @@ func (m *Machine) SendTo(node int, data []Datum) {
 
 // ChargeSendWords accounts a host→node unicast of the given word count
 // at SendTo's cost without materializing any data in the node's keyed
-// memory — the compiled executor keeps node state in dense buffers of
+// memory — the kernel executor keeps node state in dense buffers of
 // its own and only needs the message charged.
 func (m *Machine) ChargeSendWords(node, words int) {
 	_ = m.nodes[node] // bounds-check the node id like SendTo would

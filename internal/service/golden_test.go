@@ -65,10 +65,14 @@ func deterministicTrace() *obs.Trace {
 	spans := []obs.Span{
 		{Parent: 0, Name: "parse", StartNS: 0, DurNS: ms / 8,
 			Attrs: []obs.Attr{{Key: "bytes", Int: 96}}},
-		{Parent: 0, Name: "exec_compile", StartNS: ms / 4, DurNS: 3 * ms / 2},
+		{Parent: 0, Name: "exec_compile", StartNS: ms / 4, DurNS: 3 * ms / 2,
+			Attrs: []obs.Attr{
+				{Key: "fallback", Str: "oracle"},
+				{Key: "reason", Str: "exec: array A footprint [4096 4096] exceeds 16777216 dense cells"},
+			}},
 		{Parent: 0, Name: "exec_run", StartNS: 2 * ms, DurNS: 5 * ms,
 			Attrs: []obs.Attr{
-				{Key: "engine", Str: "compiled"},
+				{Key: "engine", Str: "oracle"},
 				{Key: "chaos_seed", Int: 7},
 				{Key: "attempt", Int: 0},
 				{Key: "chaos_faults", Int: 3},

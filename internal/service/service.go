@@ -65,12 +65,12 @@ type Config struct {
 	MaxSourceBytes int
 	// Cost is the machine cost model (default machine.Transputer()).
 	Cost machine.CostModel
-	// Engine selects the /v1/execute executor: "kernel" (default)
-	// runs the per-plan specialized kernel (fused bounds, bytecode or
-	// fast-shape RHS, pooled arenas), falling back to the compiled
-	// dense engine when a plan is not lowerable and to the map-based
-	// oracle when a nest exceeds the compile caps; "compiled" skips
-	// the kernel; "oracle" forces the map-based interpreter.
+	// Engine selects the /v1/execute executor: "kernel" (the default,
+	// and what any unrecognised value means — the binaries refuse those
+	// with ParseEngine) runs the per-plan specialized kernel (fused
+	// bounds, bytecode or fast-shape RHS, pooled arenas), falling back
+	// to the map-based oracle when a nest exceeds the compile caps;
+	// "oracle" forces the map-based interpreter.
 	Engine string
 	// BatchWindow enables request coalescing on /v1/execute when
 	// positive: the first request for a plan waits this long for
@@ -125,6 +125,17 @@ type Config struct {
 	Store    store.Store
 }
 
+// ParseEngine validates an engine name arriving from outside the
+// program (a command-line flag): Config itself maps anything but
+// "oracle" to the kernel, so a misspelt or retired name must be refused
+// before it gets that far.
+func ParseEngine(name string) (string, error) {
+	if name == "kernel" || name == "oracle" {
+		return name, nil
+	}
+	return "", fmt.Errorf("unknown engine %q (accepted: kernel, oracle)", name)
+}
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -153,7 +164,7 @@ func (c Config) withDefaults() Config {
 	if c.Cost == (machine.CostModel{}) {
 		c.Cost = machine.Transputer()
 	}
-	if c.Engine != "oracle" && c.Engine != "compiled" {
+	if c.Engine != "oracle" {
 		c.Engine = "kernel"
 	}
 	if c.BatchMax <= 0 {
@@ -277,9 +288,9 @@ type ExecuteResponse struct {
 	InterNodeMessages int64 `json:"inter_node_messages"`
 	// IterationsPerNode is the per-processor workload.
 	IterationsPerNode []int64 `json:"iterations_per_node"`
-	// Engine is the executor that ran the plan: "kernel", "compiled",
-	// or "oracle" (also reported when a lowering or compile-cap
-	// fallback downgraded the request).
+	// Engine is the executor that ran the plan: "kernel" or "oracle"
+	// (the latter also when a compile-cap fallback downgraded the
+	// request), or "sequential" for a degraded run.
 	Engine string `json:"engine"`
 	// Batched reports that this response was served by an execution
 	// coalesced with other identical requests; BatchSize is how many
@@ -421,12 +432,6 @@ func New(cfg Config) *Service {
 	s.metrics.Gauge("queue_capacity", func() int64 { return int64(s.pool.queueCap()) })
 	s.metrics.Gauge("in_flight", func() int64 { return s.pool.running() })
 	s.metrics.Gauge("workers", func() int64 { return int64(cfg.Workers) })
-	s.metrics.Gauge("engine_compiled", func() int64 {
-		if cfg.Engine == "compiled" {
-			return 1
-		}
-		return 0
-	})
 	s.metrics.Gauge("engine_kernel", func() int64 {
 		if cfg.Engine == "kernel" {
 			return 1
@@ -995,34 +1000,23 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	}
 
 	// Stage: exec_compile — resolve the cached plan into the
-	// specialized kernel or the dense program (amortized: sync.Once
-	// per cache entry). Plans the kernel cannot lower fall back to the
-	// compiled engine; nests beyond the compile caps fall back to the
-	// map-based oracle.
+	// specialized kernel (amortized: sync.Once per cache entry). Nests
+	// beyond the compile caps fall back to the map-based oracle, and
+	// the span says why.
 	engine := s.cfg.Engine
 	var kern *exec.Kernel
-	var prog *exec.Program
 	if engine == "kernel" {
 		csp := trc.Start(0, "exec_compile")
 		k, kerr := entry.comp.kernel(req.Processors)
-		csp.End()
 		if kerr != nil {
 			s.metrics.Inc("exec_compile_fallbacks", 1)
-			engine = "compiled"
+			engine = "oracle"
+			csp.SetStr("fallback", engine)
+			csp.SetStr("reason", kerr.Error())
 		} else {
 			kern = k
 		}
-	}
-	if engine == "compiled" {
-		csp := trc.Start(0, "exec_compile")
-		p, cerr := entry.comp.program()
 		csp.End()
-		if cerr != nil {
-			s.metrics.Inc("exec_compile_fallbacks", 1)
-			engine = "oracle"
-		} else {
-			prog = p
-		}
 	}
 
 	// Stage: exec_run — the simulated parallel execution. The
@@ -1037,12 +1031,9 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	opts := exec.Options{Budget: budget, Trace: trc, Parent: rsp.ID(), Chaos: inj}
 	var rep *exec.Report
 	var err error
-	switch {
-	case kern != nil:
+	if kern != nil {
 		rep, err = kern.Run(s.cfg.Cost, opts)
-	case prog != nil:
-		rep, err = prog.ParallelOpts(entry.comp.res, req.Processors, s.cfg.Cost, opts)
-	default:
+	} else {
 		rep, err = exec.ParallelOpts(entry.comp.res, req.Processors, s.cfg.Cost, opts)
 	}
 	if inj != nil {
@@ -1063,12 +1054,7 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	// by the differential tests).
 	vsp := trc.Start(0, "exec_validate")
 	want := entry.comp.sequentialRef()
-	mismatches := 0
-	for k, wv := range want {
-		if rep.Final[k] != wv {
-			mismatches++
-		}
-	}
+	mismatches := countMismatches(rep.Final, want)
 	vsp.SetInt("elements", int64(len(want)))
 	vsp.SetInt("mismatches", int64(mismatches))
 	vsp.End()
@@ -1087,6 +1073,24 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 		Mismatches:        mismatches,
 		Elements:          len(want),
 	}, nil
+}
+
+// countMismatches is the validation verdict as a count: elements of
+// want that got lacks (missing) or holds with a different value, plus
+// elements of got that want does not have (surplus, by counting: got
+// holds every non-missing key of want, the rest are extra). Zero
+// exactly when exec.Equal(got, want) is nil.
+func countMismatches(got, want map[string]float64) int {
+	missing, differing := 0, 0
+	for k, wv := range want {
+		if gv, ok := got[k]; !ok {
+			missing++
+		} else if gv != wv {
+			differing++
+		}
+	}
+	surplus := len(got) - (len(want) - missing)
+	return missing + differing + surplus
 }
 
 // executeSequential is the graceful-degradation path: the nest runs on

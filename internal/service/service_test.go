@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"commfree/internal/exec"
 	"commfree/internal/lang"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
+	"commfree/internal/obs"
 )
 
 // srcL1 and its α-renamed/re-spaced spellings must share one cache
@@ -177,10 +179,9 @@ func TestExecuteValidatesAgainstSequential(t *testing.T) {
 }
 
 func TestExecuteReportsEngine(t *testing.T) {
-	// The default engine is the specialized kernel; forcing the
-	// compiled engine or the oracle must be reported and validate
-	// identically.
-	for _, engine := range []string{"kernel", "compiled", "oracle"} {
+	// The default engine is the specialized kernel; forcing the oracle
+	// must be reported and validate identically.
+	for _, engine := range []string{"kernel", "oracle"} {
 		s := newTestService(t, Config{Engine: engine})
 		resp, err := s.Execute(context.Background(), execReq(CompileRequest{Source: srcL1, Strategy: "duplicate", Processors: 4}))
 		if err != nil {
@@ -301,4 +302,87 @@ func TestGracefulDrainDeliversAllResponses(t *testing.T) {
 		t.Error("no request completed during drain")
 	}
 	t.Logf("drain: %d completed, %d refused", succeeded, rejected)
+}
+
+// TestCountMismatches: validation is two-sided — a parallel run that
+// loses, corrupts or invents elements must not validate — and agrees
+// with exec.Equal on the verdict.
+func TestCountMismatches(t *testing.T) {
+	want := map[string]float64{"A[1]": 1, "A[2]": 2}
+	cases := []struct {
+		name string
+		got  map[string]float64
+		n    int
+	}{
+		{"equal", map[string]float64{"A[1]": 1, "A[2]": 2}, 0},
+		{"differing value", map[string]float64{"A[1]": 1, "A[2]": 7}, 1},
+		{"missing key", map[string]float64{"A[1]": 1}, 1},
+		{"surplus key", map[string]float64{"A[1]": 1, "A[2]": 2, "A[3]": 3}, 1},
+		{"missing and surplus", map[string]float64{"A[1]": 1, "A[3]": 3}, 2},
+	}
+	for _, c := range cases {
+		if got := countMismatches(c.got, want); got != c.n {
+			t.Errorf("%s: %d mismatches, want %d", c.name, got, c.n)
+		}
+		if equal := exec.Equal(c.got, want) == nil; equal != (c.n == 0) {
+			t.Errorf("%s: exec.Equal says equal=%v", c.name, equal)
+		}
+	}
+}
+
+// TestKernelFallbackRecordsReason: when a plan cannot be specialized
+// the request runs on the map oracle, still validates, and the
+// exec_compile span says which fallback fired and why.
+func TestKernelFallbackRecordsReason(t *testing.T) {
+	s := newTestService(t, Config{})
+	ctx := context.Background()
+	req := CompileRequest{Source: srcL1, Strategy: "duplicate", Processors: 4}
+	entry, _, err := s.compileEntry(ctx, req, obs.New("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stand in for a nest beyond the compile caps: resolve the entry's
+	// lazy kernel to the error CompileNest would return.
+	capErr := errors.New("exec: array A footprint [4096 4096] exceeds 16777216 dense cells")
+	entry.comp.kernOnce.Do(func() { entry.comp.kernErr = capErr })
+
+	resp, err := s.Execute(ctx, execReq(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Cached || resp.Engine != "oracle" || !resp.Validated {
+		t.Fatalf("cached=%v engine=%q validated=%v, want the cached plan on the oracle, validated", resp.Cached, resp.Engine, resp.Validated)
+	}
+	if got := s.Metrics().Counter("exec_compile_fallbacks"); got != 1 {
+		t.Errorf("exec_compile_fallbacks = %d, want 1", got)
+	}
+	trc := s.Traces().Get(resp.TraceID)
+	if trc == nil {
+		t.Fatal("trace not in ring")
+	}
+	attrs := map[string]string{}
+	for _, sp := range trc.Spans() {
+		if sp.Name == "exec_compile" {
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Str
+			}
+		}
+	}
+	if attrs["fallback"] != "oracle" || attrs["reason"] != capErr.Error() {
+		t.Errorf("exec_compile attrs = %v, want fallback=oracle reason=%q", attrs, capErr)
+	}
+}
+
+func TestParseEngine(t *testing.T) {
+	for _, ok := range []string{"kernel", "oracle"} {
+		if got, err := ParseEngine(ok); err != nil || got != ok {
+			t.Errorf("ParseEngine(%q) = %q, %v", ok, got, err)
+		}
+	}
+	for _, bad := range []string{"compiled", "orcale", "", "Kernel"} {
+		_, err := ParseEngine(bad)
+		if err == nil || !strings.Contains(err.Error(), "kernel, oracle") {
+			t.Errorf("ParseEngine(%q) err = %v, want an error naming the accepted values", bad, err)
+		}
+	}
 }
