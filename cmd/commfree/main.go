@@ -127,16 +127,13 @@ func main() {
 		if !nres.Identity {
 			fmt.Println("front end: affine references normalized to uniformly generated form")
 		}
-		best, all, err := commfree.SelectStrategy(nest, *procs, commfree.TransputerCost())
+		var all []commfree.StrategyCandidate
+		comp, all, err = commfree.CompileAuto(nest, *procs, commfree.TransputerCost())
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(commfree.StrategyRanking(all))
-		fmt.Printf("\nselected: %s\n\n", best.Label)
-		comp, err = commfree.CompileCandidate(nest, best, *procs)
-		if err != nil {
-			fatal(err)
-		}
+		fmt.Printf("\nselected: %s\n\n", all[0].Label)
 	} else {
 		var err error
 		comp, err = commfree.CompileTraced(src, strat, *procs, trc)

@@ -29,6 +29,7 @@
 package commfree
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -235,6 +236,33 @@ func SelectStrategy(nest *Nest, p int, cost CostModel) (StrategyCandidate, []Str
 	return selector.Best(nest, p, cost)
 }
 
+// CompileAuto is SelectStrategy followed by CompileCandidate on the
+// winner, in one evaluation: the nest is analyzed once, every distinct
+// partition among the candidates is priced once, and the winner's
+// partition, transformation and assignment are the ones that were
+// priced. The ranking's first entry is the compiled candidate.
+func CompileAuto(nest *Nest, p int, cost CostModel) (*Compilation, []StrategyCandidate, error) {
+	if p < 1 {
+		return nil, nil, fmt.Errorf("commfree: processors = %d", p)
+	}
+	pc, err := partition.NewContext(nest, nil, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	ev, err := selector.Evaluate(context.Background(), pc, p, cost, "")
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Compilation{
+		Nest:        nest,
+		Strategy:    ev.Result.Strategy,
+		Processors:  p,
+		Partition:   ev.Result,
+		Transformed: ev.Transformed,
+		Assignment:  ev.Assignment,
+	}, ev.Ranking, nil
+}
+
 // StrategyRanking renders a SelectStrategy ranking.
 func StrategyRanking(all []StrategyCandidate) string { return selector.Report(all) }
 
@@ -291,14 +319,14 @@ func compileNestTraced(nest *Nest, strat Strategy, processors int, trc *Trace) (
 	if processors < 1 {
 		return nil, fmt.Errorf("commfree: processors = %d", processors)
 	}
-	var res *PartitionResult
-	var err error
-	if strat == partition.Mars {
-		res, err = mars.ComputeWithTrace(nest, trc, 0)
-	} else {
-		res, err = partition.ComputeWithTrace(nest, strat, trc, 0)
-	}
+	pc, err := partition.NewContext(nest, trc, 0)
 	if err != nil {
+		return nil, err
+	}
+	var res *PartitionResult
+	if strat == partition.Mars {
+		res = mars.ComputeIn(pc, 0)
+	} else if res, err = pc.Compute(strat, nil, 0); err != nil {
 		return nil, err
 	}
 	return finishCompilationTraced(nest, res, processors, trc)
@@ -327,10 +355,6 @@ func CompileCandidate(nest *Nest, cand StrategyCandidate, processors int) (*Comp
 	if err != nil {
 		return nil, err
 	}
-	return finishCompilation(nest, res, processors)
-}
-
-func finishCompilation(nest *Nest, res *PartitionResult, processors int) (*Compilation, error) {
 	return finishCompilationTraced(nest, res, processors, nil)
 }
 

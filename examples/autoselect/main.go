@@ -30,19 +30,16 @@ func main() {
 	}
 	cost := commfree.TransputerCost()
 
-	best, all, err := commfree.SelectStrategy(nest, 4, cost)
+	// Price every alternative and compile the winning allocation
+	// (possibly a selective subset) in one evaluation, then execute with
+	// planned distribution.
+	comp, all, err := commfree.CompileAuto(nest, 4, cost)
 	if err != nil {
 		log.Fatal(err)
 	}
+	best := all[0]
 	fmt.Print(commfree.StrategyRanking(all))
 	fmt.Printf("\nselected: %s (%d communication-free blocks)\n\n", best.Label, best.Blocks)
-
-	// Compile the winning allocation (possibly a selective subset) and
-	// execute with planned distribution.
-	comp, err := commfree.CompileCandidate(nest, best, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
 	rep, plan, err := comp.ExecutePlanned(cost)
 	if err != nil {
 		log.Fatal(err)

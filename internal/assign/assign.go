@@ -86,6 +86,22 @@ func (a *Assignment) OwnerID(forall []int64) int {
 	return id
 }
 
+// OwnerOf returns the processor that runs the block containing the
+// original iteration orig: the cyclic owner of its forall point Q·ī. The
+// forall point is constant across a coset block (Q ⊥ Ψ), so a block's
+// base point names its processor.
+func (a *Assignment) OwnerOf(orig []int64) int {
+	id := 0
+	for i, d := range a.Dims {
+		var f int64
+		for c, q := range a.Tr.Q[i] {
+			f += q * orig[c]
+		}
+		id = id*d + int((f%int64(d)+int64(d))%int64(d))
+	}
+	return id
+}
+
 // NumProcessors returns the number of grid processors actually used
 // (∏ pᵢ ≤ P; 1 when the loop is sequential).
 func (a *Assignment) NumProcessors() int {

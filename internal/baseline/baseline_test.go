@@ -51,7 +51,14 @@ func TestHyperplaneOnForallLoop(t *testing.T) {
 	}
 	// The induced partition must be communication-free (non-duplicate
 	// criterion: every element confined to one block).
-	p := partition.PartitionIterations(forallLoop(), r.Psi)
+	ix, err := loop.NewIndex(forallLoop())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := partition.PartitionIterations(ix, r.Psi)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := partition.VerifyCommunicationFree(p, false, nil); err != nil {
 		t.Errorf("hyperplane partition not communication-free: %v", err)
 	}

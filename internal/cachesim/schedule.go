@@ -53,7 +53,7 @@ func PartitionSchedule(res *partition.Result, p int) (ScheduleFunc, error) {
 	// coset strategies; required for MARS's grouped blocks).
 	blockCPU := make(map[int]int, len(res.Iter.Blocks))
 	for _, b := range res.Iter.Blocks {
-		blockCPU[b.ID] = asg.OwnerID(tr.NewPoint(b.Base)[:tr.K])
+		blockCPU[b.ID] = asg.OwnerOf(b.Base)
 	}
 	return func(it []int64) int {
 		return blockCPU[res.Iter.BlockOf(it).ID]

@@ -17,12 +17,13 @@ package distplan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"commfree/internal/assign"
 	"commfree/internal/exec"
-	"commfree/internal/loop"
 	"commfree/internal/machine"
 	"commfree/internal/partition"
 	"commfree/internal/transform"
@@ -62,8 +63,11 @@ type Step struct {
 	Nodes []int // destination processors, sorted
 	// Words is the wire size of the stream (distinct element values).
 	Words int
-	// Install lists the per-node datum copies (block-namespaced keys).
-	Install map[int][]machine.Datum
+	// Delivered is the number of block-private copies installed.
+	Delivered int
+	// elems are the streamed elements (ids of the partition's Index);
+	// Execute names their copies.
+	elems []int32
 }
 
 // Plan is the full distribution schedule.
@@ -71,143 +75,169 @@ type Plan struct {
 	Steps []Step
 	// Nodes is the number of processors the plan addresses.
 	Nodes int
+	// BlockNode is the processor of every block, indexed by block ID − 1.
+	// Placement is block-granular (node of the block's base point):
+	// identical to the per-forall owner for coset strategies, and the
+	// only correct choice for MARS blocks that span forall points.
+	BlockNode []int
+
+	res *partition.Result
+	// consumers[first[e]:first[e+1]] are the blocks (ID − 1, ascending)
+	// that read element e.
+	first, consumers []int32
 }
 
 // Build derives the plan for a partitioning result on p processors. The
 // consumer set of an element is the set of processors whose iterations
 // read it (redundant computations excluded under minimal strategies).
 func Build(res *partition.Result, p int) (*Plan, *transform.Transformed, *assign.Assignment, error) {
-	nest := res.Analysis.Nest
-	tr, err := transform.Transform(nest, res.Psi)
+	tr, err := transform.Transform(res.Analysis.Nest, res.Psi)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	asg := assign.Assign(tr, p)
-	used := asg.NumProcessors()
+	return BuildFor(res, asg), tr, asg, nil
+}
 
-	// element key → consumer blocks (block copies are private; the block
-	// set determines both the wire fan-out and the install targets).
-	type consumerSet struct {
-		blocks map[int]int // block ID → owner node
-		value  float64
-	}
-	consumers := map[string]*consumerSet{}
-	red := res.Redundant
-	// Placement is block-granular (node of the block's base point):
-	// identical to the per-forall owner for coset strategies, and the
-	// only correct choice for MARS blocks that span forall points.
-	blockNode := make(map[int]int, len(res.Iter.Blocks))
-	for _, b := range res.Iter.Blocks {
-		blockNode[b.ID] = asg.OwnerID(tr.NewPoint(b.Base)[:tr.K])
-	}
-	tr.Visit(nil, func(forall, orig []int64) {
-		blk := res.Iter.BlockOf(orig).ID
-		node := blockNode[blk]
-		for si, st := range nest.Body {
-			if red != nil && red.IsRedundant(si, orig) {
-				continue
-			}
-			for _, r := range st.Reads {
-				idx := r.Index(orig)
-				key := exec.Key(r.Array, idx)
-				cs := consumers[key]
-				if cs == nil {
-					cs = &consumerSet{blocks: map[int]int{}, value: exec.InitValue(r.Array, idx)}
-					consumers[key] = cs
+// BuildFor is Build under an assignment the caller already derived.
+func BuildFor(res *partition.Result, asg *assign.Assignment) *Plan {
+	ix, red, blocks := res.Iter.Index, res.Redundant, res.Iter.Blocks
+	used := asg.NumProcessors()
+	plan := &Plan{Nodes: used, BlockNode: make([]int, len(blocks)), res: res}
+
+	// Pass 1, block by block: every (element, reading block) pair once.
+	type pair struct{ elem, block int32 }
+	var pairs []pair
+	stamp := make([]int32, ix.NumElems()) // last block (1-based) that read the element
+	plan.first = make([]int32, ix.NumElems()+1)
+	for bi, b := range blocks {
+		plan.BlockNode[bi] = asg.OwnerOf(b.Base)
+		for _, pos := range b.Pos {
+			row := ix.Row(int(pos))
+			for s := range res.Analysis.Nest.Body {
+				if red != nil && red.RedundantAt(s, int(pos)) {
+					continue
 				}
-				cs.blocks[blk] = node
+				for _, e := range row[ix.First[s] : ix.First[s+1]-1] {
+					if stamp[e] != int32(bi+1) {
+						stamp[e] = int32(bi + 1)
+						pairs = append(pairs, pair{e, int32(bi)})
+						plan.first[e+1]++
+					}
+				}
 			}
 		}
-	})
+	}
+	// Counting sort by element; blocks stay ascending within one.
+	for e := 0; e < ix.NumElems(); e++ {
+		plan.first[e+1] += plan.first[e]
+	}
+	plan.consumers = make([]int32, len(pairs))
+	fill := slices.Clone(plan.first)
+	for _, pr := range pairs {
+		plan.consumers[fill[pr.elem]] = pr.block
+		fill[pr.elem]++
+	}
 
-	// Group elements by identical consumer NODE sets (the wire pattern);
-	// installs carry the block-private copies.
+	// Pass 2: group elements by identical consumer NODE sets (the wire
+	// pattern). A set is keyed by its rendering "[n1 n2 …]", which also
+	// fixes the step order (and with it the order simulated times are
+	// summed in).
 	type group struct {
-		nodes   []int
-		words   int
-		install map[int][]machine.Datum
+		nodes     []int
+		elems     []int32
+		delivered int
 	}
 	groups := map[string]*group{}
-	keys := make([]string, 0, len(consumers))
-	for k := range consumers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		cs := consumers[k]
-		nodeSet := map[int]bool{}
-		for _, n := range cs.blocks {
-			nodeSet[n] = true
+	var nodes []int
+	var label []byte
+	for e := int32(0); int(e) < ix.NumElems(); e++ {
+		readers := plan.consumers[plan.first[e]:plan.first[e+1]]
+		if len(readers) == 0 {
+			continue // written only
 		}
-		nodes := make([]int, 0, len(nodeSet))
-		for n := range nodeSet {
-			nodes = append(nodes, n)
+		nodes = nodes[:0]
+		for _, b := range readers {
+			nodes = append(nodes, plan.BlockNode[b])
 		}
 		sort.Ints(nodes)
-		sk := fmt.Sprint(nodes)
-		g := groups[sk]
+		nodes = slices.Compact(nodes)
+		label = append(label[:0], '[')
+		for i, n := range nodes {
+			if i > 0 {
+				label = append(label, ' ')
+			}
+			label = strconv.AppendInt(label, int64(n), 10)
+		}
+		label = append(label, ']')
+		g := groups[string(label)]
 		if g == nil {
-			g = &group{nodes: nodes, install: map[int][]machine.Datum{}}
-			groups[sk] = g
+			g = &group{nodes: slices.Clone(nodes)}
+			groups[string(label)] = g
 		}
-		g.words++
-		blocks := make([]int, 0, len(cs.blocks))
-		for b := range cs.blocks {
-			blocks = append(blocks, b)
-		}
-		sort.Ints(blocks)
-		for _, b := range blocks {
-			n := cs.blocks[b]
-			g.install[n] = append(g.install[n], machine.Datum{Key: exec.BlockKey(b, k), Value: cs.value})
-		}
+		g.elems = append(g.elems, e)
+		g.delivered += len(readers)
 	}
-
-	plan := &Plan{Nodes: used}
-	setKeys := make([]string, 0, len(groups))
-	for sk := range groups {
-		setKeys = append(setKeys, sk)
+	labels := make([]string, 0, len(groups))
+	for l := range groups {
+		labels = append(labels, l)
 	}
-	sort.Strings(setKeys)
+	sort.Strings(labels)
 	// Single-node groups coalesce into one pipelined unicast per node;
 	// multi-node groups keep their exact node sets.
-	uniWords := map[int]int{}
-	uniInstall := map[int][]machine.Datum{}
-	for _, sk := range setKeys {
-		g := groups[sk]
+	unicast := make([]*Step, used)
+	for _, l := range labels {
+		g := groups[l]
+		st := Step{Kind: Multicast, Nodes: g.nodes, Words: len(g.elems), Delivered: g.delivered, elems: g.elems}
 		switch {
 		case len(g.nodes) == used && used > 1:
-			plan.Steps = append(plan.Steps, Step{Kind: Broadcast, Nodes: g.nodes, Words: g.words, Install: g.install})
+			st.Kind = Broadcast
+			plan.Steps = append(plan.Steps, st)
 		case len(g.nodes) > 1:
-			plan.Steps = append(plan.Steps, Step{Kind: Multicast, Nodes: g.nodes, Words: g.words, Install: g.install})
+			plan.Steps = append(plan.Steps, st)
 		default:
-			n := g.nodes[0]
-			uniWords[n] += g.words
-			uniInstall[n] = append(uniInstall[n], g.install[n]...)
+			st.Kind = Unicast
+			unicast[g.nodes[0]] = &st
 		}
 	}
-	nodeIDs := make([]int, 0, len(uniWords))
-	for n := range uniWords {
-		nodeIDs = append(nodeIDs, n)
+	for _, st := range unicast {
+		if st != nil {
+			plan.Steps = append(plan.Steps, *st)
+		}
 	}
-	sort.Ints(nodeIDs)
-	for _, n := range nodeIDs {
-		plan.Steps = append(plan.Steps, Step{
-			Kind: Unicast, Nodes: []int{n}, Words: uniWords[n],
-			Install: map[int][]machine.Datum{n: uniInstall[n]},
-		})
+	return plan
+}
+
+// Charge accounts the plan's wire costs on a machine without installing
+// any data — all a cost estimate needs.
+func (p *Plan) Charge(m *machine.Machine) {
+	for _, s := range p.Steps {
+		if s.Kind == Broadcast {
+			m.ChargeBroadcast(s.Words, s.Delivered)
+		} else { // Multicast and Unicast share the pipelined stream model
+			m.ChargeMulticast(len(s.Nodes), s.Words, s.Delivered)
+		}
 	}
-	return plan, tr, asg, nil
 }
 
 // Execute performs the plan on a machine, installing block-private
 // copies and charging the wire costs.
 func (p *Plan) Execute(m *machine.Machine) {
+	ix, blocks := p.res.Iter.Index, p.res.Iter.Blocks
 	for _, s := range p.Steps {
-		switch s.Kind {
-		case Broadcast:
-			m.BroadcastInstall(s.Words, s.Install)
-		default: // Multicast and Unicast share the pipelined stream model
-			m.MulticastInstall(s.Nodes, s.Words, s.Install)
+		install := map[int][]machine.Datum{}
+		for _, e := range s.elems {
+			array, idx := ix.Elem(e)
+			key, value := exec.Key(array, idx), exec.InitValue(array, idx)
+			for _, b := range p.consumers[p.first[e]:p.first[e+1]] {
+				n := p.BlockNode[b]
+				install[n] = append(install[n], machine.Datum{Key: exec.BlockKey(blocks[b].ID, key), Value: value})
+			}
+		}
+		if s.Kind == Broadcast {
+			m.BroadcastInstall(s.Words, install)
+		} else {
+			m.MulticastInstall(s.Nodes, s.Words, install)
 		}
 	}
 }
@@ -232,9 +262,7 @@ func (p *Plan) Stats() Stats {
 			st.Unicasts++
 		}
 		st.Words += s.Words
-		for _, ds := range s.Install {
-			st.DeliveredWords += len(ds)
-		}
+		st.DeliveredWords += s.Delivered
 	}
 	return st
 }
@@ -269,46 +297,32 @@ func ParallelPlanned(res *partition.Result, p int, cost machine.CostModel) (*exe
 
 	nest := res.Analysis.Nest
 	red := res.Redundant
-	type blockIter struct {
-		block int
-		iter  []int64
-	}
-	blockNode := make(map[int]int, len(res.Iter.Blocks))
-	for _, b := range res.Iter.Blocks {
-		blockNode[b.ID] = asg.OwnerID(tr.NewPoint(b.Base)[:tr.K])
-	}
-	perNode := make([][]blockIter, used)
-	tr.Visit(nil, func(forall, orig []int64) {
-		cp := make([]int64, len(orig))
-		copy(cp, orig)
-		blk := res.Iter.BlockOf(cp).ID
-		perNode[blockNode[blk]] = append(perNode[blockNode[blk]], blockIter{block: blk, iter: cp})
-	})
-	// Execute each node's work in original program order: the visit
-	// order follows the transformed coordinates, which need not agree
-	// with the nest's lexicographic order inside a block (it does for
-	// coset blocks, but MARS blocks span forall points). Intra-block
-	// flow requires writers before readers in program order.
-	for _, w := range perNode {
-		sort.Slice(w, func(i, j int) bool { return loop.LexLess(w[i].iter, w[j].iter) })
+	// Every block runs wholly on its node, in original program order
+	// (intra-block flow requires writers before readers); copies are
+	// block-private, so the order of a node's blocks is immaterial.
+	perNode := make([][]*partition.Block, used)
+	for bi, b := range res.Iter.Blocks {
+		perNode[plan.BlockNode[bi]] = append(perNode[plan.BlockNode[bi]], b)
 	}
 	err = mach.Run(func(n *machine.Node) error {
-		for _, bi := range perNode[n.ID] {
-			for si, st := range nest.Body {
-				if red != nil && red.IsRedundant(si, bi.iter) {
-					continue
-				}
-				vals := make([]float64, len(st.Reads))
-				for ri, r := range st.Reads {
-					v, err := n.Read(exec.BlockKey(bi.block, exec.Key(r.Array, r.Index(bi.iter))))
-					if err != nil {
-						return err
+		for _, b := range perNode[n.ID] {
+			for _, it := range b.Iterations {
+				for si, st := range nest.Body {
+					if red != nil && red.IsRedundant(si, it) {
+						continue
 					}
-					vals[ri] = v
+					vals := make([]float64, len(st.Reads))
+					for ri, r := range st.Reads {
+						v, err := n.Read(exec.BlockKey(b.ID, exec.Key(r.Array, r.Index(it))))
+						if err != nil {
+							return err
+						}
+						vals[ri] = v
+					}
+					n.Write(exec.BlockKey(b.ID, exec.Key(st.Write.Array, st.Write.Index(it))), st.EvalExpr(it, vals))
 				}
-				n.Write(exec.BlockKey(bi.block, exec.Key(st.Write.Array, st.Write.Index(bi.iter))), st.EvalExpr(bi.iter, vals))
+				n.CountIteration()
 			}
-			n.CountIteration()
 		}
 		return nil
 	})
@@ -322,7 +336,7 @@ func ParallelPlanned(res *partition.Result, p int, cost machine.CostModel) (*exe
 	owner := map[string]ownerInfo{}
 	for _, it := range nest.Iterations() {
 		blk := res.Iter.BlockOf(it).ID
-		id := blockNode[blk]
+		id := plan.BlockNode[blk-1]
 		for si, st := range nest.Body {
 			if red != nil && red.IsRedundant(si, it) {
 				continue
@@ -347,5 +361,3 @@ func ParallelPlanned(res *partition.Result, p int, cost machine.CostModel) (*exe
 	}
 	return rep, plan, nil
 }
-
-var _ = loop.LexLess // reserved for future ordering needs

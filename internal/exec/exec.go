@@ -202,7 +202,7 @@ func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Opt
 	// re-materialized.
 	perNode := make([][]*partition.Block, used)
 	for _, b := range res.Iter.Blocks {
-		id := asg.OwnerID(tr.NewPoint(b.Base)[:tr.K])
+		id := asg.OwnerOf(b.Base)
 		perNode[id] = append(perNode[id], b)
 	}
 
@@ -297,7 +297,7 @@ func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Opt
 	// forall points and must not be split.
 	blockNode := make(map[int]int, len(res.Iter.Blocks))
 	for _, b := range res.Iter.Blocks {
-		blockNode[b.ID] = asg.OwnerID(tr.NewPoint(b.Base)[:tr.K])
+		blockNode[b.ID] = asg.OwnerOf(b.Base)
 	}
 	owner := map[string]ownerInfo{}
 	nest.Walk(func(it []int64) bool {

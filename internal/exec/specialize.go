@@ -169,23 +169,23 @@ func (prog *Program) prepass(res *partition.Result, tr *transform.Transformed, a
 		touched = make([][]int32, len(prog.arrays))
 	}
 	for i, lay := range prog.arrays {
-		st.owner[i] = newInt32s(lay.size, -1)
-		bestKey[i] = make([]int64, lay.size)
-		epoch[i] = newInt32s(lay.size, -1)
+		st.owner[i] = newInt32s(lay.Volume, -1)
+		bestKey[i] = make([]int64, lay.Volume)
+		epoch[i] = newInt32s(lay.Volume, -1)
 		if !dupOK {
-			touched[i] = newInt32s(lay.size, -1)
+			touched[i] = newInt32s(lay.Volume, -1)
 		}
 	}
 	nstmts := int64(len(prog.stmts))
 	for bi, b := range blocks {
 		// The forall point is constant across a block (Q ⊥ Ψ), so the
 		// base iteration names the owning processor.
-		node := asg.OwnerID(tr.NewPoint(b.Base)[:tr.K])
+		node := asg.OwnerOf(b.Base)
 		st.perNode[node] = append(st.perNode[node], bi)
 		st.iters[bi] = int64(len(b.Iterations))
 		seq := int32(bi)
 		for _, it := range b.Iterations {
-			rank := prog.rankOf(it)
+			rank := prog.iter.Rank(it)
 			for si := range prog.stmts {
 				cs := &prog.stmts[si]
 				if prog.isRedundant(si, it) {
@@ -193,34 +193,34 @@ func (prog *Program) prepass(res *partition.Result, tr *transform.Transformed, a
 				}
 				for ri := range cs.reads {
 					r := &cs.reads[ri]
-					off := r.offset(it)
-					if epoch[r.array][off] != seq {
-						epoch[r.array][off] = seq
+					off := r.At(it)
+					if epoch[r.Array][off] != seq {
+						epoch[r.Array][off] = seq
 						st.words[node]++
 						st.bwords[bi]++
 					}
 					if !dupOK {
-						if t := touched[r.array][off]; t < 0 {
-							touched[r.array][off] = seq
+						if t := touched[r.Array][off]; t < 0 {
+							touched[r.Array][off] = seq
 						} else if t != seq {
 							return nil, fmt.Errorf("exec: element of %s touched by blocks %d and %d — footprints not disjoint under %s",
-								prog.arrays[r.array].name, blocks[t].ID, b.ID, res.Strategy)
+								prog.arrays[r.Array].name, blocks[t].ID, b.ID, res.Strategy)
 						}
 					}
 				}
 				w := &cs.write
-				off := w.offset(it)
+				off := w.At(it)
 				key := rank*nstmts + int64(si)
-				if st.owner[w.array][off] < 0 || key > bestKey[w.array][off] {
-					bestKey[w.array][off] = key
-					st.owner[w.array][off] = seq
+				if st.owner[w.Array][off] < 0 || key > bestKey[w.Array][off] {
+					bestKey[w.Array][off] = key
+					st.owner[w.Array][off] = seq
 				}
 				if !dupOK {
-					if t := touched[w.array][off]; t < 0 {
-						touched[w.array][off] = seq
+					if t := touched[w.Array][off]; t < 0 {
+						touched[w.Array][off] = seq
 					} else if t != seq {
 						return nil, fmt.Errorf("exec: element of %s touched by blocks %d and %d — footprints not disjoint under %s",
-							prog.arrays[w.array].name, blocks[t].ID, b.ID, res.Strategy)
+							prog.arrays[w.Array].name, blocks[t].ID, b.ID, res.Strategy)
 					}
 				}
 			}
@@ -243,9 +243,9 @@ func (prog *Program) lower(res *partition.Result) (*kernel.Plan, error) {
 	pl := &kernel.Plan{Depth: n, MaxReads: prog.maxReads, Multi: len(prog.stmts) > 1}
 	for si := range prog.stmts {
 		cs := &prog.stmts[si]
-		ks := kernel.Stmt{WriteArr: int32(cs.write.array)}
+		ks := kernel.Stmt{WriteArr: int32(cs.write.Array)}
 		for ri := range cs.reads {
-			ks.ReadArrs = append(ks.ReadArrs, int32(cs.reads[ri].array))
+			ks.ReadArrs = append(ks.ReadArrs, int32(cs.reads[ri].Array))
 		}
 		ks.Fast, ks.MulAdd = kernel.Recognize(cs.st.Tree, len(cs.reads))
 		if ks.Fast == kernel.FastBytecode {
@@ -357,13 +357,13 @@ func (prog *Program) lowerSegs(pl *kernel.Plan, its [][]int64, t0, t1 int, d []i
 		}
 		sg := kernel.Seg{
 			Stmt: 0, T0: int32(s), N: int32(t - s),
-			WOff: cs.write.offset(its[s]), WStep: dot(cs.write.coeffs, d),
+			WOff: cs.write.At(its[s]), WStep: dot(cs.write.Coeffs, d),
 			RBase: int32(len(pl.ROff)), IBase: -1, DBase: -1,
 		}
 		for ri := range cs.reads {
 			r := &cs.reads[ri]
-			pl.ROff = append(pl.ROff, r.offset(its[s]))
-			pl.RStep = append(pl.RStep, dot(r.coeffs, d))
+			pl.ROff = append(pl.ROff, r.At(its[s]))
+			pl.RStep = append(pl.RStep, dot(r.Coeffs, d))
 		}
 		if ks.UsesIndex {
 			sg.IBase = int32(len(pl.It0))
@@ -390,17 +390,17 @@ func (prog *Program) lowerRow(pl *kernel.Plan, its [][]int64, t0, t1 int, d []in
 	anyRedundant := false
 	for si := range prog.stmts {
 		cs := &prog.stmts[si]
-		pl.RowOff = append(pl.RowOff, cs.write.offset(its[t0]))
-		pl.RowStep = append(pl.RowStep, dot(cs.write.coeffs, d))
+		pl.RowOff = append(pl.RowOff, cs.write.At(its[t0]))
+		pl.RowStep = append(pl.RowStep, dot(cs.write.Coeffs, d))
 		for ri := range cs.reads {
 			r := &cs.reads[ri]
-			pl.RowOff = append(pl.RowOff, r.offset(its[t0]))
-			pl.RowStep = append(pl.RowStep, dot(r.coeffs, d))
+			pl.RowOff = append(pl.RowOff, r.At(its[t0]))
+			pl.RowStep = append(pl.RowStep, dot(r.Coeffs, d))
 		}
 		if pl.Stmts[si].UsesIndex {
 			anyIndex = true
 		}
-		appendWR(pl, pl.Stmts[si].WriteArr, cs.write.offset(its[t0]), dot(cs.write.coeffs, d), count)
+		appendWR(pl, pl.Stmts[si].WriteArr, cs.write.At(its[t0]), dot(cs.write.Coeffs, d), count)
 	}
 	for t := t0; t < t1 && !anyRedundant; t++ {
 		for si := range prog.stmts {

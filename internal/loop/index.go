@@ -1,0 +1,284 @@
+package loop
+
+// The one ranking of integer points. Every layer that keys on an
+// iteration or an array element — the redundancy oracle, the partition
+// and its verifier, MARS, the distribution planner, the dense executor —
+// uses the lexicographic mixed-radix rank defined here, not a formatted
+// string: a Ranker packs a point of a box into an order-preserving
+// int64, a Footprint holds the boxes of one nest with every reference
+// composed into a linear rank function, and an Index adds the enumerated
+// iterations and a dense numbering of the touched elements, so the
+// compile passes run over flat arrays.
+
+import (
+	"math/bits"
+	"slices"
+)
+
+// RankOverflowError reports a box too large to rank in an int64.
+type RankOverflowError struct{ What string }
+
+func (e *RankOverflowError) Error() string {
+	return "loop: " + e.What + " overflows the int64 rank range"
+}
+
+// Ranker ranks the points of the integer box [Lo, Lo+Ext) in
+// lexicographic order: Rank(a) < Rank(b) exactly when a precedes b.
+type Ranker struct {
+	Lo, Ext, Radix []int64
+	Volume         int64 // ∏ Ext: the number of ranks, 0 for an empty box
+}
+
+// NewRanker ranks the box with inclusive corners lo and hi (named what in
+// the overflow error). A box with some hi < lo is empty, not an error.
+func NewRanker(what string, lo, hi []int64) (Ranker, error) {
+	r := Ranker{Lo: lo, Ext: make([]int64, len(lo)), Radix: make([]int64, len(lo)), Volume: 1}
+	for k := len(lo) - 1; k >= 0; k-- {
+		ext := hi[k] - lo[k] + 1
+		if hi[k] < lo[k] {
+			ext = 0
+		} else if ext <= 0 {
+			return Ranker{}, &RankOverflowError{What: what}
+		}
+		over, vol := bits.Mul64(uint64(r.Volume), uint64(ext))
+		if over != 0 || vol > 1<<63-1 {
+			return Ranker{}, &RankOverflowError{What: what}
+		}
+		r.Ext[k], r.Radix[k], r.Volume = ext, r.Volume, int64(vol)
+	}
+	return r, nil
+}
+
+// Contains reports whether the point lies inside the box.
+func (r Ranker) Contains(pt []int64) bool {
+	for k, lo := range r.Lo {
+		if pt[k] < lo || pt[k]-lo >= r.Ext[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// Rank returns the rank of a point of the box.
+func (r Ranker) Rank(pt []int64) int64 {
+	var rank int64
+	for k, radix := range r.Radix {
+		rank += (pt[k] - r.Lo[k]) * radix
+	}
+	return rank
+}
+
+// Unrank writes the point of the given rank into dst and returns it.
+func (r Ranker) Unrank(rank int64, dst []int64) []int64 {
+	for k, radix := range r.Radix {
+		dst[k] = r.Lo[k] + rank/radix
+		rank %= radix
+	}
+	return dst
+}
+
+// Linear is a rank as an affine function of the iteration point:
+// Base + Σ Coeffs[j]·ī[j]. Intermediate products may wrap; the result is
+// exact whenever the true rank fits, which its Ranker guarantees.
+type Linear struct {
+	Base   int64
+	Coeffs []int64
+}
+
+// At evaluates the function at an iteration point.
+func (l Linear) At(it []int64) int64 {
+	v := l.Base
+	for j, c := range l.Coeffs {
+		v += c * it[j]
+	}
+	return v
+}
+
+// Compose returns the rank of the point H·ī + off as a function of ī
+// (n is the iteration depth).
+func (r Ranker) Compose(n int, h [][]int64, off []int64) Linear {
+	l := Linear{Coeffs: make([]int64, n)}
+	for d, radix := range r.Radix {
+		l.Base += (off[d] - r.Lo[d]) * radix
+		for j, c := range h[d] {
+			l.Coeffs[j] += c * radix
+		}
+	}
+	return l
+}
+
+// Slot is one access position of the loop body, resolved against its
+// array's box: the touched element's rank is a linear function of the
+// iteration point.
+type Slot struct {
+	Stmt  int
+	Write bool
+	Array int // index into Footprint.Arrays
+	Linear
+}
+
+// Footprint is the integer shape of one nest: the bounding box of its
+// iteration space, the bounding box of every array's touched elements,
+// and each reference composed with its array's ranking.
+type Footprint struct {
+	Iter   Ranker   // over the iteration bounding box
+	Count  int64    // exact number of iterations
+	Arrays []string // sorted names
+	Elems  []Ranker // per array, over the box of its referenced elements
+	// Slots are the accesses of one iteration in execution order: per
+	// statement its reads, then its write. Statement s reads
+	// Slots[First[s]:First[s+1]−1] and writes Slots[First[s+1]−1].
+	Slots []Slot
+	First []int
+}
+
+// Footprint walks the iteration space once, tracking the extremes of
+// every index level and every reference.
+func (l *Nest) Footprint() (*Footprint, error) {
+	n := l.Depth()
+	f := &Footprint{Arrays: l.Arrays()}
+	var refs []Ref
+	for s, st := range l.Body {
+		f.First = append(f.First, len(refs))
+		for _, r := range append(st.Reads[:len(st.Reads):len(st.Reads)], st.Write) {
+			a, _ := slices.BinarySearch(f.Arrays, r.Array)
+			f.Slots = append(f.Slots, Slot{Stmt: s, Array: a})
+			refs = append(refs, r)
+		}
+		f.Slots[len(refs)-1].Write = true
+	}
+	f.First = append(f.First, len(refs))
+
+	// Boxes 0..len(Arrays)−1 belong to the arrays, the last one to the
+	// iteration space itself.
+	iter := len(f.Arrays)
+	lo, hi := make([][]int64, iter+1), make([][]int64, iter+1)
+	newBox := func(b, d int) {
+		lo[b], hi[b] = make([]int64, d), make([]int64, d)
+		for k := range lo[b] {
+			lo[b][k], hi[b][k] = 1<<63-1, -1<<63
+		}
+	}
+	grow := func(b, k int, v int64) {
+		lo[b][k], hi[b][k] = min(lo[b][k], v), max(hi[b][k], v)
+	}
+	newBox(iter, n)
+	for i, r := range refs {
+		newBox(f.Slots[i].Array, r.Dim())
+	}
+	l.Walk(func(it []int64) bool {
+		f.Count++
+		for k, v := range it {
+			grow(iter, k, v)
+		}
+		for i, r := range refs {
+			for d, row := range r.H {
+				v := r.Offset[d]
+				for j, c := range row {
+					v += c * it[j]
+				}
+				grow(f.Slots[i].Array, d, v)
+			}
+		}
+		return true
+	})
+
+	var err error
+	if f.Iter, err = NewRanker("iteration box", lo[iter], hi[iter]); err != nil {
+		return nil, err
+	}
+	f.Elems = make([]Ranker, len(f.Arrays))
+	for a, name := range f.Arrays {
+		if f.Elems[a], err = NewRanker("array "+name+" footprint", lo[a], hi[a]); err != nil {
+			return nil, err
+		}
+	}
+	for i, r := range refs {
+		f.Slots[i].Linear = f.Elems[f.Slots[i].Array].Compose(n, r.H, r.Offset)
+	}
+	return f, nil
+}
+
+// Index is a nest enumerated once for the compile passes: the iteration
+// points in lexicographic order (a point's position in that order is
+// its dense rank) and, for every access of every iteration, the dense id
+// of the element it touches. Ids number the distinct touched elements
+// in order of first touch. An Index is immutable after NewIndex.
+type Index struct {
+	*Footprint
+	Nest   *Nest
+	Points [][]int64 // Points[pos] is iteration number pos
+
+	ranks    []int64 // Iter.Rank(Points[pos]), ascending
+	elem     []int32 // len(Points)·len(Slots) element ids
+	elemSlot []int32 // id → a slot that touches it (its array)
+	elemRank []int64 // id → rank inside Elems[array]
+}
+
+// NewIndex enumerates the nest.
+func NewIndex(nest *Nest) (*Index, error) {
+	f, err := nest.Footprint()
+	if err != nil {
+		return nil, err
+	}
+	n := nest.Depth()
+	ix := &Index{
+		Footprint: f, Nest: nest,
+		Points: make([][]int64, 0, f.Count),
+		ranks:  make([]int64, 0, f.Count),
+		elem:   make([]int32, 0, f.Count*int64(len(f.Slots))),
+	}
+	flat := make([]int64, f.Count*int64(n))
+	ids := make([]map[int64]int32, len(f.Arrays))
+	for a := range ids {
+		ids[a] = map[int64]int32{}
+	}
+	nest.Walk(func(it []int64) bool {
+		pt := flat[:n:n]
+		flat = flat[n:]
+		copy(pt, it)
+		ix.Points = append(ix.Points, pt)
+		ix.ranks = append(ix.ranks, f.Iter.Rank(it))
+		for s, sl := range f.Slots {
+			rank := sl.At(it)
+			id, ok := ids[sl.Array][rank]
+			if !ok {
+				id = int32(len(ix.elemRank))
+				ids[sl.Array][rank] = id
+				ix.elemSlot = append(ix.elemSlot, int32(s))
+				ix.elemRank = append(ix.elemRank, rank)
+			}
+			ix.elem = append(ix.elem, id)
+		}
+		return true
+	})
+	return ix, nil
+}
+
+// Pos returns the position of an iteration point in lexicographic
+// order, or −1 when the point is outside the iteration space.
+func (ix *Index) Pos(it []int64) int {
+	if pos, ok := slices.BinarySearch(ix.ranks, ix.Iter.Rank(it)); ok && ix.Iter.Contains(it) {
+		return pos
+	}
+	return -1
+}
+
+// Row returns the element ids touched by iteration pos, one per slot.
+func (ix *Index) Row(pos int) []int32 {
+	w := len(ix.Slots)
+	return ix.elem[pos*w : (pos+1)*w]
+}
+
+// NumElems is the number of distinct elements the nest touches.
+func (ix *Index) NumElems() int { return len(ix.elemRank) }
+
+// ElemRank returns the rank of an element id inside its array's box;
+// within one array, rank order is lexicographic index order.
+func (ix *Index) ElemRank(id int32) int64 { return ix.elemRank[id] }
+
+// Elem returns the array name and data-space index of an element id.
+func (ix *Index) Elem(id int32) (string, []int64) {
+	a := ix.Slots[ix.elemSlot[id]].Array
+	return ix.Arrays[a], ix.Elems[a].Unrank(ix.elemRank[id], make([]int64, len(ix.Elems[a].Lo)))
+}

@@ -289,39 +289,45 @@ func (m *Machine) Multicast(nodes []int, data []Datum) {
 // MulticastInstall sends one stream of `words` data words to a set of
 // nodes, installing per-node datum lists (a node hosting several block
 // copies of the same element stores each copy; the wire carries the
-// value once). Cost: t_start + (words + pipeline fill)·t_comm.
+// value once).
 func (m *Machine) MulticastInstall(nodes []int, words int, install map[int][]Datum) {
-	for _, id := range nodes {
-		for _, d := range install[id] {
-			m.nodes[id].Preload(d.Key, d.Value)
-		}
-	}
-	fill := 0
-	if len(nodes) > 1 {
-		fill = len(nodes) - 1
-	}
-	installed := 0
-	for _, ds := range install {
-		installed += len(ds)
-	}
-	m.charge(-1, m.Cost.TStart+float64(words+fill)*m.Cost.TComm, 1, installed)
+	m.ChargeMulticast(len(nodes), words, m.install(install))
 }
 
-// BroadcastInstall is MulticastInstall across the whole mesh at broadcast
-// cost (t_start + diameter·words·t_comm).
+// BroadcastInstall is MulticastInstall across the whole mesh.
 func (m *Machine) BroadcastInstall(words int, install map[int][]Datum) {
+	m.ChargeBroadcast(words, m.install(install))
+}
+
+// install preloads the per-node datum lists and returns their total.
+func (m *Machine) install(install map[int][]Datum) int {
+	installed := 0
 	for id, ds := range install {
 		for _, d := range ds {
 			m.nodes[id].Preload(d.Key, d.Value)
 		}
+		installed += len(ds)
 	}
+	return installed
+}
+
+// ChargeMulticast accounts one pipelined stream of `words` data words
+// to `nodes` destinations that leaves `installed` copies behind, without
+// materializing any data: t_start + (words + pipeline fill)·t_comm.
+func (m *Machine) ChargeMulticast(nodes, words, installed int) {
+	fill := 0
+	if nodes > 1 {
+		fill = nodes - 1
+	}
+	m.charge(-1, m.Cost.TStart+float64(words+fill)*m.Cost.TComm, 1, installed)
+}
+
+// ChargeBroadcast is ChargeMulticast across the whole mesh at broadcast
+// cost (t_start + diameter·words·t_comm).
+func (m *Machine) ChargeBroadcast(words, installed int) {
 	dia := m.Topology.Diameter()
 	if dia < 1 {
 		dia = 1
-	}
-	installed := 0
-	for _, ds := range install {
-		installed += len(ds)
 	}
 	m.charge(-1, m.Cost.TStart+float64(dia)*float64(words)*m.Cost.TComm, 1, installed)
 }

@@ -20,9 +20,10 @@
 package mars
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"math"
+	"slices"
 
 	"commfree/internal/deps"
 	"commfree/internal/loop"
@@ -64,237 +65,172 @@ type Decomposition struct {
 	// first producer.
 	Sets []*AtomicSet
 
-	groups [][][]int64
+	group []int32
 }
 
-// Groups returns the iteration groups of the finest flow-closed
-// partition: two iterations share a group exactly when they are
-// connected by a chain of non-redundant flow dependences. Iterations
-// whose computations are all redundant (or touch no flowing values)
-// form singleton groups, so the groups cover the iteration space.
-func (d *Decomposition) Groups() [][][]int64 {
-	return d.groups
-}
-
-// timelineEvent is one non-redundant access on a single array element.
-type timelineEvent struct {
-	stmt    int
-	iter    []int64
-	isWrite bool
+// Groups names the group of every iteration (by position in the
+// redundancy oracle's Index) in the finest flow-closed partition by the
+// position of the group's first iteration: two iterations share a group
+// exactly when they are connected by a chain of non-redundant flow
+// dependences. Iterations whose computations are all redundant (or touch
+// no flowing values) are alone in their group, so the groups cover the
+// iteration space.
+func (d *Decomposition) Groups() []int32 {
+	return d.group
 }
 
 // Decompose computes the usage-based decomposition from the dependence
-// analysis and the redundancy oracle. It replays the exact per-element
-// event timelines (the same construction redundant.Eliminate uses),
-// skips redundant computations, and records for every surviving write
-// which computations read its value before the next surviving write.
+// analysis and the redundancy oracle. It replays the accesses in exact
+// execution order (iterations lexicographic, statements in body order,
+// reads before the write), skips redundant computations — their
+// accesses are invisible to the irredundant dataflow — and tracks per
+// element the write whose value is current: every read until the next
+// write consumes it and joins the writer's flow group.
 func Decompose(a *deps.Analysis, red *redundant.Result) *Decomposition {
-	nest := a.Nest
-	iters := nest.Iterations()
-	dec := &Decomposition{Nest: nest}
+	ix := red.Index
+	stmts := len(a.Nest.Body)
+	dec := &Decomposition{Nest: a.Nest, group: make([]int32, len(ix.Points))}
 
-	// Union-find over iterations for the flow closure.
-	idx := make(map[string]int, len(iters))
-	for i, it := range iters {
-		idx[fmt.Sprint(it)] = i
-	}
-	parent := make([]int, len(iters))
+	// Union-find over iteration positions for the flow closure; the
+	// smaller position is always the root, so a group's label is its
+	// base point.
+	parent := dec.group
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(x, y int) {
-		rx, ry := find(x), find(y)
-		if rx != ry {
-			parent[ry] = rx
-		}
-	}
 
-	// Per-element timelines in exact execution order: iterations
-	// lexicographic, statements in body order, reads before the write.
-	// Redundant computations are dropped up front — their accesses are
-	// invisible to the irredundant dataflow.
-	timeline := map[string][]timelineEvent{}
-	var elemKeys []string
-	addEvent := func(array string, elem []int64, ev timelineEvent) {
-		k := array + "|" + fmt.Sprint(elem)
-		if _, ok := timeline[k]; !ok {
-			elemKeys = append(elemKeys, k)
-		}
-		timeline[k] = append(timeline[k], ev)
+	// A computation is numbered position·stmts + stmt, which orders
+	// computations by iteration, then statement. producer[e] is the
+	// computation whose write to element e is current (−1: initial
+	// data); uses collects (producer, consumer) pairs.
+	producer := make([]int64, ix.NumElems())
+	for e := range producer {
+		producer[e] = -1
 	}
-	for _, it := range iters {
-		for si, st := range nest.Body {
-			if red.IsRedundant(si, it) {
+	type use struct{ prod, cons int64 }
+	var uses []use
+	var prods []int64
+	for pos := range ix.Points {
+		row := ix.Row(pos)
+		for s := 0; s < stmts; s++ {
+			if red.RedundantAt(s, pos) {
 				continue
 			}
-			for _, r := range st.Reads {
-				addEvent(r.Array, r.Index(it), timelineEvent{stmt: si, iter: it})
+			comp, w := int64(pos*stmts+s), ix.First[s+1]-1
+			for _, e := range row[ix.First[s]:w] {
+				p := producer[e]
+				if p < 0 {
+					continue // reads initial data: no producer inside the nest
+				}
+				if rx, ry := find(int32(p/int64(stmts))), find(int32(pos)); rx < ry {
+					parent[ry] = rx
+				} else {
+					parent[rx] = ry
+				}
+				uses = append(uses, use{p, comp})
 			}
-			addEvent(st.Write.Array, st.Write.Index(it), timelineEvent{stmt: si, iter: it, isWrite: true})
+			producer[row[w]] = comp
+			prods = append(prods, comp)
 		}
+	}
+	for i := range parent {
+		parent[i] = find(int32(i))
 	}
 
-	// Walk each timeline: each write opens a value generation; every
-	// read until the next write consumes it (and joins the writer's
-	// flow group). A generation with no later write is live-out.
-	type prodState struct {
-		comp      Computation
-		consumers map[string]Computation
-		liveOut   bool
-	}
-	prods := map[string]*prodState{}
-	var prodOrder []string
-	for _, k := range elemKeys {
-		events := timeline[k]
-		var cur *prodState
-		for i, ev := range events {
-			if ev.isWrite {
-				pk := fmt.Sprintf("%d|%v", ev.stmt, ev.iter)
-				ps, ok := prods[pk]
-				if !ok {
-					ps = &prodState{
-						comp:      Computation{Stmt: ev.stmt, Iter: ev.iter},
-						consumers: map[string]Computation{},
-					}
-					prods[pk] = ps
-					prodOrder = append(prodOrder, pk)
-				}
-				last := true
-				for j := i + 1; j < len(events); j++ {
-					if events[j].isWrite {
-						last = false
-						break
-					}
-				}
-				if last {
-					ps.liveOut = true
-				}
-				cur = ps
-				continue
-			}
-			if cur == nil {
-				continue // reads initial data: no producer inside the nest
-			}
-			union(idx[fmt.Sprint(cur.comp.Iter)], idx[fmt.Sprint(ev.iter)])
-			cur.consumers[fmt.Sprintf("%d|%v", ev.stmt, ev.iter)] = Computation{Stmt: ev.stmt, Iter: ev.iter}
+	// A value that reaches the final state (no later write) gets the
+	// sentinel consumer "live". Producers are then grouped by identical
+	// consumer lists: sort the uses by producer (consumers stay
+	// ascending), then the producers by list.
+	const live = math.MaxInt64
+	for _, p := range producer {
+		if p >= 0 {
+			uses = append(uses, use{p, live})
 		}
 	}
-
-	// Group producers by identical consumer signature + liveness.
-	bySig := map[string]*AtomicSet{}
-	var sigOrder []string
-	for _, pk := range prodOrder {
-		ps := prods[pk]
-		keys := make([]string, 0, len(ps.consumers))
-		for ck := range ps.consumers {
-			keys = append(keys, ck)
+	slices.SortStableFunc(uses, func(x, y use) int { return cmp.Compare(x.prod, y.prod) })
+	consumers := make(map[int64][]use, len(prods))
+	for lo := 0; lo < len(uses); {
+		hi := lo
+		for hi < len(uses) && uses[hi].prod == uses[lo].prod {
+			hi++
 		}
-		sort.Strings(keys)
-		sig := fmt.Sprintf("live=%v|%s", ps.liveOut, strings.Join(keys, ";"))
-		set, ok := bySig[sig]
-		if !ok {
-			set = &AtomicSet{LiveOut: ps.liveOut}
-			for _, ck := range keys {
-				set.Consumers = append(set.Consumers, ps.consumers[ck])
+		consumers[uses[lo].prod] = slices.Compact(uses[lo:hi:hi])
+		lo = hi
+	}
+	signature := func(x, y int64) int {
+		return slices.CompareFunc(consumers[x], consumers[y], func(a, b use) int { return cmp.Compare(a.cons, b.cons) })
+	}
+	slices.SortStableFunc(prods, signature)
+	computation := func(c int64) Computation {
+		return Computation{Stmt: int(c % int64(stmts)), Iter: ix.Points[c/int64(stmts)]}
+	}
+	for i, p := range prods {
+		if i == 0 || signature(prods[i-1], p) != 0 {
+			set := &AtomicSet{}
+			for _, u := range consumers[p] {
+				if set.LiveOut = u.cons == live; !set.LiveOut {
+					set.Consumers = append(set.Consumers, computation(u.cons))
+				}
 			}
-			sortComputations(set.Consumers)
-			bySig[sig] = set
-			sigOrder = append(sigOrder, sig)
+			dec.Sets = append(dec.Sets, set)
 		}
-		set.Producers = append(set.Producers, ps.comp)
+		set := dec.Sets[len(dec.Sets)-1]
+		set.Producers = append(set.Producers, computation(p))
 	}
-	for _, sig := range sigOrder {
-		set := bySig[sig]
-		sortComputations(set.Producers)
-		dec.Sets = append(dec.Sets, set)
-	}
-	sort.Slice(dec.Sets, func(i, j int) bool {
-		return lessComputation(dec.Sets[i].Producers[0], dec.Sets[j].Producers[0])
+	slices.SortFunc(dec.Sets, func(x, y *AtomicSet) int {
+		return compareComputations(x.Producers[0], y.Producers[0])
 	})
-
-	// Materialize the flow-closure groups, covering every iteration.
-	byRoot := map[int][][]int64{}
-	var rootOrder []int
-	for i, it := range iters {
-		r := find(i)
-		if _, ok := byRoot[r]; !ok {
-			rootOrder = append(rootOrder, r)
-		}
-		byRoot[r] = append(byRoot[r], it)
-	}
-	for _, r := range rootOrder {
-		dec.groups = append(dec.groups, byRoot[r])
-	}
 	return dec
 }
 
-func sortComputations(cs []Computation) {
-	sort.Slice(cs, func(i, j int) bool { return lessComputation(cs[i], cs[j]) })
-}
-
-func lessComputation(a, b Computation) bool {
-	if loop.LexLess(a.Iter, b.Iter) {
-		return true
+func compareComputations(a, b Computation) int {
+	if c := slices.Compare(a.Iter, b.Iter); c != 0 {
+		return c
 	}
-	if loop.LexLess(b.Iter, a.Iter) {
-		return false
-	}
-	return a.Stmt < b.Stmt
+	return a.Stmt - b.Stmt
 }
 
 // Compute runs the MARS pipeline on a validated nest and emits the
 // result in the common partition.Result shape with Strategy ==
 // partition.Mars.
 func Compute(nest *loop.Nest) (*partition.Result, error) {
-	return ComputeWithTrace(nest, nil, 0)
+	c, err := partition.NewContext(nest, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return ComputeIn(c, 0), nil
 }
 
-// ComputeWithTrace is Compute with span instrumentation, mirroring
-// partition.ComputeWithTrace: "deps", "redundant", and "partition"
-// spans under the given parent; a nil trace costs nothing.
-func ComputeWithTrace(nest *loop.Nest, tr *obs.Trace, parent obs.SpanID) (*partition.Result, error) {
-	sp := tr.Start(parent, "deps")
-	a, err := deps.Analyze(nest)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	sp = tr.Start(parent, "redundant")
-	red, err := redundant.Eliminate(a)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.SetInt("eliminated", int64(red.NumRedundant()))
-	sp.End()
-
-	sp = tr.Start(parent, "partition")
+// ComputeIn is Compute inside a nest's evaluation context, sharing its
+// analysis, index and redundancy oracle; the "partition" span is
+// recorded under parent.
+func ComputeIn(c *partition.Context, parent obs.SpanID) *partition.Result {
+	red := c.Redundant()
+	sp := c.Trace.Start(parent, "partition")
 	defer sp.End()
-	dec := Decompose(a, red)
-	n := nest.Depth()
+	dec := Decompose(c.Analysis, red)
+	n := c.Analysis.Nest.Depth()
 	psi := space.Zero(n)
 	res := &partition.Result{
 		Strategy:  partition.Mars,
-		Analysis:  a,
+		Analysis:  c.Analysis,
 		Redundant: red,
 		PerArray:  map[string]*space.Space{},
 		Psi:       psi,
-		Data:      map[string]*partition.DataPartition{},
+		Iter:      partition.PartitionIterationsGrouped(c.Index, psi, dec.Groups()),
 	}
-	res.Iter = partition.PartitionIterationsGrouped(nest, psi, dec.Groups())
-	for _, array := range nest.Arrays() {
+	res.Data = c.PartitionData(res.Iter, red)
+	for _, array := range c.Index.Arrays {
 		res.PerArray[array] = space.Zero(n)
-		res.Data[array] = partition.PartitionData(res.Iter, array, red)
 	}
 	sp.SetInt("blocks", int64(res.Iter.NumBlocks()))
 	sp.SetInt("atomic_sets", int64(len(dec.Sets)))
-	return res, nil
+	return res
 }

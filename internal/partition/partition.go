@@ -18,7 +18,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"commfree/internal/deps"
@@ -185,10 +185,11 @@ func MinimalReducedReferenceSpace(r *redundant.Result, array string) *space.Spac
 // Block is one iteration block B_j of the iteration partition
 // (Definition 2).
 type Block struct {
-	ID         int       // 1-based, in lexicographic key order
-	Key        []int64   // Q·ī, constant across the block's iterations
+	ID         int       // 1-based, in lexicographic order of Q·ī
 	Iterations [][]int64 // lexicographic order
 	Base       []int64   // base point b̄_j: the block's lexicographic minimum
+	// Pos are the positions of Iterations in the partition's Index.
+	Pos []int32
 }
 
 // Size returns the number of iterations in the block.
@@ -200,90 +201,105 @@ type IterationPartition struct {
 	Psi    *space.Space
 	Q      [][]int64 // primitive integer basis of the orthogonal complement
 	Blocks []*Block
-	index  map[string]*Block
+	// Index is the nest's dense index; Blocks[blockOf[pos]] holds
+	// iteration Index.Points[pos].
+	Index   *loop.Index
+	blockOf []int32
 }
 
-// PartitionIterations applies P_Ψ(Iⁿ) to the nest's iteration space.
-func PartitionIterations(nest *loop.Nest, psi *space.Space) *IterationPartition {
+// PartitionIterations applies P_Ψ(Iⁿ) to the indexed iteration space:
+// iterations are grouped by Q·ī, packed into one integer by the rank of
+// the keys' bounding box (a *loop.RankOverflowError when the box is too
+// large to rank).
+func PartitionIterations(ix *loop.Index, psi *space.Space) (*IterationPartition, error) {
 	q := psi.OrthogonalComplementIntegerBasis()
-	p := &IterationPartition{Nest: nest, Psi: psi, Q: q, index: map[string]*Block{}}
-	for _, it := range nest.Iterations() {
-		key := projectKey(q, it)
-		ks := fmt.Sprint(key)
-		b, ok := p.index[ks]
-		if !ok {
-			b = &Block{Key: key}
-			p.index[ks] = b
-			p.Blocks = append(p.Blocks, b)
+	k := len(q)
+	keys := make([]int64, 0, len(ix.Points)*k)
+	lo, hi := make([]int64, k), make([]int64, k)
+	for pos, it := range ix.Points {
+		for r, row := range q {
+			var v int64
+			for c, x := range row {
+				v += x * it[c]
+			}
+			if pos == 0 {
+				lo[r], hi[r] = v, v
+			}
+			lo[r], hi[r] = min(lo[r], v), max(hi[r], v)
+			keys = append(keys, v)
 		}
-		b.Iterations = append(b.Iterations, it)
 	}
-	// Deterministic block order: lexicographic by key.
-	sort.Slice(p.Blocks, func(i, j int) bool {
-		return loop.LexLess(p.Blocks[i].Key, p.Blocks[j].Key)
-	})
-	for i, b := range p.Blocks {
-		b.ID = i + 1
-		b.Base = b.Iterations[0] // iterations were appended in lex order
+	box, err := loop.NewRanker("block key box", lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	return p
+	label := make([]int64, len(ix.Points))
+	for pos := range label {
+		label[pos] = box.Rank(keys[pos*k : (pos+1)*k])
+	}
+	return assemble(ix, psi, q, label), nil
 }
 
 // PartitionIterationsGrouped builds an IterationPartition from explicit
 // iteration groups instead of the coset structure of Ψ. It exists for
 // usage-based partitions (package mars) whose blocks are value-flow
-// closures, not affine cosets. The caller passes psi = the zero space,
-// under which Q is an invertible n×n basis and projectKey is injective
-// per iteration — so BlockOf keeps working by giving every iteration
-// its own index entry pointing at its group's block.
+// closures, not affine cosets; the caller passes psi = the zero space.
 //
-// Groups must cover the nest's iteration space exactly once; iterations
-// inside each group may be in any order. Block IDs are assigned in
+// base[pos] names the group of iteration pos by the position of the
+// group's lexicographically first iteration, so block IDs follow the
 // lexicographic order of the blocks' base points.
-func PartitionIterationsGrouped(nest *loop.Nest, psi *space.Space, groups [][][]int64) *IterationPartition {
-	q := psi.OrthogonalComplementIntegerBasis()
-	p := &IterationPartition{Nest: nest, Psi: psi, Q: q, index: map[string]*Block{}}
-	for _, g := range groups {
-		its := append([][]int64(nil), g...)
-		sort.Slice(its, func(i, j int) bool { return loop.LexLess(its[i], its[j]) })
-		b := &Block{Iterations: its, Base: its[0]}
-		b.Key = projectKey(q, b.Base)
-		p.Blocks = append(p.Blocks, b)
-		for _, it := range its {
-			p.index[fmt.Sprint(projectKey(q, it))] = b
-		}
+func PartitionIterationsGrouped(ix *loop.Index, psi *space.Space, base []int32) *IterationPartition {
+	label := make([]int64, len(base))
+	for pos, b := range base {
+		label[pos] = int64(b)
 	}
-	sort.Slice(p.Blocks, func(i, j int) bool {
-		return loop.LexLess(p.Blocks[i].Base, p.Blocks[j].Base)
-	})
-	for i, b := range p.Blocks {
-		b.ID = i + 1
-	}
-	return p
+	return assemble(ix, psi, psi.OrthogonalComplementIntegerBasis(), label)
 }
 
-// projectKey computes Q·ī.
-func projectKey(q [][]int64, it []int64) []int64 {
-	key := make([]int64, len(q))
-	for r, row := range q {
-		var s int64
-		for c, v := range row {
-			s += v * it[c]
-		}
-		key[r] = s
+// assemble materializes the blocks of a labelling of the iterations:
+// one block per distinct label, numbered by ascending label — for packed
+// keys, the lexicographic order of Q·ī.
+func assemble(ix *loop.Index, psi *space.Space, q [][]int64, label []int64) *IterationPartition {
+	distinct := slices.Clone(label)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	p := &IterationPartition{Nest: ix.Nest, Psi: psi, Q: q, Index: ix,
+		blockOf: make([]int32, len(label)), Blocks: make([]*Block, len(distinct))}
+	sizes := make([]int, len(distinct))
+	for pos, l := range label {
+		b, _ := slices.BinarySearch(distinct, l)
+		p.blockOf[pos] = int32(b)
+		sizes[b]++
 	}
-	return key
+	store := make([]Block, len(distinct))
+	its := make([][]int64, len(label))
+	poss := make([]int32, len(label))
+	for i := range store {
+		b := &store[i]
+		b.ID = i + 1
+		b.Iterations, its = its[:0:sizes[i]], its[sizes[i]:]
+		b.Pos, poss = poss[:0:sizes[i]], poss[sizes[i]:]
+		p.Blocks[i] = b
+	}
+	for pos, bi := range p.blockOf { // ascending pos: lexicographic order inside every block
+		b := &store[bi]
+		b.Iterations = append(b.Iterations, ix.Points[pos])
+		b.Pos = append(b.Pos, int32(pos))
+	}
+	for i := range store {
+		store[i].Base = store[i].Iterations[0]
+	}
+	return p
 }
 
 // BlockOf returns the block containing the iteration (nil if the
 // iteration is outside the iteration space).
 func (p *IterationPartition) BlockOf(it []int64) *Block {
-	for k, lv := range p.Nest.Levels {
-		if it[k] < lv.Lower.Eval(it) || it[k] > lv.Upper.Eval(it) {
-			return nil
-		}
+	pos := p.Index.Pos(it)
+	if pos < 0 {
+		return nil
 	}
-	return p.index[fmt.Sprint(projectKey(p.Q, it))]
+	return p.Blocks[p.blockOf[pos]]
 }
 
 // NumBlocks returns the number of iteration blocks q.
@@ -319,48 +335,67 @@ type DataPartition struct {
 	CopyFactor float64
 }
 
-// PartitionData applies P_Ψ(A) for one array, optionally restricted to
-// non-redundant computations (minimal strategies).
-func PartitionData(p *IterationPartition, array string, red *redundant.Result) *DataPartition {
-	dp := &DataPartition{Array: array}
-	total := 0
-	uniq := map[string]bool{}
-	for _, b := range p.Blocks {
-		elems := map[string][]int64{}
-		for _, it := range b.Iterations {
-			for si, st := range p.Nest.Body {
-				if red != nil && red.IsRedundant(si, it) {
+// blockRanks collects, per block, the element ranks (ascending, unique)
+// of one array (an index into Index.Arrays) that the block's
+// non-redundant computations touch, and counts the distinct elements
+// across all blocks.
+func blockRanks(p *IterationPartition, array int, red *redundant.Result) (ranks [][]int64, uniq int) {
+	ix := p.Index
+	var slots []int
+	for s, sl := range ix.Slots {
+		if sl.Array == array {
+			slots = append(slots, s)
+		}
+	}
+	stamp := make([]int32, ix.NumElems()) // last block (1-based) that collected the element
+	ranks = make([][]int64, len(p.Blocks))
+	for bi, b := range p.Blocks {
+		var rs []int64
+		for _, pos := range b.Pos {
+			row := ix.Row(int(pos))
+			for _, s := range slots {
+				if red != nil && red.RedundantAt(ix.Slots[s].Stmt, int(pos)) {
 					continue
 				}
-				for _, r := range st.Reads {
-					if r.Array == array {
-						e := r.Index(it)
-						elems[fmt.Sprint(e)] = e
+				if e := row[s]; stamp[e] != int32(bi+1) {
+					if stamp[e] == 0 {
+						uniq++
 					}
-				}
-				if st.Write.Array == array {
-					e := st.Write.Index(it)
-					elems[fmt.Sprint(e)] = e
+					stamp[e] = int32(bi + 1)
+					rs = append(rs, ix.ElemRank(e))
 				}
 			}
 		}
-		db := &DataBlock{BlockID: b.ID}
-		for _, e := range elems {
-			db.Elements = append(db.Elements, e)
-		}
-		sort.Slice(db.Elements, func(i, j int) bool {
-			return loop.LexLess(db.Elements[i], db.Elements[j])
-		})
-		dp.Blocks = append(dp.Blocks, db)
-		total += len(db.Elements)
-		for k := range elems {
-			uniq[k] = true
-		}
+		slices.Sort(rs)
+		ranks[bi] = rs
 	}
-	if len(uniq) > 0 {
-		dp.CopyFactor = float64(total) / float64(len(uniq))
+	return ranks, uniq
+}
+
+// PartitionData applies P_Ψ(A) for one array, optionally restricted to
+// non-redundant computations (minimal strategies).
+func PartitionData(p *IterationPartition, array string, red *redundant.Result) *DataPartition {
+	dp := &DataPartition{Array: array, Blocks: make([]*DataBlock, len(p.Blocks))}
+	ai := slices.Index(p.Index.Arrays, array)
+	ranks, uniq := blockRanks(p, ai, red)
+	var box loop.Ranker
+	if ai >= 0 {
+		box = p.Index.Elems[ai]
 	}
-	dp.Duplicated = total > len(uniq)
+	total := 0
+	for bi, rs := range ranks {
+		db := &DataBlock{BlockID: p.Blocks[bi].ID, Elements: make([][]int64, len(rs))}
+		flat := make([]int64, len(rs)*len(box.Lo))
+		for i, r := range rs {
+			db.Elements[i], flat = box.Unrank(r, flat[:len(box.Lo):len(box.Lo)]), flat[len(box.Lo):]
+		}
+		dp.Blocks[bi] = db
+		total += len(rs)
+	}
+	if uniq > 0 {
+		dp.CopyFactor = float64(total) / float64(uniq)
+	}
+	dp.Duplicated = total > uniq
 	return dp
 }
 
@@ -375,72 +410,123 @@ type Result struct {
 	Data      map[string]*DataPartition
 }
 
-// Compute runs the full partitioning pipeline on a validated nest.
-func Compute(nest *loop.Nest, strat Strategy) (*Result, error) {
-	return ComputeWithTrace(nest, strat, nil, 0)
+// Context is the evaluation context of one nest: what every strategy's
+// partition shares — the dependence analysis, the dense index and, from
+// its first use on, the redundancy oracle — is computed once here, and
+// each Compute adds only its own Ψ. A compile builds one Context; it is
+// not safe for concurrent use. The "deps" and "redundant" stages are
+// recorded as spans of Trace under Parent (a nil Trace costs nothing).
+type Context struct {
+	Analysis *deps.Analysis
+	Index    *loop.Index
+	Trace    *obs.Trace
+	Parent   obs.SpanID
+
+	red *redundant.Result
 }
 
-// ComputeWithTrace is Compute with span instrumentation: the analysis
-// stages are recorded as "deps", "redundant", and "partition" spans
-// under the given parent. A nil trace costs nothing (obs handles are
-// inert), so this is the single implementation behind Compute.
-func ComputeWithTrace(nest *loop.Nest, strat Strategy, tr *obs.Trace, parent obs.SpanID) (*Result, error) {
+// NewContext analyzes and indexes a validated nest.
+func NewContext(nest *loop.Nest, tr *obs.Trace, parent obs.SpanID) (*Context, error) {
 	sp := tr.Start(parent, "deps")
 	a, err := deps.Analyze(nest)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Strategy: strat,
-		Analysis: a,
-		PerArray: map[string]*space.Space{},
-		Data:     map[string]*DataPartition{},
+	ix, err := loop.NewIndex(nest)
+	if err != nil {
+		return nil, err
 	}
-	sp = tr.Start(parent, "redundant")
-	if strat.Minimal() {
-		res.Redundant, err = redundant.Eliminate(a)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		sp.SetInt("eliminated", int64(res.Redundant.NumRedundant()))
-	} else {
-		sp.SetInt("skipped", 1)
-	}
-	sp.End()
+	return &Context{Analysis: a, Index: ix, Trace: tr, Parent: parent}, nil
+}
 
-	sp = tr.Start(parent, "partition")
-	defer sp.End()
-	n := nest.Depth()
-	psi := space.Zero(n)
-	for _, array := range nest.Arrays() {
+// Redundant returns the nest's redundancy oracle, eliminating on first
+// use.
+func (c *Context) Redundant() *redundant.Result {
+	if c.red == nil {
+		sp := c.Trace.Start(c.Parent, "redundant")
+		c.red = redundant.EliminateOn(c.Analysis, c.Index)
+		sp.SetInt("eliminated", int64(c.red.NumRedundant()))
+		sp.End()
+	}
+	return c.red
+}
+
+// Spaces derives a strategy's per-array reference spaces and their span
+// Ψ. duplicated names the arrays Selective replicates; the other
+// strategies ignore it.
+func (c *Context) Spaces(strat Strategy, duplicated map[string]bool) (map[string]*space.Space, *space.Space, error) {
+	a := c.Analysis
+	perArray := map[string]*space.Space{}
+	psi := space.Zero(a.Nest.Depth())
+	for _, array := range c.Index.Arrays {
 		var sp *space.Space
-		switch strat {
-		case NonDuplicate:
+		switch {
+		case strat == NonDuplicate, strat == Selective && !duplicated[array]:
 			sp = ReferenceSpace(a, array)
-		case Duplicate:
+		case strat == Duplicate, strat == Selective:
 			sp = ReducedReferenceSpace(a, array)
-		case MinimalNonDuplicate:
-			sp = MinimalReferenceSpace(res.Redundant, array)
-		case MinimalDuplicate:
-			sp = MinimalReducedReferenceSpace(res.Redundant, array)
-		case Selective:
-			return nil, fmt.Errorf("partition: selective partitions need per-array choices — use ComputeSelective")
-		case Mars:
-			return nil, fmt.Errorf("partition: MARS partitions are usage-based — use mars.Compute")
+		case strat == MinimalNonDuplicate:
+			sp = MinimalReferenceSpace(c.Redundant(), array)
+		case strat == MinimalDuplicate:
+			sp = MinimalReducedReferenceSpace(c.Redundant(), array)
+		case strat == Mars:
+			return nil, nil, fmt.Errorf("partition: MARS partitions are usage-based — use mars.Compute")
 		default:
-			return nil, fmt.Errorf("partition: unknown strategy %d", int(strat))
+			return nil, nil, fmt.Errorf("partition: unknown strategy %d", int(strat))
 		}
-		res.PerArray[array] = sp
+		perArray[array] = sp
 		psi = psi.Union(sp)
 	}
-	res.Psi = psi
-	res.Iter = PartitionIterations(nest, psi)
-	for _, array := range nest.Arrays() {
-		res.Data[array] = PartitionData(res.Iter, array, res.Redundant)
+	return perArray, psi, nil
+}
+
+// PartitionData applies P_Ψ(A) to every array of the nest.
+func (c *Context) PartitionData(iter *IterationPartition, red *redundant.Result) map[string]*DataPartition {
+	data := map[string]*DataPartition{}
+	for _, array := range c.Index.Arrays {
+		data[array] = PartitionData(iter, array, red)
 	}
+	return data
+}
+
+// Compute partitions the nest under one strategy (duplicated names the
+// arrays Selective replicates).
+func (c *Context) Compute(strat Strategy, duplicated map[string]bool, parent obs.SpanID) (*Result, error) {
+	if strat == Selective && duplicated == nil {
+		return nil, fmt.Errorf("partition: selective partitions need per-array choices — use ComputeSelective")
+	}
+	perArray, psi, err := c.Spaces(strat, duplicated)
+	if err != nil {
+		return nil, err
+	}
+	return c.Partition(strat, perArray, psi, parent)
+}
+
+// Partition materializes a strategy's partition from its spaces (see
+// Spaces); the "partition" stage is recorded as a span under parent.
+func (c *Context) Partition(strat Strategy, perArray map[string]*space.Space, psi *space.Space, parent obs.SpanID) (*Result, error) {
+	res := &Result{Strategy: strat, Analysis: c.Analysis, PerArray: perArray, Psi: psi}
+	if strat.Minimal() {
+		res.Redundant = c.Redundant()
+	}
+	sp := c.Trace.Start(parent, "partition")
+	defer sp.End()
+	var err error
+	if res.Iter, err = PartitionIterations(c.Index, psi); err != nil {
+		return nil, err
+	}
+	res.Data = c.PartitionData(res.Iter, res.Redundant)
 	return res, nil
+}
+
+// Compute runs the full partitioning pipeline on a validated nest.
+func Compute(nest *loop.Nest, strat Strategy) (*Result, error) {
+	c, err := NewContext(nest, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return c.Compute(strat, nil, 0)
 }
 
 // ParallelismDim returns n − dim(Ψ): the dimensionality of the forall
@@ -459,29 +545,13 @@ func (r *Result) ParallelismDim() int {
 // The caller supplies the redundancy oracle for the nest (from
 // redundant.Eliminate) so results built without one are measurable.
 func (r *Result) RedundantCopyVolume(red *redundant.Result) int {
-	nest := r.Analysis.Nest
+	ix := r.Iter.Index
 	volume := 0
-	for array, dp := range r.Data {
-		for bi, db := range dp.Blocks {
-			b := r.Iter.Blocks[bi]
-			useful := map[string]bool{}
-			for _, it := range b.Iterations {
-				for si, st := range nest.Body {
-					if red.IsRedundant(si, it) {
-						continue
-					}
-					for _, rd := range st.Reads {
-						if rd.Array == array {
-							useful[fmt.Sprint(rd.Index(it))] = true
-						}
-					}
-					if st.Write.Array == array {
-						useful[fmt.Sprint(st.Write.Index(it))] = true
-					}
-				}
-			}
+	for ai, array := range ix.Arrays {
+		useful, _ := blockRanks(r.Iter, ai, red)
+		for bi, db := range r.Data[array].Blocks {
 			for _, e := range db.Elements {
-				if !useful[fmt.Sprint(e)] {
+				if _, ok := slices.BinarySearch(useful[bi], ix.Elems[ai].Rank(e)); !ok {
 					volume++
 				}
 			}
@@ -496,47 +566,14 @@ func (r *Result) RedundantCopyVolume(red *redundant.Result) int {
 // case: Ψ′ = span({(0,1,0)} ∪ {(0,0,1)}) keeps array A distributed by
 // rows while B is replicated everywhere.
 func ComputeSelective(nest *loop.Nest, duplicated map[string]bool) (*Result, error) {
-	return ComputeSelectiveWithTrace(nest, duplicated, nil, 0)
-}
-
-// ComputeSelectiveWithTrace is ComputeSelective with span instrumentation
-// (see ComputeWithTrace).
-func ComputeSelectiveWithTrace(nest *loop.Nest, duplicated map[string]bool, tr *obs.Trace, parent obs.SpanID) (*Result, error) {
-	sp := tr.Start(parent, "deps")
-	a, err := deps.Analyze(nest)
-	sp.End()
+	c, err := NewContext(nest, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Strategy: Selective,
-		Analysis: a,
-		PerArray: map[string]*space.Space{},
-		Data:     map[string]*DataPartition{},
+	if duplicated == nil {
+		duplicated = map[string]bool{}
 	}
-	sp = tr.Start(parent, "redundant")
-	sp.SetInt("skipped", 1)
-	sp.End()
-	sp = tr.Start(parent, "partition")
-	defer sp.End()
-	n := nest.Depth()
-	psi := space.Zero(n)
-	for _, array := range nest.Arrays() {
-		var sp *space.Space
-		if duplicated[array] {
-			sp = ReducedReferenceSpace(a, array)
-		} else {
-			sp = ReferenceSpace(a, array)
-		}
-		res.PerArray[array] = sp
-		psi = psi.Union(sp)
-	}
-	res.Psi = psi
-	res.Iter = PartitionIterations(nest, psi)
-	for _, array := range nest.Arrays() {
-		res.Data[array] = PartitionData(res.Iter, array, nil)
-	}
-	return res, nil
+	return c.Compute(Selective, duplicated, 0)
 }
 
 // AllowsDuplication reports whether the strategy may replicate data.
@@ -561,15 +598,6 @@ func (r *Result) Verify() error {
 	return VerifyCommunicationFree(r.Iter, r.AllowsDuplication(), r.Redundant)
 }
 
-// accessEvent is one array access in global sequential order.
-type accessEvent struct {
-	order   int
-	isWrite bool
-	block   int
-	stmt    int
-	iter    []int64
-}
-
 // VerifyCommunicationFree checks the partition against the nest's exact
 // execution trace.
 //
@@ -579,48 +607,38 @@ type accessEvent struct {
 // its own block — the flow-dependence condition of Theorem 2. When red is
 // non-nil, redundant computations are excluded from the trace (Theorems 3
 // and 4 guarantee communication-freeness only for the pruned program).
+//
+// The accesses are replayed once in execution order against one word of
+// state per element: the first access (dupOK = false) or the latest
+// write (dupOK = true), as 1 + position·slots + slot.
 func VerifyCommunicationFree(p *IterationPartition, dupOK bool, red *redundant.Result) error {
-	events := map[string][]accessEvent{} // array|elem → ordered accesses
-	order := 0
-	for _, it := range p.Nest.Iterations() {
-		b := p.BlockOf(it)
-		if b == nil {
-			return fmt.Errorf("partition: iteration %v not covered by any block", it)
-		}
-		for si, st := range p.Nest.Body {
-			if red != nil && red.IsRedundant(si, it) {
-				continue
-			}
-			for _, rd := range st.Reads {
-				k := rd.Array + "|" + fmt.Sprint(rd.Index(it))
-				events[k] = append(events[k], accessEvent{order: order, block: b.ID, stmt: si, iter: it})
-				order++
-			}
-			k := st.Write.Array + "|" + fmt.Sprint(st.Write.Index(it))
-			events[k] = append(events[k], accessEvent{order: order, isWrite: true, block: b.ID, stmt: si, iter: it})
-			order++
-		}
+	ix := p.Index
+	if len(p.blockOf) != len(ix.Points) {
+		return fmt.Errorf("partition: blocks cover %d of %d iterations", len(p.blockOf), len(ix.Points))
 	}
-	for key, evs := range events {
-		if !dupOK {
-			for _, e := range evs[1:] {
-				if e.block != evs[0].block {
-					return fmt.Errorf("partition: element %s accessed by blocks %d and %d (non-duplicate strategy)",
-						key, evs[0].block, e.block)
-				}
-			}
-			continue
-		}
-		lastWrite := -1
-		for i, e := range evs {
-			if e.isWrite {
-				lastWrite = i
+	width := len(ix.Slots)
+	prev := make([]int64, ix.NumElems())
+	for pos := range ix.Points {
+		blk := p.blockOf[pos]
+		row := ix.Row(pos)
+		for s, e := range row {
+			slot := ix.Slots[s]
+			if red != nil && red.RedundantAt(slot.Stmt, pos) {
 				continue
 			}
-			if lastWrite >= 0 && evs[lastWrite].block != e.block {
-				return fmt.Errorf("partition: flow dependence on %s crosses blocks %d → %d (write S%d%v, read S%d%v)",
-					key, evs[lastWrite].block, e.block,
-					evs[lastWrite].stmt+1, evs[lastWrite].iter, e.stmt+1, e.iter)
+			if was := prev[e] - 1; was >= 0 && p.blockOf[was/int64(width)] != blk && !(dupOK && slot.Write) {
+				array, idx := ix.Elem(e)
+				from, wslot := p.Blocks[p.blockOf[was/int64(width)]], ix.Slots[was%int64(width)]
+				if !dupOK {
+					return fmt.Errorf("partition: element %s|%v accessed by blocks %d and %d (non-duplicate strategy)",
+						array, idx, from.ID, p.Blocks[blk].ID)
+				}
+				return fmt.Errorf("partition: flow dependence on %s|%v crosses blocks %d → %d (write S%d%v, read S%d%v)",
+					array, idx, from.ID, p.Blocks[blk].ID,
+					wslot.Stmt+1, ix.Points[was/int64(width)], slot.Stmt+1, ix.Points[pos])
+			}
+			if slot.Write || (!dupOK && prev[e] == 0) {
+				prev[e] = 1 + int64(pos*width+s)
 			}
 		}
 	}

@@ -305,14 +305,27 @@ func TestBlockLookupConsistency(t *testing.T) {
 	}
 }
 
+func partitionIterations(t *testing.T, nest *loop.Nest, psi *space.Space) *IterationPartition {
+	t.Helper()
+	ix, err := loop.NewIndex(nest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PartitionIterations(ix, psi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestIterationPartitionFullPsi(t *testing.T) {
 	// dim(Ψ) = n → exactly one block (the note after Definition 2).
-	p := PartitionIterations(loop.L1(), space.Full(2))
+	p := partitionIterations(t, loop.L1(), space.Full(2))
 	if p.NumBlocks() != 1 || p.Blocks[0].Size() != 16 {
 		t.Errorf("blocks = %d, size = %d", p.NumBlocks(), p.Blocks[0].Size())
 	}
 	// dim(Ψ) = 0 → one iteration per block.
-	p = PartitionIterations(loop.L1(), space.Zero(2))
+	p = partitionIterations(t, loop.L1(), space.Zero(2))
 	if p.NumBlocks() != 16 {
 		t.Errorf("blocks = %d, want 16", p.NumBlocks())
 	}
@@ -321,7 +334,7 @@ func TestIterationPartitionFullPsi(t *testing.T) {
 func TestVerifyCatchesBadPartition(t *testing.T) {
 	// Partition L1 along (1,0) — NOT communication-free: the flow
 	// dependence (1,1) crosses blocks.
-	p := PartitionIterations(loop.L1(), space.SpanInts(2, []int64{1, 0}))
+	p := partitionIterations(t, loop.L1(), space.SpanInts(2, []int64{1, 0}))
 	if err := VerifyCommunicationFree(p, false, nil); err == nil {
 		t.Error("bad partition passed non-duplicate verification")
 	}

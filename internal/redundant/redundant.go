@@ -21,31 +21,18 @@ import (
 	"commfree/internal/loop"
 )
 
-// event is one access in the execution timeline of a single array element.
-type event struct {
-	seq     int // global execution order
-	stmt    int // statement index
-	iter    []int64
-	isWrite bool
-}
-
-// compKey identifies a computation S_stmt(ī).
-type compKey struct {
-	stmt int
-	iter string
-}
-
-func keyOf(stmt int, iter []int64) compKey {
-	return compKey{stmt: stmt, iter: fmt.Sprint(iter)}
-}
-
 // Result holds the outcome of redundant-computation elimination.
 type Result struct {
 	Nest     *loop.Nest
 	Analysis *deps.Analysis
+	// Index is the nest's dense index the oracle was computed on; the
+	// passes that consume the oracle share it.
+	Index *loop.Index
 
-	redundant map[compKey]bool
-	iters     [][]int64
+	// bits[s] marks the redundant iterations of statement s, indexed by
+	// iteration position (loop.Index.Points order).
+	bits  [][]uint64
+	count int
 
 	// UsefulDeps are the dependences that survive (Val sets intersect).
 	UsefulDeps []*deps.Dependence
@@ -54,89 +41,70 @@ type Result struct {
 	FalseDeps []*deps.Dependence
 }
 
-// Eliminate runs the fixpoint on the analysis' nest.
+// Eliminate runs the elimination on the analysis' nest.
 func Eliminate(a *deps.Analysis) (*Result, error) {
-	nest := a.Nest
-	res := &Result{
-		Nest:      nest,
-		Analysis:  a,
-		redundant: map[compKey]bool{},
-		iters:     nest.Iterations(),
+	ix, err := loop.NewIndex(a.Nest)
+	if err != nil {
+		return nil, err
 	}
+	return EliminateOn(a, ix), nil
+}
 
-	// Build per-element event timelines. Execution order: iterations in
-	// lexicographic order; within an iteration, statements in body order;
-	// within a statement, reads then the write.
-	timeline := map[string][]event{} // "array|elem" -> events
-	elemKey := func(array string, elem []int64) string {
-		return array + "|" + fmt.Sprint(elem)
+// EliminateOn is Eliminate on an index of the nest the caller already
+// holds.
+//
+// Whether S_k(ī) is redundant depends only on computations that execute
+// strictly later (the readers of the value it writes), so one sweep over
+// the accesses in reverse execution order reaches the fixpoint: per
+// element it remembers whether a later write exists and whether a
+// non-redundant read has been seen since. The work is the same on every
+// run — one pass, no map iteration.
+func EliminateOn(a *deps.Analysis, ix *loop.Index) *Result {
+	res := &Result{Nest: a.Nest, Analysis: a, Index: ix, bits: make([][]uint64, len(a.Nest.Body))}
+	words := (len(ix.Points) + 63) / 64
+	for s := range res.bits {
+		res.bits[s] = make([]uint64, words)
 	}
-	seq := 0
-	for _, it := range res.iters {
-		for si, st := range nest.Body {
-			for _, r := range st.Reads {
-				k := elemKey(r.Array, r.Index(it))
-				timeline[k] = append(timeline[k], event{seq: seq, stmt: si, iter: it, isWrite: false})
-				seq++
+	const laterWrite, liveRead = 1, 2
+	state := make([]uint8, ix.NumElems())
+	for pos := len(ix.Points) - 1; pos >= 0; pos-- {
+		row := ix.Row(pos)
+		for s := len(a.Nest.Body) - 1; s >= 0; s-- {
+			w := ix.First[s+1] - 1
+			redundant := state[row[w]] == laterWrite
+			state[row[w]] = laterWrite
+			if redundant {
+				res.bits[s][pos>>6] |= 1 << uint(pos&63)
+				res.count++
+				continue
 			}
-			k := elemKey(st.Write.Array, st.Write.Index(it))
-			timeline[k] = append(timeline[k], event{seq: seq, stmt: si, iter: it, isWrite: true})
-			seq++
-		}
-	}
-
-	// Monotone fixpoint: mark a computation redundant when its write is
-	// followed (on the same element) by another write with no intervening
-	// non-redundant reads.
-	for changed := true; changed; {
-		changed = false
-		for _, events := range timeline {
-			for i, ev := range events {
-				if !ev.isWrite {
-					continue
-				}
-				ck := keyOf(ev.stmt, ev.iter)
-				if res.redundant[ck] {
-					continue
-				}
-				// Find the next write; collect reads in between.
-				next := -1
-				allReadsRedundant := true
-				for j := i + 1; j < len(events); j++ {
-					if events[j].isWrite {
-						next = j
-						break
-					}
-					if !res.redundant[keyOf(events[j].stmt, events[j].iter)] {
-						allReadsRedundant = false
-					}
-				}
-				if next < 0 {
-					continue // final write: value reaches the output state
-				}
-				if allReadsRedundant {
-					res.redundant[ck] = true
-					changed = true
-				}
+			for _, e := range row[ix.First[s]:w] {
+				state[e] |= liveRead
 			}
 		}
 	}
-
 	res.classifyDeps()
-	return res, nil
+	return res
+}
+
+// RedundantAt reports whether statement stmt is redundant at the
+// iteration with the given position in Index.Points.
+func (r *Result) RedundantAt(stmt, pos int) bool {
+	return r.bits[stmt][pos>>6]&(1<<uint(pos&63)) != 0
 }
 
 // IsRedundant reports whether computation S_stmt(ī) is redundant.
 func (r *Result) IsRedundant(stmt int, iter []int64) bool {
-	return r.redundant[keyOf(stmt, iter)]
+	pos := r.Index.Pos(iter)
+	return pos >= 0 && r.RedundantAt(stmt, pos)
 }
 
 // NonRedundant returns N(S_stmt): the iterations at which the statement is
 // not redundant, in lexicographic order.
 func (r *Result) NonRedundant(stmt int) [][]int64 {
 	var out [][]int64
-	for _, it := range r.iters {
-		if !r.IsRedundant(stmt, it) {
+	for pos, it := range r.Index.Points {
+		if !r.RedundantAt(stmt, pos) {
 			out = append(out, it)
 		}
 	}
@@ -144,17 +112,32 @@ func (r *Result) NonRedundant(stmt int) [][]int64 {
 }
 
 // NumRedundant counts redundant computations across all statements.
-func (r *Result) NumRedundant() int { return len(r.redundant) }
+func (r *Result) NumRedundant() int { return r.count }
+
+// slotOf locates an access among the index's slots.
+func (r *Result) slotOf(acc deps.Access) int {
+	if acc.IsWrite {
+		return r.Index.First[acc.Stmt+1] - 1
+	}
+	return r.Index.First[acc.Stmt] + acc.ReadIdx
+}
 
 // Val returns the element set Val(ref, S): the data-space points the
-// access touches over the non-redundant iterations of its statement.
-func (r *Result) Val(acc deps.Access) map[string]bool {
-	out := map[string]bool{}
-	for _, it := range r.iters {
-		if r.IsRedundant(acc.Stmt, it) {
-			continue
+// access touches over the non-redundant iterations of its statement, in
+// lexicographic order.
+func (r *Result) Val(acc deps.Access) [][]int64 {
+	slot, seen := r.slotOf(acc), map[int32]bool{}
+	var ids []int32
+	for pos := range r.Index.Points {
+		if e := r.Index.Row(pos)[slot]; !r.RedundantAt(acc.Stmt, pos) && !seen[e] {
+			seen[e] = true
+			ids = append(ids, e)
 		}
-		out[fmt.Sprint(acc.Ref.Index(it))] = true
+	}
+	sort.Slice(ids, func(i, j int) bool { return r.Index.ElemRank(ids[i]) < r.Index.ElemRank(ids[j]) })
+	out := make([][]int64, len(ids))
+	for i, e := range ids {
+		_, out[i] = r.Index.Elem(e)
 	}
 	return out
 }
@@ -162,15 +145,17 @@ func (r *Result) Val(acc deps.Access) map[string]bool {
 // classifyDeps splits the analysis' dependences into useful and false by
 // the Val-intersection criterion.
 func (r *Result) classifyDeps() {
-	for _, d := range r.Analysis.AllDependences() {
-		va := r.Val(d.Src)
-		vb := r.Val(d.Dst)
-		useful := false
-		for k := range va {
-			if vb[k] {
-				useful = true
-				break
+	mark := make([]int32, r.Index.NumElems())
+	for di, d := range r.Analysis.AllDependences() {
+		src, dst, stamp := r.slotOf(d.Src), r.slotOf(d.Dst), int32(di+1)
+		for pos := range r.Index.Points {
+			if !r.RedundantAt(d.Src.Stmt, pos) {
+				mark[r.Index.Row(pos)[src]] = stamp
 			}
+		}
+		useful := false
+		for pos := 0; pos < len(r.Index.Points) && !useful; pos++ {
+			useful = !r.RedundantAt(d.Dst.Stmt, pos) && mark[r.Index.Row(pos)[dst]] == stamp
 		}
 		if useful {
 			r.UsefulDeps = append(r.UsefulDeps, d)
@@ -195,7 +180,7 @@ func (r *Result) UsefulDepsOf(array string) []*deps.Dependence {
 func (r *Result) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "redundant computations: %d of %d\n",
-		r.NumRedundant(), len(r.iters)*len(r.Nest.Body))
+		r.NumRedundant(), len(r.Index.Points)*len(r.Nest.Body))
 	for si := range r.Nest.Body {
 		n := r.NonRedundant(si)
 		fmt.Fprintf(&b, "  N(S%d): %d iterations\n", si+1, len(n))

@@ -188,8 +188,8 @@ func TestValSets(t *testing.T) {
 		t.Fatalf("Val(w1,S1) size = %d, want 4: %v", len(val), val)
 	}
 	for i := int64(1); i <= 4; i++ {
-		if !val[fmt.Sprint([]int64{i, 4})] {
-			t.Errorf("Val(w1,S1) missing A[%d,4]", i)
+		if e := val[i-1]; e[0] != i || e[1] != 4 {
+			t.Errorf("Val(w1,S1)[%d] = %v, want A[%d,4]", i-1, e, i)
 		}
 	}
 }

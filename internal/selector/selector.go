@@ -12,6 +12,7 @@
 package selector
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,7 +22,9 @@ import (
 	"commfree/internal/loop"
 	"commfree/internal/machine"
 	"commfree/internal/mars"
+	"commfree/internal/obs"
 	"commfree/internal/partition"
+	"commfree/internal/space"
 	"commfree/internal/transform"
 )
 
@@ -52,114 +55,213 @@ func (c Candidate) String() string {
 // Best evaluates all candidates for the nest on p processors and returns
 // the cheapest plus the full ranking (ascending total time).
 func Best(nest *loop.Nest, p int, cost machine.CostModel) (Candidate, []Candidate, error) {
-	var all []Candidate
-
-	add := func(label string, res *partition.Result, duplicated []string) error {
-		c, err := estimate(label, res, p, cost)
-		if err != nil {
-			return err
-		}
-		c.Duplicated = duplicated
-		all = append(all, c)
-		return nil
+	pc, err := partition.NewContext(nest, nil, 0)
+	if err != nil {
+		return Candidate{}, nil, err
 	}
-
-	for _, s := range []partition.Strategy{
-		partition.NonDuplicate, partition.Duplicate,
-		partition.MinimalNonDuplicate, partition.MinimalDuplicate,
-	} {
-		res, err := partition.Compute(nest, s)
-		if err != nil {
-			return Candidate{}, nil, err
-		}
-		if err := add(s.String(), res, nil); err != nil {
-			return Candidate{}, nil, err
-		}
+	ev, err := Evaluate(context.Background(), pc, p, cost, "")
+	if err != nil {
+		return Candidate{}, nil, err
 	}
-
-	// MARS: the usage-based partition (finest flow closure). Its label
-	// is the strategy name so strategy-pinned callers can find it in
-	// the ranking.
-	{
-		res, err := mars.Compute(nest)
-		if err != nil {
-			return Candidate{}, nil, err
-		}
-		if err := add(partition.Mars.String(), res, nil); err != nil {
-			return Candidate{}, nil, err
-		}
-	}
-
-	// Selective subsets over the arrays that can profit from duplication.
-	arrays := nest.Arrays()
-	if len(arrays) <= 4 {
-		for mask := 1; mask < (1<<len(arrays))-1; mask++ {
-			dup := map[string]bool{}
-			var names []string
-			for i, a := range arrays {
-				if mask&(1<<i) != 0 {
-					dup[a] = true
-					names = append(names, a)
-				}
-			}
-			res, err := partition.ComputeSelective(nest, dup)
-			if err != nil {
-				return Candidate{}, nil, err
-			}
-			label := "selective{" + strings.Join(names, ",") + "}"
-			if err := add(label, res, names); err != nil {
-				return Candidate{}, nil, err
-			}
-		}
-	}
-
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Total < all[j].Total })
-	return all[0], all, nil
+	return ev.Ranking[0], ev.Ranking, nil
 }
 
-// estimate prices one partitioning: the distribution plan's simulated
-// time plus max-workload·t_comp for the compute phase.
-func estimate(label string, res *partition.Result, p int, cost machine.CostModel) (Candidate, error) {
-	plan, tr, asg, err := distplan.Build(res, p)
-	if err != nil {
-		return Candidate{}, err
+// Evaluation is the outcome of pricing every candidate of one nest.
+type Evaluation struct {
+	// Ranking lists the candidates by ascending total time, ties in
+	// enumeration order; Ranking[0] is the selector's choice.
+	Ranking []Candidate
+	// Classes counts the distinct partitions materialized and priced:
+	// candidates whose Ψ and redundancy pruning coincide are views of
+	// one class.
+	Classes int
+	// SelectiveSkipped reports that the nest has more than four arrays,
+	// so its selective duplication subsets were not enumerated.
+	SelectiveSkipped bool
+	// Chosen is the pinned candidate (Ranking[0] when none was pinned);
+	// Result, Transformed and Assignment are its compiled form, exactly
+	// as its class was priced. Result is nil when the pin names no
+	// candidate.
+	Chosen      Candidate
+	Result      *partition.Result
+	Transformed *transform.Transformed
+	Assignment  *assign.Assignment
+}
+
+// spec is one candidate: a thin view (label, strategy, duplicated set,
+// per-array spaces) over its class.
+type spec struct {
+	Candidate
+	perArray map[string]*space.Space
+	class    int
+}
+
+// class is one distinct partition of the nest: a Ψ and whether the
+// redundancy oracle prunes its data partition, or — psi == nil — the
+// MARS flow closure.
+type class struct {
+	psi    *space.Space
+	pruned bool
+}
+
+// Evaluate prices every candidate of the context's nest on p processors:
+// the four theorems, MARS, and every selective subset of at most four
+// arrays. Each class of candidates is partitioned, planned and priced
+// once; ctx is checked between classes. pin is the label of the
+// candidate the caller will compile ("" for the cheapest): only that
+// candidate's partition outlives its pricing, so at most two partitions
+// are alive at a time.
+func Evaluate(ctx context.Context, pc *partition.Context, p int, cost machine.CostModel, pin string) (*Evaluation, error) {
+	nest := pc.Analysis.Nest
+	var specs []spec
+	var classes []class
+	add := func(label string, strat partition.Strategy, names []string) error {
+		sp := spec{Candidate: Candidate{Label: label, Strategy: strat, Duplicated: names}, class: len(classes)}
+		var c class
+		if strat != partition.Mars {
+			dup := map[string]bool{}
+			for _, a := range names {
+				dup[a] = true
+			}
+			var err error
+			if sp.perArray, c.psi, err = pc.Spaces(strat, dup); err != nil {
+				return err
+			}
+			c.pruned = strat.Minimal() && pc.Redundant().NumRedundant() > 0
+			for i, known := range classes {
+				if known.psi != nil && known.pruned == c.pruned && known.psi.Equal(c.psi) {
+					sp.class = i
+				}
+			}
+		}
+		if sp.class == len(classes) {
+			classes = append(classes, c)
+		}
+		specs = append(specs, sp)
+		return nil
 	}
+	// MARS keeps its strategy name as label so strategy-pinned callers
+	// can find it in the ranking.
+	for _, s := range []partition.Strategy{
+		partition.NonDuplicate, partition.Duplicate,
+		partition.MinimalNonDuplicate, partition.MinimalDuplicate, partition.Mars,
+	} {
+		if err := add(s.String(), s, nil); err != nil {
+			return nil, err
+		}
+	}
+	// Selective subsets over the arrays that can profit from duplication.
+	arrays := nest.Arrays()
+	ev := &Evaluation{SelectiveSkipped: len(arrays) > 4}
+	for mask := 1; !ev.SelectiveSkipped && mask < (1<<len(arrays))-1; mask++ {
+		var names []string
+		for i, a := range arrays {
+			if mask&(1<<i) != 0 {
+				names = append(names, a)
+			}
+		}
+		if err := add("selective{"+strings.Join(names, ",")+"}", partition.Selective, names); err != nil {
+			return nil, err
+		}
+	}
+
+	ev.Classes = len(classes)
+	for ci, c := range classes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// The class is materialized as the view of its pinned member, else
+		// of its earliest one — the member the stable ranking puts first.
+		keep, members := -1, 0
+		for i, sp := range specs {
+			if sp.class == ci {
+				members++
+				if keep < 0 || sp.Label == pin {
+					keep = i
+				}
+			}
+		}
+		csp := pc.Trace.Start(pc.Parent, "class")
+		res, tr, asg, err := materialize(pc, c, &specs[keep], p, csp.ID())
+		if err != nil {
+			csp.End()
+			return nil, err
+		}
+		priced := estimate(res, asg, cost)
+		for i := range specs {
+			if sp := &specs[i]; sp.class == ci {
+				sp.Blocks, sp.DistributionTime, sp.ComputeTime, sp.Total = priced.Blocks, priced.DistributionTime, priced.ComputeTime, priced.Total
+			}
+		}
+		csp.SetInt("psi_dim", int64(res.Psi.Dim()))
+		csp.SetInt("blocks", int64(priced.Blocks))
+		csp.SetInt("members", int64(members))
+		csp.End()
+		if specs[keep].Label == pin || (pin == "" && (ev.Result == nil || priced.Total < ev.Chosen.Total)) {
+			ev.Chosen, ev.Result, ev.Transformed, ev.Assignment = specs[keep].Candidate, res, tr, asg
+		}
+	}
+	for _, sp := range specs {
+		ev.Ranking = append(ev.Ranking, sp.Candidate)
+	}
+	sort.SliceStable(ev.Ranking, func(i, j int) bool { return ev.Ranking[i].Total < ev.Ranking[j].Total })
+	return ev, nil
+}
+
+// materialize partitions a class once, in the shape of one member's
+// view, and derives its forall transformation and processor assignment;
+// the stages are recorded as spans under parent.
+func materialize(pc *partition.Context, c class, view *spec, p int, parent obs.SpanID) (*partition.Result, *transform.Transformed, *assign.Assignment, error) {
+	var res *partition.Result
+	var err error
+	if c.psi == nil {
+		res = mars.ComputeIn(pc, parent)
+	} else if res, err = pc.Partition(view.Strategy, view.perArray, c.psi, parent); err != nil {
+		return nil, nil, nil, err
+	}
+	sp := pc.Trace.Start(parent, "transform")
+	tr, err := transform.Transform(pc.Analysis.Nest, res.Psi)
+	sp.End()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sp = pc.Trace.Start(parent, "assign")
+	defer sp.End()
+	return res, tr, assign.Assign(tr, p), nil
+}
+
+// estimate prices one partitioning under its assignment: the
+// distribution plan's simulated time plus max-workload·t_comp for the
+// compute phase. Workloads count iterations per processor at block
+// granularity: a block runs wholly on the node owning its base point.
+// For coset strategies this matches the per-forall count; MARS blocks
+// span forall points and must not be split.
+func estimate(res *partition.Result, asg *assign.Assignment, cost machine.CostModel) Candidate {
+	plan := distplan.BuildFor(res, asg)
 	used := asg.NumProcessors()
 	topo := machine.Mesh{P1: 1, P2: used}
 	if sq, err := machine.SquareMesh(used); err == nil {
 		topo = sq
 	}
 	mach := machine.New(topo, cost)
-	plan.Execute(mach)
-	loads := workloads(res, tr, asg)
+	plan.Charge(mach)
+	loads := make([]int64, used)
 	var max int64
-	for _, l := range loads {
-		if l > max {
-			max = l
+	for bi, b := range res.Iter.Blocks {
+		n := plan.BlockNode[bi]
+		if loads[n] += int64(b.Size()); loads[n] > max {
+			max = loads[n]
 		}
 	}
 	dist := mach.DistributionTime()
 	comp := float64(max) * cost.TComp
 	return Candidate{
-		Label:            label,
 		Strategy:         res.Strategy,
 		Blocks:           res.Iter.NumBlocks(),
 		DistributionTime: dist,
 		ComputeTime:      comp,
 		Total:            dist + comp,
-	}, nil
-}
-
-// workloads counts iterations per processor at block granularity: a
-// block runs wholly on the node owning its base point. For coset
-// strategies this matches the per-forall count; MARS blocks span
-// forall points and must not be split.
-func workloads(res *partition.Result, tr *transform.Transformed, asg *assign.Assignment) []int64 {
-	loads := make([]int64, asg.NumProcessors())
-	for _, b := range res.Iter.Blocks {
-		loads[asg.OwnerID(tr.NewPoint(b.Base)[:tr.K])] += int64(b.Size())
 	}
-	return loads
 }
 
 // Report renders the full ranking.

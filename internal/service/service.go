@@ -33,7 +33,6 @@ import (
 	"commfree/internal/lang"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
-	"commfree/internal/mars"
 	"commfree/internal/normalize"
 	"commfree/internal/obs"
 	"commfree/internal/partition"
@@ -717,55 +716,42 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 		return nil, fmt.Errorf("service: canonical source does not re-parse: %w", err)
 	}
 
-	// Stage: selection — price every allocation alternative.
+	// Stage: selection — one evaluation context for the nest, every
+	// allocation alternative priced in it (deps, redundant and one class
+	// span per distinct partition nest under the selection span), and
+	// the requested candidate's compiled form kept: the strategy the
+	// request pins, or the selector's winner — possibly a selective
+	// subset — under "auto".
+	pin := ""
+	if !auto {
+		pin = strat.String()
+	}
 	ssp := trc.Start(0, "selection")
-	best, ranking, err := selector.Best(cn, procs, s.cfg.Cost)
-	ssp.SetInt("candidates", int64(len(ranking)))
+	var ev *selector.Evaluation
+	pc, err := partition.NewContext(cn, trc, ssp.ID())
+	if err == nil {
+		ev, err = selector.Evaluate(ctx, pc, procs, s.cfg.Cost, pin)
+	}
+	if err == nil {
+		ssp.SetInt("candidates", int64(len(ev.Ranking)))
+		ssp.SetInt("classes", int64(ev.Classes))
+		ssp.SetStr("winner", ev.Ranking[0].Label)
+		if ev.SelectiveSkipped {
+			ssp.SetInt("selective_skipped", 1)
+		}
+	}
 	ssp.End()
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	predicted, res, tr, asg := &ev.Chosen, ev.Result, ev.Transformed, ev.Assignment
+	if res == nil {
+		return nil, fmt.Errorf("service: strategy %q is not among the evaluated candidates", pin)
 	}
 
-	// Stages: deps → redundant → partition, under the chosen strategy
-	// (Theorems 1–4, or the selector's winner — possibly a selective
-	// subset — under "auto"). The partition package emits the spans.
-	var res *partition.Result
-	var predicted *selector.Candidate
-	if auto {
-		switch best.Strategy {
-		case partition.Selective:
-			dup := map[string]bool{}
-			for _, a := range best.Duplicated {
-				dup[a] = true
-			}
-			res, err = partition.ComputeSelectiveWithTrace(cn, dup, trc, 0)
-		case partition.Mars:
-			res, err = mars.ComputeWithTrace(cn, trc, 0)
-		default:
-			res, err = partition.ComputeWithTrace(cn, best.Strategy, trc, 0)
-		}
-		predicted = &best
-	} else {
-		if strat == partition.Mars {
-			res, err = mars.ComputeWithTrace(cn, trc, 0)
-		} else {
-			res, err = partition.ComputeWithTrace(cn, strat, trc, 0)
-		}
-		for i := range ranking {
-			if ranking[i].Label == strat.String() {
-				predicted = &ranking[i]
-				break
-			}
-		}
-	}
-	if err == nil {
-		vsp := trc.Start(0, "verify")
-		err = res.Verify()
-		vsp.End()
-	}
+	vsp := trc.Start(0, "verify")
+	err = res.Verify()
+	vsp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -773,43 +759,28 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 		return nil, err
 	}
 
-	// Stage: codegen — forall transformation, processor assignment, and
-	// the standalone SPMD Go program.
+	// Stage: codegen — the standalone SPMD Go program for the forall
+	// transformation and processor assignment the selection priced.
 	csp := trc.Start(0, "codegen")
-	tsp := trc.Start(csp.ID(), "transform")
-	tr, err := transform.Transform(cn, res.Psi)
-	tsp.End()
-	var asg *assign.Assignment
-	var spmd string
-	if err == nil {
-		asp := trc.Start(csp.ID(), "assign")
-		asg = assign.Assign(tr, procs)
-		asp.SetInt("processors", int64(asg.NumProcessors()))
-		asp.End()
-		copts := codegen.Options{}
-		if res.Strategy == partition.Mars {
-			copts.PEIterations = codegen.PETable(res, tr, asg)
-		}
-		spmd, err = codegen.Generate(tr, asg, copts)
+	copts := codegen.Options{}
+	if res.Strategy == partition.Mars {
+		copts.PEIterations = codegen.PETable(res, tr, asg)
 	}
+	spmd, err := codegen.Generate(tr, asg, copts)
 	csp.End()
 	if err != nil {
 		return nil, err
 	}
 
-	stratLabel := res.Strategy.String()
-	if predicted != nil {
-		stratLabel = predicted.Label
-	}
 	plan := &Plan{
 		CanonicalSource: canonSrc,
-		Strategy:        stratLabel,
+		Strategy:        predicted.Label,
 		Processors:      procs,
 		Partition:       res.Info(),
 		Transform:       tr.Info(),
 		Assignment:      asg.Info(),
 		Predicted:       predicted,
-		Ranking:         ranking,
+		Ranking:         ev.Ranking,
 		SPMDGo:          spmd,
 	}
 	entry := &cacheEntry{
@@ -819,11 +790,7 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 		bytes: int64(len(key) + len(canonSrc) + len(spmd) + len(plan.Transform.Program) +
 			4096), // struct overhead estimate
 	}
-	var duplicated []string
-	if auto && best.Strategy == partition.Selective {
-		duplicated = best.Duplicated
-	}
-	if rec, err := recordFor(key, plan, res, duplicated); err == nil {
+	if rec, err := recordFor(key, plan, res, predicted.Duplicated); err == nil {
 		entry.rec = rec
 	}
 	return entry, nil

@@ -227,34 +227,44 @@ func (s *Service) rehydrate(rec *store.Record, trc *obs.Trace) (*cacheEntry, err
 	if err != nil {
 		return nil, fmt.Errorf("service: record %q canonical source does not parse: %w", rec.Key, err)
 	}
+	pc, err := partition.NewContext(cn, trc, rsp.ID())
+	if err != nil {
+		return nil, err
+	}
 	var res *partition.Result
 	switch rec.Strategy {
+	case "mars":
+		res = mars.ComputeIn(pc, rsp.ID())
 	case "selective":
 		dup := map[string]bool{}
 		for _, a := range rec.Duplicated {
 			dup[a] = true
 		}
-		res, err = partition.ComputeSelectiveWithTrace(cn, dup, trc, rsp.ID())
-	case "mars":
-		res, err = mars.ComputeWithTrace(cn, trc, rsp.ID())
+		res, err = pc.Compute(partition.Selective, dup, rsp.ID())
 	default:
 		strat, _, perr := parseStrategy(rec.Strategy)
 		if perr != nil {
 			return nil, fmt.Errorf("service: record %q: %w", rec.Key, perr)
 		}
-		res, err = partition.ComputeWithTrace(cn, strat, trc, rsp.ID())
+		res, err = pc.Compute(strat, nil, rsp.ID())
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Verify(); err != nil {
+	vsp := trc.Start(rsp.ID(), "verify")
+	err = res.Verify()
+	vsp.End()
+	if err != nil {
 		return nil, err
 	}
+	csp := trc.Start(rsp.ID(), "codegen")
 	tr, err := transform.Transform(cn, res.Psi)
 	if err != nil {
+		csp.End()
 		return nil, err
 	}
 	asg := assign.Assign(tr, rec.Processors)
+	csp.End()
 	var plan Plan
 	if err := json.Unmarshal(rec.Plan, &plan); err != nil {
 		return nil, fmt.Errorf("service: record %q plan does not parse: %w", rec.Key, err)

@@ -126,6 +126,9 @@ type Transformed struct {
 	InnerLevels []int
 	// T maps original to new indices (J = T·I); TInv recovers I = TInv·J.
 	T, TInv *linalg.Matrix
+	// TInv over its common denominator, so Original is integer arithmetic.
+	invNum [][]int64
+	invDen int64
 	// Bounds[m] bounds new variable m in terms of variables 0..m-1.
 	Bounds []VarBounds
 	// Extended lists the extended statements (one per original index that
@@ -256,7 +259,17 @@ func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transf
 	if tinv == nil {
 		return nil, fmt.Errorf("transform: transformation matrix singular")
 	}
-	tr.T, tr.TInv = t, tinv
+	tr.T, tr.TInv, tr.invDen = t, tinv, 1
+	for i := 0; i < n*n; i++ {
+		tr.invDen = rational.LCM(tr.invDen, tinv.At(i/n, i%n).Den())
+	}
+	tr.invNum = make([][]int64, n)
+	for i := range tr.invNum {
+		tr.invNum[i] = make([]int64, n)
+		for c := range tr.invNum[i] {
+			tr.invNum[i][c] = tinv.At(i, c).Num() * (tr.invDen / tinv.At(i, c).Den())
+		}
+	}
 
 	// Names: forall vars take the pivot index's name + "'", inner vars
 	// keep their original names.
@@ -397,17 +410,16 @@ func dedupTerms(terms *[]BoundTerm, lower bool) {
 // reporting ok=false when T⁻¹·J is not integral (possible only when T is
 // not unimodular).
 func (t *Transformed) Original(j []int64) ([]int64, bool) {
-	n := t.Nest.Depth()
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
-		v := rational.Zero
-		for c := 0; c < n; c++ {
-			v = v.Add(t.TInv.At(i, c).Mul(rational.FromInt(j[c])))
+	out := make([]int64, len(t.invNum))
+	for i, row := range t.invNum {
+		var v int64
+		for c, x := range row {
+			v += x * j[c]
 		}
-		if !v.IsInt() {
+		if v%t.invDen != 0 {
 			return nil, false
 		}
-		out[i] = v.Int()
+		out[i] = v / t.invDen
 	}
 	return out, true
 }
