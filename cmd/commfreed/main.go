@@ -27,8 +27,14 @@
 // static fleet. Requests are routed by consistent hashing over the
 // canonical source, so each plan has one home node (plus -replicas−1
 // replicas); non-home nodes transparently forward /v1/compile and
-// /v1/execute with trace-context propagation, hedging to a replica when
-// the home exceeds -hedge-after (0 disables hedging). A heartbeat
+// /v1/execute in one round trip, hedging to a replica when the home
+// exceeds -hedge-after (0 disables hedging). The forward carries trace
+// context (X-Commfree-Trace out, the home's trace ID back in
+// X-Commfree-Trace-Id) but no spans: the reply's trace_id names this
+// node's route trace, and GET /v1/trace/{id} here fetches the home's
+// half of the span tree the first time that trace is read — or, if the
+// home is gone, answers with the local half marked remote=unavailable.
+// A heartbeat
 // failure detector (-heartbeat interval, -suspect consecutive misses)
 // drops crashed peers from routing; GET /v1/cluster reports peer
 // health and the membership epoch.

@@ -32,8 +32,7 @@ func TestHedgeLatencyExperiment(t *testing.T) {
 		for _, budget := range []time.Duration{0, 2 * time.Millisecond} {
 			fleet, err := NewLocal(3, testBase(),
 				WithReplicas(3),
-				WithHedgeAfter(budget),
-				WithNodeConfig(func(cfg *Config) { cfg.DisableTraceGraft = true }))
+				WithHedgeAfter(budget))
 			if err != nil {
 				t.Fatal(err)
 			}

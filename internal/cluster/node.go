@@ -12,10 +12,13 @@ package cluster
 //   - hedged requests: when the home node has not answered within
 //     HedgeAfter, the same request is fired at the next replica and
 //     the first response wins (the loser is canceled);
-//   - trace propagation: forwards carry X-Commfree-Trace, and the
-//     remote span tree is grafted under the local "forward" span, so
-//     GET /v1/trace/{id}?format=tree on the entry node shows the whole
-//     cross-node request;
+//   - trace propagation without trace traffic: a forward carries
+//     X-Commfree-Trace out and the peer's trace ID comes back in a
+//     response header, so the request costs one peer round trip; the
+//     winning "forward" span keeps (peer, remote trace ID), and the
+//     remote span tree is fetched and joined under it the first time
+//     GET /v1/trace/{id} on the entry node reads that trace — which
+//     then shows the whole cross-node request;
 //   - drain awareness: a draining node answers 503 + Retry-After
 //     before any routing or queueing, so peers re-route immediately
 //     instead of piling requests behind the worker-pool drain.
@@ -35,8 +38,6 @@ import (
 	"time"
 
 	"commfree/internal/chaos"
-	"commfree/internal/lang"
-	"commfree/internal/normalize"
 	"commfree/internal/obs"
 	"commfree/internal/service"
 )
@@ -91,9 +92,6 @@ type Config struct {
 	// Transport reaches peers (default http.DefaultTransport); the
 	// in-process fleets use a MapTransport.
 	Transport http.RoundTripper
-	// DisableTraceGraft skips fetching remote traces after forwards
-	// (the spans stay on the serving node).
-	DisableTraceGraft bool
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -374,8 +372,9 @@ func (n *Node) trackOwner(key uint64, owner string) {
 }
 
 // Handler returns the cluster-aware HTTP handler: the two routed
-// endpoints, GET /v1/cluster status, and everything else served by the
-// local service (metrics, traces, healthz).
+// endpoints, GET /v1/cluster status, trace reads (which join a
+// forwarded request's remote subtree first), and everything else served
+// by the local service (metrics, healthz).
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/compile", func(w http.ResponseWriter, r *http.Request) { n.route(w, r) })
@@ -384,6 +383,7 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("/v1/cluster/membership", func(w http.ResponseWriter, r *http.Request) { n.handleMembership(w, r) })
 	mux.HandleFunc("/v1/cluster/migrate", func(w http.ResponseWriter, r *http.Request) { n.handleMigrate(w, r) })
 	mux.HandleFunc("/v1/cluster/plans", func(w http.ResponseWriter, r *http.Request) { n.handlePlans(w, r) })
+	mux.HandleFunc("/v1/trace/", func(w http.ResponseWriter, r *http.Request) { n.handleTrace(w, r) })
 	mux.Handle("/", n.local)
 	return mux
 }
@@ -423,11 +423,13 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Routing key: the canonical rendering of the submitted nest after
-	// normalization, so an affine source and its hand-uniformized twin
-	// hash to the same home node fleet-wide. A request that does not
-	// parse (or is rejected by the pass) is served locally — the service
-	// produces the authoritative 400/422.
+	// Routing key: the hash of the canonical rendering of the submitted
+	// nest after normalization, so an affine source and its
+	// hand-uniformized twin hash to the same home node fleet-wide. It comes
+	// from the service's source-key memo, which the service's own cache-key
+	// derivation reads too: a source is parsed once per node, not once per
+	// layer. A request that does not parse (or is rejected by the pass) is
+	// served locally — the service produces the authoritative 400/422.
 	var probe struct {
 		Source string `json:"source"`
 	}
@@ -435,12 +437,12 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 		n.serveLocal(w, r, body, false)
 		return
 	}
-	nres, perr := normalize.Source(probe.Source)
+	sk, perr := n.svc.SourceKey(probe.Source)
 	if perr != nil {
 		n.serveLocal(w, r, body, false)
 		return
 	}
-	key := KeyHash(lang.Canonical(nres.Nest))
+	key := sk.Hash
 
 	ring := n.Ring()
 	if owner, ok := ring.Owner(key); ok {
@@ -458,54 +460,20 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveLocal replays the buffered body into the local service handler.
-// For forwarded-in requests the local trace is tagged with the remote
-// caller's trace context, so both halves of the cross-node tree can be
+// A forwarded-in request hands the caller's trace context to the service
+// through the request context, so the local trace starts with a
+// remote_parent span and both halves of the cross-node tree can be
 // joined from either side.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte, forwarded bool) {
-	r2 := r.Clone(r.Context())
+	ctx := r.Context()
+	if remote := r.Header.Get(HeaderTrace); forwarded && remote != "" {
+		trace, span := splitTraceHeader(remote)
+		ctx = service.WithRemoteParent(ctx, service.RemoteParent{Trace: trace, Span: span, From: r.Header.Get(HeaderForwarded)})
+	}
+	r2 := r.Clone(ctx)
 	r2.Body = io.NopCloser(bytes.NewReader(body))
 	r2.ContentLength = int64(len(body))
-	remote := r.Header.Get(HeaderTrace)
-	if !forwarded || remote == "" {
-		n.local.ServeHTTP(w, r2)
-		return
-	}
-	cw := &captureWriter{ResponseWriter: w}
-	n.local.ServeHTTP(cw, r2)
-	remoteTrace, remoteSpan := splitTraceHeader(remote)
-	if remoteTrace == "" {
-		return
-	}
-	var resp struct {
-		TraceID string `json:"trace_id"`
-	}
-	if json.Unmarshal(cw.buf.Bytes(), &resp) != nil || resp.TraceID == "" {
-		return
-	}
-	if trc := n.svc.Traces().Get(resp.TraceID); trc != nil {
-		trc.Bulk([]obs.Span{{
-			Name: "remote_parent",
-			Attrs: []obs.Attr{
-				{Key: "trace", Str: remoteTrace},
-				{Key: "span", Int: remoteSpan},
-				{Key: "from", Str: r.Header.Get(HeaderForwarded)},
-			},
-		}})
-	}
-}
-
-// captureWriter tees the response body (bounded) while passing it
-// through, so serveLocal can read the trace_id it just served.
-type captureWriter struct {
-	http.ResponseWriter
-	buf bytes.Buffer
-}
-
-func (c *captureWriter) Write(p []byte) (int, error) {
-	if c.buf.Len() < maxForwardRespBytes {
-		c.buf.Write(p)
-	}
-	return c.ResponseWriter.Write(p)
+	n.local.ServeHTTP(w, r2)
 }
 
 func splitTraceHeader(h string) (trace string, span int64) {
@@ -533,22 +501,25 @@ func retryableStatus(status int) bool {
 func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte, key uint64, cands []string) {
 	m := n.svc.Metrics()
 	trc := obs.New("route")
-	defer func() {
-		n.svc.Traces().Add(trc)
-		m.ObserveTrace(trc)
-	}()
 	root := trc.Start(0, "route")
 	root.SetStr("home", cands[0])
 	root.SetInt("key", int64(key))
-	defer root.End()
+	// finish publishes the route trace. A forwarded reply is written after
+	// it, so the trace_id the client reads already resolves here.
+	finish := func(servedBy string) {
+		root.SetStr("served_by", servedBy)
+		root.End()
+		n.svc.Traces().Add(trc)
+		m.ObserveTrace(trc)
+	}
 
 	remaining := cands
 	for len(remaining) > 0 {
 		target := remaining[0]
 		if target == n.cfg.Self {
-			root.SetStr("served_by", n.cfg.Self)
 			m.Inc("cluster_served_local", 1)
 			n.serveLocal(w, r, body, false)
+			finish(n.cfg.Self)
 			return
 		}
 		hedgePeer := ""
@@ -560,17 +531,22 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, body []byte, key 
 		}
 		res, ok := n.forwardHedged(r, trc, root.ID(), target, hedgePeer, body)
 		if ok {
-			root.SetStr("served_by", res.peer)
-			n.writeForwarded(w, trc, res)
+			if res.remoteTrace != "" {
+				// Only the winner is linked: a hedge's loser was canceled
+				// and its trace, if any, served nobody.
+				trc.LinkRemote(obs.Remote{Under: res.span, Peer: res.peer, TraceID: res.remoteTrace})
+			}
+			finish(res.peer)
+			n.writeForwarded(w, trc.ID(), res)
 			return
 		}
 		remaining = remaining[1:]
 	}
 	// Every remote replica refused: serve locally so no routed request
 	// is ever lost (bounded by Replicas attempts above).
-	root.SetStr("served_by", n.cfg.Self)
 	m.Inc("cluster_forward_fallback_local", 1)
 	n.serveLocal(w, r, body, false)
+	finish(n.cfg.Self)
 }
 
 // noteShed records a peer's 429 with its Retry-After hint; routing
@@ -617,13 +593,14 @@ func (n *Node) demoteShed(now time.Time, cands []string) []string {
 
 // fwdResult is one forwarded response.
 type fwdResult struct {
-	peer       string
-	status     int
-	body       []byte
-	retryAfter time.Duration // Retry-After hint on 429/503 responses
-	err        error
-	hedge      bool
-	span       obs.SpanID
+	peer        string
+	status      int
+	body        []byte
+	retryAfter  time.Duration // Retry-After hint on 429/503 responses
+	remoteTrace string        // the peer's trace ID for this request (200s)
+	err         error
+	hedge       bool
+	span        obs.SpanID
 }
 
 // forwardHedged sends the request to primary, hedging to hedgePeer
@@ -644,14 +621,18 @@ func (n *Node) forwardHedged(r *http.Request, trc *obs.Trace, parent obs.SpanID,
 		go func() {
 			load := n.loadOf(peer)
 			load.Add(1)
-			status, respBody, retryAfter, err := n.doRequest(ctx, peer, r.URL.Path, body, trc.ID(), parent)
+			res := n.doRequest(ctx, peer, r.URL.Path, body, trc.ID(), parent)
 			load.Add(-1)
-			sp.SetInt("status", int64(status))
-			if err != nil {
-				sp.SetStr("error", err.Error())
+			sp.SetInt("status", int64(res.status))
+			if res.remoteTrace != "" {
+				sp.SetStr("remote_trace", res.remoteTrace)
+			}
+			if res.err != nil {
+				sp.SetStr("error", res.err.Error())
 			}
 			sp.End()
-			resc <- fwdResult{peer: peer, status: status, body: respBody, retryAfter: retryAfter, err: err, hedge: hedge, span: sp.ID()}
+			res.hedge, res.span = hedge, sp.ID()
+			resc <- res
 		}()
 	}
 
@@ -708,64 +689,43 @@ func (n *Node) forwardHedged(r *http.Request, trc *obs.Trace, parent obs.SpanID,
 }
 
 // doRequest performs one forwarded POST with trace-context headers,
-// capturing the Retry-After hint carried by 429/503 refusals.
-func (n *Node) doRequest(ctx context.Context, peer, path string, body []byte, traceID string, parent obs.SpanID) (int, []byte, time.Duration, error) {
+// capturing the peer's trace ID and the Retry-After hint carried by
+// 429/503 refusals.
+func (n *Node) doRequest(ctx context.Context, peer, path string, body []byte, traceID string, parent obs.SpanID) fwdResult {
+	out := fwdResult{peer: peer}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.urlOf(peer)+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, 0, err
+		out.err = err
+		return out
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(HeaderForwarded, n.cfg.Self)
-	req.Header.Set(HeaderTrace, fmt.Sprintf("%s:%d", traceID, parent))
+	req.Header.Set(HeaderTrace, traceID+":"+strconv.Itoa(int(parent)))
 	res, err := n.client.Do(req)
 	if err != nil {
-		return 0, nil, 0, err
+		out.err = err
+		return out
 	}
 	defer res.Body.Close()
-	var retryAfter time.Duration
+	out.status = res.StatusCode
+	out.remoteTrace = res.Header.Get(service.HeaderTraceID)
 	if secs, perr := strconv.Atoi(res.Header.Get("Retry-After")); perr == nil && secs > 0 {
-		retryAfter = time.Duration(secs) * time.Second
+		out.retryAfter = time.Duration(secs) * time.Second
 	}
-	b, err := io.ReadAll(io.LimitReader(res.Body, maxForwardRespBytes))
-	if err != nil {
-		return res.StatusCode, nil, retryAfter, err
-	}
-	return res.StatusCode, b, retryAfter, nil
+	out.body, out.err = io.ReadAll(io.LimitReader(res.Body, maxForwardRespBytes))
+	return out
 }
 
-// writeForwarded relays the winning response to the client. On
-// success the remote trace is grafted under the winning forward span
-// and the response's trace_id is rewritten to the local route trace,
-// so the client's one trace ID resolves to the full cross-node tree
-// on the node it actually talked to.
-func (n *Node) writeForwarded(w http.ResponseWriter, trc *obs.Trace, res fwdResult) {
-	out := res.body
-	var doc map[string]json.RawMessage
-	if res.status == http.StatusOK && json.Unmarshal(res.body, &doc) == nil {
-		var remoteID string
-		if raw, ok := doc["trace_id"]; ok {
-			_ = json.Unmarshal(raw, &remoteID)
-		}
-		if remoteID != "" {
-			if !n.cfg.DisableTraceGraft {
-				n.graftRemote(trc, res.span, res.peer, remoteID)
-			}
-			if idRaw, err := json.Marshal(trc.ID()); err == nil {
-				doc["trace_id"] = idRaw
-				// Re-encode without HTML escaping, matching the service's
-				// own encoder: a forwarded plan must stay byte-identical
-				// to the same plan served by a terminal hop.
-				var buf bytes.Buffer
-				enc := json.NewEncoder(&buf)
-				enc.SetEscapeHTML(false)
-				if enc.Encode(doc) == nil {
-					out = bytes.TrimRight(buf.Bytes(), "\n")
-				}
-			}
-		}
-	}
+// writeForwarded relays the winning response to the client byte for
+// byte, except that the trace_id value becomes the local route trace's:
+// the client's one trace ID resolves, on the node it actually talked to,
+// to the full cross-node tree.
+func (n *Node) writeForwarded(w http.ResponseWriter, localTrace string, res fwdResult) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Commfree-Served-By", res.peer)
+	if res.remoteTrace != "" {
+		w.Header().Set(service.HeaderTraceID, localTrace)
+	}
 	if res.status == http.StatusTooManyRequests || res.status == http.StatusServiceUnavailable {
 		// Propagate the remote node's drain-rate-derived hint; fall
 		// back to the old fixed hint when it sent none.
@@ -776,32 +736,74 @@ func (n *Node) writeForwarded(w http.ResponseWriter, trc *obs.Trace, res fwdResu
 		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(res.status)
-	_, _ = w.Write(out)
+	_, _ = w.Write(spliceTraceID(res.body, res.remoteTrace, localTrace))
 }
 
-// graftRemote fetches the remote trace export and grafts its span tree
-// under the forward span.
-func (n *Node) graftRemote(trc *obs.Trace, under obs.SpanID, peer, remoteID string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+// spliceTraceID replaces the body's "trace_id":"<from>" member with
+// <to> in place of a decode and re-encode. A JSON string cannot contain
+// an unescaped quote, so the member's exact bytes match only where it is
+// one; a body without it comes back unchanged.
+func spliceTraceID(body []byte, from, to string) []byte {
+	if from == "" {
+		return body
+	}
+	member := []byte(`"trace_id":"` + from + `"`)
+	i := bytes.LastIndex(body, member)
+	if i < 0 {
+		return body
+	}
+	out := make([]byte, 0, len(body)+len(to)-len(from))
+	out = append(out, body[:i]...)
+	out = append(out, `"trace_id":"`+to+`"`...)
+	return append(out, body[i+len(member):]...)
+}
+
+// handleTrace serves GET /v1/trace/{id} like the local service does,
+// after joining the trace's remote subtree if it has one still out.
+func (n *Node) handleTrace(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodGet {
+		n.joinRemote(r.Context(), n.svc.Traces().Get(strings.TrimPrefix(r.URL.Path, "/v1/trace/")))
+	}
+	n.local.ServeHTTP(w, r)
+}
+
+// joinRemote resolves a route trace's link to the subtree its peer
+// recorded, the first time the trace is read; later reads find it
+// joined. An unreachable peer or an evicted remote trace leaves the
+// local route/forward spans, the forward span marked remote=unavailable.
+func (n *Node) joinRemote(ctx context.Context, trc *obs.Trace) {
+	joined, err := trc.Join(ctx, n.fetchTrace)
+	switch {
+	case joined:
+		n.svc.Metrics().Inc("cluster_trace_grafts", 1)
+	case err != nil:
+		n.svc.Metrics().Inc("cluster_trace_graft_errors", 1)
+	}
+}
+
+// fetchTrace asks the peer for the export of one of its traces, under
+// the reader's context with a short budget of its own: a trace page
+// must render even mid-incident.
+func (n *Node) fetchTrace(ctx context.Context, r obs.Remote) ([]obs.Span, error) {
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.urlOf(peer)+"/v1/trace/"+remoteID, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.urlOf(r.Peer)+"/v1/trace/"+r.TraceID, nil)
 	if err != nil {
-		return
+		return nil, err
 	}
 	res, err := n.client.Do(req)
 	if err != nil {
-		return
+		return nil, err
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
-		return
+		return nil, fmt.Errorf("trace %s on %s: status %d", r.TraceID, r.Peer, res.StatusCode)
 	}
 	var export obs.Export
-	if json.NewDecoder(io.LimitReader(res.Body, maxForwardRespBytes)).Decode(&export) != nil {
-		return
+	if err := json.NewDecoder(io.LimitReader(res.Body, maxForwardRespBytes)).Decode(&export); err != nil {
+		return nil, fmt.Errorf("trace %s on %s: %w", r.TraceID, r.Peer, err)
 	}
-	trc.Graft(under, export.Spans)
-	n.svc.Metrics().Inc("cluster_trace_grafts", 1)
+	return export.Spans, nil
 }
 
 // Status is the GET /v1/cluster document.

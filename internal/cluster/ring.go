@@ -21,18 +21,15 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+
+	"commfree/internal/store"
 )
 
 // KeyHash maps a canonical source rendering onto the routing keyspace
 // (FNV-1a 64). Routing is a pure function of (peer set, this hash):
 // every node computes the same placement with no coordination.
-func KeyHash(canonical string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(canonical))
-	return h.Sum64()
-}
+func KeyHash(canonical string) uint64 { return store.KeyHash(canonical) }
 
 // point is one virtual node on the ring.
 type point struct {

@@ -110,14 +110,15 @@ func TestShedRetryAfterCaptured(t *testing.T) {
 	fleet.Transport.Register(home, shed)
 
 	n := fleet.Node(entry)
-	status, _, retryAfter, err := n.doRequest(context.Background(), home,
+	res := n.doRequest(context.Background(), home,
 		"/v1/execute", []byte(`{}`), "t000000-000001", 0)
-	if err != nil {
-		t.Fatal(err)
+	if res.err != nil {
+		t.Fatal(res.err)
 	}
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", status)
+	if res.status != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", res.status)
 	}
+	retryAfter := res.retryAfter
 	if retryAfter != 9*time.Second {
 		t.Fatalf("captured Retry-After %v, want 9s", retryAfter)
 	}

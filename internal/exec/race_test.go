@@ -79,3 +79,57 @@ func TestKernelConcurrentRunsOnSharedKernel(t *testing.T) {
 		})
 	}
 }
+
+// TestDisjointPlansCheckpointOnlyTheirOwnCells: under a non-duplicate
+// plan the workers share one buffer, and chaos recovery restores a
+// block's write ranges from a checkpoint while other blocks run. That is
+// only safe if no two blocks' ranges name the same cell — in particular a
+// range must leave out iterations elided as redundant, whose cell
+// belongs to the block holding the surviving computation. L2 under the
+// minimal strategy is the witness: (4,1)·S1 and (4,2)·S2 both name
+// A[5,5], in different blocks, and only S2's write survives.
+func TestDisjointPlansCheckpointOnlyTheirOwnCells(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nest  *loop.Nest
+		strat partition.Strategy
+	}{
+		{"L2/minimal", loop.L2(), partition.MinimalNonDuplicate},
+		{"L2", loop.L2(), partition.NonDuplicate},
+		{"L3/minimal", loop.L3(), partition.MinimalNonDuplicate},
+		{"L4", loop.L4(), partition.NonDuplicate},
+	} {
+		res, err := partition.Compute(tc.nest, tc.strat)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		prog, err := CompileNest(res.Analysis.Nest, res.Redundant)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		kern, err := prog.Specialize(res, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		type cell struct {
+			arr int32
+			off int64
+		}
+		holder := map[cell]int{}
+		for bi, wr := range kern.plan.BlockWR {
+			for i := wr[0]; i < wr[1]; i++ {
+				r := kern.plan.WR[i]
+				for n, off := int32(0), r.Off; n < r.N; n, off = n+1, off+r.Step {
+					c := cell{r.Arr, off}
+					if prev, ok := holder[c]; ok && prev != bi {
+						t.Fatalf("%s: blocks %d and %d both checkpoint cell %d of array %d", tc.name, prev, bi, off, r.Arr)
+					}
+					holder[c] = bi
+				}
+			}
+		}
+		if len(holder) == 0 {
+			t.Fatalf("%s: no write footprint at all", tc.name)
+		}
+	}
+}

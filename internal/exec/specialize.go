@@ -400,7 +400,23 @@ func (prog *Program) lowerRow(pl *kernel.Plan, its [][]int64, t0, t1 int, d []in
 		if pl.Stmts[si].UsesIndex {
 			anyIndex = true
 		}
-		appendWR(pl, pl.Stmts[si].WriteArr, cs.write.At(its[t0]), dot(cs.write.Coeffs, d), count)
+		// The write footprint leaves out masked (redundant) iterations:
+		// the cell such an iteration names is written by whichever block
+		// holds the surviving computation, possibly on another worker, and
+		// a chaos restore of it here would undo that block's write.
+		wstep := dot(cs.write.Coeffs, d)
+		for t := t0; t < t1; {
+			for t < t1 && prog.isRedundant(si, its[t]) {
+				t++
+			}
+			s := t
+			for t < t1 && !prog.isRedundant(si, its[t]) {
+				t++
+			}
+			if t > s {
+				appendWR(pl, pl.Stmts[si].WriteArr, cs.write.At(its[s]), wstep, t-s)
+			}
+		}
 	}
 	for t := t0; t < t1 && !anyRedundant; t++ {
 		for si := range prog.stmts {

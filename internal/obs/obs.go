@@ -20,6 +20,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -65,9 +66,14 @@ type Trace struct {
 	began time.Time
 	wall  time.Time
 
-	mu    sync.Mutex
-	spans []Span
-	sets  []bulkSet
+	mu     sync.Mutex
+	spans  []Span
+	sets   []bulkSet
+	remote *Remote // unresolved link to a peer's subtree (nil: none, or resolved)
+
+	// joinMu serializes Join: it is held across the fetch, so concurrent
+	// readers of one trace graft its remote subtree exactly once.
+	joinMu sync.Mutex
 }
 
 // bulkSet is a compact batch of homogeneous child spans — the per-block
@@ -219,20 +225,68 @@ func (t *Trace) Bulk(spans []Span) {
 	t.mu.Unlock()
 }
 
-// Graft appends another trace's exported spans under parent — the
-// cluster router uses it to hang the remote subtree of a forwarded
-// request off its local "forward" span, so one tree covers the whole
-// cross-node request. Remote span IDs are remapped into this trace's
-// ID space with the internal parent links preserved; remote top-level
-// spans (or spans whose parent is missing from the export) hang from
-// parent. Start offsets stay relative to the *remote* trace start, so
-// durations are exact while absolute positions are the remote clock's.
-func (t *Trace) Graft(parent SpanID, spans []Span) {
-	if t == nil || len(spans) == 0 {
+// Remote names a span subtree that another process recorded: the
+// cluster router links the winning forward span of a forwarded request
+// to the trace its peer kept, so the request path carries two short
+// strings instead of the peer's span tree.
+type Remote struct {
+	// Under is the local span the remote subtree hangs from.
+	Under SpanID
+	// Peer and TraceID say where the subtree lives.
+	Peer, TraceID string
+}
+
+// LinkRemote records the trace's remote subtree; Join resolves it. One
+// link per trace: a later call replaces an unresolved earlier one.
+func (t *Trace) LinkRemote(r Remote) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	t.remote = &r
+	t.mu.Unlock()
+}
+
+// Join resolves the trace's remote link when the trace is read. fetch
+// returns the peer's exported spans; they are appended under the linked
+// span, so one tree covers the whole cross-node request. Remote span IDs
+// are remapped into this trace's ID space with the internal parent links
+// preserved; remote top-level spans (or spans whose parent is missing
+// from the export) hang from the linked span. Start offsets stay relative
+// to the *remote* trace start, so durations are exact while absolute
+// positions are the remote clock's.
+//
+// The outcome is memoized on the trace. Concurrent readers wait for the
+// one fetch in flight and graft nothing themselves. A failed fetch marks
+// the linked span remote=unavailable with the reason and is final too —
+// unless ctx, the reader's own context, is what ended it: a reader that
+// hung up leaves the link for the next one. joined reports that this call
+// grafted the subtree; err is this call's fetch error. A trace with no
+// unresolved link returns (false, nil) without calling fetch.
+func (t *Trace) Join(ctx context.Context, fetch func(context.Context, Remote) ([]Span, error)) (joined bool, err error) {
+	if t == nil {
+		return false, nil
+	}
+	t.joinMu.Lock()
+	defer t.joinMu.Unlock()
+	t.mu.Lock()
+	r := t.remote
+	t.mu.Unlock()
+	if r == nil {
+		return false, nil
+	}
+	spans, err := fetch(ctx, *r)
+	if err != nil && ctx.Err() != nil {
+		return false, err
+	}
+	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.remote = nil
+	if err != nil {
+		sp := &t.spans[r.Under-1]
+		sp.Attrs = append(sp.Attrs, Attr{Key: "remote", Str: "unavailable"}, Attr{Key: "reason", Str: err.Error()})
+		return false, err
+	}
 	idmap := make(map[SpanID]SpanID, len(spans))
 	for _, sp := range spans {
 		if sp.Name == "" {
@@ -240,7 +294,7 @@ func (t *Trace) Graft(parent SpanID, spans []Span) {
 		}
 		id := SpanID(len(t.spans) + 1)
 		idmap[sp.ID] = id
-		np := parent
+		np := r.Under
 		if p, ok := idmap[sp.Parent]; ok && sp.Parent != 0 {
 			np = p
 		}
@@ -248,6 +302,7 @@ func (t *Trace) Graft(parent SpanID, spans []Span) {
 		sp.Attrs = append([]Attr(nil), sp.Attrs...)
 		t.spans = append(t.spans, sp)
 	}
+	return true, nil
 }
 
 // BulkCompact publishes a set of homogeneous child spans recorded as

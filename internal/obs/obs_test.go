@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -278,5 +281,125 @@ func TestBulkCompactOnNilTrace(t *testing.T) {
 	trc.EachDuration(func(string, int64) { t.Fatal("callback on nil trace") })
 	if trc.NumSpans() != 0 {
 		t.Fatal("NumSpans on nil trace")
+	}
+}
+
+// remoteExport is a peer's three-span export: two top-level spans and a
+// child of the second, with IDs from the peer's own ID space.
+func remoteExport() []Span {
+	return []Span{
+		{ID: 1, Name: "parse", StartNS: 0, DurNS: 10, Attrs: []Attr{{Key: "bytes", Int: 7}}},
+		{ID: 2, Name: "exec_run", StartNS: 20, DurNS: 30},
+		{ID: 3, Parent: 2, Name: "block", StartNS: 25, DurNS: 5},
+	}
+}
+
+func TestJoinGraftsUnderTheLinkedSpanOnce(t *testing.T) {
+	trc := New("route")
+	root := trc.Start(0, "route")
+	fwd := trc.Start(root.ID(), "forward")
+	fwd.End()
+	root.End()
+	trc.LinkRemote(Remote{Under: fwd.ID(), Peer: "n1", TraceID: "t000000-000009"})
+
+	// 16 readers race for the one join; the fetch must run once and only
+	// one reader may report having grafted.
+	var fetches, grafts atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			joined, err := trc.Join(context.Background(), func(_ context.Context, r Remote) ([]Span, error) {
+				fetches.Add(1)
+				if r.Peer != "n1" || r.TraceID != "t000000-000009" {
+					t.Errorf("fetch got %+v", r)
+				}
+				return remoteExport(), nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			if joined {
+				grafts.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if fetches.Load() != 1 || grafts.Load() != 1 {
+		t.Fatalf("fetches = %d, grafts = %d; want 1 and 1", fetches.Load(), grafts.Load())
+	}
+
+	spans := trc.Spans()
+	if len(spans) != 5 {
+		t.Fatalf("%d spans after the join, want 5", len(spans))
+	}
+	parse, run, block := spans[2], spans[3], spans[4]
+	if parse.Parent != fwd.ID() || run.Parent != fwd.ID() {
+		t.Errorf("remote top-level spans hang from %d and %d, want the forward span %d", parse.Parent, run.Parent, fwd.ID())
+	}
+	if block.Parent != run.ID {
+		t.Errorf("remote child's parent = %d, want the remapped exec_run %d", block.Parent, run.ID)
+	}
+	if parse.DurNS != 10 || len(parse.Attrs) != 1 || parse.Attrs[0].Int != 7 {
+		t.Errorf("remote span lost its payload: %+v", parse)
+	}
+}
+
+func TestJoinFailureMarksTheSpanAndIsFinal(t *testing.T) {
+	trc := New("route")
+	fwd := trc.Start(0, "forward")
+	fwd.End()
+	trc.LinkRemote(Remote{Under: fwd.ID(), Peer: "n1", TraceID: "gone"})
+
+	calls := 0
+	fail := func(context.Context, Remote) ([]Span, error) {
+		calls++
+		return nil, errors.New("connection refused")
+	}
+	if joined, err := trc.Join(context.Background(), fail); joined || err == nil {
+		t.Fatalf("Join = %v, %v; want false and the fetch error", joined, err)
+	}
+	if joined, err := trc.Join(context.Background(), fail); joined || err != nil || calls != 1 {
+		t.Fatalf("second Join = %v, %v after %d fetches; want a no-op", joined, err, calls)
+	}
+	tree := trc.Tree()
+	if strings.Count(tree, "remote=unavailable") != 1 || !strings.Contains(tree, "reason=connection refused") {
+		t.Errorf("forward span not marked once:\n%s", tree)
+	}
+}
+
+func TestJoinLeavesTheLinkWhenTheReaderGaveUp(t *testing.T) {
+	trc := New("route")
+	fwd := trc.Start(0, "forward")
+	fwd.End()
+	trc.LinkRemote(Remote{Under: fwd.ID(), Peer: "n1", TraceID: "t1"})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := trc.Join(ctx, func(ctx context.Context, _ Remote) ([]Span, error) { return nil, ctx.Err() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the reader's cancellation", err)
+	}
+	if strings.Contains(trc.Tree(), "remote=") {
+		t.Fatalf("a reader that hung up marked the span:\n%s", trc.Tree())
+	}
+	joined, err := trc.Join(context.Background(), func(context.Context, Remote) ([]Span, error) { return remoteExport(), nil })
+	if !joined || err != nil {
+		t.Fatalf("next reader's Join = %v, %v; want the graft", joined, err)
+	}
+}
+
+func TestJoinWithoutALink(t *testing.T) {
+	fetch := func(context.Context, Remote) ([]Span, error) {
+		t.Error("fetch called with nothing to join")
+		return nil, nil
+	}
+	var none *Trace
+	none.LinkRemote(Remote{})
+	for _, trc := range []*Trace{none, New("compile")} {
+		if joined, err := trc.Join(context.Background(), fetch); joined || err != nil {
+			t.Errorf("Join = %v, %v", joined, err)
+		}
 	}
 }

@@ -12,6 +12,9 @@ package service
 //	                       lists recent traces newest first
 //	GET  /healthz        → {"status":"ok"}
 //
+// A 200 from the two POST endpoints repeats its trace_id in the
+// X-Commfree-Trace-Id header, for proxies that relay the body unparsed.
+//
 // Error responses are {"error": "..."} with 400 for malformed input,
 // 422 when the normalization pass rejects a well-formed nest (the body
 // carries the ClassifyError: rejection class, offending reference,
@@ -36,14 +39,10 @@ import (
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/compile", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(s, w, r, func(ctx context.Context, req CompileRequest) (any, error) {
-			return s.Compile(ctx, req)
-		})
+		handleJSON(s, w, r, s.Compile)
 	})
 	mux.HandleFunc("/v1/execute", func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(s, w, r, func(ctx context.Context, req ExecuteRequest) (any, error) {
-			return s.Execute(ctx, req)
-		})
+		handleJSON(s, w, r, s.Execute)
 	})
 	mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -128,7 +127,7 @@ func (s *Service) MetricsDocument() MetricsDocument {
 // handleJSON decodes the endpoint's request type, serves it, and maps
 // errors to statuses. A free generic function because methods cannot
 // have type parameters.
-func handleJSON[T any](s *Service, w http.ResponseWriter, r *http.Request, serve func(context.Context, T) (any, error)) {
+func handleJSON[T any, R interface{ traceID() string }](s *Service, w http.ResponseWriter, r *http.Request, serve func(context.Context, T) (R, error)) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
@@ -158,8 +157,16 @@ func handleJSON[T any](s *Service, w http.ResponseWriter, r *http.Request, serve
 		writeError(w, status, err)
 		return
 	}
+	w.Header().Set(HeaderTraceID, resp.traceID())
 	writeJSON(w, http.StatusOK, resp)
 }
+
+// HeaderTraceID carries a 200 response's trace_id, so a proxy (the
+// cluster router) learns it without parsing the body.
+const HeaderTraceID = "X-Commfree-Trace-Id"
+
+func (r *CompileResponse) traceID() string { return r.TraceID }
+func (r *ExecuteResponse) traceID() string { return r.TraceID }
 
 // statusFor maps service errors to HTTP statuses.
 func statusFor(err error) int {

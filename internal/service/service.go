@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +34,6 @@ import (
 	"commfree/internal/lang"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
-	"commfree/internal/normalize"
 	"commfree/internal/obs"
 	"commfree/internal/partition"
 	"commfree/internal/selector"
@@ -391,6 +391,7 @@ type Service struct {
 	adm     *admission
 	metrics *Metrics
 	traces  *obs.Ring
+	keys    *keyMemo
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
@@ -422,6 +423,7 @@ func New(cfg Config) *Service {
 		pool:    newPool(cfg.Workers, cfg.QueueDepth),
 		metrics: NewMetrics(),
 		traces:  obs.NewRing(cfg.TraceRing),
+		keys:    newKeyMemo(cfg.CacheEntries),
 		flights: map[string]*flight{},
 		batches: map[string]*execBatch{},
 	}
@@ -513,6 +515,41 @@ func (s *Service) Close() {
 	}
 }
 
+// RemoteParent is the trace context of a request another node
+// forwarded here: the span (in the sender's trace) this request's whole
+// trace is a child of.
+type RemoteParent struct {
+	Trace string // the sender's trace ID
+	Span  int64  // the parent span in that trace
+	From  string // the sender's node name
+}
+
+type remoteParentKey struct{}
+
+// WithRemoteParent hands Compile and Execute the remote trace context
+// through the request context; the cluster router sets it on a
+// forwarded request's terminal hop.
+func WithRemoteParent(ctx context.Context, rp RemoteParent) context.Context {
+	return context.WithValue(ctx, remoteParentKey{}, rp)
+}
+
+// newTrace starts a request trace. Under a remote parent its first span
+// is remote_parent, so either half of a cross-node tree names the other.
+func newTrace(ctx context.Context, name string) *obs.Trace {
+	trc := obs.New(name)
+	if rp, ok := ctx.Value(remoteParentKey{}).(RemoteParent); ok {
+		trc.Bulk([]obs.Span{{
+			Name: "remote_parent",
+			Attrs: []obs.Attr{
+				{Key: "trace", Str: rp.Trace},
+				{Key: "span", Int: rp.Span},
+				{Key: "from", Str: rp.From},
+			},
+		}})
+	}
+	return trc
+}
+
 // parseStrategy maps the wire strategy name.
 func parseStrategy(name string) (strat partition.Strategy, auto bool, err error) {
 	switch name {
@@ -558,7 +595,7 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResp
 	}
 	start := time.Now()
 	s.metrics.Inc("compile_requests", 1)
-	trc := obs.New("compile")
+	trc := newTrace(ctx, "compile")
 	defer func() {
 		s.traces.Add(trc)
 		s.metrics.ObserveTrace(trc)
@@ -592,38 +629,43 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 
-	// Stage: parse + normalize (cheap; runs on the caller so the cache
-	// fast path never touches the pool). The affine front end widens the
-	// accepted grammar; the normalization pass is the identity on every
-	// nest the strict parser accepts, so uniform sources key and compile
-	// exactly as before, while affine sources enter the pipeline already
-	// rewritten to uniformly generated form.
+	// Stage: parse — derive the cache key on the caller, so the cache
+	// fast path never touches the pool. A source text seen before costs
+	// one memo lookup (memo=1); otherwise the affine front end parses and
+	// normalizes it. The pass is the identity on every nest the strict
+	// parser accepts, so uniform sources key and compile exactly as
+	// before, while affine sources enter the pipeline already rewritten
+	// to uniformly generated form.
 	psp := trc.Start(0, "parse")
 	psp.SetInt("bytes", int64(len(req.Source)))
-	nres, err := normalize.Source(req.Source)
-	if err == nil && !nres.Identity {
+	sk, nest, err := s.deriveKey(req.Source)
+	if err == nil && nest == nil {
+		psp.SetInt("memo", 1)
+	}
+	if sk.Normalized {
 		psp.SetInt("normalized", 1)
 	}
 	psp.End()
 	if err != nil {
-		var classify *normalize.ClassifyError
-		if errors.As(err, &classify) {
-			// Well-formed but provably out of scope: surfaced as-is (422
-			// at the HTTP layer), never cached — the diagnostic is cheap
-			// to recompute and the source may be edited next.
-			return nil, false, err
-		}
-		return nil, false, &BadRequestError{Err: err}
+		return nil, false, err
 	}
-	nest := nres.Nest
 
 	stratName := req.Strategy
 	if stratName == "" {
 		stratName = strat.String()
 	}
-	key := fmt.Sprintf("s=%s|p=%d|%s", stratName, req.Processors, lang.Canonical(nest))
+	key := "s=" + stratName + "|p=" + strconv.Itoa(req.Processors) + "|" + sk.Canonical
 	if e, ok := s.cache.get(key); ok {
 		return e, true, nil
+	}
+	if nest == nil {
+		// The memo knew the key but nothing holds the plan: what follows
+		// needs the nest itself.
+		nres, err := s.parseSource(req.Source)
+		if err != nil {
+			return nil, false, err
+		}
+		nest = nres.Nest
 	}
 
 	// Single flight per key: one leader compiles on the pool, everyone
@@ -843,7 +885,7 @@ func (s *Service) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteResp
 	}
 	start := time.Now()
 	s.metrics.Inc("execute_requests", 1)
-	trc := obs.New("execute")
+	trc := newTrace(ctx, "execute")
 	defer func() {
 		s.traces.Add(trc)
 		s.metrics.ObserveTrace(trc)
