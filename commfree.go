@@ -323,10 +323,8 @@ func compileNestTraced(nest *Nest, strat Strategy, processors int, trc *Trace) (
 	if err != nil {
 		return nil, err
 	}
-	var res *PartitionResult
-	if strat == partition.Mars {
-		res = mars.ComputeIn(pc, 0)
-	} else if res, err = pc.Compute(strat, nil, 0); err != nil {
+	res, err := pc.Compute(strat, nil, 0)
+	if err != nil {
 		return nil, err
 	}
 	return finishCompilationTraced(nest, res, processors, trc)
@@ -347,8 +345,6 @@ func CompileCandidate(nest *Nest, cand StrategyCandidate, processors int) (*Comp
 			dup[a] = true
 		}
 		res, err = partition.ComputeSelective(nest, dup)
-	case partition.Mars:
-		res, err = mars.Compute(nest)
 	default:
 		res, err = partition.Compute(nest, cand.Strategy)
 	}

@@ -91,7 +91,7 @@ type Plan struct {
 // consumer set of an element is the set of processors whose iterations
 // read it (redundant computations excluded under minimal strategies).
 func Build(res *partition.Result, p int) (*Plan, *transform.Transformed, *assign.Assignment, error) {
-	tr, err := transform.Transform(res.Analysis.Nest, res.Psi)
+	tr, err := transform.Transform(res.Iter.Nest, res.Psi)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -114,7 +114,7 @@ func BuildFor(res *partition.Result, asg *assign.Assignment) *Plan {
 		plan.BlockNode[bi] = asg.OwnerOf(b.Base)
 		for _, pos := range b.Pos {
 			row := ix.Row(int(pos))
-			for s := range res.Analysis.Nest.Body {
+			for s := range res.Iter.Nest.Body {
 				if red != nil && red.RedundantAt(s, int(pos)) {
 					continue
 				}
@@ -295,7 +295,7 @@ func ParallelPlanned(res *partition.Result, p int, cost machine.CostModel) (*exe
 	mach := machine.New(topo, cost)
 	plan.Execute(mach)
 
-	nest := res.Analysis.Nest
+	nest := res.Iter.Nest
 	red := res.Redundant
 	// Every block runs wholly on its node, in original program order
 	// (intra-block flow requires writers before readers); copies are

@@ -177,7 +177,7 @@ func Parallel(res *partition.Result, p int, cost machine.CostModel) (*Report, er
 // block granularity from a checkpoint of its write footprint, which is
 // sound precisely because communication-free blocks never share cells.
 func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Options) (*Report, error) {
-	nest := res.Analysis.Nest
+	nest := res.Iter.Nest
 	budget, trc, parent, inj := opts.Budget, opts.Trace, opts.Parent, opts.Chaos
 	tr, err := transform.Transform(nest, res.Psi)
 	if err != nil {

@@ -98,7 +98,7 @@ type kernWorker struct {
 // another nest, footprints that are not disjoint under a non-duplicate
 // strategy, and blocks beyond the kernel's int32 iteration range.
 func (prog *Program) Specialize(res *partition.Result, p int) (*Kernel, error) {
-	if res.Analysis.Nest != prog.Nest {
+	if res.Iter.Nest != prog.Nest {
 		return nil, fmt.Errorf("exec: partition was computed from a different nest than the program")
 	}
 	if res.Redundant != prog.Red {
@@ -825,7 +825,7 @@ func (k *Kernel) gather(bufs [][]float64) map[string]float64 {
 // convenience entry point for one-shot callers and the differential
 // tests. Hot paths should Specialize once and Run repeatedly.
 func ParallelKernel(res *partition.Result, p int, cost machine.CostModel, opts Options) (*Report, error) {
-	prog, err := CompileNest(res.Analysis.Nest, res.Redundant)
+	prog, err := CompileNest(res.Iter.Nest, res.Redundant)
 	if err != nil {
 		return nil, err
 	}

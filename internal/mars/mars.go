@@ -12,8 +12,9 @@
 // The result is emitted through the existing partition.Result shape as
 // the fifth strategy (partition.Mars): Ψ is the zero space (the
 // transform is the identity, so bijectivity is trivial) and the blocks
-// are explicit groups built with partition.PartitionIterationsGrouped.
-// Because the blocks are flow closures, every read finds its most
+// are the flow groups (partition.FlowGroups, which partition.Materialize
+// installs for the strategy — this package adds the atomic-set view of
+// the same dataflow). Because the blocks are flow closures, every read finds its most
 // recent writer in its own block — exactly the dupOK invariant of
 // partition.VerifyCommunicationFree — and the duplicate-data execution
 // paths (private copies, last-writer commit) run them unchanged.
@@ -27,10 +28,8 @@ import (
 
 	"commfree/internal/deps"
 	"commfree/internal/loop"
-	"commfree/internal/obs"
 	"commfree/internal/partition"
 	"commfree/internal/redundant"
-	"commfree/internal/space"
 )
 
 // Computation identifies one statement instance S_stmt(ī).
@@ -64,19 +63,6 @@ type Decomposition struct {
 	// Sets are the maximal atomic irredundant sets, sorted by their
 	// first producer.
 	Sets []*AtomicSet
-
-	group []int32
-}
-
-// Groups names the group of every iteration (by position in the
-// redundancy oracle's Index) in the finest flow-closed partition by the
-// position of the group's first iteration: two iterations share a group
-// exactly when they are connected by a chain of non-redundant flow
-// dependences. Iterations whose computations are all redundant (or touch
-// no flowing values) are alone in their group, so the groups cover the
-// iteration space.
-func (d *Decomposition) Groups() []int32 {
-	return d.group
 }
 
 // Decompose computes the usage-based decomposition from the dependence
@@ -85,26 +71,11 @@ func (d *Decomposition) Groups() []int32 {
 // reads before the write), skips redundant computations — their
 // accesses are invisible to the irredundant dataflow — and tracks per
 // element the write whose value is current: every read until the next
-// write consumes it and joins the writer's flow group.
+// write consumes it.
 func Decompose(a *deps.Analysis, red *redundant.Result) *Decomposition {
 	ix := red.Index
 	stmts := len(a.Nest.Body)
-	dec := &Decomposition{Nest: a.Nest, group: make([]int32, len(ix.Points))}
-
-	// Union-find over iteration positions for the flow closure; the
-	// smaller position is always the root, so a group's label is its
-	// base point.
-	parent := dec.group
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	dec := &Decomposition{Nest: a.Nest}
 
 	// A computation is numbered position·stmts + stmt, which orders
 	// computations by iteration, then statement. producer[e] is the
@@ -125,23 +96,13 @@ func Decompose(a *deps.Analysis, red *redundant.Result) *Decomposition {
 			}
 			comp, w := int64(pos*stmts+s), ix.First[s+1]-1
 			for _, e := range row[ix.First[s]:w] {
-				p := producer[e]
-				if p < 0 {
-					continue // reads initial data: no producer inside the nest
+				if p := producer[e]; p >= 0 { // else it reads initial data
+					uses = append(uses, use{p, comp})
 				}
-				if rx, ry := find(int32(p/int64(stmts))), find(int32(pos)); rx < ry {
-					parent[ry] = rx
-				} else {
-					parent[rx] = ry
-				}
-				uses = append(uses, use{p, comp})
 			}
 			producer[row[w]] = comp
 			prods = append(prods, comp)
 		}
-	}
-	for i := range parent {
-		parent[i] = find(int32(i))
 	}
 
 	// A value that reaches the final state (no later write) gets the
@@ -199,38 +160,8 @@ func compareComputations(a, b Computation) int {
 
 // Compute runs the MARS pipeline on a validated nest and emits the
 // result in the common partition.Result shape with Strategy ==
-// partition.Mars.
+// partition.Mars. The blocks are the flow groups alone; the atomic sets
+// are Decompose's, for callers that want the decomposition.
 func Compute(nest *loop.Nest) (*partition.Result, error) {
-	c, err := partition.NewContext(nest, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return ComputeIn(c, 0), nil
-}
-
-// ComputeIn is Compute inside a nest's evaluation context, sharing its
-// analysis, index and redundancy oracle; the "partition" span is
-// recorded under parent.
-func ComputeIn(c *partition.Context, parent obs.SpanID) *partition.Result {
-	red := c.Redundant()
-	sp := c.Trace.Start(parent, "partition")
-	defer sp.End()
-	dec := Decompose(c.Analysis, red)
-	n := c.Analysis.Nest.Depth()
-	psi := space.Zero(n)
-	res := &partition.Result{
-		Strategy:  partition.Mars,
-		Analysis:  c.Analysis,
-		Redundant: red,
-		PerArray:  map[string]*space.Space{},
-		Psi:       psi,
-		Iter:      partition.PartitionIterationsGrouped(c.Index, psi, dec.Groups()),
-	}
-	res.Data = c.PartitionData(res.Iter, red)
-	for _, array := range c.Index.Arrays {
-		res.PerArray[array] = space.Zero(n)
-	}
-	sp.SetInt("blocks", int64(res.Iter.NumBlocks()))
-	sp.SetInt("atomic_sets", int64(len(dec.Sets)))
-	return res
+	return partition.Compute(nest, partition.Mars)
 }

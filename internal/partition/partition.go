@@ -256,6 +256,58 @@ func PartitionIterationsGrouped(ix *loop.Index, psi *space.Space, base []int32) 
 	return assemble(ix, psi, psi.OrthogonalComplementIntegerBasis(), label)
 }
 
+// FlowGroups labels every iteration (by position in the redundancy
+// oracle's Index) with the first iteration of its group in the finest
+// partition closed under value flow — the blocks of the Mars strategy.
+// The accesses are replayed in execution order with redundant
+// computations skipped: every read joins the group of the iteration
+// whose write to that element is current. Iterations no flow reaches
+// stay alone, so the groups cover the iteration space.
+func FlowGroups(red *redundant.Result) []int32 {
+	ix := red.Index
+	// Union-find over iteration positions; the smaller position is
+	// always the root, so a group's label is its base point.
+	parent := make([]int32, len(ix.Points))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	writer := make([]int32, ix.NumElems()) // −1: the element still holds initial data
+	for e := range writer {
+		writer[e] = -1
+	}
+	for pos := range ix.Points {
+		row := ix.Row(pos)
+		for s := range ix.Nest.Body {
+			if red.RedundantAt(s, pos) {
+				continue
+			}
+			w := ix.First[s+1] - 1
+			for _, e := range row[ix.First[s]:w] {
+				if writer[e] < 0 {
+					continue
+				}
+				if rx, ry := find(writer[e]), find(int32(pos)); rx < ry {
+					parent[ry] = rx
+				} else {
+					parent[rx] = ry
+				}
+			}
+			writer[row[w]] = int32(pos)
+		}
+	}
+	for i := range parent {
+		parent[i] = find(int32(i))
+	}
+	return parent
+}
+
 // assemble materializes the blocks of a labelling of the iterations:
 // one block per distinct label, numbered by ascending label — for packed
 // keys, the lexicographic order of Q·ī.
@@ -400,6 +452,11 @@ func PartitionData(p *IterationPartition, array string, red *redundant.Result) *
 }
 
 // Result is the complete partitioning of one nest under one strategy.
+// Strategy, Redundant, Psi and Iter are the partition proper — a
+// function of (nest, strategy, Ψ) alone, see Materialize — and all that
+// Verify and the executors read. Analysis, PerArray and Data describe
+// how Ψ was derived and what it costs; a Context fills them in, a plan
+// revived from its record leaves them nil.
 type Result struct {
 	Strategy  Strategy
 	Analysis  *deps.Analysis
@@ -408,6 +465,30 @@ type Result struct {
 	Psi       *space.Space
 	Iter      *IterationPartition
 	Data      map[string]*DataPartition
+}
+
+// Materialize builds the partition of an indexed nest from its strategy
+// and Ψ alone (Definitions 2–4: two iterations share a block iff their
+// difference lies in Ψ; Mars blocks are the flow closure and Ψ is the
+// zero space). It is the one place blocks come from: a compile reaches it
+// through Context.Partition with the Ψ it derived, a revival with the Ψ
+// its record carries. red is the nest's redundancy oracle when the caller
+// holds one; with nil the minimal strategies sweep the index for it.
+func Materialize(ix *loop.Index, strat Strategy, psi *space.Space, red *redundant.Result) (*Result, error) {
+	res := &Result{Strategy: strat, Psi: psi}
+	if strat.Minimal() {
+		if red == nil {
+			red = redundant.Sweep(ix)
+		}
+		res.Redundant = red
+	}
+	if strat == Mars {
+		res.Iter = PartitionIterationsGrouped(ix, psi, FlowGroups(red))
+		return res, nil
+	}
+	var err error
+	res.Iter, err = PartitionIterations(ix, psi)
+	return res, err
 }
 
 // Context is the evaluation context of one nest: what every strategy's
@@ -453,8 +534,8 @@ func (c *Context) Redundant() *redundant.Result {
 }
 
 // Spaces derives a strategy's per-array reference spaces and their span
-// Ψ. duplicated names the arrays Selective replicates; the other
-// strategies ignore it.
+// Ψ (all zero spaces under Mars). duplicated names the arrays Selective
+// replicates; the other strategies ignore it.
 func (c *Context) Spaces(strat Strategy, duplicated map[string]bool) (map[string]*space.Space, *space.Space, error) {
 	a := c.Analysis
 	perArray := map[string]*space.Space{}
@@ -470,8 +551,8 @@ func (c *Context) Spaces(strat Strategy, duplicated map[string]bool) (map[string
 			sp = MinimalReferenceSpace(c.Redundant(), array)
 		case strat == MinimalDuplicate:
 			sp = MinimalReducedReferenceSpace(c.Redundant(), array)
-		case strat == Mars:
-			return nil, nil, fmt.Errorf("partition: MARS partitions are usage-based — use mars.Compute")
+		case strat == Mars: // blocks are flow groups, no space constrains them
+			sp = space.Zero(a.Nest.Depth())
 		default:
 			return nil, nil, fmt.Errorf("partition: unknown strategy %d", int(strat))
 		}
@@ -479,15 +560,6 @@ func (c *Context) Spaces(strat Strategy, duplicated map[string]bool) (map[string
 		psi = psi.Union(sp)
 	}
 	return perArray, psi, nil
-}
-
-// PartitionData applies P_Ψ(A) to every array of the nest.
-func (c *Context) PartitionData(iter *IterationPartition, red *redundant.Result) map[string]*DataPartition {
-	data := map[string]*DataPartition{}
-	for _, array := range c.Index.Arrays {
-		data[array] = PartitionData(iter, array, red)
-	}
-	return data
 }
 
 // Compute partitions the nest under one strategy (duplicated names the
@@ -506,17 +578,21 @@ func (c *Context) Compute(strat Strategy, duplicated map[string]bool, parent obs
 // Partition materializes a strategy's partition from its spaces (see
 // Spaces); the "partition" stage is recorded as a span under parent.
 func (c *Context) Partition(strat Strategy, perArray map[string]*space.Space, psi *space.Space, parent obs.SpanID) (*Result, error) {
-	res := &Result{Strategy: strat, Analysis: c.Analysis, PerArray: perArray, Psi: psi}
+	var red *redundant.Result
 	if strat.Minimal() {
-		res.Redundant = c.Redundant()
+		red = c.Redundant()
 	}
 	sp := c.Trace.Start(parent, "partition")
 	defer sp.End()
-	var err error
-	if res.Iter, err = PartitionIterations(c.Index, psi); err != nil {
+	res, err := Materialize(c.Index, strat, psi, red)
+	if err != nil {
 		return nil, err
 	}
-	res.Data = c.PartitionData(res.Iter, res.Redundant)
+	res.Analysis, res.PerArray, res.Data = c.Analysis, perArray, map[string]*DataPartition{}
+	for _, array := range c.Index.Arrays {
+		res.Data[array] = PartitionData(res.Iter, array, red)
+	}
+	sp.SetInt("blocks", int64(res.Iter.NumBlocks()))
 	return res, nil
 }
 
@@ -532,7 +608,7 @@ func Compute(nest *loop.Nest, strat Strategy) (*Result, error) {
 // ParallelismDim returns n − dim(Ψ): the dimensionality of the forall
 // space (0 means sequential execution).
 func (r *Result) ParallelismDim() int {
-	return r.Analysis.Nest.Depth() - r.Psi.Dim()
+	return r.Iter.Nest.Depth() - r.Psi.Dim()
 }
 
 // RedundantCopyVolume counts the data-block element copies that exist
@@ -649,7 +725,7 @@ func VerifyCommunicationFree(p *IterationPartition, dupOK bool, red *redundant.R
 func (r *Result) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s\n", r.Strategy)
-	arrays := r.Analysis.Nest.Arrays()
+	arrays := r.Iter.Nest.Arrays()
 	for _, a := range arrays {
 		fmt.Fprintf(&b, "  Ψ_%s = %s\n", a, r.PerArray[a])
 	}

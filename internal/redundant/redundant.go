@@ -23,7 +23,9 @@ import (
 
 // Result holds the outcome of redundant-computation elimination.
 type Result struct {
-	Nest     *loop.Nest
+	Nest *loop.Nest
+	// Analysis is the dependence analysis the classification below was
+	// made against; nil on a Result from Sweep.
 	Analysis *deps.Analysis
 	// Index is the nest's dense index the oracle was computed on; the
 	// passes that consume the oracle share it.
@@ -51,7 +53,19 @@ func Eliminate(a *deps.Analysis) (*Result, error) {
 }
 
 // EliminateOn is Eliminate on an index of the nest the caller already
-// holds.
+// holds: the sweep's bits plus the useful/false classification of the
+// analysis' dependences.
+func EliminateOn(a *deps.Analysis, ix *loop.Index) *Result {
+	res := Sweep(ix)
+	res.Analysis = a
+	res.classifyDeps()
+	return res
+}
+
+// Sweep computes the redundancy bits from the index alone — no
+// dependence analysis, so Analysis, UsefulDeps and FalseDeps stay empty.
+// It is all a consumer of RedundantAt needs (the verifier, the
+// executors, a plan revived from its record).
 //
 // Whether S_k(ī) is redundant depends only on computations that execute
 // strictly later (the readers of the value it writes), so one sweep over
@@ -59,8 +73,9 @@ func Eliminate(a *deps.Analysis) (*Result, error) {
 // element it remembers whether a later write exists and whether a
 // non-redundant read has been seen since. The work is the same on every
 // run — one pass, no map iteration.
-func EliminateOn(a *deps.Analysis, ix *loop.Index) *Result {
-	res := &Result{Nest: a.Nest, Analysis: a, Index: ix, bits: make([][]uint64, len(a.Nest.Body))}
+func Sweep(ix *loop.Index) *Result {
+	stmts := len(ix.Nest.Body)
+	res := &Result{Nest: ix.Nest, Index: ix, bits: make([][]uint64, stmts)}
 	words := (len(ix.Points) + 63) / 64
 	for s := range res.bits {
 		res.bits[s] = make([]uint64, words)
@@ -69,7 +84,7 @@ func EliminateOn(a *deps.Analysis, ix *loop.Index) *Result {
 	state := make([]uint8, ix.NumElems())
 	for pos := len(ix.Points) - 1; pos >= 0; pos-- {
 		row := ix.Row(pos)
-		for s := len(a.Nest.Body) - 1; s >= 0; s-- {
+		for s := stmts - 1; s >= 0; s-- {
 			w := ix.First[s+1] - 1
 			redundant := state[row[w]] == laterWrite
 			state[row[w]] = laterWrite
@@ -83,7 +98,6 @@ func EliminateOn(a *deps.Analysis, ix *loop.Index) *Result {
 			}
 		}
 	}
-	res.classifyDeps()
 	return res
 }
 

@@ -21,7 +21,6 @@ import (
 	"commfree/internal/distplan"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
-	"commfree/internal/mars"
 	"commfree/internal/obs"
 	"commfree/internal/partition"
 	"commfree/internal/space"
@@ -215,8 +214,11 @@ func materialize(pc *partition.Context, c class, view *spec, p int, parent obs.S
 	var res *partition.Result
 	var err error
 	if c.psi == nil {
-		res = mars.ComputeIn(pc, parent)
-	} else if res, err = pc.Partition(view.Strategy, view.perArray, c.psi, parent); err != nil {
+		res, err = pc.Compute(partition.Mars, nil, parent)
+	} else {
+		res, err = pc.Partition(view.Strategy, view.perArray, c.psi, parent)
+	}
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	sp := pc.Trace.Start(parent, "transform")

@@ -3,7 +3,7 @@ package service
 // Plan-store latency ladder: what a request costs at each level of the
 // cache hierarchy. Feeds BENCH_store.json.
 //
-//	go test ./internal/service -run=NONE -bench=Store -benchtime=20x
+//	scripts/bench_store.sh append|gate
 
 import (
 	"context"
@@ -33,9 +33,9 @@ func BenchmarkStoreColdCompile(b *testing.B) {
 }
 
 // BenchmarkStoreDiskWarm is the restart path: the record exists on
-// disk, the memory cache is cold — read, CRC-check, re-derive the
-// partition, carry the plan verbatim. One fresh service per iteration
-// over a pre-populated directory.
+// disk, the memory cache is cold — read, CRC-check, revive the partition
+// from the record's Ψ, decode the wire plan for the response. One fresh
+// service per iteration over a pre-populated directory.
 func BenchmarkStoreDiskWarm(b *testing.B) {
 	dir := b.TempDir()
 	req := CompileRequest{Source: srcL1, Strategy: "auto", Processors: 16}

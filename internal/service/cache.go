@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"sync"
 
+	"commfree/internal/obs"
 	"commfree/internal/store"
 )
 
@@ -33,8 +34,10 @@ func cacheShard(key string) int {
 // construction; see TestChooseConcurrentReadOnly for the proof that
 // the analysis layer tolerates shared use).
 type cacheEntry struct {
-	key   string
-	plan  *Plan
+	key string
+	// label is the plan's resolved strategy label (Plan.Strategy): all
+	// an execute response says about the plan.
+	label string
 	comp  *compiled
 	bytes int64
 	// rec is the entry's persistent record (nil only for entries built
@@ -42,6 +45,26 @@ type cacheEntry struct {
 	// entry so eviction can demote to disk and migration can export
 	// plans that only ever lived in memory.
 	rec *store.Record
+
+	// plan is the typed wire plan: set by a compile, decoded from
+	// rec.Plan by the first request that asks a revived entry for it.
+	planOnce sync.Once
+	plan     *Plan
+	planErr  error
+}
+
+// typed returns the entry's typed plan. A revived entry decodes its
+// record's plan bytes here, once, as a plan_decode span of the request
+// that needed it; executes never do.
+func (e *cacheEntry) typed(trc *obs.Trace) (*Plan, error) {
+	e.planOnce.Do(func() {
+		if e.plan == nil {
+			sp := trc.Start(0, "plan_decode")
+			e.plan, e.planErr = decodePlan(e.rec)
+			sp.End()
+		}
+	})
+	return e.plan, e.planErr
 }
 
 // planCache is a mutex-guarded LRU with entry-count and byte bounds.
@@ -134,6 +157,17 @@ func (c *planCache) add(e *cacheEntry) []*cacheEntry {
 		evicted = append(evicted, old)
 	}
 	return evicted
+}
+
+// remove drops the entry if it is still the one cached under its key.
+func (c *planCache) remove(e *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[e.key]; ok && el.Value.(*cacheEntry) == e {
+		c.ll.Remove(el)
+		delete(c.items, e.key)
+		c.bytes -= e.bytes
+	}
 }
 
 // entries snapshots the cached entries, most recently used first.

@@ -134,9 +134,11 @@ func TestCompileCancelledMidSelection(t *testing.T) {
 	}
 }
 
-// TestRehydrateSpansItsStages: a store hit's partition re-derivation,
-// verification and transform/assign are all accounted for under the
-// rehydrate span.
+// TestRehydrateSpansItsStages: the span tree says what revival does —
+// parse, index, partition and verify under the rehydrate span, none of
+// the compile's analysis or codegen stages — and the one typed decode of
+// the wire plan is a plan_decode span of the compile request that needed
+// it, not of the execute that revived the entry nor of a later compile.
 func TestRehydrateSpansItsStages(t *testing.T) {
 	st := store.NewMem(0)
 	req := CompileRequest{Source: srcL1, Strategy: "minimal-duplicate", Processors: 4}
@@ -145,27 +147,48 @@ func TestRehydrateSpansItsStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestService(t, Config{Store: st})
-	resp, err := s.Compile(context.Background(), req)
+	exe, err := s.Execute(context.Background(), execReq(req))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Metrics().Counter("rehydrates") != 1 || s.Metrics().Counter("compiles") != 0 {
 		t.Fatalf("second service did not rehydrate: %v", s.Metrics().Snapshot().Counters)
 	}
-	spans := s.Traces().Get(resp.TraceID).Spans()
+	spans := s.Traces().Get(exe.TraceID).Spans()
 	var rehydrate obs.SpanID
 	for _, sp := range spans {
 		if sp.Name == "rehydrate" {
 			rehydrate = sp.ID
 		}
 	}
-	under := map[string]int{}
+	under, all := map[string]int{}, map[string]int{}
 	for _, sp := range spans {
+		all[sp.Name]++
 		if sp.Parent == rehydrate {
 			under[sp.Name]++
 		}
 	}
-	if fmt.Sprint(under) != fmt.Sprint(map[string]int{"deps": 1, "redundant": 1, "partition": 1, "verify": 1, "codegen": 1}) {
+	if fmt.Sprint(under) != fmt.Sprint(map[string]int{"parse": 1, "index": 1, "partition": 1, "verify": 1}) {
 		t.Errorf("spans under rehydrate = %v", under)
+	}
+	for _, stage := range []string{"deps", "redundant", "selection", "codegen", "plan_decode"} {
+		if all[stage] != 0 {
+			t.Errorf("the reviving execute ran stage %q (%d spans)", stage, all[stage])
+		}
+	}
+	for i, want := range []int{1, 0} {
+		resp, err := s.Compile(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodes := 0
+		for _, sp := range s.Traces().Get(resp.TraceID).Spans() {
+			if sp.Name == "plan_decode" && sp.Parent == 0 {
+				decodes++
+			}
+		}
+		if decodes != want {
+			t.Errorf("compile %d after the revival: %d plan_decode spans, want %d", i+1, decodes, want)
+		}
 	}
 }

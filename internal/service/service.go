@@ -323,8 +323,6 @@ type ExecuteResponse struct {
 type compiled struct {
 	nest *loop.Nest
 	res  *partition.Result
-	tr   *transform.Transformed
-	asg  *assign.Assignment
 
 	progOnce sync.Once
 	prog     *exec.Program
@@ -342,7 +340,7 @@ type compiled struct {
 // entry; every subsequent execution of the plan reuses it.
 func (c *compiled) program() (*exec.Program, error) {
 	c.progOnce.Do(func() {
-		c.prog, c.progErr = exec.CompileNest(c.res.Analysis.Nest, c.res.Redundant)
+		c.prog, c.progErr = exec.CompileNest(c.res.Iter.Nest, c.res.Redundant)
 	})
 	return c.prog, c.progErr
 }
@@ -602,12 +600,23 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResp
 		s.adm.ObserveTrace(trc)
 	}()
 	entry, cached, err := s.compileEntry(ctx, req, trc)
+	var plan *Plan
+	if err == nil {
+		if plan, err = entry.typed(trc); err != nil {
+			// Only a revived entry decodes, so its record is bad: forget
+			// both and answer with a full compile.
+			s.forget(entry)
+			if entry, cached, err = s.compileEntry(ctx, req, trc); err == nil {
+				plan, err = entry.typed(trc)
+			}
+		}
+	}
 	if err != nil {
 		s.countError(err)
 		return nil, err
 	}
 	return &CompileResponse{
-		Plan:     entry.plan,
+		Plan:     plan,
 		Cached:   cached,
 		ElapsedS: time.Since(start).Seconds(),
 		TraceID:  trc.ID(),
@@ -657,15 +666,6 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 	key := "s=" + stratName + "|p=" + strconv.Itoa(req.Processors) + "|" + sk.Canonical
 	if e, ok := s.cache.get(key); ok {
 		return e, true, nil
-	}
-	if nest == nil {
-		// The memo knew the key but nothing holds the plan: what follows
-		// needs the nest itself.
-		nres, err := s.parseSource(req.Source)
-		if err != nil {
-			return nil, false, err
-		}
-		nest = nres.Nest
 	}
 
 	// Single flight per key: one leader compiles on the pool, everyone
@@ -723,6 +723,15 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 		if e := s.rehydrateFromStore(key, trc); e != nil {
 			fromStore = true
 			return e, nil
+		}
+		if nest == nil {
+			// The memo knew the key but neither tier holds the plan: only
+			// now is the nest itself needed.
+			nres, err := s.parseSource(req.Source)
+			if err != nil {
+				return nil, err
+			}
+			nest = nres.Nest
 		}
 		return s.compile(ctx, key, nest, strat, auto, req.Processors, trc)
 	})
@@ -825,17 +834,11 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 		Ranking:         ev.Ranking,
 		SPMDGo:          spmd,
 	}
-	entry := &cacheEntry{
-		key:  key,
-		plan: plan,
-		comp: &compiled{nest: cn, res: res, tr: tr, asg: asg},
-		bytes: int64(len(key) + len(canonSrc) + len(spmd) + len(plan.Transform.Program) +
-			4096), // struct overhead estimate
+	rec, err := recordFor(key, plan, res, predicted.Duplicated)
+	if err != nil {
+		return nil, err
 	}
-	if rec, err := recordFor(key, plan, res, predicted.Duplicated); err == nil {
-		entry.rec = rec
-	}
-	return entry, nil
+	return &cacheEntry{key: key, label: plan.Strategy, plan: plan, comp: &compiled{nest: cn, res: res}, rec: rec, bytes: entryBytes(rec)}, nil
 }
 
 // runPooled runs fn on a pool worker via trySubmit and records the
@@ -1068,7 +1071,7 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	vsp.SetInt("mismatches", int64(mismatches))
 	vsp.End()
 	return &ExecuteResponse{
-		Strategy:          entry.plan.Strategy,
+		Strategy:          entry.label,
 		Processors:        req.Processors,
 		Cached:            cached,
 		DistributionS:     rep.Machine.DistributionTime(),
@@ -1117,7 +1120,7 @@ func (s *Service) executeSequential(ctx context.Context, entry *cacheEntry, req 
 	dsp.SetInt("elements", int64(len(state)))
 	dsp.End()
 	return &ExecuteResponse{
-		Strategy:   entry.plan.Strategy,
+		Strategy:   entry.label,
 		Processors: req.Processors,
 		Cached:     cached,
 		Engine:     "sequential",

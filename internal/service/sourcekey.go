@@ -6,8 +6,9 @@ package service
 // and deriving it is a parse, a normalization pass and a render. The
 // memo maps the raw source, byte for byte, to that result, so a repeated
 // spelling costs one map lookup on each node it touches. It holds
-// derived text only: a plan-cache miss still parses, so what gets
-// compiled never depends on the memo.
+// derived text only: a compile still parses its source (a store hit
+// revives from the record and needs neither), so what gets compiled
+// never depends on the memo.
 
 import (
 	"errors"

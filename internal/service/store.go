@@ -7,11 +7,12 @@ package service
 // With a store configured the cache becomes a two-level hierarchy:
 //
 //	memory hit   → serve the live cacheEntry (as before);
-//	store hit    → rehydrate: re-derive the live pipeline artifacts
-//	               (partition, verify, transform, assign) from the
-//	               record's canonical source and carry the wire plan
-//	               (ranking, SPMD source) verbatim — the selector and
-//	               codegen, the expensive stages, never re-run;
+//	store hit    → rehydrate: the partition is a function of (nest,
+//	               strategy, Ψ) and the record carries all three, so
+//	               revival is parse + index + a coset split + Verify —
+//	               no dependence analysis, selection or codegen — and
+//	               the wire plan stays bytes until a Compile response
+//	               needs it typed (cacheEntry.typed);
 //	miss         → full compile, then write the record through.
 //
 // Eviction therefore means "demote to disk" (the record is re-Put if
@@ -25,17 +26,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"commfree/internal/assign"
 	"commfree/internal/chaos"
 	"commfree/internal/lang"
-	"commfree/internal/mars"
+	"commfree/internal/loop"
 	"commfree/internal/obs"
 	"commfree/internal/partition"
+	"commfree/internal/space"
 	"commfree/internal/store"
-	"commfree/internal/transform"
 )
 
 // NewWithStore builds a Service whose plan store is opened from
@@ -123,6 +124,9 @@ func recordFor(key string, plan *Plan, res *partition.Result, duplicated []strin
 		CanonicalSource: plan.CanonicalSource,
 		Strategy:        wireStrategy(res.Strategy),
 		Processors:      plan.Processors,
+		Label:           plan.Strategy,
+		PsiBasis:        plan.Partition.PsiBasis,
+		Blocks:          plan.Partition.NumBlocks,
 		Plan:            payload,
 		CreatedUnixNS:   time.Now().UnixNano(),
 	}
@@ -130,6 +134,27 @@ func recordFor(key string, plan *Plan, res *partition.Result, duplicated []strin
 		rec.Duplicated = append([]string(nil), duplicated...)
 	}
 	return rec, nil
+}
+
+// decodePlan types a record's wire plan and holds it to the record's own
+// fields: what revival built the partition from (and what an execute
+// answers with) must be what the plan says.
+func decodePlan(rec *store.Record) (*Plan, error) {
+	var plan Plan
+	if err := json.Unmarshal(rec.Plan, &plan); err != nil {
+		return nil, fmt.Errorf("service: record %q plan does not parse: %w", rec.Key, err)
+	}
+	switch {
+	case plan.Processors != rec.Processors:
+		return nil, fmt.Errorf("service: record %q plan/record processor mismatch (%d vs %d)", rec.Key, plan.Processors, rec.Processors)
+	case plan.Strategy != rec.Label:
+		return nil, fmt.Errorf("service: record %q plan/record label mismatch (%q vs %q)", rec.Key, plan.Strategy, rec.Label)
+	case plan.Partition.NumBlocks != rec.Blocks:
+		return nil, fmt.Errorf("service: record %q plan/record block count mismatch (%d vs %d)", rec.Key, plan.Partition.NumBlocks, rec.Blocks)
+	case !slices.EqualFunc(plan.Partition.PsiBasis, rec.PsiBasis, slices.Equal[[]int64]):
+		return nil, fmt.Errorf("service: record %q plan/record Ψ mismatch (%v vs %v)", rec.Key, plan.Partition.PsiBasis, rec.PsiBasis)
+	}
+	return &plan, nil
 }
 
 // persist writes the entry's record through to the store (when one is
@@ -182,6 +207,23 @@ func (s *Service) cacheAdd(e *cacheEntry) {
 	}
 }
 
+// entryBytes is the cache-accounting size of an entry: its record's text
+// plus a struct overhead estimate.
+func entryBytes(rec *store.Record) int64 {
+	return int64(len(rec.Key) + len(rec.CanonicalSource) + len(rec.Plan) + 4096)
+}
+
+// forget drops a revived entry whose record's plan turned out not to
+// decode, from the cache and the store both, so the next lookup of its
+// key compiles.
+func (s *Service) forget(e *cacheEntry) {
+	s.metrics.Inc("store_corrupt_records", 1)
+	s.cache.remove(e)
+	if st := s.store(); st != nil {
+		_ = st.Delete(e.key) // a record that outlives this is dropped again on its next decode
+	}
+}
+
 // rehydrateFromStore serves a cache miss from the plan store: nil when
 // there is no store, no record, or the record does not revive (fall
 // through to a full compile — always correct, the pipeline is pure).
@@ -213,73 +255,59 @@ func (s *Service) rehydrateFromStore(key string, trc *obs.Trace) *cacheEntry {
 	return e
 }
 
-// rehydrate revives a persisted record into a live cache entry: the
-// partition is re-derived deterministically from the canonical source
-// (cheap, and it rebuilds the in-memory analysis the executors need),
-// while the wire plan — including the selector's ranking and the
-// generated SPMD program — is carried verbatim from the record. No
-// selection, no codegen: this is not a compile and is not counted as
-// one.
+// rehydrate revives a persisted record into a live cache entry. The
+// record's Ψ is the allocation: the blocks are materialized from
+// (canonical nest, strategy, Ψ) by the same function a compile uses,
+// verified exhaustively and counted against the record, so a wrong Ψ is
+// an error (and a full compile), never a wrong plan. Nothing is analysed,
+// selected or generated — this is not a compile and is not counted as
+// one — and the wire plan stays bytes (see cacheEntry.typed).
 func (s *Service) rehydrate(rec *store.Record, trc *obs.Trace) (*cacheEntry, error) {
 	rsp := trc.Start(0, "rehydrate")
 	defer rsp.End()
+	if rec.Label == "" {
+		return nil, fmt.Errorf("service: record %q carries no label to revive under", rec.Key)
+	}
+	strat, _, err := parseStrategy(rec.Strategy)
+	if rec.Strategy == "selective" {
+		strat, err = partition.Selective, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: record %q: %w", rec.Key, err)
+	}
+	sp := trc.Start(rsp.ID(), "parse")
 	cn, err := lang.Parse(rec.CanonicalSource)
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("service: record %q canonical source does not parse: %w", rec.Key, err)
 	}
-	pc, err := partition.NewContext(cn, trc, rsp.ID())
+	for _, row := range rec.PsiBasis {
+		if len(row) != cn.Depth() {
+			return nil, fmt.Errorf("service: record %q Ψ vector %v is not of depth %d", rec.Key, row, cn.Depth())
+		}
+	}
+	sp = trc.Start(rsp.ID(), "index")
+	ix, err := loop.NewIndex(cn)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	var res *partition.Result
-	switch rec.Strategy {
-	case "mars":
-		res = mars.ComputeIn(pc, rsp.ID())
-	case "selective":
-		dup := map[string]bool{}
-		for _, a := range rec.Duplicated {
-			dup[a] = true
-		}
-		res, err = pc.Compute(partition.Selective, dup, rsp.ID())
-	default:
-		strat, _, perr := parseStrategy(rec.Strategy)
-		if perr != nil {
-			return nil, fmt.Errorf("service: record %q: %w", rec.Key, perr)
-		}
-		res, err = pc.Compute(strat, nil, rsp.ID())
-	}
+	sp = trc.Start(rsp.ID(), "partition")
+	res, err := partition.Materialize(ix, strat, space.SpanInts(cn.Depth(), rec.PsiBasis...), nil)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	vsp := trc.Start(rsp.ID(), "verify")
+	sp = trc.Start(rsp.ID(), "verify")
 	err = res.Verify()
-	vsp.End()
+	if err == nil && res.Iter.NumBlocks() != rec.Blocks {
+		err = fmt.Errorf("service: record %q revives to %d blocks, recorded %d", rec.Key, res.Iter.NumBlocks(), rec.Blocks)
+	}
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	csp := trc.Start(rsp.ID(), "codegen")
-	tr, err := transform.Transform(cn, res.Psi)
-	if err != nil {
-		csp.End()
-		return nil, err
-	}
-	asg := assign.Assign(tr, rec.Processors)
-	csp.End()
-	var plan Plan
-	if err := json.Unmarshal(rec.Plan, &plan); err != nil {
-		return nil, fmt.Errorf("service: record %q plan does not parse: %w", rec.Key, err)
-	}
-	if plan.Processors != rec.Processors {
-		return nil, fmt.Errorf("service: record %q plan/record processor mismatch (%d vs %d)", rec.Key, plan.Processors, rec.Processors)
-	}
-	return &cacheEntry{
-		key:  rec.Key,
-		plan: &plan,
-		comp: &compiled{nest: cn, res: res, tr: tr, asg: asg},
-		rec:  rec,
-		bytes: int64(len(rec.Key) + len(rec.CanonicalSource) + len(plan.SPMDGo) + len(plan.Transform.Program) +
-			4096), // struct overhead estimate, matching compile
-	}, nil
+	return &cacheEntry{key: rec.Key, label: rec.Label, comp: &compiled{nest: cn, res: res}, rec: rec, bytes: entryBytes(rec)}, nil
 }
 
 // WarmStart eagerly rehydrates every stored plan into the cache, so a
@@ -319,12 +347,18 @@ func (s *Service) WarmStart(ctx context.Context) (int, error) {
 
 // ImportRecord accepts a plan record from a peer (cluster rebalance
 // migration): it lands in the store — created in memory on demand —
-// and revives lazily on first request for its key.
+// and revives lazily on first request for its key. The record arrives as
+// JSON with no checksum, so its plan is decoded here, once, and held to
+// the record's own fields; what the store then serves is as trustworthy
+// as a CRC-checked file.
 func (s *Service) ImportRecord(rec *store.Record) error {
 	if rec == nil {
 		return fmt.Errorf("service: nil record")
 	}
 	if err := rec.Validate(); err != nil {
+		return err
+	}
+	if _, err := decodePlan(rec); err != nil {
 		return err
 	}
 	if err := s.ensureStore().Put(rec); err != nil {

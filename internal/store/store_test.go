@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -24,6 +28,7 @@ func testRecord(key string) *Record {
 func TestRecordRoundTrip(t *testing.T) {
 	rec := testRecord("s=non-duplicate|p=4|src")
 	rec.Duplicated = []string{"B", "C"}
+	rec.Label, rec.PsiBasis, rec.Blocks = "selective{B,C}", [][]int64{{1, 0}, {0, -2}}, 7
 	data, err := Encode(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -32,12 +37,119 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Key != rec.Key || got.CanonicalSource != rec.CanonicalSource ||
-		got.Strategy != rec.Strategy || got.Processors != rec.Processors ||
-		fmt.Sprint(got.Duplicated) != fmt.Sprint(rec.Duplicated) ||
-		string(got.Plan) != string(rec.Plan) || got.CreatedUnixNS != rec.CreatedUnixNS {
+	if !reflect.DeepEqual(got, rec) {
 		t.Fatalf("round trip drifted:\n got %+v\nwant %+v", got, rec)
 	}
+	// The plan is framed verbatim after the meta, not embedded in it.
+	if !bytes.HasSuffix(data, rec.Plan) || bytes.Count(data, rec.Plan) != 1 {
+		t.Errorf("plan bytes are not the record's tail")
+	}
+}
+
+// reframe rewrites the envelope of a payload: length, CRC and version.
+func reframe(version uint32, payload []byte) []byte {
+	buf := make([]byte, headerSize, headerSize+len(payload))
+	copy(buf, magic[:])
+	binary.LittleEndian.PutUint32(buf[4:8], version)
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[12:16], crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
+// TestDecodeRejectsV1Framing: a file in the previous format — the whole
+// record as one JSON payload, version 1 — is intact by its own CRC and
+// still a corrupt record to this reader, so the plan recompiles.
+func TestDecodeRejectsV1Framing(t *testing.T) {
+	payload, err := json.Marshal(testRecord("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Decode("old.rec", reframe(1, payload))
+	var ce *CorruptError
+	if !asErr(err, &ce) || !strings.Contains(ce.Reason, "unsupported format version 1") {
+		t.Fatalf("Decode of a v1 file: %v", err)
+	}
+	// Under the current version number the same bytes have no meta frame.
+	if _, err := Decode("old.rec", reframe(FormatVersion, payload)); !asErr(err, &ce) {
+		t.Fatalf("Decode of a v1 payload under version %d: %v", FormatVersion, err)
+	}
+}
+
+// TestDecodeMetaLength: the meta length is trusted no further than the
+// payload it sits in, whatever the CRC says.
+func TestDecodeMetaLength(t *testing.T) {
+	data, err := Encode(testRecord("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := data[headerSize:]
+	for name, m := range map[string]uint32{
+		"one past the payload": uint32(len(payload) - metaLenSize + 1),
+		"maximal":              1<<32 - 1,
+		"cuts the meta short":  binary.LittleEndian.Uint32(payload) - 1,
+	} {
+		bad := append([]byte(nil), payload...)
+		binary.LittleEndian.PutUint32(bad, m)
+		_, err := Decode("test", reframe(FormatVersion, bad))
+		var ce *CorruptError
+		if !asErr(err, &ce) {
+			t.Errorf("%s: Decode = %v, want a *CorruptError", name, err)
+		}
+	}
+	if _, err := Decode("test", reframe(FormatVersion, payload[:2])); err == nil {
+		t.Error("a payload shorter than the meta length field decoded")
+	}
+}
+
+// FuzzDecode: any byte sequence either decodes or is a *CorruptError —
+// never a panic — and what decodes is no larger than the file (the
+// length fields are not trusted to size anything) and re-encodes to a
+// file that decodes to the same record.
+func FuzzDecode(f *testing.F) {
+	rec := testRecord("k")
+	rec.Label, rec.PsiBasis, rec.Blocks = "non-duplicate", [][]int64{{1, 1}}, 3
+	good, err := Encode(rec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(good[:headerSize])
+	huge := append([]byte(nil), good[headerSize:]...)
+	binary.LittleEndian.PutUint32(huge, 1<<31)
+	f.Add(reframe(FormatVersion, huge))
+	v1, _ := json.Marshal(rec)
+	f.Add(reframe(1, v1))
+	f.Add(reframe(FormatVersion, v1))
+	f.Add(reframe(FormatVersion, []byte("\x02\x00\x00\x00{}{}")))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// As a file, and — few mutants keep their CRC — as the payload of
+		// a well-framed one.
+		for _, file := range [][]byte{data, reframe(FormatVersion, data)} {
+			rec, err := Decode("fuzz", file)
+			if err != nil {
+				var ce *CorruptError
+				if !asErr(err, &ce) {
+					t.Fatalf("Decode error %v is not a *CorruptError", err)
+				}
+				continue
+			}
+			if len(rec.Plan) == 0 || len(rec.Plan)+len(rec.Key)+len(rec.CanonicalSource) > len(file) {
+				t.Fatalf("decoded %d plan + %d key + %d source bytes from a %d-byte file", len(rec.Plan), len(rec.Key), len(rec.CanonicalSource), len(file))
+			}
+			again, err := Encode(rec)
+			if err != nil {
+				t.Fatalf("decoded record does not encode: %v", err)
+			}
+			back, err := Decode("fuzz", again)
+			if err != nil {
+				t.Fatalf("re-encoded record does not decode: %v", err)
+			}
+			if twice, err := Encode(back); err != nil || !bytes.Equal(twice, again) {
+				t.Fatalf("re-encoding drifted (%v):\n got %q\nwant %q", err, twice, again)
+			}
+		}
+	})
 }
 
 func TestRecordDecodeRejectsCorruption(t *testing.T) {
