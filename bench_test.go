@@ -265,8 +265,8 @@ func BenchmarkBlockLookupScan(b *testing.B) {
 	find := func(it []int64) *partition.Block {
 		key := fmt.Sprint(it)
 		for _, blk := range res.Iter.Blocks {
-			for _, bi := range blk.Iterations {
-				if fmt.Sprint(bi) == key {
+			for _, pos := range blk.Pos {
+				if fmt.Sprint(res.Iter.Index.Points[pos]) == key {
 					return blk
 				}
 			}
@@ -362,8 +362,8 @@ func BenchmarkDistributionPlanning(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, _, _, err := distplan.Build(res, 4)
-		if err != nil || plan.Stats().Multicasts == 0 {
+		plan := distplan.BuildFor(res, assign.Place(res.Iter.Q, 4))
+		if plan.Stats().Multicasts == 0 {
 			b.Fatal("planning failed")
 		}
 	}

@@ -54,34 +54,50 @@ func pow(b, e int) int {
 	return out
 }
 
-// Assignment is a cyclic mapping of forall points to processors.
+// Placement is Section IV's cyclic block placement: block B_j with base
+// point b̄_j runs on processor (Q·b̄_j) mod (p₁,…,p_k). It is a function
+// of the complement basis Q and the grid alone, so whoever holds a
+// partition — whose Q it is — places blocks without deriving the loop
+// transformation.
+type Placement struct {
+	Q    [][]int64 // integer basis of Ψ's orthogonal complement, one row per forall level
+	Dims []int     // grid shape p₁×…×p_k (len = len(Q); empty for a sequential loop)
+}
+
+// Place factors p processors into the grid of the len(q)-dimensional
+// forall space.
+func Place(q [][]int64, p int) Placement {
+	return Placement{Q: q, Dims: Factor(p, len(q))}
+}
+
+// Assignment is the cyclic placement of a transformed loop, with the
+// loop whose forall space it walks for workloads and block lists.
 type Assignment struct {
-	Tr   *transform.Transformed
-	P    int   // requested processor count
-	Dims []int // grid shape p₁×…×p_k (len = Tr.K, or empty when K = 0)
+	Placement
+	Tr *transform.Transformed
+	P  int // requested processor count
 }
 
 // Assign builds the cyclic assignment for p processors.
 func Assign(tr *transform.Transformed, p int) *Assignment {
-	return &Assignment{Tr: tr, P: p, Dims: Factor(p, tr.K)}
+	return &Assignment{Placement: Place(tr.Q, p), Tr: tr, P: p}
 }
 
 // OwnerCoords returns the grid coordinates of the processor owning the
 // forall point: aᵢ = forall_i mod pᵢ (canonical, non-negative).
-func (a *Assignment) OwnerCoords(forall []int64) []int {
-	coords := make([]int, len(a.Dims))
-	for i := range a.Dims {
-		m := int(((forall[i] % int64(a.Dims[i])) + int64(a.Dims[i])) % int64(a.Dims[i]))
-		coords[i] = m
+func (pl Placement) OwnerCoords(forall []int64) []int {
+	coords := make([]int, len(pl.Dims))
+	for i, d := range pl.Dims {
+		coords[i] = int((forall[i]%int64(d) + int64(d)) % int64(d))
 	}
 	return coords
 }
 
 // OwnerID linearizes OwnerCoords row-major into [0, NumProcessors()).
-func (a *Assignment) OwnerID(forall []int64) int {
+func (pl Placement) OwnerID(forall []int64) int {
 	id := 0
-	for i, c := range a.OwnerCoords(forall) {
-		id = id*a.Dims[i] + c
+	for i, co := range pl.OwnerCoords(forall) {
+		id = id*pl.Dims[i] + co
 	}
 	return id
 }
@@ -90,12 +106,12 @@ func (a *Assignment) OwnerID(forall []int64) int {
 // original iteration orig: the cyclic owner of its forall point Q·ī. The
 // forall point is constant across a coset block (Q ⊥ Ψ), so a block's
 // base point names its processor.
-func (a *Assignment) OwnerOf(orig []int64) int {
+func (pl Placement) OwnerOf(orig []int64) int {
 	id := 0
-	for i, d := range a.Dims {
+	for i, d := range pl.Dims {
 		var f int64
-		for c, q := range a.Tr.Q[i] {
-			f += q * orig[c]
+		for j, q := range pl.Q[i] {
+			f += q * orig[j]
 		}
 		id = id*d + int((f%int64(d)+int64(d))%int64(d))
 	}
@@ -103,10 +119,10 @@ func (a *Assignment) OwnerOf(orig []int64) int {
 }
 
 // NumProcessors returns the number of grid processors actually used
-// (∏ pᵢ ≤ P; 1 when the loop is sequential).
-func (a *Assignment) NumProcessors() int {
+// (∏ pᵢ ≤ p; 1 when the loop is sequential).
+func (pl Placement) NumProcessors() int {
 	n := 1
-	for _, d := range a.Dims {
+	for _, d := range pl.Dims {
 		n *= d
 	}
 	return n
@@ -133,9 +149,12 @@ func (a *Assignment) BlocksOf(id int) [][]int64 {
 	return out
 }
 
-// Imbalance returns (max load − min load) / mean load; 0 is perfect.
-func (a *Assignment) Imbalance() float64 {
-	loads := a.Workloads()
+// Imbalance returns (max load − min load) / mean load over all
+// processors; 0 is perfect.
+func (a *Assignment) Imbalance() float64 { return imbalance(a.Workloads()) }
+
+// imbalance is (max − min) / mean of per-processor loads.
+func imbalance(loads []int64) float64 {
 	if len(loads) == 0 {
 		return 0
 	}
@@ -169,6 +188,6 @@ func (a *Assignment) Summary() string {
 	for _, id := range ids {
 		fmt.Fprintf(&b, "  PE%d: %d iterations\n", id, loads[id])
 	}
-	fmt.Fprintf(&b, "imbalance: %.3f\n", a.Imbalance())
+	fmt.Fprintf(&b, "imbalance: %.3f\n", imbalance(loads))
 	return b.String()
 }

@@ -16,7 +16,7 @@ type Info struct {
 	Processors int   `json:"processors"`
 	GridDims   []int `json:"grid_dims"`
 	// Workloads is iterations per processor; Imbalance is
-	// max/mean − 1 over the non-empty processors.
+	// (max − min)/mean over all of them, idle processors included.
 	Workloads []int64 `json:"workloads"`
 	Imbalance float64 `json:"imbalance"`
 	// Blocks lists every forall point with its owning processor, in
@@ -26,11 +26,12 @@ type Info struct {
 
 // Info builds the JSON-stable view.
 func (a *Assignment) Info() Info {
+	loads := a.Workloads()
 	info := Info{
 		Processors: a.P,
 		GridDims:   a.Dims,
-		Workloads:  a.Workloads(),
-		Imbalance:  a.Imbalance(),
+		Workloads:  loads,
+		Imbalance:  imbalance(loads),
 		Blocks:     []BlockOwner{},
 	}
 	if info.GridDims == nil {

@@ -107,24 +107,4 @@ func (pa *PolicyAssignment) Workloads() []int64 {
 }
 
 // Imbalance returns (max − min) / mean over the policy's workloads.
-func (pa *PolicyAssignment) Imbalance() float64 {
-	loads := pa.Workloads()
-	if len(loads) == 0 {
-		return 0
-	}
-	min, max, sum := loads[0], loads[0], int64(0)
-	for _, l := range loads {
-		if l < min {
-			min = l
-		}
-		if l > max {
-			max = l
-		}
-		sum += l
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(loads))
-	return float64(max-min) / mean
-}
+func (pa *PolicyAssignment) Imbalance() float64 { return imbalance(pa.Workloads()) }

@@ -14,7 +14,6 @@ import (
 	"commfree/internal/chaos"
 	"commfree/internal/exec"
 	"commfree/internal/loop"
-	"commfree/internal/machine"
 	"commfree/internal/partition"
 )
 
@@ -35,45 +34,34 @@ func CheckChaos(nest *loop.Nest, strat partition.Strategy, seed int64) error {
 	if nest.NumIterations() > maxExecIterations {
 		return nil
 	}
-	res, err := computeFor(nest, strat)
+	pc, err := analyze(nest)
+	if err != nil {
+		return err
+	}
+	res, err := pc.Compute(strat, nil, 0)
 	if err != nil {
 		return fmt.Errorf("conformance: %s: partition failed: %w", strat, err)
 	}
-	const procs = 4
-	cost := machine.Transputer()
 	want := exec.Sequential(nest, nil)
 
-	check := func(engine string, run func(inj *chaos.Injector) (*exec.Report, error)) error {
+	for _, engine := range engines {
 		inj := chaos.Default(seed)
-		rep, err := run(inj)
+		rep, err := engine.run(res, exec.Options{Chaos: inj})
 		if err != nil {
-			return fmt.Errorf("conformance: %s/%s: chaos run failed under seed %d: %w", strat, engine, seed, err)
+			return fmt.Errorf("conformance: %s/%s: chaos run failed under seed %d: %w", strat, engine.name, seed, err)
+		}
+		if rep == nil {
+			continue
 		}
 		if n := rep.Machine.InterNodeMessages(); n != 0 {
-			return fmt.Errorf("conformance: %s/%s: %d inter-node messages during chaos recovery (seed %d)", strat, engine, n, seed)
+			return fmt.Errorf("conformance: %s/%s: %d inter-node messages during chaos recovery (seed %d)", strat, engine.name, n, seed)
 		}
 		if err := exec.Equal(rep.Final, want); err != nil {
-			return fmt.Errorf("conformance: %s/%s: chaos state diverges from fault-free run (seed %d): %w", strat, engine, seed, err)
+			return fmt.Errorf("conformance: %s/%s: chaos state diverges from fault-free run (seed %d): %w", strat, engine.name, seed, err)
 		}
 		if bound := int64(len(res.Iter.Blocks) * inj.MaxFailuresPerBlock()); rep.Chaos.Retries > bound {
-			return fmt.Errorf("conformance: %s/%s: %d retries exceed bound %d (seed %d)", strat, engine, rep.Chaos.Retries, bound, seed)
+			return fmt.Errorf("conformance: %s/%s: %d retries exceed bound %d (seed %d)", strat, engine.name, rep.Chaos.Retries, bound, seed)
 		}
-		return nil
-	}
-
-	if err := check("oracle", func(inj *chaos.Injector) (*exec.Report, error) {
-		return exec.ParallelOpts(res, procs, cost, exec.Options{Chaos: inj})
-	}); err != nil {
-		return err
-	}
-	if prog, cerr := exec.CompileNest(nest, res.Redundant); cerr == nil {
-		kern, serr := prog.Specialize(res, procs)
-		if serr != nil {
-			return fmt.Errorf("conformance: %s: kernel specialization failed: %w", strat, serr)
-		}
-		return check("kernel", func(inj *chaos.Injector) (*exec.Report, error) {
-			return kern.Run(cost, exec.Options{Chaos: inj})
-		})
 	}
 	return nil
 }

@@ -12,8 +12,7 @@ import (
 )
 
 // nChaosSchedules is the seeded-schedule count of the chaos sweep; the
-// CHAOS_SCHEDULES environment variable overrides it (CI smoke runs a
-// subset under -race).
+// CHAOS_SCHEDULES environment variable overrides it.
 const nChaosSchedules = 1000
 
 func chaosScheduleCount() int {

@@ -7,8 +7,7 @@ import (
 )
 
 // clusterCrashSeeds are the seeded single-node-crash schedules the
-// crash sweep replays; CLUSTER_CRASH_SEEDS overrides the count (CI
-// smoke runs one under -race).
+// crash sweep replays; CLUSTER_CRASH_SEEDS overrides the count.
 var clusterCrashSeeds = []int64{1, 7, 1993}
 
 func clusterCrashSeedCount() int {

@@ -33,7 +33,6 @@ import (
 	"commfree/internal/exec"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
-	"commfree/internal/mars"
 	"commfree/internal/partition"
 	"commfree/internal/transform"
 )
@@ -48,19 +47,59 @@ var strategies = []partition.Strategy{
 	partition.Mars,
 }
 
-// computeFor dispatches partitioning by strategy: MARS has its own
-// pipeline (partition.Compute rejects it, like Selective).
-func computeFor(nest *loop.Nest, strat partition.Strategy) (*partition.Result, error) {
-	if strat == partition.Mars {
-		return mars.Compute(nest)
-	}
-	return partition.Compute(nest, strat)
-}
-
 // maxExecIterations bounds the nests on which the (comparatively
 // expensive) execution-equality properties run; the algebraic
 // properties run regardless.
 const maxExecIterations = 1 << 12
+
+// procs and cost are the machine every execution property runs on.
+const procs = 4
+
+var cost = machine.Transputer()
+
+// analyze builds the one evaluation context of a validated nest —
+// dependence analysis, dense index and redundancy oracle — that every
+// strategy's partition in a check is computed from
+// (pc.Compute(strat, dup, 0)).
+func analyze(nest *loop.Nest) (*partition.Context, error) {
+	pc, err := partition.NewContext(nest, nil, 0)
+	if err != nil {
+		return nil, fmt.Errorf("conformance: analysis failed: %w", err)
+	}
+	return pc, nil
+}
+
+// engines are the two executors the execution properties compare: the
+// map oracle and the kernel (whose report may be nil, see runKernel).
+var engines = []struct {
+	name string
+	run  func(res *partition.Result, opts exec.Options) (*exec.Report, error)
+}{
+	{"oracle", func(res *partition.Result, opts exec.Options) (*exec.Report, error) {
+		return exec.ParallelOpts(res, procs, cost, opts)
+	}},
+	{"kernel", runKernel},
+}
+
+// runKernel builds the kernel of a partition and runs it. A nest beyond
+// the dense caps has no kernel — (nil, nil): the oracle run stands alone
+// — while a partition that compiles but fails to specialize or to run is
+// an error.
+func runKernel(res *partition.Result, opts exec.Options) (*exec.Report, error) {
+	prog, err := exec.CompilePartition(res)
+	if err != nil {
+		return nil, nil
+	}
+	kern, err := prog.Specialize(res, procs)
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %s: kernel specialization failed: %w", res.Strategy, err)
+	}
+	rep, err := kern.Run(cost, opts)
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %s: kernel parallel execution failed: %w", res.Strategy, err)
+	}
+	return rep, nil
+}
 
 // CheckNest runs the full conformance suite on one nest, running the
 // parallel-execution property under the Duplicate strategy. A nil
@@ -75,9 +114,13 @@ func Check(nest *loop.Nest, execStrat partition.Strategy) error {
 	if err := nest.Validate(); err != nil {
 		return fmt.Errorf("conformance: input nest invalid: %w", err)
 	}
+	pc, err := analyze(nest)
+	if err != nil {
+		return err
+	}
 	results := make(map[partition.Strategy]*partition.Result, len(strategies))
 	for _, strat := range strategies {
-		res, err := computeFor(nest, strat)
+		res, err := pc.Compute(strat, nil, 0)
 		if err != nil {
 			return fmt.Errorf("conformance: %s: partition failed: %w", strat, err)
 		}
@@ -95,7 +138,7 @@ func Check(nest *loop.Nest, execStrat partition.Strategy) error {
 	if err := checkInclusions(results); err != nil {
 		return err
 	}
-	if err := checkMars(nest, results); err != nil {
+	if err := checkMars(pc, results); err != nil {
 		return err
 	}
 	if nest.NumIterations() > maxExecIterations {
@@ -176,7 +219,7 @@ func checkInclusions(results map[partition.Strategy]*partition.Result) error {
 //     feed redundant work;
 //   - it therefore never exceeds Selective's redundant-copy volume,
 //     for any per-array duplication subset.
-func checkMars(nest *loop.Nest, results map[partition.Strategy]*partition.Result) error {
+func checkMars(pc *partition.Context, results map[partition.Strategy]*partition.Result) error {
 	mres := results[partition.Mars]
 	for _, strat := range strategies {
 		if strat == partition.Mars {
@@ -191,7 +234,7 @@ func checkMars(nest *loop.Nest, results map[partition.Strategy]*partition.Result
 	if mv != 0 {
 		return fmt.Errorf("conformance: mars redundant-copy volume = %d, want 0", mv)
 	}
-	arrays := nest.Arrays()
+	arrays := pc.Index.Arrays
 	if len(arrays) > 3 {
 		return nil // subset sweep is exponential; the ≤-Selective bound follows from mv = 0
 	}
@@ -202,7 +245,7 @@ func checkMars(nest *loop.Nest, results map[partition.Strategy]*partition.Result
 				dup[a] = true
 			}
 		}
-		sel, err := partition.ComputeSelective(nest, dup)
+		sel, err := pc.Compute(partition.Selective, dup, 0)
 		if err != nil {
 			return fmt.Errorf("conformance: selective %v: partition failed: %w", dup, err)
 		}
@@ -240,8 +283,6 @@ func checkSequentialAgreement(nest *loop.Nest, results map[partition.Strategy]*p
 // demands the exact sequential state with zero inter-node traffic, and
 // a kernel report indistinguishable from the oracle's.
 func checkParallelExecution(nest *loop.Nest, res *partition.Result) error {
-	const procs = 4
-	cost := machine.Transputer()
 	want := exec.Sequential(nest, nil)
 
 	rep, err := exec.Parallel(res, procs, cost)
@@ -255,18 +296,9 @@ func checkParallelExecution(nest *loop.Nest, res *partition.Result) error {
 		return fmt.Errorf("conformance: %s: oracle parallel state diverges: %w", res.Strategy, err)
 	}
 
-	if prog, cerr := exec.CompileNest(nest, res.Redundant); cerr == nil {
-		kern, serr := prog.Specialize(res, procs)
-		if serr != nil {
-			return fmt.Errorf("conformance: %s: kernel specialization failed: %w", res.Strategy, serr)
-		}
-		krep, err := kern.Run(cost, exec.Options{})
-		if err != nil {
-			return fmt.Errorf("conformance: %s: kernel parallel execution failed: %w", res.Strategy, err)
-		}
-		if err := compareReports(res.Strategy, "kernel vs oracle", krep, rep); err != nil {
-			return err
-		}
+	krep, err := runKernel(res, exec.Options{})
+	if err != nil || krep == nil {
+		return err
 	}
-	return nil
+	return compareReports(res.Strategy, "kernel vs oracle", krep, rep)
 }

@@ -28,7 +28,6 @@ import (
 	"commfree/internal/exec"
 	"commfree/internal/lang"
 	"commfree/internal/loop"
-	"commfree/internal/machine"
 	"commfree/internal/normalize"
 	"commfree/internal/partition"
 )
@@ -93,61 +92,48 @@ func checkGrounding(a *lang.AffineNest, res *normalize.Result, symVals map[strin
 // and that a chaos schedule replayed on both sides cannot tell them
 // apart.
 func checkNormalizedExecution(nest, twin *loop.Nest, chaosSeed int64) error {
-	const procs = 4
-	cost := machine.Transputer()
 	want := exec.Sequential(nest, nil)
+	npc, err := analyze(nest)
+	if err != nil {
+		return err
+	}
+	tpc, err := analyze(twin)
+	if err != nil {
+		return err
+	}
 
 	for _, strat := range strategies {
-		nres, err := computeFor(nest, strat)
+		nres, err := npc.Compute(strat, nil, 0)
 		if err != nil {
 			return fmt.Errorf("conformance: %s: partition of normalized nest failed: %w", strat, err)
 		}
-		tres, err := computeFor(twin, strat)
+		tres, err := tpc.Compute(strat, nil, 0)
 		if err != nil {
 			return fmt.Errorf("conformance: %s: partition of twin failed: %w", strat, err)
 		}
 
-		nrep, err := exec.Parallel(nres, procs, cost)
-		if err != nil {
-			return fmt.Errorf("conformance: %s: oracle execution of normalized nest failed: %w", strat, err)
-		}
-		trep, err := exec.Parallel(tres, procs, cost)
-		if err != nil {
-			return fmt.Errorf("conformance: %s: oracle execution of twin failed: %w", strat, err)
-		}
-		if err := exec.Equal(nrep.Final, want); err != nil {
-			return fmt.Errorf("conformance: %s: oracle parallel state diverges from sequential: %w", strat, err)
-		}
-		if err := compareReports(strat, "oracle, normalized nest vs twin", nrep, trep); err != nil {
-			return err
-		}
-
-		nprog, nerr := exec.CompileNest(nest, nres.Redundant)
-		tprog, terr := exec.CompileNest(twin, tres.Redundant)
-		if (nerr == nil) != (terr == nil) {
-			return fmt.Errorf("conformance: %s: dense compilability differs: normalized %v, twin %v", strat, nerr, terr)
-		}
-		if nerr == nil {
-			nkern, err := nprog.Specialize(nres, procs)
+		// Each engine runs both sides: the normalized nest must reproduce
+		// the sequential state, and the twin must be indistinguishable
+		// from it.
+		for _, engine := range engines {
+			nrep, err := engine.run(nres, exec.Options{})
 			if err != nil {
-				return fmt.Errorf("conformance: %s: kernel specialization of normalized nest failed: %w", strat, err)
+				return fmt.Errorf("conformance: %s: %s execution of normalized nest failed: %w", strat, engine.name, err)
 			}
-			tkern, err := tprog.Specialize(tres, procs)
+			trep, err := engine.run(tres, exec.Options{})
 			if err != nil {
-				return fmt.Errorf("conformance: %s: kernel specialization of twin failed: %w", strat, err)
+				return fmt.Errorf("conformance: %s: %s execution of twin failed: %w", strat, engine.name, err)
 			}
-			nkrep, err := nkern.Run(cost, exec.Options{})
-			if err != nil {
-				return fmt.Errorf("conformance: %s: kernel execution of normalized nest failed: %w", strat, err)
+			if (nrep == nil) != (trep == nil) {
+				return fmt.Errorf("conformance: %s: dense compilability differs: normalized %v, twin %v", strat, nrep != nil, trep != nil)
 			}
-			tkrep, err := tkern.Run(cost, exec.Options{})
-			if err != nil {
-				return fmt.Errorf("conformance: %s: kernel execution of twin failed: %w", strat, err)
+			if nrep == nil {
+				continue
 			}
-			if err := exec.Equal(nkrep.Final, want); err != nil {
-				return fmt.Errorf("conformance: %s: kernel parallel state diverges from sequential: %w", strat, err)
+			if err := exec.Equal(nrep.Final, want); err != nil {
+				return fmt.Errorf("conformance: %s: %s parallel state diverges from sequential: %w", strat, engine.name, err)
 			}
-			if err := compareReports(strat, "kernel, normalized nest vs twin", nkrep, tkrep); err != nil {
+			if err := compareReports(strat, engine.name+", normalized nest vs twin", nrep, trep); err != nil {
 				return err
 			}
 		}

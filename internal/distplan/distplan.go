@@ -26,7 +26,6 @@ import (
 	"commfree/internal/exec"
 	"commfree/internal/machine"
 	"commfree/internal/partition"
-	"commfree/internal/transform"
 )
 
 // StepKind is a distribution primitive.
@@ -87,22 +86,13 @@ type Plan struct {
 	first, consumers []int32
 }
 
-// Build derives the plan for a partitioning result on p processors. The
+// BuildFor derives the plan for a partitioning result under a block
+// placement (assign.Place(res.Iter.Q, p), or an assignment's). The
 // consumer set of an element is the set of processors whose iterations
 // read it (redundant computations excluded under minimal strategies).
-func Build(res *partition.Result, p int) (*Plan, *transform.Transformed, *assign.Assignment, error) {
-	tr, err := transform.Transform(res.Iter.Nest, res.Psi)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	asg := assign.Assign(tr, p)
-	return BuildFor(res, asg), tr, asg, nil
-}
-
-// BuildFor is Build under an assignment the caller already derived.
-func BuildFor(res *partition.Result, asg *assign.Assignment) *Plan {
+func BuildFor(res *partition.Result, place assign.Placement) *Plan {
 	ix, red, blocks := res.Iter.Index, res.Redundant, res.Iter.Blocks
-	used := asg.NumProcessors()
+	used := place.NumProcessors()
 	plan := &Plan{Nodes: used, BlockNode: make([]int, len(blocks)), res: res}
 
 	// Pass 1, block by block: every (element, reading block) pair once.
@@ -111,7 +101,7 @@ func BuildFor(res *partition.Result, asg *assign.Assignment) *Plan {
 	stamp := make([]int32, ix.NumElems()) // last block (1-based) that read the element
 	plan.first = make([]int32, ix.NumElems()+1)
 	for bi, b := range blocks {
-		plan.BlockNode[bi] = asg.OwnerOf(b.Base)
+		plan.BlockNode[bi] = place.OwnerOf(b.Base)
 		for _, pos := range b.Pos {
 			row := ix.Row(int(pos))
 			for s := range res.Iter.Nest.Body {
@@ -283,81 +273,12 @@ func (p *Plan) String() string {
 // plan-based distribution (multicast groups instead of per-node
 // unicasts), returning the plan alongside the report.
 func ParallelPlanned(res *partition.Result, p int, cost machine.CostModel) (*exec.Report, *Plan, error) {
-	plan, tr, asg, err := Build(res, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	used := asg.NumProcessors()
-	topo := machine.Mesh{P1: 1, P2: used}
-	if sq, err := machine.SquareMesh(used); err == nil {
-		topo = sq
-	}
-	mach := machine.New(topo, cost)
+	plan := BuildFor(res, assign.Place(res.Iter.Q, p))
+	mach := machine.New(machine.MeshFor(plan.Nodes), cost)
 	plan.Execute(mach)
-
-	nest := res.Iter.Nest
-	red := res.Redundant
-	// Every block runs wholly on its node, in original program order
-	// (intra-block flow requires writers before readers); copies are
-	// block-private, so the order of a node's blocks is immaterial.
-	perNode := make([][]*partition.Block, used)
-	for bi, b := range res.Iter.Blocks {
-		perNode[plan.BlockNode[bi]] = append(perNode[plan.BlockNode[bi]], b)
-	}
-	err = mach.Run(func(n *machine.Node) error {
-		for _, b := range perNode[n.ID] {
-			for _, it := range b.Iterations {
-				for si, st := range nest.Body {
-					if red != nil && red.IsRedundant(si, it) {
-						continue
-					}
-					vals := make([]float64, len(st.Reads))
-					for ri, r := range st.Reads {
-						v, err := n.Read(exec.BlockKey(b.ID, exec.Key(r.Array, r.Index(it))))
-						if err != nil {
-							return err
-						}
-						vals[ri] = v
-					}
-					n.Write(exec.BlockKey(b.ID, exec.Key(st.Write.Array, st.Write.Index(it))), st.EvalExpr(it, vals))
-				}
-				n.CountIteration()
-			}
-		}
-		return nil
-	})
+	rep, err := exec.RunDistributed(res, mach, plan.BlockNode, nil, exec.Options{})
 	if err != nil {
 		return nil, nil, err
-	}
-	type ownerInfo struct {
-		node  int
-		block int
-	}
-	owner := map[string]ownerInfo{}
-	for _, it := range nest.Iterations() {
-		blk := res.Iter.BlockOf(it).ID
-		id := plan.BlockNode[blk-1]
-		for si, st := range nest.Body {
-			if red != nil && red.IsRedundant(si, it) {
-				continue
-			}
-			owner[exec.Key(st.Write.Array, st.Write.Index(it))] = ownerInfo{node: id, block: blk}
-		}
-	}
-	final := map[string]float64{}
-	for k, o := range owner {
-		if v, ok := mach.Node(o.node).Value(exec.BlockKey(o.block, k)); ok {
-			final[k] = v
-		}
-	}
-	rep := &exec.Report{
-		Machine:    mach,
-		Transform:  tr,
-		Assignment: asg,
-		Final:      final,
-	}
-	for id := 0; id < used; id++ {
-		rep.IterationsPerNode = append(rep.IterationsPerNode, mach.Node(id).Stats().Iterations)
 	}
 	return rep, plan, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"commfree/internal/assign"
 	"commfree/internal/exec"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
@@ -20,10 +21,7 @@ func TestL5DoublePrimePlanDiscoversMulticast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, _, err := Build(res, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := BuildFor(res, assign.Place(res.Iter.Q, 4))
 	st := plan.Stats()
 	if st.Multicasts == 0 {
 		t.Errorf("no multicast groups discovered:\n%s", plan)
@@ -56,10 +54,7 @@ func TestBroadcastDiscovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, _, err := Build(res, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := BuildFor(res, assign.Place(res.Iter.Q, 4))
 	if plan.Stats().Broadcasts == 0 {
 		t.Errorf("W[1] should be broadcast:\n%s", plan)
 	}
@@ -137,10 +132,7 @@ func TestPlanRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, _, err := Build(res, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := BuildFor(res, assign.Place(res.Iter.Q, 4))
 	s := plan.String()
 	if !strings.Contains(s, "distribution plan") {
 		t.Errorf("rendering = %q", s)

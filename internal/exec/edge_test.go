@@ -104,10 +104,6 @@ func TestCompileCapOverflow(t *testing.T) {
 	}{
 		{"array_cells", &maxArrayCells, 8, "dense cells"},
 		{"total_cells", &maxTotalCells, 20, "combined array footprint"},
-		{"iter_volume", &maxRankedBits, 8, "iteration box volume"},
-		// 16 iterations fit, but 2 statements × 16 iterations of
-		// redundancy bits do not: the bitset-sizing overflow path.
-		{"ranked_bits", &maxRankedBits, 20, "redundancy bitsets"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -18,7 +18,6 @@ import (
 	"commfree/internal/machine"
 	"commfree/internal/partition"
 	"commfree/internal/redundant"
-	"commfree/internal/transform"
 )
 
 // Key names an array element in memory, e.g. "A[2 1]".
@@ -66,32 +65,7 @@ func InitValue(array string, idx []int64) float64 {
 // non-nil, redundant computations are skipped — by Section III.C this
 // leaves the final state unchanged.
 func Sequential(nest *loop.Nest, red *redundant.Result) map[string]float64 {
-	state := map[string]float64{}
-	readVal := func(array string, idx []int64) float64 {
-		k := Key(array, idx)
-		if v, ok := state[k]; ok {
-			return v
-		}
-		return InitValue(array, idx)
-	}
-	// One read-value scratch for the whole walk, sized to the widest
-	// statement; per-statement allocation here dominated the oracle's
-	// sequential profile.
-	scratch := make([]float64, maxReads(nest))
-	nest.Walk(func(it []int64) bool {
-		for si, st := range nest.Body {
-			if red != nil && red.IsRedundant(si, it) {
-				continue
-			}
-			vals := scratch[:len(st.Reads)]
-			for ri, r := range st.Reads {
-				vals[ri] = readVal(r.Array, r.Index(it))
-			}
-			state[Key(st.Write.Array, st.Write.Index(it))] = st.EvalExpr(it, vals)
-		}
-		return true
-	})
-	return state
+	return SequentialInit(nest, red, InitValue)
 }
 
 // SequentialInit is Sequential with an injectable initial-value function
@@ -108,6 +82,9 @@ func SequentialInit(nest *loop.Nest, red *redundant.Result, init func(array stri
 		}
 		return init(array, idx)
 	}
+	// One read-value scratch for the whole walk, sized to the widest
+	// statement; per-statement allocation here dominated the oracle's
+	// sequential profile.
 	scratch := make([]float64, maxReads(nest))
 	nest.Walk(func(it []int64) bool {
 		for si, st := range nest.Body {
@@ -138,9 +115,7 @@ func maxReads(nest *loop.Nest) int {
 
 // Report is the outcome of a parallel execution.
 type Report struct {
-	Machine    *machine.Machine
-	Transform  *transform.Transformed
-	Assignment *assign.Assignment
+	Machine *machine.Machine
 	// Final is the gathered array state (authoritative copies only).
 	Final map[string]float64
 	// IterationsPerNode is the per-node workload.
@@ -148,6 +123,18 @@ type Report struct {
 	// Chaos snapshots the injector's cumulative fault/retry counters at
 	// the end of the run (zero when no injector was attached).
 	Chaos chaos.Stats
+}
+
+// newReport snapshots a finished run on mach.
+func newReport(mach *machine.Machine, final map[string]float64, inj *chaos.Injector) *Report {
+	rep := &Report{Machine: mach, Final: final}
+	for id := 0; id < mach.NumNodes(); id++ {
+		rep.IterationsPerNode = append(rep.IterationsPerNode, mach.Node(id).Stats().Iterations)
+	}
+	if inj != nil {
+		rep.Chaos = inj.Stats()
+	}
+	return rep
 }
 
 // BlockKey namespaces an element key with the block that owns the copy.
@@ -170,64 +157,55 @@ func Parallel(res *partition.Result, p int, cost machine.CostModel) (*Report, er
 	return ParallelOpts(res, p, cost, Options{})
 }
 
-// ParallelOpts is the oracle scheduler under the full option set —
-// budget, tracing, and chaos injection. Under chaos, every block is an
-// atomic recovery unit: a deterministic failure schedule crashes
-// blocks mid-compute or post-commit, and the executor retries each at
-// block granularity from a checkpoint of its write footprint, which is
-// sound precisely because communication-free blocks never share cells.
-func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Options) (*Report, error) {
-	nest := res.Iter.Nest
-	budget, trc, parent, inj := opts.Budget, opts.Trace, opts.Parent, opts.Chaos
-	tr, err := transform.Transform(nest, res.Psi)
-	if err != nil {
-		return nil, err
+// placeBlocks puts every block on the processor of its base point —
+// Section IV's (Q·b̄_j) mod (p₁,…,p_k) — and lists each processor's
+// blocks (indexes into res.Iter.Blocks, ascending). The forall point is
+// constant across a coset block (Q ⊥ Ψ), so this is the per-iteration
+// owner; MARS blocks group iterations across forall points and must not
+// be split, so block granularity is the only correct choice there.
+func placeBlocks(res *partition.Result, p int) (blockNode []int, perNode [][]int) {
+	place := assign.Place(res.Iter.Q, p)
+	blockNode = make([]int, len(res.Iter.Blocks))
+	perNode = make([][]int, place.NumProcessors())
+	for bi, b := range res.Iter.Blocks {
+		id := place.OwnerOf(b.Base)
+		blockNode[bi] = id
+		perNode[id] = append(perNode[id], bi)
 	}
-	asg := assign.Assign(tr, p)
-	used := asg.NumProcessors()
-	topo := machine.Mesh{P1: 1, P2: used}
-	if sq, err := machine.SquareMesh(used); err == nil {
-		topo = sq
-	}
-	mach := machine.New(topo, cost)
-	mach.EnableTrace()
-	if inj != nil {
-		mach.SetFaultInjector(inj)
-	}
+	return blockNode, perNode
+}
 
-	// Per-node block lists. The forall point is constant across a block
-	// (the transformation projects Ψ out), so one OwnerID lookup per
-	// block replaces a walk of the whole iteration space, and each
-	// block's already-partitioned iteration list is shared rather than
-	// re-materialized.
-	perNode := make([][]*partition.Block, used)
-	for _, b := range res.Iter.Blocks {
-		id := asg.OwnerOf(b.Base)
-		perNode[id] = append(perNode[id], b)
+// ParallelOpts is the oracle scheduler under the full option set —
+// budget, tracing, and chaos injection: per-node unicast distribution,
+// then RunDistributed.
+func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Options) (*Report, error) {
+	nest, red, ix, blocks := res.Iter.Nest, res.Redundant, res.Iter.Index, res.Iter.Blocks
+	blockNode, perNode := placeBlocks(res, p)
+	mach := machine.New(machine.MeshFor(len(perNode)), cost)
+	mach.EnableTrace()
+	if opts.Chaos != nil {
+		mach.SetFaultInjector(opts.Chaos)
 	}
 
 	// Distribution: every element a block reads is preloaded into its
 	// node under the block's private key. Charged as one pipelined
-	// unicast per node. Block IDs are dense and 1-based, so b.ID-1
-	// indexes per-block accounting.
-	red := res.Redundant
-	dsp := trc.Start(parent, "distribute")
+	// unicast per node.
+	dsp := opts.Trace.Start(opts.Parent, "distribute")
 	var bwords []int
-	if dsp.OK() {
-		bwords = make([]int, len(res.Iter.Blocks))
-	}
 	var msgs, words int
 	var secs float64
 	if dsp.OK() {
+		bwords = make([]int, len(blocks))
 		mach.SetChargeHook(func(_, m, w int, s float64) { msgs += m; words += w; secs += s })
 	}
 	for id, blks := range perNode {
 		elems := map[string]float64{}
-		for _, b := range blks {
-			before := len(elems)
-			for _, it := range b.Iterations {
+		for _, bi := range blks {
+			b, before := blocks[bi], len(elems)
+			for _, pos := range b.Pos {
+				it := ix.Points[pos]
 				for si, st := range nest.Body {
-					if red != nil && red.IsRedundant(si, it) {
+					if red != nil && red.RedundantAt(si, int(pos)) {
 						continue
 					}
 					for _, r := range st.Reads {
@@ -239,7 +217,7 @@ func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Opt
 			if bwords != nil {
 				// BlockKey namespaces every entry, so growth since
 				// `before` is exactly this block's word count.
-				bwords[b.ID-1] = len(elems) - before
+				bwords[bi] = len(elems) - before
 			}
 		}
 		data := make([]machine.Datum, 0, len(elems))
@@ -255,17 +233,41 @@ func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Opt
 		dsp.SetInt("sim_ns", int64(secs*1e9))
 	}
 	dsp.End()
+	return RunDistributed(res, mach, blockNode, bwords, opts)
+}
 
-	// Parallel execution against private block copies. The oracle runs
-	// one goroutine per node, so worker id == node id in block spans.
-	bt := newBlockTrace(trc, parent, len(res.Iter.Blocks))
-	err = mach.Run(func(n *machine.Node) error {
+// RunDistributed is the oracle once distribution is done: every block's
+// read set sits on node blockNode[bi] of mach under the block's private
+// keys (BlockKey), however it got there — ParallelOpts unicasts it, a
+// distribution plan multicasts it. The blocks run, one goroutine per
+// node, and the final state is gathered from the block holding each
+// element's globally last write. blockWords[bi] is the word count the
+// block's span reports; it is read only when opts carries a trace.
+//
+// Under chaos, every block is an atomic recovery unit: a deterministic
+// failure schedule crashes blocks mid-compute or post-commit, and each
+// is retried at block granularity from a checkpoint of its write
+// footprint, which is sound precisely because communication-free blocks
+// never share cells.
+func RunDistributed(res *partition.Result, mach *machine.Machine, blockNode, blockWords []int, opts Options) (*Report, error) {
+	nest, red, ix, blocks := res.Iter.Nest, res.Redundant, res.Iter.Index, res.Iter.Blocks
+	inj := opts.Chaos
+	perNode := make([][]int, mach.NumNodes())
+	for bi, id := range blockNode {
+		perNode[id] = append(perNode[id], bi)
+	}
+
+	// The oracle runs one goroutine per node, so worker id == node id in
+	// block spans.
+	bt := newBlockTrace(opts.Trace, opts.Parent, len(blocks))
+	err := mach.Run(func(n *machine.Node) error {
 		var last time.Duration
 		if bt != nil {
 			last = bt.tr.Since()
 		}
-		for _, b := range perNode[n.ID] {
-			if err := runOracleBlock(nest, red, n, b, budget, inj, opts.maxRetries()); err != nil {
+		for _, bi := range perNode[n.ID] {
+			b := blocks[bi]
+			if err := runOracleBlock(res, n, b, opts); err != nil {
 				return err
 			}
 			if d := inj.NodeDelayS(n.ID); d > 0 {
@@ -273,7 +275,7 @@ func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Opt
 			}
 			if bt != nil {
 				now := bt.tr.Since()
-				bt.record(b.ID-1, b.ID, n.ID, n.ID, int64(len(b.Iterations)), bwords[b.ID-1], last, now)
+				bt.record(bi, b.ID, n.ID, n.ID, int64(b.Size()), blockWords[bi], last, now)
 				last = now
 			}
 		}
@@ -285,51 +287,35 @@ func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Opt
 	bt.publish()
 
 	// Ownership: the block performing the globally last (non-redundant)
-	// write holds the authoritative copy; gather from its node.
+	// write — the largest (position, statement) — holds the
+	// authoritative copy; gather from its node.
 	type ownerInfo struct {
-		node  int
 		block int
-	}
-	// Node placement is block-granular (a block runs wholly on the node
-	// of its base point): for the coset strategies every iteration of a
-	// block projects to the same forall point, so this is identical to
-	// per-iteration lookup, but MARS blocks group iterations across
-	// forall points and must not be split.
-	blockNode := make(map[int]int, len(res.Iter.Blocks))
-	for _, b := range res.Iter.Blocks {
-		blockNode[b.ID] = asg.OwnerOf(b.Base)
+		at    int64
 	}
 	owner := map[string]ownerInfo{}
-	nest.Walk(func(it []int64) bool {
-		blk := res.Iter.BlockOf(it).ID
-		id := blockNode[blk]
-		for si, st := range nest.Body {
-			if red != nil && red.IsRedundant(si, it) {
-				continue
+	nstmts := int64(len(nest.Body))
+	for bi, b := range blocks {
+		for _, pos := range b.Pos {
+			it := ix.Points[pos]
+			for si, st := range nest.Body {
+				if red != nil && red.RedundantAt(si, int(pos)) {
+					continue
+				}
+				k, at := Key(st.Write.Array, st.Write.Index(it)), int64(pos)*nstmts+int64(si)
+				if o, ok := owner[k]; !ok || at > o.at {
+					owner[k] = ownerInfo{block: bi, at: at}
+				}
 			}
-			owner[Key(st.Write.Array, st.Write.Index(it))] = ownerInfo{node: id, block: blk}
 		}
-		return true
-	})
+	}
 	final := map[string]float64{}
 	for k, o := range owner {
-		if v, ok := mach.Node(o.node).Value(BlockKey(o.block, k)); ok {
+		if v, ok := mach.Node(blockNode[o.block]).Value(BlockKey(blocks[o.block].ID, k)); ok {
 			final[k] = v
 		}
 	}
-	rep := &Report{
-		Machine:    mach,
-		Transform:  tr,
-		Assignment: asg,
-		Final:      final,
-	}
-	for id := 0; id < used; id++ {
-		rep.IterationsPerNode = append(rep.IterationsPerNode, mach.Node(id).Stats().Iterations)
-	}
-	if inj != nil {
-		rep.Chaos = inj.Stats()
-	}
-	return rep, nil
+	return newReport(mach, final, inj), nil
 }
 
 // runOracleBlock executes one block on its node. With no injector it is
@@ -337,15 +323,18 @@ func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Opt
 // bounded retry loop around the same pass, with a checkpoint of the
 // block's write-set image taken up front so a crashed attempt's partial
 // writes can be rolled back before the re-run.
-func runOracleBlock(nest *loop.Nest, red *redundant.Result, n *machine.Node, b *partition.Block, budget *machine.Budget, inj *chaos.Injector, maxRetries int) error {
+func runOracleBlock(res *partition.Result, n *machine.Node, b *partition.Block, opts Options) error {
+	nest, red, pts := res.Iter.Nest, res.Redundant, res.Iter.Index.Points
+	inj, size := opts.Chaos, int64(b.Size())
 	scratch := make([]float64, maxReads(nest))
 	run := func(count int64) error {
-		for _, it := range b.Iterations[:count] {
-			if err := budget.Spend(1); err != nil {
+		for _, pos := range b.Pos[:count] {
+			if err := opts.Budget.Spend(1); err != nil {
 				return err
 			}
+			it := pts[pos]
 			for si, st := range nest.Body {
-				if red != nil && red.IsRedundant(si, it) {
+				if red != nil && red.RedundantAt(si, int(pos)) {
 					continue
 				}
 				vals := scratch[:len(st.Reads)]
@@ -363,7 +352,7 @@ func runOracleBlock(nest *loop.Nest, red *redundant.Result, n *machine.Node, b *
 		return nil
 	}
 	if inj == nil {
-		return run(int64(len(b.Iterations)))
+		return run(size)
 	}
 
 	// Checkpoint: the pre-execution image of the block's write set.
@@ -379,12 +368,12 @@ func runOracleBlock(nest *loop.Nest, red *redundant.Result, n *machine.Node, b *
 	}
 	var cps []cpEntry
 	seen := map[string]bool{}
-	for _, it := range b.Iterations {
+	for _, pos := range b.Pos {
 		for si, st := range nest.Body {
-			if red != nil && red.IsRedundant(si, it) {
+			if red != nil && red.RedundantAt(si, int(pos)) {
 				continue
 			}
-			k := BlockKey(b.ID, Key(st.Write.Array, st.Write.Index(it)))
+			k := BlockKey(b.ID, Key(st.Write.Array, st.Write.Index(pts[pos])))
 			if !seen[k] {
 				seen[k] = true
 				v, ok := n.Value(k)
@@ -398,7 +387,7 @@ func runOracleBlock(nest *loop.Nest, red *redundant.Result, n *machine.Node, b *
 		fail, post := inj.BlockFault(b.ID, attempt)
 		if !fail {
 			if !done {
-				return run(int64(len(b.Iterations)))
+				return run(size)
 			}
 			return nil
 		}
@@ -409,14 +398,14 @@ func runOracleBlock(nest *loop.Nest, red *redundant.Result, n *machine.Node, b *
 		case post:
 			// Crash after the commit point: the work is durable; mark it
 			// so later attempts skip instead of double-executing.
-			if err := run(int64(len(b.Iterations))); err != nil {
+			if err := run(size); err != nil {
 				return err
 			}
 			done = true
 		default:
 			// Mid-compute crash: a deterministic prefix of the block
 			// runs, then the checkpoint rolls its writes back.
-			if err := run(inj.Cut(b.ID, attempt, int64(len(b.Iterations)))); err != nil {
+			if err := run(inj.Cut(b.ID, attempt, size)); err != nil {
 				return err
 			}
 			for i := len(cps) - 1; i >= 0; i-- {
@@ -426,7 +415,7 @@ func runOracleBlock(nest *loop.Nest, red *redundant.Result, n *machine.Node, b *
 			}
 		}
 		inj.CountRetry()
-		if attempt+1 > maxRetries {
+		if attempt+1 > opts.maxRetries() {
 			return &chaos.FaultError{Node: n.ID, Block: b.ID, Attempt: attempt}
 		}
 	}

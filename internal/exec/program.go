@@ -10,10 +10,10 @@ package exec
 //   - every reference's affine index function H·ī + c̄ is composed with
 //     the buffer linearization into a single base+stride offset
 //     function off(ī) = base + Σ coeffs[j]·ī[j];
-//   - redundant computations (Section III.C) are pre-resolved into
-//     per-statement bitsets indexed by the iteration's rank in the
-//     bounding box of the iteration space, so the hot loop tests a bit
-//     instead of formatting a map key.
+//   - an iteration is its position in lexicographic order, the
+//     coordinate of the partition's Index: a redundant computation
+//     (Section III.C) is a bit of the oracle at (statement, position), a
+//     later computation is a larger (position, statement).
 //
 // The map-based Sequential/Parallel stay as the reference oracle; the
 // differential tests prove Program.Sequential and the kernel produce
@@ -24,6 +24,7 @@ import (
 	"strconv"
 
 	"commfree/internal/loop"
+	"commfree/internal/partition"
 	"commfree/internal/redundant"
 )
 
@@ -37,9 +38,6 @@ var (
 	maxArrayCells int64 = 1 << 24
 	// maxTotalCells bounds the sum over arrays (512 MiB of float64).
 	maxTotalCells int64 = 1 << 26
-	// maxRankedBits bounds Σ statements × iteration-box volume, the
-	// total redundancy-bitset size (128 MiB of bits).
-	maxRankedBits int64 = 1 << 30
 )
 
 // arrayLayout is the dense storage plan of one array: a row-major box
@@ -71,65 +69,55 @@ type compiledStmt struct {
 }
 
 // Program is a loop nest resolved to dense storage: the footprint
-// layouts, the rank-indexed redundancy bitsets, the sequential
-// reference (Sequential), and the input Specialize lowers from. It is
-// read-only after CompileNest and safe for concurrent use.
+// layouts, the sequential reference (Sequential), and the input
+// Specialize lowers from. It is read-only after compilation and safe
+// for concurrent use.
 type Program struct {
 	Nest *loop.Nest
-	Red  *redundant.Result
+	Red  *redundant.Result // nil when no elimination is in force
 
 	arrays   []*arrayLayout
 	stmts    []compiledStmt
-	iters    int64 // exact iteration count
 	maxReads int
-
-	// iter ranks the iteration bounding box. Ranks preserve
-	// lexicographic order, so "globally later computation" reduces to
-	// comparing integers — the dense replacement for walking the whole
-	// space to find each element's last writer.
-	iter loop.Ranker
-
-	// redundantBits[si] marks the redundant iterations of statement si,
-	// indexed by rank. Nil when no elimination is in force.
-	redundantBits [][]uint64
 }
 
-// isRedundant reports whether computation S_si(ī) was eliminated.
-func (p *Program) isRedundant(si int, it []int64) bool {
-	if p.redundantBits == nil {
-		return false
-	}
-	r := p.iter.Rank(it)
-	return p.redundantBits[si][r>>6]&(1<<uint(r&63)) != 0
+// isRedundant reports whether statement si was eliminated at the
+// iteration with the given position in lexicographic order.
+func (p *Program) isRedundant(si, pos int) bool {
+	return p.Red != nil && p.Red.RedundantAt(si, pos)
 }
 
 // CompileNest compiles a validated nest (with optional redundant-
-// computation elimination) for dense execution. The result is shared
-// freely across goroutines.
+// computation elimination) for dense execution. The footprint is the
+// redundancy oracle's when there is one, else one streaming walk of the
+// nest; a caller that holds the nest's partition uses CompilePartition,
+// which walks nothing.
 func CompileNest(nest *loop.Nest, red *redundant.Result) (*Program, error) {
 	if err := nest.Validate(); err != nil {
 		return nil, err
 	}
-	// The footprint — iteration box, per-array element boxes, every
-	// reference composed with its box's ranking — is the redundancy
-	// oracle's when there is one, else one streaming walk. Redundant
-	// iterations are included: covering more box than strictly needed
-	// costs memory, never correctness.
-	var fp *loop.Footprint
 	if red != nil && red.Nest == nest {
-		fp = red.Index.Footprint
-	} else {
-		var err error
-		if fp, err = nest.Footprint(); err != nil {
-			return nil, err
-		}
+		return compile(nest, red, red.Index.Footprint)
 	}
-	p := &Program{Nest: nest, Red: red, iters: fp.Count, iter: fp.Iter}
-	if p.iter.Volume > maxRankedBits {
-		return nil, fmt.Errorf("exec: iteration box volume exceeds %d", int64(maxRankedBits))
+	fp, err := nest.Footprint()
+	if err != nil {
+		return nil, err
 	}
+	return compile(nest, red, fp)
+}
 
-	// Build the layouts and pre-fill the initial values.
+// CompilePartition compiles the nest of a partition from the footprint
+// its Index already holds.
+func CompilePartition(res *partition.Result) (*Program, error) {
+	return compile(res.Iter.Nest, res.Redundant, res.Iter.Index.Footprint)
+}
+
+// compile lays the nest out on its footprint — per-array element boxes,
+// every reference composed with its box's ranking. Redundant iterations
+// are included: covering more box than strictly needed costs memory,
+// never correctness.
+func compile(nest *loop.Nest, red *redundant.Result, fp *loop.Footprint) (*Program, error) {
+	p := &Program{Nest: nest, Red: red, maxReads: maxReads(nest)}
 	var totalCells int64
 	for i, name := range fp.Arrays {
 		lay := &arrayLayout{name: name, Ranker: fp.Elems[i]}
@@ -148,33 +136,6 @@ func CompileNest(nest *loop.Nest, red *redundant.Result) (*Program, error) {
 	for si, st := range nest.Body {
 		w := fp.First[si+1] - 1
 		p.stmts = append(p.stmts, compiledStmt{st: st, write: fp.Slots[w], reads: fp.Slots[fp.First[si]:w]})
-		if len(st.Reads) > p.maxReads {
-			p.maxReads = len(st.Reads)
-		}
-	}
-
-	// Redundancy bitsets: re-index the oracle's per-position bits by rank
-	// so the hot loop tests a bit without locating the iteration.
-	if red != nil {
-		if v := p.iter.Volume * int64(len(p.stmts)); v > maxRankedBits {
-			return nil, fmt.Errorf("exec: redundancy bitsets would need %d bits, cap %d", v, int64(maxRankedBits))
-		}
-		words := (p.iter.Volume + 63) / 64
-		p.redundantBits = make([][]uint64, len(p.stmts))
-		for si := range p.stmts {
-			p.redundantBits[si] = make([]uint64, words)
-		}
-		pos := 0
-		nest.Walk(func(it []int64) bool {
-			r := p.iter.Rank(it)
-			for si := range p.stmts {
-				if red.RedundantAt(si, pos) {
-					p.redundantBits[si][r>>6] |= 1 << uint(r&63)
-				}
-			}
-			pos++
-			return true
-		})
 	}
 	return p, nil
 }
@@ -218,10 +179,11 @@ func (p *Program) Sequential() map[string]float64 {
 		written[i] = make([]bool, lay.Volume)
 	}
 	scratch := make([]float64, p.maxReads)
+	pos := 0 // Walk visits the iterations in position order
 	p.Nest.Walk(func(it []int64) bool {
 		for si := range p.stmts {
 			cs := &p.stmts[si]
-			if p.isRedundant(si, it) {
+			if p.isRedundant(si, pos) {
 				continue
 			}
 			vals := scratch[:len(cs.reads)]
@@ -233,6 +195,7 @@ func (p *Program) Sequential() map[string]float64 {
 			bufs[cs.write.Array][off] = cs.st.EvalExpr(it, vals)
 			written[cs.write.Array][off] = true
 		}
+		pos++
 		return true
 	})
 	count := 0

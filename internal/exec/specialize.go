@@ -1,11 +1,11 @@
 package exec
 
 // The kernel engine. Specialize fuses everything an interpreting
-// executor re-derives on every run — the space transformation, the
-// cyclic assignment, the block prepass (ownership, distribution words,
-// disjointness), and the per-iteration interpretation — into a flat
-// kernel.Plan computed exactly once per (program, partition,
-// processors) triple. A specialized Kernel then executes with
+// executor re-derives on every run — the cyclic block placement, the
+// block prepass (ownership, distribution words, disjointness), and the
+// per-iteration interpretation — into a flat kernel.Plan computed
+// exactly once per (program, partition, processors) triple. A
+// specialized Kernel then executes with
 //
 //   - no odometer: block iteration lists are lowered to straight-line
 //     segments whose offsets advance by precomputed scalar strides;
@@ -42,26 +42,20 @@ import (
 	"sync"
 	"time"
 
-	"commfree/internal/assign"
 	"commfree/internal/chaos"
 	"commfree/internal/exec/kernel"
 	"commfree/internal/machine"
 	"commfree/internal/obs"
 	"commfree/internal/partition"
-	"commfree/internal/transform"
 )
 
 // Kernel is a Program specialized against one partition result and
 // processor count. It is read-only after Specialize (the arena pool is
 // internally synchronized) and safe for concurrent Run calls.
 type Kernel struct {
-	prog  *Program
-	res   *partition.Result
-	procs int
+	prog *Program
+	res  *partition.Result
 
-	tr   *transform.Transformed
-	asg  *assign.Assignment
-	used int
 	topo machine.Mesh
 	st   *blockStats
 	dup  bool
@@ -104,17 +98,7 @@ func (prog *Program) Specialize(res *partition.Result, p int) (*Kernel, error) {
 	if res.Redundant != prog.Red {
 		return nil, fmt.Errorf("exec: partition and program disagree on redundant-computation elimination")
 	}
-	tr, err := transform.Transform(prog.Nest, res.Psi)
-	if err != nil {
-		return nil, err
-	}
-	asg := assign.Assign(tr, p)
-	used := asg.NumProcessors()
-	topo := machine.Mesh{P1: 1, P2: used}
-	if sq, err := machine.SquareMesh(used); err == nil {
-		topo = sq
-	}
-	st, err := prog.prepass(res, tr, asg, used)
+	st, err := prog.prepass(res, p)
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +107,8 @@ func (prog *Program) Specialize(res *partition.Result, p int) (*Kernel, error) {
 		return nil, err
 	}
 	k := &Kernel{
-		prog: prog, res: res, procs: p,
-		tr: tr, asg: asg, used: used, topo: topo, st: st,
+		prog: prog, res: res,
+		topo: machine.MeshFor(len(st.perNode)), st: st,
 		dup: res.AllowsDuplication(), plan: plan,
 	}
 	k.buildGather()
@@ -149,16 +133,17 @@ type blockStats struct {
 // words, and per-element write ownership. For non-duplicate strategies
 // it also asserts that block footprints are disjoint — the property
 // that lets the execution phase skip locking entirely.
-func (prog *Program) prepass(res *partition.Result, tr *transform.Transformed, asg *assign.Assignment, used int) (*blockStats, error) {
-	blocks := res.Iter.Blocks
+func (prog *Program) prepass(res *partition.Result, p int) (*blockStats, error) {
+	blocks, pts := res.Iter.Blocks, res.Iter.Index.Points
 	if len(blocks) > 1<<30 {
 		return nil, fmt.Errorf("exec: %d blocks exceed the kernel scheduler's range", len(blocks))
 	}
 	dupOK := res.AllowsDuplication()
+	blockNode, perNode := placeBlocks(res, p)
 	st := &blockStats{
-		perNode: make([][]int, used),
+		perNode: perNode,
 		iters:   make([]int64, len(blocks)),
-		words:   make([]int, used),
+		words:   make([]int, len(perNode)),
 		bwords:  make([]int, len(blocks)),
 		owner:   make([][]int32, len(prog.arrays)),
 	}
@@ -178,17 +163,14 @@ func (prog *Program) prepass(res *partition.Result, tr *transform.Transformed, a
 	}
 	nstmts := int64(len(prog.stmts))
 	for bi, b := range blocks {
-		// The forall point is constant across a block (Q ⊥ Ψ), so the
-		// base iteration names the owning processor.
-		node := asg.OwnerOf(b.Base)
-		st.perNode[node] = append(st.perNode[node], bi)
-		st.iters[bi] = int64(len(b.Iterations))
+		node := blockNode[bi]
+		st.iters[bi] = int64(b.Size())
 		seq := int32(bi)
-		for _, it := range b.Iterations {
-			rank := prog.iter.Rank(it)
+		for _, pos := range b.Pos {
+			it := pts[pos]
 			for si := range prog.stmts {
 				cs := &prog.stmts[si]
-				if prog.isRedundant(si, it) {
+				if prog.isRedundant(si, int(pos)) {
 					continue
 				}
 				for ri := range cs.reads {
@@ -210,7 +192,7 @@ func (prog *Program) prepass(res *partition.Result, tr *transform.Transformed, a
 				}
 				w := &cs.write
 				off := w.At(it)
-				key := rank*nstmts + int64(si)
+				key := int64(pos)*nstmts + int64(si) // later (position, statement) wins
 				if st.owner[w.Array][off] < 0 || key > bestKey[w.Array][off] {
 					bestKey[w.Array][off] = key
 					st.owner[w.Array][off] = seq
@@ -263,7 +245,7 @@ func (prog *Program) lower(res *partition.Result) (*kernel.Plan, error) {
 		pl.Stmts = append(pl.Stmts, ks)
 	}
 
-	blocks := res.Iter.Blocks
+	blocks, pts := res.Iter.Blocks, res.Iter.Index.Points
 	pl.BlockWR = make([][2]int32, len(blocks))
 	if pl.Multi {
 		pl.BlockRows = make([][2]int32, len(blocks))
@@ -273,25 +255,25 @@ func (prog *Program) lower(res *partition.Result) (*kernel.Plan, error) {
 	delta := make([]int64, n)
 	zero := make([]int64, n)
 	for bi, b := range blocks {
-		its := b.Iterations
-		if int64(len(its)) > 1<<31-1 {
+		pos := b.Pos // iteration t of the block is pts[pos[t]]
+		if int64(len(pos)) > 1<<31-1 {
 			return nil, fmt.Errorf("exec: block %d exceeds the kernel's iteration range", b.ID)
 		}
 		segStart, rowStart, wrStart := len(pl.Segs), len(pl.Rows), len(pl.WR)
-		for t0 := 0; t0 < len(its); {
+		for t0 := 0; t0 < len(pos); {
 			// Extend the run while consecutive iterations keep a
 			// constant vector delta.
 			t1 := t0 + 1
 			d := zero
-			if t1 < len(its) {
+			if t1 < len(pos) {
 				for j := 0; j < n; j++ {
-					delta[j] = its[t1][j] - its[t0][j]
+					delta[j] = pts[pos[t1]][j] - pts[pos[t0]][j]
 				}
 				d = delta
-				for t1 < len(its) {
+				for t1 < len(pos) {
 					same := true
 					for j := 0; j < n; j++ {
-						if its[t1][j]-its[t1-1][j] != d[j] {
+						if pts[pos[t1]][j]-pts[pos[t1-1]][j] != d[j] {
 							same = false
 							break
 						}
@@ -303,9 +285,9 @@ func (prog *Program) lower(res *partition.Result) (*kernel.Plan, error) {
 				}
 			}
 			if pl.Multi {
-				prog.lowerRow(pl, its, t0, t1, d)
+				prog.lowerRow(pl, pts, pos, t0, t1, d)
 			} else {
-				prog.lowerSegs(pl, its, t0, t1, d)
+				prog.lowerSegs(pl, pts, pos, t0, t1, d)
 			}
 			t0 = t1
 		}
@@ -341,34 +323,34 @@ func appendWR(pl *kernel.Plan, arr int32, off, step int64, count int) {
 // lowerSegs emits the segments of one constant-delta run of a
 // single-statement block, splitting at redundant iterations so the
 // executor never tests them. Segment T0 keeps the raw block position.
-func (prog *Program) lowerSegs(pl *kernel.Plan, its [][]int64, t0, t1 int, d []int64) {
+func (prog *Program) lowerSegs(pl *kernel.Plan, pts [][]int64, pos []int32, t0, t1 int, d []int64) {
 	cs := &prog.stmts[0]
 	ks := &pl.Stmts[0]
 	for t := t0; t < t1; {
-		for t < t1 && prog.isRedundant(0, its[t]) {
+		for t < t1 && prog.isRedundant(0, int(pos[t])) {
 			t++
 		}
 		if t >= t1 {
 			return
 		}
 		s := t
-		for t < t1 && !prog.isRedundant(0, its[t]) {
+		for t < t1 && !prog.isRedundant(0, int(pos[t])) {
 			t++
 		}
 		sg := kernel.Seg{
 			Stmt: 0, T0: int32(s), N: int32(t - s),
-			WOff: cs.write.At(its[s]), WStep: dot(cs.write.Coeffs, d),
+			WOff: cs.write.At(pts[pos[s]]), WStep: dot(cs.write.Coeffs, d),
 			RBase: int32(len(pl.ROff)), IBase: -1, DBase: -1,
 		}
 		for ri := range cs.reads {
 			r := &cs.reads[ri]
-			pl.ROff = append(pl.ROff, r.At(its[s]))
+			pl.ROff = append(pl.ROff, r.At(pts[pos[s]]))
 			pl.RStep = append(pl.RStep, dot(r.Coeffs, d))
 		}
 		if ks.UsesIndex {
 			sg.IBase = int32(len(pl.It0))
 			sg.DBase = int32(len(pl.Delta))
-			pl.It0 = append(pl.It0, its[s]...)
+			pl.It0 = append(pl.It0, pts[pos[s]]...)
 			pl.Delta = append(pl.Delta, d...)
 		}
 		pl.Segs = append(pl.Segs, sg)
@@ -380,7 +362,7 @@ func (prog *Program) lowerSegs(pl *kernel.Plan, its [][]int64, t0, t1 int, d []i
 // multi-statement block; redundant (statement, iteration) pairs become
 // mask bits rather than splits, preserving the per-iteration statement
 // interleaving the sequential semantics require.
-func (prog *Program) lowerRow(pl *kernel.Plan, its [][]int64, t0, t1 int, d []int64) {
+func (prog *Program) lowerRow(pl *kernel.Plan, pts [][]int64, pos []int32, t0, t1 int, d []int64) {
 	count := t1 - t0
 	row := kernel.Row{
 		T0: int32(t0), N: int32(count),
@@ -390,11 +372,11 @@ func (prog *Program) lowerRow(pl *kernel.Plan, its [][]int64, t0, t1 int, d []in
 	anyRedundant := false
 	for si := range prog.stmts {
 		cs := &prog.stmts[si]
-		pl.RowOff = append(pl.RowOff, cs.write.At(its[t0]))
+		pl.RowOff = append(pl.RowOff, cs.write.At(pts[pos[t0]]))
 		pl.RowStep = append(pl.RowStep, dot(cs.write.Coeffs, d))
 		for ri := range cs.reads {
 			r := &cs.reads[ri]
-			pl.RowOff = append(pl.RowOff, r.At(its[t0]))
+			pl.RowOff = append(pl.RowOff, r.At(pts[pos[t0]]))
 			pl.RowStep = append(pl.RowStep, dot(r.Coeffs, d))
 		}
 		if pl.Stmts[si].UsesIndex {
@@ -406,21 +388,21 @@ func (prog *Program) lowerRow(pl *kernel.Plan, its [][]int64, t0, t1 int, d []in
 		// a chaos restore of it here would undo that block's write.
 		wstep := dot(cs.write.Coeffs, d)
 		for t := t0; t < t1; {
-			for t < t1 && prog.isRedundant(si, its[t]) {
+			for t < t1 && prog.isRedundant(si, int(pos[t])) {
 				t++
 			}
 			s := t
-			for t < t1 && !prog.isRedundant(si, its[t]) {
+			for t < t1 && !prog.isRedundant(si, int(pos[t])) {
 				t++
 			}
 			if t > s {
-				appendWR(pl, pl.Stmts[si].WriteArr, cs.write.At(its[s]), wstep, t-s)
+				appendWR(pl, pl.Stmts[si].WriteArr, cs.write.At(pts[pos[s]]), wstep, t-s)
 			}
 		}
 	}
 	for t := t0; t < t1 && !anyRedundant; t++ {
 		for si := range prog.stmts {
-			if prog.isRedundant(si, its[t]) {
+			if prog.isRedundant(si, int(pos[t])) {
 				anyRedundant = true
 				break
 			}
@@ -433,7 +415,7 @@ func (prog *Program) lowerRow(pl *kernel.Plan, its [][]int64, t0, t1 int, d []in
 		pl.Masks = append(pl.Masks, make([]uint64, mwords*len(prog.stmts))...)
 		for si := range prog.stmts {
 			for t := t0; t < t1; t++ {
-				if prog.isRedundant(si, its[t]) {
+				if prog.isRedundant(si, int(pos[t])) {
 					rt := t - t0
 					pl.Masks[base+si*mwords+rt>>6] |= 1 << uint(rt&63)
 				}
@@ -443,7 +425,7 @@ func (prog *Program) lowerRow(pl *kernel.Plan, its [][]int64, t0, t1 int, d []in
 	if anyIndex {
 		row.IBase = int32(len(pl.It0))
 		row.DBase = int32(len(pl.Delta))
-		pl.It0 = append(pl.It0, its[t0]...)
+		pl.It0 = append(pl.It0, pts[pos[t0]]...)
 		pl.Delta = append(pl.Delta, d...)
 	}
 	pl.Rows = append(pl.Rows, row)
@@ -498,23 +480,23 @@ func (k *Kernel) Run(cost machine.CostModel, opts Options) (*Report, error) {
 		var msgs, words int
 		var secs float64
 		mach.SetChargeHook(func(_, m, w int, s float64) { msgs += m; words += w; secs += s })
-		for id := 0; id < k.used; id++ {
-			mach.ChargeSendWords(id, k.st.words[id])
+		for id, w := range k.st.words {
+			mach.ChargeSendWords(id, w)
 		}
 		mach.SetChargeHook(nil)
 		dsp.SetInt("messages", int64(msgs))
 		dsp.SetInt("words", int64(words))
 		dsp.SetInt("sim_ns", int64(secs*1e9))
 	} else {
-		for id := 0; id < k.used; id++ {
-			mach.ChargeSendWords(id, k.st.words[id])
+		for id, w := range k.st.words {
+			mach.ChargeSendWords(id, w)
 		}
 	}
 	dsp.End()
 
 	workers := runtime.GOMAXPROCS(0)
-	if workers > k.used {
-		workers = k.used
+	if workers > len(k.st.perNode) {
+		workers = len(k.st.perNode)
 	}
 	ar := k.getArena(workers)
 	bt := newBlockTrace(trc, parent, len(k.res.Iter.Blocks))
@@ -531,18 +513,7 @@ func (k *Kernel) Run(cost machine.CostModel, opts Options) (*Report, error) {
 	}
 	bt.publish()
 
-	rep := &Report{
-		Machine:    mach,
-		Transform:  k.tr,
-		Assignment: k.asg,
-		Final:      k.gather(ar.bufs),
-	}
-	for id := 0; id < k.used; id++ {
-		rep.IterationsPerNode = append(rep.IterationsPerNode, mach.Node(id).Stats().Iterations)
-	}
-	if inj != nil {
-		rep.Chaos = inj.Stats()
-	}
+	rep := newReport(mach, k.gather(ar.bufs), inj)
 	k.arenas.Put(ar)
 	return rep, nil
 }
@@ -825,7 +796,7 @@ func (k *Kernel) gather(bufs [][]float64) map[string]float64 {
 // convenience entry point for one-shot callers and the differential
 // tests. Hot paths should Specialize once and Run repeatedly.
 func ParallelKernel(res *partition.Result, p int, cost machine.CostModel, opts Options) (*Report, error) {
-	prog, err := CompileNest(res.Iter.Nest, res.Redundant)
+	prog, err := CompilePartition(res)
 	if err != nil {
 		return nil, err
 	}

@@ -54,6 +54,16 @@ func SquareMesh(p int) (Mesh, error) {
 	return Mesh{P1: s, P2: s}, nil
 }
 
+// MeshFor lays the processors an assignment uses on a mesh: √n×√n when n
+// is a perfect square, a 1×n row otherwise. Executors and cost estimates
+// share it so a plan is priced on the topology it runs on.
+func MeshFor(n int) Mesh {
+	if sq, err := SquareMesh(n); err == nil {
+		return sq
+	}
+	return Mesh{P1: 1, P2: n}
+}
+
 // Node is one processor with a strictly local memory.
 type Node struct {
 	ID  int

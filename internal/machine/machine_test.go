@@ -18,6 +18,12 @@ func TestMeshBasics(t *testing.T) {
 	if _, err := SquareMesh(5); err == nil {
 		t.Error("SquareMesh(5) should fail")
 	}
+	if got := MeshFor(16); got != sq {
+		t.Errorf("MeshFor(16) = %v, want %v", got, sq)
+	}
+	if got, want := MeshFor(5), (Mesh{P1: 1, P2: 5}); got != want {
+		t.Errorf("MeshFor(5) = %v, want %v", got, want)
+	}
 }
 
 func TestNodeLocalMemory(t *testing.T) {

@@ -185,15 +185,15 @@ func MinimalReducedReferenceSpace(r *redundant.Result, array string) *space.Spac
 // Block is one iteration block B_j of the iteration partition
 // (Definition 2).
 type Block struct {
-	ID         int       // 1-based, in lexicographic order of Q·ī
-	Iterations [][]int64 // lexicographic order
-	Base       []int64   // base point b̄_j: the block's lexicographic minimum
-	// Pos are the positions of Iterations in the partition's Index.
+	ID   int     // 1-based, in lexicographic order of Q·ī
+	Base []int64 // base point b̄_j: the block's lexicographic minimum
+	// Pos are the block's iterations as ascending positions in the
+	// partition's Index: iteration t of the block is Index.Points[Pos[t]].
 	Pos []int32
 }
 
 // Size returns the number of iterations in the block.
-func (b *Block) Size() int { return len(b.Iterations) }
+func (b *Block) Size() int { return len(b.Pos) }
 
 // IterationPartition is P_Ψ(Iⁿ): the iteration space split into blocks.
 type IterationPartition struct {
@@ -324,22 +324,19 @@ func assemble(ix *loop.Index, psi *space.Space, q [][]int64, label []int64) *Ite
 		sizes[b]++
 	}
 	store := make([]Block, len(distinct))
-	its := make([][]int64, len(label))
 	poss := make([]int32, len(label))
 	for i := range store {
 		b := &store[i]
 		b.ID = i + 1
-		b.Iterations, its = its[:0:sizes[i]], its[sizes[i]:]
 		b.Pos, poss = poss[:0:sizes[i]], poss[sizes[i]:]
 		p.Blocks[i] = b
 	}
 	for pos, bi := range p.blockOf { // ascending pos: lexicographic order inside every block
 		b := &store[bi]
-		b.Iterations = append(b.Iterations, ix.Points[pos])
 		b.Pos = append(b.Pos, int32(pos))
 	}
 	for i := range store {
-		store[i].Base = store[i].Iterations[0]
+		store[i].Base = ix.Points[store[i].Pos[0]]
 	}
 	return p
 }

@@ -17,6 +17,15 @@ func compute(t *testing.T, n *loop.Nest, s Strategy) *Result {
 	return r
 }
 
+// points lists a block's iterations, in lexicographic order.
+func points(p *IterationPartition, b *Block) [][]int64 {
+	pts := make([][]int64, len(b.Pos))
+	for t, pos := range b.Pos {
+		pts[t] = p.Index.Points[pos]
+	}
+	return pts
+}
+
 func TestL1NonDuplicate(t *testing.T) {
 	r := compute(t, loop.L1(), NonDuplicate)
 	// Paper: Ψ_A = Ψ_C = span{(1,1)}, Ψ_B = {0}, Ψ = span{(1,1)}.
@@ -52,7 +61,7 @@ func TestL1NonDuplicate(t *testing.T) {
 	// paper marks b̄₅ = (2,1) for B₅ = {(2,1),(3,2),(4,3)}.
 	var blk *Block
 	for _, b := range r.Iter.Blocks {
-		if b.Size() == 3 && b.Iterations[0][0] == 2 && b.Iterations[0][1] == 1 {
+		if first := points(r.Iter, b)[0]; b.Size() == 3 && first[0] == 2 && first[1] == 1 {
 			blk = b
 		}
 	}
@@ -184,9 +193,9 @@ func TestL3Strategies(t *testing.T) {
 			t.Errorf("block %d size = %d, want 4", b.ID, b.Size())
 		}
 		// All iterations of a block share j.
-		for _, it := range b.Iterations {
-			if it[1] != b.Iterations[0][1] {
-				t.Errorf("block %d mixes columns: %v", b.ID, b.Iterations)
+		for _, it := range points(r.Iter, b) {
+			if it[1] != b.Base[1] {
+				t.Errorf("block %d mixes columns: %v", b.ID, points(r.Iter, b))
 			}
 		}
 	}
@@ -294,7 +303,7 @@ func TestL5SelectiveDuplication(t *testing.T) {
 func TestBlockLookupConsistency(t *testing.T) {
 	r := compute(t, loop.L1(), NonDuplicate)
 	for _, b := range r.Iter.Blocks {
-		for _, it := range b.Iterations {
+		for _, it := range points(r.Iter, b) {
 			if got := r.Iter.BlockOf(it); got != b {
 				t.Errorf("BlockOf(%v) = block %v, want %d", it, got, b.ID)
 			}

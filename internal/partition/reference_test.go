@@ -64,7 +64,7 @@ func referenceData(p *IterationPartition, array string, red *redundant.Result) [
 	out := make([][]string, len(p.Blocks))
 	for bi, b := range p.Blocks {
 		elems := map[string][]int64{}
-		for _, it := range b.Iterations {
+		for _, it := range points(p, b) {
 			for si, st := range p.Nest.Body {
 				if red != nil && red.IsRedundant(si, it) {
 					continue

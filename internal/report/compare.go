@@ -250,15 +250,11 @@ func variantName(dup map[string]bool) string {
 }
 
 func measure(res *partition.Result, red *redundant.Result, p int, cost machine.CostModel) (*StrategyMetrics, error) {
-	plan, _, _, err := distplan.Build(res, p)
+	rep, plan, err := distplan.ParallelPlanned(res, p, cost)
 	if err != nil {
 		return nil, err
 	}
 	st := plan.Stats()
-	rep, _, err := distplan.ParallelPlanned(res, p, cost)
-	if err != nil {
-		return nil, err
-	}
 	return &StrategyMetrics{
 		ParallelismDim:      res.ParallelismDim(),
 		Blocks:              res.Iter.NumBlocks(),

@@ -239,15 +239,10 @@ func materialize(pc *partition.Context, c class, view *spec, p int, parent obs.S
 // For coset strategies this matches the per-forall count; MARS blocks
 // span forall points and must not be split.
 func estimate(res *partition.Result, asg *assign.Assignment, cost machine.CostModel) Candidate {
-	plan := distplan.BuildFor(res, asg)
-	used := asg.NumProcessors()
-	topo := machine.Mesh{P1: 1, P2: used}
-	if sq, err := machine.SquareMesh(used); err == nil {
-		topo = sq
-	}
-	mach := machine.New(topo, cost)
+	plan := distplan.BuildFor(res, asg.Placement)
+	mach := machine.New(machine.MeshFor(plan.Nodes), cost)
 	plan.Charge(mach)
-	loads := make([]int64, used)
+	loads := make([]int64, plan.Nodes)
 	var max int64
 	for bi, b := range res.Iter.Blocks {
 		n := plan.BlockNode[bi]

@@ -337,10 +337,11 @@ type compiled struct {
 }
 
 // program compiles the nest for the dense engine, once per cache
-// entry; every subsequent execution of the plan reuses it.
+// entry, from the footprint the partition's index holds; every
+// subsequent execution of the plan reuses it.
 func (c *compiled) program() (*exec.Program, error) {
 	c.progOnce.Do(func() {
-		c.prog, c.progErr = exec.CompileNest(c.res.Iter.Nest, c.res.Redundant)
+		c.prog, c.progErr = exec.CompilePartition(c.res)
 	})
 	return c.prog, c.progErr
 }
