@@ -336,18 +336,15 @@ func CompileCandidate(nest *Nest, cand StrategyCandidate, processors int) (*Comp
 	if processors < 1 {
 		return nil, fmt.Errorf("commfree: processors = %d", processors)
 	}
-	var res *PartitionResult
-	var err error
-	switch cand.Strategy {
-	case partition.Selective:
-		dup := map[string]bool{}
-		for _, a := range cand.Duplicated {
-			dup[a] = true
-		}
-		res, err = partition.ComputeSelective(nest, dup)
-	default:
-		res, err = partition.Compute(nest, cand.Strategy)
+	pc, err := partition.NewContext(nest, nil, 0)
+	if err != nil {
+		return nil, err
 	}
+	dup := map[string]bool{}
+	for _, a := range cand.Duplicated {
+		dup[a] = true
+	}
+	res, err := pc.Compute(cand.Strategy, dup, 0)
 	if err != nil {
 		return nil, err
 	}

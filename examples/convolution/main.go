@@ -50,9 +50,9 @@ func main() {
 	}
 	fmt.Printf("duplicate:     Ψ = %s → %d block(s), one per output element\n",
 		dup.Psi, dup.Iter.NumBlocks())
-	fmt.Printf("  X copy factor: %.2f (overlapping windows replicated)\n", dup.Data["X"].CopyFactor)
-	fmt.Printf("  W copy factor: %.2f (kernel broadcast to every block)\n", dup.Data["W"].CopyFactor)
-	fmt.Printf("  Y copy factor: %.2f (each output owned by one block)\n", dup.Data["Y"].CopyFactor)
+	fmt.Printf("  X copy factor: %.2f (overlapping windows replicated)\n", dup.DataPartition("X").CopyFactor)
+	fmt.Printf("  W copy factor: %.2f (kernel broadcast to every block)\n", dup.DataPartition("W").CopyFactor)
+	fmt.Printf("  Y copy factor: %.2f (each output owned by one block)\n", dup.DataPartition("Y").CopyFactor)
 
 	if err := dup.Verify(); err != nil {
 		log.Fatal("verify: ", err)

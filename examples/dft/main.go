@@ -47,8 +47,8 @@ func main() {
 	}
 	fmt.Printf("\nduplicate strategy: Ψ = %s → %d blocks (one per output bin)\n",
 		dup.Psi, dup.Iter.NumBlocks())
-	fmt.Printf("  X copy factor: %.2f (input broadcast)\n", dup.Data["X"].CopyFactor)
-	fmt.Printf("  T copy factor: %.2f (each twiddle row used once)\n", dup.Data["T"].CopyFactor)
+	fmt.Printf("  X copy factor: %.2f (input broadcast)\n", dup.DataPartition("X").CopyFactor)
+	fmt.Printf("  T copy factor: %.2f (each twiddle row used once)\n", dup.DataPartition("T").CopyFactor)
 	if err := dup.Verify(); err != nil {
 		log.Fatal("verify: ", err)
 	}

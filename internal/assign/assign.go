@@ -71,7 +71,7 @@ func Place(q [][]int64, p int) Placement {
 }
 
 // Assignment is the cyclic placement of a transformed loop, with the
-// loop whose forall space it walks for workloads and block lists.
+// loop whose enumerated forall space gives its workloads and block lists.
 type Assignment struct {
 	Placement
 	Tr *transform.Transformed
@@ -129,11 +129,15 @@ func (pl Placement) NumProcessors() int {
 }
 
 // Workloads returns the iteration count executed by each processor ID.
-func (a *Assignment) Workloads() []int64 {
+func (a *Assignment) Workloads() []int64 { return a.workloads(a.OwnerID) }
+
+// workloads sums the forall points' iteration counts by owner.
+func (a *Assignment) workloads(owner func(forall []int64) int) []int64 {
 	loads := make([]int64, a.NumProcessors())
-	a.Tr.Visit(nil, func(forall, _ []int64) {
-		loads[a.OwnerID(forall)]++
-	})
+	sizes := a.Tr.BlockSizes()
+	for i, f := range a.Tr.ForallPoints() {
+		loads[owner(f)] += sizes[i]
+	}
 	return loads
 }
 

@@ -98,13 +98,7 @@ func (pa *PolicyAssignment) OwnerID(forall []int64) int {
 }
 
 // Workloads returns per-processor iteration counts under the policy.
-func (pa *PolicyAssignment) Workloads() []int64 {
-	loads := make([]int64, pa.NumProcessors())
-	pa.Tr.Visit(nil, func(forall, _ []int64) {
-		loads[pa.OwnerID(forall)]++
-	})
-	return loads
-}
+func (pa *PolicyAssignment) Workloads() []int64 { return pa.workloads(pa.OwnerID) }
 
 // Imbalance returns (max − min) / mean over the policy's workloads.
 func (pa *PolicyAssignment) Imbalance() float64 { return imbalance(pa.Workloads()) }

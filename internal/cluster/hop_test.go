@@ -513,3 +513,27 @@ func BenchmarkForwardHop(b *testing.B) {
 		post()
 	}
 }
+
+// TestOversizedNestIsRefusedThroughTheFleet: a nest beyond the iteration
+// budget is a 422 whichever node is asked — the home refuses it before
+// enumerating it, and the forwarding nodes relay that answer.
+func TestOversizedNestIsRefusedThroughTheFleet(t *testing.T) {
+	log := &peerLog{}
+	fleet, err := NewLocal(3, testBase(), log.wrap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	req := execRequest("for i = 1 to 100000\n for j = 1 to 100000\n  A[i, j] = 1\n end\nend")
+	for _, path := range []string{"/v1/compile", "/v1/execute"} {
+		for _, entry := range fleet.Names {
+			res, body := postJSON(t, fleet.Client(), "http://"+entry+path, req)
+			if res.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "budget exhausted") {
+				t.Errorf("%s via %s: status %d, body %s; want 422 budget exhausted", path, entry, res.StatusCode, body)
+			}
+		}
+	}
+	if calls := log.take(); len(calls) < 4 {
+		t.Errorf("%d forwarded requests, want the four that entered off the home", len(calls))
+	}
+}

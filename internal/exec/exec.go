@@ -127,9 +127,9 @@ type Report struct {
 
 // newReport snapshots a finished run on mach.
 func newReport(mach *machine.Machine, final map[string]float64, inj *chaos.Injector) *Report {
-	rep := &Report{Machine: mach, Final: final}
-	for id := 0; id < mach.NumNodes(); id++ {
-		rep.IterationsPerNode = append(rep.IterationsPerNode, mach.Node(id).Stats().Iterations)
+	rep := &Report{Machine: mach, Final: final, IterationsPerNode: make([]int64, mach.NumNodes())}
+	for id := range rep.IterationsPerNode {
+		rep.IterationsPerNode[id] = mach.Node(id).Stats().Iterations
 	}
 	if inj != nil {
 		rep.Chaos = inj.Stats()

@@ -185,7 +185,7 @@ func Fig2() string {
 	var b strings.Builder
 	b.WriteString("Fig. 2 — data partition of loop L1 along (1,1), 7 blocks per array\n\n")
 	for _, array := range res.Analysis.Nest.Arrays() {
-		b.WriteString(dataBlocksGrid("array "+array, res.Data[array]))
+		b.WriteString(dataBlocksGrid("array "+array, res.DataPartition(array)))
 		b.WriteString("\n")
 	}
 	return b.String()
@@ -240,8 +240,9 @@ func Fig4() string {
 	var b strings.Builder
 	b.WriteString("Fig. 4 — data partition of loop L2 with duplicate data (16 blocks)\n\n")
 	for _, array := range []string{"A", "B"} {
-		b.WriteString(dataBlocksGrid("array "+array, res.Data[array]))
-		fmt.Fprintf(&b, "copy factor: %.2f\n\n", res.Data[array].CopyFactor)
+		dp := res.DataPartition(array)
+		b.WriteString(dataBlocksGrid("array "+array, dp))
+		fmt.Fprintf(&b, "copy factor: %.2f\n\n", dp.CopyFactor)
 	}
 	return b.String()
 }
@@ -298,7 +299,7 @@ func Fig8() string {
 		panic(err)
 	}
 	return "Fig. 8 — data partition of array A of loop L3 by Ψ^minʳ = span{(1,0)}\n\n" +
-		dataBlocksGrid("array A", res.Data["A"])
+		dataBlocksGrid("array A", res.DataPartition("A"))
 }
 
 // Fig9 shows the iteration partition of loop L3 under Ψ^minʳ: solid
@@ -340,9 +341,10 @@ func Fig10() string {
 	}
 	asg := assign.Assign(tr, 4)
 	counts := map[string]int64{}
-	tr.Visit(nil, func(forall, _ []int64) {
-		counts[fmt.Sprint(forall)]++
-	})
+	sizes := tr.BlockSizes()
+	for i, f := range tr.ForallPoints() {
+		counts[fmt.Sprint(f)] = sizes[i]
+	}
 	var b strings.Builder
 	b.WriteString("Fig. 10 — processor assignment of loop L4′ on a 2×2 grid\n\n")
 	b.WriteString("(rows: i1' = 2..8; cols: i2' = -3..3; cells: iterations@PE)\n")

@@ -9,7 +9,6 @@ package layout
 
 import (
 	"fmt"
-	"sort"
 
 	"commfree/internal/partition"
 )
@@ -132,14 +131,10 @@ func (l *Layout) Summary() string {
 
 // BuildAll lays out every array of a partitioning result, sorted by name.
 func BuildAll(res *partition.Result) []*Layout {
-	names := make([]string, 0, len(res.Data))
-	for a := range res.Data {
-		names = append(names, a)
-	}
-	sort.Strings(names)
+	names := res.Iter.Index.Arrays // sorted
 	out := make([]*Layout, 0, len(names))
 	for _, a := range names {
-		out = append(out, Build(res.Data[a]))
+		out = append(out, Build(res.DataPartition(a)))
 	}
 	return out
 }

@@ -14,7 +14,7 @@ func build(t *testing.T, n *loop.Nest, s partition.Strategy, array string) *Layo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Build(res.Data[array])
+	return Build(res.DataPartition(array))
 }
 
 func TestL1LayoutNonDuplicate(t *testing.T) {

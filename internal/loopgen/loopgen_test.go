@@ -111,7 +111,7 @@ func TestPropTransformBijective(t *testing.T) {
 			t.Fatalf("trial %d: %v\n%s", i, err, n)
 		}
 		seen := map[string]bool{}
-		tr.Visit(nil, func(_, orig []int64) {
+		tr.Visit(func(_, orig []int64) {
 			k := fmt.Sprint(orig)
 			if seen[k] {
 				t.Fatalf("trial %d: %v twice\n%s", i, orig, n)

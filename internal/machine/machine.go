@@ -96,13 +96,22 @@ func (n *Node) Write(key string, v float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.writes++
-	n.mem[key] = v
+	n.store(key, v)
 }
 
 // Preload stores initial data without touching the access counters.
 func (n *Node) Preload(key string, v float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.store(key, v)
+}
+
+// store puts a datum in keyed memory, which exists from the first datum
+// on: a kernel run keeps its state in dense buffers and never needs it.
+func (n *Node) store(key string, v float64) {
+	if n.mem == nil {
+		n.mem = map[string]float64{}
+	}
 	n.mem[key] = v
 }
 
@@ -171,7 +180,7 @@ func (n *Node) Stats() Stats {
 type Machine struct {
 	Topology Mesh
 	Cost     CostModel
-	nodes    []*Node
+	nodes    []Node
 
 	mu          sync.Mutex
 	distTime    float64
@@ -222,9 +231,9 @@ func (m *Machine) SetChargeHook(h ChargeHook) {
 
 // New builds a machine with the given mesh topology and cost model.
 func New(topo Mesh, cost CostModel) *Machine {
-	m := &Machine{Topology: topo, Cost: cost}
-	for i := 0; i < topo.Size(); i++ {
-		m.nodes = append(m.nodes, &Node{ID: i, mem: map[string]float64{}})
+	m := &Machine{Topology: topo, Cost: cost, nodes: make([]Node, topo.Size())}
+	for i := range m.nodes {
+		m.nodes[i].ID = i
 	}
 	return m
 }
@@ -233,7 +242,7 @@ func New(topo Mesh, cost CostModel) *Machine {
 func (m *Machine) NumNodes() int { return len(m.nodes) }
 
 // Node returns processor i.
-func (m *Machine) Node(i int) *Node { return m.nodes[i] }
+func (m *Machine) Node(i int) *Node { return &m.nodes[i] }
 
 // Datum is one named value to distribute.
 type Datum struct {
@@ -254,7 +263,7 @@ func (m *Machine) SendTo(node int, data []Datum) {
 // memory — the kernel executor keeps node state in dense buffers of
 // its own and only needs the message charged.
 func (m *Machine) ChargeSendWords(node, words int) {
-	_ = m.nodes[node] // bounds-check the node id like SendTo would
+	_ = &m.nodes[node] // bounds-check the node id like SendTo would
 	m.chargeUnicast(node, m.Cost.TStart+float64(words)*m.Cost.TComm, words)
 }
 
@@ -346,7 +355,8 @@ func (m *Machine) ChargeBroadcast(words, installed int) {
 // mesh diameter, giving t_start + diameter·n·t_comm (the paper's
 // 2√p·M²·t_comm term for broadcasting array B in L5′).
 func (m *Machine) Broadcast(data []Datum) {
-	for _, nd := range m.nodes {
+	for i := range m.nodes {
+		nd := &m.nodes[i]
 		for _, d := range data {
 			nd.Preload(d.Key, d.Value)
 		}
@@ -407,13 +417,14 @@ func (m *Machine) RunBounded(workers int, fn func(worker int, n *Node) error) er
 				if i >= len(m.nodes) {
 					return
 				}
-				errs[i] = fn(w, m.nodes[i])
+				errs[i] = fn(w, &m.nodes[i])
 			}
 		}(w)
 	}
 	wg.Wait()
 	var maxIter int64
-	for _, nd := range m.nodes {
+	for i := range m.nodes {
+		nd := &m.nodes[i]
 		if s := nd.Stats(); s.Iterations > maxIter {
 			maxIter = s.Iterations
 		}
@@ -424,7 +435,8 @@ func (m *Machine) RunBounded(workers int, fn func(worker int, n *Node) error) er
 	traced := m.trace != nil
 	m.mu.Unlock()
 	if traced {
-		for _, nd := range m.nodes {
+		for i := range m.nodes {
+			nd := &m.nodes[i]
 			iters := nd.Stats().Iterations
 			if iters == 0 {
 				continue
@@ -510,7 +522,8 @@ func (m *Machine) DataMoved() int64 {
 // miss is what such a message would have been.
 func (m *Machine) InterNodeMessages() int64 {
 	var total int64
-	for _, nd := range m.nodes {
+	for i := range m.nodes {
+		nd := &m.nodes[i]
 		total += int64(nd.Stats().Misses)
 	}
 	return total

@@ -36,7 +36,7 @@ func ExampleCompute_duplicate() {
 	res, _ := partition.Compute(loop.L2(), partition.Duplicate)
 	fmt.Println("Ψʳ =", res.Psi)
 	fmt.Println("blocks:", res.Iter.NumBlocks())
-	fmt.Println("A duplicated:", res.Data["A"].Duplicated)
+	fmt.Println("A duplicated:", res.DataPartition("A").Duplicated)
 	// Output:
 	// Ψʳ = span{}
 	// blocks: 16

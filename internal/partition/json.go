@@ -78,12 +78,16 @@ func (r *Result) Info() Info {
 	if r.Redundant != nil {
 		info.EliminatedIterations = r.Redundant.NumRedundant()
 	}
-	for name, sp := range r.PerArray {
-		ai := ArrayInfo{Basis: basisInts(sp.IntegerBasis())}
-		if dp := r.Data[name]; dp != nil {
-			ai.Duplicated = dp.Duplicated
-			ai.CopyFactor = dp.CopyFactor
-			ai.Blocks = len(dp.Blocks)
+	copies, uniq, _ := footprints(r.Iter, r.Redundant, -1)
+	for a, name := range r.Iter.Index.Arrays {
+		ai := ArrayInfo{
+			Basis:      [][]int64{},
+			Duplicated: copies[a] > uniq[a],
+			CopyFactor: copyFactor(copies[a], uniq[a]),
+			Blocks:     r.Iter.NumBlocks(),
+		}
+		if sp := r.PerArray[name]; sp != nil { // nil on a revived result
+			ai.Basis = basisInts(sp.IntegerBasis())
 		}
 		info.Arrays[name] = ai
 	}

@@ -384,75 +384,65 @@ type DataPartition struct {
 	CopyFactor float64
 }
 
-// blockRanks collects, per block, the element ranks (ascending, unique)
-// of one array (an index into Index.Arrays) that the block's
-// non-redundant computations touch, and counts the distinct elements
-// across all blocks.
-func blockRanks(p *IterationPartition, array int, red *redundant.Result) (ranks [][]int64, uniq int) {
-	ix := p.Index
-	var slots []int
-	for s, sl := range ix.Slots {
-		if sl.Array == array {
-			slots = append(slots, s)
-		}
+// copyFactor is copies per distinct element (0 for an untouched array).
+func copyFactor(copies, uniq int) float64 {
+	if uniq == 0 {
+		return 0
 	}
-	stamp := make([]int32, ix.NumElems()) // last block (1-based) that collected the element
-	ranks = make([][]int64, len(p.Blocks))
+	return float64(copies) / float64(uniq)
+}
+
+// footprints is the one walk over the blocks' data: every block's
+// non-redundant accesses (all of them when red is nil), each distinct
+// (block, element) pair seen once. Per array — indexed like Index.Arrays
+// — it counts those pairs (copies) and the distinct elements among them
+// (uniq); for the one array ranksOf (−1 for none) it also collects each
+// block's element ranks, ascending. Definition 3's data partitions are
+// readings of this walk, not stored beside the iteration partition.
+func footprints(p *IterationPartition, red *redundant.Result, ranksOf int) (copies, uniq []int, ranks [][]int64) {
+	ix := p.Index
+	copies, uniq = make([]int, len(ix.Arrays)), make([]int, len(ix.Arrays))
+	if ranksOf >= 0 {
+		ranks = make([][]int64, len(p.Blocks))
+	}
+	stamp := make([]int32, ix.NumElems()) // last block (1-based) that counted the element
 	for bi, b := range p.Blocks {
 		var rs []int64
 		for _, pos := range b.Pos {
 			row := ix.Row(int(pos))
-			for _, s := range slots {
-				if red != nil && red.RedundantAt(ix.Slots[s].Stmt, int(pos)) {
+			for st := range ix.Nest.Body {
+				if red != nil && red.RedundantAt(st, int(pos)) {
 					continue
 				}
-				if e := row[s]; stamp[e] != int32(bi+1) {
+				for s := ix.First[st]; s < ix.First[st+1]; s++ {
+					e, a := row[s], ix.Slots[s].Array
+					if stamp[e] == int32(bi+1) {
+						continue
+					}
 					if stamp[e] == 0 {
-						uniq++
+						uniq[a]++
 					}
 					stamp[e] = int32(bi + 1)
-					rs = append(rs, ix.ElemRank(e))
+					copies[a]++
+					if a == ranksOf {
+						rs = append(rs, ix.ElemRank(e))
+					}
 				}
 			}
 		}
-		slices.Sort(rs)
-		ranks[bi] = rs
-	}
-	return ranks, uniq
-}
-
-// PartitionData applies P_Ψ(A) for one array, optionally restricted to
-// non-redundant computations (minimal strategies).
-func PartitionData(p *IterationPartition, array string, red *redundant.Result) *DataPartition {
-	dp := &DataPartition{Array: array, Blocks: make([]*DataBlock, len(p.Blocks))}
-	ai := slices.Index(p.Index.Arrays, array)
-	ranks, uniq := blockRanks(p, ai, red)
-	var box loop.Ranker
-	if ai >= 0 {
-		box = p.Index.Elems[ai]
-	}
-	total := 0
-	for bi, rs := range ranks {
-		db := &DataBlock{BlockID: p.Blocks[bi].ID, Elements: make([][]int64, len(rs))}
-		flat := make([]int64, len(rs)*len(box.Lo))
-		for i, r := range rs {
-			db.Elements[i], flat = box.Unrank(r, flat[:len(box.Lo):len(box.Lo)]), flat[len(box.Lo):]
+		if ranksOf >= 0 {
+			slices.Sort(rs)
+			ranks[bi] = rs
 		}
-		dp.Blocks[bi] = db
-		total += len(rs)
 	}
-	if uniq > 0 {
-		dp.CopyFactor = float64(total) / float64(uniq)
-	}
-	dp.Duplicated = total > uniq
-	return dp
+	return copies, uniq, ranks
 }
 
 // Result is the complete partitioning of one nest under one strategy.
 // Strategy, Redundant, Psi and Iter are the partition proper — a
 // function of (nest, strategy, Ψ) alone, see Materialize — and all that
-// Verify and the executors read. Analysis, PerArray and Data describe
-// how Ψ was derived and what it costs; a Context fills them in, a plan
+// Verify, the executors and the data partitions read. Analysis and
+// PerArray describe how Ψ was derived; a Context fills them in, a plan
 // revived from its record leaves them nil.
 type Result struct {
 	Strategy  Strategy
@@ -461,7 +451,32 @@ type Result struct {
 	PerArray  map[string]*space.Space
 	Psi       *space.Space
 	Iter      *IterationPartition
-	Data      map[string]*DataPartition
+}
+
+// DataPartition derives P_Ψ(A) (Definition 3) for one array: the
+// elements each iteration block references, restricted to non-redundant
+// computations under the minimal strategies. It is computed on every
+// call, from Iter and Redundant alone; nil for an array the nest does
+// not reference.
+func (r *Result) DataPartition(array string) *DataPartition {
+	ix := r.Iter.Index
+	ai := slices.Index(ix.Arrays, array)
+	if ai < 0 {
+		return nil
+	}
+	copies, uniq, ranks := footprints(r.Iter, r.Redundant, ai)
+	box := ix.Elems[ai]
+	dp := &DataPartition{Array: array, Blocks: make([]*DataBlock, len(ranks)),
+		Duplicated: copies[ai] > uniq[ai], CopyFactor: copyFactor(copies[ai], uniq[ai])}
+	for bi, rs := range ranks {
+		db := &DataBlock{BlockID: r.Iter.Blocks[bi].ID, Elements: make([][]int64, len(rs))}
+		flat := make([]int64, len(rs)*len(box.Lo))
+		for i, rk := range rs {
+			db.Elements[i], flat = box.Unrank(rk, flat[:len(box.Lo):len(box.Lo)]), flat[len(box.Lo):]
+		}
+		dp.Blocks[bi] = db
+	}
+	return dp
 }
 
 // Materialize builds the partition of an indexed nest from its strategy
@@ -585,10 +600,7 @@ func (c *Context) Partition(strat Strategy, perArray map[string]*space.Space, ps
 	if err != nil {
 		return nil, err
 	}
-	res.Analysis, res.PerArray, res.Data = c.Analysis, perArray, map[string]*DataPartition{}
-	for _, array := range c.Index.Arrays {
-		res.Data[array] = PartitionData(res.Iter, array, red)
-	}
+	res.Analysis, res.PerArray = c.Analysis, perArray
 	sp.SetInt("blocks", int64(res.Iter.NumBlocks()))
 	return res, nil
 }
@@ -611,24 +623,20 @@ func (r *Result) ParallelismDim() int {
 // RedundantCopyVolume counts the data-block element copies that exist
 // only to feed redundant computations: (block, element) pairs where no
 // non-redundant access by the block's iterations touches the element.
-// The minimal strategies and MARS build their data partitions with the
+// The minimal strategies and MARS derive their data partitions with the
 // redundancy oracle applied, so their volume is 0 by construction; the
 // non-minimal strategies (including Selective) allocate for every
 // access and pay for copies whose consumers are all overwritten later.
 // The caller supplies the redundancy oracle for the nest (from
-// redundant.Eliminate) so results built without one are measurable.
+// redundant.Eliminate) so results built without one are measurable. The
+// useful pairs are a subset of the allocated ones, so the volume is the
+// difference of the two counts.
 func (r *Result) RedundantCopyVolume(red *redundant.Result) int {
-	ix := r.Iter.Index
+	allocated, _, _ := footprints(r.Iter, r.Redundant, -1)
+	useful, _, _ := footprints(r.Iter, red, -1)
 	volume := 0
-	for ai, array := range ix.Arrays {
-		useful, _ := blockRanks(r.Iter, ai, red)
-		for bi, db := range r.Data[array].Blocks {
-			for _, e := range db.Elements {
-				if _, ok := slices.BinarySearch(useful[bi], ix.Elems[ai].Rank(e)); !ok {
-					volume++
-				}
-			}
-		}
+	for a := range allocated {
+		volume += allocated[a] - useful[a]
 	}
 	return volume
 }
@@ -722,16 +730,16 @@ func VerifyCommunicationFree(p *IterationPartition, dupOK bool, red *redundant.R
 func (r *Result) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy: %s\n", r.Strategy)
-	arrays := r.Iter.Nest.Arrays()
+	arrays := r.Iter.Index.Arrays
 	for _, a := range arrays {
 		fmt.Fprintf(&b, "  Ψ_%s = %s\n", a, r.PerArray[a])
 	}
 	fmt.Fprintf(&b, "partitioning space Ψ = %s (dim %d)\n", r.Psi, r.Psi.Dim())
 	fmt.Fprintf(&b, "parallelism: %d-dimensional forall space, %d blocks (max block %d iterations)\n",
 		r.ParallelismDim(), r.Iter.NumBlocks(), r.Iter.MaxBlockSize())
-	for _, a := range arrays {
-		dp := r.Data[a]
-		fmt.Fprintf(&b, "  array %s: duplicated=%v copy-factor=%.2f\n", a, dp.Duplicated, dp.CopyFactor)
+	copies, uniq, _ := footprints(r.Iter, r.Redundant, -1)
+	for ai, a := range arrays {
+		fmt.Fprintf(&b, "  array %s: duplicated=%v copy-factor=%.2f\n", a, copies[ai] > uniq[ai], copyFactor(copies[ai], uniq[ai]))
 	}
 	return b.String()
 }

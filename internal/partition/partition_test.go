@@ -73,7 +73,7 @@ func TestL1NonDuplicate(t *testing.T) {
 	}
 	// Fig. 2: each array splits into 7 data blocks, no duplication.
 	for _, a := range []string{"A", "B", "C"} {
-		dp := r.Data[a]
+		dp := r.DataPartition(a)
 		if len(dp.Blocks) != 7 {
 			t.Errorf("array %s: %d data blocks", a, len(dp.Blocks))
 		}
@@ -103,7 +103,7 @@ func TestL1DuplicateSameAsNonDuplicate(t *testing.T) {
 		t.Error("B, C should have empty reduced reference spaces")
 	}
 	for _, a := range []string{"A", "B", "C"} {
-		if r.Data[a].Duplicated {
+		if r.DataPartition(a).Duplicated {
 			t.Errorf("array %s needlessly duplicated", a)
 		}
 	}
@@ -149,7 +149,7 @@ func TestL2DuplicateFullyParallel(t *testing.T) {
 	}
 	// Array A must actually be duplicated (anti-diagonal elements are
 	// written by several iterations, Fig. 4).
-	if !r.Data["A"].Duplicated {
+	if !r.DataPartition("A").Duplicated {
 		t.Error("A should be duplicated")
 	}
 	if err := r.Verify(); err != nil {
@@ -261,10 +261,10 @@ func TestL5Strategies(t *testing.T) {
 	}
 	// A and B get duplicated (each row/column replicated across blocks),
 	// C does not.
-	if !r.Data["A"].Duplicated || !r.Data["B"].Duplicated {
+	if !r.DataPartition("A").Duplicated || !r.DataPartition("B").Duplicated {
 		t.Error("A and B should be duplicated under L5″")
 	}
-	if r.Data["C"].Duplicated {
+	if r.DataPartition("C").Duplicated {
 		t.Error("C should not be duplicated")
 	}
 	if err := r.Verify(); err != nil {
@@ -285,14 +285,14 @@ func TestL5SelectiveDuplication(t *testing.T) {
 	if r.Iter.NumBlocks() != 4 {
 		t.Errorf("blocks = %d, want 4 (one per row)", r.Iter.NumBlocks())
 	}
-	if r.Data["A"].Duplicated {
+	if r.DataPartition("A").Duplicated {
 		t.Error("A must not be duplicated under L5′")
 	}
-	if !r.Data["B"].Duplicated {
+	if !r.DataPartition("B").Duplicated {
 		t.Error("B must be duplicated under L5′ (whole array per processor)")
 	}
 	// Every block reads the whole of B: copy factor = number of blocks.
-	if got := r.Data["B"].CopyFactor; got != 4.0 {
+	if got := r.DataPartition("B").CopyFactor; got != 4.0 {
 		t.Errorf("B copy factor = %v, want 4", got)
 	}
 	if err := r.Verify(); err != nil {

@@ -1,12 +1,14 @@
 package partition
 
-// VerifyCommunicationFree and PartitionData against straightforward
+// VerifyCommunicationFree and DataPartition against straightforward
 // references: string-keyed per-element event lists, kept here only as
 // test oracles.
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -126,7 +128,7 @@ func checkNestAgainstReference(t *testing.T, name string, nest *loop.Nest, rnd *
 				}
 			}
 			for _, array := range nest.Arrays() {
-				dp := PartitionData(p, array, red)
+				dp := (&Result{Iter: p, Redundant: red}).DataPartition(array)
 				want := referenceData(p, array, red)
 				for bi, db := range dp.Blocks {
 					var got []string
@@ -159,5 +161,107 @@ func TestVerifyAndDataMatchReference(t *testing.T) {
 			nest = loopgen.GenerateUsage(rnd, loopgen.DefaultConfig())
 		}
 		checkNestAgainstReference(t, fmt.Sprint("loopgen ", i), nest, rnd)
+	}
+}
+
+// TestDataPartitionIsAViewOfTheIterationPartition checks the derived
+// data partitions on the corpus, L1–L5 and 300 generated nests under all
+// six strategies: DataPartition equals the reference, and a result in
+// the revived shape — Materialize over a fresh index from (strategy, Ψ)
+// alone, nothing analysed — derives the same partitions and the same
+// Info counts as the compiled one.
+func TestDataPartitionIsAViewOfTheIterationPartition(t *testing.T) {
+	nests := []*loop.Nest{loop.L1(), loop.L2(), loop.L3(), loop.L4(), loop.L5(3)}
+	for _, src := range lang.Corpus() {
+		if nest, err := lang.Parse(src); err == nil && nest.Validate() == nil {
+			nests = append(nests, nest)
+		}
+	}
+	rnd := rand.New(rand.NewSource(18))
+	for i := 0; i < 300; i++ {
+		nests = append(nests, loopgen.Generate(rnd, loopgen.DefaultConfig()))
+	}
+	for _, nest := range nests {
+		c, err := NewContext(nest, nil, 0)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, nest)
+		}
+		// Selective duplicates the first array: a middle ground wherever
+		// the nest has more than one.
+		dup := map[string]bool{c.Index.Arrays[0]: true}
+		for strat := Strategy(0); strat < NumStrategies; strat++ {
+			res, err := c.Compute(strat, dup, 0)
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", strat, err, nest)
+			}
+			ix, err := loop.NewIndex(nest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rev, err := Materialize(ix, strat, res.Psi, nil)
+			if err != nil {
+				t.Fatalf("%s: revive: %v\n%s", strat, err, nest)
+			}
+			info, revInfo := res.Info(), rev.Info()
+			if len(info.Arrays) != len(c.Index.Arrays) || len(revInfo.Arrays) != len(info.Arrays) {
+				t.Fatalf("%s: Info lists %d arrays compiled, %d revived, nest has %d\n%s",
+					strat, len(info.Arrays), len(revInfo.Arrays), len(c.Index.Arrays), nest)
+			}
+			for _, array := range c.Index.Arrays {
+				dp := res.DataPartition(array)
+				want := referenceData(res.Iter, array, res.Redundant)
+				total, uniq := 0, map[string]bool{}
+				for bi, db := range dp.Blocks {
+					var got []string
+					for _, e := range db.Elements {
+						got = append(got, fmt.Sprint(e))
+						uniq[fmt.Sprint(e)] = true
+					}
+					total += len(got)
+					if db.BlockID != res.Iter.Blocks[bi].ID || fmt.Sprint(got) != fmt.Sprint(want[bi]) {
+						t.Fatalf("%s: array %s block %d = %v, reference %v\n%s", strat, array, db.BlockID, got, want[bi], nest)
+					}
+				}
+				factor := 0.0 // an array only redundant computations touch has no data blocks
+				if len(uniq) > 0 {
+					factor = float64(total) / float64(len(uniq))
+				}
+				if dp.Duplicated != (total > len(uniq)) || dp.CopyFactor != factor {
+					t.Fatalf("%s: array %s duplicated=%v copy factor %v, blocks hold %d copies of %d elements\n%s",
+						strat, array, dp.Duplicated, dp.CopyFactor, total, len(uniq), nest)
+				}
+				if !reflect.DeepEqual(dp, rev.DataPartition(array)) {
+					t.Fatalf("%s: array %s: compiled and revived results derive different data partitions\n%s", strat, array, nest)
+				}
+				ai, rai := info.Arrays[array], revInfo.Arrays[array]
+				if ai.Duplicated != dp.Duplicated || ai.CopyFactor != dp.CopyFactor || ai.Blocks != len(dp.Blocks) {
+					t.Fatalf("%s: array %s: Info %+v disagrees with its data partition (%v, %v, %d blocks)\n%s",
+						strat, array, ai, dp.Duplicated, dp.CopyFactor, len(dp.Blocks), nest)
+				}
+				if ai.Duplicated != rai.Duplicated || ai.CopyFactor != rai.CopyFactor || ai.Blocks != rai.Blocks {
+					t.Fatalf("%s: array %s: Info counts %+v compiled, %+v revived\n%s", strat, array, ai, rai, nest)
+				}
+			}
+			// Copies that feed only redundant computations: allocated pairs
+			// the pruned reference does not hold.
+			volume := 0
+			for _, array := range c.Index.Arrays {
+				useful := referenceData(res.Iter, array, c.Redundant())
+				for bi, elems := range referenceData(res.Iter, array, res.Redundant) {
+					volume += len(elems) - len(useful[bi])
+					for _, e := range useful[bi] {
+						if !slices.Contains(elems, e) {
+							t.Fatalf("%s: array %s block %d: useful element %s is not allocated\n%s", strat, array, bi+1, e, nest)
+						}
+					}
+				}
+			}
+			if got := res.RedundantCopyVolume(c.Redundant()); got != volume {
+				t.Fatalf("%s: redundant copy volume %d, reference %d\n%s", strat, got, volume, nest)
+			}
+			if res.DataPartition("no such array") != nil {
+				t.Fatalf("%s: data partition of an unreferenced array is not nil", strat)
+			}
+		}
 	}
 }

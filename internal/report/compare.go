@@ -13,14 +13,11 @@ import (
 	"strings"
 
 	"commfree/internal/baseline"
-	"commfree/internal/deps"
 	"commfree/internal/distplan"
 	"commfree/internal/lang"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
-	"commfree/internal/mars"
 	"commfree/internal/partition"
-	"commfree/internal/redundant"
 )
 
 // CompareSchemaVersion identifies the JSON artifact layout; CI gates on
@@ -145,23 +142,26 @@ func compareNest(name string, nest *loop.Nest, src string, p int, cost machine.C
 		Iterations: nest.NumIterations(),
 	}
 
-	// One irredundancy oracle per nest, so redundant-copy volumes are
-	// measured against the same ground truth for every strategy.
-	an, err := deps.Analyze(nest)
-	if err != nil {
-		return nil, err
-	}
-	red, err := redundant.Eliminate(an)
+	// One evaluation context per nest: every strategy partitions the same
+	// analysis and index, and redundant-copy volumes are measured against
+	// the same irredundancy oracle.
+	pc, err := partition.NewContext(nest, nil, 0)
 	if err != nil {
 		return nil, err
 	}
 
 	for _, strat := range compareStrategies {
-		res, variant, err := computeStrategy(nest, strat)
+		var res *partition.Result
+		variant := ""
+		if strat == partition.Selective {
+			res, variant, err = bestSelective(pc)
+		} else {
+			res, err = pc.Compute(strat, nil, 0)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", strat, err)
 		}
-		m, err := measure(res, red, p, cost)
+		m, err := measure(pc, res, p, cost)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", strat, err)
 		}
@@ -178,40 +178,19 @@ func compareNest(name string, nest *loop.Nest, src string, p int, cost machine.C
 	return nc, nil
 }
 
-// computeStrategy builds the partition for one comparison row. The
-// Selective row picks its duplication subset by exhaustive enumeration
-// (minimizing redundant-copy volume, then block count) when the array
-// count permits, so the comparison never penalizes Selective with an
-// unlucky subset; past four arrays it duplicates everything.
-func computeStrategy(nest *loop.Nest, strat partition.Strategy) (*partition.Result, string, error) {
-	switch strat {
-	case partition.Mars:
-		res, err := mars.Compute(nest)
-		return res, "", err
-	case partition.Selective:
-		return bestSelective(nest)
-	default:
-		res, err := partition.Compute(nest, strat)
-		return res, "", err
-	}
-}
-
-func bestSelective(nest *loop.Nest) (*partition.Result, string, error) {
-	arrays := nest.Arrays()
-	an, err := deps.Analyze(nest)
-	if err != nil {
-		return nil, "", err
-	}
-	red, err := redundant.Eliminate(an)
-	if err != nil {
-		return nil, "", err
-	}
+// bestSelective builds the partition of the Selective comparison row.
+// It picks the duplication subset by exhaustive enumeration (minimizing
+// redundant-copy volume, then block count) when the array count permits,
+// so the comparison never penalizes Selective with an unlucky subset;
+// past four arrays it duplicates everything.
+func bestSelective(pc *partition.Context) (*partition.Result, string, error) {
+	arrays := pc.Index.Arrays
 	if len(arrays) > 4 {
 		dup := map[string]bool{}
 		for _, a := range arrays {
 			dup[a] = true
 		}
-		res, err := partition.ComputeSelective(nest, dup)
+		res, err := pc.Compute(partition.Selective, dup, 0)
 		return res, variantName(dup), err
 	}
 	var best *partition.Result
@@ -224,11 +203,11 @@ func bestSelective(nest *loop.Nest) (*partition.Result, string, error) {
 				dup[a] = true
 			}
 		}
-		res, err := partition.ComputeSelective(nest, dup)
+		res, err := pc.Compute(partition.Selective, dup, 0)
 		if err != nil {
 			return nil, "", err
 		}
-		vol := res.RedundantCopyVolume(red)
+		vol := res.RedundantCopyVolume(pc.Redundant())
 		blocks := res.Iter.NumBlocks()
 		// Prefer lower copy volume; break ties toward more parallelism.
 		if best == nil || vol < bestVol || (vol == bestVol && blocks > bestBlocks) {
@@ -249,7 +228,7 @@ func variantName(dup map[string]bool) string {
 	return "dup={" + strings.Join(names, ",") + "}"
 }
 
-func measure(res *partition.Result, red *redundant.Result, p int, cost machine.CostModel) (*StrategyMetrics, error) {
+func measure(pc *partition.Context, res *partition.Result, p int, cost machine.CostModel) (*StrategyMetrics, error) {
 	rep, plan, err := distplan.ParallelPlanned(res, p, cost)
 	if err != nil {
 		return nil, err
@@ -261,7 +240,7 @@ func measure(res *partition.Result, red *redundant.Result, p int, cost machine.C
 		MaxBlockSize:        res.Iter.MaxBlockSize(),
 		CommWords:           st.Words,
 		DeliveredWords:      st.DeliveredWords,
-		RedundantCopyVolume: res.RedundantCopyVolume(red),
+		RedundantCopyVolume: res.RedundantCopyVolume(pc.Redundant()),
 		SimTotalS:           rep.Machine.Elapsed(),
 	}, nil
 }

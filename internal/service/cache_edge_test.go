@@ -139,7 +139,7 @@ func TestSingleFlightFollowerCancelMidCompile(t *testing.T) {
 	// flight" but deterministically not finished.
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	go s.pool.submit(context.Background(), func(ctx context.Context) (any, error) {
+	go s.pool.trySubmit(context.Background(), false, func(ctx context.Context) (any, error) {
 		close(started)
 		<-gate
 		return nil, nil

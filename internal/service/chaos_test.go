@@ -142,13 +142,13 @@ func saturatePool(t *testing.T, s *Service, workers, queueDepth int) (release fu
 		return nil, nil
 	}
 	for i := 0; i < workers; i++ {
-		go s.pool.submit(context.Background(), block)
+		go s.pool.trySubmit(context.Background(), false, block)
 	}
 	for i := 0; i < workers; i++ {
 		<-started
 	}
 	for i := 0; i < queueDepth; i++ {
-		go s.pool.submit(context.Background(), func(ctx context.Context) (any, error) { <-ch; return nil, nil })
+		go s.pool.trySubmit(context.Background(), false, func(ctx context.Context) (any, error) { <-ch; return nil, nil })
 	}
 	for s.pool.queueDepth() < queueDepth {
 		runtime.Gosched()

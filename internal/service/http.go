@@ -183,7 +183,7 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, ErrQueueFull):
+	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)

@@ -18,10 +18,6 @@ import (
 // ErrDraining is returned for submissions after Close() has begun.
 var ErrDraining = errors.New("service: draining, not accepting new requests")
 
-// ErrQueueFull is returned when the request queue is at capacity and
-// the caller's context expires before a slot frees up.
-var ErrQueueFull = errors.New("service: request queue full")
-
 // ErrOverloaded is returned by admission control: the queue was at
 // capacity at submission time, so the request is rejected immediately
 // (HTTP 429 with Retry-After) instead of queueing behind a saturated
@@ -120,40 +116,15 @@ func (p *pool) run(t *task) {
 	t.res <- taskResult{v: v, err: err}
 }
 
-// submit runs fn on a worker and returns its result. It fails fast
-// with ErrDraining after Close, ErrQueueFull/ctx.Err() when the queue
-// stays full past the context deadline, and ctx.Err() when the caller
-// gives up while queued (the task itself is then skipped by the
-// worker).
-func (p *pool) submit(ctx context.Context, fn func(ctx context.Context) (any, error)) (any, error) {
-	t := &task{ctx: ctx, fn: fn, res: make(chan taskResult, 1)}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrDraining
-	}
-	p.pending.Add(1)
-	p.mu.Unlock()
-
-	select {
-	case p.queue <- t:
-	case <-ctx.Done():
-		p.pending.Done()
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return nil, errors.Join(ErrQueueFull, ctx.Err())
-		}
-		return nil, ctx.Err()
-	}
-	r := <-t.res
-	return r.v, r.err
-}
-
-// trySubmit is submit with fail-fast admission control. Two ways to
-// be shed: the SLO controller decides the measured queue delay has
-// breached the latency target (429 before the queue fills), or the
-// queue is physically at capacity. Both reject with an *OverloadError
-// (unwrapping to ErrOverloaded) carrying a drain-rate-derived
-// Retry-After, instead of blocking the caller until its deadline.
+// trySubmit runs fn on a worker and returns its result, under
+// fail-fast admission control. It fails with ErrDraining after close,
+// and with the task's ctx.Err() when the caller gives up while queued
+// (the worker then skips the task). Two ways to be shed: the SLO
+// controller decides the measured queue delay has breached the latency
+// target (429 before the queue fills), or the queue is physically at
+// capacity. Both reject with an *OverloadError (unwrapping to
+// ErrOverloaded) carrying a drain-rate-derived Retry-After, instead of
+// blocking the caller until its deadline.
 func (p *pool) trySubmit(ctx context.Context, droppable bool, fn func(ctx context.Context) (any, error)) (any, error) {
 	if err := p.adm.gate(time.Now(), len(p.queue), droppable); err != nil {
 		return nil, err

@@ -7,11 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestPoolRunsTasks(t *testing.T) {
-	p := newPool(2, 8)
+	p := newPool(2, 20) // room for every task: a full queue sheds, it does not block
 	defer p.close()
 	var n atomic.Int64
 	var wg sync.WaitGroup
@@ -19,12 +18,12 @@ func TestPoolRunsTasks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := p.submit(context.Background(), func(context.Context) (any, error) {
+			v, err := p.trySubmit(context.Background(), false, func(context.Context) (any, error) {
 				n.Add(1)
 				return "ok", nil
 			})
 			if err != nil || v != "ok" {
-				t.Errorf("submit: %v %v", v, err)
+				t.Errorf("trySubmit: %v %v", v, err)
 			}
 		}()
 	}
@@ -40,7 +39,7 @@ func occupyWorkers(p *pool, n int) (release func()) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
-		go p.submit(context.Background(), func(context.Context) (any, error) {
+		go p.trySubmit(context.Background(), false, func(context.Context) (any, error) {
 			started <- struct{}{}
 			<-gate
 			return nil, nil
@@ -60,7 +59,7 @@ func TestPoolCallerCancelWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.submit(ctx, func(context.Context) (any, error) { return nil, nil })
+		_, err := p.trySubmit(ctx, false, func(context.Context) (any, error) { return nil, nil })
 		done <- err
 	}()
 	// The task is queued (not running: the only worker is occupied)
@@ -75,28 +74,6 @@ func TestPoolCallerCancelWhileQueued(t *testing.T) {
 	}
 }
 
-func TestPoolQueueFullTimesOut(t *testing.T) {
-	p := newPool(1, 1)
-	defer p.close()
-	release := occupyWorkers(p, 1)
-	defer release()
-	gate := make(chan struct{})
-	go p.submit(context.Background(), func(context.Context) (any, error) { <-gate; return nil, nil })
-	for p.queueDepth() == 0 {
-		runtime.Gosched() // wait for the queue slot to fill
-	}
-	defer close(gate)
-
-	// With worker and queue both full, an already-expired deadline
-	// makes submit fail immediately — no waiting on wall-clock time.
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	_, err := p.submit(ctx, func(context.Context) (any, error) { return nil, nil })
-	if !errors.Is(err, ErrQueueFull) {
-		t.Errorf("err = %v, want ErrQueueFull", err)
-	}
-}
-
 func TestPoolCloseDrainsAcceptedTasks(t *testing.T) {
 	p := newPool(2, 32)
 	const n = 16
@@ -106,7 +83,7 @@ func TestPoolCloseDrainsAcceptedTasks(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, err := p.submit(context.Background(), func(context.Context) (any, error) {
+			_, err := p.trySubmit(context.Background(), false, func(context.Context) (any, error) {
 				select {
 				case started <- struct{}{}:
 				default:
@@ -142,8 +119,8 @@ func TestPoolCloseDrainsAcceptedTasks(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if _, err := p.submit(context.Background(), func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
-		t.Errorf("submit during drain: err = %v, want ErrDraining", err)
+	if _, err := p.trySubmit(context.Background(), false, func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
+		t.Errorf("trySubmit during drain: err = %v, want ErrDraining", err)
 	}
 	select {
 	case <-closed:

@@ -53,9 +53,12 @@ type Config struct {
 	CacheBytes   int64
 	// RequestTimeout caps one request end to end (default 30s).
 	RequestTimeout time.Duration
-	// MaxIterations is the per-request simulated-execution budget
-	// (default 1<<22 iterations; 0 keeps the default, negative means
-	// unlimited).
+	// MaxIterations is the per-request iteration budget (default 1<<22
+	// iterations; 0 keeps the default, negative means unlimited). A
+	// nest with more iterations is refused before it is enumerated —
+	// compiling or reviving it costs time and memory linear in that
+	// count — and a simulated execution may spend no more (both are
+	// machine.ErrBudgetExhausted, HTTP 422).
 	MaxIterations int64
 	// MaxProcessors bounds the machine size a request may ask for
 	// (default 1024); MaxSourceBytes bounds the submitted program
@@ -755,6 +758,9 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 // worker) and builds the cache entry. Stage spans land in trc; the
 // stage histograms are folded in from the spans at request end.
 func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, strat partition.Strategy, auto bool, procs int, trc *obs.Trace) (*cacheEntry, error) {
+	if err := s.admitNest(nest); err != nil {
+		return nil, err
+	}
 	// compiles counts full pipeline runs — and only those. Store
 	// rehydrations and cache hits leave it untouched, which is what lets
 	// the conformance suite prove "served without recompilation" from
@@ -840,6 +846,38 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 		return nil, err
 	}
 	return &cacheEntry{key: key, label: plan.Strategy, plan: plan, comp: &compiled{nest: cn, res: res}, rec: rec, bytes: entryBytes(rec)}, nil
+}
+
+// admitNest refuses a nest that spans more than MaxIterations
+// iterations. It runs before the two places that enumerate one —
+// partition.NewContext in a compile, loop.NewIndex in a revival —
+// because those allocate per iteration and heed no context: a 60-byte
+// program can name 10¹⁰ iterations. Constant bounds are multiplied out
+// (a box too large to rank is too large), outermost first and only down
+// to an empty level: that is what a walk of the nest steps through, even
+// when it then finds no iteration. Dependent bounds are walked, stopping
+// at the limit.
+func (s *Service) admitNest(nest *loop.Nest) error {
+	limit := s.cfg.MaxIterations
+	if limit < 0 {
+		return nil
+	}
+	over := false
+	if lo, hi, ok := nest.ConstBounds(); ok {
+		k := 0
+		for k < len(lo) && lo[k] <= hi[k] {
+			k++
+		}
+		box, err := loop.NewRanker("iteration box", lo[:k], hi[:k])
+		over = err != nil || box.Volume > limit
+	} else {
+		var count int64
+		over = !nest.Walk(func([]int64) bool { count++; return count <= limit })
+	}
+	if over {
+		return fmt.Errorf("service: nest spans more than %d iterations: %w", limit, machine.ErrBudgetExhausted)
+	}
+	return nil
 }
 
 // runPooled runs fn on a pool worker via trySubmit and records the

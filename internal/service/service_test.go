@@ -215,8 +215,8 @@ func TestRequestTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("want timeout error")
 	}
-	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrQueueFull) {
-		t.Errorf("err = %v, want deadline/queue-full", err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want deadline exceeded", err)
 	}
 }
 

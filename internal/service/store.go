@@ -286,6 +286,9 @@ func (s *Service) rehydrate(rec *store.Record, trc *obs.Trace) (*cacheEntry, err
 			return nil, fmt.Errorf("service: record %q Ψ vector %v is not of depth %d", rec.Key, row, cn.Depth())
 		}
 	}
+	if err := s.admitNest(cn); err != nil {
+		return nil, err
+	}
 	sp = trc.Start(rsp.ID(), "index")
 	ix, err := loop.NewIndex(cn)
 	sp.End()

@@ -38,9 +38,9 @@ func ExampleTransformWithBasis() {
 func ExampleTransformed_Visit() {
 	psi := space.SpanInts(3, []int64{1, -1, 1})
 	tr, _ := transform.Transform(loop.L4(), psi)
-	blocks, iters := 0, 0
-	tr.Visit(func([]int64) { blocks++ }, func(_, _ []int64) { iters++ })
-	fmt.Println(blocks, "blocks,", iters, "iterations")
+	iters := 0
+	tr.Visit(func(_, _ []int64) { iters++ })
+	fmt.Println(len(tr.ForallPoints()), "blocks,", iters, "iterations")
 	// Output:
 	// 37 blocks, 64 iterations
 }

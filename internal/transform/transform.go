@@ -14,8 +14,9 @@ package transform
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"commfree/internal/linalg"
 	"commfree/internal/loop"
@@ -138,6 +139,11 @@ type Transformed struct {
 	Extended []ExtendedStatement
 	// Names of the new variables in loop order.
 	Names []string
+
+	// The enumerated forall space (see enumerate).
+	forallOnce sync.Once
+	forall     [][]int64
+	sizes      []int64
 }
 
 // Transform rewrites the nest for partitioning space psi, deriving the
@@ -438,10 +444,10 @@ func (t *Transformed) NewPoint(orig []int64) []int64 {
 	return out
 }
 
-// Visit enumerates the transformed loop: for each forall point (block) it
-// calls block once, then body for every iteration of the block in
-// lexicographic original order.
-func (t *Transformed) Visit(block func(forall []int64), body func(forall, orig []int64)) {
+// Visit enumerates the transformed loop: body is called for every
+// iteration, forall points in lexicographic order and, inside one forall
+// point (block), iterations in lexicographic original order.
+func (t *Transformed) Visit(body func(forall, orig []int64)) {
 	n := t.Nest.Depth()
 	point := make([]int64, n)
 	var rec func(m int)
@@ -459,78 +465,50 @@ func (t *Transformed) Visit(block func(forall []int64), body func(forall, orig [
 					return
 				}
 			}
-			if body != nil {
-				body(point[:t.K], orig)
-			}
+			body(point[:t.K], orig)
 			return
 		}
 		lo, hi := t.Bounds[m].Eval(point[:m])
 		for v := lo; v <= hi; v++ {
 			point[m] = v
-			if m == t.K-1 && block != nil {
-				// A forall point may still turn out empty; emit block
-				// lazily on first body call instead when strictness
-				// matters. Here we emit optimistically after checking the
-				// block is nonempty.
-				if t.blockNonEmpty(point[:t.K]) {
-					block(point[:t.K])
-				}
-			}
 			rec(m + 1)
 		}
 	}
 	if n == 0 {
 		return
 	}
-	if t.K == 0 && block != nil && t.blockNonEmpty(nil) {
-		// Fully sequential form: the single block is the whole space.
-		block(nil)
-	}
 	rec(0)
 }
 
-// blockNonEmpty reports whether the forall point has at least one
-// iteration.
-func (t *Transformed) blockNonEmpty(forall []int64) bool {
-	n := t.Nest.Depth()
-	point := make([]int64, n)
-	copy(point, forall)
-	var rec func(m int) bool
-	rec = func(m int) bool {
-		if m == n {
-			orig, ok := t.Original(point)
-			if !ok {
-				return false
+// enumerate walks the forall space on first use: the forall points that
+// hold at least one iteration, in Visit order, with their iteration
+// counts. Everything that asks how the loop splits into blocks — the
+// block list, workloads, the wire views — reads this one enumeration.
+func (t *Transformed) enumerate() {
+	t.forallOnce.Do(func() {
+		t.Visit(func(forall, _ []int64) {
+			if last := len(t.forall) - 1; last < 0 || !slices.Equal(t.forall[last], forall) {
+				// Never nil: the K = 0 point is [] on the wire, not null.
+				t.forall = append(t.forall, append(make([]int64, 0, len(forall)), forall...))
+				t.sizes = append(t.sizes, 0)
 			}
-			for lvl, lv := range t.Nest.Levels {
-				if orig[lvl] < lv.Lower.Eval(orig) || orig[lvl] > lv.Upper.Eval(orig) {
-					return false
-				}
-			}
-			return true
-		}
-		lo, hi := t.Bounds[m].Eval(point[:m])
-		for v := lo; v <= hi; v++ {
-			point[m] = v
-			if rec(m + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	return rec(t.K)
+			t.sizes[len(t.sizes)-1]++
+		})
+	})
 }
 
-// ForallPoints returns the nonempty forall points in lexicographic order.
+// ForallPoints returns the nonempty forall points in lexicographic
+// order. The slice is shared by every caller and must not be modified.
 func (t *Transformed) ForallPoints() [][]int64 {
-	var out [][]int64
-	t.Visit(func(f []int64) {
-		cp := make([]int64, len(f))
-		copy(cp, f)
-		out = append(out, cp)
-	}, nil)
-	sort.Slice(out, func(i, j int) bool { return loop.LexLess(out[i], out[j]) })
-	return out
+	t.enumerate()
+	return t.forall
+}
+
+// BlockSizes returns the iteration count of every forall point, in
+// ForallPoints order. The slice is shared and must not be modified.
+func (t *Transformed) BlockSizes() []int64 {
+	t.enumerate()
+	return t.sizes
 }
 
 // String pretty-prints the transformed loop in the paper's style.

@@ -98,7 +98,7 @@ func TestTransformL4Bijection(t *testing.T) {
 	tr := transformPaperL4(t)
 	seen := map[string]bool{}
 	count := 0
-	tr.Visit(nil, func(forall, orig []int64) {
+	tr.Visit(func(forall, orig []int64) {
 		key := fmt.Sprint(orig)
 		if seen[key] {
 			t.Errorf("iteration %v enumerated twice", orig)
@@ -152,7 +152,7 @@ func checkBijection(t *testing.T, nest *loop.Nest, strat partition.Strategy) {
 	}
 	seen := map[string]bool{}
 	blockOf := map[string]string{} // forall key per iteration
-	tr.Visit(nil, func(forall, orig []int64) {
+	tr.Visit(func(forall, orig []int64) {
 		key := fmt.Sprint(orig)
 		if seen[key] {
 			t.Fatalf("%v enumerated twice", orig)
@@ -214,12 +214,11 @@ func TestTransformSequentialFullPsi(t *testing.T) {
 		t.Fatalf("K=%d G=%d", tr.K, tr.G)
 	}
 	count := 0
-	blocks := 0
-	tr.Visit(func([]int64) { blocks++ }, func(_, _ []int64) { count++ })
+	tr.Visit(func(_, _ []int64) { count++ })
 	if count != 16 {
 		t.Errorf("iterations = %d", count)
 	}
-	if blocks != 1 {
+	if blocks := len(tr.ForallPoints()); blocks != 1 {
 		t.Errorf("blocks = %d, want 1", blocks)
 	}
 }
@@ -257,7 +256,7 @@ func TestTransformNonUnimodular(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	tr.Visit(nil, func(_, orig []int64) {
+	tr.Visit(func(_, orig []int64) {
 		k := fmt.Sprint(orig)
 		if seen[k] {
 			t.Fatalf("%v twice", orig)
@@ -273,7 +272,7 @@ func TestTransformIntraBlockLexOrder(t *testing.T) {
 	tr := transformPaperL4(t)
 	var cur []int64
 	var curForall string
-	tr.Visit(nil, func(forall, orig []int64) {
+	tr.Visit(func(forall, orig []int64) {
 		fk := fmt.Sprint(forall)
 		if fk != curForall {
 			curForall = fk
