@@ -29,6 +29,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	"commfree"
+	"commfree/internal/rational"
 )
 
 const demoSrc = `# Loop L1 from Chen & Sheu (1993).
@@ -66,6 +68,20 @@ func main() {
 		clusterPr  = flag.String("peer", "", "cluster admin: NAME=URL for -op join, NAME for -op leave")
 	)
 	flag.Parse()
+
+	// The exact arithmetic refuses a coefficient it cannot represent by
+	// panicking with its overflow value: the program's doing, so it exits
+	// like every other rejected program. Any other panic is a bug and
+	// keeps its stack.
+	defer func() {
+		p := recover()
+		if err, ok := p.(error); ok && errors.Is(err, rational.ErrOverflow) {
+			fatal(fmt.Errorf("the program's coefficients are too large to analyse exactly: %w", err))
+		}
+		if p != nil {
+			panic(p)
+		}
+	}()
 
 	if *clusterURL != "" {
 		if err := runClusterAdmin(*clusterURL, *clusterOp, *clusterPr); err != nil {

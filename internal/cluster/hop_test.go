@@ -537,3 +537,47 @@ func TestOversizedNestIsRefusedThroughTheFleet(t *testing.T) {
 		t.Errorf("%d forwarded requests, want the four that entered off the home", len(calls))
 	}
 }
+
+// TestOverflowingNestIsRefusedThroughTheFleet: a program whose
+// coefficients overflow the dependence analysis is a 422 whichever node
+// is asked — the home's worker contains the arithmetic's panic, the
+// forwarding nodes relay the answer — and the fleet is whole afterwards:
+// every node answers, none has a request in flight, and the next program
+// compiles on the node that refused this one.
+func TestOverflowingNestIsRefusedThroughTheFleet(t *testing.T) {
+	log := &peerLog{}
+	fleet, err := NewLocal(3, testBase(), log.wrap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	req := execRequest("for i = 1 to 4\n  for j = 1 to 4\n    A[3037000500*i + 3037000500*j, 3037000499*i - 3037000501*j] = A[3037000500*i + 3037000500*j - 1, 3037000499*i - 3037000501*j + 1] + 1\n  end\nend\n")
+	for _, path := range []string{"/v1/compile", "/v1/execute"} {
+		for _, entry := range fleet.Names {
+			start := time.Now()
+			res, body := postJSON(t, fleet.Client(), "http://"+entry+path, req)
+			if res.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "overflow") {
+				t.Errorf("%s via %s: status %d, body %s; want 422 naming the overflow", path, entry, res.StatusCode, body)
+			}
+			if d := time.Since(start); d > 100*time.Millisecond {
+				t.Errorf("%s via %s refused after %v, want < 100ms", path, entry, d)
+			}
+		}
+	}
+	if calls := log.take(); len(calls) != 4 {
+		t.Errorf("%d forwarded requests, want the four that entered off the home", len(calls))
+	}
+	for _, name := range fleet.Names {
+		res, err := fleet.Client().Get("http://" + name + "/healthz")
+		if err != nil || res.StatusCode != http.StatusOK {
+			t.Fatalf("healthz on %s after the refusals: %v %v", name, res, err)
+		}
+		res.Body.Close()
+		if n := svcOf(t, fleet, name).Metrics().Snapshot().Gauges["in_flight"]; n != 0 {
+			t.Errorf("%s has %d requests in flight after the refusals", name, n)
+		}
+		if res, body := postJSON(t, fleet.Client(), "http://"+name+"/v1/compile", execRequest(sourceHomedOn(t, fleet, name))); res.StatusCode != http.StatusOK {
+			t.Errorf("compile on %s after the refusals: status %d (body %s)", name, res.StatusCode, body)
+		}
+	}
+}

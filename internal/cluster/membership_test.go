@@ -258,6 +258,17 @@ func TestStatusReportsEpochAndPlanCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Counting plans reads no record: the stores' Gets stay where they are
+	// through the status request and the per-peer counts behind it.
+	storeGets := func() (n int64) {
+		for _, svc := range fleet.Services {
+			if st := svc.StoreStats(); st != nil {
+				n += st.Gets
+			}
+		}
+		return n
+	}
+	getsBefore := storeGets()
 	res, err := fleet.Client().Get("http://n0/v1/cluster")
 	if err != nil {
 		t.Fatal(err)
@@ -266,6 +277,9 @@ func TestStatusReportsEpochAndPlanCounts(t *testing.T) {
 	var st Status
 	if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
 		t.Fatal(err)
+	}
+	if got := storeGets(); got != getsBefore {
+		t.Errorf("the status request read %d records from the stores", got-getsBefore)
 	}
 	if st.Epoch != 1 {
 		t.Errorf("status epoch = %d, want 1", st.Epoch)

@@ -12,10 +12,9 @@ package intlin
 import (
 	"fmt"
 	"math"
-)
 
-// ErrOverflow is the panic value raised when an intermediate overflows int64.
-var ErrOverflow = fmt.Errorf("intlin: int64 overflow")
+	"commfree/internal/rational"
+)
 
 // ExtGCD returns g = gcd(a, b) ≥ 0 and Bézout coefficients x, y with
 // a·x + b·y = g.
@@ -457,9 +456,12 @@ func absC(x int64) int64 {
 	return x
 }
 
+// The checked operations panic with rational.ErrOverflow, the one
+// overflow value of the exact arithmetic, when a result leaves int64.
+
 func negC(x int64) int64 {
 	if x == math.MinInt64 {
-		panic(ErrOverflow)
+		panic(rational.ErrOverflow)
 	}
 	return -x
 }
@@ -467,7 +469,7 @@ func negC(x int64) int64 {
 func addC(a, b int64) int64 {
 	s := a + b
 	if (a > 0 && b > 0 && s <= 0) || (a < 0 && b < 0 && s >= 0) {
-		panic(ErrOverflow)
+		panic(rational.ErrOverflow)
 	}
 	return s
 }
@@ -478,7 +480,7 @@ func mulC(a, b int64) int64 {
 	}
 	p := a * b
 	if p/b != a || (a == math.MinInt64 && b == -1) || (b == math.MinInt64 && a == -1) {
-		panic(ErrOverflow)
+		panic(rational.ErrOverflow)
 	}
 	return p
 }

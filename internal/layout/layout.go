@@ -9,6 +9,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 
 	"commfree/internal/partition"
 )
@@ -16,14 +17,15 @@ import (
 // BlockLayout is the local layout of one data block.
 type BlockLayout struct {
 	BlockID int
-	// Index maps an element (fmt.Sprint of its index vector) to its dense
-	// local slot, in lexicographic element order.
-	Index map[string]int
-	// Count is the number of resident elements (= len(Index)).
+	// Count is the number of resident elements. They get the dense local
+	// slots 0..Count-1 in lexicographic element order — the order the
+	// partition lists them in, so a slot is a position (see Slot).
 	Count int
 	// BoxCells is the volume of the elements' bounding box — what a
 	// rectangular local allocation would reserve.
 	BoxCells int64
+
+	elems [][]int64 // the data block's elements, shared with the partition
 }
 
 // Layout is the local layout of one array across all blocks.
@@ -40,42 +42,25 @@ type Layout struct {
 
 // Build computes the layout of a data partition.
 func Build(dp *partition.DataPartition) *Layout {
-	l := &Layout{Array: dp.Array}
-	uniq := map[string]bool{}
+	l := &Layout{Array: dp.Array, UniqueElements: dp.Unique}
 	for _, db := range dp.Blocks {
-		bl := &BlockLayout{BlockID: db.BlockID, Index: map[string]int{}}
-		var lo, hi []int64
-		for slot, e := range db.Elements {
-			key := fmt.Sprint(e)
-			bl.Index[key] = slot
-			uniq[key] = true
-			if lo == nil {
-				lo = append([]int64(nil), e...)
-				hi = append([]int64(nil), e...)
-				continue
-			}
-			for d := range e {
-				if e[d] < lo[d] {
-					lo[d] = e[d]
-				}
-				if e[d] > hi[d] {
-					hi[d] = e[d]
+		bl := &BlockLayout{BlockID: db.BlockID, Count: len(db.Elements), elems: db.Elements}
+		if bl.Count > 0 {
+			lo, hi := slices.Clone(db.Elements[0]), slices.Clone(db.Elements[0])
+			for _, e := range db.Elements[1:] {
+				for d := range e {
+					lo[d], hi[d] = min(lo[d], e[d]), max(hi[d], e[d])
 				}
 			}
-		}
-		bl.Count = len(bl.Index)
-		if lo != nil {
-			box := int64(1)
+			bl.BoxCells = 1
 			for d := range lo {
-				box *= hi[d] - lo[d] + 1
+				bl.BoxCells *= hi[d] - lo[d] + 1
 			}
-			bl.BoxCells = box
 		}
 		l.Blocks = append(l.Blocks, bl)
 		l.TotalElements += bl.Count
 		l.TotalBoxCells += bl.BoxCells
 	}
-	l.UniqueElements = len(uniq)
 	return l
 }
 
@@ -84,8 +69,7 @@ func Build(dp *partition.DataPartition) *Layout {
 func (l *Layout) Slot(blockID int, elem []int64) (int, bool) {
 	for _, bl := range l.Blocks {
 		if bl.BlockID == blockID {
-			s, ok := bl.Index[fmt.Sprint(elem)]
-			return s, ok
+			return slices.BinarySearchFunc(bl.elems, elem, slices.Compare[[]int64])
 		}
 	}
 	return 0, false

@@ -1,9 +1,13 @@
 package layout
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"commfree/internal/lang"
 	"commfree/internal/loop"
 	"commfree/internal/partition"
 )
@@ -30,18 +34,104 @@ func TestL1LayoutNonDuplicate(t *testing.T) {
 	if l.UniqueElements != l.TotalElements {
 		t.Errorf("unique %d != total %d under non-duplicate", l.UniqueElements, l.TotalElements)
 	}
-	// Slots are dense 0..Count-1 per block.
-	for _, bl := range l.Blocks {
-		seen := make([]bool, bl.Count)
-		for _, s := range bl.Index {
-			if s < 0 || s >= bl.Count {
-				t.Fatalf("slot %d out of range %d", s, bl.Count)
+}
+
+// referenceBuild is the layout as it was first written: every element
+// keyed by its printed index vector, per block and globally. Build reads
+// the same numbers off the partition's sorted element lists.
+func referenceBuild(dp *partition.DataPartition) (*Layout, []map[string]int) {
+	l := &Layout{Array: dp.Array}
+	var slots []map[string]int
+	uniq := map[string]bool{}
+	for _, db := range dp.Blocks {
+		bl, index := &BlockLayout{BlockID: db.BlockID}, map[string]int{}
+		var lo, hi []int64
+		for slot, e := range db.Elements {
+			key := fmt.Sprint(e)
+			index[key], uniq[key] = slot, true
+			if lo == nil {
+				lo, hi = append([]int64(nil), e...), append([]int64(nil), e...)
 			}
-			if seen[s] {
-				t.Fatalf("slot %d assigned twice", s)
+			for d := range e {
+				lo[d], hi[d] = min(lo[d], e[d]), max(hi[d], e[d])
 			}
-			seen[s] = true
 		}
+		bl.Count = len(index)
+		if lo != nil {
+			bl.BoxCells = 1
+			for d := range lo {
+				bl.BoxCells *= hi[d] - lo[d] + 1
+			}
+		}
+		l.Blocks, slots = append(l.Blocks, bl), append(slots, index)
+		l.TotalElements += bl.Count
+		l.TotalBoxCells += bl.BoxCells
+	}
+	l.UniqueElements = len(uniq)
+	return l, slots
+}
+
+// TestBuildMatchesReference: on the corpus and the paper's loops, under
+// all six strategies, Build equals the string-keyed reference field for
+// field, and Slot answers what the reference's per-block index held —
+// dense slots in element order, absent elements absent.
+func TestBuildMatchesReference(t *testing.T) {
+	nests := []*loop.Nest{loop.L1(), loop.L2(), loop.L3(), loop.L4(), loop.L5(4)}
+	for _, src := range lang.Corpus() {
+		if n, err := lang.Parse(src); err == nil {
+			nests = append(nests, n)
+		}
+	}
+	checked := 0
+	for ni, n := range nests {
+		results := map[string]*partition.Result{}
+		for _, s := range []partition.Strategy{partition.NonDuplicate, partition.Duplicate,
+			partition.MinimalNonDuplicate, partition.MinimalDuplicate, partition.Mars} {
+			res, err := partition.Compute(n, s)
+			if err != nil {
+				continue // a nest the strategy does not apply to
+			}
+			results[s.String()] = res
+		}
+		if arrays := n.Arrays(); len(arrays) > 0 {
+			if res, err := partition.ComputeSelective(n, map[string]bool{arrays[0]: true}); err == nil {
+				results["selective"] = res
+			}
+		}
+		for name, res := range results {
+			for _, a := range res.Iter.Index.Arrays {
+				dp := res.DataPartition(a)
+				got := Build(dp)
+				want, slots := referenceBuild(dp)
+				for bi, bl := range want.Blocks {
+					bl.elems = dp.Blocks[bi].Elements
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("nest %d, %s, array %s:\n got %+v\nwant %+v", ni, name, a, got, want)
+				}
+				for bi, db := range dp.Blocks {
+					for _, e := range db.Elements {
+						if s, ok := got.Slot(db.BlockID, e); !ok || s != slots[bi][fmt.Sprint(e)] {
+							t.Fatalf("nest %d, %s: Slot(%d, %s%v) = %d, %v; want %d", ni, name, db.BlockID, a, e, s, ok, slots[bi][fmt.Sprint(e)])
+						}
+					}
+					if n := len(db.Elements); n > 0 {
+						past, before := slices.Clone(db.Elements[n-1]), slices.Clone(db.Elements[0])
+						past[len(past)-1]++
+						before[len(before)-1]--
+						for _, out := range [][]int64{past, before} {
+							if _, ok := got.Slot(db.BlockID, out); ok {
+								t.Fatalf("nest %d, %s: Slot finds %s%v in block %d, which does not hold it", ni, name, a, out, db.BlockID)
+							}
+						}
+					}
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d layouts compared", checked)
 	}
 }
 

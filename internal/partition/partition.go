@@ -379,9 +379,10 @@ type DataPartition struct {
 	// Duplicated reports whether some element appears in more than one
 	// block (possible only under the duplicate-data strategies).
 	Duplicated bool
-	// CopyFactor is (Σ block sizes) / (unique elements); 1.0 means no
-	// duplication.
+	// CopyFactor is (Σ block sizes) / Unique, the number of distinct
+	// elements; 1.0 means no duplication.
 	CopyFactor float64
+	Unique     int
 }
 
 // copyFactor is copies per distinct element (0 for an untouched array).
@@ -467,7 +468,7 @@ func (r *Result) DataPartition(array string) *DataPartition {
 	copies, uniq, ranks := footprints(r.Iter, r.Redundant, ai)
 	box := ix.Elems[ai]
 	dp := &DataPartition{Array: array, Blocks: make([]*DataBlock, len(ranks)),
-		Duplicated: copies[ai] > uniq[ai], CopyFactor: copyFactor(copies[ai], uniq[ai])}
+		Duplicated: copies[ai] > uniq[ai], CopyFactor: copyFactor(copies[ai], uniq[ai]), Unique: uniq[ai]}
 	for bi, rs := range ranks {
 		db := &DataBlock{BlockID: r.Iter.Blocks[bi].ID, Elements: make([][]int64, len(rs))}
 		flat := make([]int64, len(rs)*len(box.Lo))

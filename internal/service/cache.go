@@ -84,12 +84,6 @@ type planCache struct {
 }
 
 func newPlanCache(maxEntries int, maxBytes int64) *planCache {
-	if maxEntries <= 0 {
-		maxEntries = 256
-	}
-	if maxBytes <= 0 {
-		maxBytes = 64 << 20
-	}
 	return &planCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,

@@ -18,9 +18,11 @@ package service
 // Error responses are {"error": "..."} with 400 for malformed input,
 // 422 when the normalization pass rejects a well-formed nest (the body
 // carries the ClassifyError: rejection class, offending reference,
-// failed condition), 429 (plus Retry-After) when admission control
-// sheds load, 503 while
-// draining, 504 on per-request timeout, and 500 otherwise.
+// failed condition), spans more iterations than the budget, or has
+// coefficients that overflow the exact analysis, 429 (plus Retry-After)
+// when admission control sheds load, 503 while draining, 504 on
+// per-request timeout, and 500 otherwise — a contained worker panic
+// included, whose error names the trace that holds its stack.
 
 import (
 	"context"
@@ -32,6 +34,7 @@ import (
 
 	"commfree/internal/machine"
 	"commfree/internal/normalize"
+	"commfree/internal/rational"
 	"commfree/internal/store"
 )
 
@@ -187,7 +190,9 @@ func statusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
-	case errors.Is(err, machine.ErrBudgetExhausted):
+	case errors.Is(err, machine.ErrBudgetExhausted), errors.Is(err, rational.ErrOverflow):
+		// A well-formed program too large to enumerate, or to analyse in
+		// exact 64-bit arithmetic.
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError

@@ -321,7 +321,7 @@ func TestStoreV1RecordsRecompile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The index records the old size, so the open rescans and skips it.
+	// The open scan decodes every record, so it skips this one.
 	s2 := newStoreService(t, Config{StoreDir: dir})
 	if st := s2.StoreStats(); st.CorruptSkipped != 1 || st.Records != 0 {
 		t.Fatalf("store over a v1 file: %+v", st)

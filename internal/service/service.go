@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,6 +37,7 @@ import (
 	"commfree/internal/machine"
 	"commfree/internal/obs"
 	"commfree/internal/partition"
+	"commfree/internal/rational"
 	"commfree/internal/selector"
 	"commfree/internal/store"
 	"commfree/internal/transform"
@@ -47,10 +49,9 @@ type Config struct {
 	// request-queue bound (default 64).
 	Workers    int
 	QueueDepth int
-	// CacheEntries / CacheBytes bound the plan cache (defaults 256
-	// entries, 64 MiB approximate).
+	// CacheEntries bounds the plan cache (default 256 entries; its bytes
+	// are bounded by cacheBytes).
 	CacheEntries int
-	CacheBytes   int64
 	// RequestTimeout caps one request end to end (default 30s).
 	RequestTimeout time.Duration
 	// MaxIterations is the per-request iteration budget (default 1<<22
@@ -60,10 +61,7 @@ type Config struct {
 	// count — and a simulated execution may spend no more (both are
 	// machine.ErrBudgetExhausted, HTTP 422).
 	MaxIterations int64
-	// MaxProcessors bounds the machine size a request may ask for
-	// (default 1024); MaxSourceBytes bounds the submitted program
-	// (default 1 MiB).
-	MaxProcessors  int
+	// MaxSourceBytes bounds the submitted program (default 1 MiB).
 	MaxSourceBytes int
 	// Cost is the machine cost model (default machine.Transputer()).
 	Cost machine.CostModel
@@ -127,6 +125,13 @@ type Config struct {
 	Store    store.Store
 }
 
+// Two bounds nothing has ever needed to set: the plan cache's approximate
+// size in bytes, and the largest machine a request may ask for.
+const (
+	cacheBytes    = 64 << 20
+	maxProcessors = 1024
+)
+
 // ParseEngine validates an engine name arriving from outside the
 // program (a command-line flag): Config itself maps anything but
 // "oracle" to the kernel, so a misspelt or retired name must be refused
@@ -148,17 +153,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
 	}
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = 64 << 20
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 1 << 22
-	}
-	if c.MaxProcessors <= 0 {
-		c.MaxProcessors = 1024
 	}
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = 1 << 20
@@ -405,7 +404,7 @@ type Service struct {
 
 	// st is the plan store (nil until configured or lazily created by
 	// ensureStore); ownsStore marks stores opened by NewWithStore, which
-	// Close must close (saving the index).
+	// Close must close.
 	storeMu   sync.Mutex
 	st        store.Store
 	ownsStore bool
@@ -421,7 +420,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:     cfg,
-		cache:   newPlanCache(cfg.CacheEntries, cfg.CacheBytes),
+		cache:   newPlanCache(cfg.CacheEntries, cacheBytes),
 		pool:    newPool(cfg.Workers, cfg.QueueDepth),
 		metrics: NewMetrics(),
 		traces:  obs.NewRing(cfg.TraceRing),
@@ -506,7 +505,7 @@ func (s *Service) Draining() bool { return s.drain.Load() || s.pool.draining() }
 
 // Close drains the service: in-flight and queued requests complete and
 // receive their responses; new requests fail with ErrDraining. A store
-// opened by NewWithStore is closed too (persisting its index).
+// opened by NewWithStore is closed too.
 func (s *Service) Close() {
 	s.drain.Store(true)
 	s.pool.close()
@@ -583,8 +582,8 @@ func (s *Service) validate(req *CompileRequest) error {
 	if req.Processors == 0 {
 		req.Processors = 16
 	}
-	if req.Processors < 1 || req.Processors > s.cfg.MaxProcessors {
-		return badRequest("processors = %d, allowed 1..%d", req.Processors, s.cfg.MaxProcessors)
+	if req.Processors < 1 || req.Processors > maxProcessors {
+		return badRequest("processors = %d, allowed 1..%d", req.Processors, maxProcessors)
 	}
 	return nil
 }
@@ -889,14 +888,40 @@ func (s *Service) admitNest(nest *loop.Nest) error {
 func (s *Service) runPooled(ctx context.Context, trc *obs.Trace, droppable bool, fn func(ctx context.Context) (any, error)) (any, error) {
 	startOff := trc.Since()
 	var wait time.Duration
-	v, err := s.pool.trySubmit(ctx, droppable, func(ctx context.Context) (any, error) {
+	v, err := s.pool.trySubmit(ctx, droppable, func(ctx context.Context) (v any, err error) {
 		wait = trc.Since() - startOff
+		defer s.contain(trc, &err)
 		return fn(ctx)
 	})
 	if wait > 0 {
 		trc.Bulk([]obs.Span{{Name: "queue_wait", StartNS: int64(startOff), DurNS: int64(wait)}})
 	}
 	return v, err
+}
+
+// contain, deferred around every pooled task, turns a panic into the
+// task's error: the worker survives, and the in-flight count, the
+// admission feedback and the single-flight slot are released by the code
+// that releases them after any failed task. An arithmetic overflow — how
+// the exact-arithmetic packages refuse a coefficient — is the program's
+// doing and keeps its sentinel (HTTP 422). Anything else is a bug: it is
+// counted, its stack goes on the request's trace as a panic span, and the
+// error names that trace.
+func (s *Service) contain(trc *obs.Trace, err *error) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	if perr, ok := p.(error); ok && errors.Is(perr, rational.ErrOverflow) {
+		*err = fmt.Errorf("service: the program's coefficients are too large to analyse exactly: %w", perr)
+		return
+	}
+	s.metrics.Inc("panics", 1)
+	sp := trc.Start(0, "panic")
+	sp.SetStr("value", fmt.Sprint(p))
+	sp.SetStr("stack", string(debug.Stack()))
+	sp.End()
+	*err = fmt.Errorf("service: internal error: a worker panicked serving this request (trace %s)", trc.ID())
 }
 
 // countError folds a request error into the counters (overload

@@ -157,30 +157,39 @@ func decodePlan(rec *store.Record) (*Plan, error) {
 	return &plan, nil
 }
 
+// storePut writes rec to st and counts the outcome: under counter when
+// the record landed, as store_torn_writes when the fault hook tore it —
+// an error to no caller, the plan recompiles on demand — and otherwise as
+// store_put_errors, with the error.
+func (s *Service) storePut(st store.Store, rec *store.Record, counter string) error {
+	err := st.Put(rec)
+	var te *store.TornWriteError
+	switch {
+	case err == nil:
+		s.metrics.Inc(counter, 1)
+	case errors.As(err, &te):
+		s.metrics.Inc("store_torn_writes", 1)
+		return nil
+	default:
+		s.metrics.Inc("store_put_errors", 1)
+	}
+	return err
+}
+
 // persist writes the entry's record through to the store (when one is
 // configured), counting rather than failing on write faults: the plan
 // is already live in memory and a lost record just recompiles later.
 func (s *Service) persist(e *cacheEntry) {
-	st := s.store()
-	if st == nil || e.rec == nil {
-		return
+	if st := s.store(); st != nil && e.rec != nil {
+		_ = s.storePut(st, e.rec, "store_puts")
 	}
-	if err := st.Put(e.rec); err != nil {
-		var te *store.TornWriteError
-		if errors.As(err, &te) {
-			s.metrics.Inc("store_torn_writes", 1)
-		} else {
-			s.metrics.Inc("store_put_errors", 1)
-		}
-		return
-	}
-	s.metrics.Inc("store_puts", 1)
 }
 
 // cacheAdd inserts the entry and demotes evicted entries to the store:
 // any evicted plan whose record the store no longer holds (bounded Mem
 // store, earlier torn write) is re-Put, so eviction never destroys the
-// only copy while a store exists.
+// only copy while a store exists. A failed demotion is counted, like a
+// failed persist.
 func (s *Service) cacheAdd(e *cacheEntry) {
 	evicted := s.cache.add(e)
 	if len(evicted) == 0 {
@@ -191,19 +200,9 @@ func (s *Service) cacheAdd(e *cacheEntry) {
 		return
 	}
 	for _, old := range evicted {
-		if old.rec == nil || st.Has(old.key) {
-			continue
+		if old.rec != nil && !st.Has(old.key) {
+			_ = s.storePut(st, old.rec, "store_demotes")
 		}
-		if err := st.Put(old.rec); err != nil {
-			var te *store.TornWriteError
-			if errors.As(err, &te) {
-				s.metrics.Inc("store_torn_writes", 1)
-			} else {
-				s.metrics.Inc("store_put_errors", 1)
-			}
-			continue
-		}
-		s.metrics.Inc("store_demotes", 1)
 	}
 }
 
@@ -364,18 +363,9 @@ func (s *Service) ImportRecord(rec *store.Record) error {
 	if _, err := decodePlan(rec); err != nil {
 		return err
 	}
-	if err := s.ensureStore().Put(rec); err != nil {
-		var te *store.TornWriteError
-		if errors.As(err, &te) {
-			// Torn import: the record is unreadable but the plan will
-			// recompile on demand; count it, keep the migration moving.
-			s.metrics.Inc("store_torn_writes", 1)
-			return nil
-		}
-		return err
-	}
-	s.metrics.Inc("store_imports", 1)
-	return nil
+	// A torn import is counted and not an error: it keeps the migration
+	// moving.
+	return s.storePut(s.ensureStore(), rec, "store_imports")
 }
 
 // ExportRecords snapshots every plan record this node holds — cached
@@ -411,7 +401,18 @@ func (s *Service) ExportRecords() []*store.Record {
 }
 
 // PlanCount reports how many distinct plans the node holds (cache ∪
-// store) — the convergence signal operators watch during a rebalance.
+// store) — the convergence signal operators watch during a rebalance. It
+// counts keys and reads no record.
 func (s *Service) PlanCount() int {
-	return len(s.ExportRecords())
+	st := s.store()
+	n := 0
+	if st != nil {
+		n = len(st.Keys())
+	}
+	for _, e := range s.cache.entries() {
+		if e.rec != nil && (st == nil || !st.Has(e.key)) {
+			n++
+		}
+	}
+	return n
 }

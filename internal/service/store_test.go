@@ -228,8 +228,8 @@ func TestStoreWarmStart(t *testing.T) {
 }
 
 // TestStoreCorruptRecordRecompiles truncates a record on disk between
-// restarts: the index rebuild skips it and the next request falls back
-// to a full (correct) compile.
+// restarts: the open scan skips it and the next request falls back to a
+// full (correct) compile.
 func TestStoreCorruptRecordRecompiles(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newStoreService(t, Config{StoreDir: dir})
@@ -240,8 +240,7 @@ func TestStoreCorruptRecordRecompiles(t *testing.T) {
 	}
 	s1.Close()
 
-	// Truncate every record and delete the index, forcing a rebuild
-	// that finds nothing intact.
+	// Truncate every record: the open scan finds nothing intact.
 	recs, err := filepath.Glob(filepath.Join(dir, "objects", "*.rec"))
 	if err != nil || len(recs) == 0 {
 		t.Fatalf("no records on disk: %v %v", recs, err)
@@ -255,13 +254,10 @@ func TestStoreCorruptRecordRecompiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatal(err)
-	}
 
 	s2 := newStoreService(t, Config{StoreDir: dir})
 	if st := s2.StoreStats(); st == nil || st.CorruptSkipped == 0 {
-		t.Fatalf("rebuild did not skip the truncated record: %+v", st)
+		t.Fatalf("the open scan did not skip the truncated record: %+v", st)
 	}
 	resp2, err := s2.Compile(context.Background(), req)
 	if err != nil {
@@ -296,8 +292,8 @@ func TestStoreImportExport(t *testing.T) {
 	if err := dst.ImportRecord(recs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if got := dst.PlanCount(); got != 1 {
-		t.Fatalf("PlanCount after import = %d", got)
+	if got, st := dst.PlanCount(), dst.StoreStats(); got != 1 || st.Gets != 0 {
+		t.Fatalf("PlanCount after import = %d, having read %d records; want 1 and none", got, st.Gets)
 	}
 	resp, err := dst.Compile(context.Background(), CompileRequest{Source: srcL1, Processors: 4})
 	if err != nil {

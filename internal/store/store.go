@@ -11,11 +11,14 @@
 //   - records are CRC-framed (record.go): torn writes, truncation, and
 //     bit rot are detected on read and treated as a miss — the plan
 //     recompiles from source, which is always correct;
-//   - writes are temp-then-rename atomic, so a crash mid-Put leaves
-//     either the old state or the new state, never a half record;
-//   - <dir>/index.json maps keys to files for O(1) lookup; a missing,
-//     stale, or corrupt index is rebuilt by scanning the objects
-//     directory, skipping (and counting) unreadable records.
+//   - a write is one temp-then-rename (no fsync), so a process crash
+//     mid-Put leaves either the old record or the new one, never a half
+//     record; after power loss a record may be short or empty, which
+//     its CRC detects;
+//   - the objects directory is the only index: Open decodes every
+//     record once into an in-memory key → file map, skipping (and
+//     counting) unreadable ones, and Put and Delete touch exactly one
+//     file.
 //
 // The service layers this under its in-memory LRU as a read-through
 // tier: cache eviction demotes a plan to disk instead of discarding it,
@@ -26,7 +29,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -55,7 +57,7 @@ type Store interface {
 	Delete(key string) error
 	// Stats snapshots the counters.
 	Stats() Stats
-	// Close flushes and releases the store.
+	// Close releases the store.
 	Close() error
 }
 
@@ -69,10 +71,8 @@ type Stats struct {
 	Misses  int64 `json:"misses"`
 	Deletes int64 `json:"deletes"`
 	// CorruptSkipped counts records dropped for failing the frame
-	// checks (at open-scan or read time); IndexRebuilds counts full
-	// directory scans forced by a missing or unreadable index.
+	// checks (at open-scan or read time).
 	CorruptSkipped int64 `json:"corrupt_skipped"`
-	IndexRebuilds  int64 `json:"index_rebuilds"`
 	// TornWrites counts writes the fault hook truncated (tests and
 	// chaos schedules only).
 	TornWrites int64 `json:"torn_writes"`
@@ -87,26 +87,16 @@ type Options struct {
 	TornWrite func(seq int64, size int) (n int, torn bool)
 }
 
-// indexVersion is the index.json format version.
-const indexVersion = 1
-
 // indexEntry locates one record.
 type indexEntry struct {
-	Key   string `json:"key"`
-	File  string `json:"file"`
-	Bytes int64  `json:"bytes"`
-}
-
-// indexDoc is the on-disk index shape.
-type indexDoc struct {
-	Version int          `json:"version"`
-	Records []indexEntry `json:"records"`
+	File  string
+	Bytes int64
 }
 
 // TornWriteError is returned by Put when the fault hook tore the
-// write: the record on disk is truncated (and will fail its CRC), the
-// in-memory index does not trust it, and the caller should treat the
-// plan as not persisted.
+// write: the record on disk is truncated, the next Get of its key fails
+// the CRC and drops it, and the caller should treat the plan as not
+// persisted.
 type TornWriteError struct {
 	Key  string
 	File string
@@ -123,28 +113,51 @@ type FileStore struct {
 	opts    Options
 
 	mu       sync.Mutex
-	index    map[string]indexEntry
+	index    map[string]indexEntry // key → its record file
+	files    map[string]struct{}   // the file names index holds, for fileFor
 	writeSeq int64
 	stats    Stats
 }
 
-// Open opens (creating if needed) the store rooted at dir. A missing or
-// unreadable index triggers a full objects scan; corrupt records found
-// by the scan are skipped and counted, never fatal.
+// Open opens (creating if needed) the store rooted at dir and indexes
+// it by decoding every record under objects/ — the in-file key is
+// authoritative. Corrupt records are skipped and counted, never fatal,
+// and stay on disk until a Put of their key overwrites them.
 func Open(dir string, opts Options) (*FileStore, error) {
 	s := &FileStore{
 		dir:     dir,
 		objects: filepath.Join(dir, "objects"),
 		opts:    opts,
 		index:   map[string]indexEntry{},
+		files:   map[string]struct{}{},
 	}
 	if err := os.MkdirAll(s.objects, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	if err := s.loadIndex(); err != nil {
-		// The index is a cache of the objects directory: rebuild it
-		// rather than failing the open.
-		s.rebuildIndex()
+	// Binaries from before the directory was the index kept index.json
+	// here and believed it over the directory: remove it, so that one of
+	// them, rolled back to, scans instead of trusting a file this one
+	// never updates.
+	_ = os.Remove(filepath.Join(dir, "index.json"))
+	entries, err := os.ReadDir(s.objects)
+	if err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
+	for _, de := range entries {
+		name := de.Name()
+		if de.IsDir() || !strings.HasSuffix(name, recSuffix) {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(s.objects, name))
+		var rec *Record
+		if err == nil {
+			rec, err = Decode(name, data)
+		}
+		if err != nil {
+			s.stats.CorruptSkipped++
+			continue
+		}
+		s.setEntry(rec.Key, indexEntry{File: name, Bytes: int64(len(data))})
 	}
 	return s, nil
 }
@@ -152,105 +165,27 @@ func Open(dir string, opts Options) (*FileStore, error) {
 // Dir returns the store's root directory.
 func (s *FileStore) Dir() string { return s.dir }
 
-func (s *FileStore) indexPath() string { return filepath.Join(s.dir, "index.json") }
-
-// loadIndex reads index.json and verifies every listed file exists with
-// the recorded size (a cheap staleness check; content is CRC-verified
-// lazily on Get). Any inconsistency returns an error so the caller
-// falls back to a scan.
-func (s *FileStore) loadIndex() error {
-	data, err := os.ReadFile(s.indexPath())
-	if err != nil {
-		return err
+// setEntry points key at its record file. Called with s.mu held (or,
+// in Open, before the store is shared).
+func (s *FileStore) setEntry(key string, e indexEntry) {
+	if old, had := s.index[key]; had {
+		s.stats.Bytes -= old.Bytes
+		delete(s.files, old.File)
+	} else {
+		s.stats.Records++
 	}
-	var doc indexDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("store: index does not parse: %w", err)
-	}
-	if doc.Version != indexVersion {
-		return fmt.Errorf("store: index version %d, want %d", doc.Version, indexVersion)
-	}
-	idx := make(map[string]indexEntry, len(doc.Records))
-	var bytes int64
-	for _, e := range doc.Records {
-		if e.Key == "" || e.File == "" || strings.Contains(e.File, string(os.PathSeparator)) {
-			return fmt.Errorf("store: index entry %+v is malformed", e)
-		}
-		fi, err := os.Stat(filepath.Join(s.objects, e.File))
-		if err != nil || fi.Size() != e.Bytes {
-			return fmt.Errorf("store: index entry %q is stale", e.Key)
-		}
-		idx[e.Key] = e
-		bytes += e.Bytes
-	}
-	s.mu.Lock()
-	s.index = idx
-	s.stats.Records = int64(len(idx))
-	s.stats.Bytes = bytes
-	s.mu.Unlock()
-	return nil
+	s.index[key] = e
+	s.files[e.File] = struct{}{}
+	s.stats.Bytes += e.Bytes
 }
 
-// rebuildIndex scans the objects directory and rebuilds the index
-// from the records themselves (the in-file key is authoritative),
-// skipping and counting corrupt records. Called with s.mu NOT held.
-func (s *FileStore) rebuildIndex() {
-	entries, err := os.ReadDir(s.objects)
-	idx := map[string]indexEntry{}
-	var bytes, skipped int64
-	if err == nil {
-		for _, de := range entries {
-			name := de.Name()
-			if de.IsDir() || !strings.HasSuffix(name, recSuffix) {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(s.objects, name))
-			if err != nil {
-				skipped++
-				continue
-			}
-			rec, err := Decode(name, data)
-			if err != nil {
-				skipped++
-				continue
-			}
-			idx[rec.Key] = indexEntry{Key: rec.Key, File: name, Bytes: int64(len(data))}
-			bytes += int64(len(data))
-		}
-	}
-	s.mu.Lock()
-	s.index = idx
-	s.stats.Records = int64(len(idx))
-	s.stats.Bytes = bytes
-	s.stats.CorruptSkipped += skipped
-	s.stats.IndexRebuilds++
-	s.mu.Unlock()
-	_ = s.saveIndex()
-}
-
-// RebuildIndex forces a full scan (recovery hook for tests and
-// operators); returns how many records survived.
-func (s *FileStore) RebuildIndex() int {
-	s.rebuildIndex()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
-
-// saveIndex writes index.json atomically (temp + rename).
-func (s *FileStore) saveIndex() error {
-	s.mu.Lock()
-	doc := indexDoc{Version: indexVersion, Records: make([]indexEntry, 0, len(s.index))}
-	for _, e := range s.index {
-		doc.Records = append(doc.Records, e)
-	}
-	s.mu.Unlock()
-	sort.Slice(doc.Records, func(i, j int) bool { return doc.Records[i].Key < doc.Records[j].Key })
-	data, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return err
-	}
-	return atomicWrite(s.indexPath(), data)
+// dropEntryLocked forgets an indexed key. Called with s.mu held.
+func (s *FileStore) dropEntryLocked(key string) {
+	e := s.index[key]
+	delete(s.index, key)
+	delete(s.files, e.File)
+	s.stats.Records--
+	s.stats.Bytes -= e.Bytes
 }
 
 // atomicWrite writes data to path via a temp file and rename.
@@ -292,23 +227,19 @@ func (s *FileStore) fileFor(key string) string {
 		return e.File
 	}
 	h := KeyHash(key)
-	taken := map[string]bool{}
-	for _, e := range s.index {
-		taken[e.File] = true
-	}
 	for n := 0; ; n++ {
 		name := filenameFor(h, n)
-		if !taken[name] {
+		if _, taken := s.files[name]; !taken {
 			return name
 		}
 	}
 }
 
-// Put persists the record atomically and updates the index. A torn
-// write (fault hook) leaves a CRC-detectably truncated file behind,
-// still updates the index — modeling an index write that outlived the
-// record's durability — and returns *TornWriteError; the next Get
-// self-heals by dropping the entry.
+// Put persists the record: one temp file renamed into objects/. A torn
+// write (fault hook) leaves a CRC-detectably truncated file behind a
+// live index entry — a record whose bytes did not all reach the disk —
+// and returns *TornWriteError; the next Get self-heals by dropping the
+// entry.
 func (s *FileStore) Put(r *Record) error {
 	data, err := Encode(r)
 	if err != nil {
@@ -339,21 +270,11 @@ func (s *FileStore) Put(r *Record) error {
 		return fmt.Errorf("store: put %q: %w", r.Key, err)
 	}
 	s.mu.Lock()
-	old, had := s.index[r.Key]
-	s.index[r.Key] = indexEntry{Key: r.Key, File: name, Bytes: int64(len(write))}
-	if had {
-		s.stats.Bytes -= old.Bytes
-	} else {
-		s.stats.Records++
-	}
-	s.stats.Bytes += int64(len(write))
+	s.setEntry(r.Key, indexEntry{File: name, Bytes: int64(len(write))})
 	if torn {
 		s.stats.TornWrites++
 	}
 	s.mu.Unlock()
-	if err := s.saveIndex(); err != nil {
-		return fmt.Errorf("store: put %q: index: %w", r.Key, err)
-	}
 	if torn {
 		return &TornWriteError{Key: r.Key, File: name}
 	}
@@ -413,9 +334,7 @@ func (s *FileStore) Delete(key string) error {
 	s.mu.Lock()
 	e, ok := s.index[key]
 	if ok {
-		delete(s.index, key)
-		s.stats.Records--
-		s.stats.Bytes -= e.Bytes
+		s.dropEntryLocked(key)
 		s.stats.Deletes++
 	}
 	s.mu.Unlock()
@@ -425,20 +344,17 @@ func (s *FileStore) Delete(key string) error {
 	if err := os.Remove(filepath.Join(s.objects, e.File)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("store: delete %q: %w", key, err)
 	}
-	return s.saveIndex()
+	return nil
 }
 
 // dropEntry removes a corrupt record's index entry and file.
 func (s *FileStore) dropEntry(key, file string) {
 	s.mu.Lock()
 	if e, ok := s.index[key]; ok && e.File == file {
-		delete(s.index, key)
-		s.stats.Records--
-		s.stats.Bytes -= e.Bytes
+		s.dropEntryLocked(key)
 	}
 	s.mu.Unlock()
 	_ = os.Remove(filepath.Join(s.objects, file))
-	_ = s.saveIndex()
 }
 
 func (s *FileStore) count(fn func(*Stats)) {
@@ -454,6 +370,6 @@ func (s *FileStore) Stats() Stats {
 	return s.stats
 }
 
-// Close flushes the index. The store holds no open files between
-// operations, so Close is cheap and idempotent.
-func (s *FileStore) Close() error { return s.saveIndex() }
+// Close has nothing to flush or release: every Put is already in its
+// final place and the store holds no open files between operations.
+func (s *FileStore) Close() error { return nil }

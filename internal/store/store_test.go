@@ -227,7 +227,7 @@ func TestFileStorePutGet(t *testing.T) {
 }
 
 // TestFileStoreReopen proves persistence: a reopened store serves the
-// same records through the saved index, with no rebuild.
+// same records.
 func TestFileStoreReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -248,8 +248,8 @@ func TestFileStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if st := s2.Stats(); st.Records != 5 || st.IndexRebuilds != 0 {
-		t.Fatalf("reopen stats %+v; want 5 records, 0 rebuilds", st)
+	if st := s2.Stats(); st.Records != 5 || st.CorruptSkipped != 0 {
+		t.Fatalf("reopen stats %+v; want 5 records, none skipped", st)
 	}
 	rec, ok, err := s2.Get("k3")
 	if err != nil || !ok || rec.Key != "k3" {
@@ -257,65 +257,208 @@ func TestFileStoreReopen(t *testing.T) {
 	}
 }
 
-// TestFileStoreIndexRebuild proves the index is disposable: deleting it
-// (or corrupting it) forces a scan that recovers every intact record.
-func TestFileStoreIndexRebuild(t *testing.T) {
-	for name, damage := range map[string]func(t *testing.T, dir string){
-		"missing": func(t *testing.T, dir string) { os.Remove(filepath.Join(dir, "index.json")) },
-		"garbage": func(t *testing.T, dir string) {
-			if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("{not json"), 0o644); err != nil {
-				t.Fatal(err)
+// sideState reads every entry of a store directory other than objects/:
+// whatever a store keeps beside its records.
+func sideState(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := map[string][]byte{}
+	for _, de := range entries {
+		if de.Name() == "objects" {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		state[de.Name()] = data
+	}
+	return state
+}
+
+// TestFileStoreRecordOutlivesSideState: a record renamed into objects/ is
+// stored, whatever happens to anything written beside it — here the rest
+// of the directory is rolled back to before the Put, as a crash between
+// the record's rename and a second write would leave it.
+func TestFileStoreRecordOutlivesSideState(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testRecord("a")); err != nil {
+		t.Fatal(err)
+	}
+	before := sideState(t, dir)
+	if err := s.Put(testRecord("b")); err != nil {
+		t.Fatal(err)
+	}
+	for name := range sideState(t, dir) {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range before {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Keys(); fmt.Sprint(got) != "[a b]" || !s2.Has("b") {
+		t.Fatalf("after reopen Keys() = %v, Has(b) = %v; want both records", got, s2.Has("b"))
+	}
+}
+
+// TestFileStoreDirectoryIsRecordsOnly: whatever the operation sequence, a
+// store directory holds objects/ and objects/ holds record files — no
+// index, no temp file left behind.
+func TestFileStoreDirectoryIsRecordsOnly(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, records int) {
+		t.Helper()
+		if side := sideState(t, dir); len(side) != 0 {
+			t.Fatalf("after %s the store directory also holds %q", step, side)
+		}
+		entries, err := os.ReadDir(filepath.Join(dir, "objects"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range entries {
+			if !strings.HasSuffix(de.Name(), recSuffix) {
+				t.Fatalf("after %s objects/ holds %s", step, de.Name())
 			}
+		}
+		if len(entries) != records {
+			t.Fatalf("after %s objects/ holds %d files, want %d", step, len(entries), records)
+		}
+	}
+	check("Open", 0)
+	for i := 0; i < 3; i++ {
+		if err := s.Put(testRecord(fmt.Sprintf("k%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("three Puts", 3)
+	if err := s.Put(testRecord("k1")); err != nil {
+		t.Fatal(err)
+	}
+	check("an overwrite", 3)
+	if err := s.Delete("k0"); err != nil {
+		t.Fatal(err)
+	}
+	check("a Delete", 2)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("Close", 2)
+}
+
+// TestFileStoreConcurrentPutsSurviveReopen: every Put that returned is on
+// disk, whatever order concurrent writers finished in and with no Close
+// (run under -race).
+func TestFileStoreConcurrentPutsSurviveReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				if err := s.Put(testRecord(fmt.Sprintf("g%d-k%d", g, i))); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s2.Keys()); n != 128 {
+		t.Fatalf("reopen found %d keys, want 128", n)
+	}
+}
+
+// TestFileStoreOpensIndexedDirectory: a directory as the index-keeping
+// binaries left it — records plus an index.json, whatever state that is
+// in — opens with every intact record, and the index file is gone. The
+// "omits a record" case is the lost index rewrite those binaries could
+// not see: they verified the files the index listed and never noticed the
+// ones it did not.
+func TestFileStoreOpensIndexedDirectory(t *testing.T) {
+	type entry struct {
+		Key   string `json:"key"`
+		File  string `json:"file"`
+		Bytes int64  `json:"bytes"`
+	}
+	for name, damage := range map[string]func(listed []entry) []byte{
+		"garbage": func([]entry) []byte { return []byte("{not json") },
+		"stale": func(listed []entry) []byte {
+			listed[0].Bytes += 7
+			data, _ := json.Marshal(map[string]any{"version": 1, "records": listed})
+			return data
 		},
-		"stale": func(t *testing.T, dir string) {
-			// Index lists a file that no longer matches its recorded size.
-			path := filepath.Join(dir, "index.json")
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var doc indexDoc
-			if err := json.Unmarshal(data, &doc); err != nil {
-				t.Fatal(err)
-			}
-			doc.Records[0].Bytes += 7
-			out, _ := json.Marshal(doc)
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		"omits a record": func(listed []entry) []byte {
+			data, _ := json.Marshal(map[string]any{"version": 1, "records": listed[:len(listed)-1]})
+			return data
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			var listed []entry
+			for _, k := range []string{"k0", "k1", "k2"} {
+				data, err := Encode(testRecord(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				file := filenameFor(KeyHash(k), 0)
+				if err := os.WriteFile(filepath.Join(dir, "objects", file), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				listed = append(listed, entry{k, file, int64(len(data))})
+			}
+			if err := os.WriteFile(filepath.Join(dir, "index.json"), damage(listed), 0o644); err != nil {
+				t.Fatal(err)
+			}
 			s, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 4; i++ {
-				if err := s.Put(testRecord(fmt.Sprintf("k%d", i))); err != nil {
-					t.Fatal(err)
+			if got := s.Keys(); fmt.Sprint(got) != "[k0 k1 k2]" {
+				t.Fatalf("Keys() = %v, want all three records", got)
+			}
+			for _, k := range s.Keys() {
+				if rec, ok, err := s.Get(k); !ok || err != nil || rec.Key != k {
+					t.Fatalf("Get(%s) = %v %v %v", k, rec, ok, err)
 				}
 			}
-			s.Close()
-			damage(t, dir)
-			s2, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			st := s2.Stats()
-			if st.Records != 4 || st.IndexRebuilds != 1 {
-				t.Fatalf("%s: stats %+v; want 4 records via 1 rebuild", name, st)
-			}
-			if _, ok, err := s2.Get("k2"); !ok || err != nil {
-				t.Fatalf("%s: Get(k2) after rebuild failed: %v %v", name, ok, err)
+			if side := sideState(t, dir); len(side) != 0 {
+				t.Fatalf("the opened directory still holds %q", side)
 			}
 		})
 	}
 }
 
 // TestFileStoreCorruptRecordRecovery is the CI recovery scenario: a
-// record file is truncated on disk; the index rebuild skips it (counted,
+// record file is truncated on disk; the open scan skips it (counted,
 // not fatal) and every other record survives.
 func TestFileStoreCorruptRecordRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -331,21 +474,7 @@ func TestFileStoreCorruptRecordRecovery(t *testing.T) {
 	s.Close()
 
 	// Truncate k1's record mid-payload.
-	victim := ""
-	var doc indexDoc
-	data, err := os.ReadFile(filepath.Join(dir, "index.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range doc.Records {
-		if e.Key == "k1" {
-			victim = e.File
-		}
-	}
-	path := filepath.Join(dir, "objects", victim)
+	path := filepath.Join(dir, "objects", filenameFor(KeyHash("k1"), 0))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -353,19 +482,18 @@ func TestFileStoreCorruptRecordRecovery(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The truncation invalidates the index's size check, forcing the
-	// rebuild scan, which CRC-rejects the half record.
+	// The open scan CRC-rejects the half record.
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	st := s2.Stats()
-	if st.Records != 3 || st.CorruptSkipped != 1 || st.IndexRebuilds != 1 {
-		t.Fatalf("stats %+v; want 3 records, 1 corrupt skipped, 1 rebuild", st)
+	if st.Records != 3 || st.CorruptSkipped != 1 {
+		t.Fatalf("stats %+v; want 3 records, 1 corrupt skipped", st)
 	}
 	if s2.Has("k1") {
-		t.Fatal("truncated record k1 survived the rebuild")
+		t.Fatal("truncated record k1 survived the scan")
 	}
 	for _, k := range []string{"k0", "k2", "k3"} {
 		if _, ok, err := s2.Get(k); !ok || err != nil {
@@ -375,7 +503,7 @@ func TestFileStoreCorruptRecordRecovery(t *testing.T) {
 }
 
 // TestFileStoreTornWrite drives the deterministic fault hook: a torn
-// Put leaves a CRC-detectably truncated file and a lying index entry;
+// Put leaves a CRC-detectably truncated file behind a live index entry;
 // the next Get self-heals (drops the entry, reports corruption), and
 // the plan is simply absent — never wrong.
 func TestFileStoreTornWrite(t *testing.T) {
@@ -424,33 +552,31 @@ func TestFileStoreTornWrite(t *testing.T) {
 	}
 }
 
-// TestFileStoreHashCollision forces every key onto one hash slot's
-// namespace by using keys that genuinely collide under the suffix
-// scheme: same-hash files get numeric suffixes and the in-file key
-// disambiguates.
+// TestFileStoreHashCollision: a key whose natural slot is held by
+// another key's record lands on a numeric suffix, and the in-file key
+// disambiguates. The collision is staged on disk — a's record renamed to
+// x's natural slot before the store opens — since the open scan takes the
+// key from the record, not from the file name.
 func TestFileStoreHashCollision(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a collision by pre-seeding the index with a record whose
-	// file name equals key "x"'s natural slot.
-	recA := testRecord("a")
-	if err := s.Put(recA); err != nil {
+	if err := s.Put(testRecord("a")); err != nil {
 		t.Fatal(err)
 	}
-	// Rename a's file to x's natural slot on disk and in the index.
-	aFile := s.index["a"].File
+	aFile := filenameFor(KeyHash("a"), 0)
 	xFile := filenameFor(KeyHash("x"), 0)
 	if err := os.Rename(filepath.Join(dir, "objects", aFile), filepath.Join(dir, "objects", xFile)); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	e := s.index["a"]
-	e.File = xFile
-	s.index["a"] = e
-	s.mu.Unlock()
+	if s, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.index["a"].File; got != xFile {
+		t.Fatalf("a is indexed at %s, want %s", got, xFile)
+	}
 
 	if err := s.Put(testRecord("x")); err != nil {
 		t.Fatal(err)
@@ -462,6 +588,15 @@ func TestFileStoreHashCollision(t *testing.T) {
 	rx, ok2, _ := s.Get("x")
 	if !ok || !ok2 || ra.Key != "a" || rx.Key != "x" {
 		t.Fatalf("collision aliased records: %v %v", ra, rx)
+	}
+	// A freed slot is free again: with a gone, a new x takes its natural one.
+	for _, k := range []string{"a", "x"} {
+		if err := s.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put(testRecord("x")); err != nil || s.index["x"].File != xFile {
+		t.Fatalf("Put(x) after the deletes = %v at %s, want %s", err, s.index["x"].File, xFile)
 	}
 }
 
