@@ -80,13 +80,13 @@ func BenchmarkTableII(b *testing.B) {
 }
 
 // BenchmarkTableIExecuted measures the real-data execution path (M=16,
-// p=16, L5″) — goroutines, local memories, gather.
+// p=16, L5″) — compile, derived plan, goroutines, local memories, gather.
 func BenchmarkTableIExecuted(b *testing.B) {
 	cost := machine.Transputer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, c, err := machine.RunL5DoublePrime(16, 16, cost)
-		if err != nil || len(c) != 256 {
+		rep, _, err := RunL5DoublePrime(16, 16, cost)
+		if err != nil || len(rep.Final) != 256 || rep.Machine.InterNodeMessages() != 0 {
 			b.Fatal(err)
 		}
 	}

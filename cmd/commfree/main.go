@@ -198,12 +198,7 @@ func main() {
 			fatal(err)
 		}
 		want := commfree.SequentialReference(comp.Nest)
-		mismatches := 0
-		for k, v := range want {
-			if rep.Final[k] != v {
-				mismatches++
-			}
-		}
+		mismatches := commfree.Mismatches(rep.Final, want)
 		fmt.Printf("\n== simulated execution ==\n")
 		fmt.Printf("processors busy: %d, inter-node messages: %d\n",
 			len(rep.IterationsPerNode), rep.Machine.InterNodeMessages())

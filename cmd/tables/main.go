@@ -7,7 +7,7 @@
 //
 //	tables            # both tables
 //	tables -table 2   # only Table II
-//	tables -validate  # additionally execute small cases with real data
+//	tables -validate  # additionally compile L5′/L5″ and execute their derived plans (M ≤ 64)
 package main
 
 import (
@@ -21,7 +21,7 @@ import (
 func main() {
 	var (
 		table    = flag.Int("table", 0, "table number (1 or 2); 0 prints both")
-		validate = flag.Bool("validate", false, "execute small problem sizes with real data and compare against sequential matrix multiplication")
+		validate = flag.Bool("validate", false, "compile L5' and L5'' at small problem sizes, execute their derived distribution plans with real data and compare against sequential matrix multiplication")
 	)
 	flag.Parse()
 
@@ -87,31 +87,30 @@ func main() {
 	}
 
 	if *validate {
-		fmt.Println("validation (real data, strictly local memories):")
+		fmt.Println("validation (compiled plans, real data, strictly local memories):")
 		for _, cfg := range []struct {
 			m int64
 			p int
-		}{{16, 4}, {16, 16}, {32, 16}} {
+		}{{16, 4}, {16, 16}, {32, 16}, {64, 16}} {
 			want := commfree.SequentialMatMul(cfg.m)
-			gotP, err := commfree.RunL5Prime(cfg.m, cfg.p, cost)
-			if err != nil {
-				fatal(err)
-			}
-			gotD, err := commfree.RunL5DoublePrime(cfg.m, cfg.p, cost)
-			if err != nil {
-				fatal(err)
-			}
-			okP, okD := true, true
-			for k, v := range want {
-				if gotP[k] != v {
-					okP = false
+			fmt.Printf("  M=%-3d p=%-2d", cfg.m, cfg.p)
+			ok := true
+			for _, l := range []struct {
+				name string
+				run  func(int64, int, commfree.CostModel) (*commfree.ExecutionReport, *commfree.DistributionPlan, error)
+			}{{"L5'", commfree.RunL5Prime}, {"L5''", commfree.RunL5DoublePrime}} {
+				rep, plan, err := l.run(cfg.m, cfg.p, cost)
+				if err != nil {
+					fatal(err)
 				}
-				if gotD[k] != v {
-					okD = false
-				}
+				correct := commfree.Mismatches(rep.Final, want) == 0 && rep.Machine.InterNodeMessages() == 0
+				ok = ok && correct
+				st := plan.Stats()
+				fmt.Printf("  %s correct=%v (%d unicasts, %d multicasts, %d broadcasts)",
+					l.name, correct, st.Unicasts, st.Multicasts, st.Broadcasts)
 			}
-			fmt.Printf("  M=%-3d p=%-2d  L5' correct=%v  L5'' correct=%v\n", cfg.m, cfg.p, okP, okD)
-			if !okP || !okD {
+			fmt.Println()
+			if !ok {
 				fatal(fmt.Errorf("validation failed at M=%d p=%d", cfg.m, cfg.p))
 			}
 		}

@@ -418,6 +418,11 @@ func SequentialReference(nest *Nest) map[string]float64 {
 	return exec.Sequential(nest, nil)
 }
 
+// Mismatches counts the elements on which a parallel final state
+// disagrees with the reference: missing from got, differing in value, or
+// surplus in got. Zero is the validation verdict "identical".
+func Mismatches(got, want map[string]float64) int { return exec.Mismatches(got, want) }
+
 // GenerateGo emits a standalone, runnable Go program implementing the
 // compiled loop in the paper's SPMD form: cyclically strided forall
 // loops, extended statements, and the original body — the compiler's

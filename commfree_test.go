@@ -139,22 +139,18 @@ func TestTableIFacade(t *testing.T) {
 
 func TestRunL5Facades(t *testing.T) {
 	want := SequentialMatMul(8)
-	got, err := RunL5Prime(8, 4, TransputerCost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("L5′ %s = %v, want %v", k, got[k], v)
+	for name, run := range map[string]func(int64, int, CostModel) (*ExecutionReport, *DistributionPlan, error){
+		"L5′": RunL5Prime, "L5″": RunL5DoublePrime,
+	} {
+		rep, plan, err := run(8, 4, TransputerCost())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	got, err = RunL5DoublePrime(8, 4, TransputerCost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("L5″ %s = %v, want %v", k, got[k], v)
+		if n := Mismatches(rep.Final, want); n != 0 {
+			t.Errorf("%s: %d elements differ from sequential execution", name, n)
+		}
+		if plan.Nodes != 4 {
+			t.Errorf("%s: plan addresses %d processors, want 4", name, plan.Nodes)
 		}
 	}
 }

@@ -80,3 +80,23 @@ func ExampleHyperplane() {
 	// Output:
 	// hyperplane method not applicable (not a For-all loop)
 }
+
+// ExampleRunL5DoublePrime compiles the doubly-duplicated matrix multiply
+// and executes its derived distribution plan with real data on strictly
+// local memories: zero inter-node messages and results identical to the
+// sequential product.
+func ExampleRunL5DoublePrime() {
+	rep, plan, err := commfree.RunL5DoublePrime(8, 4, commfree.TransputerCost())
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	st := plan.Stats()
+	fmt.Printf("derived plan: %d multicasts, %d unicasts\n", st.Multicasts, st.Unicasts)
+	fmt.Println("identical to sequential:", commfree.Mismatches(rep.Final, commfree.SequentialMatMul(8)) == 0)
+	fmt.Println("inter-node messages:", rep.Machine.InterNodeMessages())
+	// Output:
+	// derived plan: 4 multicasts, 4 unicasts
+	// identical to sequential: true
+	// inter-node messages: 0
+}

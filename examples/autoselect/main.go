@@ -49,10 +49,8 @@ func main() {
 		rep.Machine.InterNodeMessages(), rep.IterationsPerNode)
 
 	want := commfree.SequentialReference(nest)
-	for k, v := range want {
-		if rep.Final[k] != v {
-			log.Fatalf("mismatch at %s", k)
-		}
+	if n := commfree.Mismatches(rep.Final, want); n != 0 {
+		log.Fatalf("result differs from sequential execution in %d elements", n)
 	}
 	fmt.Printf("result identical to sequential execution (%d elements)\n", len(want))
 

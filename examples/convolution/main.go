@@ -68,10 +68,8 @@ func main() {
 		log.Fatal(err)
 	}
 	want := commfree.SequentialReference(nest)
-	for k, v := range want {
-		if rep.Final[k] != v {
-			log.Fatalf("mismatch at %s", k)
-		}
+	if n := commfree.Mismatches(rep.Final, want); n != 0 {
+		log.Fatalf("result differs from sequential execution in %d elements", n)
 	}
 	fmt.Printf("\nexecuted on %d processors: workloads %v, inter-node messages %d, result identical to sequential\n",
 		len(rep.IterationsPerNode), rep.IterationsPerNode, rep.Machine.InterNodeMessages())

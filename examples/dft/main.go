@@ -71,10 +71,8 @@ func main() {
 		log.Fatal(err)
 	}
 	want := commfree.SequentialReference(nest)
-	for k, v := range want {
-		if rep.Final[k] != v {
-			log.Fatalf("mismatch at %s", k)
-		}
+	if n := commfree.Mismatches(rep.Final, want); n != 0 {
+		log.Fatalf("result differs from sequential execution in %d elements", n)
 	}
 	fmt.Printf("executed on %d processors: workloads %v, zero communication, result identical to sequential\n",
 		len(rep.IterationsPerNode), rep.IterationsPerNode)

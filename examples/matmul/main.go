@@ -58,19 +58,20 @@ func main() {
 			r.SpeedupPrime(), r.SpeedupDoublePrime())
 	}
 
-	// Validation with real data at small M.
+	// Validation at small M: compile L5′ and L5″, execute their derived
+	// distribution plans with real data.
 	want := commfree.SequentialMatMul(16)
-	gotP, err := commfree.RunL5Prime(16, 4, cost)
+	repP, _, err := commfree.RunL5Prime(16, 4, cost)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gotD, err := commfree.RunL5DoublePrime(16, 16, cost)
+	repD, _, err := commfree.RunL5DoublePrime(16, 16, cost)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for k, v := range want {
-		if gotP[k] != v || gotD[k] != v {
-			log.Fatalf("validation failed at %s", k)
+	for name, rep := range map[string]*commfree.ExecutionReport{"L5′": repP, "L5″": repD} {
+		if n := commfree.Mismatches(rep.Final, want); n != 0 || rep.Machine.InterNodeMessages() != 0 {
+			log.Fatalf("%s: %d mismatches, %d inter-node messages", name, n, rep.Machine.InterNodeMessages())
 		}
 	}
 	fmt.Println("\nvalidation: L5′ (p=4) and L5″ (p=16) reproduce sequential matmul exactly at M=16, zero inter-node messages")

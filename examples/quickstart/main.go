@@ -46,10 +46,8 @@ func main() {
 		log.Fatal(err)
 	}
 	want := commfree.SequentialReference(comp.Nest)
-	for k, v := range want {
-		if rep.Final[k] != v {
-			log.Fatalf("mismatch at %s: %v vs %v", k, rep.Final[k], v)
-		}
+	if n := commfree.Mismatches(rep.Final, want); n != 0 {
+		log.Fatalf("result differs from sequential execution in %d elements", n)
 	}
 	fmt.Printf("\nexecuted on %d processors: %d inter-node messages, result identical to sequential (%d elements)\n",
 		len(rep.IterationsPerNode), rep.Machine.InterNodeMessages(), len(want))

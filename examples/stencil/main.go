@@ -47,10 +47,8 @@ func main() {
 		log.Fatal(err)
 	}
 	want := commfree.SequentialReference(comp.Nest)
-	for k, v := range want {
-		if rep.Final[k] != v {
-			log.Fatalf("mismatch at %s", k)
-		}
+	if n := commfree.Mismatches(rep.Final, want); n != 0 {
+		log.Fatalf("result differs from sequential execution in %d elements", n)
 	}
 	fmt.Printf("\nexecuted: workloads %v (Fig. 10's 16/16/16/16), zero communication, result identical to sequential\n",
 		rep.IterationsPerNode)

@@ -1,9 +1,8 @@
 package conformance
 
 import (
+	"math"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 
 	"commfree/internal/lang"
@@ -14,15 +13,6 @@ import (
 // nChaosSchedules is the seeded-schedule count of the chaos sweep; the
 // CHAOS_SCHEDULES environment variable overrides it.
 const nChaosSchedules = 1000
-
-func chaosScheduleCount() int {
-	if s := os.Getenv("CHAOS_SCHEDULES"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return nChaosSchedules
-}
 
 // TestChaosConformance is the chaos sweep: N seeded failure schedules
 // across generated nests, rotating all five strategies. Every schedule
@@ -35,7 +25,7 @@ func TestChaosConformance(t *testing.T) {
 	}
 	rnd := rand.New(rand.NewSource(19930806))
 	cfg := loopgen.DefaultConfig()
-	n := chaosScheduleCount()
+	n := seedCount("CHAOS_SCHEDULES", nChaosSchedules, math.MaxInt)
 	for i := 0; i < n; i++ {
 		nest := loopgen.Generate(rnd, cfg)
 		strat := strategies[i%len(strategies)]

@@ -167,7 +167,7 @@ func CheckCluster(nodes int, engine string, seed int64) error {
 		if err != nil {
 			return fmt.Errorf("conformance: cluster: reference execute failed (corpus[%d], %s): %w", ci, strat, err)
 		}
-		got, servedBy, err := clusterExecute(client, fleet.URL(nextEntry()), req)
+		got, servedBy, err := postExecute(client, fleet.URL(nextEntry()), req).served()
 		if err != nil {
 			return fmt.Errorf("conformance: cluster: lost request (corpus[%d], %s, round %d): %w", ci, strat, round.Load(), err)
 		}
@@ -294,7 +294,7 @@ func CheckClusterBatch(nodes, requests int) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], _, errs[i] = clusterExecute(client, fleet.URL(i%nodes), req)
+			resps[i], _, errs[i] = postExecute(client, fleet.URL(i%nodes), req).served()
 		}(i)
 	}
 	wg.Wait()
@@ -328,32 +328,70 @@ func CheckClusterBatch(nodes, requests int) error {
 	return nil
 }
 
-// clusterExecute POSTs the request to the entry node and decodes the
-// response, reporting which node served it.
-func clusterExecute(client *http.Client, baseURL string, req service.ExecuteRequest) (*service.ExecuteResponse, string, error) {
+// executeBudget is the per-request client budget. Requests complete in
+// milliseconds; the generous budget exists so only a genuine hang — a
+// request that neither completes nor is rejected — can expire it.
+const executeBudget = 30 * time.Second
+
+// executeOutcome is one POST /v1/execute as its client saw it, classified
+// without judging: status, Retry-After, the node that served it, and the
+// decoded response (200) or error text (anything else). err is a lost
+// request — transport failure, expired budget, undecodable 200 — never an
+// HTTP status.
+type executeOutcome struct {
+	status     int
+	retryAfter string
+	servedBy   string
+	resp       *service.ExecuteResponse
+	errText    string
+	err        error
+}
+
+// postExecute POSTs the request to the entry node.
+func postExecute(client *http.Client, baseURL string, req service.ExecuteRequest) executeOutcome {
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return nil, "", err
+		return executeOutcome{err: err}
 	}
-	res, err := client.Post(baseURL+"/v1/execute", "application/json", bytes.NewReader(payload))
+	ctx, cancel := context.WithTimeout(context.Background(), executeBudget)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/execute", bytes.NewReader(payload))
 	if err != nil {
-		return nil, "", err
+		return executeOutcome{err: err}
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	res, err := client.Do(hreq)
+	if err != nil {
+		if ctx.Err() != nil {
+			err = fmt.Errorf("hung past %v: %w", executeBudget, err)
+		}
+		return executeOutcome{err: err}
 	}
 	defer res.Body.Close()
-	servedBy := res.Header.Get("X-Commfree-Served-By")
-	if servedBy == "" {
-		servedBy = "entry"
+	out := executeOutcome{status: res.StatusCode, retryAfter: res.Header.Get("Retry-After"), servedBy: res.Header.Get("X-Commfree-Served-By")}
+	if out.servedBy == "" {
+		out.servedBy = "entry"
 	}
 	if res.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
 		_ = json.NewDecoder(res.Body).Decode(&e)
-		return nil, servedBy, fmt.Errorf("status %d: %s", res.StatusCode, e.Error)
+		out.errText = e.Error
+		return out
 	}
-	var out service.ExecuteResponse
-	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
-		return nil, servedBy, err
+	out.resp = new(service.ExecuteResponse)
+	if err := json.NewDecoder(res.Body).Decode(out.resp); err != nil {
+		return executeOutcome{err: fmt.Errorf("200 with undecodable body: %w", err)}
 	}
-	return &out, servedBy, nil
+	return out
+}
+
+// served reads the outcome where anything but a 200 is a lost request:
+// the response, which node served it, and the loss.
+func (o executeOutcome) served() (*service.ExecuteResponse, string, error) {
+	if o.err == nil && o.status != http.StatusOK {
+		return nil, o.servedBy, fmt.Errorf("status %d: %s", o.status, o.errText)
+	}
+	return o.resp, o.servedBy, o.err
 }

@@ -1,7 +1,6 @@
 package conformance
 
 import (
-	"os"
 	"strconv"
 	"testing"
 )
@@ -9,15 +8,6 @@ import (
 // clusterCrashSeeds are the seeded single-node-crash schedules the
 // crash sweep replays; CLUSTER_CRASH_SEEDS overrides the count.
 var clusterCrashSeeds = []int64{1, 7, 1993}
-
-func clusterCrashSeedCount() int {
-	if s := os.Getenv("CLUSTER_CRASH_SEEDS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 && v <= len(clusterCrashSeeds) {
-			return v
-		}
-	}
-	return len(clusterCrashSeeds)
-}
 
 // TestClusterConformance3Node: a 3-node fleet must be bit-identical to
 // a single node for the corpus × four strategies, on both engines.
@@ -56,7 +46,7 @@ func TestClusterConformanceCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep skipped in -short")
 	}
-	n := clusterCrashSeedCount()
+	n := seedCount("CLUSTER_CRASH_SEEDS", len(clusterCrashSeeds), len(clusterCrashSeeds))
 	for _, seed := range clusterCrashSeeds[:n] {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {

@@ -2,6 +2,8 @@ package conformance
 
 import (
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 
 	"commfree/internal/lang"
@@ -14,6 +16,15 @@ import (
 // test; with five strategies per nest this is the "≥1000 nests × 5
 // strategies" conformance sweep.
 const nConformanceNests = 1000
+
+// seedCount is how many seeded schedules a sweep replays: def, or the
+// count the environment variable env names when that is in 1..max.
+func seedCount(env string, def, max int) int {
+	if v, err := strconv.Atoi(os.Getenv(env)); err == nil && v > 0 && v <= max {
+		return v
+	}
+	return def
+}
 
 // reportShrunk shrinks a failing nest against the violated property and
 // reports the minimal DSL repro, so a red run hands the developer a

@@ -171,7 +171,7 @@ func (m *membershipRun) sweep(label string) error {
 				Source: src, Strategy: strat, Processors: clusterProcs,
 			}}
 			m.entry = (m.entry + 1) % len(m.fleet.Names)
-			got, servedBy, err := clusterExecute(client, m.fleet.URL(m.entry), req)
+			got, servedBy, err := postExecute(client, m.fleet.URL(m.entry), req).served()
 			if err != nil {
 				return fmt.Errorf("conformance: membership: %s sweep lost corpus[%d] %s via %s: %w",
 					label, ci, strat, m.fleet.Names[m.entry], err)

@@ -15,32 +15,15 @@ package conformance
 // burst never actually exercised the overload machinery.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"commfree/internal/cluster"
 	"commfree/internal/service"
 )
-
-// overloadBudget is the per-request client budget. Requests complete in
-// milliseconds; the generous budget exists so only a genuine hang — a
-// request that neither completes nor is rejected — can expire it.
-const overloadBudget = 30 * time.Second
-
-// overloadOutcome classifies one burst request.
-type overloadOutcome struct {
-	status     int
-	retryAfter string
-	doc        execDoc
-	validated  bool
-	err        error
-}
 
 // maxOverloadBurst caps the geometric burst escalation (below).
 const maxOverloadBurst = 1 << 11
@@ -135,16 +118,16 @@ func overloadAttempt(nodes, burst int, base service.Config, want execDoc, req se
 	// routed-to nodes' plan caches, so the burst measures execution
 	// backpressure rather than one giant compile).
 	for i := 0; i < nodes; i++ {
-		out := overloadExecute(client, fleet.URL(i), req)
+		out := postExecute(client, fleet.URL(i), req)
 		if out.err != nil {
 			return 0, fmt.Errorf("conformance: overload: preflight via n%d: %w", i, out.err)
 		}
 		if out.status != http.StatusOK {
 			return 0, fmt.Errorf("conformance: overload: preflight via n%d got %d before any load", i, out.status)
 		}
-		if out.doc != want {
+		if doc := docOf(out.resp); doc != want {
 			return 0, fmt.Errorf("conformance: overload: preflight via n%d diverges from reference:\n single: %+v\n fleet:  %+v",
-				i, want, out.doc)
+				i, want, doc)
 		}
 	}
 
@@ -154,7 +137,7 @@ func overloadAttempt(nodes, burst int, base service.Config, want execDoc, req se
 	drained := nodes - 1
 	fleet.Services[drained].BeginDrain()
 
-	outs := make([]overloadOutcome, burst)
+	outs := make([]executeOutcome, burst)
 	var wg sync.WaitGroup
 	release := make(chan struct{})
 	for i := 0; i < burst; i++ {
@@ -162,7 +145,7 @@ func overloadAttempt(nodes, burst int, base service.Config, want execDoc, req se
 		go func(i int) {
 			defer wg.Done()
 			<-release
-			outs[i] = overloadExecute(client, fleet.URL(i%nodes), req)
+			outs[i] = postExecute(client, fleet.URL(i%nodes), req)
 		}(i)
 	}
 	close(release)
@@ -177,12 +160,12 @@ func overloadAttempt(nodes, burst int, base service.Config, want execDoc, req se
 		}
 		switch out.status {
 		case http.StatusOK:
-			if !out.validated {
+			if !out.resp.Validated {
 				return 0, fmt.Errorf("conformance: overload: burst request %d served but failed validation", i)
 			}
-			if out.doc != want {
+			if doc := docOf(out.resp); doc != want {
 				return 0, fmt.Errorf("conformance: overload: burst request %d diverges from reference under load:\n single: %+v\n fleet:  %+v",
-					i, want, out.doc)
+					i, want, doc)
 			}
 			ok++
 		case http.StatusTooManyRequests:
@@ -219,40 +202,4 @@ func checkRetryAfter(ra string) error {
 		return fmt.Errorf("Retry-After %d < 1s tells clients to hammer", secs)
 	}
 	return nil
-}
-
-// overloadExecute fires one execute and classifies it without judging:
-// status, Retry-After, and (for 200s) the deterministic document. A
-// transport error or an expired budget is reported as err — in this
-// dimension both mean a lost or hung request, never a tolerable state.
-func overloadExecute(client *http.Client, baseURL string, req service.ExecuteRequest) overloadOutcome {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return overloadOutcome{err: err}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), overloadBudget)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/execute", bytes.NewReader(payload))
-	if err != nil {
-		return overloadOutcome{err: err}
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	res, err := client.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			return overloadOutcome{err: fmt.Errorf("hung past %v: %w", overloadBudget, err)}
-		}
-		return overloadOutcome{err: err}
-	}
-	defer res.Body.Close()
-	out := overloadOutcome{status: res.StatusCode, retryAfter: res.Header.Get("Retry-After")}
-	if res.StatusCode == http.StatusOK {
-		var resp service.ExecuteResponse
-		if err := json.NewDecoder(res.Body).Decode(&resp); err != nil {
-			return overloadOutcome{err: fmt.Errorf("200 with undecodable body: %w", err)}
-		}
-		out.doc = docOf(&resp)
-		out.validated = resp.Validated
-	}
-	return out
 }

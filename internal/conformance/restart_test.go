@@ -1,7 +1,6 @@
 package conformance
 
 import (
-	"os"
 	"strconv"
 	"testing"
 )
@@ -24,15 +23,6 @@ func TestRestartConformance(t *testing.T) {
 // restart check replays; RESTART_TORN_SEEDS overrides the count.
 var restartTornSeeds = []int64{3, 11, 4242}
 
-func restartTornSeedCount() int {
-	if s := os.Getenv("RESTART_TORN_SEEDS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 && v <= len(restartTornSeeds) {
-			return v
-		}
-	}
-	return len(restartTornSeeds)
-}
-
 // TestRestartConformanceTorn replays seeded torn-write schedules: torn
 // records recompile on restart (exactly as many as were torn), intact
 // ones rehydrate, and every answer stays bit-identical.
@@ -40,7 +30,7 @@ func TestRestartConformanceTorn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torn-write sweep skipped in -short")
 	}
-	n := restartTornSeedCount()
+	n := seedCount("RESTART_TORN_SEEDS", len(restartTornSeeds), len(restartTornSeeds))
 	for _, seed := range restartTornSeeds[:n] {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
@@ -69,15 +59,6 @@ func TestMembershipConformance(t *testing.T) {
 // MEMBERSHIP_DROP_SEEDS overrides the count.
 var membershipDropSeeds = []int64{5, 23, 1993}
 
-func membershipDropSeedCount() int {
-	if s := os.Getenv("MEMBERSHIP_DROP_SEEDS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 && v <= len(membershipDropSeeds) {
-			return v
-		}
-	}
-	return len(membershipDropSeeds)
-}
-
 // TestMembershipConformanceDrops replays seeded migration-drop
 // schedules: dropped records recompile at their new homes, every
 // request still answers bit-identically, zero lost mid-epoch.
@@ -85,7 +66,7 @@ func TestMembershipConformanceDrops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration-drop sweep skipped in -short")
 	}
-	n := membershipDropSeedCount()
+	n := seedCount("MEMBERSHIP_DROP_SEEDS", len(membershipDropSeeds), len(membershipDropSeeds))
 	for _, seed := range membershipDropSeeds[:n] {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {

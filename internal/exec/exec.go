@@ -437,3 +437,21 @@ func Equal(a, b map[string]float64) error {
 	}
 	return nil
 }
+
+// Mismatches is the validation verdict as a count: elements of want that
+// got lacks (missing) or holds with a different value, plus elements of
+// got that want does not have (surplus, by counting: got holds every
+// non-missing key of want, the rest are extra). Zero exactly when
+// Equal(got, want) is nil.
+func Mismatches(got, want map[string]float64) int {
+	missing, differing := 0, 0
+	for k, wv := range want {
+		if gv, ok := got[k]; !ok {
+			missing++
+		} else if gv != wv {
+			differing++
+		}
+	}
+	surplus := len(got) - (len(want) - missing)
+	return missing + differing + surplus
+}

@@ -133,6 +133,28 @@ func TestEqualDetectsDifferences(t *testing.T) {
 	}
 }
 
+// TestMismatchesCountsSurplusAndMissing: a state that invents an element
+// and one that loses an element each fail validation by exactly one — the
+// one-sided `for k, v := range want` loop sees neither the first nor, when
+// want is the strict subset, the second.
+func TestMismatchesCountsSurplusAndMissing(t *testing.T) {
+	want := map[string]float64{"A[1]": 1, "A[2]": 2}
+	surplus := map[string]float64{"A[1]": 1, "A[2]": 2, "A[3]": 3}
+	missing := map[string]float64{"A[1]": 1}
+	if n := Mismatches(want, want); n != 0 {
+		t.Errorf("equal states: %d mismatches", n)
+	}
+	if n := Mismatches(surplus, want); n != 1 {
+		t.Errorf("surplus element: %d mismatches, want 1", n)
+	}
+	if n := Mismatches(missing, want); n != 1 {
+		t.Errorf("missing element: %d mismatches, want 1", n)
+	}
+	if n := Mismatches(want, missing); n != 1 {
+		t.Errorf("want a strict subset of got: %d mismatches, want 1", n)
+	}
+}
+
 func TestInitValueStable(t *testing.T) {
 	v1 := InitValue("A", []int64{1, 2})
 	v2 := InitValue("A", []int64{1, 2})

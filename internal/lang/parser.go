@@ -609,75 +609,21 @@ func (p *parser) parseUnary(n int, reads *[]loop.Ref, allowArrays bool) (Expr, e
 }
 
 // toAffine lowers an index expression to an affine function of the n loop
-// indices, rejecting nonlinear terms.
+// indices, rejecting nonlinear terms: toAffineSym where no symbolic term
+// may appear (strict mode and bounds never parse one).
 func (p *parser) toAffine(e Expr, n int, at token) (loop.Affine, error) {
-	coeffs := make([]int64, n)
-	konst := int64(0)
-	var walk func(e Expr, scale int64) error
-	walk = func(e Expr, scale int64) error {
-		switch v := e.(type) {
-		case *NumLit:
-			if v.Value != float64(int64(v.Value)) {
-				return p.errorf(at, "non-integer constant %g in index expression", v.Value)
-			}
-			konst += scale * int64(v.Value)
-			return nil
-		case *VarRef:
-			if v.Level >= n {
-				return p.errorf(at, "index %q out of scope", v.Name)
-			}
-			coeffs[v.Level] += scale
-			return nil
-		case *Neg:
-			return walk(v.X, -scale)
-		case *BinOp:
-			switch v.Op {
-			case '+':
-				if err := walk(v.L, scale); err != nil {
-					return err
-				}
-				return walk(v.R, scale)
-			case '-':
-				if err := walk(v.L, scale); err != nil {
-					return err
-				}
-				return walk(v.R, -scale)
-			case '*':
-				// One side must be a constant.
-				if c, ok := constValue(v.L); ok {
-					return walk(v.R, scale*c)
-				}
-				if c, ok := constValue(v.R); ok {
-					return walk(v.L, scale*c)
-				}
-				return p.errorf(at, "nonlinear index expression %s", e)
-			case '/':
-				if c, ok := constValue(v.R); ok && c != 0 {
-					// Only exact integer division of a constant subtree.
-					if lc, ok := constValue(v.L); ok && lc%c == 0 {
-						konst += scale * (lc / c)
-						return nil
-					}
-				}
-				return p.errorf(at, "division in index expression %s", e)
-			}
-		case *ArrRef:
-			return p.errorf(at, "array reference in index expression")
-		}
-		return p.errorf(at, "unsupported index expression %s", e)
+	a, terms, err := p.toAffineSym(e, n, at)
+	if err == nil && len(terms) > 0 {
+		err = p.errorf(at, "symbolic constant %q in index expression", terms[0].Name)
 	}
-	if err := walk(e, 1); err != nil {
-		return loop.Affine{}, err
-	}
-	return p.normalizeAffine(loop.Affine{Coeffs: coeffs, Const: konst}), nil
+	return a, err
 }
 
 // toAffineSym lowers a subscript expression to an affine function of the
-// n loop indices plus a list of symbolic terms (affine mode). The
-// concrete part behaves exactly like toAffine; SymRef leaves become
-// offset terms, and products of a symbolic constant with a loop index
-// become stride terms. Step-normalization substitutions are applied to
-// both parts.
+// n loop indices plus a list of symbolic terms (affine mode): SymRef
+// leaves become offset terms, and products of a symbolic constant with a
+// loop index become stride terms. Step-normalization substitutions are
+// applied to both parts.
 func (p *parser) toAffineSym(e Expr, n int, at token) (loop.Affine, []SymTerm, error) {
 	coeffs := make([]int64, n)
 	konst := int64(0)
@@ -719,45 +665,41 @@ func (p *parser) toAffineSym(e Expr, n int, at token) (loop.Affine, []SymTerm, e
 				}
 				return walk(v.R, -scale)
 			case '*':
-				// Flatten the multiplicative chain; the product is linear
-				// when at most one non-constant factor remains, or exactly
-				// one symbolic constant times one loop index (a symbolic
-				// stride).
+				// A constant side scales the other.
+				if c, ok := constValue(v.L); ok {
+					return walk(v.R, scale*c)
+				}
+				if c, ok := constValue(v.R); ok {
+					return walk(v.L, scale*c)
+				}
+				// Otherwise the only linear product is one symbolic
+				// constant times one loop index (a symbolic stride), up to
+				// constant factors anywhere in the chain.
 				var factors []Expr
 				mulFactors(e, &factors)
 				c := int64(1)
-				var rest []Expr
+				var sr *SymRef
+				var vr *VarRef
+				rest := 0
 				for _, f := range factors {
 					if cv, ok := constValue(f); ok {
 						c *= cv
-					} else {
-						rest = append(rest, f)
+						continue
+					}
+					rest++
+					switch fv := f.(type) {
+					case *SymRef:
+						sr = fv
+					case *VarRef:
+						vr = fv
 					}
 				}
-				switch len(rest) {
-				case 0:
-					konst += scale * c
+				if rest == 2 && sr != nil && vr != nil {
+					if vr.Level >= n {
+						return p.errorf(at, "index %q out of scope", vr.Name)
+					}
+					sym[symKey{name: sr.Name, level: vr.Level}] += scale * c
 					return nil
-				case 1:
-					return walk(rest[0], scale*c)
-				case 2:
-					var sr *SymRef
-					var vr *VarRef
-					for _, f := range rest {
-						switch fv := f.(type) {
-						case *SymRef:
-							sr = fv
-						case *VarRef:
-							vr = fv
-						}
-					}
-					if sr != nil && vr != nil {
-						if vr.Level >= n {
-							return p.errorf(at, "index %q out of scope", vr.Name)
-						}
-						sym[symKey{name: sr.Name, level: vr.Level}] += scale * c
-						return nil
-					}
 				}
 				return p.errorf(at, "nonlinear index expression %s", e)
 			case '/':
@@ -776,6 +718,10 @@ func (p *parser) toAffineSym(e Expr, n int, at token) (loop.Affine, []SymTerm, e
 	}
 	if err := walk(e, 1); err != nil {
 		return loop.Affine{}, nil, err
+	}
+	concrete := p.normalizeAffine(loop.Affine{Coeffs: coeffs, Const: konst})
+	if len(sym) == 0 {
+		return concrete, nil, nil
 	}
 	// Apply step normalization: the concrete part via normalizeAffine, and
 	// each symbolic stride term N·i_k under i_k = base + scale·i'_k, which
@@ -810,7 +756,7 @@ func (p *parser) toAffineSym(e Expr, n int, at token) (loop.Affine, []SymTerm, e
 		}
 	}
 	sortTerms(terms)
-	return p.normalizeAffine(loop.Affine{Coeffs: coeffs, Const: konst}), terms, nil
+	return concrete, terms, nil
 }
 
 // mulFactors flattens a multiplicative chain into its factors, folding

@@ -21,26 +21,3 @@ func ExampleTableI() {
 	// Output:
 	// L5' speedup 14.5, L5'' speedup 15.5
 }
-
-// ExampleRunL5DoublePrime executes the doubly-duplicated matrix multiply
-// with real data on strictly local memories: zero inter-node messages and
-// results identical to the sequential product.
-func ExampleRunL5DoublePrime() {
-	mach, got, err := machine.RunL5DoublePrime(8, 4, machine.Transputer())
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	want := machine.SequentialMatMul(8)
-	same := len(got) == len(want)
-	for k, v := range want {
-		if got[k] != v {
-			same = false
-		}
-	}
-	fmt.Println("identical to sequential:", same)
-	fmt.Println("inter-node messages:", mach.InterNodeMessages())
-	// Output:
-	// identical to sequential: true
-	// inter-node messages: 0
-}

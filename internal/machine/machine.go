@@ -15,7 +15,6 @@ package machine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -289,22 +288,6 @@ func (m *Machine) chargeUnicast(node int, t float64, words int) {
 	}
 }
 
-// Multicast sends the same data to a set of nodes in a pipelined fashion:
-// one startup, then the data stream plus a pipeline-fill term of one hop
-// per extra destination.
-func (m *Machine) Multicast(nodes []int, data []Datum) {
-	for _, id := range nodes {
-		for _, d := range data {
-			m.nodes[id].Preload(d.Key, d.Value)
-		}
-	}
-	fill := 0
-	if len(nodes) > 1 {
-		fill = len(nodes) - 1
-	}
-	m.charge(-1, m.Cost.TStart+float64(len(data)+fill)*m.Cost.TComm, 1, len(data)*len(nodes))
-}
-
 // MulticastInstall sends one stream of `words` data words to a set of
 // nodes, installing per-node datum lists (a node hosting several block
 // copies of the same element stores each copy; the wire carries the
@@ -342,30 +325,15 @@ func (m *Machine) ChargeMulticast(nodes, words, installed int) {
 }
 
 // ChargeBroadcast is ChargeMulticast across the whole mesh at broadcast
-// cost (t_start + diameter·words·t_comm).
+// cost: the stream crosses the mesh diameter, t_start +
+// diameter·words·t_comm (the paper's 2√p·M²·t_comm term for broadcasting
+// array B in L5′).
 func (m *Machine) ChargeBroadcast(words, installed int) {
 	dia := m.Topology.Diameter()
 	if dia < 1 {
 		dia = 1
 	}
 	m.charge(-1, m.Cost.TStart+float64(dia)*float64(words)*m.Cost.TComm, 1, installed)
-}
-
-// Broadcast sends the same data to every node; the stream crosses the
-// mesh diameter, giving t_start + diameter·n·t_comm (the paper's
-// 2√p·M²·t_comm term for broadcasting array B in L5′).
-func (m *Machine) Broadcast(data []Datum) {
-	for i := range m.nodes {
-		nd := &m.nodes[i]
-		for _, d := range data {
-			nd.Preload(d.Key, d.Value)
-		}
-	}
-	dia := m.Topology.Diameter()
-	if dia < 1 {
-		dia = 1
-	}
-	m.charge(-1, m.Cost.TStart+float64(dia)*float64(len(data))*m.Cost.TComm, 1, len(data)*len(m.nodes))
 }
 
 func (m *Machine) charge(node int, t float64, msgs, words int) {
@@ -527,21 +495,4 @@ func (m *Machine) InterNodeMessages() int64 {
 		total += int64(nd.Stats().Misses)
 	}
 	return total
-}
-
-// GatherOwned collects each key from the single node the caller declares
-// authoritative (owner map key → node id).
-func (m *Machine) GatherOwned(owner map[string]int) map[string]float64 {
-	out := map[string]float64{}
-	keys := make([]string, 0, len(owner))
-	for k := range owner {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if v, ok := m.nodes[owner[k]].Value(k); ok {
-			out[k] = v
-		}
-	}
-	return out
 }

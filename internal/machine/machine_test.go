@@ -2,7 +2,6 @@ package machine
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -59,28 +58,39 @@ func TestDistributionCosts(t *testing.T) {
 	if !m.Node(0).Has("a") || m.Node(1).Has("a") {
 		t.Error("unicast delivered to wrong nodes")
 	}
-	// Multicast of 3 data to 2 nodes: 10 + (3 + 1).
+	// One stream of 3 words to 2 nodes, 6 copies left behind: 10 + (3 + 1).
 	m2 := New(Mesh{P1: 2, P2: 2}, c)
-	m2.Multicast([]int{1, 2}, []Datum{{"x", 1}, {"y", 2}, {"z", 3}})
+	m2.ChargeMulticast(2, 3, 6)
 	if got := m2.DistributionTime(); got != 14 {
 		t.Errorf("multicast time = %v, want 14", got)
 	}
-	if !m2.Node(1).Has("x") || !m2.Node(2).Has("x") || m2.Node(0).Has("x") {
+	if m2.Messages() != 1 || m2.DataMoved() != 6 {
+		t.Errorf("multicast messages=%d moved=%d, want 1 and 6", m2.Messages(), m2.DataMoved())
+	}
+	// MulticastInstall is the same charge plus the per-node datum lists.
+	m2i := New(Mesh{P1: 2, P2: 2}, c)
+	xyz := []Datum{{"x", 1}, {"y", 2}, {"z", 3}}
+	m2i.MulticastInstall([]int{1, 2}, 3, map[int][]Datum{1: xyz, 2: xyz})
+	if got := m2i.DistributionTime(); got != 14 || m2i.DataMoved() != 6 {
+		t.Errorf("multicast install time = %v moved = %d, want 14 and 6", got, m2i.DataMoved())
+	}
+	if !m2i.Node(1).Has("x") || !m2i.Node(2).Has("x") || m2i.Node(0).Has("x") {
 		t.Error("multicast delivery wrong")
 	}
-	// Broadcast of 2 data on diameter-2 mesh: 10 + 2·2.
+	// Broadcast of 2 words on the diameter-2 mesh: 10 + 2·2.
 	m3 := New(Mesh{P1: 2, P2: 2}, c)
-	m3.Broadcast([]Datum{{"q", 1}, {"r", 2}})
+	m3.ChargeBroadcast(2, 8)
 	if got := m3.DistributionTime(); got != 14 {
 		t.Errorf("broadcast time = %v, want 14", got)
 	}
-	for i := 0; i < 4; i++ {
-		if !m3.Node(i).Has("q") {
-			t.Errorf("node %d missing broadcast datum", i)
-		}
-	}
 	if m3.DataMoved() != 8 {
 		t.Errorf("data moved = %d, want 8", m3.DataMoved())
+	}
+	// A one-node mesh still pays one hop per word.
+	m4 := New(Mesh{P1: 1, P2: 1}, c)
+	m4.ChargeBroadcast(2, 2)
+	if got := m4.DistributionTime(); got != 12 {
+		t.Errorf("one-node broadcast time = %v, want 12", got)
 	}
 }
 
@@ -106,74 +116,16 @@ func TestRunChargesMaxIterations(t *testing.T) {
 	}
 }
 
-func TestSequentialMatMulKnown(t *testing.T) {
-	// 2×2 check by hand.
-	got := SequentialMatMul(2)
-	for i := int64(1); i <= 2; i++ {
-		for j := int64(1); j <= 2; j++ {
-			want := InitC(i, j)
-			for k := int64(1); k <= 2; k++ {
-				want += InitA(i, k) * InitB(k, j)
-			}
-			if got[ckey(i, j)] != want {
-				t.Errorf("C[%d,%d] = %v, want %v", i, j, got[ckey(i, j)], want)
-			}
-		}
-	}
-}
-
-func TestRunL5PrimeMatchesSequential(t *testing.T) {
-	for _, m := range []int64{4, 8, 16} {
-		mach, got, err := RunL5Prime(m, 4, Transputer())
-		if err != nil {
-			t.Fatalf("M=%d: %v", m, err)
-		}
-		if mach.InterNodeMessages() != 0 {
-			t.Errorf("M=%d: inter-node messages = %d (communication-free violated)", m, mach.InterNodeMessages())
-		}
-		want := SequentialMatMul(m)
-		if len(got) != len(want) {
-			t.Fatalf("M=%d: result size %d, want %d", m, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("M=%d: %s = %v, want %v", m, k, got[k], v)
-			}
-		}
-	}
-}
-
-func TestRunL5DoublePrimeMatchesSequential(t *testing.T) {
-	for _, cfg := range []struct {
-		m int64
-		p int
-	}{{4, 4}, {8, 4}, {8, 16}, {16, 16}} {
-		mach, got, err := RunL5DoublePrime(cfg.m, cfg.p, Transputer())
-		if err != nil {
-			t.Fatalf("M=%d p=%d: %v", cfg.m, cfg.p, err)
-		}
-		if mach.InterNodeMessages() != 0 {
-			t.Errorf("M=%d p=%d: inter-node messages = %d", cfg.m, cfg.p, mach.InterNodeMessages())
-		}
-		want := SequentialMatMul(cfg.m)
-		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("M=%d p=%d: %s = %v, want %v", cfg.m, cfg.p, k, got[k], v)
-			}
-		}
-	}
-}
-
 func TestL5DoublePrimeUsesLessDistributionThanPrime(t *testing.T) {
 	// The paper's key observation: replicating only the needed parts of A
 	// and B (L5″) moves less data than broadcasting the whole of B (L5′).
 	c := Transputer()
 	for _, m := range []int64{64, 128, 256} {
-		prime, err := L5PrimeMachine(m, 16, c, false)
+		prime, err := L5PrimeMachine(m, 16, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		double, err := L5DoublePrimeMachine(m, 16, c, false)
+		double, err := L5DoublePrimeMachine(m, 16, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,16 +209,6 @@ func TestSequentialTimeScale(t *testing.T) {
 	}
 }
 
-func TestGatherOwned(t *testing.T) {
-	m := New(Mesh{P1: 1, P2: 2}, Transputer())
-	m.Node(0).Write("a", 1)
-	m.Node(1).Write("b", 2)
-	got := m.GatherOwned(map[string]int{"a": 0, "b": 1, "missing": 0})
-	if len(got) != 2 || got["a"] != 1 || got["b"] != 2 {
-		t.Errorf("gather = %v", got)
-	}
-}
-
 func TestStatsAndCounters(t *testing.T) {
 	m := New(Mesh{P1: 2, P2: 2}, Transputer())
 	m.SendTo(0, []Datum{{"k", 1}})
@@ -278,11 +220,5 @@ func TestStatsAndCounters(t *testing.T) {
 	}
 	if m.Elapsed() != m.DistributionTime()+m.ComputeTime() {
 		t.Error("elapsed mismatch")
-	}
-}
-
-func TestKeyFormats(t *testing.T) {
-	if !strings.HasPrefix(ckey(1, 2), "C[") || !strings.HasPrefix(akey(1, 2), "A[") || !strings.HasPrefix(bkey(1, 2), "B[") {
-		t.Error("key formats wrong")
 	}
 }

@@ -74,7 +74,7 @@ func TestTraceEmptyAndDisabled(t *testing.T) {
 }
 
 func TestTraceOnL5Run(t *testing.T) {
-	mach, err := L5DoublePrimeMachine(8, 4, Transputer(), true)
+	mach, err := L5DoublePrimeMachine(8, 4, Transputer())
 	if err != nil {
 		t.Fatal(err)
 	}

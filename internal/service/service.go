@@ -1130,7 +1130,7 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	// by the differential tests).
 	vsp := trc.Start(0, "exec_validate")
 	want := entry.comp.sequentialRef()
-	mismatches := countMismatches(rep.Final, want)
+	mismatches := exec.Mismatches(rep.Final, want)
 	vsp.SetInt("elements", int64(len(want)))
 	vsp.SetInt("mismatches", int64(mismatches))
 	vsp.End()
@@ -1149,24 +1149,6 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 		Mismatches:        mismatches,
 		Elements:          len(want),
 	}, nil
-}
-
-// countMismatches is the validation verdict as a count: elements of
-// want that got lacks (missing) or holds with a different value, plus
-// elements of got that want does not have (surplus, by counting: got
-// holds every non-missing key of want, the rest are extra). Zero
-// exactly when exec.Equal(got, want) is nil.
-func countMismatches(got, want map[string]float64) int {
-	missing, differing := 0, 0
-	for k, wv := range want {
-		if gv, ok := got[k]; !ok {
-			missing++
-		} else if gv != wv {
-			differing++
-		}
-	}
-	surplus := len(got) - (len(want) - missing)
-	return missing + differing + surplus
 }
 
 // executeSequential is the graceful-degradation path: the nest runs on

@@ -321,7 +321,7 @@ func TestCountMismatches(t *testing.T) {
 		{"missing and surplus", map[string]float64{"A[1]": 1, "A[3]": 3}, 2},
 	}
 	for _, c := range cases {
-		if got := countMismatches(c.got, want); got != c.n {
+		if got := exec.Mismatches(c.got, want); got != c.n {
 			t.Errorf("%s: %d mismatches, want %d", c.name, got, c.n)
 		}
 		if equal := exec.Equal(c.got, want) == nil; equal != (c.n == 0) {

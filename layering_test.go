@@ -98,7 +98,7 @@ func either(preds ...func(ast.Node) bool) func(ast.Node) bool {
 	}
 }
 
-// layeringRules is the layering PRs 13–18 established, as syntax: what a
+// layeringRules is the layering PRs 13–23 established, as syntax: what a
 // package below a boundary must not name, because something above the
 // boundary already holds it.
 var layeringRules = []layeringRule{
@@ -149,6 +149,11 @@ var layeringRules = []layeringRule{
 			fn, ok := n.(*ast.FuncDecl)
 			return ok && fn.Recv != nil && fn.Name.Name == "submit"
 		},
+	},
+	{
+		why:   "a hand-written executor beside the compiler's: compile `loop.L5(m)` and run its plan",
+		files: []string{"internal/machine"},
+		bad:   names("RunL5Prime", "RunL5DoublePrime", "SequentialMatMul", "GatherOwned"),
 	},
 }
 

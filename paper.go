@@ -1,8 +1,10 @@
 package commfree
 
 import (
+	"commfree/internal/distplan"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
+	"commfree/internal/partition"
 )
 
 // The paper's worked examples, exposed for experiments and benchmarks.
@@ -32,18 +34,28 @@ func TableI(ms []int64, ps []int, cost CostModel) ([]TableRow, error) {
 	return machine.TableI(ms, ps, cost)
 }
 
-// RunL5Prime executes L5′ with real data on the simulated machine (small
-// M) and returns the gathered C state for validation.
-func RunL5Prime(m int64, p int, cost CostModel) (map[string]float64, error) {
-	_, c, err := machine.RunL5Prime(m, p, cost)
-	return c, err
+// RunL5Prime compiles L5 with only B duplicated — Section IV's L5′ — and
+// executes it under the distribution plan derived from that partition
+// (A's rows by unicast, B by broadcast): real data, strictly local
+// memories. The report's Final state and machine accounting and the
+// plan's steps are what Table I's closed forms are checked against.
+func RunL5Prime(m int64, p int, cost CostModel) (*ExecutionReport, *DistributionPlan, error) {
+	res, err := partition.ComputeSelective(loop.L5(m), map[string]bool{"B": true})
+	if err != nil {
+		return nil, nil, err
+	}
+	return distplan.ParallelPlanned(res, p, cost)
 }
 
-// RunL5DoublePrime executes L5″ with real data.
-func RunL5DoublePrime(m int64, p int, cost CostModel) (map[string]float64, error) {
-	_, c, err := machine.RunL5DoublePrime(m, p, cost)
-	return c, err
+// RunL5DoublePrime is RunL5Prime under the duplicate strategy — L5″: the
+// derived plan multicasts A's row groups and B's column groups.
+func RunL5DoublePrime(m int64, p int, cost CostModel) (*ExecutionReport, *DistributionPlan, error) {
+	res, err := partition.Compute(loop.L5(m), partition.Duplicate)
+	if err != nil {
+		return nil, nil, err
+	}
+	return distplan.ParallelPlanned(res, p, cost)
 }
 
 // SequentialMatMul is the sequential L5 reference result.
-func SequentialMatMul(m int64) map[string]float64 { return machine.SequentialMatMul(m) }
+func SequentialMatMul(m int64) map[string]float64 { return SequentialReference(loop.L5(m)) }
