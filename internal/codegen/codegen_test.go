@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -277,5 +279,74 @@ func TestOptionsPackageName(t *testing.T) {
 	}
 	if !strings.HasPrefix(strings.TrimLeft(src[strings.Index(src, "package"):], " "), "package kernel") {
 		t.Error("package name not honored")
+	}
+}
+
+// TestEveryGeneratedSourceParsesWhole: Generate checks only the part it
+// emitted after the constant prelude; every source it returns must still
+// parse as one whole file, over the corpus under every strategy.
+func TestEveryGeneratedSourceParsesWhole(t *testing.T) {
+	strategies := []partition.Strategy{
+		partition.NonDuplicate, partition.Duplicate,
+		partition.MinimalNonDuplicate, partition.MinimalDuplicate, partition.Mars,
+	}
+	nests := []*loop.Nest{loop.L1(), loop.L2(), loop.L3(), loop.L4(), loop.L5(4)}
+	for _, src := range lang.Corpus() {
+		if nest, err := lang.Parse(src); err == nil {
+			nests = append(nests, nest)
+		}
+	}
+	n := 0
+	for i, nest := range nests {
+		for _, strat := range strategies {
+			res, err := partition.Compute(nest, strat)
+			if err != nil {
+				t.Fatalf("nest %d %s: %v", i, strat, err)
+			}
+			tr, err := transform.Transform(nest, res.Psi)
+			if err != nil {
+				t.Fatalf("nest %d %s: %v", i, strat, err)
+			}
+			asg := assign.Assign(tr, 4)
+			opts := Options{}
+			if strat == partition.Mars {
+				opts.PEIterations = PETable(res, tr, asg)
+			}
+			out, err := Generate(tr, asg, opts)
+			if err != nil {
+				t.Fatalf("nest %d %s: %v", i, strat, err)
+			}
+			if _, err := parser.ParseFile(token.NewFileSet(), "whole.go", out, 0); err != nil {
+				t.Fatalf("nest %d %s: returned source does not parse whole: %v", i, strat, err)
+			}
+			n++
+		}
+	}
+	if n < 5*15 {
+		t.Fatalf("only %d programs generated", n)
+	}
+}
+
+// TestUnparseableProgramIsRefused: a hand-built nest whose index is a Go
+// keyword yields a program that does not parse, and the error's position
+// is the offending line of the returned source.
+func TestUnparseableProgramIsRefused(t *testing.T) {
+	nest := loop.L1()
+	nest.Levels[0].Name = "func"
+	res, err := partition.Compute(nest, partition.NonDuplicate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := transform.Transform(nest, res.Psi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := Generate(tr, assign.Assign(tr, 4), Options{})
+	if err == nil || !strings.Contains(err.Error(), "does not parse") {
+		t.Fatalf("err = %v, want \"does not parse\"", err)
+	}
+	_, whole := parser.ParseFile(token.NewFileSet(), "generated.go", src, 0)
+	if whole == nil || !strings.Contains(err.Error(), whole.Error()) {
+		t.Errorf("err = %v, want the whole file's parse error %v", err, whole)
 	}
 }

@@ -12,6 +12,7 @@ package deps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -201,19 +202,17 @@ func (a *Analysis) analyzeArray(array string) error {
 	hr := linalg.FromInts(h)
 
 	// Pair relations for Def. 4: unordered pairs with distinct offsets.
-	seenPair := map[string]bool{}
+	var seenPair [][]int64
 	for i := 0; i < len(accs); i++ {
 		for j := i + 1; j < len(accs); j++ {
 			r := subVec(accs[i].Ref.Offset, accs[j].Ref.Offset)
 			if isZeroVec(r) {
 				continue // identical references; kernel handles reuse
 			}
-			key := vecKey(r)
-			negKey := vecKey(negVec(r))
-			if seenPair[key] || seenPair[negKey] {
+			if slices.ContainsFunc(seenPair, func(s []int64) bool { return equalUpToSign(s, r) }) {
 				continue
 			}
-			seenPair[key] = true
+			seenPair = append(seenPair, r)
 			rel := PairRelation{A: accs[i], B: accs[j], R: r}
 			rb := make([]rational.Rat, len(r))
 			for k, x := range r {
@@ -516,14 +515,6 @@ func subVec(a, b []int64) []int64 {
 	return out
 }
 
-func negVec(a []int64) []int64 {
-	out := make([]int64, len(a))
-	for i := range a {
-		out[i] = -a[i]
-	}
-	return out
-}
-
 func isZeroVec(a []int64) bool {
 	for _, x := range a {
 		if x != 0 {
@@ -533,6 +524,11 @@ func isZeroVec(a []int64) bool {
 	return true
 }
 
-func vecKey(a []int64) string {
-	return fmt.Sprint(a)
+// equalUpToSign reports whether a = b or a = −b.
+func equalUpToSign(a, b []int64) bool {
+	neg := true
+	for i := range a {
+		neg = neg && a[i] == -b[i]
+	}
+	return neg || slices.Equal(a, b)
 }

@@ -132,10 +132,79 @@ type Footprint struct {
 	First []int
 }
 
-// Footprint walks the iteration space once, tracking the extremes of
-// every index level and every reference.
+// Footprint bounds the iteration space and every reference. When every
+// level has constant, non-empty bounds the iteration box is the bounds
+// and each reference's box follows from interval arithmetic: an affine
+// map on a box attains its extremes at corners, and every corner is an
+// iteration. Otherwise it walks the iteration space once (walkFootprint).
 func (l *Nest) Footprint() (*Footprint, error) {
-	n := l.Depth()
+	f, refs, bx := l.newFootprint()
+	blo, bhi, closed := l.ConstBounds()
+	for k := range blo {
+		closed = closed && blo[k] <= bhi[k]
+	}
+	if !closed {
+		return l.walkFootprint(f, refs, bx)
+	}
+	iter := len(f.Arrays)
+	bx.lo[iter], bx.hi[iter] = blo, bhi
+	for i, r := range refs {
+		a := f.Slots[i].Array
+		for d, row := range r.H {
+			vlo, vhi, ok := affineRange(row, r.Offset[d], blo, bhi)
+			if !ok {
+				return nil, &RankOverflowError{What: f.elemsWhat(a)}
+			}
+			bx.grow(a, d, vlo)
+			bx.grow(a, d, vhi)
+		}
+	}
+	if err := f.rank(refs, bx); err != nil {
+		return nil, err
+	}
+	f.Count = f.Iter.Volume
+	return f, nil
+}
+
+// walkFootprint completes Footprint by walking the iteration space once,
+// counting the iterations and tracking the extremes of every index level
+// and every reference.
+func (l *Nest) walkFootprint(f *Footprint, refs []Ref, bx footprintBoxes) (*Footprint, error) {
+	iter := len(f.Arrays)
+	l.Walk(func(it []int64) bool {
+		f.Count++
+		for k, v := range it {
+			bx.grow(iter, k, v)
+		}
+		for i, r := range refs {
+			for d, row := range r.H {
+				v := r.Offset[d]
+				for j, c := range row {
+					v += c * it[j]
+				}
+				bx.grow(f.Slots[i].Array, d, v)
+			}
+		}
+		return true
+	})
+	if err := f.rank(refs, bx); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// footprintBoxes are the bounding boxes Footprint grows: boxes
+// 0..len(Arrays)−1 belong to the arrays, the last one to the iteration
+// space itself.
+type footprintBoxes struct{ lo, hi [][]int64 }
+
+func (bx footprintBoxes) grow(b, k int, v int64) {
+	bx.lo[b][k], bx.hi[b][k] = min(bx.lo[b][k], v), max(bx.hi[b][k], v)
+}
+
+// newFootprint lays out the slots of l's references and empty boxes for
+// the arrays and the iteration space.
+func (l *Nest) newFootprint() (*Footprint, []Ref, footprintBoxes) {
 	f := &Footprint{Arrays: l.Arrays()}
 	var refs []Ref
 	for s, st := range l.Body {
@@ -149,54 +218,69 @@ func (l *Nest) Footprint() (*Footprint, error) {
 	}
 	f.First = append(f.First, len(refs))
 
-	// Boxes 0..len(Arrays)−1 belong to the arrays, the last one to the
-	// iteration space itself.
 	iter := len(f.Arrays)
-	lo, hi := make([][]int64, iter+1), make([][]int64, iter+1)
+	bx := footprintBoxes{make([][]int64, iter+1), make([][]int64, iter+1)}
 	newBox := func(b, d int) {
-		lo[b], hi[b] = make([]int64, d), make([]int64, d)
-		for k := range lo[b] {
-			lo[b][k], hi[b][k] = 1<<63-1, -1<<63
+		bx.lo[b], bx.hi[b] = make([]int64, d), make([]int64, d)
+		for k := range bx.lo[b] {
+			bx.lo[b][k], bx.hi[b][k] = 1<<63-1, -1<<63
 		}
 	}
-	grow := func(b, k int, v int64) {
-		lo[b][k], hi[b][k] = min(lo[b][k], v), max(hi[b][k], v)
-	}
-	newBox(iter, n)
+	newBox(iter, l.Depth())
 	for i, r := range refs {
 		newBox(f.Slots[i].Array, r.Dim())
 	}
-	l.Walk(func(it []int64) bool {
-		f.Count++
-		for k, v := range it {
-			grow(iter, k, v)
-		}
-		for i, r := range refs {
-			for d, row := range r.H {
-				v := r.Offset[d]
-				for j, c := range row {
-					v += c * it[j]
-				}
-				grow(f.Slots[i].Array, d, v)
-			}
-		}
-		return true
-	})
+	return f, refs, bx
+}
 
+func (f *Footprint) elemsWhat(a int) string { return "array " + f.Arrays[a] + " footprint" }
+
+// rank turns the grown boxes into f's rankers and composes every
+// reference with its array's ranking.
+func (f *Footprint) rank(refs []Ref, bx footprintBoxes) error {
+	iter := len(f.Arrays)
 	var err error
-	if f.Iter, err = NewRanker("iteration box", lo[iter], hi[iter]); err != nil {
-		return nil, err
+	if f.Iter, err = NewRanker("iteration box", bx.lo[iter], bx.hi[iter]); err != nil {
+		return err
 	}
 	f.Elems = make([]Ranker, len(f.Arrays))
-	for a, name := range f.Arrays {
-		if f.Elems[a], err = NewRanker("array "+name+" footprint", lo[a], hi[a]); err != nil {
-			return nil, err
+	for a := range f.Arrays {
+		if f.Elems[a], err = NewRanker(f.elemsWhat(a), bx.lo[a], bx.hi[a]); err != nil {
+			return err
 		}
 	}
 	for i, r := range refs {
-		f.Slots[i].Linear = f.Elems[f.Slots[i].Array].Compose(n, r.H, r.Offset)
+		f.Slots[i].Linear = f.Elems[f.Slots[i].Array].Compose(len(f.Iter.Lo), r.H, r.Offset)
 	}
-	return f, nil
+	return nil
+}
+
+// affineRange returns the extremes of c + Σ coeffs[j]·x[j] over the box
+// lo ≤ x ≤ hi, or ok = false when a value on the way overflows int64.
+func affineRange(coeffs []int64, c int64, lo, hi []int64) (vlo, vhi int64, ok bool) {
+	vlo, vhi, ok = c, c, true
+	for j, a := range coeffs {
+		x, y := lo[j], hi[j]
+		if a < 0 {
+			x, y = y, x
+		}
+		vlo, ok = addMul(vlo, a, x, ok)
+		vhi, ok = addMul(vhi, a, y, ok)
+	}
+	return vlo, vhi, ok
+}
+
+// addMul returns s + a·x and whether ok held and nothing overflowed.
+func addMul(s, a, x int64, ok bool) (int64, bool) {
+	if a == 0 || x == 0 {
+		return s, ok
+	}
+	p := a * x
+	if p/x != a || x == -1 && a == -1<<63 {
+		return 0, false
+	}
+	sum := s + p
+	return sum, ok && (p >= 0) == (sum >= s)
 }
 
 // Index is a nest enumerated once for the compile passes: the iteration

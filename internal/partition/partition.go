@@ -507,9 +507,11 @@ func Materialize(ix *loop.Index, strat Strategy, psi *space.Space, red *redundan
 // Context is the evaluation context of one nest: what every strategy's
 // partition shares — the dependence analysis, the dense index and, from
 // its first use on, the redundancy oracle — is computed once here, and
-// each Compute adds only its own Ψ. A compile builds one Context; it is
-// not safe for concurrent use. The "deps" and "redundant" stages are
-// recorded as spans of Trace under Parent (a nil Trace costs nothing).
+// each Compute adds only its own Ψ. A compile builds one Context. Once
+// Redundant has run, Spaces, Compute and Partition only read it and may
+// be called concurrently; before, it is not safe for concurrent use. The
+// "deps" and "redundant" stages are recorded as spans of Trace under
+// Parent (a nil Trace costs nothing).
 type Context struct {
 	Analysis *deps.Analysis
 	Index    *loop.Index

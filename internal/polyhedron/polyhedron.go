@@ -11,6 +11,7 @@ package polyhedron
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"commfree/internal/rational"
@@ -158,10 +159,10 @@ func (s *System) Eliminate(k int) *System {
 }
 
 // dedup drops duplicate and trivially-true inequalities and detects
-// trivially-false ones (kept so IsEmpty sees them).
+// trivially-false ones (kept so IsEmpty sees them). Duplicates are found
+// by comparing coefficients; the first occurrence is kept.
 func (s *System) dedup() {
-	seen := map[string]bool{}
-	var kept []Ineq
+	kept := s.Ineqs[:0]
 	for _, q := range s.Ineqs {
 		allZero := true
 		for _, c := range q.Coeffs {
@@ -177,13 +178,17 @@ func (s *System) dedup() {
 			}
 			continue // 0 ≤ nonneg: trivially true
 		}
-		key := q.String()
-		if !seen[key] {
-			seen[key] = true
+		if !slices.ContainsFunc(kept, q.equal) {
 			kept = append(kept, q)
 		}
 	}
 	s.Ineqs = kept
+}
+
+// equal reports whether two inequalities over the same variables have
+// equal coefficients and bounds.
+func (q Ineq) equal(o Ineq) bool {
+	return q.Bound.Equal(o.Bound) && slices.EqualFunc(q.Coeffs, o.Coeffs, rational.Rat.Equal)
 }
 
 // BoundsOn returns the tightest rational interval for variable k implied

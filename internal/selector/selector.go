@@ -14,8 +14,12 @@ package selector
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"commfree/internal/assign"
 	"commfree/internal/distplan"
@@ -106,10 +110,10 @@ type class struct {
 // Evaluate prices every candidate of the context's nest on p processors:
 // the four theorems, MARS, and every selective subset of at most four
 // arrays. Each class of candidates is partitioned, planned and priced
-// once; ctx is checked between classes. pin is the label of the
-// candidate the caller will compile ("" for the cheapest): only that
-// candidate's partition outlives its pricing, so at most two partitions
-// are alive at a time.
+// once, classes concurrently (see price); ctx is checked before each
+// class starts. pin is the label of the candidate the caller will compile
+// ("" for the cheapest): only that candidate's partition outlives its
+// pricing. The outcome does not depend on GOMAXPROCS.
 func Evaluate(ctx context.Context, pc *partition.Context, p int, cost machine.CostModel, pin string) (*Evaluation, error) {
 	nest := pc.Analysis.Nest
 	var specs []spec
@@ -165,46 +169,109 @@ func Evaluate(ctx context.Context, pc *partition.Context, p int, cost machine.Co
 	}
 
 	ev.Classes = len(classes)
-	for ci, c := range classes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// The class is materialized as the view of its pinned member, else
-		// of its earliest one — the member the stable ranking puts first.
-		keep, members := -1, 0
-		for i, sp := range specs {
-			if sp.class == ci {
-				members++
-				if keep < 0 || sp.Label == pin {
-					keep = i
-				}
-			}
-		}
-		csp := pc.Trace.Start(pc.Parent, "class")
-		res, tr, asg, err := materialize(pc, c, &specs[keep], p, csp.ID())
-		if err != nil {
-			csp.End()
-			return nil, err
-		}
-		priced := estimate(res, asg, cost)
-		for i := range specs {
-			if sp := &specs[i]; sp.class == ci {
-				sp.Blocks, sp.DistributionTime, sp.ComputeTime, sp.Total = priced.Blocks, priced.DistributionTime, priced.ComputeTime, priced.Total
-			}
-		}
-		csp.SetInt("psi_dim", int64(res.Psi.Dim()))
-		csp.SetInt("blocks", int64(priced.Blocks))
-		csp.SetInt("members", int64(members))
-		csp.End()
-		if specs[keep].Label == pin || (pin == "" && (ev.Result == nil || priced.Total < ev.Chosen.Total)) {
-			ev.Chosen, ev.Result, ev.Transformed, ev.Assignment = specs[keep].Candidate, res, tr, asg
+	// A class is materialized as the view of its pinned member, else of
+	// its earliest one — the member the stable ranking puts first.
+	views, members := make([]spec, len(classes)), make([]int, len(classes))
+	for _, sp := range specs {
+		if members[sp.class]++; members[sp.class] == 1 || sp.Label == pin {
+			views[sp.class] = sp
 		}
 	}
+	// MARS and the minimal classes share the redundancy oracle: derive it
+	// before the workers read the context.
+	pc.Redundant()
+	prices, err := price(ctx, pc, classes, views, members, p, cost, pin, ev)
+	if err != nil {
+		return nil, err
+	}
 	for _, sp := range specs {
+		c := prices[sp.class]
+		sp.Blocks, sp.DistributionTime, sp.ComputeTime, sp.Total = c.Blocks, c.DistributionTime, c.ComputeTime, c.Total
 		ev.Ranking = append(ev.Ranking, sp.Candidate)
 	}
 	sort.SliceStable(ev.Ranking, func(i, j int) bool { return ev.Ranking[i].Total < ev.Ranking[j].Total })
 	return ev, nil
+}
+
+// price materializes and prices every class as its view, min(classes,
+// GOMAXPROCS) at a time, and records the chosen class's compiled form on
+// ev. The dispatcher polls ctx and starts each class's span in class
+// order; a worker writes only its class's slot of the returned prices.
+// The winner so far is held under a mutex and ordered by (Total, class
+// index) — the sequential "first strictly cheaper" rule — and every other
+// class's partition is dropped once priced, so at most width + 1
+// partitions are alive. In-flight
+// classes are awaited before price returns: when ctx ends after k polls,
+// exactly k classes were priced. A failure stops the dispatch; the
+// earliest failing class's error is returned, or its panic re-raised
+// with the panicking stack kept on that class's span.
+func price(ctx context.Context, pc *partition.Context, classes []class, views []spec, members []int, p int, cost machine.CostModel, pin string, ev *Evaluation) ([]Candidate, error) {
+	prices := make([]Candidate, len(classes))
+	errs, panics := make([]error, len(classes)), make([]any, len(classes))
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex // guards best and ev's chosen fields
+		best   = -1
+		failed atomic.Bool
+		ctxErr error
+	)
+	slots := make(chan struct{}, min(len(classes), runtime.GOMAXPROCS(0)))
+	for ci, c := range classes {
+		slots <- struct{}{}
+		if failed.Load() {
+			break
+		}
+		if ctxErr = ctx.Err(); ctxErr != nil {
+			break
+		}
+		csp := pc.Trace.Start(pc.Parent, "class")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			defer csp.End()
+			defer func() {
+				if v := recover(); v != nil {
+					// The caller re-raises v from its own goroutine, so
+					// the failing frame survives only here.
+					csp.SetStr("panic", fmt.Sprint(v))
+					csp.SetStr("stack", string(debug.Stack()))
+					panics[ci] = v
+					failed.Store(true)
+				}
+			}()
+			res, tr, asg, err := materialize(pc, c, &views[ci], p, csp.ID())
+			if err != nil {
+				errs[ci] = err
+				failed.Store(true)
+				return
+			}
+			priced := estimate(res, asg, cost)
+			prices[ci] = priced
+			csp.SetInt("psi_dim", int64(res.Psi.Dim()))
+			csp.SetInt("blocks", int64(priced.Blocks))
+			csp.SetInt("members", int64(members[ci]))
+			mu.Lock()
+			defer mu.Unlock()
+			cheaper := best < 0 || priced.Total < ev.Chosen.Total || priced.Total == ev.Chosen.Total && ci < best
+			if views[ci].Label == pin || pin == "" && cheaper {
+				best = ci
+				ev.Chosen = views[ci].Candidate
+				ev.Chosen.Blocks, ev.Chosen.DistributionTime, ev.Chosen.ComputeTime, ev.Chosen.Total = priced.Blocks, priced.DistributionTime, priced.ComputeTime, priced.Total
+				ev.Result, ev.Transformed, ev.Assignment = res, tr, asg
+			}
+		}()
+	}
+	wg.Wait()
+	for ci := range classes {
+		if panics[ci] != nil {
+			panic(panics[ci])
+		}
+		if errs[ci] != nil {
+			return nil, errs[ci]
+		}
+	}
+	return prices, ctxErr
 }
 
 // materialize partitions a class once, in the shape of one member's

@@ -11,6 +11,7 @@ import (
 	"container/list"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 
 	"commfree/internal/obs"
 	"commfree/internal/store"
@@ -46,25 +47,35 @@ type cacheEntry struct {
 	// plans that only ever lived in memory.
 	rec *store.Record
 
-	// plan is the typed wire plan: set by a compile, decoded from
-	// rec.Plan by the first request that asks a revived entry for it.
-	planOnce sync.Once
-	plan     *Plan
-	planErr  error
+	// plan is the typed wire plan, set by a compile. A revived entry has
+	// none; decoded decodes its record's plan bytes instead, once.
+	plan    *Plan
+	decoded func() (*Plan, error)
+	// claimed marks that a request has taken the decode's span.
+	claimed atomic.Bool
+}
+
+// newRevived wraps a record's partition as an entry whose typed plan is
+// decoded on first use.
+func newRevived(rec *store.Record, comp *compiled) *cacheEntry {
+	return &cacheEntry{
+		key: rec.Key, label: rec.Label, comp: comp, rec: rec, bytes: entryBytes(rec),
+		decoded: sync.OnceValues(func() (*Plan, error) { return decodePlan(rec) }),
+	}
 }
 
 // typed returns the entry's typed plan. A revived entry decodes its
-// record's plan bytes here, once, as a plan_decode span of the request
-// that needed it; executes never do.
+// record's plan bytes here, once, as a plan_decode span of the first
+// request that needed it; executes never do.
 func (e *cacheEntry) typed(trc *obs.Trace) (*Plan, error) {
-	e.planOnce.Do(func() {
-		if e.plan == nil {
-			sp := trc.Start(0, "plan_decode")
-			e.plan, e.planErr = decodePlan(e.rec)
-			sp.End()
-		}
-	})
-	return e.plan, e.planErr
+	if e.plan != nil {
+		return e.plan, nil
+	}
+	if e.claimed.CompareAndSwap(false, true) {
+		sp := trc.Start(0, "plan_decode")
+		defer sp.End()
+	}
+	return e.decoded()
 }
 
 // planCache is a mutex-guarded LRU with entry-count and byte bounds.

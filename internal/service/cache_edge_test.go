@@ -215,12 +215,11 @@ func TestEvictionWhileExecCompileInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eA.comp.prog != nil {
-		t.Fatal("program compiled eagerly; the lazy-compile race is vacuous")
+	if n := eA.comp.programBuilds.Load(); n != 0 {
+		t.Fatalf("program built %d times before any execution; the lazy-compile race is vacuous", n)
 	}
-
 	// Race the lazy compile against eviction (the -race build checks
-	// the sync.Once publication).
+	// the sync.OnceValues publication).
 	var wg sync.WaitGroup
 	progs := make([]any, 8)
 	for i := range progs {
@@ -246,6 +245,9 @@ func TestEvictionWhileExecCompileInFlight(t *testing.T) {
 		if progs[i] != progs[0] {
 			t.Fatal("concurrent lazy compiles produced distinct programs")
 		}
+	}
+	if n := eA.comp.programBuilds.Load(); n != 1 {
+		t.Errorf("%d concurrent callers built the program %d times, want once", len(progs), n)
 	}
 
 	// The evicted plan still executes (fresh compile, fresh entry) and

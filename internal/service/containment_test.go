@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"commfree/internal/exec"
 	"commfree/internal/obs"
 	"commfree/internal/rational"
 	"commfree/internal/store"
@@ -159,5 +162,52 @@ func TestWorkerPanicIsContained(t *testing.T) {
 	s.storeMu.Unlock()
 	if resp, body := postJSON(t, ts.URL+"/v1/compile", CompileRequest{Source: srcL1}); resp.StatusCode != http.StatusOK {
 		t.Errorf("compile after the panic: status %d (body %s)", resp.StatusCode, body)
+	}
+}
+
+// TestPanickingBuilderNeverPoisonsTheEntry: a cached plan whose lazy
+// program or sequential reference panics while being built answers every
+// execute with a 500 carrying that builder's panic — it panics again on
+// each call — never with a nil dereference or a validated:false verdict
+// against a missing reference.
+func TestPanickingBuilderNeverPoisonsTheEntry(t *testing.T) {
+	for _, breaks := range []string{"program", "sequential reference"} {
+		t.Run(breaks, func(t *testing.T) {
+			s := newTestService(t, Config{Workers: 1})
+			req := CompileRequest{Source: srcL1, Strategy: "duplicate", Processors: 4}
+			entry, _, err := s.compileEntry(context.Background(), req, obs.New("t"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const injected = "injected: the builder fell over"
+			comp := newCompiled(entry.comp.nest, entry.comp.res, req.Processors)
+			if breaks == "program" {
+				comp.program = sync.OnceValues(func() (*exec.Program, error) { panic(injected) })
+			} else {
+				comp.sequentialRef = sync.OnceValue(func() map[string]float64 { panic(injected) })
+			}
+			entry.comp = comp
+			for i := 0; i < 2; i++ {
+				resp, err := s.Execute(context.Background(), execReq(req))
+				if resp != nil {
+					t.Fatalf("execute %d: validated=%v with %d mismatches, want a 500", i, resp.Validated, resp.Mismatches)
+				}
+				m := traceInError.FindStringSubmatch(fmt.Sprint(err))
+				if statusFor(err) != http.StatusInternalServerError || m == nil {
+					t.Fatalf("execute %d: err = %v, want a 500 naming its trace", i, err)
+				}
+				value := ""
+				for _, sp := range s.Traces().Get(m[1]).Spans() {
+					for _, a := range sp.Attrs {
+						if sp.Name == "panic" && a.Key == "value" {
+							value = a.Str
+						}
+					}
+				}
+				if value != injected {
+					t.Errorf("execute %d panicked with %q, want the builder's %q", i, value, injected)
+				}
+			}
+		})
 	}
 }

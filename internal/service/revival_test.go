@@ -75,8 +75,8 @@ func TestRevivalMatchesCompile(t *testing.T) {
 						}
 					}
 				}
-				ka, errA := fresh.comp.kernel(p)
-				kb, errB := revived.comp.kernel(p)
+				ka, errA := fresh.comp.kernel()
+				kb, errB := revived.comp.kernel()
 				if (errA == nil) != (errB == nil) {
 					t.Fatalf("%q %s p=%d: kernel compiled err=%v, revived err=%v", src, strat, p, errA, errB)
 				}

@@ -320,61 +320,51 @@ type ExecuteResponse struct {
 }
 
 // compiled holds the live pipeline artifacts behind a cached plan,
-// needed to execute it. Read-only after construction (the program is
-// materialized lazily, once, on first execution).
+// needed to execute it. Read-only after construction; its executable
+// forms are built lazily, once, by the first execution that needs them.
+// A builder that panics is not cached as a success: every later call
+// panics again, and Service.contain answers each with a 500.
 type compiled struct {
 	nest *loop.Nest
 	res  *partition.Result
 
-	progOnce sync.Once
-	prog     *exec.Program
-	progErr  error
-
-	kernOnce sync.Once
-	kern     *exec.Kernel
-	kernErr  error
-
-	seqOnce sync.Once
-	seq     map[string]float64
+	// program compiles the nest for the dense engine from the footprint
+	// the partition's index holds.
+	program func() (*exec.Program, error)
+	// kernel specializes the program for the plan's machine size (the
+	// cache key carries the processor count, so one kernel per entry is
+	// exact). Its arenas recycle across executions.
+	kernel func() (*exec.Kernel, error)
+	// sequentialRef is the sequential validation reference: every
+	// execution of a plan validates against the same final state.
+	sequentialRef func() map[string]float64
+	// programBuilds counts the program builds begun: 0 until the first
+	// execution, 1 ever after.
+	programBuilds atomic.Int32
 }
 
-// program compiles the nest for the dense engine, once per cache
-// entry, from the footprint the partition's index holds; every
-// subsequent execution of the plan reuses it.
-func (c *compiled) program() (*exec.Program, error) {
-	c.progOnce.Do(func() {
-		c.prog, c.progErr = exec.CompilePartition(c.res)
+// newCompiled wraps a plan's nest and partition for execution on p
+// processors.
+func newCompiled(nest *loop.Nest, res *partition.Result, p int) *compiled {
+	c := &compiled{nest: nest, res: res}
+	c.program = sync.OnceValues(func() (*exec.Program, error) {
+		c.programBuilds.Add(1)
+		return exec.CompilePartition(res)
 	})
-	return c.prog, c.progErr
-}
-
-// kernel specializes the program for this plan's machine size, once
-// per cache entry (the cache key carries the processor count, so one
-// kernel per entry is exact). Its arenas recycle across executions.
-func (c *compiled) kernel(p int) (*exec.Kernel, error) {
-	c.kernOnce.Do(func() {
+	c.kernel = sync.OnceValues(func() (*exec.Kernel, error) {
 		prog, err := c.program()
 		if err != nil {
-			c.kernErr = err
-			return
+			return nil, err
 		}
-		c.kern, c.kernErr = prog.Specialize(c.res, p)
+		return prog.Specialize(res, p)
 	})
-	return c.kern, c.kernErr
-}
-
-// sequentialRef is the cached sequential validation reference: every
-// execution of a plan validates against the same final state, so it is
-// computed once per cache entry and then only read.
-func (c *compiled) sequentialRef() map[string]float64 {
-	c.seqOnce.Do(func() {
+	c.sequentialRef = sync.OnceValue(func() map[string]float64 {
 		if prog, err := c.program(); err == nil {
-			c.seq = prog.Sequential()
-		} else {
-			c.seq = exec.Sequential(c.nest, nil)
+			return prog.Sequential()
 		}
+		return exec.Sequential(nest, nil)
 	})
-	return c.seq
+	return c
 }
 
 // flight deduplicates concurrent compilations of one cache key.
@@ -844,7 +834,7 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 	if err != nil {
 		return nil, err
 	}
-	return &cacheEntry{key: key, label: plan.Strategy, plan: plan, comp: &compiled{nest: cn, res: res}, rec: rec, bytes: entryBytes(rec)}, nil
+	return &cacheEntry{key: key, label: plan.Strategy, plan: plan, comp: newCompiled(cn, res, procs), rec: rec, bytes: entryBytes(rec)}, nil
 }
 
 // admitNest refuses a nest that spans more than MaxIterations
@@ -1076,14 +1066,14 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	}
 
 	// Stage: exec_compile — resolve the cached plan into the
-	// specialized kernel (amortized: sync.Once per cache entry). Nests
+	// specialized kernel (amortized: built once per cache entry). Nests
 	// beyond the compile caps fall back to the map-based oracle, and
 	// the span says why.
 	engine := s.cfg.Engine
 	var kern *exec.Kernel
 	if engine == "kernel" {
 		csp := trc.Start(0, "exec_compile")
-		k, kerr := entry.comp.kernel(req.Processors)
+		k, kerr := entry.comp.kernel()
 		if kerr != nil {
 			s.metrics.Inc("exec_compile_fallbacks", 1)
 			engine = "oracle"

@@ -309,7 +309,7 @@ func (s *Service) rehydrate(rec *store.Record, trc *obs.Trace) (*cacheEntry, err
 	if err != nil {
 		return nil, err
 	}
-	return &cacheEntry{key: rec.Key, label: rec.Label, comp: &compiled{nest: cn, res: res}, rec: rec, bytes: entryBytes(rec)}, nil
+	return newRevived(rec, newCompiled(cn, res, rec.Processors)), nil
 }
 
 // WarmStart eagerly rehydrates every stored plan into the cache, so a

@@ -377,17 +377,12 @@ func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transf
 // dedupTerms drops duplicate terms and, among the purely constant terms,
 // keeps only the binding one (largest for lower bounds, smallest for
 // upper) — Fourier–Motzkin produces weaker shadows like 2 ≤ x alongside
-// −1 ≤ x.
+// −1 ≤ x. A term that varies is kept unless an equal one already is; a
+// repeated constant cannot change the binding one.
 func dedupTerms(terms *[]BoundTerm, lower bool) {
-	seen := map[string]bool{}
 	var out []BoundTerm
 	bestConst := -1 // index into out of the binding constant term
 	for _, t := range *terms {
-		key := fmt.Sprint(t.Const, t.Coeffs)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
 		isConst := true
 		for _, c := range t.Coeffs {
 			if !c.IsZero() {
@@ -396,7 +391,9 @@ func dedupTerms(terms *[]BoundTerm, lower bool) {
 			}
 		}
 		if !isConst {
-			out = append(out, t)
+			if !slices.ContainsFunc(out, t.equal) {
+				out = append(out, t)
+			}
 			continue
 		}
 		if bestConst < 0 {
@@ -410,6 +407,12 @@ func dedupTerms(terms *[]BoundTerm, lower bool) {
 		}
 	}
 	*terms = out
+}
+
+// equal reports whether two terms over the same variables are the same
+// affine function.
+func (b BoundTerm) equal(o BoundTerm) bool {
+	return b.Const.Equal(o.Const) && slices.EqualFunc(b.Coeffs, o.Coeffs, rational.Rat.Equal)
 }
 
 // Original recovers the original iteration from a full new-variable point,

@@ -87,6 +87,16 @@ func field(name string, typ func(ast.Expr) bool) func(ast.Node) bool {
 	}
 }
 
+// stringMap matches a map type keyed by string.
+func stringMap(n ast.Node) bool {
+	m, ok := n.(*ast.MapType)
+	if !ok {
+		return false
+	}
+	key, ok := m.Key.(*ast.Ident)
+	return ok && key.Name == "string"
+}
+
 func either(preds ...func(ast.Node) bool) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		for _, p := range preds {
@@ -98,7 +108,7 @@ func either(preds ...func(ast.Node) bool) func(ast.Node) bool {
 	}
 }
 
-// layeringRules is the layering PRs 13–23 established, as syntax: what a
+// layeringRules is the layering the compile path keeps, as syntax: what a
 // package below a boundary must not name, because something above the
 // boundary already holds it.
 var layeringRules = []layeringRule{
@@ -106,6 +116,11 @@ var layeringRules = []layeringRule{
 		why:   "string-keyed index over a partition: key by loop.Ranker rank (or read the partition's sorted element lists) instead",
 		files: []string{"internal/partition", "internal/redundant", "internal/mars", "internal/distplan", "internal/layout"},
 		bad:   calls("fmt", "Sprint"),
+	},
+	{
+		why:   "formatted keys on the compile path: compare coefficients with `Rat.Equal`",
+		files: []string{"internal/polyhedron", "internal/transform"},
+		bad:   either(calls("fmt", "Sprint"), stringMap),
 	},
 	{
 		why:   "store revival re-derives what the record's Ψ already determines: materialize from (nest, strategy, Ψ) instead",

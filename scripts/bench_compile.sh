@@ -13,9 +13,11 @@
 #       those rows beside the new ones, with the per-row speedups.
 #
 #   scripts/bench_compile.sh gate [benchtime]     run extents 8 and 16
-#       (default -benchtime=3x) and fail if the geometric mean of ns/op
-#       over those rows regressed more than 2x against the latest recorded
-#       entry. CI runs this so a re-grown compile path cannot land
+#       (default -benchtime=3x) and fail if, over those rows, the geometric
+#       mean of ns/op regressed more than 2x, or that of allocs/op more
+#       than 1.1x, against the latest recorded entry. allocs/op is a
+#       near-exact count, so one run decides it; ns/op gets the wide
+#       bound. CI runs this so a re-grown compile path cannot land
 #       silently.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -52,10 +54,10 @@ def parse(text):
 def key(r):
     return (r["family"], r["extent"], r["strategy"])
 
-def geomean_ratio(new, old):
-    """Geometric mean of new/old ns/op over the rows both sides have."""
+def geomean_ratio(new, old, field="ns_op"):
+    """Geometric mean of new/old field over the rows both sides have."""
     olds = {key(r): r for r in old}
-    logs = [math.log(r["ns_op"] / olds[key(r)]["ns_op"]) for r in new if key(r) in olds]
+    logs = [math.log(max(1, r[field]) / max(1, olds[key(r)][field])) for r in new if key(r) in olds]
     if not logs:
         sys.exit("bench_compile: no rows in common with the recorded entry")
     return math.exp(sum(logs) / len(logs)), len(logs)
@@ -69,11 +71,15 @@ doc = json.load(open(path))
 if mode == "gate":
     if not doc["entries"]:
         sys.exit("bench_compile: BENCH_compile.json has no entry to gate against")
-    ratio, n = geomean_ratio(results, doc["entries"][-1]["results"])
-    status = "OK" if ratio <= 2.0 else "REGRESSED"
-    print(f"gate: CompileCold geomean over {n} rows: {ratio:.2f}x the recorded ns/op {status}")
-    if ratio > 2.0:
-        sys.exit("bench_compile: cold compile regressed more than 2x vs BENCH_compile.json")
+    failed = []
+    for field, bound in (("ns_op", 2.0), ("allocs_op", 1.1)):
+        ratio, n = geomean_ratio(results, doc["entries"][-1]["results"], field)
+        status = "OK" if ratio <= bound else "REGRESSED"
+        print(f"gate: CompileCold geomean over {n} rows: {ratio:.2f}x the recorded {field} (bound {bound}x) {status}")
+        if ratio > bound:
+            failed.append(f"{field} {ratio:.2f}x > {bound}x")
+    if failed:
+        sys.exit("bench_compile: cold compile regressed vs BENCH_compile.json: " + ", ".join(failed))
     sys.exit(0)
 
 cpu = goos = goarch = ""
