@@ -455,3 +455,73 @@ func Mismatches(got, want map[string]float64) int {
 	surplus := len(got) - (len(want) - missing)
 	return missing + differing + surplus
 }
+
+// The keyed views of the dense engine. The kernel and the reference
+// keep their state in the program's layout; these build the map form
+// only for callers that ask for one (Report.Final from Run,
+// Program.Sequential), and this file is the one outside the oracle that
+// formats element keys.
+
+// appendKey formats Key(name, idx) into dst without fmt — the views
+// build one key per written element, and fmt.Sprint would dominate the
+// allocation profile. The output must stay byte-identical to Key (the
+// differential tests compare final states across engines by these
+// strings).
+func appendKey(dst []byte, name string, idx []int64) []byte {
+	dst = append(dst[:0], name...)
+	dst = append(dst, '[')
+	for i, x := range idx {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, x, 10)
+	}
+	return append(dst, ']')
+}
+
+// Sequential executes the compiled nest in lexicographic order and
+// returns the final array state (written elements only): the keyed view
+// of Reference, bit-identical to the map-based Sequential oracle.
+func (p *Program) Sequential() map[string]float64 { return p.Reference().keyed() }
+
+// keyed is the map form of the state: the written cells by Key.
+func (s *State) keyed() map[string]float64 {
+	final := make(map[string]float64, s.n)
+	var kb []byte
+	for i, lay := range s.prog.arrays {
+		w := s.written[i]
+		lay.eachIndex(func(off int64, idx []int64) {
+			if w[off] {
+				kb = appendKey(kb, lay.name, idx)
+				final[string(kb)] = s.vals[i][off]
+			}
+		})
+	}
+	return final
+}
+
+// finalKeys formats the Final key of every owned cell, in owned order.
+func (k *Kernel) finalKeys() []string {
+	keys := make([]string, len(k.owned))
+	var kb []byte
+	var idx []int64
+	for i, c := range k.owned {
+		lay := k.prog.arrays[c.arr]
+		if len(idx) != len(lay.Lo) {
+			idx = make([]int64, len(lay.Lo))
+		}
+		kb = appendKey(kb, lay.name, lay.Unrank(c.off, idx))
+		keys[i] = string(kb)
+	}
+	return keys
+}
+
+// gather is the map form of a run's final state: the owned cells by Key.
+func (k *Kernel) gather(bufs [][]float64) map[string]float64 {
+	keys := k.keys()
+	final := make(map[string]float64, len(keys))
+	for i, c := range k.owned {
+		final[keys[i]] = bufs[c.arr][c.off]
+	}
+	return final
+}

@@ -21,7 +21,6 @@ package exec
 
 import (
 	"fmt"
-	"strconv"
 
 	"commfree/internal/loop"
 	"commfree/internal/partition"
@@ -140,23 +139,6 @@ func compile(nest *loop.Nest, red *redundant.Result, fp *loop.Footprint) (*Progr
 	return p, nil
 }
 
-// appendKey formats Key(name, idx) into dst without fmt — the gather
-// loops build one key per written element, and fmt.Sprint would
-// dominate the allocation profile. The output must
-// stay byte-identical to Key (the differential tests compare final
-// states across engines by these strings).
-func appendKey(dst []byte, name string, idx []int64) []byte {
-	dst = append(dst[:0], name...)
-	dst = append(dst, '[')
-	for i, x := range idx {
-		if i > 0 {
-			dst = append(dst, ' ')
-		}
-		dst = strconv.AppendInt(dst, x, 10)
-	}
-	return append(dst, ']')
-}
-
 // cloneBuffers returns a fresh working copy of every array buffer,
 // pre-filled with the deterministic initial values.
 func (p *Program) cloneBuffers() [][]float64 {
@@ -166,56 +148,4 @@ func (p *Program) cloneBuffers() [][]float64 {
 		copy(bufs[i], lay.init)
 	}
 	return bufs
-}
-
-// Sequential executes the compiled nest in lexicographic order and
-// returns the final array state (written elements only), bit-identical
-// to the map-based Sequential oracle: same initial values, same float64
-// operations in the same order.
-func (p *Program) Sequential() map[string]float64 {
-	bufs := p.cloneBuffers()
-	written := make([][]bool, len(p.arrays))
-	for i, lay := range p.arrays {
-		written[i] = make([]bool, lay.Volume)
-	}
-	scratch := make([]float64, p.maxReads)
-	pos := 0 // Walk visits the iterations in position order
-	p.Nest.Walk(func(it []int64) bool {
-		for si := range p.stmts {
-			cs := &p.stmts[si]
-			if p.isRedundant(si, pos) {
-				continue
-			}
-			vals := scratch[:len(cs.reads)]
-			for ri := range cs.reads {
-				r := &cs.reads[ri]
-				vals[ri] = bufs[r.Array][r.At(it)]
-			}
-			off := cs.write.At(it)
-			bufs[cs.write.Array][off] = cs.st.EvalExpr(it, vals)
-			written[cs.write.Array][off] = true
-		}
-		pos++
-		return true
-	})
-	count := 0
-	for i := range p.arrays {
-		for _, ok := range written[i] {
-			if ok {
-				count++
-			}
-		}
-	}
-	final := make(map[string]float64, count)
-	var kb []byte
-	for i, lay := range p.arrays {
-		w := written[i]
-		lay.eachIndex(func(off int64, idx []int64) {
-			if w[off] {
-				kb = appendKey(kb, lay.name, idx)
-				final[string(kb)] = bufs[i][off]
-			}
-		})
-	}
-	return final
 }

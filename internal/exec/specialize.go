@@ -15,8 +15,9 @@ package exec
 //   - no expression dispatch for the recognized shapes (matmul /
 //     stencil / conv2d-like RHS), bytecode for the rest;
 //   - no steady-state allocation: buffers, scratch, and checkpoint
-//     storage live in arenas recycled through a sync.Pool, and gather
-//     keys are interned strings built once at specialization.
+//     storage live in arenas recycled through a sync.Pool; Validate
+//     compares the arena with a dense reference and builds no key, and
+//     Run's Final keys are formatted once per kernel, by the first Run.
 //
 // Blocks run on a bounded worker pool against dense flat buffers:
 //
@@ -62,11 +63,10 @@ type Kernel struct {
 
 	plan *kernel.Plan
 
-	// Interned gather table: the final-state map keys (byte-identical
-	// to Key) with their buffer coordinates, owned cells only.
-	gatherKeys []string
-	gatherArr  []int32
-	gatherOff  []int64
+	// owned lists the cells a run's final state holds, array by array in
+	// offset order; keys are their Final keys, formatted by the first Run.
+	owned []ownedCell
+	keys  func() []string
 
 	arenas sync.Pool
 }
@@ -111,7 +111,14 @@ func (prog *Program) Specialize(res *partition.Result, p int) (*Kernel, error) {
 		topo: machine.MeshFor(len(st.perNode)), st: st,
 		dup: res.AllowsDuplication(), plan: plan,
 	}
-	k.buildGather()
+	for a, owner := range st.owner {
+		for off, b := range owner {
+			if b >= 0 {
+				k.owned = append(k.owned, ownedCell{arr: int32(a), off: int64(off)})
+			}
+		}
+	}
+	k.keys = sync.OnceValue(k.finalKeys)
 	return k, nil
 }
 
@@ -120,6 +127,7 @@ func (prog *Program) Specialize(res *partition.Result, p int) (*Kernel, error) {
 type blockStats struct {
 	perNode [][]int // block indexes per processor
 	iters   []int64 // iteration count per block
+	total   int64   // Σ iters
 	words   []int   // distribution word count per processor
 	bwords  []int   // distribution word count per block (span attribute)
 	// owner[a][off] is the index of the block performing the globally
@@ -165,6 +173,7 @@ func (prog *Program) prepass(res *partition.Result, p int) (*blockStats, error) 
 	for bi, b := range blocks {
 		node := blockNode[bi]
 		st.iters[bi] = int64(b.Size())
+		st.total += st.iters[bi]
 		seq := int32(bi)
 		for _, pos := range b.Pos {
 			it := pts[pos]
@@ -431,22 +440,6 @@ func (prog *Program) lowerRow(pl *kernel.Plan, pts [][]int64, pos []int32, t0, t
 	pl.Rows = append(pl.Rows, row)
 }
 
-// buildGather interns the final-state keys of every owned cell.
-func (k *Kernel) buildGather() {
-	var kb []byte
-	for a, lay := range k.prog.arrays {
-		owner := k.st.owner[a]
-		lay.eachIndex(func(off int64, idx []int64) {
-			if owner[off] >= 0 {
-				kb = appendKey(kb, lay.name, idx)
-				k.gatherKeys = append(k.gatherKeys, string(kb))
-				k.gatherArr = append(k.gatherArr, int32(a))
-				k.gatherOff = append(k.gatherOff, off)
-			}
-		})
-	}
-}
-
 // getArena takes a recycled arena (or builds one) with the shared /
 // commit buffers reset to the initial image. Worker private buffers
 // rely on the between-blocks invariant (priv == init) instead.
@@ -469,6 +462,19 @@ func (k *Kernel) getArena(workers int) *kernArena {
 // state are bit-identical to the map oracle; the machine's Gantt trace
 // is not recorded (use the oracle for timeline rendering).
 func (k *Kernel) Run(cost machine.CostModel, opts Options) (*Report, error) {
+	mach, ar, err := k.run(cost, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep := newReport(mach, k.gather(ar.bufs), opts.Chaos)
+	k.arenas.Put(ar)
+	return rep, nil
+}
+
+// run executes the kernel on a pooled arena and returns the machine it
+// charged and the arena holding the final state; the caller puts the
+// arena back once it has read it.
+func (k *Kernel) run(cost machine.CostModel, opts Options) (*machine.Machine, *kernArena, error) {
 	trc, parent, inj := opts.Trace, opts.Parent, opts.Chaos
 	mach := machine.New(k.topo, cost)
 	if inj != nil {
@@ -494,6 +500,13 @@ func (k *Kernel) Run(cost machine.CostModel, opts Options) (*Report, error) {
 	}
 	dsp.End()
 
+	// A fault-free run spends its iterations up front, and its blocks
+	// only poll for cancellation; under chaos every attempt spends its own.
+	if inj == nil {
+		if err := opts.Budget.Spend(k.st.total); err != nil {
+			return nil, nil, err
+		}
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(k.st.perNode) {
 		workers = len(k.st.perNode)
@@ -509,13 +522,10 @@ func (k *Kernel) Run(cost machine.CostModel, opts Options) (*Report, error) {
 	if err != nil {
 		// The arena may hold partial writes; drop it rather than
 		// poisoning the pool.
-		return nil, err
+		return nil, nil, err
 	}
 	bt.publish()
-
-	rep := newReport(mach, k.gather(ar.bufs), inj)
-	k.arenas.Put(ar)
-	return rep, nil
+	return mach, ar, nil
 }
 
 // blockTrace is the tracing state of one traced parallel run: one
@@ -638,7 +648,7 @@ func (k *Kernel) runDisjoint(mach *machine.Machine, ar *kernArena, workers int, 
 		}
 		for _, bi := range st.perNode[nd.ID] {
 			if inj == nil {
-				if err := budget.Spend(st.iters[bi]); err != nil {
+				if err := budget.Spend(0); err != nil {
 					return err
 				}
 				pl.ExecBlock(bi, st.iters[bi], shared, kw.scr)
@@ -687,7 +697,7 @@ func (k *Kernel) runDuplicate(mach *machine.Machine, ar *kernArena, workers int,
 		for _, bi := range st.perNode[nd.ID] {
 			seq := int32(bi)
 			if inj == nil {
-				if err := budget.Spend(st.iters[bi]); err != nil {
+				if err := budget.Spend(0); err != nil {
 					return err
 				}
 				pl.ExecBlock(bi, st.iters[bi], kw.priv, kw.scr)
@@ -781,15 +791,6 @@ func (k *Kernel) resetRanges(bi int, priv [][]float64) {
 			off += r.Step
 		}
 	}
-}
-
-// gather materializes the final-state map from the interned key table.
-func (k *Kernel) gather(bufs [][]float64) map[string]float64 {
-	final := make(map[string]float64, len(k.gatherKeys))
-	for i, key := range k.gatherKeys {
-		final[key] = bufs[k.gatherArr[i]][k.gatherOff[i]]
-	}
-	return final
 }
 
 // ParallelKernel compiles, specializes, and runs in one call — the

@@ -299,8 +299,22 @@ type Index struct {
 	elemRank []int64 // id → rank inside Elems[array]
 }
 
+// idTableRatio picks how an array's element ids are looked up while
+// NewIndex numbers them: a table indexed by the element's rank when the
+// array's box has at most this many cells per access of the nest to it,
+// a map otherwise. Only rank-deficient subscripts (A[i, i] in a one-deep
+// loop: N² cells for N accesses) take the map.
+const idTableRatio = 4
+
 // NewIndex enumerates the nest.
 func NewIndex(nest *Nest) (*Index, error) {
+	return newIndex(nest, func(cells, accesses int64) bool { return cells <= idTableRatio*accesses })
+}
+
+// newIndex is NewIndex with the lookup choice as a predicate over an
+// array's box volume and its access count. Both lookups number elements
+// in first-touch order, so the choice never changes an id.
+func newIndex(nest *Nest, table func(cells, accesses int64) bool) (*Index, error) {
 	f, err := nest.Footprint()
 	if err != nil {
 		return nil, err
@@ -313,9 +327,25 @@ func NewIndex(nest *Nest) (*Index, error) {
 		elem:   make([]int32, 0, f.Count*int64(len(f.Slots))),
 	}
 	flat := make([]int64, f.Count*int64(n))
-	ids := make([]map[int64]int32, len(f.Arrays))
-	for a := range ids {
-		ids[a] = map[int64]int32{}
+	// Per array, either a rank-indexed table holding id+1 (0: not yet
+	// touched) or a map from rank to id.
+	tables := make([][]int32, len(f.Arrays))
+	maps := make([]map[int64]int32, len(f.Arrays))
+	accesses := make([]int64, len(f.Arrays))
+	for _, sl := range f.Slots {
+		accesses[sl.Array] += f.Count
+	}
+	for a, box := range f.Elems {
+		if table(box.Volume, accesses[a]) {
+			tables[a] = make([]int32, box.Volume)
+		} else {
+			maps[a] = map[int64]int32{}
+		}
+	}
+	fresh := func(s int, rank int64) int32 {
+		ix.elemSlot = append(ix.elemSlot, int32(s))
+		ix.elemRank = append(ix.elemRank, rank)
+		return int32(len(ix.elemRank) - 1)
 	}
 	nest.Walk(func(it []int64) bool {
 		pt := flat[:n:n]
@@ -325,12 +355,18 @@ func NewIndex(nest *Nest) (*Index, error) {
 		ix.ranks = append(ix.ranks, f.Iter.Rank(it))
 		for s, sl := range f.Slots {
 			rank := sl.At(it)
-			id, ok := ids[sl.Array][rank]
-			if !ok {
-				id = int32(len(ix.elemRank))
-				ids[sl.Array][rank] = id
-				ix.elemSlot = append(ix.elemSlot, int32(s))
-				ix.elemRank = append(ix.elemRank, rank)
+			var id int32
+			if tab := tables[sl.Array]; tab != nil {
+				if id = tab[rank] - 1; id < 0 {
+					id = fresh(s, rank)
+					tab[rank] = id + 1
+				}
+			} else {
+				var ok bool
+				if id, ok = maps[sl.Array][rank]; !ok {
+					id = fresh(s, rank)
+					maps[sl.Array][rank] = id
+				}
 			}
 			ix.elem = append(ix.elem, id)
 		}

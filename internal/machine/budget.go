@@ -19,6 +19,7 @@ var ErrBudgetExhausted = errors.New("machine: execution budget exhausted")
 // concurrent use by all node goroutines of a machine.
 type Budget struct {
 	ctx       context.Context
+	done      <-chan struct{} // ctx.Done(): polled without taking the context's lock
 	remaining atomic.Int64
 	limited   bool
 }
@@ -28,6 +29,9 @@ type Budget struct {
 // is done. A nil ctx disables cancellation checks.
 func NewBudget(ctx context.Context, maxIterations int64) *Budget {
 	b := &Budget{ctx: ctx, limited: maxIterations > 0}
+	if ctx != nil {
+		b.done = ctx.Done()
+	}
 	if b.limited {
 		b.remaining.Store(maxIterations)
 	}
@@ -36,17 +40,19 @@ func NewBudget(ctx context.Context, maxIterations int64) *Budget {
 
 // Spend consumes n iterations from the budget. It returns
 // ErrBudgetExhausted once the cap is crossed, the context's error once
-// it is done, and nil otherwise. A nil receiver always allows.
+// it is done, and nil otherwise. Spend(0) only polls the context, so a
+// caller that spent its work up front can poll from many goroutines
+// without contending on the count. A nil receiver always allows.
 func (b *Budget) Spend(n int64) error {
 	if b == nil {
 		return nil
 	}
-	if b.ctx != nil {
-		if err := b.ctx.Err(); err != nil {
-			return err
-		}
+	select {
+	case <-b.done:
+		return b.ctx.Err()
+	default:
 	}
-	if b.limited && b.remaining.Add(-n) < 0 {
+	if b.limited && n > 0 && b.remaining.Add(-n) < 0 {
 		return ErrBudgetExhausted
 	}
 	return nil

@@ -356,7 +356,18 @@ func (a *admission) ObserveTrace(trc *obs.Trace) {
 	if a == nil || trc == nil {
 		return
 	}
-	trc.EachDuration(a.observeStage)
+	// A parallel run's block rows share one name, so the stage test runs
+	// once per run of names, not once per row.
+	var name string
+	var stage bool
+	trc.EachDuration(func(n string, durNS int64) {
+		if n != name {
+			name, stage = n, admissionStages[n]
+		}
+		if stage {
+			a.observeStage(n, durNS)
+		}
+	})
 }
 
 // stats snapshots the controller (zero value for nil).

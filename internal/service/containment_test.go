@@ -169,7 +169,8 @@ func TestWorkerPanicIsContained(t *testing.T) {
 // program or sequential reference panics while being built answers every
 // execute with a 500 carrying that builder's panic — it panics again on
 // each call — never with a nil dereference or a validated:false verdict
-// against a missing reference.
+// against a missing reference. The reference that breaks is the dense
+// one the kernel engine validates against.
 func TestPanickingBuilderNeverPoisonsTheEntry(t *testing.T) {
 	for _, breaks := range []string{"program", "sequential reference"} {
 		t.Run(breaks, func(t *testing.T) {
@@ -184,7 +185,7 @@ func TestPanickingBuilderNeverPoisonsTheEntry(t *testing.T) {
 			if breaks == "program" {
 				comp.program = sync.OnceValues(func() (*exec.Program, error) { panic(injected) })
 			} else {
-				comp.sequentialRef = sync.OnceValue(func() map[string]float64 { panic(injected) })
+				comp.reference = sync.OnceValue(func() *exec.State { panic(injected) })
 			}
 			entry.comp = comp
 			for i := 0; i < 2; i++ {

@@ -36,9 +36,15 @@ type Histogram struct {
 
 // Observe records one latency observation.
 func (h *Histogram) Observe(d time.Duration) {
+	h.mu.Lock()
+	h.observeLocked(d)
+	h.mu.Unlock()
+}
+
+// observeLocked is Observe with h.mu held.
+func (h *Histogram) observeLocked(d time.Duration) {
 	s := d.Seconds()
 	i := sort.SearchFloat64s(bucketBounds, s)
-	h.mu.Lock()
 	if h.counts == nil {
 		h.counts = make([]int64, len(bucketBounds)+1)
 	}
@@ -51,7 +57,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	if s > h.max {
 		h.max = s
 	}
-	h.mu.Unlock()
 }
 
 // BucketSnapshot is one histogram bucket in the JSON export.
@@ -142,11 +147,25 @@ func (m *Metrics) Observe(stage string, d time.Duration) {
 // name, so the span-tree vocabulary and the latency histograms stay
 // one and the same (parse, deps, redundant, partition, verify, codegen,
 // transform, assign, exec_compile, exec_run, distribute, block,
-// exec_validate). Nil traces and still-open spans are skipped.
+// exec_validate). Nil traces and still-open spans are skipped. A run of
+// spans of one name — a parallel run's block rows — looks its histogram
+// up and locks it once.
 func (m *Metrics) ObserveTrace(trc *obs.Trace) {
-	trc.EachDuration(func(name string, durNS int64) {
-		m.Observe(name, time.Duration(durNS))
+	var name string
+	var h *Histogram
+	trc.EachDuration(func(n string, durNS int64) {
+		if h == nil || n != name {
+			if h != nil {
+				h.mu.Unlock()
+			}
+			name, h = n, m.Stage(n)
+			h.mu.Lock()
+		}
+		h.observeLocked(time.Duration(durNS))
 	})
+	if h != nil {
+		h.mu.Unlock()
+	}
 }
 
 // Time runs fn and records its wall-clock duration under the stage.

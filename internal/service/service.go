@@ -335,9 +335,12 @@ type compiled struct {
 	// cache key carries the processor count, so one kernel per entry is
 	// exact). Its arenas recycle across executions.
 	kernel func() (*exec.Kernel, error)
-	// sequentialRef is the sequential validation reference: every
-	// execution of a plan validates against the same final state.
-	sequentialRef func() map[string]float64
+	// reference is the kernel engine's validation reference, the
+	// sequential final state in the program's dense layout; sequential
+	// is the oracle engine's, keyed. Every execution of a plan on one
+	// engine validates against the same state.
+	reference  func() *exec.State
+	sequential func() map[string]float64
 	// programBuilds counts the program builds begun: 0 until the first
 	// execution, 1 ever after.
 	programBuilds atomic.Int32
@@ -358,7 +361,11 @@ func newCompiled(nest *loop.Nest, res *partition.Result, p int) *compiled {
 		}
 		return prog.Specialize(res, p)
 	})
-	c.sequentialRef = sync.OnceValue(func() map[string]float64 {
+	c.reference = sync.OnceValue(func() *exec.State {
+		prog, _ := c.program() // the kernel engine runs only when it compiled
+		return prog.Reference()
+	})
+	c.sequential = sync.OnceValue(func() map[string]float64 {
 		if prog, err := c.program(); err == nil {
 			return prog.Sequential()
 		}
@@ -844,8 +851,12 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 // program can name 10¹⁰ iterations. Constant bounds are multiplied out
 // (a box too large to rank is too large), outermost first and only down
 // to an empty level: that is what a walk of the nest steps through, even
-// when it then finds no iteration. Dependent bounds are walked, stopping
-// at the limit.
+// when it then finds no iteration. Dependent bounds count the walk's
+// steps, every value any level takes, because a level can be empty under
+// every outer value (for i = 1 to 10⁸ / for j = i to 0). With the
+// levels inside level k pinned to one value, the nest has one point per
+// value level k takes; that nest is walked for each k, outermost first,
+// and the points summed stop the walk at the limit.
 func (s *Service) admitNest(nest *loop.Nest) error {
 	limit := s.cfg.MaxIterations
 	if limit < 0 {
@@ -860,8 +871,16 @@ func (s *Service) admitNest(nest *loop.Nest) error {
 		box, err := loop.NewRanker("iteration box", lo[:k], hi[:k])
 		over = err != nil || box.Volume > limit
 	} else {
-		var count int64
-		over = !nest.Walk(func([]int64) bool { count++; return count <= limit })
+		n := nest.Depth()
+		pinned := &loop.Nest{Levels: make([]loop.Level, n)}
+		for k := range pinned.Levels {
+			pinned.Levels[k] = loop.Level{Lower: loop.ConstAffine(n, 0), Upper: loop.ConstAffine(n, 0)}
+		}
+		var steps int64
+		for k := 0; k < n && !over; k++ {
+			pinned.Levels[k] = nest.Levels[k]
+			over = !pinned.Walk(func([]int64) bool { steps++; return steps <= limit })
+		}
 	}
 	if over {
 		return fmt.Errorf("service: nest spans more than %d iterations: %w", limit, machine.ErrBudgetExhausted)
@@ -1096,9 +1115,10 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	}
 	opts := exec.Options{Budget: budget, Trace: trc, Parent: rsp.ID(), Chaos: inj}
 	var rep *exec.Report
+	var verdict func(*exec.State) (elements, mismatches int)
 	var err error
 	if kern != nil {
-		rep, err = kern.Run(s.cfg.Cost, opts)
+		rep, verdict, err = kern.Validate(s.cfg.Cost, opts)
 	} else {
 		rep, err = exec.ParallelOpts(entry.comp.res, req.Processors, s.cfg.Cost, opts)
 	}
@@ -1115,13 +1135,20 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 
 	// Stage: exec_validate — element-exact comparison against the
 	// sequential reference, computed once per cache entry and shared
-	// by every execution of the plan. The compiled program's pruned
-	// sequential path is the same final state by Section III.C (proven
-	// by the differential tests).
+	// by every execution of the plan: the kernel's arena against the
+	// dense reference, cell by cell, or the oracle's map against the
+	// keyed one. The compiled program's pruned sequential path is the
+	// same final state by Section III.C (proven by the differential
+	// tests).
 	vsp := trc.Start(0, "exec_validate")
-	want := entry.comp.sequentialRef()
-	mismatches := exec.Mismatches(rep.Final, want)
-	vsp.SetInt("elements", int64(len(want)))
+	var elements, mismatches int
+	if verdict != nil {
+		elements, mismatches = verdict(entry.comp.reference())
+	} else {
+		want := entry.comp.sequential()
+		elements, mismatches = len(want), exec.Mismatches(rep.Final, want)
+	}
+	vsp.SetInt("elements", int64(elements))
 	vsp.SetInt("mismatches", int64(mismatches))
 	vsp.End()
 	return &ExecuteResponse{
@@ -1137,7 +1164,7 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 		Engine:            engine,
 		Validated:         mismatches == 0,
 		Mismatches:        mismatches,
-		Elements:          len(want),
+		Elements:          elements,
 	}, nil
 }
 

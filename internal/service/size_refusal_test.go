@@ -82,6 +82,54 @@ func TestOversizedNestIsRefusedBeforeEnumeration(t *testing.T) {
 	}
 }
 
+// TestAdmissionCountsWalkSteps: a nest with dependent bounds whose inner
+// level is empty under every outer value has no iteration, yet a walk
+// steps through every outer value to find that out. Admission counts the
+// steps, so 10⁸ of them answer 422 at once over HTTP, with the worker
+// free and no pipeline run. The count is exact: a triangular nest of
+// n + n(n+1)/2 steps compiles under exactly that budget, not one less.
+func TestAdmissionCountsWalkSteps(t *testing.T) {
+	s := New(Config{Workers: 1, MaxIterations: 1 << 16})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	src := "for i = 1 to 100000000\n for j = i to 0\n  A[i, j] = 1\n end\nend"
+	for _, path := range []string{"/v1/compile", "/v1/execute"} {
+		start := time.Now()
+		resp, body := postJSON(t, ts.URL+path, CompileRequest{Source: src, Strategy: "duplicate"})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d, want 422 (body %s)", path, resp.StatusCode, body)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%s: refused after %v, want < 100ms", path, d)
+		}
+	}
+	if n := s.pool.running(); n != 0 {
+		t.Errorf("%d workers still busy after the refusals", n)
+	}
+	if got := s.Metrics().Counter("compiles"); got != 0 {
+		t.Errorf("compiles = %d, want 0: a refused nest is not a pipeline run", got)
+	}
+
+	const n = 360
+	steps := int64(n + n*(n+1)/2)
+	tri := fmt.Sprintf("for i = 1 to %d\n for j = i to %d\n  A[i, j] = A[i, j - 1] + 1\n end\nend", n, n)
+	for _, c := range []struct {
+		limit int64
+		admit bool
+	}{{steps, true}, {steps - 1, false}} {
+		svc := New(Config{MaxIterations: c.limit})
+		_, err := svc.Compile(context.Background(), CompileRequest{Source: tri, Strategy: "duplicate"})
+		svc.Close()
+		if c.admit && err != nil {
+			t.Errorf("budget %d, triangular nest of %d steps: %v", c.limit, steps, err)
+		}
+		if !c.admit && !errors.Is(err, machine.ErrBudgetExhausted) {
+			t.Errorf("budget %d, triangular nest of %d steps: err = %v, want ErrBudgetExhausted", c.limit, steps, err)
+		}
+	}
+}
+
 // TestOversizedRecordIsNotRevived: a stored or imported record names its
 // nest too, so revival applies the same budget before it indexes — and
 // the compile it falls back to refuses the nest as well.
