@@ -16,9 +16,9 @@
 package distplan
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -91,17 +91,112 @@ type Plan struct {
 // consumer set of an element is the set of processors whose iterations
 // read it (redundant computations excluded under minimal strategies).
 func BuildFor(res *partition.Result, place assign.Placement) *Plan {
-	ix, red, blocks := res.Iter.Index, res.Redundant, res.Iter.Blocks
+	ix, blocks := res.Iter.Index, res.Iter.Blocks
 	used := place.NumProcessors()
 	plan := &Plan{Nodes: used, BlockNode: make([]int, len(blocks)), res: res}
-
-	// Pass 1, block by block: every (element, reading block) pair once.
-	type pair struct{ elem, block int32 }
-	var pairs []pair
-	stamp := make([]int32, ix.NumElems()) // last block (1-based) that read the element
-	plan.first = make([]int32, ix.NumElems()+1)
 	for bi, b := range blocks {
 		plan.BlockNode[bi] = place.OwnerOf(b.Base)
+	}
+
+	// Every (element, reading block) pair once: one pass counts them per
+	// element, a second places them, blocks ascending within an element.
+	plan.first = make([]int32, ix.NumElems()+1)
+	stamp := make([]int32, ix.NumElems()) // last block (1-based) that read the element
+	readPairs(res, stamp, plan.first[1:], nil)
+	for e := 0; e < ix.NumElems(); e++ {
+		plan.first[e+1] += plan.first[e]
+	}
+	plan.consumers = make([]int32, plan.first[ix.NumElems()])
+	clear(stamp)
+	readPairs(res, stamp, slices.Clone(plan.first[:ix.NumElems()]), plan.consumers)
+
+	// Group elements by identical consumer NODE sets (the wire pattern).
+	// A set of one node joins that node's pipelined unicast. A larger set
+	// is a multicast (a broadcast when it is every node), looked up by its
+	// nodes' bytes and labelled "[n1 n2 …]" once; the labels fix the step
+	// order, and with it the order simulated times are summed in.
+	type group struct {
+		label     string
+		nodes     []int
+		elems     []int32
+		delivered int
+	}
+	unicast := make([]group, used)
+	groups := map[string]*group{}
+	var nodes []int
+	var key []byte
+	for e := int32(0); int(e) < ix.NumElems(); e++ {
+		readers := plan.consumers[plan.first[e]:plan.first[e+1]]
+		if len(readers) == 0 {
+			continue // written only
+		}
+		n0 := plan.BlockNode[readers[0]]
+		g := &unicast[n0]
+		for _, b := range readers[1:] {
+			if plan.BlockNode[b] != n0 {
+				g = nil
+				break
+			}
+		}
+		if g == nil {
+			nodes = nodes[:0]
+			for _, b := range readers {
+				nodes = append(nodes, plan.BlockNode[b])
+			}
+			slices.Sort(nodes)
+			nodes = slices.Compact(nodes)
+			key = key[:0]
+			for _, n := range nodes {
+				key = binary.LittleEndian.AppendUint32(key, uint32(n))
+			}
+			if g = groups[string(key)]; g == nil {
+				g = &group{label: label(nodes), nodes: slices.Clone(nodes)}
+				groups[string(key)] = g
+			}
+		}
+		g.elems = append(g.elems, e)
+		g.delivered += len(readers)
+	}
+	multi := make([]*group, 0, len(groups))
+	for _, g := range groups {
+		multi = append(multi, g)
+	}
+	slices.SortFunc(multi, func(a, b *group) int { return strings.Compare(a.label, b.label) })
+	for _, g := range multi {
+		kind := Multicast
+		if len(g.nodes) == used {
+			kind = Broadcast
+		}
+		plan.Steps = append(plan.Steps, Step{Kind: kind, Nodes: g.nodes, Words: len(g.elems), Delivered: g.delivered, elems: g.elems})
+	}
+	for n, g := range unicast {
+		if len(g.elems) > 0 {
+			plan.Steps = append(plan.Steps, Step{Kind: Unicast, Nodes: []int{n}, Words: len(g.elems), Delivered: g.delivered, elems: g.elems})
+		}
+	}
+	return plan
+}
+
+// label renders a node set as "[n1 n2 …]".
+func label(nodes []int) string {
+	b := []byte{'['}
+	for i, n := range nodes {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return string(append(b, ']'))
+}
+
+// readPairs walks the blocks' non-redundant reads and meets every
+// distinct (element, block) pair once, in block order: with consumers
+// nil it counts the pair at at[e]; otherwise it also writes the block at
+// consumers[at[e]] before advancing at[e]. stamp must be zero on entry.
+func readPairs(res *partition.Result, stamp, at, consumers []int32) {
+	ix, red := res.Iter.Index, res.Redundant
+	for bi, b := range res.Iter.Blocks {
+		mark := int32(bi + 1)
 		for _, pos := range b.Pos {
 			row := ix.Row(int(pos))
 			for s := range res.Iter.Nest.Body {
@@ -109,93 +204,18 @@ func BuildFor(res *partition.Result, place assign.Placement) *Plan {
 					continue
 				}
 				for _, e := range row[ix.First[s] : ix.First[s+1]-1] {
-					if stamp[e] != int32(bi+1) {
-						stamp[e] = int32(bi + 1)
-						pairs = append(pairs, pair{e, int32(bi)})
-						plan.first[e+1]++
+					if stamp[e] == mark {
+						continue
 					}
+					stamp[e] = mark
+					if consumers != nil {
+						consumers[at[e]] = int32(bi)
+					}
+					at[e]++
 				}
 			}
 		}
 	}
-	// Counting sort by element; blocks stay ascending within one.
-	for e := 0; e < ix.NumElems(); e++ {
-		plan.first[e+1] += plan.first[e]
-	}
-	plan.consumers = make([]int32, len(pairs))
-	fill := slices.Clone(plan.first)
-	for _, pr := range pairs {
-		plan.consumers[fill[pr.elem]] = pr.block
-		fill[pr.elem]++
-	}
-
-	// Pass 2: group elements by identical consumer NODE sets (the wire
-	// pattern). A set is keyed by its rendering "[n1 n2 …]", which also
-	// fixes the step order (and with it the order simulated times are
-	// summed in).
-	type group struct {
-		nodes     []int
-		elems     []int32
-		delivered int
-	}
-	groups := map[string]*group{}
-	var nodes []int
-	var label []byte
-	for e := int32(0); int(e) < ix.NumElems(); e++ {
-		readers := plan.consumers[plan.first[e]:plan.first[e+1]]
-		if len(readers) == 0 {
-			continue // written only
-		}
-		nodes = nodes[:0]
-		for _, b := range readers {
-			nodes = append(nodes, plan.BlockNode[b])
-		}
-		sort.Ints(nodes)
-		nodes = slices.Compact(nodes)
-		label = append(label[:0], '[')
-		for i, n := range nodes {
-			if i > 0 {
-				label = append(label, ' ')
-			}
-			label = strconv.AppendInt(label, int64(n), 10)
-		}
-		label = append(label, ']')
-		g := groups[string(label)]
-		if g == nil {
-			g = &group{nodes: slices.Clone(nodes)}
-			groups[string(label)] = g
-		}
-		g.elems = append(g.elems, e)
-		g.delivered += len(readers)
-	}
-	labels := make([]string, 0, len(groups))
-	for l := range groups {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	// Single-node groups coalesce into one pipelined unicast per node;
-	// multi-node groups keep their exact node sets.
-	unicast := make([]*Step, used)
-	for _, l := range labels {
-		g := groups[l]
-		st := Step{Kind: Multicast, Nodes: g.nodes, Words: len(g.elems), Delivered: g.delivered, elems: g.elems}
-		switch {
-		case len(g.nodes) == used && used > 1:
-			st.Kind = Broadcast
-			plan.Steps = append(plan.Steps, st)
-		case len(g.nodes) > 1:
-			plan.Steps = append(plan.Steps, st)
-		default:
-			st.Kind = Unicast
-			unicast[g.nodes[0]] = &st
-		}
-	}
-	for _, st := range unicast {
-		if st != nil {
-			plan.Steps = append(plan.Steps, *st)
-		}
-	}
-	return plan
 }
 
 // Charge accounts the plan's wire costs on a machine without installing

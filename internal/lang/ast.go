@@ -13,13 +13,28 @@ type Expr interface {
 }
 
 // NumLit is a numeric literal.
-type NumLit struct{ Value float64 }
+type NumLit struct {
+	Value float64
+	// exact is an integer literal's value (isInt set), which Value rounds
+	// past 2⁵³: a loop bound or subscript must not change when its
+	// canonical text is read back.
+	exact int64
+	isInt bool
+}
 
 func (n *NumLit) String() string {
-	if n.Value == float64(int64(n.Value)) {
-		return fmt.Sprintf("%d", int64(n.Value))
+	if i, ok := n.integer(); ok {
+		return fmt.Sprintf("%d", i)
 	}
 	return fmt.Sprintf("%g", n.Value)
+}
+
+// integer returns the literal's value when it is an integer.
+func (n *NumLit) integer() (int64, bool) {
+	if n.isInt {
+		return n.exact, true
+	}
+	return int64(n.Value), n.Value == float64(int64(n.Value))
 }
 
 // VarRef is a use of a loop index variable as a scalar value.

@@ -549,6 +549,9 @@ func (p *parser) parseUnary(n int, reads *[]loop.Ref, allowArrays bool) (Expr, e
 			return nil, p.errorf(t, "bad number %q", t.text)
 		}
 		lit := &NumLit{Value: v}
+		if i, err := strconv.ParseInt(t.text, 10, 64); err == nil {
+			lit.exact, lit.isInt = i, true
+		}
 		// Implicit multiplication: "2i" means 2*i — but only when the
 		// identifier is adjacent to the number, so a statement label on
 		// the next line ("... to 4\nS1: ...") is not swallowed.
@@ -636,10 +639,11 @@ func (p *parser) toAffineSym(e Expr, n int, at token) (loop.Affine, []SymTerm, e
 	walk = func(e Expr, scale int64) error {
 		switch v := e.(type) {
 		case *NumLit:
-			if v.Value != float64(int64(v.Value)) {
+			c, ok := v.integer()
+			if !ok {
 				return p.errorf(at, "non-integer constant %g in index expression", v.Value)
 			}
-			konst += scale * int64(v.Value)
+			konst += scale * c
 			return nil
 		case *VarRef:
 			if v.Level >= n {
@@ -781,9 +785,7 @@ func mulFactors(e Expr, out *[]Expr) {
 func constValue(e Expr) (int64, bool) {
 	switch v := e.(type) {
 	case *NumLit:
-		if v.Value == float64(int64(v.Value)) {
-			return int64(v.Value), true
-		}
+		return v.integer()
 	case *Neg:
 		if c, ok := constValue(v.X); ok {
 			return -c, true

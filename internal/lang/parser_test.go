@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -234,5 +235,25 @@ end
 	// Semantics: C = C + A*B.
 	if got.Body[0].EvalExpr(nil, []float64{10, 2, 3}) != 16 {
 		t.Error("L5 semantics wrong")
+	}
+}
+
+// TestParseKeepsLargeIntegersExact: an integer literal past 2⁵³ is read
+// exactly in bounds and subscripts — float64 would round 2⁶² + 2 to 2⁶²
+// — so a program's canonical text reads back as the same nest.
+func TestParseKeepsLargeIntegersExact(t *testing.T) {
+	src := "for i = 4611686018427387906 to 4611686018427387909\n  for j = 1 to 3\n    A[i - 9007199254740993, j] = A[i - 9007199254740996, j - 1] + 1\n  end\nend\n"
+	n := MustParse(src)
+	lo, hi, ok := n.ConstBounds()
+	if !ok || lo[0] != 4611686018427387906 || hi[0] != 4611686018427387909 {
+		t.Fatalf("bounds = %v..%v, want i from 4611686018427387906 to 4611686018427387909", lo, hi)
+	}
+	if w, r := n.Body[0].Write.Offset[0], n.Body[0].Reads[0].Offset[0]; w != -9007199254740993 || r != -9007199254740996 {
+		t.Fatalf("offsets = %d, %d, want -9007199254740993, -9007199254740996", w, r)
+	}
+	back := MustParse(Canonical(n))
+	if blo, bhi, _ := back.ConstBounds(); !slices.Equal(blo, lo) || !slices.Equal(bhi, hi) ||
+		back.Body[0].Write.Offset[0] != -9007199254740993 || back.Body[0].Reads[0].Offset[0] != -9007199254740996 {
+		t.Errorf("canonical text reads back as another nest:\n%s", Canonical(back))
 	}
 }

@@ -212,3 +212,32 @@ func TestPanickingBuilderNeverPoisonsTheEntry(t *testing.T) {
 		})
 	}
 }
+
+// TestOverflowingBoundTermsAreRefused: two nests whose forall bounds are
+// exact rationals but whose integer form leaves int64 — one when
+// transform scales its terms, one when the walk evaluates a term — are a
+// 422 naming the overflow, under a pinned strategy and under auto, never
+// a plan with a wrapped block count.
+func TestOverflowingBoundTermsAreRefused(t *testing.T) {
+	nests := map[string]string{
+		"scaled": fmt.Sprintf("for i = %d - 2 to %d + 1\n  for j = %d - 6 to %d - 4\n    A[i, j] = A[i-3, j-2] + 1\n  end\nend\n",
+			1<<59, 1<<59, 3<<60, 3<<60),
+		"walk": fmt.Sprintf("for i = %d + 2 to %d + 5\n  for j = %d + 168 to %d + 170\n    A[i, j] = A[i-3, j-2] + 1\n  end\nend\n",
+			1<<62, 1<<62, 3074457345618258432, 3074457345618258432),
+	}
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for name, src := range nests {
+		for _, strategy := range []string{"non-duplicate", "auto"} {
+			resp, body := postJSON(t, ts.URL+"/v1/compile", CompileRequest{Source: src, Strategy: strategy})
+			if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "overflow") {
+				t.Errorf("%s %s: status %d, body %.200s; want 422 naming the overflow", name, strategy, resp.StatusCode, body)
+			}
+		}
+	}
+	if got := s.Metrics().Counter("panics"); got != 0 {
+		t.Errorf("panics = %d: an overflow is the program's, not a bug", got)
+	}
+}

@@ -145,9 +145,9 @@ func (m *Metrics) Observe(stage string, d time.Duration) {
 // ObserveTrace folds a finished request trace into the stage
 // histograms: every closed span contributes its duration under its span
 // name, so the span-tree vocabulary and the latency histograms stay
-// one and the same (parse, deps, redundant, partition, verify, codegen,
-// transform, assign, exec_compile, exec_run, distribute, block,
-// exec_validate). Nil traces and still-open spans are skipped. A run of
+// one and the same (parse, canonical, selection, deps, redundant,
+// partition, verify, codegen, plan, transform, assign, exec_compile,
+// exec_run, distribute, block, exec_validate). Nil traces and still-open spans are skipped. A run of
 // spans of one name — a parallel run's block rows — looks its histogram
 // up and locks it once.
 func (m *Metrics) ObserveTrace(trc *obs.Trace) {

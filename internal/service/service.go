@@ -762,10 +762,12 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 	// the conformance suite prove "served without recompilation" from
 	// the counter instead of assuming it.
 	s.metrics.Inc("compiles", 1)
-	// Compile the canonical nest, so cached plans are identical for all
-	// α-equivalent spellings of the program.
+	// Stage: canonical — compile the canonical nest, so cached plans are
+	// identical for all α-equivalent spellings of the program.
+	ksp := trc.Start(0, "canonical")
 	canonSrc := lang.Canonical(nest)
 	cn, err := lang.Parse(canonSrc)
+	ksp.End()
 	if err != nil {
 		return nil, fmt.Errorf("service: canonical source does not re-parse: %w", err)
 	}
@@ -826,6 +828,9 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 		return nil, err
 	}
 
+	// Stage: plan — the wire views of the partition, the forall loop and
+	// the assignment, and the store record they are marshalled into.
+	psp := trc.Start(0, "plan")
 	plan := &Plan{
 		CanonicalSource: canonSrc,
 		Strategy:        predicted.Label,
@@ -838,6 +843,7 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 		SPMDGo:          spmd,
 	}
 	rec, err := recordFor(key, plan, res, predicted.Duplicated)
+	psp.End()
 	if err != nil {
 		return nil, err
 	}

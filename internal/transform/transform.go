@@ -14,6 +14,7 @@ package transform
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -25,43 +26,75 @@ import (
 	"commfree/internal/space"
 )
 
-// BoundTerm is one affine candidate bound c + Σ Coeffs[j]·v_j over the new
-// loop variables that precede the bounded one.
+// BoundTerm is one affine candidate bound over the new loop variables
+// that precede the bounded one, held exactly in integers: the bound is
+// (Const + Σ Coeffs[j]·v_j) / Den, where Den ≥ 1 is the lcm of the
+// denominators of the rational term Fourier–Motzkin derived. A lower
+// bound is the ceiling of that quotient, an upper bound its floor. The
+// form is canonical: equal terms have equal fields.
 type BoundTerm struct {
-	Coeffs []rational.Rat // length = index of the bounded variable
-	Const  rational.Rat
+	Coeffs []int64 // length = index of the bounded variable
+	Const  int64
+	Den    int64
 }
 
-// Eval evaluates the term at the given outer-variable values.
-func (b BoundTerm) Eval(outer []int64) rational.Rat {
+// scaleTerm puts the rational term konst + Σ coeffs[j]·v_j over its lcm
+// denominator. It panics with rational.ErrOverflow when that does not
+// fit in int64.
+func scaleTerm(coeffs []rational.Rat, konst rational.Rat) BoundTerm {
+	t := BoundTerm{Coeffs: make([]int64, len(coeffs)), Den: konst.Den()}
+	for _, c := range coeffs {
+		t.Den = rational.LCM(t.Den, c.Den())
+	}
+	for j, c := range coeffs {
+		t.Coeffs[j] = mulAdd(0, c.Num(), t.Den/c.Den())
+	}
+	t.Const = mulAdd(0, konst.Num(), t.Den/konst.Den())
+	return t
+}
+
+// sum evaluates Const + Σ Coeffs[j]·outer[j], the term's numerator.
+func (b *BoundTerm) sum(outer []int64) int64 {
 	v := b.Const
 	for j, c := range b.Coeffs {
-		if c.IsZero() {
-			continue
+		if c != 0 {
+			v = mulAdd(v, c, outer[j])
 		}
-		v = v.Add(c.Mul(rational.FromInt(outer[j])))
 	}
 	return v
 }
 
-// render prints the term using the given variable names.
+// isConst reports whether the term ignores every variable.
+func (b BoundTerm) isConst() bool {
+	for _, c := range b.Coeffs {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// value is the term's constant as a rational, for comparing constant
+// terms.
+func (b BoundTerm) value() rational.Rat { return rational.New(b.Const, b.Den) }
+
+// render prints the term using the given variable names, each
+// coefficient as the reduced rational it stands for.
 func (b BoundTerm) render(names []string) string {
 	var parts []string
 	for j, c := range b.Coeffs {
-		if c.IsZero() {
-			continue
-		}
-		switch {
-		case c.Equal(rational.One):
+		switch c {
+		case 0:
+		case b.Den:
 			parts = append(parts, names[j])
-		case c.Equal(rational.FromInt(-1)):
+		case -b.Den:
 			parts = append(parts, "-"+names[j])
 		default:
-			parts = append(parts, c.String()+"*"+names[j])
+			parts = append(parts, rational.New(c, b.Den).String()+"*"+names[j])
 		}
 	}
-	if !b.Const.IsZero() || len(parts) == 0 {
-		parts = append(parts, b.Const.String())
+	if b.Const != 0 || len(parts) == 0 {
+		parts = append(parts, b.value().String())
 	}
 	out := parts[0]
 	for _, p := range parts[1:] {
@@ -82,32 +115,70 @@ type VarBounds struct {
 }
 
 // Eval returns the integer range [lo, hi] at the given outer values
-// (empty when hi < lo).
-func (v VarBounds) Eval(outer []int64) (lo, hi int64) {
-	first := true
-	for _, t := range v.Lower {
-		c := t.Eval(outer).Ceil()
-		if first || c > lo {
+// (empty when hi < lo). It panics with rational.ErrOverflow when a
+// term's numerator does not fit in int64.
+func (v *VarBounds) Eval(outer []int64) (lo, hi int64) {
+	for i := range v.Lower {
+		t := &v.Lower[i]
+		c := t.sum(outer)
+		if t.Den != 1 {
+			c = ceilDiv(c, t.Den)
+		}
+		if i == 0 || c > lo {
 			lo = c
 		}
-		first = false
 	}
-	first = true
-	for _, t := range v.Upper {
-		c := t.Eval(outer).Floor()
-		if first || c < hi {
+	for i := range v.Upper {
+		t := &v.Upper[i]
+		c := t.sum(outer)
+		if t.Den != 1 {
+			c = floorDiv(c, t.Den)
+		}
+		if i == 0 || c < hi {
 			hi = c
 		}
-		first = false
 	}
 	return lo, hi
 }
 
+// mulAdd returns acc + a·b, panicking with rational.ErrOverflow when
+// the product or the sum does not fit in int64.
+func mulAdd(acc, a, b int64) int64 {
+	p := a * b
+	if (a != int64(int32(a)) || b != int64(int32(b))) && a != 0 && (p/a != b || (a == -1 && b == math.MinInt64)) {
+		panic(rational.ErrOverflow)
+	}
+	s := acc + p
+	if (acc^s)&(p^s) < 0 { // acc and p share a sign s does not
+		panic(rational.ErrOverflow)
+	}
+	return s
+}
+
+// floorDiv and ceilDiv divide by a positive d, rounding down and up.
+func floorDiv(a, d int64) int64 {
+	q := a / d
+	if a%d != 0 && a < 0 {
+		q--
+	}
+	return q
+}
+
+func ceilDiv(a, d int64) int64 {
+	q := a / d
+	if a%d != 0 && a > 0 {
+		q++
+	}
+	return q
+}
+
 // ExtendedStatement recovers one original index inside the loop body:
-// Index = Const + Σ Coeffs[j]·J_j over all n new variables.
+// its row of T⁻¹ in the integer form, Index = Σ Coeffs[j]·J_j / Den over
+// all n new variables (Const is 0). A point whose sum Den does not
+// divide has no integral preimage (only when T is not unimodular).
 type ExtendedStatement struct {
 	OrigLevel int // which original index this computes
-	Coeffs    []rational.Rat
+	BoundTerm
 }
 
 // Transformed is the parallel execution form of a partitioned nest.
@@ -127,9 +198,9 @@ type Transformed struct {
 	InnerLevels []int
 	// T maps original to new indices (J = T·I); TInv recovers I = TInv·J.
 	T, TInv *linalg.Matrix
-	// TInv over its common denominator, so Original is integer arithmetic.
-	invNum [][]int64
-	invDen int64
+	// inv holds TInv's rows, each over its lcm denominator, so Original is
+	// integer arithmetic.
+	inv []BoundTerm
 	// Bounds[m] bounds new variable m in terms of variables 0..m-1.
 	Bounds []VarBounds
 	// Extended lists the extended statements (one per original index that
@@ -265,16 +336,14 @@ func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transf
 	if tinv == nil {
 		return nil, fmt.Errorf("transform: transformation matrix singular")
 	}
-	tr.T, tr.TInv, tr.invDen = t, tinv, 1
-	for i := 0; i < n*n; i++ {
-		tr.invDen = rational.LCM(tr.invDen, tinv.At(i/n, i%n).Den())
-	}
-	tr.invNum = make([][]int64, n)
-	for i := range tr.invNum {
-		tr.invNum[i] = make([]int64, n)
-		for c := range tr.invNum[i] {
-			tr.invNum[i][c] = tinv.At(i, c).Num() * (tr.invDen / tinv.At(i, c).Den())
+	tr.T, tr.TInv = t, tinv
+	tr.inv = make([]BoundTerm, n)
+	for i := range tr.inv {
+		row := make([]rational.Rat, n)
+		for c := range row {
+			row[c] = tinv.At(i, c)
 		}
+		tr.inv[i] = scaleTerm(row, rational.Zero)
 	}
 
 	// Names: forall vars take the pivot index's name + "'", inner vars
@@ -340,11 +409,11 @@ func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transf
 				continue
 			}
 			// Σ_{j<m} a_j J_j + c·J_m ≤ b  ⇒  J_m ≤ (b − Σ a_j J_j)/c.
-			term := BoundTerm{Coeffs: make([]rational.Rat, m)}
-			term.Const = q.Bound.Div(c)
-			for j := 0; j < m; j++ {
-				term.Coeffs[j] = q.Coeffs[j].Div(c).Neg()
+			coeffs := make([]rational.Rat, m)
+			for j := range coeffs {
+				coeffs[j] = q.Coeffs[j].Div(c).Neg()
 			}
+			term := scaleTerm(coeffs, q.Bound.Div(c))
 			if c.Sign() > 0 {
 				vb.Upper = append(vb.Upper, term)
 			} else {
@@ -365,11 +434,7 @@ func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transf
 		if inner[lvl] {
 			continue
 		}
-		es := ExtendedStatement{OrigLevel: lvl, Coeffs: make([]rational.Rat, n)}
-		for j := 0; j < n; j++ {
-			es.Coeffs[j] = tinv.At(lvl, j)
-		}
-		tr.Extended = append(tr.Extended, es)
+		tr.Extended = append(tr.Extended, ExtendedStatement{OrigLevel: lvl, BoundTerm: tr.inv[lvl]})
 	}
 	return tr, nil
 }
@@ -383,14 +448,7 @@ func dedupTerms(terms *[]BoundTerm, lower bool) {
 	var out []BoundTerm
 	bestConst := -1 // index into out of the binding constant term
 	for _, t := range *terms {
-		isConst := true
-		for _, c := range t.Coeffs {
-			if !c.IsZero() {
-				isConst = false
-				break
-			}
-		}
-		if !isConst {
+		if !t.isConst() {
 			if !slices.ContainsFunc(out, t.equal) {
 				out = append(out, t)
 			}
@@ -401,8 +459,8 @@ func dedupTerms(terms *[]BoundTerm, lower bool) {
 			bestConst = len(out) - 1
 			continue
 		}
-		cur := out[bestConst].Const
-		if (lower && cur.Less(t.Const)) || (!lower && t.Const.Less(cur)) {
+		cur := out[bestConst].value()
+		if (lower && cur.Less(t.value())) || (!lower && t.value().Less(cur)) {
 			out[bestConst] = t
 		}
 	}
@@ -410,27 +468,39 @@ func dedupTerms(terms *[]BoundTerm, lower bool) {
 }
 
 // equal reports whether two terms over the same variables are the same
-// affine function.
+// affine function (the scaled form is canonical).
 func (b BoundTerm) equal(o BoundTerm) bool {
-	return b.Const.Equal(o.Const) && slices.EqualFunc(b.Coeffs, o.Coeffs, rational.Rat.Equal)
+	return b.Const == o.Const && b.Den == o.Den && slices.Equal(b.Coeffs, o.Coeffs)
 }
 
 // Original recovers the original iteration from a full new-variable point,
 // reporting ok=false when T⁻¹·J is not integral (possible only when T is
 // not unimodular).
 func (t *Transformed) Original(j []int64) ([]int64, bool) {
-	out := make([]int64, len(t.invNum))
-	for i, row := range t.invNum {
-		var v int64
-		for c, x := range row {
-			v += x * j[c]
-		}
-		if v%t.invDen != 0 {
-			return nil, false
-		}
-		out[i] = v / t.invDen
+	out := make([]int64, len(t.inv))
+	for i := range t.inv {
+		out[i] = t.inv[i].sum(j)
+	}
+	if !t.divide(out, out) {
+		return nil, false
 	}
 	return out, true
+}
+
+// divide writes T⁻¹·J into orig from its numerators, row by row,
+// reporting false when a row's denominator does not divide its
+// numerator. num and orig may be the same slice.
+func (t *Transformed) divide(num, orig []int64) bool {
+	for i, v := range num {
+		if d := t.inv[i].Den; d != 1 {
+			if v%d != 0 {
+				return false
+			}
+			v /= d
+		}
+		orig[i] = v
+	}
+	return true
 }
 
 // NewPoint maps an original iteration to new coordinates J = T·ī.
@@ -449,36 +519,50 @@ func (t *Transformed) NewPoint(orig []int64) []int64 {
 
 // Visit enumerates the transformed loop: body is called for every
 // iteration, forall points in lexicographic order and, inside one forall
-// point (block), iterations in lexicographic original order.
+// point (block), iterations in lexicographic original order. Both slices
+// are buffers Visit reuses: body must copy what it keeps.
+//
+// The bounds are exact: every constraint of the nest bounds the last new
+// variable it involves, so every integral T⁻¹·J the walk reaches is an
+// iteration.
 func (t *Transformed) Visit(body func(forall, orig []int64)) {
 	n := t.Nest.Depth()
-	point := make([]int64, n)
-	var rec func(m int)
-	rec = func(m int) {
-		if m == n {
-			orig, ok := t.Original(point)
-			if !ok {
-				return
-			}
-			// Guard: non-unimodular T can admit J points whose preimage is
-			// integral yet outside the iteration space only if FM bounds
-			// are loose; re-check.
-			for lvl, lv := range t.Nest.Levels {
-				if orig[lvl] < lv.Lower.Eval(orig) || orig[lvl] > lv.Upper.Eval(orig) {
-					return
-				}
-			}
-			body(point[:t.K], orig)
-			return
-		}
-		lo, hi := t.Bounds[m].Eval(point[:m])
-		for v := lo; v <= hi; v++ {
-			point[m] = v
-			rec(m + 1)
-		}
-	}
 	if n == 0 {
 		return
+	}
+	last := n - 1
+	point, num, orig := make([]int64, n), make([]int64, n), make([]int64, n)
+	var rec func(m int)
+	rec = func(m int) {
+		lo, hi := t.Bounds[m].Eval(point[:m])
+		if m < last {
+			for v := lo; v <= hi; v++ {
+				point[m] = v
+				rec(m + 1)
+			}
+			return
+		}
+		if lo > hi {
+			return
+		}
+		// The innermost level moves T⁻¹·J's numerators by the last column
+		// of T⁻¹ per step.
+		point[last] = lo
+		for i := range t.inv {
+			num[i] = t.inv[i].sum(point)
+		}
+		for {
+			if t.divide(num, orig) {
+				body(point[:t.K], orig)
+			}
+			if point[last] == hi {
+				return
+			}
+			point[last]++
+			for i := range num {
+				num[i] = mulAdd(num[i], t.inv[i].Coeffs[last], 1)
+			}
+		}
 	}
 	rec(0)
 }
@@ -487,16 +571,22 @@ func (t *Transformed) Visit(body func(forall, orig []int64)) {
 // hold at least one iteration, in Visit order, with their iteration
 // counts. Everything that asks how the loop splits into blocks — the
 // block list, workloads, the wire views — reads this one enumeration.
+// The points share one backing array.
 func (t *Transformed) enumerate() {
 	t.forallOnce.Do(func() {
+		k := t.K
+		flat := []int64{} // never nil: the K = 0 point is [] on the wire, not null
 		t.Visit(func(forall, _ []int64) {
-			if last := len(t.forall) - 1; last < 0 || !slices.Equal(t.forall[last], forall) {
-				// Never nil: the K = 0 point is [] on the wire, not null.
-				t.forall = append(t.forall, append(make([]int64, 0, len(forall)), forall...))
+			if last := len(t.sizes) - 1; last < 0 || !slices.Equal(flat[last*k:], forall) {
+				flat = append(flat, forall...)
 				t.sizes = append(t.sizes, 0)
 			}
 			t.sizes[len(t.sizes)-1]++
 		})
+		t.forall = make([][]int64, len(t.sizes))
+		for i := range t.forall {
+			t.forall[i] = flat[i*k : (i+1)*k : (i+1)*k]
+		}
 	})
 }
 
@@ -529,10 +619,7 @@ func (t *Transformed) String() string {
 		indent += "  "
 	}
 	for e, es := range t.Extended {
-		var term BoundTerm
-		term.Coeffs = es.Coeffs
-		term.Const = rational.Zero
-		fmt.Fprintf(&b, "%sE%d: %s := %s\n", indent, e+1, t.Nest.Levels[es.OrigLevel].Name, term.render(t.Names))
+		fmt.Fprintf(&b, "%sE%d: %s := %s\n", indent, e+1, t.Nest.Levels[es.OrigLevel].Name, es.render(t.Names))
 	}
 	fmt.Fprintf(&b, "%s[loop body]\n", indent)
 	for m := t.Nest.Depth() - 1; m >= 0; m-- {
@@ -548,15 +635,11 @@ func (t *Transformed) String() string {
 
 func renderBoundList(terms []BoundTerm, names []string, fn string) string {
 	if len(terms) == 1 {
-		return roundRender(terms[0], names)
+		return terms[0].render(names)
 	}
 	var parts []string
 	for _, t := range terms {
-		parts = append(parts, roundRender(t, names))
+		parts = append(parts, t.render(names))
 	}
 	return fn + "(" + strings.Join(parts, ", ") + ")"
-}
-
-func roundRender(t BoundTerm, names []string) string {
-	return t.render(names)
 }

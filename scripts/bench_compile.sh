@@ -2,8 +2,10 @@
 # bench_compile.sh — measure cold compiles and maintain BENCH_compile.json.
 #
 # Rows: BenchmarkCompileCold/<family>/<extent>/<strategy> — one cold
-# Service.Compile on a fresh service, families matmul (L5) and stencil
-# (L4 shape), extents 8/16/32, strategies duplicate, auto and mars.
+# Service.Compile on a fresh service: families matmul (L5) and stencil
+# (L4 shape) at extents 8/16/32 under duplicate, auto and mars; twostmt
+# (L1 shape) under minimal-duplicate and redundant (L3 shape) under mars
+# at extents 16/32.
 #
 #   scripts/bench_compile.sh append [benchtime]   run the full set (default
 #       -benchtime=5x), parse the -benchmem output and append a dated entry
