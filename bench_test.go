@@ -10,17 +10,16 @@ import (
 	"testing"
 
 	"commfree/internal/assign"
-	"commfree/internal/cachesim"
 	"commfree/internal/codegen"
 	"commfree/internal/deps"
 	"commfree/internal/distplan"
-	"commfree/internal/figures"
 	"commfree/internal/intlin"
 	"commfree/internal/kernels"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
 	"commfree/internal/partition"
 	"commfree/internal/rational"
+	"commfree/internal/report"
 	"commfree/internal/space"
 	"commfree/internal/transform"
 )
@@ -30,7 +29,7 @@ import (
 func benchFig(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := figures.Render(n)
+		s, err := report.Figure(n)
 		if err != nil || len(s) == 0 {
 			b.Fatal(err)
 		}
@@ -305,26 +304,6 @@ func BenchmarkStrategyAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulingPolicies compares the paper's cyclic distribution
-// against a blocked one on L4's skewed block profile (the load-balancing
-// design choice of Section IV).
-func BenchmarkSchedulingPolicies(b *testing.B) {
-	psi := space.SpanInts(3, []int64{1, -1, 1})
-	tr, err := transform.TransformWithBasis(loop.L4(), psi, [][]int64{{1, 1, 0}, {-1, 0, 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := assign.Assign(tr, 4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cyc := assign.AssignWithPolicy(a, assign.Cyclic)
-		blk := assign.AssignWithPolicy(a, assign.Blocked)
-		if cyc.Imbalance() >= blk.Imbalance() {
-			b.Fatal("cyclic should balance better on L4")
-		}
-	}
-}
-
 // BenchmarkKernelGallery runs all four strategies over the whole kernel
 // gallery — the end-to-end partitioner throughput on realistic inputs.
 func BenchmarkKernelGallery(b *testing.B) {
@@ -365,21 +344,6 @@ func BenchmarkDistributionPlanning(b *testing.B) {
 		plan := distplan.BuildFor(res, assign.Place(res.Iter.Q, 4))
 		if plan.Stats().Multicasts == 0 {
 			b.Fatal("planning failed")
-		}
-	}
-}
-
-// BenchmarkCacheThrashing measures the shared-memory coherence-traffic
-// comparison (the paper's closing cache-thrashing claim) on L5.
-func BenchmarkCacheThrashing(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		part, rr, err := cachesim.Compare(loop.L5(4), partition.Duplicate, 4, cachesim.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if part != 0 || rr == 0 {
-			b.Fatalf("unexpected traffic: partitioned %d, round-robin %d", part, rr)
 		}
 	}
 }

@@ -12,7 +12,6 @@ package assign
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"commfree/internal/transform"
@@ -129,14 +128,11 @@ func (pl Placement) NumProcessors() int {
 }
 
 // Workloads returns the iteration count executed by each processor ID.
-func (a *Assignment) Workloads() []int64 { return a.workloads(a.OwnerID) }
-
-// workloads sums the forall points' iteration counts by owner.
-func (a *Assignment) workloads(owner func(forall []int64) int) []int64 {
+func (a *Assignment) Workloads() []int64 {
 	loads := make([]int64, a.NumProcessors())
 	sizes := a.Tr.BlockSizes()
 	for i, f := range a.Tr.ForallPoints() {
-		loads[owner(f)] += sizes[i]
+		loads[a.OwnerID(f)] += sizes[i]
 	}
 	return loads
 }
@@ -184,13 +180,8 @@ func (a *Assignment) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "processors: %d as grid %v\n", a.NumProcessors(), a.Dims)
 	loads := a.Workloads()
-	ids := make([]int, len(loads))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fmt.Fprintf(&b, "  PE%d: %d iterations\n", id, loads[id])
+	for id, l := range loads {
+		fmt.Fprintf(&b, "  PE%d: %d iterations\n", id, l)
 	}
 	fmt.Fprintf(&b, "imbalance: %.3f\n", imbalance(loads))
 	return b.String()

@@ -109,13 +109,14 @@ func Hyperplane(nest *loop.Nest) (*Result, error) {
 	res.Psi = space.SpanInts(n, res.G).OrthogonalComplement()
 	// Count hyperplane blocks.
 	seen := map[int64]bool{}
-	for _, it := range nest.Iterations() {
+	nest.Walk(func(it []int64) bool {
 		var dot int64
 		for k, g := range res.G {
 			dot += g * it[k]
 		}
 		seen[dot] = true
-	}
+		return true
+	})
 	res.NumBlocks = len(seen)
 	return res, nil
 }

@@ -196,16 +196,6 @@ end
 	return ks
 }
 
-// Get returns the named kernel.
-func Get(name string) (Kernel, error) {
-	for _, k := range All() {
-		if k.Name == name {
-			return k, nil
-		}
-	}
-	return Kernel{}, fmt.Errorf("kernels: unknown kernel %q", name)
-}
-
 // Nest parses the kernel's source.
 func (k Kernel) Nest() (*loop.Nest, error) { return lang.Parse(k.Source) }
 
@@ -213,9 +203,7 @@ func (k Kernel) Nest() (*loop.Nest, error) { return lang.Parse(k.Source) }
 type Outcome struct {
 	Strategy  partition.Strategy
 	Blocks    int
-	PsiDim    int
-	Verified  bool
-	VerifyErr error
+	VerifyErr error // nil: the partition verified communication-free
 }
 
 // Outcomes partitions the kernel under all four strategies and verifies
@@ -225,24 +213,16 @@ func (k Kernel) Outcomes() ([]Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategies := []partition.Strategy{
+	var out []Outcome
+	for _, s := range []partition.Strategy{
 		partition.NonDuplicate, partition.Duplicate,
 		partition.MinimalNonDuplicate, partition.MinimalDuplicate,
-	}
-	out := make([]Outcome, 0, len(strategies))
-	for _, s := range strategies {
+	} {
 		res, err := partition.Compute(nest, s)
 		if err != nil {
 			return nil, fmt.Errorf("kernels: %s under %s: %w", k.Name, s, err)
 		}
-		verr := res.Verify()
-		out = append(out, Outcome{
-			Strategy:  s,
-			Blocks:    res.Iter.NumBlocks(),
-			PsiDim:    res.Psi.Dim(),
-			Verified:  verr == nil,
-			VerifyErr: verr,
-		})
+		out = append(out, Outcome{Strategy: s, Blocks: res.Iter.NumBlocks(), VerifyErr: res.Verify()})
 	}
 	return out, nil
 }

@@ -130,14 +130,10 @@ func Compare(p int, cost machine.CostModel) (*Comparison, error) {
 	return cmp, nil
 }
 
-func nestClass(nest *loop.Nest) string {
-	return fmt.Sprintf("%dD/%da/%ds", len(nest.Levels), len(nest.Arrays()), len(nest.Body))
-}
-
 func compareNest(name string, nest *loop.Nest, src string, p int, cost machine.CostModel) (*NestComparison, error) {
 	nc := &NestComparison{
 		Name:       name,
-		Class:      nestClass(nest),
+		Class:      fmt.Sprintf("%dD/%da/%ds", len(nest.Levels), len(nest.Arrays()), len(nest.Body)),
 		Source:     strings.TrimSpace(src),
 		Iterations: nest.NumIterations(),
 	}
@@ -185,18 +181,14 @@ func compareNest(name string, nest *loop.Nest, src string, p int, cost machine.C
 // past four arrays it duplicates everything.
 func bestSelective(pc *partition.Context) (*partition.Result, string, error) {
 	arrays := pc.Index.Arrays
+	first := 0
 	if len(arrays) > 4 {
-		dup := map[string]bool{}
-		for _, a := range arrays {
-			dup[a] = true
-		}
-		res, err := pc.Compute(partition.Selective, dup, 0)
-		return res, variantName(dup), err
+		first = 1<<len(arrays) - 1 // duplicate everything
 	}
 	var best *partition.Result
 	var bestDup map[string]bool
 	bestVol, bestBlocks := -1, -1
-	for mask := 0; mask < 1<<len(arrays); mask++ {
+	for mask := first; mask < 1<<len(arrays); mask++ {
 		dup := map[string]bool{}
 		for i, a := range arrays {
 			if mask&(1<<i) != 0 {

@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -12,9 +14,10 @@ import (
 	"testing"
 )
 
-// A layering rule: in the non-test files it names (directories, or single
-// files) apart from those in except, no syntax node may match bad; why
-// says what to do instead.
+// A layering rule: in the non-test files it names (directories, "./..."
+// for every package of the module, or single files) apart from those in
+// except (files, or directories and everything below them), no syntax
+// node may match bad; why says what to do instead.
 type layeringRule struct {
 	why    string
 	files  []string
@@ -183,29 +186,77 @@ var layeringRules = []layeringRule{
 		except: []string{"internal/exec/exec.go"},
 		bad:    either(calls("", "appendKey"), calls("", "Key")),
 	},
+	{
+		why:    "a second materialized enumeration of a nest: step through it with Nest.Walk, or read the compile's loop.Index",
+		files:  []string{"./..."},
+		except: []string{"internal/loop"},
+		bad:    calls("", "Iterations"),
+	},
+}
+
+// packageDirs lists the module's package directories with non-test Go
+// files, slash-separated and relative to the root ("." for the root);
+// the nested benchmark module and testdata trees are not part of it.
+func packageDirs(t *testing.T) []string {
+	var dirs []string
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p == "bench" || name == "testdata" || p != "." && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") && !slices.Contains(dirs, dir) {
+			dirs = append(dirs, dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// nonTestFiles lists a directory's non-test Go files.
+func nonTestFiles(t *testing.T, dir string) []string {
+	all, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(all) == 0 {
+		t.Fatalf("no Go files under %s: %v", dir, err)
+	}
+	return slices.DeleteFunc(all, func(p string) bool { return strings.HasSuffix(p, "_test.go") })
 }
 
 // TestLayering holds the non-test sources to layeringRules.
 func TestLayering(t *testing.T) {
 	fset := token.NewFileSet()
+	excepted := func(rule layeringRule, p string) bool {
+		return slices.ContainsFunc(rule.except, func(e string) bool {
+			return p == e || strings.HasPrefix(p, e+"/")
+		})
+	}
 	for _, rule := range layeringRules {
 		var paths []string
 		for _, f := range rule.files {
-			if strings.HasSuffix(f, ".go") {
+			switch {
+			case strings.HasSuffix(f, ".go"):
 				paths = append(paths, f)
-				continue
-			}
-			all, err := filepath.Glob(filepath.Join(f, "*.go"))
-			if err != nil || len(all) == 0 {
-				t.Fatalf("no Go files under %s: %v", f, err)
-			}
-			for _, p := range all {
-				if !strings.HasSuffix(p, "_test.go") && !slices.Contains(rule.except, filepath.ToSlash(p)) {
-					paths = append(paths, p)
+			case f == "./...":
+				for _, dir := range packageDirs(t) {
+					paths = append(paths, nonTestFiles(t, dir)...)
 				}
+			default:
+				paths = append(paths, nonTestFiles(t, f)...)
 			}
 		}
 		for _, p := range paths {
+			if excepted(rule, filepath.ToSlash(p)) {
+				continue
+			}
 			src, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
@@ -220,6 +271,62 @@ func TestLayering(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+	t.Run("every package is reached", everyPackageIsReached)
+}
+
+// unreachedByDesign are the packages no command, example or the facade
+// imports, each with the reason it stays.
+var unreachedByDesign = map[string]string{
+	"internal/conformance": "test harness: the theorem, engine and fleet properties its tests and fuzzers check",
+	"internal/loopgen":     "test harness: the random nest generator the conformance and codegen tests draw from",
+}
+
+// everyPackageIsReached: every package is in the import closure of
+// the non-test files of the commands, the examples and the root facade,
+// or is named in unreachedByDesign. A package only a benchmark or a test
+// reaches is code nothing in the system runs.
+func everyPackageIsReached(t *testing.T) {
+	const module = "commfree"
+	dirs := packageDirs(t)
+	imports := map[string][]string{}
+	for _, dir := range dirs {
+		for _, p := range nonTestFiles(t, dir) {
+			file, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range file.Imports {
+				if ip, _ := strconv.Unquote(spec.Path.Value); strings.HasPrefix(ip, module+"/") {
+					imports[dir] = append(imports[dir], strings.TrimPrefix(ip, module+"/"))
+				}
+			}
+		}
+	}
+	reached := map[string]bool{}
+	var visit func(dir string)
+	visit = func(dir string) {
+		if reached[dir] {
+			return
+		}
+		reached[dir] = true
+		for _, d := range imports[dir] {
+			visit(d)
+		}
+	}
+	for _, dir := range dirs {
+		if top, _, _ := strings.Cut(dir, "/"); dir == "." || top == "cmd" || top == "examples" {
+			visit(dir)
+		}
+	}
+	for _, dir := range dirs {
+		why, excused := unreachedByDesign[dir]
+		switch {
+		case !reached[dir] && !excused:
+			t.Errorf("%s: no command, example or the facade imports it; delete it or give its claim a report section", path.Join(module, dir))
+		case reached[dir] && excused:
+			t.Errorf("%s is reached now; drop it from unreachedByDesign (%s)", dir, why)
 		}
 	}
 }
