@@ -18,7 +18,6 @@ import (
 	"commfree/internal/loop"
 	"commfree/internal/machine"
 	"commfree/internal/partition"
-	"commfree/internal/rational"
 	"commfree/internal/report"
 	"commfree/internal/space"
 	"commfree/internal/transform"
@@ -124,7 +123,7 @@ func BenchmarkPartitionL3MinimalDuplicate(b *testing.B) {
 }
 
 func BenchmarkTransformL4(b *testing.B) {
-	psi := space.SpanInts(3, []int64{1, -1, 1})
+	psi := space.Span(3, []int64{1, -1, 1})
 	nest := loop.L4()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -168,34 +167,86 @@ func BenchmarkBaselineComparison(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ------------------------------------------------
 
-// BenchmarkRationalCheckedInt64 vs BenchmarkRationalBigRat: the library's
-// checked-int64 rationals against math/big.Rat on the same workload.
-func BenchmarkRationalCheckedInt64(b *testing.B) {
-	b.ReportAllocs()
-	acc := rational.Zero
-	for i := 0; i < b.N; i++ {
-		x := rational.New(int64(i%17+1), int64(i%13+1))
-		acc = acc.Add(x.Mul(x)).Sub(x)
-		if i%64 == 63 {
-			acc = rational.Zero
-		}
-	}
-	_ = acc
+// BenchmarkEliminationInt64 vs BenchmarkEliminationBigRat: the same
+// elimination work — invert a matrix and solve one system with it — on
+// intlin's fraction-free checked-int64 core and on textbook Gauss–Jordan
+// over math/big.Rat.
+var elimWork = []struct {
+	m [][]int64
+	b []int64
+}{
+	{[][]int64{{1, 1, 0}, {-1, 0, 1}, {1, 0, 0}}, []int64{2, 1, 1}}, // L4's T
+	{[][]int64{{1, 2, 3}, {4, 5, 6}, {7, 8, 10}}, []int64{1, 2, 3}},
+	{[][]int64{{2, 0}, {0, 1}}, []int64{1, 1}}, // L2's H_B
 }
 
-func BenchmarkRationalBigRat(b *testing.B) {
+func BenchmarkEliminationInt64(b *testing.B) {
 	b.ReportAllocs()
-	acc := new(big.Rat)
 	for i := 0; i < b.N; i++ {
-		x := big.NewRat(int64(i%17+1), int64(i%13+1))
-		sq := new(big.Rat).Mul(x, x)
-		acc.Add(acc, sq)
-		acc.Sub(acc, x)
-		if i%64 == 63 {
-			acc.SetInt64(0)
+		for _, w := range elimWork {
+			m := intlin.FromRows(w.m)
+			if adj, det := m.Inverse(); adj == nil || det == 0 {
+				b.Fatal("singular")
+			}
+			if _, _, ok := m.Solve(w.b); !ok {
+				b.Fatal("inconsistent")
+			}
 		}
 	}
-	_ = acc
+}
+
+func BenchmarkEliminationBigRat(b *testing.B) {
+	b.ReportAllocs()
+	// gaussJordan reduces the rows [m | extra] over the rationals.
+	gaussJordan := func(m [][]int64, extra func(i, j int) int64, nextra int) [][]*big.Rat {
+		n := len(m[0])
+		a := make([][]*big.Rat, len(m))
+		for i, row := range m {
+			a[i] = make([]*big.Rat, n+nextra)
+			for j := range a[i] {
+				if j < n {
+					a[i][j] = big.NewRat(row[j], 1)
+				} else {
+					a[i][j] = big.NewRat(extra(i, j-n), 1)
+				}
+			}
+		}
+		for c, r := 0, 0; c < n && r < len(a); c++ {
+			p := r
+			for p < len(a) && a[p][c].Sign() == 0 {
+				p++
+			}
+			if p == len(a) {
+				continue
+			}
+			a[p], a[r] = a[r], a[p]
+			piv := new(big.Rat).Inv(a[r][c])
+			for j := range a[r] {
+				a[r][j].Mul(a[r][j], piv)
+			}
+			for i := range a {
+				if f := new(big.Rat).Set(a[i][c]); i != r && f.Sign() != 0 {
+					for j := range a[i] {
+						a[i][j].Sub(a[i][j], new(big.Rat).Mul(f, a[r][j]))
+					}
+				}
+			}
+			r++
+		}
+		return a
+	}
+	for i := 0; i < b.N; i++ {
+		for _, w := range elimWork {
+			n := len(w.m)
+			gaussJordan(w.m, func(i, j int) int64 {
+				if i == j {
+					return 1
+				}
+				return 0
+			}, n)
+			gaussJordan(w.m, func(i, _ int) int64 { return w.b[i] }, 1)
+		}
+	}
 }
 
 // BenchmarkDepSolveSNF vs BenchmarkDepSolveEnum: deciding integer

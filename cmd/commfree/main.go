@@ -38,7 +38,7 @@ import (
 	"time"
 
 	"commfree"
-	"commfree/internal/rational"
+	"commfree/internal/intlin"
 )
 
 const demoSrc = `# Loop L1 from Chen & Sheu (1993).
@@ -75,7 +75,7 @@ func main() {
 	// keeps its stack.
 	defer func() {
 		p := recover()
-		if err, ok := p.(error); ok && errors.Is(err, rational.ErrOverflow) {
+		if err, ok := p.(error); ok && errors.Is(err, intlin.ErrOverflow) {
 			fatal(fmt.Errorf("the program's coefficients are too large to analyse exactly: %w", err))
 		}
 		if p != nil {

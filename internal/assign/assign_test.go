@@ -11,7 +11,7 @@ import (
 
 func l4Transformed(t *testing.T) *transform.Transformed {
 	t.Helper()
-	psi := space.SpanInts(3, []int64{1, -1, 1})
+	psi := space.Span(3, []int64{1, -1, 1})
 	tr, err := transform.TransformWithBasis(loop.L4(), psi, [][]int64{{1, 1, 0}, {-1, 0, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestMoreProcessorsThanBlocks(t *testing.T) {
 
 func spanPsiL1(t *testing.T) *transform.Transformed {
 	t.Helper()
-	tr, err := transform.Transform(loop.L1(), space.SpanInts(2, []int64{1, 1}))
+	tr, err := transform.Transform(loop.L1(), space.Span(2, []int64{1, 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

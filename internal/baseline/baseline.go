@@ -22,9 +22,7 @@ import (
 
 	"commfree/internal/deps"
 	"commfree/internal/intlin"
-	"commfree/internal/linalg"
 	"commfree/internal/loop"
-	"commfree/internal/rational"
 	"commfree/internal/space"
 )
 
@@ -74,23 +72,20 @@ func Hyperplane(nest *loop.Nest) (*Result, error) {
 		// w̄ constraint space: null space of the matrix whose rows are the
 		// data-referenced vectors.
 		rvecs := a.DataReferencedVectors(array)
-		var wBasis [][]rational.Rat
-		if len(rvecs) == 0 {
-			// Unconstrained: all of R^d.
-			for i := 0; i < d; i++ {
-				e := make([]rational.Rat, d)
-				e[i] = rational.One
-				wBasis = append(wBasis, e)
-			}
-		} else {
-			rm := linalg.FromInts(rvecs)
-			wBasis = rm.NullSpace()
+		wBasis := space.Full(d).IntegerBasis() // unconstrained: all of Q^d
+		if len(rvecs) > 0 {
+			wBasis = intlin.FromRows(rvecs).NullSpace()
 		}
 		// Image under H_Aᵀ.
-		ht := linalg.FromInts(h).Transpose()
-		var gVecs [][]rational.Rat
+		var gVecs [][]int64
 		for _, w := range wBasis {
-			gVecs = append(gVecs, ht.MulVec(w))
+			g := make([]int64, n)
+			for k, row := range h {
+				for i, x := range row {
+					g[i] = intlin.MulAdd(g[i], w[k], x)
+				}
+			}
+			gVecs = append(gVecs, g)
 		}
 		ga := space.Span(n, gVecs...)
 		gSpace = intersect(gSpace, ga)
@@ -104,15 +99,15 @@ func Hyperplane(nest *loop.Nest) (*Result, error) {
 		return res, nil
 	}
 	res.Found = true
-	res.G = intlin.Primitive(basis[0])
+	res.G = basis[0] // primitive already
 	// Induced partitioning space Ker(ḡ).
-	res.Psi = space.SpanInts(n, res.G).OrthogonalComplement()
+	res.Psi = space.Span(n, res.G).OrthogonalComplement()
 	// Count hyperplane blocks.
 	seen := map[int64]bool{}
 	nest.Walk(func(it []int64) bool {
 		var dot int64
 		for k, g := range res.G {
-			dot += g * it[k]
+			dot = intlin.MulAdd(dot, g, it[k])
 		}
 		seen[dot] = true
 		return true

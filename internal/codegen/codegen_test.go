@@ -211,7 +211,7 @@ func TestGeneratedNonUnimodularGuards(t *testing.T) {
 			Write: loop.Ref{Array: "A", H: [][]int64{{1, 0}, {0, 1}}, Offset: []int64{0, 0}},
 		}},
 	}
-	psi := space.SpanInts(2, []int64{2, 1})
+	psi := space.Span(2, []int64{2, 1})
 	tr, err := transform.Transform(nest, psi)
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,8 @@ import (
 	"strings"
 
 	"commfree/internal/intlin"
-	"commfree/internal/linalg"
 	"commfree/internal/loop"
 	"commfree/internal/polyhedron"
-	"commfree/internal/rational"
 )
 
 // Kind classifies a dependence (the paper's δf, δa, δo, δi).
@@ -111,13 +109,17 @@ func (d *Dependence) String() string {
 
 // PairRelation captures the Def. 4 information for one unordered pair of
 // references of the same array: the data-referenced vector, whether
-// H·t̄ = r̄ is solvable over Q, a rational particular solution, and whether
-// an integer solution is realizable inside the iteration space.
+// H·t̄ = r̄ is solvable over Q, the direction of a rational particular
+// solution, and whether an integer solution is realizable inside the
+// iteration space.
 type PairRelation struct {
-	A, B              Access
-	R                 []int64 // c̄_A − c̄_B
-	RationalSolvable  bool
-	Particular        []rational.Rat
+	A, B             Access
+	R                []int64 // c̄_A − c̄_B
+	RationalSolvable bool
+	// Particular is the integer direction of the particular solution
+	// t̄ = Particular/den whose free variables are zero (intlin's Solve):
+	// Ψ_A only spans it.
+	Particular        []int64
 	IntegerRealizable bool
 	Dio               *intlin.DiophantineSolution
 }
@@ -162,7 +164,7 @@ func iterationSystem(nest *loop.Nest) *polyhedron.System {
 			lo[j] = -lo[j]
 		}
 		lo[k] += 1
-		s.AddGEInts(lo, lv.Lower.Const)
+		s.AddGE(lo, lv.Lower.Const)
 		// i_k − Σ upper.Coeffs·ī ≤ upper.Const
 		hi := make([]int64, n)
 		copy(hi, lv.Upper.Coeffs)
@@ -170,7 +172,7 @@ func iterationSystem(nest *loop.Nest) *polyhedron.System {
 			hi[j] = -hi[j]
 		}
 		hi[k] += 1
-		s.AddLEInts(hi, lv.Upper.Const)
+		s.AddLE(hi, lv.Upper.Const)
 	}
 	return s
 }
@@ -199,7 +201,6 @@ func (a *Analysis) analyzeArray(array string) error {
 		return nil
 	}
 	hm := intlin.FromRows(h)
-	hr := linalg.FromInts(h)
 
 	// Pair relations for Def. 4: unordered pairs with distinct offsets.
 	var seenPair [][]int64
@@ -214,14 +215,7 @@ func (a *Analysis) analyzeArray(array string) error {
 			}
 			seenPair = append(seenPair, r)
 			rel := PairRelation{A: accs[i], B: accs[j], R: r}
-			rb := make([]rational.Rat, len(r))
-			for k, x := range r {
-				rb[k] = rational.FromInt(x)
-			}
-			if part, ok := hr.Solve(rb); ok {
-				rel.RationalSolvable = true
-				rel.Particular = part
-			}
+			rel.Particular, _, rel.RationalSolvable = hm.Solve(r)
 			if dio, ok := intlin.SolveDiophantine(hm, r); ok {
 				rel.Dio = dio
 				realizable, err := a.realizable(dio, nil)
@@ -326,42 +320,23 @@ func (a *Analysis) realizable(dio *intlin.DiophantineSolution, extra []tConstrai
 	sys := polyhedron.NewSystem(n + k)
 	// ī₁ in iteration space.
 	for _, q := range a.iterSys.Ineqs {
-		coeffs := make([]rational.Rat, n+k)
+		coeffs := make([]int64, n+k)
 		copy(coeffs, q.Coeffs)
 		sys.AddLE(coeffs, q.Bound)
 	}
 	// ī₂ = ī₁ + t̄(c̄) in iteration space: substitute into each inequality.
 	for _, q := range a.iterSys.Ineqs {
-		coeffs := make([]rational.Rat, n+k)
+		coeffs := make([]int64, n+k)
 		copy(coeffs, q.Coeffs)
-		bound := q.Bound
-		// Σ_j a_j·(i_j + part_j + Σ_l V_jl c_l) ≤ b
-		for j := 0; j < n; j++ {
-			aj := q.Coeffs[j]
-			if aj.IsZero() {
-				continue
-			}
-			bound = bound.Sub(aj.Mul(rational.FromInt(dio.Particular[j])))
-			for l := 0; l < k; l++ {
-				coeffs[n+l] = coeffs[n+l].Add(aj.Mul(rational.FromInt(dio.KernelBasis[l][j])))
-			}
-		}
+		tail, bound := distanceRow(dio, q.Coeffs, q.Bound)
+		copy(coeffs[n:], tail)
 		sys.AddLE(coeffs, bound)
 	}
 	// Extra constraints on t̄: Σ_j w_j t_j (cmp) b with t_j affine in c̄.
 	for _, tc := range extra {
-		coeffs := make([]rational.Rat, n+k)
-		bound := rational.FromInt(tc.bound)
-		for j := 0; j < n; j++ {
-			wj := tc.w[j]
-			if wj == 0 {
-				continue
-			}
-			bound = bound.Sub(rational.FromInt(wj * dio.Particular[j]))
-			for l := 0; l < k; l++ {
-				coeffs[n+l] = coeffs[n+l].Add(rational.FromInt(wj * dio.KernelBasis[l][j]))
-			}
-		}
+		coeffs := make([]int64, n+k)
+		tail, bound := distanceRow(dio, tc.w, tc.bound)
+		copy(coeffs[n:], tail)
 		switch tc.cmp {
 		case cmpLE:
 			sys.AddLE(coeffs, bound)
@@ -372,6 +347,23 @@ func (a *Analysis) realizable(dio *intlin.DiophantineSolution, extra []tConstrai
 		}
 	}
 	return sys.HasIntegerPoint()
+}
+
+// distanceRow rewrites Σ_j w_j·t_j ≤ b over the kernel coefficients c̄
+// of t̄ = Particular + Σ_l c_l·KernelBasis[l]: it returns the row
+// (w·KernelBasis[l])_l and the bound b − w·Particular.
+func distanceRow(dio *intlin.DiophantineSolution, w []int64, b int64) ([]int64, int64) {
+	row := make([]int64, len(dio.KernelBasis))
+	for j, wj := range w {
+		if wj == 0 {
+			continue
+		}
+		b = intlin.MulAdd(b, intlin.Neg(wj), dio.Particular[j])
+		for l, v := range dio.KernelBasis {
+			row[l] = intlin.MulAdd(row[l], wj, v[j])
+		}
+	}
+	return row, b
 }
 
 type cmpKind int

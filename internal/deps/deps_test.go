@@ -1,6 +1,7 @@
 package deps
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestL1PairRelations(t *testing.T) {
 		t.Errorf("A pair: solvable=%v realizable=%v", rel.RationalSolvable, rel.IntegerRealizable)
 	}
 	// Particular solution of H_A t = (2,1) is (1,1).
-	if !rel.Particular[0].Equal(rel.Particular[1]) || rel.Particular[0].Num() != 1 {
+	if !slices.Equal(rel.Particular, []int64{1, 1}) {
 		t.Errorf("particular = %v", rel.Particular)
 	}
 	// Data-referenced vectors (Definition 1): r̄₁ = (2,1) for A, (1,1) for C.
@@ -135,8 +136,8 @@ func TestL2Dependences(t *testing.T) {
 	if rel.IntegerRealizable {
 		t.Error("B pair should NOT be integer realizable (t = (1/2,1))")
 	}
-	if rel.Particular[0].Den() != 2 {
-		t.Errorf("B particular = %v, want first component 1/2", rel.Particular)
+	if !slices.Equal(rel.Particular, []int64{1, 2}) {
+		t.Errorf("B particular direction = %v, want (1,2) from (1/2,1)", rel.Particular)
 	}
 }
 

@@ -1,6 +1,10 @@
-// Package intlin implements exact integer linear algebra: extended GCD,
-// Smith normal form, and the complete integer solution of linear
-// Diophantine systems A·x = b.
+// Package intlin is the module's one exact arithmetic core: int64
+// matrices, fraction-free (Bareiss) elimination — reduced row echelon
+// form, rank, null space, rational solve, inverse, determinant — the
+// Smith normal form and the complete integer solution of linear
+// Diophantine systems A·x = b. Every operation that can leave int64 goes
+// through the checked helpers of checked.go, which panic with
+// ErrOverflow.
 //
 // The dependence analyzer needs to decide whether two iterations ī₁, ī₂ of
 // a loop can touch the same array element, i.e. whether H·t̄ = r̄ has an
@@ -12,8 +16,6 @@ package intlin
 import (
 	"fmt"
 	"math"
-
-	"commfree/internal/rational"
 )
 
 // ExtGCD returns g = gcd(a, b) ≥ 0 and Bézout coefficients x, y with
@@ -29,7 +31,7 @@ func ExtGCD(a, b int64) (g, x, y int64) {
 		oldT, t = t, oldT-q*t
 	}
 	if oldR < 0 {
-		oldR, oldS, oldT = -oldR, -oldS, -oldT
+		oldR, oldS, oldT = Neg(oldR), Neg(oldS), Neg(oldT)
 	}
 	return oldR, oldS, oldT
 }
@@ -64,7 +66,7 @@ func Primitive(v []int64) []int64 {
 	for i, x := range v {
 		out[i] = x / g
 		if neg {
-			out[i] = -out[i]
+			out[i] = Neg(out[i])
 		}
 	}
 	return out
@@ -120,24 +122,6 @@ func (m *Mat) Clone() *Mat {
 	return c
 }
 
-// MulMat returns m·n.
-func (m *Mat) MulMat(n *Mat) *Mat {
-	if m.Cols != n.Rows {
-		panic(fmt.Errorf("intlin: shape mismatch %d×%d · %d×%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	out := NewMat(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < n.Cols; j++ {
-			var sum int64
-			for k := 0; k < m.Cols; k++ {
-				sum = addC(sum, mulC(m.At(i, k), n.At(k, j)))
-			}
-			out.Set(i, j, sum)
-		}
-	}
-	return out
-}
-
 // MulVec returns m·x.
 func (m *Mat) MulVec(x []int64) []int64 {
 	if len(x) != m.Cols {
@@ -147,7 +131,7 @@ func (m *Mat) MulVec(x []int64) []int64 {
 	for i := 0; i < m.Rows; i++ {
 		var sum int64
 		for j := 0; j < m.Cols; j++ {
-			sum = addC(sum, mulC(m.At(i, j), x[j]))
+			sum = Add(sum, Mul(m.At(i, j), x[j]))
 		}
 		out[i] = sum
 	}
@@ -168,7 +152,7 @@ func SmithNormalForm(a *Mat) *SNF {
 	s := a.Clone()
 	u := IdentityMat(a.Rows)
 	v := IdentityMat(a.Cols)
-	n := minInt(s.Rows, s.Cols)
+	n := min(s.Rows, s.Cols)
 
 	for k := 0; k < n; k++ {
 		if !pivotToCorner(s, u, v, k) {
@@ -226,10 +210,10 @@ func SmithNormalForm(a *Mat) *SNF {
 	for k := 0; k < n; k++ {
 		if s.At(k, k) < 0 {
 			for j := 0; j < s.Cols; j++ {
-				s.Set(k, j, negC(s.At(k, j)))
+				s.Set(k, j, Neg(s.At(k, j)))
 			}
 			for j := 0; j < u.Cols; j++ {
-				u.Set(k, j, negC(u.At(k, j)))
+				u.Set(k, j, Neg(u.At(k, j)))
 			}
 		}
 	}
@@ -251,7 +235,7 @@ func pivotToCorner(s, u, v *Mat, k int) bool {
 	var best int64 = math.MaxInt64
 	for i := k; i < s.Rows; i++ {
 		for j := k; j < s.Cols; j++ {
-			a := absC(s.At(i, j))
+			a := Abs(s.At(i, j))
 			if a != 0 && a < best {
 				best, bi, bj = a, i, j
 			}
@@ -284,7 +268,7 @@ func reduceRows(s, u *Mat, k, i int) {
 	g, x, y := ExtGCD(a, b)
 	// [x y; -b/g a/g] is unimodular with det = (x·a + y·b)/g = 1.
 	p, q := x, y
-	r0, s0 := -b/g, a/g
+	r0, s0 := Neg(b/g), a/g
 	applyRowPair(s, k, i, p, q, r0, s0)
 	applyRowPair(u, k, i, p, q, r0, s0)
 }
@@ -300,7 +284,7 @@ func reduceCols(s, v *Mat, k, j int) {
 	}
 	g, x, y := ExtGCD(a, b)
 	p, q := x, y
-	r0, s0 := -b/g, a/g
+	r0, s0 := Neg(b/g), a/g
 	applyColPair(s, k, j, p, q, r0, s0)
 	applyColPair(v, k, j, p, q, r0, s0)
 }
@@ -309,8 +293,8 @@ func reduceCols(s, v *Mat, k, j int) {
 func applyRowPair(m *Mat, k, i int, p, q, r, s int64) {
 	for j := 0; j < m.Cols; j++ {
 		a, b := m.At(k, j), m.At(i, j)
-		m.Set(k, j, addC(mulC(p, a), mulC(q, b)))
-		m.Set(i, j, addC(mulC(r, a), mulC(s, b)))
+		m.Set(k, j, Add(Mul(p, a), Mul(q, b)))
+		m.Set(i, j, Add(Mul(r, a), Mul(s, b)))
 	}
 }
 
@@ -318,8 +302,8 @@ func applyRowPair(m *Mat, k, i int, p, q, r, s int64) {
 func applyColPair(m *Mat, k, j int, p, q, r, s int64) {
 	for i := 0; i < m.Rows; i++ {
 		a, b := m.At(i, k), m.At(i, j)
-		m.Set(i, k, addC(mulC(p, a), mulC(q, b)))
-		m.Set(i, j, addC(mulC(r, a), mulC(s, b)))
+		m.Set(i, k, Add(Mul(p, a), Mul(q, b)))
+		m.Set(i, j, Add(Mul(r, a), Mul(s, b)))
 	}
 }
 
@@ -345,7 +329,7 @@ func fixDivisibility(s, u *Mat, k int) bool {
 
 func addRow(m *Mat, dst, src int) {
 	for j := 0; j < m.Cols; j++ {
-		m.Set(dst, j, addC(m.At(dst, j), m.At(src, j)))
+		m.Set(dst, j, Add(m.At(dst, j), m.At(src, j)))
 	}
 }
 
@@ -387,7 +371,7 @@ func SolveDiophantine(a *Mat, b []int64) (*DiophantineSolution, bool) {
 	y := make([]int64, n)
 	for i := 0; i < a.Rows; i++ {
 		var d int64
-		if i < minInt(a.Rows, a.Cols) {
+		if i < min(a.Rows, a.Cols) {
 			d = snf.S.At(i, i)
 		}
 		if d == 0 {
@@ -415,72 +399,4 @@ func SolveDiophantine(a *Mat, b []int64) (*DiophantineSolution, bool) {
 		kernel = append(kernel, col)
 	}
 	return &DiophantineSolution{Particular: x, KernelBasis: kernel}, true
-}
-
-// HasIntegerSolution reports whether A·x = b admits any integer solution.
-func HasIntegerSolution(a *Mat, b []int64) bool {
-	_, ok := SolveDiophantine(a, b)
-	return ok
-}
-
-// String renders m row by row for diagnostics.
-func (m *Mat) String() string {
-	out := ""
-	for i := 0; i < m.Rows; i++ {
-		out += "["
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				out += " "
-			}
-			out += fmt.Sprintf("%d", m.At(i, j))
-		}
-		out += "]"
-		if i+1 < m.Rows {
-			out += "\n"
-		}
-	}
-	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func absC(x int64) int64 {
-	if x < 0 {
-		return negC(x)
-	}
-	return x
-}
-
-// The checked operations panic with rational.ErrOverflow, the one
-// overflow value of the exact arithmetic, when a result leaves int64.
-
-func negC(x int64) int64 {
-	if x == math.MinInt64 {
-		panic(rational.ErrOverflow)
-	}
-	return -x
-}
-
-func addC(a, b int64) int64 {
-	s := a + b
-	if (a > 0 && b > 0 && s <= 0) || (a < 0 && b < 0 && s >= 0) {
-		panic(rational.ErrOverflow)
-	}
-	return s
-}
-
-func mulC(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	p := a * b
-	if p/b != a || (a == math.MinInt64 && b == -1) || (b == math.MinInt64 && a == -1) {
-		panic(rational.ErrOverflow)
-	}
-	return p
 }

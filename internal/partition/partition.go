@@ -22,10 +22,9 @@ import (
 	"strings"
 
 	"commfree/internal/deps"
-	"commfree/internal/linalg"
+	"commfree/internal/intlin"
 	"commfree/internal/loop"
 	"commfree/internal/obs"
-	"commfree/internal/rational"
 	"commfree/internal/redundant"
 	"commfree/internal/space"
 )
@@ -102,8 +101,7 @@ func kernelSpace(nest *loop.Nest, array string) *space.Space {
 	if h == nil {
 		return space.Zero(n)
 	}
-	ns := linalg.FromInts(h).NullSpace()
-	return space.Span(n, ns...)
+	return space.Span(n, intlin.FromRows(h).NullSpace()...)
 }
 
 // ReferenceSpace computes Ψ_A of Definition 4: the span of Ker(H_A)
@@ -143,11 +141,7 @@ func ReducedReferenceSpace(a *deps.Analysis, array string) *space.Space {
 // particular solution plus the solution kernel (trivial when H is
 // nonsingular, the paper's Section III.C assumption).
 func depSolutionSpace(n int, d *deps.Dependence) *space.Space {
-	vecs := [][]rational.Rat{space.RatVec(d.Solution.Particular)}
-	for _, k := range d.Solution.KernelBasis {
-		vecs = append(vecs, space.RatVec(k))
-	}
-	return space.Span(n, vecs...)
+	return space.Span(n, append([][]int64{d.Solution.Particular}, d.Solution.KernelBasis...)...)
 }
 
 // MinimalReferenceSpace computes Ψ_A^min of Section III.C: the span of the

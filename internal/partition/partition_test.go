@@ -29,7 +29,7 @@ func points(p *IterationPartition, b *Block) [][]int64 {
 func TestL1NonDuplicate(t *testing.T) {
 	r := compute(t, loop.L1(), NonDuplicate)
 	// Paper: Ψ_A = Ψ_C = span{(1,1)}, Ψ_B = {0}, Ψ = span{(1,1)}.
-	want := space.SpanInts(2, []int64{1, 1})
+	want := space.Span(2, []int64{1, 1})
 	if !r.PerArray["A"].Equal(want) {
 		t.Errorf("Ψ_A = %s, want span{(1,1)}", r.PerArray["A"])
 	}
@@ -92,7 +92,7 @@ func TestL1NonDuplicate(t *testing.T) {
 func TestL1DuplicateSameAsNonDuplicate(t *testing.T) {
 	// Paper: for L1 the duplicate strategy obtains the same results.
 	r := compute(t, loop.L1(), Duplicate)
-	if !r.Psi.Equal(space.SpanInts(2, []int64{1, 1})) {
+	if !r.Psi.Equal(space.Span(2, []int64{1, 1})) {
 		t.Errorf("Ψʳ = %s, want span{(1,1)}", r.Psi)
 	}
 	if r.Iter.NumBlocks() != 7 {
@@ -115,13 +115,13 @@ func TestL1DuplicateSameAsNonDuplicate(t *testing.T) {
 func TestL2NonDuplicateSequential(t *testing.T) {
 	r := compute(t, loop.L2(), NonDuplicate)
 	// Paper: Ψ_A = span{(1,-1),(1/2,1/2)} = Q², so L2 runs sequentially.
-	if !r.PerArray["A"].IsFull() {
+	if !r.PerArray["A"].Equal(space.Full(r.PerArray["A"].Ambient())) {
 		t.Errorf("Ψ_A = %s, want full", r.PerArray["A"])
 	}
 	if !r.PerArray["B"].IsZero() {
 		t.Errorf("Ψ_B = %s, want span{}", r.PerArray["B"])
 	}
-	if !r.Psi.IsFull() || r.Iter.NumBlocks() != 1 {
+	if !r.Psi.Equal(space.Full(r.Psi.Ambient())) || r.Iter.NumBlocks() != 1 {
 		t.Errorf("Ψ = %s, blocks = %d (want sequential)", r.Psi, r.Iter.NumBlocks())
 	}
 	if r.ParallelismDim() != 0 {
@@ -164,7 +164,7 @@ func TestL3Strategies(t *testing.T) {
 	// Non-minimal: both strategies sequential (Ψ = Ψʳ = Q²).
 	for _, s := range []Strategy{NonDuplicate, Duplicate} {
 		r := compute(t, loop.L3(), s)
-		if !r.Psi.IsFull() {
+		if !r.Psi.Equal(space.Full(r.Psi.Ambient())) {
 			t.Errorf("%s: Ψ = %s, want full (sequential)", s, r.Psi)
 		}
 		if err := r.Verify(); err != nil {
@@ -173,7 +173,7 @@ func TestL3Strategies(t *testing.T) {
 	}
 	// Theorem 3: minimal non-duplicate Ψ = span{(1,0),(1,-1)} = Q².
 	r := compute(t, loop.L3(), MinimalNonDuplicate)
-	if !r.Psi.IsFull() {
+	if !r.Psi.Equal(space.Full(r.Psi.Ambient())) {
 		t.Errorf("minimal Ψ = %s, want full", r.Psi)
 	}
 	if err := r.Verify(); err != nil {
@@ -182,7 +182,7 @@ func TestL3Strategies(t *testing.T) {
 	// Theorem 4: minimal duplicate Ψ = span{(1,0)} → 4 column blocks
 	// (Figs. 8, 9).
 	r = compute(t, loop.L3(), MinimalDuplicate)
-	if !r.Psi.Equal(space.SpanInts(2, []int64{1, 0})) {
+	if !r.Psi.Equal(space.Span(2, []int64{1, 0})) {
 		t.Fatalf("minimal-dup Ψ = %s, want span{(1,0)}", r.Psi)
 	}
 	if r.Iter.NumBlocks() != 4 {
@@ -207,7 +207,7 @@ func TestL3Strategies(t *testing.T) {
 func TestL4AllStrategiesAgree(t *testing.T) {
 	// Paper: the minimal partitioning space of L4 is span{(1,-1,1)} under
 	// any of Theorems 1-4 (no duplication helps, no redundancy exists).
-	want := space.SpanInts(3, []int64{1, -1, 1})
+	want := space.Span(3, []int64{1, -1, 1})
 	for _, s := range []Strategy{NonDuplicate, Duplicate, MinimalNonDuplicate, MinimalDuplicate} {
 		r := compute(t, loop.L4(), s)
 		if !r.Psi.Equal(want) {
@@ -235,16 +235,16 @@ func TestL5Strategies(t *testing.T) {
 	// Paper: Ψ_A = span{(0,1,0)}, Ψ_B = span{(1,0,0)}, Ψ_C = span{(0,0,1)};
 	// non-duplicate → Q³ (sequential).
 	r := compute(t, loop.L5(4), NonDuplicate)
-	if !r.PerArray["A"].Equal(space.SpanInts(3, []int64{0, 1, 0})) {
+	if !r.PerArray["A"].Equal(space.Span(3, []int64{0, 1, 0})) {
 		t.Errorf("Ψ_A = %s", r.PerArray["A"])
 	}
-	if !r.PerArray["B"].Equal(space.SpanInts(3, []int64{1, 0, 0})) {
+	if !r.PerArray["B"].Equal(space.Span(3, []int64{1, 0, 0})) {
 		t.Errorf("Ψ_B = %s", r.PerArray["B"])
 	}
-	if !r.PerArray["C"].Equal(space.SpanInts(3, []int64{0, 0, 1})) {
+	if !r.PerArray["C"].Equal(space.Span(3, []int64{0, 0, 1})) {
 		t.Errorf("Ψ_C = %s", r.PerArray["C"])
 	}
-	if !r.Psi.IsFull() {
+	if !r.Psi.Equal(space.Full(r.Psi.Ambient())) {
 		t.Errorf("Ψ = %s, want Q³", r.Psi)
 	}
 	if err := r.Verify(); err != nil {
@@ -253,7 +253,7 @@ func TestL5Strategies(t *testing.T) {
 
 	// Duplicate (L5″): Ψ″ = span{(0,0,1)} → M² = 16 blocks.
 	r = compute(t, loop.L5(4), Duplicate)
-	if !r.Psi.Equal(space.SpanInts(3, []int64{0, 0, 1})) {
+	if !r.Psi.Equal(space.Span(3, []int64{0, 0, 1})) {
 		t.Fatalf("Ψ″ = %s, want span{(0,0,1)}", r.Psi)
 	}
 	if r.Iter.NumBlocks() != 16 {
@@ -279,7 +279,7 @@ func TestL5SelectiveDuplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Psi.Equal(space.SpanInts(3, []int64{0, 1, 0}, []int64{0, 0, 1})) {
+	if !r.Psi.Equal(space.Span(3, []int64{0, 1, 0}, []int64{0, 0, 1})) {
 		t.Fatalf("Ψ′ = %s, want span{(0,1,0),(0,0,1)}", r.Psi)
 	}
 	if r.Iter.NumBlocks() != 4 {
@@ -343,7 +343,7 @@ func TestIterationPartitionFullPsi(t *testing.T) {
 func TestVerifyCatchesBadPartition(t *testing.T) {
 	// Partition L1 along (1,0) — NOT communication-free: the flow
 	// dependence (1,1) crosses blocks.
-	p := partitionIterations(t, loop.L1(), space.SpanInts(2, []int64{1, 0}))
+	p := partitionIterations(t, loop.L1(), space.Span(2, []int64{1, 0}))
 	if err := VerifyCommunicationFree(p, false, nil); err == nil {
 		t.Error("bad partition passed non-duplicate verification")
 	}

@@ -112,7 +112,7 @@ func checkNestAgainstReference(t *testing.T, name string, nest *loop.Nest, rnd *
 		for k := range v {
 			v[k] = int64(rnd.Intn(5) - 2)
 		}
-		spaces = append(spaces, space.SpanInts(n, v))
+		spaces = append(spaces, space.Span(n, v))
 	}
 	for _, psi := range spaces {
 		p, err := PartitionIterations(c.Index, psi)

@@ -1,4 +1,4 @@
-// Package polyhedron implements systems of rational linear inequalities
+// Package polyhedron implements systems of integer linear inequalities
 // and exact Fourier–Motzkin elimination.
 //
 // Two consumers drive the design. The dependence analyzer asks whether an
@@ -7,6 +7,12 @@
 // Section IV needs, for each new loop variable, affine lower/upper bounds
 // in terms of the enclosing variables — exactly what eliminating the inner
 // variables with Fourier–Motzkin produces.
+//
+// Inequalities keep integer coefficients throughout: elimination combines
+// two of them with positive integer multipliers and divides the result by
+// the gcd of its coefficients and bound, so each derived inequality is the
+// primitive integer multiple of the rational one, and the arithmetic is
+// intlin's checked int64.
 package polyhedron
 
 import (
@@ -14,29 +20,28 @@ import (
 	"slices"
 	"strings"
 
-	"commfree/internal/rational"
+	"commfree/internal/intlin"
 )
 
 // Ineq is a single inequality  Σ Coeffs[j]·x_j ≤ Bound.
 type Ineq struct {
-	Coeffs []rational.Rat
-	Bound  rational.Rat
+	Coeffs []int64
+	Bound  int64
 }
 
 // String renders the inequality for diagnostics.
 func (q Ineq) String() string {
 	var parts []string
 	for j, c := range q.Coeffs {
-		if c.IsZero() {
-			continue
+		if c != 0 {
+			parts = append(parts, fmt.Sprintf("%d·x%d", c, j+1))
 		}
-		parts = append(parts, fmt.Sprintf("%s·x%d", c, j+1))
 	}
 	lhs := "0"
 	if len(parts) > 0 {
 		lhs = strings.Join(parts, " + ")
 	}
-	return lhs + " ≤ " + q.Bound.String()
+	return fmt.Sprintf("%s ≤ %d", lhs, q.Bound)
 }
 
 // System is a conjunction of inequalities over NumVars variables.
@@ -53,68 +58,27 @@ func NewSystem(n int) *System {
 	return &System{NumVars: n}
 }
 
-// Clone deep-copies the system.
-func (s *System) Clone() *System {
-	c := NewSystem(s.NumVars)
-	c.Ineqs = make([]Ineq, len(s.Ineqs))
-	for i, q := range s.Ineqs {
-		coeffs := make([]rational.Rat, len(q.Coeffs))
-		copy(coeffs, q.Coeffs)
-		c.Ineqs[i] = Ineq{Coeffs: coeffs, Bound: q.Bound}
-	}
-	return c
-}
-
-func (s *System) checkLen(coeffs []rational.Rat) {
+// AddLE adds Σ coeffs·x ≤ bound.
+func (s *System) AddLE(coeffs []int64, bound int64) {
 	if len(coeffs) != s.NumVars {
 		panic(fmt.Errorf("polyhedron: %d coefficients for %d variables", len(coeffs), s.NumVars))
 	}
-}
-
-// AddLE adds Σ coeffs·x ≤ bound.
-func (s *System) AddLE(coeffs []rational.Rat, bound rational.Rat) {
-	s.checkLen(coeffs)
-	cp := make([]rational.Rat, len(coeffs))
-	copy(cp, coeffs)
-	s.Ineqs = append(s.Ineqs, Ineq{Coeffs: cp, Bound: bound})
+	s.Ineqs = append(s.Ineqs, Ineq{Coeffs: slices.Clone(coeffs), Bound: bound})
 }
 
 // AddGE adds Σ coeffs·x ≥ bound (stored as the negated ≤ form).
-func (s *System) AddGE(coeffs []rational.Rat, bound rational.Rat) {
-	neg := make([]rational.Rat, len(coeffs))
+func (s *System) AddGE(coeffs []int64, bound int64) {
+	neg := make([]int64, len(coeffs))
 	for i, c := range coeffs {
-		neg[i] = c.Neg()
+		neg[i] = intlin.Neg(c)
 	}
-	s.AddLE(neg, bound.Neg())
+	s.AddLE(neg, intlin.Neg(bound))
 }
 
 // AddEq adds Σ coeffs·x = bound as a ≤/≥ pair.
-func (s *System) AddEq(coeffs []rational.Rat, bound rational.Rat) {
+func (s *System) AddEq(coeffs []int64, bound int64) {
 	s.AddLE(coeffs, bound)
 	s.AddGE(coeffs, bound)
-}
-
-// AddLEInts is AddLE with integer data.
-func (s *System) AddLEInts(coeffs []int64, bound int64) {
-	s.AddLE(ratVec(coeffs), rational.FromInt(bound))
-}
-
-// AddGEInts is AddGE with integer data.
-func (s *System) AddGEInts(coeffs []int64, bound int64) {
-	s.AddGE(ratVec(coeffs), rational.FromInt(bound))
-}
-
-// AddEqInts is AddEq with integer data.
-func (s *System) AddEqInts(coeffs []int64, bound int64) {
-	s.AddEq(ratVec(coeffs), rational.FromInt(bound))
-}
-
-func ratVec(v []int64) []rational.Rat {
-	out := make([]rational.Rat, len(v))
-	for i, x := range v {
-		out[i] = rational.FromInt(x)
-	}
-	return out
 }
 
 // Eliminate removes variable k (0-based) by Fourier–Motzkin, returning a
@@ -127,58 +91,47 @@ func (s *System) Eliminate(k int) *System {
 	out := NewSystem(s.NumVars)
 	var lowers, uppers []Ineq // constraints giving x_k ≥ …, x_k ≤ …
 	for _, q := range s.Ineqs {
-		c := q.Coeffs[k]
-		switch {
-		case c.IsZero():
+		switch c := q.Coeffs[k]; {
+		case c == 0:
 			out.Ineqs = append(out.Ineqs, q)
-		case c.Sign() > 0:
+		case c > 0:
 			uppers = append(uppers, q)
 		default:
 			lowers = append(lowers, q)
 		}
 	}
-	// Pair each lower with each upper: from  a·x ≤ b (a_k>0) and
-	// a'·x ≤ b' (a'_k<0) derive  (a/a_k − a'/a'_k)·x ≤ b/a_k − b'/a'_k,
-	// scaled positive.
+	// Pair each lower with each upper: |c_hi|·lo + |c_lo|·hi has zero
+	// coefficient at k; dividing by its gcd keeps it primitive.
 	for _, lo := range lowers {
 		for _, hi := range uppers {
-			cl := lo.Coeffs[k].Neg() // positive
-			ch := hi.Coeffs[k]       // positive
-			coeffs := make([]rational.Rat, s.NumVars)
-			for j := 0; j < s.NumVars; j++ {
-				// ch·lo + cl·hi eliminates x_k.
-				coeffs[j] = ch.Mul(lo.Coeffs[j]).Add(cl.Mul(hi.Coeffs[j]))
+			cl, ch := intlin.Neg(lo.Coeffs[k]), hi.Coeffs[k] // both positive
+			q := Ineq{Coeffs: make([]int64, s.NumVars)}
+			for j := range q.Coeffs {
+				if j != k {
+					q.Coeffs[j] = intlin.MulAdd(intlin.Mul(ch, lo.Coeffs[j]), cl, hi.Coeffs[j])
+				}
 			}
-			bound := ch.Mul(lo.Bound).Add(cl.Mul(hi.Bound))
-			coeffs[k] = rational.Zero
-			out.Ineqs = append(out.Ineqs, Ineq{Coeffs: coeffs, Bound: bound})
+			q.Bound = intlin.MulAdd(intlin.Mul(ch, lo.Bound), cl, hi.Bound)
+			g := intlin.GCDVec(append(q.Coeffs, q.Bound))
+			for j := range q.Coeffs {
+				q.Coeffs[j] /= g
+			}
+			q.Bound /= g
+			out.Ineqs = append(out.Ineqs, q)
 		}
 	}
 	out.dedup()
 	return out
 }
 
-// dedup drops duplicate and trivially-true inequalities and detects
-// trivially-false ones (kept so IsEmpty sees them). Duplicates are found
-// by comparing coefficients; the first occurrence is kept.
+// dedup drops duplicate and trivially-true inequalities (0 ≤ nonnegative)
+// and keeps the trivially-false ones (0 ≤ negative) so emptiness stays
+// visible. The first occurrence of a duplicate is kept.
 func (s *System) dedup() {
 	kept := s.Ineqs[:0]
 	for _, q := range s.Ineqs {
-		allZero := true
-		for _, c := range q.Coeffs {
-			if !c.IsZero() {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
-			if q.Bound.Sign() < 0 {
-				// 0 ≤ negative: contradiction — keep one witness.
-				kept = append(kept, q)
-			}
-			continue // 0 ≤ nonneg: trivially true
-		}
-		if !slices.ContainsFunc(kept, q.equal) {
+		trivial := q.Bound >= 0 && !slices.ContainsFunc(q.Coeffs, func(c int64) bool { return c != 0 })
+		if !trivial && !slices.ContainsFunc(kept, q.equal) {
 			kept = append(kept, q)
 		}
 	}
@@ -188,164 +141,78 @@ func (s *System) dedup() {
 // equal reports whether two inequalities over the same variables have
 // equal coefficients and bounds.
 func (q Ineq) equal(o Ineq) bool {
-	return q.Bound.Equal(o.Bound) && slices.EqualFunc(q.Coeffs, o.Coeffs, rational.Rat.Equal)
+	return q.Bound == o.Bound && slices.Equal(q.Coeffs, o.Coeffs)
 }
 
-// BoundsOn returns the tightest rational interval for variable k implied
-// by inequalities whose only nonzero coefficient is at k, after the caller
-// has substituted values for all other variables via Substitute. hasLo and
-// hasHi report whether each side is bounded. If an inequality is
-// contradictory (0 ≤ neg) the interval is reported empty via empty=true.
-func (s *System) BoundsOn(k int) (lo, hi rational.Rat, hasLo, hasHi, empty bool) {
+// bounds returns the integer range [lo, hi] of x_k when x_0..x_{k-1} take
+// the values outer, from the inequalities that involve no variable after
+// x_k; a row left with no variable and a negative bound makes it empty
+// (lo > hi). An unbounded side is an error.
+func (s *System) bounds(k int, outer []int64) (lo, hi int64, err error) {
+	hasLo, hasHi := false, false
 	for _, q := range s.Ineqs {
-		c := q.Coeffs[k]
-		others := false
-		for j, cj := range q.Coeffs {
-			if j != k && !cj.IsZero() {
-				others = true
-				break
-			}
-		}
-		if others {
+		if slices.ContainsFunc(q.Coeffs[k+1:], func(c int64) bool { return c != 0 }) {
 			continue
 		}
-		if c.IsZero() {
-			if q.Bound.Sign() < 0 {
-				empty = true
-			}
-			continue
+		rest := q.Bound
+		for j, v := range outer {
+			rest = intlin.MulAdd(rest, intlin.Neg(q.Coeffs[j]), v)
 		}
-		v := q.Bound.Div(c)
-		if c.Sign() > 0 {
-			if !hasHi || v.Less(hi) {
+		switch c := q.Coeffs[k]; {
+		case c == 0:
+			if rest < 0 {
+				return 1, 0, nil
+			}
+		case c > 0:
+			if v := intlin.FloorDiv(rest, c); !hasHi || v < hi {
 				hi, hasHi = v, true
 			}
-		} else {
-			if !hasLo || lo.Less(v) {
+		default:
+			if v := intlin.CeilDiv(intlin.Neg(rest), intlin.Neg(c)); !hasLo || v > lo {
 				lo, hasLo = v, true
 			}
 		}
 	}
-	if hasLo && hasHi && hi.Less(lo) {
-		empty = true
+	if !hasLo || !hasHi {
+		return 0, 0, fmt.Errorf("polyhedron: variable x%d unbounded", k+1)
 	}
-	return lo, hi, hasLo, hasHi, empty
+	return lo, hi, nil
 }
 
-// Substitute fixes variable k to value v, folding it into the bounds.
-func (s *System) Substitute(k int, v rational.Rat) *System {
-	out := NewSystem(s.NumVars)
-	for _, q := range s.Ineqs {
-		coeffs := make([]rational.Rat, s.NumVars)
-		copy(coeffs, q.Coeffs)
-		bound := q.Bound.Sub(coeffs[k].Mul(v))
-		coeffs[k] = rational.Zero
-		out.Ineqs = append(out.Ineqs, Ineq{Coeffs: coeffs, Bound: bound})
-	}
-	out.dedup()
-	return out
-}
-
-// EnumerateIntegerPoints returns every integer point satisfying the
-// system, in lexicographic order of (x_1, …, x_n). The system must be
-// bounded in every variable; unbounded directions cause an error.
-func (s *System) EnumerateIntegerPoints() ([][]int64, error) {
-	var out [][]int64
-	err := s.walkInteger(func(p []int64) bool {
-		cp := make([]int64, len(p))
-		copy(cp, p)
-		out = append(out, cp)
-		return true
-	})
-	return out, err
-}
-
-// HasIntegerPoint reports whether any integer point satisfies the system.
+// HasIntegerPoint reports whether any integer point satisfies the system:
+// it walks x_1, x_2, … in order, each within the bounds the
+// Fourier–Motzkin projection onto x_1..x_k gives at the outer values,
+// and stops at the first point. A variable the walk reaches unbounded is
+// an error.
 func (s *System) HasIntegerPoint() (bool, error) {
-	found := false
-	err := s.walkInteger(func([]int64) bool {
-		found = true
-		return false // stop
-	})
-	return found, err
-}
-
-// walkInteger enumerates integer points, calling visit for each; visit
-// returning false stops the walk early.
-func (s *System) walkInteger(visit func([]int64) bool) error {
 	n := s.NumVars
-	if n == 0 {
-		// Empty variable set: the system is satisfiable iff no
-		// contradictions remain.
-		for _, q := range s.Ineqs {
-			if q.Bound.Sign() < 0 {
-				return nil
-			}
-		}
-		visit(nil)
-		return nil
-	}
-	// Build the elimination tower: tower[k] has variables x_1..x_k free.
-	tower := make([]*System, n+1)
-	tower[n] = s.Clone()
-	for k := n; k > 1; k-- {
+	tower := make([]*System, n+1) // tower[k] constrains x_1..x_k only
+	tower[n] = s
+	for k := n; k > 0; k-- {
 		tower[k-1] = tower[k].Eliminate(k - 1)
 	}
-	point := make([]int64, n)
-	var rec func(k int, sys *System) (bool, error)
-	rec = func(k int, sys *System) (bool, error) {
-		// sys has x_1..x_{k-1} substituted; tower gives constraints with
-		// inner vars eliminated. Bound x_k from the (k)-variable layer with
-		// the outer substitutions applied.
-		layer := tower[k+1]
-		cur := layer
-		for j := 0; j <= k-1; j++ {
-			cur = cur.Substitute(j, rational.FromInt(point[j]))
+	for _, q := range tower[0].Ineqs {
+		if q.Bound < 0 { // 0 ≤ negative: empty over the rationals already
+			return false, nil
 		}
-		lo, hi, hasLo, hasHi, empty := cur.BoundsOn(k)
-		if empty {
+	}
+	point := make([]int64, n)
+	var rec func(k int) (bool, error)
+	rec = func(k int) (bool, error) {
+		if k == n {
 			return true, nil
 		}
-		if !hasLo || !hasHi {
-			return false, fmt.Errorf("polyhedron: variable x%d unbounded", k+1)
-		}
-		for v := lo.Ceil(); v <= hi.Floor(); v++ {
+		lo, hi, err := tower[k+1].bounds(k, point[:k])
+		for v := lo; err == nil && v <= hi; v++ {
 			point[k] = v
-			if k == n-1 {
-				if !visit(point) {
-					return false, nil
-				}
-				continue
-			}
-			cont, err := rec(k+1, nil)
-			if err != nil {
-				return false, err
-			}
-			if !cont {
-				return false, nil
+			var found bool
+			if found, err = rec(k + 1); found {
+				return true, nil
 			}
 		}
-		return true, nil
+		return false, err
 	}
-	_, err := rec(0, nil)
-	return err
-}
-
-// Satisfies reports whether integer point p satisfies every inequality.
-func (s *System) Satisfies(p []int64) bool {
-	if len(p) != s.NumVars {
-		panic(fmt.Errorf("polyhedron: point has %d coords, system %d vars", len(p), s.NumVars))
-	}
-	for _, q := range s.Ineqs {
-		sum := rational.Zero
-		for j, c := range q.Coeffs {
-			sum = sum.Add(c.Mul(rational.FromInt(p[j])))
-		}
-		if q.Bound.Less(sum) {
-			return false
-		}
-	}
-	return true
+	return rec(0)
 }
 
 // String renders the system one inequality per line.

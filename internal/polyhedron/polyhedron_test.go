@@ -2,10 +2,56 @@ package polyhedron
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
-
-	"commfree/internal/rational"
 )
+
+// enumerate lists the system's integer points in lexicographic order,
+// walking them the way HasIntegerPoint does: each variable within the
+// bounds of the Fourier–Motzkin projection onto it and the variables
+// before it, at their values.
+func enumerate(t *testing.T, s *System) [][]int64 {
+	t.Helper()
+	n := s.NumVars
+	tower := make([]*System, n+1)
+	tower[n] = s
+	for k := n; k > 0; k-- {
+		tower[k-1] = tower[k].Eliminate(k - 1)
+	}
+	var out [][]int64
+	point := make([]int64, n)
+	var rec func(k int)
+	rec = func(k int) {
+		if k == n {
+			out = append(out, slices.Clone(point))
+			return
+		}
+		lo, hi, err := tower[k+1].bounds(k, point[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := lo; v <= hi; v++ {
+			point[k] = v
+			rec(k + 1)
+		}
+	}
+	rec(0)
+	return out
+}
+
+// satisfies reports whether integer point p satisfies every inequality.
+func satisfies(s *System, p []int64) bool {
+	for _, q := range s.Ineqs {
+		var sum int64
+		for j, c := range q.Coeffs {
+			sum += c * p[j]
+		}
+		if sum > q.Bound {
+			return false
+		}
+	}
+	return true
+}
 
 // box adds lo ≤ x_k ≤ hi for each variable.
 func box(s *System, lo, hi []int64) {
@@ -13,18 +59,15 @@ func box(s *System, lo, hi []int64) {
 	for k := 0; k < n; k++ {
 		unit := make([]int64, n)
 		unit[k] = 1
-		s.AddLEInts(unit, hi[k])
-		s.AddGEInts(unit, lo[k])
+		s.AddLE(unit, hi[k])
+		s.AddGE(unit, lo[k])
 	}
 }
 
 func TestEnumerateBox(t *testing.T) {
 	s := NewSystem(2)
 	box(s, []int64{1, 1}, []int64{3, 2})
-	pts, err := s.EnumerateIntegerPoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := enumerate(t, s)
 	if len(pts) != 6 {
 		t.Fatalf("points = %d, want 6: %v", len(pts), pts)
 	}
@@ -38,11 +81,8 @@ func TestEnumerateTriangle(t *testing.T) {
 	// 1 ≤ x ≤ 4, 1 ≤ y ≤ 4, x + y ≤ 4 → 6 points.
 	s := NewSystem(2)
 	box(s, []int64{1, 1}, []int64{4, 4})
-	s.AddLEInts([]int64{1, 1}, 4)
-	pts, err := s.EnumerateIntegerPoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.AddLE([]int64{1, 1}, 4)
+	pts := enumerate(t, s)
 	if len(pts) != 6 {
 		t.Fatalf("points = %d, want 6: %v", len(pts), pts)
 	}
@@ -56,8 +96,8 @@ func TestEnumerateTriangle(t *testing.T) {
 func TestEmptySystem(t *testing.T) {
 	// x ≥ 3 and x ≤ 2: empty.
 	s := NewSystem(1)
-	s.AddGEInts([]int64{1}, 3)
-	s.AddLEInts([]int64{1}, 2)
+	s.AddGE([]int64{1}, 3)
+	s.AddLE([]int64{1}, 2)
 	ok, err := s.HasIntegerPoint()
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +110,8 @@ func TestEmptySystem(t *testing.T) {
 func TestIntegerGap(t *testing.T) {
 	// 1/3 ≤ x ≤ 2/3 has rational points but no integer ones.
 	s := NewSystem(1)
-	s.AddLE([]rational.Rat{rational.FromInt(3)}, rational.FromInt(2)) // 3x ≤ 2
-	s.AddGE([]rational.Rat{rational.FromInt(3)}, rational.FromInt(1)) // 3x ≥ 1
+	s.AddLE([]int64{3}, 2) // 3x ≤ 2
+	s.AddGE([]int64{3}, 1) // 3x ≥ 1
 	ok, err := s.HasIntegerPoint()
 	if err != nil {
 		t.Fatal(err)
@@ -85,11 +125,8 @@ func TestEqualityConstraint(t *testing.T) {
 	// x + y = 3, 0 ≤ x,y ≤ 3 → 4 points.
 	s := NewSystem(2)
 	box(s, []int64{0, 0}, []int64{3, 3})
-	s.AddEqInts([]int64{1, 1}, 3)
-	pts, err := s.EnumerateIntegerPoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.AddEq([]int64{1, 1}, 3)
+	pts := enumerate(t, s)
 	if len(pts) != 4 {
 		t.Fatalf("points = %d, want 4: %v", len(pts), pts)
 	}
@@ -102,8 +139,8 @@ func TestEqualityConstraint(t *testing.T) {
 
 func TestUnboundedDetected(t *testing.T) {
 	s := NewSystem(2)
-	s.AddGEInts([]int64{1, 0}, 0)
-	s.AddLEInts([]int64{1, 0}, 5)
+	s.AddGE([]int64{1, 0}, 0)
+	s.AddLE([]int64{1, 0}, 5)
 	// y unbounded.
 	if _, err := s.HasIntegerPoint(); err == nil {
 		t.Error("unbounded system not detected")
@@ -121,43 +158,23 @@ func TestZeroVariables(t *testing.T) {
 func TestSubstituteAndBounds(t *testing.T) {
 	// x + y ≤ 5, y ≥ 1; fix x = 3 → 1 ≤ y ≤ 2.
 	s := NewSystem(2)
-	s.AddLEInts([]int64{1, 1}, 5)
-	s.AddGEInts([]int64{0, 1}, 1)
-	sub := s.Substitute(0, rational.FromInt(3))
-	lo, hi, hasLo, hasHi, empty := sub.BoundsOn(1)
-	if empty || !hasLo || !hasHi {
-		t.Fatalf("bounds: lo=%v hi=%v hasLo=%v hasHi=%v empty=%v", lo, hi, hasLo, hasHi, empty)
-	}
-	if lo.Ceil() != 1 || hi.Floor() != 2 {
-		t.Errorf("y ∈ [%s, %s], want [1,2]", lo, hi)
+	s.AddLE([]int64{1, 1}, 5)
+	s.AddGE([]int64{0, 1}, 1)
+	lo, hi, err := s.bounds(1, []int64{3})
+	if err != nil || lo != 1 || hi != 2 {
+		t.Errorf("y ∈ [%d, %d] (%v), want [1,2]", lo, hi, err)
 	}
 }
 
 func TestEliminateProjection(t *testing.T) {
 	// Triangle x+y ≤ 4, x,y ≥ 1. Eliminating y gives x ≤ 3, x ≥ 1.
 	s := NewSystem(2)
-	s.AddLEInts([]int64{1, 1}, 4)
-	s.AddGEInts([]int64{1, 0}, 1)
-	s.AddGEInts([]int64{0, 1}, 1)
-	e := s.Eliminate(1)
-	lo, hi, hasLo, hasHi, empty := e.BoundsOn(0)
-	if empty || !hasLo || !hasHi {
-		t.Fatalf("projection bounds missing")
-	}
-	if lo.Ceil() != 1 || hi.Floor() != 3 {
-		t.Errorf("x ∈ [%s, %s], want [1,3]", lo, hi)
-	}
-}
-
-func TestSatisfies(t *testing.T) {
-	s := NewSystem(2)
-	box(s, []int64{1, 1}, []int64{4, 4})
-	s.AddLEInts([]int64{1, 1}, 4)
-	if !s.Satisfies([]int64{1, 3}) {
-		t.Error("(1,3) should satisfy")
-	}
-	if s.Satisfies([]int64{4, 4}) {
-		t.Error("(4,4) should violate x+y≤4")
+	s.AddLE([]int64{1, 1}, 4)
+	s.AddGE([]int64{1, 0}, 1)
+	s.AddGE([]int64{0, 1}, 1)
+	lo, hi, err := s.Eliminate(1).bounds(0, nil)
+	if err != nil || lo != 1 || hi != 3 {
+		t.Errorf("x ∈ [%d, %d] (%v), want [1,3]", lo, hi, err)
 	}
 }
 
@@ -168,16 +185,13 @@ func TestL4TransformedBoundsShape(t *testing.T) {
 	//   i1 = v3, i2 = v1 - v3, i3 = v2 + v3.
 	s := NewSystem(3)
 	add := func(coeffs []int64) {
-		s.AddGEInts(coeffs, 1)
-		s.AddLEInts(coeffs, 4)
+		s.AddGE(coeffs, 1)
+		s.AddLE(coeffs, 4)
 	}
 	add([]int64{0, 0, 1})  // i1
 	add([]int64{1, 0, -1}) // i2
 	add([]int64{0, 1, 1})  // i3
-	pts, err := s.EnumerateIntegerPoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := enumerate(t, s)
 	if len(pts) != 64 {
 		t.Fatalf("points = %d, want 64", len(pts))
 	}
@@ -234,18 +248,15 @@ func TestPropEnumerationMatchesBruteForce(t *testing.T) {
 			for k := range coeffs {
 				coeffs[k] = rnd.Int63n(5) - 2
 			}
-			s.AddLEInts(coeffs, rnd.Int63n(9)-2)
+			s.AddLE(coeffs, rnd.Int63n(9)-2)
 		}
-		got, err := s.EnumerateIntegerPoints()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := enumerate(t, s)
 		// Brute force over the box.
 		var want [][]int64
 		var walk func(k int, p []int64)
 		walk = func(k int, p []int64) {
 			if k == n {
-				if s.Satisfies(p) {
+				if satisfies(s, p) {
 					cp := make([]int64, n)
 					copy(cp, p)
 					want = append(want, cp)
@@ -258,6 +269,9 @@ func TestPropEnumerationMatchesBruteForce(t *testing.T) {
 			}
 		}
 		walk(0, make([]int64, n))
+		if found, err := s.HasIntegerPoint(); err != nil || found != (len(want) > 0) {
+			t.Fatalf("trial %d: HasIntegerPoint = %t (%v), brute force finds %d points", trial, found, err, len(want))
+		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d points, brute force %d\nsystem:\n%s", trial, len(got), len(want), s)
 		}

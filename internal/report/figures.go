@@ -258,7 +258,7 @@ func fig9() (string, error) {
 // Ψ = span{(1,−1,1)} with the paper's basis, cyclically assigned to a
 // 2×2 grid.
 func l4Prime() (*assign.Assignment, error) {
-	psi := space.SpanInts(3, []int64{1, -1, 1})
+	psi := space.Span(3, []int64{1, -1, 1})
 	tr, err := transform.TransformWithBasis(loop.L4(), psi, [][]int64{{1, 1, 0}, {-1, 0, 1}})
 	if err != nil {
 		return nil, err

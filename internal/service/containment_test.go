@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"commfree/internal/exec"
+	"commfree/internal/intlin"
 	"commfree/internal/obs"
-	"commfree/internal/rational"
 	"commfree/internal/store"
 )
 
@@ -42,8 +42,8 @@ func TestOverflowingNestIsRefused(t *testing.T) {
 			t.Errorf("%s refused after %v, want < 100ms", path, d)
 		}
 	}
-	if _, err := s.Compile(context.Background(), CompileRequest{Source: overflowNest}); !errors.Is(err, rational.ErrOverflow) {
-		t.Errorf("err = %v, want rational.ErrOverflow", err)
+	if _, err := s.Compile(context.Background(), CompileRequest{Source: overflowNest}); !errors.Is(err, intlin.ErrOverflow) {
+		t.Errorf("err = %v, want intlin.ErrOverflow", err)
 	}
 	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after the refusals: %v %v", resp, err)

@@ -32,9 +32,9 @@ import (
 	"net/http"
 	"strings"
 
+	"commfree/internal/intlin"
 	"commfree/internal/machine"
 	"commfree/internal/normalize"
-	"commfree/internal/rational"
 	"commfree/internal/store"
 )
 
@@ -190,7 +190,7 @@ func statusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
-	case errors.Is(err, machine.ErrBudgetExhausted), errors.Is(err, rational.ErrOverflow):
+	case errors.Is(err, machine.ErrBudgetExhausted), errors.Is(err, intlin.ErrOverflow):
 		// A well-formed program too large to enumerate, or to analyse in
 		// exact 64-bit arithmetic.
 		return http.StatusUnprocessableEntity

@@ -32,12 +32,12 @@ import (
 	"commfree/internal/chaos"
 	"commfree/internal/codegen"
 	"commfree/internal/exec"
+	"commfree/internal/intlin"
 	"commfree/internal/lang"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
 	"commfree/internal/obs"
 	"commfree/internal/partition"
-	"commfree/internal/rational"
 	"commfree/internal/selector"
 	"commfree/internal/store"
 	"commfree/internal/transform"
@@ -927,7 +927,7 @@ func (s *Service) contain(trc *obs.Trace, err *error) {
 	if p == nil {
 		return
 	}
-	if perr, ok := p.(error); ok && errors.Is(perr, rational.ErrOverflow) {
+	if perr, ok := p.(error); ok && errors.Is(perr, intlin.ErrOverflow) {
 		*err = fmt.Errorf("service: the program's coefficients are too large to analyse exactly: %w", perr)
 		return
 	}

@@ -295,7 +295,7 @@ func (s *Service) rehydrate(rec *store.Record, trc *obs.Trace) (*cacheEntry, err
 		return nil, err
 	}
 	sp = trc.Start(rsp.ID(), "partition")
-	res, err := partition.Materialize(ix, strat, space.SpanInts(cn.Depth(), rec.PsiBasis...), nil)
+	res, err := partition.Materialize(ix, strat, space.Span(cn.Depth(), rec.PsiBasis...), nil)
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -1,195 +1,111 @@
 // Package space represents linear subspaces of Qⁿ — the "partitioning
 // spaces" Ψ at the heart of the paper.
 //
-// A Space is stored as a reduced-row-echelon basis, which makes span
-// equality, membership, union, and dimension queries canonical and cheap.
-// The orthogonal complement (the paper writes Ker(Ψ) in Section IV) is
-// returned as a gcd-normalized integer basis, exactly as the program
-// transformation requires (each basis vector ā has gcd(ā) = 1).
+// A Space is stored as the integer reduced-row-echelon basis of its
+// vectors (intlin's RREF: one primitive row per pivot, pivot positive),
+// a form unique to the subspace, so span equality, membership, union and
+// dimension queries are canonical and cheap, and the basis is already the
+// gcd-normalized integer one the paper reports Ψ in. The orthogonal
+// complement (the paper writes Ker(Ψ) in Section IV) is kept the same
+// way, exactly as the program transformation requires (each basis vector
+// ā has gcd(ā) = 1).
 package space
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"commfree/internal/intlin"
-	"commfree/internal/linalg"
-	"commfree/internal/rational"
 )
 
 // Space is a linear subspace of Qⁿ. The zero Space is invalid; construct
 // with Span or Zero. Spaces are immutable.
 type Space struct {
-	n     int            // ambient dimension
-	basis *linalg.Matrix // RREF basis, one vector per row; 0×n when trivial
+	n     int       // ambient dimension
+	basis [][]int64 // RREF basis, one primitive row per pivot; none when trivial
 }
 
 // Zero returns the trivial subspace {0} of Qⁿ.
-func Zero(n int) *Space {
-	if n < 0 {
-		panic(fmt.Errorf("space: negative ambient dimension %d", n))
-	}
-	return &Space{n: n, basis: linalg.NewMatrix(0, n)}
-}
+func Zero(n int) *Space { return &Space{n: n} }
 
 // Full returns the whole space Qⁿ.
 func Full(n int) *Space {
-	return &Space{n: n, basis: linalg.Identity(n)}
+	s := &Space{n: n, basis: make([][]int64, n)}
+	for i := range s.basis {
+		s.basis[i] = make([]int64, n)
+		s.basis[i][i] = 1
+	}
+	return s
 }
 
-// Span returns the span of the given vectors in Qⁿ. All vectors must have
-// length n. Zero and duplicate vectors are tolerated.
-func Span(n int, vectors ...[]rational.Rat) *Space {
+// Span returns the span of the given integer vectors in Qⁿ. All vectors
+// must have length n. Zero and duplicate vectors are tolerated.
+func Span(n int, vectors ...[]int64) *Space {
+	m := intlin.NewMat(len(vectors), n)
 	for i, v := range vectors {
 		if len(v) != n {
 			panic(fmt.Errorf("space: vector %d has length %d, ambient %d", i, len(v), n))
 		}
+		copy(m.A[i*n:], v)
 	}
-	if len(vectors) == 0 {
-		return Zero(n)
-	}
-	m := linalg.FromRats(vectors)
 	r, pivots := m.RREF()
-	b := linalg.NewMatrix(len(pivots), n)
-	for i := range pivots {
-		for j := 0; j < n; j++ {
-			b.Set(i, j, r.At(i, j))
-		}
+	s := &Space{n: n, basis: make([][]int64, len(pivots))}
+	for i := range s.basis {
+		s.basis[i] = r.A[i*n : (i+1)*n : (i+1)*n]
 	}
-	return &Space{n: n, basis: b}
-}
-
-// SpanInts is Span for integer vectors.
-func SpanInts(n int, vectors ...[]int64) *Space {
-	rv := make([][]rational.Rat, len(vectors))
-	for i, v := range vectors {
-		if len(v) != n {
-			panic(fmt.Errorf("space: vector %d has length %d, ambient %d", i, len(v), n))
-		}
-		rv[i] = make([]rational.Rat, n)
-		for j, x := range v {
-			rv[i][j] = rational.FromInt(x)
-		}
-	}
-	return Span(n, rv...)
+	return s
 }
 
 // Ambient returns the ambient dimension n.
 func (s *Space) Ambient() int { return s.n }
 
 // Dim returns the dimension of the subspace.
-func (s *Space) Dim() int { return s.basis.Rows() }
+func (s *Space) Dim() int { return len(s.basis) }
 
 // IsZero reports whether the subspace is trivial.
 func (s *Space) IsZero() bool { return s.Dim() == 0 }
 
-// IsFull reports whether the subspace is all of Qⁿ.
-func (s *Space) IsFull() bool { return s.Dim() == s.n }
-
-// Basis returns the canonical (RREF) basis vectors, one per row.
-func (s *Space) Basis() [][]rational.Rat {
-	out := make([][]rational.Rat, s.basis.Rows())
-	for i := range out {
-		out[i] = s.basis.Row(i)
-	}
-	return out
-}
-
-// IntegerBasis returns the canonical basis scaled to primitive integer
-// vectors (each with positive leading entry and entry gcd 1).
+// IntegerBasis returns the canonical basis: primitive integer vectors
+// (each with positive leading entry and entry gcd 1), one per dimension.
+// The slices are fresh.
 func (s *Space) IntegerBasis() [][]int64 {
-	out := make([][]int64, 0, s.Dim())
-	for _, row := range s.Basis() {
-		out = append(out, toPrimitiveInt(row))
+	out := make([][]int64, len(s.basis))
+	for i, row := range s.basis {
+		out[i] = slices.Clone(row)
 	}
 	return out
 }
 
-// toPrimitiveInt scales a rational vector by the lcm of denominators and
-// reduces by the gcd, yielding a primitive integer vector.
-func toPrimitiveInt(v []rational.Rat) []int64 {
-	l := int64(1)
-	for _, x := range v {
-		l = rational.LCM(l, x.Den())
-	}
-	iv := make([]int64, len(v))
-	for i, x := range v {
-		iv[i] = x.Num() * (l / x.Den())
-	}
-	return intlin.Primitive(iv)
-}
-
-// Contains reports whether vector v lies in the subspace.
-func (s *Space) Contains(v []rational.Rat) bool {
-	if len(v) != s.n {
-		panic(fmt.Errorf("space: vector length %d, ambient %d", len(v), s.n))
-	}
-	if linalg.IsZeroVec(v) {
-		return true
-	}
-	if s.IsZero() {
-		return false
-	}
-	// v ∈ span(B) iff rank(B) == rank(B ∪ {v}).
-	rows := s.Basis()
-	rows = append(rows, v)
-	return linalg.FromRats(rows).Rank() == s.Dim()
-}
-
-// ContainsInts is Contains for an integer vector.
-func (s *Space) ContainsInts(v []int64) bool {
-	rv := make([]rational.Rat, len(v))
-	for i, x := range v {
-		rv[i] = rational.FromInt(x)
-	}
-	return s.Contains(rv)
+// Contains reports whether vector v lies in the subspace: v ∈ span(B)
+// iff rank(B ∪ {v}) == rank(B).
+func (s *Space) Contains(v []int64) bool {
+	return Span(s.n, append(slices.Clip(s.basis), v)...).Dim() == s.Dim()
 }
 
 // Union returns the smallest subspace containing both s and t (their sum).
 func (s *Space) Union(t *Space) *Space {
-	if s.n != t.n {
-		panic(fmt.Errorf("space: ambient mismatch %d vs %d", s.n, t.n))
-	}
-	rows := append(s.Basis(), t.Basis()...)
-	return Span(s.n, rows...)
-}
-
-// UnionAll returns the sum of all the given spaces in Qⁿ.
-func UnionAll(n int, spaces ...*Space) *Space {
-	acc := Zero(n)
-	for _, sp := range spaces {
-		acc = acc.Union(sp)
-	}
-	return acc
+	return Span(s.n, append(slices.Clip(s.basis), t.basis...)...)
 }
 
 // Equal reports whether s and t are the same subspace.
 func (s *Space) Equal(t *Space) bool {
-	return s.n == t.n && s.basis.Equal(t.basis)
+	return s.n == t.n && slices.EqualFunc(s.basis, t.basis, slices.Equal)
 }
 
 // SubspaceOf reports whether s ⊆ t.
 func (s *Space) SubspaceOf(t *Space) bool {
-	if s.n != t.n {
-		return false
-	}
-	for _, v := range s.Basis() {
-		if !t.Contains(v) {
-			return false
-		}
-	}
-	return true
+	return s.n == t.n && s.Union(t).Dim() == t.Dim()
 }
 
 // OrthogonalComplement returns the subspace of all vectors orthogonal to s
-// (the paper's Ker(Ψ) used in Section IV's projection step).
+// (the paper's Ker(Ψ) used in Section IV's projection step): the null
+// space of the basis matrix, x with B·x = 0 ⇔ x ⟂ every basis row.
 func (s *Space) OrthogonalComplement() *Space {
 	if s.IsZero() {
 		return Full(s.n)
 	}
-	// Null space of the basis matrix: x with B·x = 0 ⇔ x ⟂ every basis row.
-	ns := s.basis.NullSpace()
-	return Span(s.n, ns...)
+	return Span(s.n, intlin.FromRows(s.basis).NullSpace()...)
 }
 
 // OrthogonalComplementIntegerBasis returns a primitive-integer basis
@@ -205,7 +121,7 @@ func (s *Space) String() string {
 		return "span{}"
 	}
 	var parts []string
-	for _, v := range s.IntegerBasis() {
+	for _, v := range s.basis {
 		var comps []string
 		for _, x := range v {
 			comps = append(comps, fmt.Sprintf("%d", x))
@@ -213,13 +129,4 @@ func (s *Space) String() string {
 		parts = append(parts, "("+strings.Join(comps, ",")+")")
 	}
 	return "span{" + strings.Join(parts, ", ") + "}"
-}
-
-// RatVec converts an integer vector to a rational vector.
-func RatVec(v []int64) []rational.Rat {
-	out := make([]rational.Rat, len(v))
-	for i, x := range v {
-		out[i] = rational.FromInt(x)
-	}
-	return out
 }

@@ -3,18 +3,23 @@ package space
 import (
 	"math/rand"
 	"testing"
-
-	"commfree/internal/linalg"
-	"commfree/internal/rational"
 )
+
+func dot(u, v []int64) int64 {
+	var s int64
+	for i := range u {
+		s += u[i] * v[i]
+	}
+	return s
+}
 
 func TestZeroFullBasics(t *testing.T) {
 	z := Zero(3)
-	if z.Dim() != 0 || !z.IsZero() || z.IsFull() || z.Ambient() != 3 {
+	if z.Dim() != 0 || !z.IsZero() || z.Dim() == 3 || z.Ambient() != 3 {
 		t.Errorf("Zero(3) wrong: dim=%d", z.Dim())
 	}
 	f := Full(3)
-	if f.Dim() != 3 || f.IsZero() || !f.IsFull() {
+	if f.Dim() != 3 || f.IsZero() || f.Dim() != 3 {
 		t.Errorf("Full(3) wrong: dim=%d", f.Dim())
 	}
 	if !z.SubspaceOf(f) || f.SubspaceOf(z) {
@@ -24,18 +29,18 @@ func TestZeroFullBasics(t *testing.T) {
 
 func TestSpanDedupAndDim(t *testing.T) {
 	// L1 partitioning space: span{(1,1)} ∪ span{(1,1)} = span{(1,1)}.
-	s := SpanInts(2, []int64{1, 1}, []int64{1, 1}, []int64{2, 2})
+	s := Span(2, []int64{1, 1}, []int64{1, 1}, []int64{2, 2})
 	if s.Dim() != 1 {
 		t.Errorf("dim = %d, want 1", s.Dim())
 	}
-	if !s.ContainsInts([]int64{3, 3}) {
+	if !s.Contains([]int64{3, 3}) {
 		t.Error("(3,3) should be in span{(1,1)}")
 	}
-	if s.ContainsInts([]int64{1, 0}) {
+	if s.Contains([]int64{1, 0}) {
 		t.Error("(1,0) should not be in span{(1,1)}")
 	}
 	// Zero vectors contribute nothing.
-	s2 := SpanInts(2, []int64{0, 0})
+	s2 := Span(2, []int64{0, 0})
 	if !s2.IsZero() {
 		t.Errorf("span{0} dim = %d", s2.Dim())
 	}
@@ -43,26 +48,26 @@ func TestSpanDedupAndDim(t *testing.T) {
 
 func TestSpanEquality(t *testing.T) {
 	// Different generating sets, same space.
-	a := SpanInts(2, []int64{1, -1}, []int64{1, 1}) // = Q²
+	a := Span(2, []int64{1, -1}, []int64{1, 1}) // = Q²
 	b := Full(2)
 	if !a.Equal(b) {
 		t.Errorf("span{(1,-1),(1,1)} != Q²: %s vs %s", a, b)
 	}
-	// L2 nonduplicate partitioning space span{(1,-1),(1/2,1/2)} = Q².
-	half := []rational.Rat{rational.New(1, 2), rational.New(1, 2)}
-	c := Span(2, RatVec([]int64{1, -1}), half)
-	if !c.IsFull() {
+	// L2 nonduplicate partitioning space span{(1,-1),(1/2,1/2)} = Q²,
+	// spanned by the particular solution's integer direction (1,1).
+	c := Span(2, []int64{1, -1}, []int64{1, 1})
+	if !c.Equal(Full(2)) {
 		t.Errorf("L2 Ψ should be full, got %s", c)
 	}
 }
 
 func TestUnion(t *testing.T) {
 	// L5: Ψ_A ∪ Ψ_B ∪ Ψ_C = Q³ (sequential under non-duplicate strategy).
-	psiA := SpanInts(3, []int64{0, 1, 0})
-	psiB := SpanInts(3, []int64{1, 0, 0})
-	psiC := SpanInts(3, []int64{0, 0, 1})
-	psi := UnionAll(3, psiA, psiB, psiC)
-	if !psi.IsFull() {
+	psiA := Span(3, []int64{0, 1, 0})
+	psiB := Span(3, []int64{1, 0, 0})
+	psiC := Span(3, []int64{0, 0, 1})
+	psi := psiA.Union(psiB).Union(psiC)
+	if !psi.Equal(Full(3)) {
 		t.Errorf("L5 Ψ should be Q³, got %s", psi)
 	}
 	// L5′ variant: span{(0,1,0)} ∪ span{(0,0,1)} has dim 2.
@@ -81,17 +86,17 @@ func TestUnion(t *testing.T) {
 func TestOrthogonalComplementL4(t *testing.T) {
 	// Section IV worked example: Ψ = span{(1,-1,1)};
 	// Ker(Ψ) = span{(1,1,0),(-1,0,1)}.
-	psi := SpanInts(3, []int64{1, -1, 1})
+	psi := Span(3, []int64{1, -1, 1})
 	q := psi.OrthogonalComplement()
 	if q.Dim() != 2 {
 		t.Fatalf("dim Ker(Ψ) = %d, want 2", q.Dim())
 	}
-	if !q.ContainsInts([]int64{1, 1, 0}) || !q.ContainsInts([]int64{-1, 0, 1}) {
+	if !q.Contains([]int64{1, 1, 0}) || !q.Contains([]int64{-1, 0, 1}) {
 		t.Errorf("Ker(Ψ) = %s missing paper's basis vectors", q)
 	}
 	// Orthogonality of every basis pair.
-	for _, u := range q.Basis() {
-		if !linalg.Dot(u, RatVec([]int64{1, -1, 1})).IsZero() {
+	for _, u := range q.IntegerBasis() {
+		if dot(u, []int64{1, -1, 1}) != 0 {
 			t.Errorf("basis vector %v not orthogonal to (1,-1,1)", u)
 		}
 	}
@@ -114,7 +119,7 @@ func TestOrthogonalComplementL4(t *testing.T) {
 }
 
 func TestOrthogonalComplementEdges(t *testing.T) {
-	if !Zero(3).OrthogonalComplement().IsFull() {
+	if !Zero(3).OrthogonalComplement().Equal(Full(3)) {
 		t.Error("complement of {0} should be full")
 	}
 	if !Full(3).OrthogonalComplement().IsZero() {
@@ -125,7 +130,7 @@ func TestOrthogonalComplementEdges(t *testing.T) {
 func TestIntegerBasisPrimitive(t *testing.T) {
 	// Basis with fractional RREF entries: span{(2,1)} has RREF (1,1/2),
 	// integer basis must be (2,1).
-	s := SpanInts(2, []int64{2, 1})
+	s := Span(2, []int64{2, 1})
 	ib := s.IntegerBasis()
 	if len(ib) != 1 || ib[0][0] != 2 || ib[0][1] != 1 {
 		t.Errorf("IntegerBasis = %v, want [(2,1)]", ib)
@@ -136,7 +141,7 @@ func TestString(t *testing.T) {
 	if got := Zero(2).String(); got != "span{}" {
 		t.Errorf("String = %q", got)
 	}
-	if got := SpanInts(2, []int64{1, 1}).String(); got != "span{(1,1)}" {
+	if got := Span(2, []int64{1, 1}).String(); got != "span{(1,1)}" {
 		t.Errorf("String = %q", got)
 	}
 }
@@ -153,16 +158,16 @@ func TestPropComplementProperties(t *testing.T) {
 				vecs[i][j] = rnd.Int63n(9) - 4
 			}
 		}
-		s := SpanInts(n, vecs...)
+		s := Span(n, vecs...)
 		c := s.OrthogonalComplement()
 		// Dimension formula.
 		if s.Dim()+c.Dim() != n {
 			t.Fatalf("dim %d + codim %d != %d", s.Dim(), c.Dim(), n)
 		}
 		// Every pair orthogonal.
-		for _, u := range s.Basis() {
-			for _, v := range c.Basis() {
-				if !linalg.Dot(u, v).IsZero() {
+		for _, u := range s.IntegerBasis() {
+			for _, v := range c.IntegerBasis() {
+				if dot(u, v) != 0 {
 					t.Fatalf("non-orthogonal pair %v · %v", u, v)
 				}
 			}
@@ -187,7 +192,7 @@ func TestPropUnionMonotone(t *testing.T) {
 					vecs[i][j] = rnd.Int63n(7) - 3
 				}
 			}
-			return SpanInts(n, vecs...)
+			return Span(n, vecs...)
 		}
 		a, b := mk(), mk()
 		u := a.Union(b)

@@ -13,7 +13,7 @@ import (
 // the forall form L4′ with the paper's exact bounds and extended
 // statements.
 func ExampleTransformWithBasis() {
-	psi := space.SpanInts(3, []int64{1, -1, 1})
+	psi := space.Span(3, []int64{1, -1, 1})
 	tr, err := transform.TransformWithBasis(loop.L4(), psi,
 		[][]int64{{1, 1, 0}, {-1, 0, 1}})
 	if err != nil {
@@ -36,7 +36,7 @@ func ExampleTransformWithBasis() {
 // ExampleTransformed_Visit counts blocks and iterations of the
 // transformed loop.
 func ExampleTransformed_Visit() {
-	psi := space.SpanInts(3, []int64{1, -1, 1})
+	psi := space.Span(3, []int64{1, -1, 1})
 	tr, _ := transform.Transform(loop.L4(), psi)
 	iters := 0
 	tr.Visit(func(_, _ []int64) { iters++ })

@@ -14,7 +14,7 @@ import (
 // basis Q = {(1,1,0), (-1,0,1)}.
 func transformPaperL4(t *testing.T) *Transformed {
 	t.Helper()
-	psi := space.SpanInts(3, []int64{1, -1, 1})
+	psi := space.Span(3, []int64{1, -1, 1})
 	tr, err := TransformWithBasis(loop.L4(), psi, [][]int64{{1, 1, 0}, {-1, 0, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestTransformNonUnimodular(t *testing.T) {
 			Write: loop.Ref{Array: "A", H: [][]int64{{1, 0}, {0, 1}}, Offset: []int64{0, 0}},
 		}},
 	}
-	psi := space.SpanInts(2, []int64{2, 1})
+	psi := space.Span(2, []int64{2, 1})
 	tr, err := Transform(nest, psi)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestTransformNewPointRoundTrip(t *testing.T) {
 }
 
 func TestTransformRejectsBadBasis(t *testing.T) {
-	psi := space.SpanInts(3, []int64{1, -1, 1})
+	psi := space.Span(3, []int64{1, -1, 1})
 	// Wrong count.
 	if _, err := TransformWithBasis(loop.L4(), psi, [][]int64{{1, 1, 0}}); err == nil {
 		t.Error("short basis accepted")

@@ -107,6 +107,22 @@ func stringMap(n ast.Node) bool {
 	return ok && key.Name == "string"
 }
 
+// panicsWith matches a panic call whose argument names the identifier
+// (alone or as pkg.name).
+func panicsWith(name string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		if !calls("", "panic")(n) {
+			return false
+		}
+		found := false
+		ast.Inspect(n.(*ast.CallExpr).Args[0], func(a ast.Node) bool {
+			found = found || names(name)(a)
+			return !found
+		})
+		return found
+	}
+}
+
 func either(preds ...func(ast.Node) bool) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		for _, p := range preds {
@@ -128,7 +144,7 @@ var layeringRules = []layeringRule{
 		bad:   calls("fmt", "Sprint"),
 	},
 	{
-		why:   "formatted keys on the compile path: compare coefficients with `Rat.Equal`",
+		why:   "formatted keys on the compile path: compare the integer coefficients with `slices.Equal`",
 		files: []string{"internal/polyhedron", "internal/transform"},
 		bad:   either(calls("fmt", "Sprint"), stringMap),
 	},
@@ -185,6 +201,17 @@ var layeringRules = []layeringRule{
 		files:  []string{"internal/exec"},
 		except: []string{"internal/exec/exec.go"},
 		bad:    either(calls("", "appendKey"), calls("", "Key")),
+	},
+	{
+		why:   "a second exact-arithmetic core: intlin.Mat and its fraction-free elimination are the only matrix, int64 with intlin's checked helpers the only number",
+		files: []string{"./..."},
+		bad:   imports("linalg", "rational"),
+	},
+	{
+		why:    "overflow is refused in one place: do the arithmetic with intlin's checked helpers (Add, Mul, MulAdd, Neg, Abs), which raise intlin.ErrOverflow",
+		files:  []string{"./..."},
+		except: []string{"internal/intlin/checked.go"},
+		bad:    panicsWith("ErrOverflow"),
 	},
 	{
 		why:    "a second materialized enumeration of a nest: step through it with Nest.Walk, or read the compile's loop.Index",
