@@ -368,7 +368,9 @@ func (m *Machine) Run(fn func(n *Node) error) error {
 // index (0..workers-1) is passed to fn so callers can keep per-worker
 // scratch buffers; each node is processed by exactly one worker.
 // Cost accounting is identical to Run: the compute phase is charged as
-// max over nodes of iterations·t_comp.
+// max over nodes of iterations·t_comp. A panic in fn stops the dealing
+// and is raised again on the calling goroutine, where its caller can
+// recover it, with the value of the lowest-numbered node that panicked.
 func (m *Machine) RunBounded(workers int, fn func(worker int, n *Node) error) error {
 	if workers <= 0 || workers > len(m.nodes) {
 		workers = len(m.nodes)
@@ -380,8 +382,15 @@ func (m *Machine) RunBounded(workers int, fn func(worker int, n *Node) error) er
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			i := 0
+			defer func() {
+				if v := recover(); v != nil {
+					errs[i] = nodePanic{v}
+					next.Store(int64(len(m.nodes)))
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= len(m.nodes) {
 					return
 				}
@@ -390,6 +399,11 @@ func (m *Machine) RunBounded(workers int, fn func(worker int, n *Node) error) er
 		}(w)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if p, ok := err.(nodePanic); ok {
+			panic(p.v)
+		}
+	}
 	var maxIter int64
 	for i := range m.nodes {
 		nd := &m.nodes[i]
@@ -420,6 +434,12 @@ func (m *Machine) RunBounded(workers int, fn func(worker int, n *Node) error) er
 	}
 	return nil
 }
+
+// nodePanic carries a node's panic from its goroutine to RunBounded's
+// caller.
+type nodePanic struct{ v any }
+
+func (p nodePanic) Error() string { return fmt.Sprint(p.v) }
 
 // ChargeComputeIterations adds an analytic compute phase of the given
 // per-node iteration counts (used by the large-M table harness, where

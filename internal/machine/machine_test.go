@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 )
 
@@ -113,6 +114,32 @@ func TestRunChargesMaxIterations(t *testing.T) {
 	}
 	if got := m.ComputeTime(); got != 14 {
 		t.Errorf("compute time = %v, want max(3,7)*2 = 14", got)
+	}
+}
+
+// TestRunBoundedPanicReachesCaller: a node fn that panics on a node
+// goroutine makes RunBounded panic on the calling goroutine, with that
+// panic's value, where the caller can recover it; nodes dealt after the
+// panic are not run.
+func TestRunBoundedPanicReachesCaller(t *testing.T) {
+	m := New(MeshFor(16), CostModel{TComp: 1})
+	var ran atomic.Int64
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		_ = m.RunBounded(1, func(_ int, n *Node) error {
+			ran.Add(1)
+			if n.ID == 3 {
+				panic("node 3 fell over")
+			}
+			return nil
+		})
+		return nil
+	}()
+	if got != "node 3 fell over" {
+		t.Fatalf("RunBounded raised %v on the caller, want node 3's panic", got)
+	}
+	if n := ran.Load(); n != 4 {
+		t.Errorf("%d nodes ran, want 4: the run stops at the panic", n)
 	}
 }
 

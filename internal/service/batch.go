@@ -1,141 +1,48 @@
 package service
 
-// Request batching for /v1/execute: concurrent requests that resolve
-// to the same cache key — same canonical program, strategy, and
-// processor count — coalesce into a single execution. The first
-// request becomes the batch leader: it registers a group, waits out
-// BatchWindow (cut short the moment the batch fills or its context
-// dies), closes the group to new joiners, and runs the plan exactly
-// once through the normal execution path — one kernel, one arena, one
-// scheduler pass. Followers never touch the worker pool; they block on
-// the group and receive a shallow copy of the leader's response with
-// their own trace and wall time, plus Batched/BatchSize attribution.
-//
-// Batching composes with — but never crosses — fault injection: a
-// request with a chaos schedule executes individually (Execute guards
-// this), so a batch can neither observe nor share injected faults.
+// Request batching for /v1/execute: concurrent requests for one cache
+// key (canonical program, strategy, processors) share one execution —
+// one kernel, one arena, one scheduler pass — through Service.batches, a
+// group (flight.go) whose window is BatchWindow and whose cap is
+// BatchMax. Requests with fault injection never batch: a failure
+// schedule is per-request, so a batch can neither observe nor share
+// injected faults.
 
 import (
 	"context"
-	"time"
 
+	"commfree/internal/chaos"
 	"commfree/internal/obs"
 )
 
-// execBatch is one coalescing group. joined/size are guarded by
-// Service.batchMu; resp/err are written by the leader before done is
-// closed and only read after it (the close is the happens-before
-// edge).
-type execBatch struct {
-	done chan struct{} // closed by the leader once the result is in
-	full chan struct{} // closed when the batch reaches BatchMax
-
-	leaderTrace string
-	joined      int // requests in the batch, leader included
-	size        int // final batch size, fixed when the group closes
-
-	resp *ExecuteResponse
-	err  error
-}
-
-// executeBatched serves one fault-free execute request through the
-// coalescing layer. The caller has already resolved the cache entry
-// and bounded ctx by the request timeout.
-func (s *Service) executeBatched(ctx context.Context, entry *cacheEntry, req ExecuteRequest, cached bool, trc *obs.Trace, start time.Time) (*ExecuteResponse, error) {
-	key := entry.key
-	s.batchMu.Lock()
-	if g, ok := s.batches[key]; ok {
-		g.joined++
-		if g.joined >= s.cfg.BatchMax {
-			// Full: stop admitting and release the leader early.
-			delete(s.batches, key)
-			close(g.full)
+// execute runs one execute request, through the coalescing layer when
+// batching is on and no fault is injected. The caller has already
+// resolved the cache entry and bounded ctx by the request timeout.
+func (s *Service) execute(ctx context.Context, entry *cacheEntry, req ExecuteRequest, cached bool, trc *obs.Trace, inj *chaos.Injector, seed int64) (*ExecuteResponse, error) {
+	if inj != nil || s.cfg.BatchWindow <= 0 {
+		return s.executeWithRetry(ctx, entry, req, cached, trc, inj, seed)
+	}
+	shared, led, err := s.batches.do(ctx, s, trc, entry.key, func(ctx context.Context, size int) (*ExecuteResponse, error) {
+		s.metrics.Inc("execute_batches", 1)
+		s.metrics.Inc("execute_batch_followers", int64(size-1))
+		resp, err := s.executeWithRetry(ctx, entry, req, cached, trc, nil, 0)
+		if err == nil {
+			resp.BatchSize, resp.TraceID = size, trc.ID()
 		}
-		s.batchMu.Unlock()
-		return s.followBatch(ctx, g, trc, start)
+		return resp, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	g := &execBatch{
-		done:        make(chan struct{}),
-		full:        make(chan struct{}),
-		leaderTrace: trc.ID(),
-		joined:      1,
+	if !led {
+		bsp := trc.Start(0, "execute_batched")
+		bsp.SetStr("leader_trace", shared.TraceID)
+		bsp.SetInt("batch_size", int64(shared.BatchSize))
+		bsp.End()
 	}
-	s.batches[key] = g
-	s.batchMu.Unlock()
-	return s.leadBatch(ctx, g, key, entry, req, cached, trc, start)
-}
-
-// leadBatch is the leader half: wait for joiners, close the group,
-// execute once, publish.
-func (s *Service) leadBatch(ctx context.Context, g *execBatch, key string, entry *cacheEntry, req ExecuteRequest, cached bool, trc *obs.Trace, start time.Time) (*ExecuteResponse, error) {
-	wsp := trc.Start(0, "batch_window")
-	t := time.NewTimer(s.cfg.BatchWindow)
-	select {
-	case <-t.C:
-	case <-g.full:
-	case <-ctx.Done():
-	}
-	t.Stop()
-	wsp.End()
-
-	// Close the group before executing: requests arriving from here on
-	// start a fresh batch instead of joining a result already in
-	// flight. A full batch already removed itself.
-	s.batchMu.Lock()
-	if s.batches[key] == g {
-		delete(s.batches, key)
-	}
-	g.size = g.joined
-	s.batchMu.Unlock()
-
-	if g.size > 1 {
-		// The leader executes on behalf of the whole group, so its own
-		// cancellation (a hung-up client, a hedge loser released by the
-		// forwarding node) must not poison the followers' results.
-		// Detach from the leader's cancellation but keep the request
-		// timeout as the execution bound.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	resp, err := s.executeWithRetry(ctx, entry, req, cached, trc, nil, 0)
-	if err == nil {
-		resp.Batched = g.size > 1
-		resp.BatchSize = g.size
-		resp.ElapsedS = time.Since(start).Seconds()
-		resp.TraceID = trc.ID()
-	}
-	g.resp, g.err = resp, err
-	close(g.done)
-
-	s.metrics.Inc("execute_batches", 1)
-	s.metrics.Inc("execute_batch_followers", int64(g.size-1))
-	return resp, err
-}
-
-// followBatch is the follower half: wait for the leader's result and
-// adopt it. The response is a shallow copy — the shared slices and
-// chaos-free report are read-only — re-attributed to this request's
-// trace and wall clock.
-func (s *Service) followBatch(ctx context.Context, g *execBatch, trc *obs.Trace, start time.Time) (*ExecuteResponse, error) {
-	select {
-	case <-ctx.Done():
-		s.countError(ctx.Err())
-		return nil, ctx.Err()
-	case <-g.done:
-	}
-	if g.err != nil {
-		s.countError(g.err)
-		return nil, g.err
-	}
-	bsp := trc.Start(0, "execute_batched")
-	bsp.SetStr("leader_trace", g.leaderTrace)
-	bsp.SetInt("batch_size", int64(g.size))
-	bsp.End()
-	resp := *g.resp
-	resp.Batched = true
-	resp.BatchSize = g.size
-	resp.ElapsedS = time.Since(start).Seconds()
-	resp.TraceID = trc.ID()
+	// The shared slices and chaos-free report are read-only; Execute
+	// attributes the copy to this request's trace and wall time.
+	resp := *shared
+	resp.Batched = resp.BatchSize > 1
 	return &resp, nil
 }

@@ -7,12 +7,10 @@ package service
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"sync"
 	"testing"
 	"time"
-
-	"commfree/internal/lang"
 )
 
 // TestExecuteBatchedCoalesces is the batching smoke test: N identical
@@ -128,22 +126,7 @@ func TestExecuteBatchLeaderCancelled(t *testing.T) {
 	// follower fires, and both must have met in it before the hang-up.
 	waitJoined := func(n int) {
 		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			s.batchMu.Lock()
-			joined := 0
-			for _, g := range s.batches {
-				joined = g.joined
-			}
-			s.batchMu.Unlock()
-			if joined >= n {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("coalescing group never reached %d members", n)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitFor(t, "the coalescing group has its members", func() bool { return groupJoined(&s.batches) >= n })
 	}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
@@ -173,25 +156,30 @@ func TestExecuteBatchLeaderCancelled(t *testing.T) {
 }
 
 // TestCompileFlightLeaderCancelled pins the sibling guard on the
-// compile single-flight: a joiner piggy-backed on a leader that died of
-// its own cancellation must retry (and take over as leader) rather than
-// inherit the dead leader's context error. The flight is planted by
-// hand so the hand-off is deterministic.
+// compile flight: a joiner of a flight whose first caller died of its own
+// cancellation must be served rather than inherit the dead caller's
+// context error. The compile waits on the queue behind a busy worker, so
+// both callers meet in the flight before the cancellation.
 func TestCompileFlightLeaderCancelled(t *testing.T) {
-	s := newTestService(t, Config{Workers: 2})
+	s := newTestService(t, Config{Workers: 1})
 	req := CompileRequest{Source: srcL1, Strategy: "duplicate", Processors: 4}
 
-	nest, err := lang.Parse(srcL1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := fmt.Sprintf("s=%s|p=%d|%s", req.Strategy, req.Processors, lang.Canonical(nest))
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	go s.pool.trySubmit(context.Background(), false, func(ctx context.Context) (any, error) {
+		close(started)
+		<-gate
+		return nil, nil
+	})
+	<-started
 
-	f := &flight{done: make(chan struct{})}
-	s.flightMu.Lock()
-	s.flights[key] = f
-	s.flightMu.Unlock()
-
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.Compile(leaderCtx, req)
+		leaderErr <- err
+	}()
+	waitFor(t, "the leader's flight is registered", func() bool { return groupJoined(&s.compiles) >= 1 })
 	joinerErr := make(chan error, 1)
 	var resp *CompileResponse
 	go func() {
@@ -199,27 +187,21 @@ func TestCompileFlightLeaderCancelled(t *testing.T) {
 		resp = r
 		joinerErr <- err
 	}()
-
-	// Publish the canceled leader's demise exactly as compileEntry's
-	// leader path does: unregister first, then close. The delay only
-	// biases the joiner onto the park-then-retry path; if the scheduler
-	// runs us first anyway, the joiner legitimately becomes the leader
-	// outright and the test still asserts the same user-visible outcome.
-	time.Sleep(100 * time.Millisecond)
-	f.err = context.Canceled
-	s.flightMu.Lock()
-	delete(s.flights, key)
-	s.flightMu.Unlock()
-	close(f.done)
+	waitFor(t, "the joiner joins it", func() bool { return groupJoined(&s.compiles) >= 2 })
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled leader: err = %v, want its own context.Canceled", err)
+	}
+	close(gate)
 
 	if err := <-joinerErr; err != nil {
 		t.Fatalf("joiner poisoned by canceled leader: %v", err)
 	}
 	if resp == nil || resp.Plan == nil {
-		t.Fatalf("joiner retry produced no plan: %+v", resp)
+		t.Fatalf("joiner produced no plan: %+v", resp)
 	}
 	if got := s.Metrics().Counter("compiles"); got != 1 {
-		t.Errorf("compiles = %d, want 1 from the joiner's takeover", got)
+		t.Errorf("compiles = %d, want 1 for the flight both requests shared", got)
 	}
 }
 

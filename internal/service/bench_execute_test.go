@@ -66,7 +66,7 @@ func BenchmarkExecuteWarm(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			kern, err := entry.comp.kernel()
+			kern, err := entry.comp.kernel.get(context.Background(), s, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

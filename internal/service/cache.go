@@ -9,9 +9,9 @@ package service
 
 import (
 	"container/list"
+	"context"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"commfree/internal/obs"
 	"commfree/internal/store"
@@ -50,32 +50,29 @@ type cacheEntry struct {
 	// plan is the typed wire plan, set by a compile. A revived entry has
 	// none; decoded decodes its record's plan bytes instead, once.
 	plan    *Plan
-	decoded func() (*Plan, error)
-	// claimed marks that a request has taken the decode's span.
-	claimed atomic.Bool
+	decoded lazy[*Plan]
 }
 
 // newRevived wraps a record's partition as an entry whose typed plan is
 // decoded on first use.
 func newRevived(rec *store.Record, comp *compiled) *cacheEntry {
-	return &cacheEntry{
-		key: rec.Key, label: rec.Label, comp: comp, rec: rec, bytes: entryBytes(rec),
-		decoded: sync.OnceValues(func() (*Plan, error) { return decodePlan(rec) }),
+	e := &cacheEntry{key: rec.Key, label: rec.Label, comp: comp, rec: rec, bytes: entryBytes(rec)}
+	e.decoded.build = func(_ *Service, trc *obs.Trace) (*Plan, error) {
+		sp := trc.Start(0, "plan_decode")
+		defer sp.End()
+		return decodePlan(rec)
 	}
+	return e
 }
 
 // typed returns the entry's typed plan. A revived entry decodes its
-// record's plan bytes here, once, as a plan_decode span of the first
-// request that needed it; executes never do.
-func (e *cacheEntry) typed(trc *obs.Trace) (*Plan, error) {
+// record's plan bytes here, once, as a plan_decode span of the request
+// that ran the decode; executes never do.
+func (e *cacheEntry) typed(ctx context.Context, s *Service, trc *obs.Trace) (*Plan, error) {
 	if e.plan != nil {
 		return e.plan, nil
 	}
-	if e.claimed.CompareAndSwap(false, true) {
-		sp := trc.Start(0, "plan_decode")
-		defer sp.End()
-	}
-	return e.decoded()
+	return e.decoded.get(ctx, s, trc)
 }
 
 // planCache is a mutex-guarded LRU with entry-count and byte bounds.
@@ -120,8 +117,7 @@ func (c *planCache) get(key string) (*cacheEntry, bool) {
 }
 
 // peek is get without touching the hit/miss counters (used by the
-// single-flight leader's double-check so stats count each request
-// once).
+// compile flight's double-check so stats count each request once).
 func (c *planCache) peek(key string) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

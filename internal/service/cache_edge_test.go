@@ -158,9 +158,9 @@ func TestSingleFlightFollowerCancelMidCompile(t *testing.T) {
 	}()
 	// The leader has registered its flight once the map is non-empty.
 	for {
-		s.flightMu.Lock()
-		n := len(s.flights)
-		s.flightMu.Unlock()
+		s.compiles.mu.Lock()
+		n := len(s.compiles.flights)
+		s.compiles.mu.Unlock()
 		if n == 1 {
 			break
 		}
@@ -188,9 +188,9 @@ func TestSingleFlightFollowerCancelMidCompile(t *testing.T) {
 		t.Error("leader reported a cache hit")
 	}
 	// The flight is cleaned up and the plan is cached for later callers.
-	s.flightMu.Lock()
-	n := len(s.flights)
-	s.flightMu.Unlock()
+	s.compiles.mu.Lock()
+	n := len(s.compiles.flights)
+	s.compiles.mu.Unlock()
 	if n != 0 {
 		t.Errorf("%d flights leaked", n)
 	}
@@ -219,14 +219,14 @@ func TestEvictionWhileExecCompileInFlight(t *testing.T) {
 		t.Fatalf("program built %d times before any execution; the lazy-compile race is vacuous", n)
 	}
 	// Race the lazy compile against eviction (the -race build checks
-	// the sync.OnceValues publication).
+	// the lazy build's publication).
 	var wg sync.WaitGroup
 	progs := make([]any, 8)
 	for i := range progs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, perr := eA.comp.program()
+			p, perr := eA.comp.program.get(ctx, s, nil)
 			if perr != nil {
 				t.Errorf("program: %v", perr)
 			}

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -166,11 +165,12 @@ func TestWorkerPanicIsContained(t *testing.T) {
 }
 
 // TestPanickingBuilderNeverPoisonsTheEntry: a cached plan whose lazy
-// program or sequential reference panics while being built answers every
-// execute with a 500 carrying that builder's panic — it panics again on
-// each call — never with a nil dereference or a validated:false verdict
-// against a missing reference. The reference that breaks is the dense
-// one the kernel engine validates against.
+// program or sequential reference panics while being built answers each
+// execute with a 500 carrying that builder's panic — a first panic is not
+// kept, so the second execute builds and panics again — never with a nil
+// dereference or a validated:false verdict against a missing reference.
+// The reference that breaks is the dense one the kernel engine validates
+// against.
 func TestPanickingBuilderNeverPoisonsTheEntry(t *testing.T) {
 	for _, breaks := range []string{"program", "sequential reference"} {
 		t.Run(breaks, func(t *testing.T) {
@@ -183,9 +183,9 @@ func TestPanickingBuilderNeverPoisonsTheEntry(t *testing.T) {
 			const injected = "injected: the builder fell over"
 			comp := newCompiled(entry.comp.nest, entry.comp.res, req.Processors)
 			if breaks == "program" {
-				comp.program = sync.OnceValues(func() (*exec.Program, error) { panic(injected) })
+				comp.program.build = func(*Service, *obs.Trace) (*exec.Program, error) { panic(injected) }
 			} else {
-				comp.reference = sync.OnceValue(func() *exec.State { panic(injected) })
+				comp.reference.build = func(*Service, *obs.Trace) (*exec.State, error) { panic(injected) }
 			}
 			entry.comp = comp
 			for i := 0; i < 2; i++ {

@@ -43,8 +43,7 @@ type task struct {
 }
 
 type pool struct {
-	queue chan *task
-	quit  chan struct{}
+	queue chan *task // closed once every accepted task has finished
 	adm   *admission // nil-safe; observes queue delay + completions
 
 	mu      sync.Mutex
@@ -62,10 +61,7 @@ func newPool(workers, queueDepth int) *pool {
 	if queueDepth <= 0 {
 		queueDepth = 64
 	}
-	p := &pool{
-		queue: make(chan *task, queueDepth),
-		quit:  make(chan struct{}),
-	}
+	p := &pool{queue: make(chan *task, queueDepth)}
 	for i := 0; i < workers; i++ {
 		p.workers.Add(1)
 		go p.worker()
@@ -75,15 +71,8 @@ func newPool(workers, queueDepth int) *pool {
 
 func (p *pool) worker() {
 	defer p.workers.Done()
-	for {
-		select {
-		case t := <-p.queue:
-			p.run(t)
-		case <-p.quit:
-			// quit closes only after every accepted task has finished
-			// (pending.Wait), so the queue is empty here.
-			return
-		}
+	for t := range p.queue {
+		p.run(t)
 	}
 }
 
@@ -176,7 +165,9 @@ func (p *pool) close() {
 	}
 	p.closed = true
 	p.mu.Unlock()
+	// A task counts in pending from before its send until it has run or
+	// its send failed, so nothing sends on the queue once pending is done.
 	p.pending.Wait()
-	close(p.quit)
+	close(p.queue)
 	p.workers.Wait()
 }

@@ -75,8 +75,8 @@ func TestRevivalMatchesCompile(t *testing.T) {
 						}
 					}
 				}
-				ka, errA := fresh.comp.kernel()
-				kb, errB := revived.comp.kernel()
+				ka, errA := fresh.comp.kernel.get(context.Background(), s, nil)
+				kb, errB := revived.comp.kernel.get(context.Background(), s, nil)
 				if (errA == nil) != (errB == nil) {
 					t.Fatalf("%q %s p=%d: kernel compiled err=%v, revived err=%v", src, strat, p, errA, errB)
 				}
@@ -93,7 +93,7 @@ func TestRevivalMatchesCompile(t *testing.T) {
 						t.Errorf("%q %s p=%d: machine accounting %v, compiled %v", src, strat, p, got, want)
 					}
 				}
-				plan, err := revived.typed(nil)
+				plan, err := revived.typed(context.Background(), s, nil)
 				if err != nil {
 					t.Fatalf("%q %s p=%d: revived plan does not decode: %v", src, strat, p, err)
 				}

@@ -321,64 +321,63 @@ type ExecuteResponse struct {
 
 // compiled holds the live pipeline artifacts behind a cached plan,
 // needed to execute it. Read-only after construction; its executable
-// forms are built lazily, once, by the first execution that needs them.
-// A builder that panics is not cached as a success: every later call
-// panics again, and Service.contain answers each with a 500.
+// forms are built lazily, once, by the first execution that needs them
+// (flight.go).
 type compiled struct {
 	nest *loop.Nest
 	res  *partition.Result
 
 	// program compiles the nest for the dense engine from the footprint
 	// the partition's index holds.
-	program func() (*exec.Program, error)
+	program lazy[*exec.Program]
 	// kernel specializes the program for the plan's machine size (the
 	// cache key carries the processor count, so one kernel per entry is
 	// exact). Its arenas recycle across executions.
-	kernel func() (*exec.Kernel, error)
+	kernel lazy[*exec.Kernel]
 	// reference is the kernel engine's validation reference, the
 	// sequential final state in the program's dense layout; sequential
 	// is the oracle engine's, keyed. Every execution of a plan on one
 	// engine validates against the same state.
-	reference  func() *exec.State
-	sequential func() map[string]float64
+	reference  lazy[*exec.State]
+	sequential lazy[map[string]float64]
 	// programBuilds counts the program builds begun: 0 until the first
-	// execution, 1 ever after.
+	// execution, then 1 unless every caller left a build.
 	programBuilds atomic.Int32
 }
 
 // newCompiled wraps a plan's nest and partition for execution on p
-// processors.
+// processors. A build waits for the program on no context: it is kept.
 func newCompiled(nest *loop.Nest, res *partition.Result, p int) *compiled {
 	c := &compiled{nest: nest, res: res}
-	c.program = sync.OnceValues(func() (*exec.Program, error) {
+	c.program.build = func(*Service, *obs.Trace) (*exec.Program, error) {
 		c.programBuilds.Add(1)
 		return exec.CompilePartition(res)
-	})
-	c.kernel = sync.OnceValues(func() (*exec.Kernel, error) {
-		prog, err := c.program()
+	}
+	c.kernel.build = func(s *Service, trc *obs.Trace) (*exec.Kernel, error) {
+		prog, err := c.program.get(context.Background(), s, trc)
 		if err != nil {
 			return nil, err
 		}
 		return prog.Specialize(res, p)
-	})
-	c.reference = sync.OnceValue(func() *exec.State {
-		prog, _ := c.program() // the kernel engine runs only when it compiled
-		return prog.Reference()
-	})
-	c.sequential = sync.OnceValue(func() map[string]float64 {
-		if prog, err := c.program(); err == nil {
-			return prog.Sequential()
+	}
+	c.reference.build = func(s *Service, trc *obs.Trace) (*exec.State, error) {
+		prog, err := c.program.get(context.Background(), s, trc)
+		if err != nil {
+			return nil, err
 		}
-		return exec.Sequential(nest, nil)
-	})
+		return prog.Reference(), nil
+	}
+	c.sequential.build = func(s *Service, trc *obs.Trace) (map[string]float64, error) {
+		prog, err := c.program.get(context.Background(), s, trc)
+		switch {
+		case err == nil:
+			return prog.Sequential(), nil
+		case panicked(err):
+			return nil, err
+		}
+		return exec.Sequential(nest, nil), nil
+	}
 	return c
-}
-
-// flight deduplicates concurrent compilations of one cache key.
-type flight struct {
-	done  chan struct{}
-	entry *cacheEntry
-	err   error
 }
 
 // Service is the compilation service.
@@ -391,13 +390,11 @@ type Service struct {
 	traces  *obs.Ring
 	keys    *keyMemo
 
-	flightMu sync.Mutex
-	flights  map[string]*flight
-
-	// batches coalesces concurrent /v1/execute requests for one cache
-	// key into a single execution (batch.go).
-	batchMu sync.Mutex
-	batches map[string]*execBatch
+	// compiles runs one compile per cache key at a time; batches
+	// coalesces concurrent /v1/execute requests for one cache key into a
+	// single execution (batch.go).
+	compiles group[*cacheEntry]
+	batches  group[*ExecuteResponse]
 
 	// st is the plan store (nil until configured or lazily created by
 	// ensureStore); ownsStore marks stores opened by NewWithStore, which
@@ -422,8 +419,7 @@ func New(cfg Config) *Service {
 		metrics: NewMetrics(),
 		traces:  obs.NewRing(cfg.TraceRing),
 		keys:    newKeyMemo(cfg.CacheEntries),
-		flights: map[string]*flight{},
-		batches: map[string]*execBatch{},
+		batches: group[*ExecuteResponse]{window: cfg.BatchWindow, max: cfg.BatchMax},
 	}
 	s.adm = newAdmission(cfg, func() { s.metrics.Inc("admission_sheds", 1) })
 	s.pool.adm = s.adm
@@ -602,12 +598,12 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResp
 	entry, cached, err := s.compileEntry(ctx, req, trc)
 	var plan *Plan
 	if err == nil {
-		if plan, err = entry.typed(trc); err != nil {
+		if plan, err = entry.typed(ctx, s, trc); err != nil && ctx.Err() == nil && !panicked(err) {
 			// Only a revived entry decodes, so its record is bad: forget
 			// both and answer with a full compile.
 			s.forget(entry)
 			if entry, cached, err = s.compileEntry(ctx, req, trc); err == nil {
-				plan, err = entry.typed(trc)
+				plan, err = entry.typed(ctx, s, trc)
 			}
 		}
 	}
@@ -635,9 +631,6 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 	if err != nil {
 		return nil, false, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
-
 	// Stage: parse — derive the cache key on the caller, so the cache
 	// fast path never touches the pool. A source text seen before costs
 	// one memo lookup (memo=1); otherwise the affine front end parses and
@@ -668,86 +661,50 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 		return e, true, nil
 	}
 
-	// Single flight per key: one leader compiles on the pool, everyone
-	// else waits on its result without occupying a worker. A leader that
-	// dies of its *own* request's cancellation (a hung-up client, a
-	// hedge loser released by a forwarding node) must not poison the
-	// joiners: a joiner whose context is still live retries — and, the
-	// flight being gone, takes over as the new leader.
-	var f *flight
-	for {
-		s.flightMu.Lock()
-		g, running := s.flights[key]
-		if !running {
-			f = &flight{done: make(chan struct{})}
-			s.flights[key] = f
-		}
-		s.flightMu.Unlock()
-		if !running {
-			break
-		}
-		select {
-		case <-g.done:
-			if g.err == nil {
-				return g.entry, true, nil
-			}
-			if ctx.Err() == nil && (errors.Is(g.err, context.Canceled) || errors.Is(g.err, context.DeadlineExceeded)) {
-				if e, ok := s.cache.peek(key); ok {
-					return e, true, nil
-				}
-				continue
-			}
-			return nil, false, g.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-
-	// Double-check: a previous leader may have finished (and populated
-	// the cache) between our miss and our flight registration.
-	if e, ok := s.cache.peek(key); ok {
-		s.flightMu.Lock()
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		f.entry = e
-		close(f.done)
-		return e, true, nil
-	}
-
-	// The leader runs on a pool worker: first the store read-through —
-	// a plan evicted to disk, imported from a peer, or compiled before
-	// a restart rehydrates instead of recompiling — then, on a true
-	// miss, the full pipeline.
-	fromStore := false
-	v, err := s.runPooled(ctx, trc, false, func(ctx context.Context) (any, error) {
-		if e := s.rehydrateFromStore(key, trc); e != nil {
-			fromStore = true
+	// One compile per key at a time (flight.go), bounded by
+	// RequestTimeout: its first caller's trace gets the pipeline's spans,
+	// and the others wait for the result without occupying a worker.
+	// hit is set by the run this call starts, and read only once that
+	// run's result is in.
+	hit := false
+	e, led, err := s.compiles.do(ctx, s, trc, key, func(ctx context.Context, _ int) (*cacheEntry, error) {
+		// A flight that finished between our miss and this one's start
+		// has filled the cache.
+		if e, ok := s.cache.peek(key); ok {
+			hit = true
 			return e, nil
 		}
-		if nest == nil {
-			// The memo knew the key but neither tier holds the plan: only
-			// now is the nest itself needed.
-			nres, err := s.parseSource(req.Source)
-			if err != nil {
-				return nil, err
+		// On a pool worker: first the store read-through — a plan evicted
+		// to disk, imported from a peer, or compiled before a restart
+		// rehydrates instead of recompiling — then, on a true miss, the
+		// full pipeline.
+		v, err := s.runPooled(ctx, trc, false, func(ctx context.Context) (any, error) {
+			if e := s.rehydrateFromStore(key, trc); e != nil {
+				hit = true
+				return e, nil
 			}
-			nest = nres.Nest
+			if nest == nil {
+				// The memo knew the key but neither tier holds the plan:
+				// only now is the nest itself needed.
+				nres, err := s.parseSource(req.Source)
+				if err != nil {
+					return nil, err
+				}
+				nest = nres.Nest
+			}
+			return s.compile(ctx, key, nest, strat, auto, req.Processors, trc)
+		})
+		if err != nil {
+			return nil, err
 		}
-		return s.compile(ctx, key, nest, strat, auto, req.Processors, trc)
-	})
-	if err == nil {
-		e = v.(*cacheEntry)
+		e := v.(*cacheEntry)
 		s.cacheAdd(e)
-		if !fromStore {
+		if !hit {
 			s.persist(e)
 		}
-	}
-	f.entry, f.err = e, err
-	s.flightMu.Lock()
-	delete(s.flights, key)
-	s.flightMu.Unlock()
-	close(f.done)
-	return e, fromStore, err
+		return e, nil
+	})
+	return e, err == nil && (hit || !led), err
 }
 
 // compile runs the partition→select→codegen pipeline (on a pool
@@ -914,21 +871,21 @@ func (s *Service) runPooled(ctx context.Context, trc *obs.Trace, droppable bool,
 	return v, err
 }
 
-// contain, deferred around every pooled task, turns a panic into the
-// task's error: the worker survives, and the in-flight count, the
-// admission feedback and the single-flight slot are released by the code
-// that releases them after any failed task. An arithmetic overflow — how
-// the exact-arithmetic packages refuse a coefficient — is the program's
-// doing and keeps its sentinel (HTTP 422). Anything else is a bug: it is
-// counted, its stack goes on the request's trace as a panic span, and the
-// error names that trace.
+// contain, deferred around every pooled task and every flight's fn,
+// turns a panic into the task's error, marked as a panicError: the worker
+// survives, and the in-flight count, the admission feedback and the
+// flight's key are released by the code that releases them after any
+// failed task. An arithmetic overflow — how the exact-arithmetic packages
+// refuse a coefficient — is the program's doing and keeps its sentinel
+// (HTTP 422). Anything else is a bug: it is counted, its stack goes on
+// the request's trace as a panic span, and the error names that trace.
 func (s *Service) contain(trc *obs.Trace, err *error) {
 	p := recover()
 	if p == nil {
 		return
 	}
 	if perr, ok := p.(error); ok && errors.Is(perr, intlin.ErrOverflow) {
-		*err = fmt.Errorf("service: the program's coefficients are too large to analyse exactly: %w", perr)
+		*err = panicError{fmt.Errorf("service: the program's coefficients are too large to analyse exactly: %w", perr)}
 		return
 	}
 	s.metrics.Inc("panics", 1)
@@ -936,7 +893,7 @@ func (s *Service) contain(trc *obs.Trace, err *error) {
 	sp.SetStr("value", fmt.Sprint(p))
 	sp.SetStr("stack", string(debug.Stack()))
 	sp.End()
-	*err = fmt.Errorf("service: internal error: a worker panicked serving this request (trace %s)", trc.ID())
+	*err = panicError{fmt.Errorf("service: internal error: a worker panicked serving this request (trace %s)", trc.ID())}
 }
 
 // countError folds a request error into the counters (overload
@@ -994,15 +951,9 @@ func (s *Service) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteResp
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 
-	// Identical fault-free requests coalesce into one execution
-	// (batch.go); chaos schedules are per-request, so injected runs
-	// always execute individually.
-	if inj == nil && s.cfg.BatchWindow > 0 {
-		return s.executeBatched(ctx, entry, req, cached, trc, start)
-	}
-
-	resp, err := s.executeWithRetry(ctx, entry, req, cached, trc, inj, seed)
+	resp, err := s.execute(ctx, entry, req, cached, trc, inj, seed)
 	if err != nil {
+		s.countError(err)
 		return nil, err
 	}
 	if inj != nil {
@@ -1020,7 +971,7 @@ func (s *Service) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteResp
 // executeWithRetry runs the resilience state machine for one request:
 // execute on a pool worker, re-execute on *chaos.FaultError up to
 // MaxExecRetries times under backoff, then degrade to the sequential
-// oracle. Request errors are folded into the counters here.
+// oracle.
 func (s *Service) executeWithRetry(ctx context.Context, entry *cacheEntry, req ExecuteRequest, cached bool, trc *obs.Trace, inj *chaos.Injector, seed int64) (*ExecuteResponse, error) {
 	var resp *ExecuteResponse
 	retries := 0
@@ -1034,7 +985,6 @@ func (s *Service) executeWithRetry(ctx context.Context, entry *cacheEntry, req E
 		}
 		var fe *chaos.FaultError
 		if !errors.As(err, &fe) {
-			s.countError(err)
 			return nil, err
 		}
 		if attempt >= s.cfg.MaxExecRetries {
@@ -1043,7 +993,6 @@ func (s *Service) executeWithRetry(ctx context.Context, entry *cacheEntry, req E
 				return s.executeSequential(ctx, entry, req, cached, trc)
 			})
 			if err != nil {
-				s.countError(err)
 				return nil, err
 			}
 			s.metrics.Inc("execute_degraded", 1)
@@ -1055,7 +1004,6 @@ func (s *Service) executeWithRetry(ctx context.Context, entry *cacheEntry, req E
 		s.metrics.Inc("execute_retries", 1)
 		inj.NextEpoch()
 		if err := sleepBackoff(ctx, s.cfg.RetryBackoff, attempt, inj); err != nil {
-			s.countError(err)
 			return nil, err
 		}
 	}
@@ -1096,18 +1044,20 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	// the span says why.
 	engine := s.cfg.Engine
 	var kern *exec.Kernel
+	var err error
 	if engine == "kernel" {
 		csp := trc.Start(0, "exec_compile")
-		k, kerr := entry.comp.kernel()
-		if kerr != nil {
+		if kern, err = entry.comp.kernel.get(ctx, s, trc); err != nil && ctx.Err() == nil && !panicked(err) {
 			s.metrics.Inc("exec_compile_fallbacks", 1)
 			engine = "oracle"
 			csp.SetStr("fallback", engine)
-			csp.SetStr("reason", kerr.Error())
-		} else {
-			kern = k
+			csp.SetStr("reason", err.Error())
+			err = nil
 		}
 		csp.End()
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Stage: exec_run — the simulated parallel execution. The
@@ -1122,7 +1072,6 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	opts := exec.Options{Budget: budget, Trace: trc, Parent: rsp.ID(), Chaos: inj}
 	var rep *exec.Report
 	var verdict func(*exec.State) (elements, mismatches int)
-	var err error
 	if kern != nil {
 		rep, verdict, err = kern.Validate(s.cfg.Cost, opts)
 	} else {
@@ -1148,11 +1097,18 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	// tests).
 	vsp := trc.Start(0, "exec_validate")
 	var elements, mismatches int
+	var ref *exec.State
+	var want map[string]float64
 	if verdict != nil {
-		elements, mismatches = verdict(entry.comp.reference())
-	} else {
-		want := entry.comp.sequential()
+		if ref, err = entry.comp.reference.get(ctx, s, trc); err == nil {
+			elements, mismatches = verdict(ref)
+		}
+	} else if want, err = entry.comp.sequential.get(ctx, s, trc); err == nil {
 		elements, mismatches = len(want), exec.Mismatches(rep.Final, want)
+	}
+	if err != nil {
+		vsp.End()
+		return nil, err
 	}
 	vsp.SetInt("elements", int64(elements))
 	vsp.SetInt("mismatches", int64(mismatches))

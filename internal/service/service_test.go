@@ -344,7 +344,7 @@ func TestKernelFallbackRecordsReason(t *testing.T) {
 	// Stand in for a nest beyond the compile caps: resolve the entry's
 	// lazy kernel to the error CompileNest would return.
 	capErr := errors.New("exec: array A footprint [4096 4096] exceeds 16777216 dense cells")
-	entry.comp.kernel = func() (*exec.Kernel, error) { return nil, capErr }
+	entry.comp.kernel.build = func(*Service, *obs.Trace) (*exec.Kernel, error) { return nil, capErr }
 
 	resp, err := s.Execute(ctx, execReq(req))
 	if err != nil {

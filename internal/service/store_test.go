@@ -141,7 +141,7 @@ func TestStoreEvictionReloadsWithoutRecompile(t *testing.T) {
 
 // TestStoreEvictionRacesLazyExecCompile hammers a one-entry cache with
 // concurrent executions of two keys: every request races cache
-// eviction against another request's lazy exec-compile (sync.OnceValues on
+// eviction against another request's lazy exec-compile (a lazy build on
 // the evicted entry). All executions must validate, and the compile
 // counter must stay at one per distinct key — every reload came from
 // the store. Run under -race.

@@ -79,7 +79,8 @@ func names(ids ...string) func(ast.Node) bool {
 	}
 }
 
-// field matches a struct field of the given name whose type satisfies typ.
+// field matches a struct field of the given name ("" for any) whose type
+// satisfies typ.
 func field(name string, typ func(ast.Expr) bool) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		st, ok := n.(*ast.StructType)
@@ -88,13 +89,23 @@ func field(name string, typ func(ast.Expr) bool) func(ast.Node) bool {
 		}
 		for _, f := range st.Fields.List {
 			for _, id := range f.Names {
-				if id.Name == name && typ(f.Type) {
+				if (name == "" || id.Name == name) && typ(f.Type) {
 					return true
 				}
 			}
 		}
 		return false
 	}
+}
+
+// signalChan matches the type chan struct{}.
+func signalChan(t ast.Expr) bool {
+	ch, ok := t.(*ast.ChanType)
+	if !ok {
+		return false
+	}
+	st, ok := ch.Value.(*ast.StructType)
+	return ok && len(st.Fields.List) == 0
 }
 
 // stringMap matches a map type keyed by string.
@@ -190,6 +201,12 @@ var layeringRules = []layeringRule{
 			fn, ok := n.(*ast.FuncDecl)
 			return ok && fn.Recv != nil && fn.Name.Name == "submit"
 		},
+	},
+	{
+		why:    "a second coalescing mechanism in the service: share one computation among callers with flight.go's group (per key) or lazy (kept)",
+		files:  []string{"internal/service"},
+		except: []string{"internal/service/flight.go"},
+		bad:    either(calls("sync", "OnceValue"), calls("sync", "OnceValues"), field("", signalChan)),
 	},
 	{
 		why:   "a hand-written executor beside the compiler's: compile `loop.L5(m)` and run its plan",
