@@ -14,8 +14,8 @@
 //     so a harness can diff against the library's executors.
 //
 // Loop bounds are emitted exactly: rational max/min bound terms become
-// ceilDiv/floorDiv over scaled integers, and non-unimodular index
-// recoveries are guarded by divisibility checks.
+// ceilDiv/floorDiv over scaled integers. T is unimodular, so every point
+// the loops reach is an iteration and index recovery needs no guard.
 package codegen
 
 import (
@@ -405,24 +405,16 @@ func (g *gen) emitLoopNest(b *strings.Builder, indent string, strided bool) {
 		}
 		indent += "\t"
 	}
-	// Recover original indices (extended statements) with divisibility
-	// guards where T⁻¹ has non-integer entries.
-	inner := map[int]bool{}
+	// Recover the original indices: a unit-row sequential variable is its
+	// level; every other level is its integer row of T⁻¹ times J.
 	for i, z := range tr.InnerLevels {
-		inner[z] = true
-		// Inner variable m = K+i corresponds to original index z.
-		fmt.Fprintf(b, "%s%s := %s\n", indent, g.origName(z), g.varName(tr.K+i))
+		if z >= 0 {
+			fmt.Fprintf(b, "%s%s := %s\n", indent, g.origName(z), g.varName(tr.K+i))
+		}
 	}
-	for _, es := range tr.Extended {
-		sum := linear(es.Coeffs, 0, g.varName)
-		name := g.origName(es.OrigLevel)
-		d := es.Den
-		if d == 1 {
-			fmt.Fprintf(b, "%s%s := %s\n", indent, name, sum)
-		} else {
-			fmt.Fprintf(b, "%s%sNum := %s\n", indent, name, sum)
-			fmt.Fprintf(b, "%sif mod(%sNum, %d) != 0 {\n%s\tcontinue\n%s}\n", indent, name, d, indent, indent)
-			fmt.Fprintf(b, "%s%s := %sNum / %d\n", indent, name, name, d)
+	for lvl := range tr.Nest.Levels {
+		if !slices.Contains(tr.InnerLevels, lvl) {
+			fmt.Fprintf(b, "%s%s := %s\n", indent, g.origName(lvl), linear(tr.Inv.Row(lvl), 0, g.varName))
 		}
 	}
 	fmt.Fprintf(b, "%scount++\n", indent)

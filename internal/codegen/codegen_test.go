@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,7 +19,6 @@ import (
 	"commfree/internal/loop"
 	"commfree/internal/loopgen"
 	"commfree/internal/partition"
-	"commfree/internal/space"
 	"commfree/internal/transform"
 )
 
@@ -134,8 +134,8 @@ func runGenerated(t *testing.T, src string) (int64, map[string]string, map[int]i
 }
 
 // checkGenerated runs the generated program and compares against the
-// library's executors.
-func checkGenerated(t *testing.T, nest *loop.Nest, strat partition.Strategy, p int) {
+// library's executors. It returns the source and the assignment.
+func checkGenerated(t *testing.T, nest *loop.Nest, strat partition.Strategy, p int) (string, *assign.Assignment) {
 	t.Helper()
 	src, asg := generateFor(t, nest, strat, p)
 	iters, state, pes := runGenerated(t, src)
@@ -164,6 +164,7 @@ func checkGenerated(t *testing.T, nest *loop.Nest, strat partition.Strategy, p i
 	if sum != nest.NumIterations() {
 		t.Errorf("PE counts sum to %d, want %d", sum, nest.NumIterations())
 	}
+	return src, asg
 }
 
 func TestGeneratedExecutionL1(t *testing.T) {
@@ -195,48 +196,66 @@ func TestGeneratedExecutionSequentialForm(t *testing.T) {
 	checkGenerated(t, loop.L2(), partition.NonDuplicate, 4)
 }
 
+// TestGeneratedNonUnimodularGuards: on the sweep transforms whose paper
+// completion was not unimodular — nests 128, 49 and 54 of
+// analysis.golden, whose complement's echelon basis was not a lattice
+// basis, at p ∈ {4, 16}, and nest 212, Q = [[2 5 3]], which no unit rows
+// complete — the generated program recovers every index without a
+// divisibility guard, matches the library's sequential execution and the
+// assignment's workloads, and leaves no processor idle at p = 4.
 func TestGeneratedNonUnimodularGuards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go toolchain")
 	}
-	// Ψ = span{(2,1)} forces a non-unimodular transform; the generated
-	// code must guard index recovery with divisibility checks and still
-	// enumerate the space exactly once.
-	nest := &loop.Nest{
-		Levels: []loop.Level{
-			{Name: "i", Lower: loop.ConstAffine(2, 1), Upper: loop.ConstAffine(2, 6)},
-			{Name: "j", Lower: loop.ConstAffine(2, 1), Upper: loop.ConstAffine(2, 6)},
-		},
-		Body: []*loop.Statement{{
-			Write: loop.Ref{Array: "A", H: [][]int64{{1, 0}, {0, 1}}, Offset: []int64{0, 0}},
-		}},
-	}
-	psi := space.Span(2, []int64{2, 1})
-	tr, err := transform.Transform(nest, psi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asg := assign.Assign(tr, 2)
-	src, err := Generate(tr, asg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(src, "Num, ") || !strings.Contains(src, "continue") {
-		t.Errorf("missing divisibility guard:\n%s", src)
-	}
-	iters, state, pes := runGenerated(t, src)
-	if iters != 36 {
-		t.Errorf("iterations = %d, want 36", iters)
-	}
-	if len(state) != 36 {
-		t.Errorf("state = %d elements, want 36", len(state))
-	}
-	var sum int64
-	for _, c := range pes {
-		sum += c
-	}
-	if sum != 36 {
-		t.Errorf("pe sum = %d, want 36", sum)
+	for _, c := range []struct {
+		index int // in internal/transform/testdata/analysis.golden
+		strat partition.Strategy
+		procs []int
+		src   string
+	}{
+		{128, partition.NonDuplicate, []int{4, 16}, `for i1 = 1 to 2
+  for i2 = 1 to 3
+    for i3 = 1 to 2
+      S1: B[-i1 + i2 - 2, 2i2 - i3 - 2, -i1 - i2 + i3 - 2] = 1
+      S2: B[-i1 + i2, 2i2 - i3 - 1, -i1 - i2 + i3 + 2] = 1 + B[-i1 + i2 + 1, 2i2 - i3 - 1, -i1 - i2 + i3 + 2] + A[i3 - 2, -i1 - i2 - 1, i1 + 2i2 - 2i3]
+    end
+  end
+end`},
+		{49, partition.Duplicate, []int{4, 16}, `for i1 = 1 to 2
+  for i2 = 1 to 4
+    for i3 = 1 to 3
+      S1: A[2i1 - i2 + 1, -i1 + 2i2 - 1, 2i1 + 2i3 - 2] = 1 + A[2i1 - i2 - 2, -i1 + 2i2 - 1, 2i1 + 2i3 - 2] + A[2i1 - i2, -i1 + 2i2 - 2, 2i1 + 2i3]
+      S2: A[2i1 - i2 - 1, -i1 + 2i2 + 1, 2i1 + 2i3 + 1] = 1 + A[2i1 - i2 - 2, -i1 + 2i2 + 1, 2i1 + 2i3] + A[2i1 - i2 + 1, -i1 + 2i2 + 1, 2i1 + 2i3 - 1]
+      S3: A[2i1 - i2, -i1 + 2i2 + 2, 2i1 + 2i3 + 2] = 1 + A[2i1 - i2, -i1 + 2i2 + 2, 2i1 + 2i3 + 1]
+    end
+  end
+end`},
+		{54, partition.NonDuplicate, []int{4, 16}, `for i1 = 1 to 2
+  for i2 = 1 to 3
+    for i3 = 1 to 2
+      S1: A[-i1 + 2i2 + i3, -i1 - 2i2 + 2i3] = 1
+      S2: A[-i1 + 2i2 + i3 + 2, -i1 - 2i2 + 2i3 + 2] = 1
+    end
+  end
+end`},
+		{212, partition.Duplicate, []int{4}, `for i1 = 1 to 4
+  for i2 = 1 to 2
+    for i3 = 1 to 2
+      S1: A[-2i1 - i2 - i3 + 2, 2i1 - i2 + 2] = 1 + A[-2i1 - i2 - i3 - 1, 2i1 - i2 - 2] + A[-2i1 - i2 - i3 + 1, 2i1 - i2 - 1]
+      S2: A[-2i1 - i2 - i3 - 1, 2i1 - i2 + 2] = 1 + A[-2i1 - i2 - i3 - 1, 2i1 - i2 - 2]
+    end
+  end
+end`},
+	} {
+		for _, p := range c.procs {
+			src, asg := checkGenerated(t, lang.MustParse(c.src), c.strat, p)
+			if strings.Contains(src, "Num") || strings.Contains(src, "continue") {
+				t.Errorf("nest %d p=%d: divisibility guard in the generated program:\n%s", c.index, p, src)
+			}
+			if loads := asg.Workloads(); p == 4 && slices.Contains(loads, 0) {
+				t.Errorf("nest %d p=4: workloads %v leave a processor idle", c.index, loads)
+			}
+		}
 	}
 }
 

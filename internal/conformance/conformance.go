@@ -13,8 +13,8 @@
 //     constraints: Ψ_minimal ⊆ Ψ (the paper's Ψ^r ⊆ Ψ);
 //   - consequently dim Ψ_minimal ≤ dim Ψ — eliminating redundant
 //     computations never costs parallelism;
-//   - the loop transformation T is a bijection on the iteration space:
-//     Original(NewPoint(ī)) = ī for every iteration;
+//   - the loop transformation T is unimodular, and the transformed loop
+//     visits every iteration ī once, in its block, with T⁻¹·T·ī = ī;
 //   - the dense sequential reference and the map-based oracle agree on
 //     the final sequential state, with and without elimination;
 //   - parallel execution under the partition reproduces the sequential
@@ -28,7 +28,9 @@
 package conformance
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"commfree/internal/exec"
 	"commfree/internal/loop"
@@ -150,30 +152,31 @@ func Check(nest *loop.Nest, execStrat partition.Strategy) error {
 	return checkParallelExecution(nest, results[execStrat])
 }
 
-// checkBijectivity verifies Original(NewPoint(ī)) = ī over the whole
-// iteration space: the transformation matrix T = [Ψ̄; Ψ] is unimodular
-// enough to round-trip every integer point.
+// checkBijectivity verifies that T is unimodular and that Visit reaches
+// every iteration ī exactly once, inside its block Q·ī, with
+// Original(NewPoint(ī)) = ī.
 func checkBijectivity(nest *loop.Nest, res *partition.Result) error {
 	tr, err := transform.Transform(nest, res.Psi)
 	if err != nil {
 		return fmt.Errorf("transform failed: %w", err)
 	}
+	if det := tr.T.Det(); det != 1 && det != -1 {
+		return fmt.Errorf("T = %v is not unimodular (det %d)", tr.T.A, det)
+	}
+	ix := res.Iter.Index
+	visits := make([]int, len(ix.Points))
 	var fail error
-	nest.Walk(func(it []int64) bool {
-		j := tr.NewPoint(it)
-		back, ok := tr.Original(j)
-		if !ok {
-			fail = fmt.Errorf("transform not invertible at %v (image %v)", it, j)
-			return false
+	tr.Visit(func(forall, orig []int64) {
+		j, pos := tr.NewPoint(orig), ix.Pos(orig)
+		if pos < 0 || !slices.Equal(forall, j[:tr.K]) || !slices.Equal(tr.Original(j), orig) {
+			fail = cmp.Or(fail, fmt.Errorf("transformed loop visits %v in block %v, T·ī = %v, T⁻¹·T·ī = %v", orig, forall, j, tr.Original(j)))
+			return
 		}
-		for k := range back {
-			if back[k] != it[k] {
-				fail = fmt.Errorf("transform round-trip %v → %v → %v", it, j, back)
-				return false
-			}
-		}
-		return true
+		visits[pos]++
 	})
+	if pos := slices.IndexFunc(visits, func(v int) bool { return v != 1 }); pos >= 0 {
+		fail = cmp.Or(fail, fmt.Errorf("transformed loop visits %v %d times", ix.Points[pos], visits[pos]))
+	}
 	return fail
 }
 

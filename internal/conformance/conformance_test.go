@@ -73,6 +73,36 @@ func TestConformanceWideNests(t *testing.T) {
 	}
 }
 
+// TestConformanceAnalysisSweep runs the suite over the nests
+// internal/transform/testdata/analysis.golden pins (L1–L5, the corpus,
+// 300 nests from seed 37), the parallel execution under every strategy.
+// They hold the 44 transforms whose paper completion (unit rows) was not
+// unimodular, so bijectivity — det T = ±1, every iteration visited once
+// in its own block — Verify and kernel ≡ oracle are checked where T
+// moved.
+func TestConformanceAnalysisSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("conformance sweep skipped in -short")
+	}
+	nests := []*loop.Nest{loop.L1(), loop.L2(), loop.L3(), loop.L4(), loop.L5(4)}
+	for _, src := range lang.Corpus() {
+		if nest, err := lang.Parse(src); err == nil && nest.Validate() == nil {
+			nests = append(nests, nest)
+		}
+	}
+	rnd := rand.New(rand.NewSource(37))
+	for range 300 {
+		nests = append(nests, loopgen.Generate(rnd, loopgen.DefaultConfig()))
+	}
+	for i, nest := range nests {
+		for _, strat := range strategies {
+			if err := Check(nest, strat); err != nil {
+				t.Errorf("sweep nest %d, execution under %s: %v\n%s", i, strat, err, lang.Format(nest))
+			}
+		}
+	}
+}
+
 // Every parseable program of the language corpus (the fuzz seeds,
 // including the paper's L1/L2) must be conformant.
 func TestConformanceCorpus(t *testing.T) {

@@ -53,7 +53,7 @@ func (m *Mat) RREF() (*Mat, []int) {
 	a.Rows = len(pivots)
 	a.A = a.A[:a.Rows*a.Cols]
 	for i := range pivots {
-		row := a.A[i*a.Cols : (i+1)*a.Cols]
+		row := a.Row(i)
 		copy(row, Primitive(row))
 	}
 	return a, pivots
@@ -94,7 +94,7 @@ func (m *Mat) NullSpace() [][]int64 {
 func (m *Mat) Solve(b []int64) (num []int64, den int64, ok bool) {
 	a := NewMat(m.Rows, m.Cols+1)
 	for i := 0; i < m.Rows; i++ {
-		copy(a.A[i*a.Cols:], m.A[i*m.Cols:(i+1)*m.Cols])
+		copy(a.Row(i), m.Row(i))
 		a.Set(i, m.Cols, b[i])
 	}
 	pivots, d, _ := eliminate(a, m.Cols)
@@ -129,7 +129,7 @@ func (m *Mat) Inverse() (adj *Mat, det int64) {
 	}
 	a := NewMat(n, 2*n)
 	for i := 0; i < n; i++ {
-		copy(a.A[i*a.Cols:], m.A[i*n:(i+1)*n])
+		copy(a.Row(i), m.Row(i))
 		a.Set(i, n+i, 1)
 	}
 	pivots, d, det := eliminate(a, n)
@@ -147,6 +147,19 @@ func (m *Mat) Inverse() (adj *Mat, det int64) {
 		}
 	}
 	return adj, det
+}
+
+// UnimodularInverse returns the integer matrix m⁻¹ when m is square
+// with det ±1, and nil otherwise.
+func (m *Mat) UnimodularInverse() *Mat {
+	adj, det := m.Inverse()
+	if det != 1 && det != -1 {
+		return nil
+	}
+	for i := range adj.A {
+		adj.A[i] = Mul(det, adj.A[i])
+	}
+	return adj
 }
 
 // Det returns the determinant of a square m.

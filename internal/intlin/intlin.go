@@ -112,6 +112,10 @@ func IdentityMat(n int) *Mat {
 // At returns element (i, j).
 func (m *Mat) At(i, j int) int64 { return m.A[i*m.Cols+j] }
 
+// Row returns row i, sharing m's storage (its capacity ends with the
+// row, so an append cannot reach row i+1).
+func (m *Mat) Row(i int) []int64 { return m.A[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols] }
+
 // Set assigns element (i, j).
 func (m *Mat) Set(i, j int, v int64) { m.A[i*m.Cols+j] = v }
 
@@ -224,6 +228,41 @@ func SmithNormalForm(a *Mat) *SNF {
 		}
 	}
 	return &SNF{S: s, U: u, V: v, Rank: rank}
+}
+
+// Hermite returns the row-style Hermite normal form of m, the canonical
+// basis of its row lattice: nonzero rows in echelon order, pivots
+// positive, entries above a pivot in [0, pivot). Row operations are
+// unimodular, so [A | B] with A of full row rank becomes [X·A | X·B].
+func (m *Mat) Hermite() *Mat {
+	h := m.Clone()
+	row := 0
+	for col := 0; col < h.Cols && row < h.Rows; col++ {
+		for i := row + 1; i < h.Rows; i++ {
+			if a, b := h.At(row, col), h.At(i, col); b != 0 {
+				g, x, y := ExtGCD(a, b) // [x y; −b/g a/g] has det 1
+				applyRowPair(h, row, i, x, y, Neg(b/g), a/g)
+			}
+		}
+		p := h.At(row, col)
+		if p == 0 {
+			continue
+		}
+		if p < 0 {
+			for j := range h.Cols {
+				h.Set(row, j, Neg(h.At(row, j)))
+			}
+			p = Neg(p)
+		}
+		for i := 0; i < row; i++ {
+			q := FloorDiv(h.At(i, col), p)
+			applyRowPair(h, i, row, 1, Neg(q), 0, 1)
+		}
+		row++
+	}
+	h.Rows = row
+	h.A = h.A[:row*h.Cols]
+	return h
 }
 
 // pivotToCorner moves a nonzero entry of the trailing submatrix to (k, k).

@@ -136,10 +136,15 @@ func (t *Trace) Began() time.Time {
 	return t.wall
 }
 
-// Since returns the monotonic offset of "now" from the trace start.
-// Callers recording lock-free spans (see Bulk) use it for their own
-// start/duration arithmetic. Only valid on a non-nil trace.
-func (t *Trace) Since() time.Duration { return time.Since(t.began) }
+// Since returns the monotonic offset of "now" from the trace start
+// (0 on a nil trace). Callers recording lock-free spans (see Bulk) use it
+// for their own start/duration arithmetic.
+func (t *Trace) Since() time.Duration {
+	if t == nil {
+		return 0
+	}
+	return time.Since(t.began)
+}
 
 // SpanHandle is a started span. The zero value (from a nil trace) is
 // inert: End and the setters no-op.

@@ -35,6 +35,9 @@ func TestNilTraceIsInert(t *testing.T) {
 	if e := tr.Export(); e.TraceID != "" || len(e.Spans) != 0 {
 		t.Fatalf("nil export = %+v", e)
 	}
+	if d := tr.Since(); d != 0 {
+		t.Fatalf("nil trace's Since = %v", d)
+	}
 }
 
 func TestSpanTreeStructure(t *testing.T) {

@@ -341,6 +341,66 @@ func TestStoreV1RecordsRecompile(t *testing.T) {
 	}
 }
 
+// nest128 is nest 128 of internal/transform/testdata/analysis.golden:
+// under non-duplicate its complement's echelon basis (2,0,−1), (0,2,−1)
+// is not a lattice basis, so its Q and T moved to (1,1,−1), (0,2,−1).
+const nest128 = `for i1 = 1 to 2
+  for i2 = 1 to 3
+    for i3 = 1 to 2
+      S1: B[-i1 + i2 - 2, 2i2 - i3 - 2, -i1 - i2 + i3 - 2] = 1
+      S2: B[-i1 + i2, 2i2 - i3 - 1, -i1 - i2 + i3 + 2] = 1 + B[-i1 + i2 + 1, 2i2 - i3 - 1, -i1 - i2 + i3 + 2] + A[i3 - 2, -i1 - i2 - 1, i1 + 2i2 - 2i3]
+    end
+  end
+end
+`
+
+// TestStoreV2RecordsRecompile: a version-2 record holds a plan whose
+// Section IV transform may predate the lattice basis — nest 128's Q and
+// T moved — so it is not revived but recompiled, while the same record
+// framed as version 3 revives.
+func TestStoreV2RecordsRecompile(t *testing.T) {
+	dir := t.TempDir()
+	req := CompileRequest{Source: nest128, Strategy: "non-duplicate", Processors: 4}
+	s1 := newStoreService(t, Config{StoreDir: dir})
+	resp1, err := s1.Compile(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	files, _ := filepath.Glob(filepath.Join(dir, "objects", "*.rec"))
+	if len(files) != 1 {
+		t.Fatalf("records on disk: %v", files)
+	}
+	v3, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte(nil), v3...)
+	binary.LittleEndian.PutUint32(v2[4:], 2) // the CRC covers the payload only
+
+	for _, c := range []struct {
+		name                string
+		file                []byte
+		compiles, rehydrate int64
+	}{{"v2", v2, 1, 0}, {"v3", v3, 0, 1}} {
+		if err := os.WriteFile(files[0], c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newStoreService(t, Config{StoreDir: dir})
+		resp, err := s.Compile(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := s.Metrics(); m.Counter("compiles") != c.compiles || m.Counter("rehydrates") != c.rehydrate {
+			t.Errorf("%s record: counters %v, want compiles=%d rehydrates=%d", c.name, m.Snapshot().Counters, c.compiles, c.rehydrate)
+		}
+		if planJSON(t, resp.Plan) != planJSON(t, resp1.Plan) {
+			t.Errorf("%s record: the plan differs from the compiled one", c.name)
+		}
+		s.Close()
+	}
+}
+
 // TestLazyPlanDecodeIsSharedAcrossConcurrentCompiles: eight compiles
 // racing for a revived entry's typed plan decode it once between them
 // and all answer with the same bytes. Run under -race.

@@ -60,6 +60,22 @@ func newTestService(t *testing.T, cfg Config) *Service {
 	return s
 }
 
+// TestCompileEntryColdWithNilTrace: a cold compile through the pool
+// without a trace returns the plan, not a contained worker panic.
+func TestCompileEntryColdWithNilTrace(t *testing.T) {
+	s := newTestService(t, Config{})
+	e, cached, err := s.compileEntry(context.Background(), CompileRequest{Source: srcL1, Processors: 4}, nil)
+	if err != nil {
+		t.Fatalf("cold compile with a nil trace: %v", err)
+	}
+	if cached || e.plan == nil || e.plan.Processors != 4 {
+		t.Errorf("cached=%v plan=%+v", cached, e.plan)
+	}
+	if n := s.Metrics().Counter("compiles"); n != 1 {
+		t.Errorf("compiles = %d, want 1", n)
+	}
+}
+
 func TestCompileL1(t *testing.T) {
 	s := newTestService(t, Config{})
 	resp, err := s.Compile(context.Background(), CompileRequest{Source: srcL1, Processors: 4})

@@ -7,8 +7,8 @@
 // dimension queries are canonical and cheap, and the basis is already the
 // gcd-normalized integer one the paper reports Ψ in. The orthogonal
 // complement (the paper writes Ker(Ψ) in Section IV) is kept the same
-// way, exactly as the program transformation requires (each basis vector
-// ā has gcd(ā) = 1).
+// way; the program transformation reads a basis of its integer lattice
+// (OrthogonalComplementIntegerBasis).
 package space
 
 import (
@@ -52,7 +52,7 @@ func Span(n int, vectors ...[]int64) *Space {
 	r, pivots := m.RREF()
 	s := &Space{n: n, basis: make([][]int64, len(pivots))}
 	for i := range s.basis {
-		s.basis[i] = r.A[i*n : (i+1)*n : (i+1)*n]
+		s.basis[i] = r.Row(i)
 	}
 	return s
 }
@@ -108,11 +108,28 @@ func (s *Space) OrthogonalComplement() *Space {
 	return Span(s.n, intlin.FromRows(s.basis).NullSpace()...)
 }
 
-// OrthogonalComplementIntegerBasis returns a primitive-integer basis
-// (gcd(ā) = 1 per vector) of the orthogonal complement, the basis Q the
-// transformation of Section IV starts from.
+// OrthogonalComplementIntegerBasis returns the basis Q of the lattice
+// Ψ^⊥ ∩ Zⁿ that Section IV, partition labels and store revival read: the
+// complement's echelon basis when it is one (one row, unit pivots, or
+// Smith invariants 1), else the Hermite basis of the first k rows of V⁻¹
+// from its Smith form. Its labels Q·ī fill Zᵏ and it extends to a
+// unimodular T.
 func (s *Space) OrthogonalComplementIntegerBasis() [][]int64 {
-	return s.OrthogonalComplement().IntegerBasis()
+	q := s.OrthogonalComplement().IntegerBasis()
+	unit := true
+	for _, row := range q {
+		unit = unit && row[slices.IndexFunc(row, func(x int64) bool { return x != 0 })] == 1
+	}
+	if k := len(q); k > 1 && !unit {
+		if snf := intlin.SmithNormalForm(intlin.FromRows(q)); snf.S.At(k-1, k-1) != 1 {
+			vi := snf.V.UnimodularInverse()
+			h := (&intlin.Mat{Rows: k, Cols: s.n, A: vi.A[:k*s.n]}).Hermite()
+			for i := range q {
+				q[i] = h.Row(i)
+			}
+		}
+	}
+	return q
 }
 
 // String renders the space as span{...} with integer-normalized vectors.

@@ -210,3 +210,33 @@ func TestPropUnionMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestComplementBasisIsALatticeBasis: Q is the complement's echelon
+// basis when that already spans Ψ^⊥ ∩ Zⁿ — one row, unit pivots, or
+// Smith invariants 1 — and the Hermite basis of that lattice otherwise.
+func TestComplementBasisIsALatticeBasis(t *testing.T) {
+	for _, c := range []struct {
+		psi  [][]int64
+		want [][]int64
+	}{
+		{[][]int64{{1, 1, 2}}, [][]int64{{1, 1, -1}, {0, 2, -1}}}, // echelon (2,0,−1), (0,2,−1)
+		{[][]int64{{1, 1, 1}}, [][]int64{{1, 0, -1}, {0, 1, -1}}}, // unit pivots
+		{[][]int64{{5, 2}}, [][]int64{{2, -5}}},                   // one row
+		{[][]int64{{2, 4, 1}}, [][]int64{{1, 0, -2}, {0, 1, -4}}}, // unit pivots
+		{[][]int64{{3, 0, 5}}, [][]int64{{5, 0, -3}, {0, 1, 0}}},  // pivot 5, invariants 1
+		{[][]int64{{1, 2, 3}, {0, 1, 1}}, [][]int64{{1, 1, -1}}},  // one row
+		{[][]int64{{4, 2, 5}}, [][]int64{{1, 3, -2}, {0, 5, -2}}}, // echelon (5,0,−4), (0,5,−2)
+	} {
+		got := Span(len(c.psi[0]), c.psi...).OrthogonalComplementIntegerBasis()
+		if len(got) != len(c.want) {
+			t.Fatalf("Ψ = %v: Q = %v, want %v", c.psi, got, c.want)
+		}
+		for i := range got {
+			for j := range got[i] {
+				if got[i][j] != c.want[i][j] {
+					t.Errorf("Ψ = %v: Q = %v, want %v", c.psi, got, c.want)
+				}
+			}
+		}
+	}
+}

@@ -26,18 +26,8 @@ import (
 // UPDATE_GOLDEN=1 go test ./internal/transform -run AnalysisGolden, and
 // only for a change that means to move these objects.
 func TestAnalysisGolden(t *testing.T) {
-	nests := []*loop.Nest{loop.L1(), loop.L2(), loop.L3(), loop.L4(), loop.L5(4)}
-	for _, src := range lang.Corpus() {
-		if nest, err := lang.Parse(src); err == nil && nest.Validate() == nil {
-			nests = append(nests, nest)
-		}
-	}
-	rnd := rand.New(rand.NewSource(37))
-	for i := 0; i < 300; i++ {
-		nests = append(nests, loopgen.Generate(rnd, loopgen.DefaultConfig()))
-	}
 	var b strings.Builder
-	for i, nest := range nests {
+	for i, nest := range sweep(37) {
 		fmt.Fprintf(&b, "== nest %d\n%s\n", i, nest)
 		pc, err := partition.NewContext(nest, nil, 0)
 		if err != nil {
@@ -66,6 +56,23 @@ func TestAnalysisGolden(t *testing.T) {
 		}
 	}
 	goldenCompare(t, "analysis.golden", []byte(b.String()))
+}
+
+// sweep is the nest sweep the analysis tests run over: L1–L5, the
+// corpus programs that parse and validate, then 300 nests generated from
+// seed. Seed 37 gives the nests of analysis.golden, in order.
+func sweep(seed int64) []*loop.Nest {
+	nests := []*loop.Nest{loop.L1(), loop.L2(), loop.L3(), loop.L4(), loop.L5(4)}
+	for _, src := range lang.Corpus() {
+		if nest, err := lang.Parse(src); err == nil && nest.Validate() == nil {
+			nests = append(nests, nest)
+		}
+	}
+	rnd := rand.New(rand.NewSource(seed))
+	for range 300 {
+		nests = append(nests, loopgen.Generate(rnd, loopgen.DefaultConfig()))
+	}
+	return nests
 }
 
 func writeAnalysis(b *strings.Builder, a *deps.Analysis) {
@@ -98,11 +105,11 @@ func writeTransformed(b *strings.Builder, tr *Transformed) {
 	n := tr.Nest.Depth()
 	rows := make([][]int64, n)
 	for i := range rows {
-		rows[i] = tr.T.A[i*n : (i+1)*n]
+		rows[i] = tr.T.Row(i)
 	}
 	fmt.Fprintf(b, "  Q=%v pivots=%v inner=%v T=%v\n", tr.Q, tr.PivotCols, tr.InnerLevels, rows)
-	for i, row := range tr.inv {
-		fmt.Fprintf(b, "  inv%d=%v/%d\n", i, row.Coeffs, row.Den)
+	for i := range n { // T⁻¹ is integral; "/1" keeps the line format
+		fmt.Fprintf(b, "  inv%d=%v/1\n", i, tr.Inv.Row(i))
 	}
 	for m, vb := range tr.Bounds {
 		fmt.Fprintf(b, "  bounds%d lower=%s upper=%s\n", m, terms(vb.Lower), terms(vb.Upper))

@@ -2,15 +2,12 @@ package transform
 
 import (
 	"encoding/json"
-	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
-	"commfree/internal/lang"
 	"commfree/internal/loop"
-	"commfree/internal/loopgen"
 	"commfree/internal/partition"
 	"commfree/internal/space"
 )
@@ -21,16 +18,7 @@ import (
 // are the blocks' Q·b̄ in lexicographic order — as enumerated, nothing is
 // sorted afterwards — and each point's size is its block's.
 func TestForallSpaceIsTheIterationPartition(t *testing.T) {
-	nests := []*loop.Nest{loop.L1(), loop.L2(), loop.L3(), loop.L4(), loop.L5(4)}
-	for _, src := range lang.Corpus() {
-		if nest, err := lang.Parse(src); err == nil && nest.Validate() == nil {
-			nests = append(nests, nest)
-		}
-	}
-	rnd := rand.New(rand.NewSource(18))
-	for i := 0; i < 300; i++ {
-		nests = append(nests, loopgen.Generate(rnd, loopgen.DefaultConfig()))
-	}
+	nests := sweep(18)
 	type point struct {
 		forall []int64
 		size   int64

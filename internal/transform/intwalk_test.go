@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -13,7 +12,6 @@ import (
 	"commfree/internal/intlin"
 	"commfree/internal/lang"
 	"commfree/internal/loop"
-	"commfree/internal/loopgen"
 	"commfree/internal/partition"
 	"commfree/internal/space"
 )
@@ -133,16 +131,16 @@ func ratEliminate(sys []ratIneq, k int) []ratIneq {
 	return kept
 }
 
-// ratInverse is T⁻¹ over the rationals, read from the integer rows and
-// checked against T: T·T⁻¹ must be the identity.
+// ratInverse is T⁻¹ over the rationals, read from the integer matrix
+// and checked against T: T·T⁻¹ must be the identity.
 func ratInverse(t *testing.T, tr *Transformed) [][]*big.Rat {
 	t.Helper()
 	n := tr.Nest.Depth()
 	inv := make([][]*big.Rat, n)
-	for i, row := range tr.inv {
+	for i := range inv {
 		inv[i] = make([]*big.Rat, n)
-		for c, x := range row.Coeffs {
-			inv[i][c] = big.NewRat(x, row.Den)
+		for c, x := range tr.Inv.Row(i) {
+			inv[i][c] = big.NewRat(x, 1)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -286,21 +284,6 @@ func ratWalk(t *testing.T, tr *Transformed, bounds []ratBounds, eval func(m int,
 	}
 }
 
-// walkNests is the sweep: L1–L5, the corpus and 300 generated nests.
-func walkNests() []*loop.Nest {
-	nests := []*loop.Nest{loop.L1(), loop.L2(), loop.L3(), loop.L4(), loop.L5(4)}
-	for _, src := range lang.Corpus() {
-		if nest, err := lang.Parse(src); err == nil && nest.Validate() == nil {
-			nests = append(nests, nest)
-		}
-	}
-	rnd := rand.New(rand.NewSource(30))
-	for i := 0; i < 300; i++ {
-		nests = append(nests, loopgen.Generate(rnd, loopgen.DefaultConfig()))
-	}
-	return nests
-}
-
 // checkWalk compares a Transformed with the rational reference: every
 // bound the reference walk evaluates, every iteration it visits and in
 // which order, the forall enumeration, and the pseudocode.
@@ -367,9 +350,10 @@ func renderInts(terms []BoundTerm, names []string) []string {
 
 // TestIntegerWalkIsTheRationalOne pins the integer bound form to the
 // rational one it replaced, over the sweep under every coset strategy
-// and the zero Ψ, plus a non-unimodular T.
+// and the zero Ψ, plus the probe nests whose T the unimodular completion
+// moved (probeNests checks their det ±1).
 func TestIntegerWalkIsTheRationalOne(t *testing.T) {
-	for ni, nest := range walkNests() {
+	for ni, nest := range sweep(30) {
 		pc, err := partition.NewContext(nest, nil, 0)
 		if err != nil {
 			t.Fatalf("nest %d: %v\n%s", ni, err, nest)
@@ -393,30 +377,18 @@ func TestIntegerWalkIsTheRationalOne(t *testing.T) {
 		}
 	}
 
-	nest := &loop.Nest{
-		Levels: []loop.Level{
-			{Name: "i", Lower: loop.ConstAffine(2, 1), Upper: loop.ConstAffine(2, 6)},
-			{Name: "j", Lower: loop.ConstAffine(2, 1), Upper: loop.ConstAffine(2, 6)},
-		},
-		Body: []*loop.Statement{{
-			Write: loop.Ref{Array: "A", H: [][]int64{{1, 0}, {0, 1}}, Offset: []int64{0, 0}},
-		}},
+	for _, pn := range probeNests(t) {
+		checkWalk(t, fmt.Sprintf("formerly non-unimodular nest %d", pn.index), pn.tr)
 	}
-	tr, err := Transform(nest, space.Span(2, []int64{2, 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.ContainsFunc(tr.inv, func(row BoundTerm) bool { return row.Den > 1 }) {
-		t.Fatalf("T⁻¹ = %v is integral; the case needs a non-unimodular T", tr.inv)
-	}
-	checkWalk(t, "non-unimodular", tr)
 }
 
 // Two nests whose Fourier–Motzkin terms are exact rationals in int64 but
-// whose integer form is not (the DSL reads numbers as float64, so each
-// constant is a power-of-two multiple plus a small part). Both have a
-// (3, 2) dependence, so non-duplicate Ψ = span{(3, 2)}, i′ = 2i − 3j,
-// and the lower bound on i is ½·i′ + c.
+// whose integer arithmetic is not (the DSL reads numbers as float64, so
+// each constant is a power-of-two multiple plus a small part). Both have
+// a (3, 2) dependence, so non-duplicate Ψ = span{(3, 2)} and i′ = 2i − 3j.
+// The constants were chosen against the det-3 T = [[2 −3] [1 0]] of the
+// greedy unit rows, whose lower bound on i was ½·i′ + c; under the
+// unimodular T both already leave int64 in Fourier–Motzkin elimination.
 var (
 	// scaledOverflowNest has c = 5188146770730811383: the term fits, its
 	// numerator over the denominator 2, i′ + 2c, does not at any i′.
@@ -459,10 +431,11 @@ func refused(f func()) (err error) {
 }
 
 // TestOverflowingBoundTermsAreRefused: where the integer form of a bound
-// does not fit, transform panics with intlin.ErrOverflow — when it
-// scales the constraints over the new variables by |det T| = 3, or when
-// the walk evaluates a term — and never hands out a wrapped bound or
-// count. The rational reference shows the terms themselves fit.
+// does not fit, transform panics with intlin.ErrOverflow — here while
+// Fourier–Motzkin combines the constraints over the new variables; the
+// walk's own steps are TestWalkArithmeticIsChecked's — and never hands
+// out a wrapped bound or count. The rational reference shows the terms
+// themselves fit.
 func TestOverflowingBoundTermsAreRefused(t *testing.T) {
 	psi := func(nest *loop.Nest) *space.Space {
 		t.Helper()
@@ -482,7 +455,7 @@ func TestOverflowingBoundTermsAreRefused(t *testing.T) {
 	}
 	for _, src := range []string{walkOverflowNest, scaledOverflowNest} {
 		nest := lang.MustParse(src)
-		if !fitsInt64(ratReference(t, &Transformed{Nest: nest, T: small.T, inv: small.inv})) {
+		if !fitsInt64(ratReference(t, &Transformed{Nest: nest, T: small.T, Inv: small.Inv})) {
 			t.Fatalf("the rational bound terms leave int64:\n%s", src)
 		}
 		var blocks int
@@ -500,19 +473,18 @@ func TestOverflowingBoundTermsAreRefused(t *testing.T) {
 }
 
 // TestWalkArithmeticIsChecked: the walk's own integer steps — a term's
-// numerator in Eval, T⁻¹·J's numerators stepped along the innermost
-// level — refuse a value outside int64 instead of wrapping.
+// numerator in Eval, T⁻¹·J stepped along the innermost level — refuse a value outside int64 instead of wrapping.
 func TestWalkArithmeticIsChecked(t *testing.T) {
 	konst := func(c int64) []BoundTerm { return []BoundTerm{{Coeffs: []int64{}, Const: c, Den: 1}} }
 	vb := VarBounds{Lower: []BoundTerm{{Coeffs: []int64{3}, Const: math.MaxInt64 - 2, Den: 2}}, Upper: konst(0)}
 	if err := refused(func() { vb.Eval([]int64{1}) }); !errors.Is(err, intlin.ErrOverflow) {
 		t.Errorf("Eval of a numerator past int64: err %v, want intlin.ErrOverflow", err)
 	}
-	// One level, J from 1 to 3, T⁻¹ = (2⁶²)/2⁶²: the numerator 2⁶² at
-	// J = 1 fits, the step to J = 2 does not.
+	// One level, J from 1 to 3, T⁻¹ = (2⁶²): the index 2⁶² at J = 1
+	// fits, the step to J = 2 does not.
 	tr := &Transformed{Nest: lang.MustParse("for i = 1 to 3\n  A[i] = 1\nend\n"),
 		Bounds: []VarBounds{{Lower: konst(1), Upper: konst(3)}},
-		inv:    []BoundTerm{{Coeffs: []int64{1 << 62}, Den: 1 << 62}}}
+		Inv:    intlin.FromRows([][]int64{{1 << 62}})}
 	visits := 0
 	if err := refused(func() { tr.Visit(func(_, _ []int64) { visits++ }) }); !errors.Is(err, intlin.ErrOverflow) || visits != 1 {
 		t.Errorf("Visit stepping a numerator past int64: %d visits, err %v; want 1 and intlin.ErrOverflow", visits, err)

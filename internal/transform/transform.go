@@ -5,11 +5,12 @@
 //	  for I_{z₁} … for I_{z_g}            (g = dim Ψ sequential levels)
 //	    extended statements + original body
 //
-// The forall indices are I′ = ā·ī for the gcd-normalized integer basis
-// {ā₁,…,ā_k} of the orthogonal complement of Ψ (the paper's Ker(Ψ));
-// each forall point is one iteration block. Loop bounds for the new
-// variables come from exact Fourier–Motzkin elimination, reproducing the
-// max(...)/min(...) bounds of the paper's worked example L4′.
+// The forall indices are I′ = ā·ī for a basis {ā₁,…,ā_k} of the integer
+// vectors orthogonal to Ψ (the paper's Ker(Ψ)); each forall point is one
+// iteration block, and the sequential indices complete the ā to a
+// unimodular T. Loop bounds for the new variables come from exact
+// Fourier–Motzkin elimination, reproducing the max(...)/min(...) bounds
+// of the paper's worked example L4′.
 package transform
 
 import (
@@ -154,43 +155,32 @@ func (v *VarBounds) Eval(outer []int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// ExtendedStatement recovers one original index inside the loop body:
-// its row of T⁻¹ in the integer form, Index = Σ Coeffs[j]·J_j / Den over
-// all n new variables (Const is 0). A point whose sum Den does not
-// divide has no integral preimage (only when T is not unimodular).
-type ExtendedStatement struct {
-	OrigLevel int // which original index this computes
-	BoundTerm
-}
-
 // Transformed is the parallel execution form of a partitioned nest.
 type Transformed struct {
 	Nest *loop.Nest
 	Psi  *space.Space
-	// Q is the integer basis of the orthogonal complement, one row per
-	// forall level, in pivot order.
+	// Q is a basis of the lattice Ψ^⊥ ∩ Zⁿ, one row per forall level,
+	// in pivot order.
 	Q [][]int64
 	// K is the number of forall levels; G the number of sequential ones.
 	K, G int
 	// PivotCols are the y_j: the original index position each forall
 	// variable is named after (0-based).
 	PivotCols []int
-	// InnerLevels are the z_i: original index levels iterated sequentially
-	// inside a block (0-based, increasing).
+	// InnerLevels are the z_i: the original level each sequential
+	// variable iterates (0-based), or −1 for a sequential variable whose
+	// row of T is not a unit row.
 	InnerLevels []int
-	// T maps original to new indices (J = T·I): the Q rows, then the unit
-	// rows of the inner indices.
+	// T maps original to new indices (J = T·I): the Q rows, then the
+	// rows of the sequential variables. T is unimodular, so every
+	// integer J inside the bounds is an iteration.
 	T *intlin.Mat
-	// inv holds T⁻¹'s rows, each over its lcm denominator, so Original is
-	// integer arithmetic.
-	inv []BoundTerm
+	// Inv is T⁻¹, an integer matrix. Every original level that no
+	// sequential variable iterates, pivots included, is recovered inside
+	// the body by an extended statement, its row of Inv times J.
+	Inv *intlin.Mat
 	// Bounds[m] bounds new variable m in terms of variables 0..m-1.
 	Bounds []VarBounds
-	// Extended lists the extended statements (one per original index that
-	// is neither a forall pivot nor an inner index... i.e. all non-inner
-	// indices, including pivots, since the body needs every original
-	// index value).
-	Extended []ExtendedStatement
 	// Names of the new variables in loop order.
 	Names []string
 
@@ -200,16 +190,16 @@ type Transformed struct {
 	sizes      []int64
 }
 
-// Transform rewrites the nest for partitioning space psi, deriving the
-// complement basis automatically.
+// Transform rewrites the nest for partitioning space psi, with Q the
+// basis psi.OrthogonalComplementIntegerBasis.
 func Transform(nest *loop.Nest, psi *space.Space) (*Transformed, error) {
-	return TransformWithBasis(nest, psi, psi.OrthogonalComplementIntegerBasis())
+	return TransformWithBasis(nest, psi, nil)
 }
 
-// TransformWithBasis is Transform with a caller-chosen integer basis Q of
-// the orthogonal complement (the paper picks {(1,1,0),(-1,0,1)} for L4;
-// the canonical RREF basis may differ by sign). Each row must be
-// orthogonal to Ψ and the rows must be linearly independent.
+// TransformWithBasis is Transform with a caller-chosen basis Q of the
+// lattice Ψ^⊥ ∩ Zⁿ (the paper picks {(1,1,0),(-1,0,1)} for L4; nil picks
+// the canonical one), in pivot order: forall variable j is named after
+// the j-th pivot column of Q's echelon form. Any other Q is refused.
 func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transformed, error) {
 	if err := nest.Validate(); err != nil {
 		return nil, err
@@ -218,114 +208,39 @@ func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transf
 	if psi.Ambient() != n {
 		return nil, fmt.Errorf("transform: Ψ ambient %d != depth %d", psi.Ambient(), n)
 	}
-	k := n - psi.Dim()
-	if len(q) != k {
-		return nil, fmt.Errorf("transform: basis has %d rows, complement dimension is %d", len(q), k)
+	lattice := psi.OrthogonalComplementIntegerBasis()
+	if q == nil {
+		q = lattice
+	} else if len(q) != len(lattice) || slices.ContainsFunc(q, func(row []int64) bool { return len(row) != n }) ||
+		!slices.Equal(intlin.FromRows(q).Hermite().A, intlin.FromRows(lattice).Hermite().A) {
+		return nil, fmt.Errorf("transform: %v is not a basis of the lattice Ψ^⊥ ∩ Zⁿ, %v for Ψ = %s", q, lattice, psi)
 	}
-	comp := psi.OrthogonalComplement()
-	for _, row := range q {
-		if len(row) != n {
-			return nil, fmt.Errorf("transform: basis row %v has length %d, want %d", row, len(row), n)
-		}
-		if !comp.Contains(row) {
-			return nil, fmt.Errorf("transform: basis row %v not orthogonal to Ψ = %s", row, psi)
-		}
-	}
-	if space.Span(n, q...).Dim() != k {
-		return nil, fmt.Errorf("transform: basis rows not linearly independent")
+	_, pivots := intlin.FromRows(q).RREF()
+	tr := &Transformed{Nest: nest, Psi: psi, Q: q, K: len(q), G: n - len(q), PivotCols: pivots}
+	if err := tr.complete(); err != nil {
+		return nil, err
 	}
 
-	tr := &Transformed{Nest: nest, Psi: psi, K: k, G: n - k}
-
-	// Row-echelon pass over Q to fix pivot columns and the permutation σ:
-	// each echelon row is derived from one original row; equation (1)
-	// defines I′_{y_j} with the ORIGINAL row assigned to pivot j.
-	type rowState struct {
-		vals []int64
-		orig int
-	}
-	work := make([]rowState, k)
-	for i, row := range q {
-		work[i] = rowState{vals: slices.Clone(row), orig: i}
-	}
-	var pivotCols []int
-	var rowOrder []int // original row index per pivot, in pivot order
-	rrow := 0
-	for col := 0; col < n && rrow < k; col++ {
-		sel := -1
-		for i := rrow; i < k; i++ {
-			if work[i].vals[col] != 0 {
-				sel = i
-				break
-			}
-		}
-		if sel < 0 {
-			continue
-		}
-		work[rrow], work[sel] = work[sel], work[rrow]
-		p := work[rrow].vals
-		for i := rrow + 1; i < k; i++ {
-			v := work[i].vals
-			if f := v[col]; f != 0 {
-				for c := col; c < n; c++ {
-					v[c] = intlin.MulAdd(intlin.Mul(p[col], v[c]), intlin.Neg(f), p[c])
-				}
-				copy(v, intlin.Primitive(v))
-			}
-		}
-		pivotCols = append(pivotCols, col)
-		rowOrder = append(rowOrder, work[rrow].orig)
-		rrow++
-	}
-	tr.PivotCols = pivotCols
-	tr.Q = make([][]int64, k)
-	for j, orig := range rowOrder {
-		tr.Q[j] = q[orig]
-	}
-
-	// Inner (sequential) indices z₁ < … < z_g: greedily take the original
-	// index whose unit vector is NOT in the span of Q ∪ {e_z chosen so
-	// far}. This makes T invertible and preserves lexicographic execution
-	// order inside each block.
-	spanRows := slices.Clone(tr.Q)
-	cur := space.Span(n, spanRows...)
-	for z := 0; z < n && len(tr.InnerLevels) < tr.G; z++ {
-		unit := make([]int64, n)
-		unit[z] = 1
-		if cur.Contains(unit) {
-			continue
-		}
-		tr.InnerLevels = append(tr.InnerLevels, z)
-		spanRows = append(spanRows, unit)
-		cur = space.Span(n, spanRows...)
-	}
-	if len(tr.InnerLevels) != tr.G {
-		return nil, fmt.Errorf("transform: could not select %d inner indices", tr.G)
-	}
-
-	// T: rows = Q rows then unit rows of the inner indices; T⁻¹ = adj/det.
-	tr.T = intlin.FromRows(spanRows)
-	adj, det := tr.T.Inverse()
-	if det == 0 {
-		return nil, fmt.Errorf("transform: transformation matrix singular")
-	}
-	tr.inv = make([]BoundTerm, n)
-	for i := range tr.inv {
-		tr.inv[i] = scaleTerm(adj.A[i*n:(i+1)*n], 0, det)
-	}
-
-	// Names: forall vars take the pivot index's name + "'", inner vars
-	// keep their original names.
+	// Names: forall vars take the pivot index's name + "'", a sequential
+	// var on a unit row keeps its level's name, any other takes w1, w2, …
+	// (the prefix lengthened with w's until no level name starts with it).
 	for _, y := range tr.PivotCols {
 		tr.Names = append(tr.Names, nest.Levels[y].Name+"'")
 	}
-	for _, z := range tr.InnerLevels {
-		tr.Names = append(tr.Names, nest.Levels[z].Name)
+	fresh := "w"
+	for slices.ContainsFunc(nest.Levels, func(l loop.Level) bool { return strings.HasPrefix(l.Name, fresh) }) {
+		fresh += "w"
+	}
+	for i, z := range tr.InnerLevels {
+		name := fresh + strconv.Itoa(i+1)
+		if z >= 0 {
+			name = nest.Levels[z].Name
+		}
+		tr.Names = append(tr.Names, name)
 	}
 
-	// Constraint system over J: original bounds with ī = T⁻¹·J = adj·J/det.
-	// A row a·ī ≤ b becomes (a·adj)·J ≤ b·det, both sides times sign(det)
-	// so the inequality keeps its direction.
+	// Constraint system over J: original bounds with ī = T⁻¹·J, so a row
+	// a·ī ≤ b becomes (a·T⁻¹)·J ≤ b.
 	sys := polyhedron.NewSystem(n)
 	for lvl, lv := range nest.Levels {
 		// i_lvl − lower(ī) ≥ lower.Const and i_lvl − upper(ī) ≤ upper.Const.
@@ -339,18 +254,14 @@ func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transf
 				if ii == lvl {
 					c = intlin.Add(c, 1)
 				}
-				if det < 0 {
-					c = intlin.Neg(c)
-				}
 				for jj := range jrow {
-					jrow[jj] = intlin.MulAdd(jrow[jj], c, adj.At(ii, jj))
+					jrow[jj] = intlin.MulAdd(jrow[jj], c, tr.Inv.At(ii, jj))
 				}
 			}
-			bound := intlin.Mul(side.a.Const, intlin.Abs(det))
 			if side.upper {
-				sys.AddLE(jrow, bound)
+				sys.AddLE(jrow, side.a.Const)
 			} else {
-				sys.AddGE(jrow, bound)
+				sys.AddGE(jrow, side.a.Const)
 			}
 		}
 	}
@@ -385,19 +296,86 @@ func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transf
 		dedupTerms(&vb.Upper, false)
 	}
 
-	// Extended statements: every original index that is not an inner loop
-	// variable is recovered from J via T⁻¹.
-	inner := map[int]bool{}
-	for _, z := range tr.InnerLevels {
-		inner[z] = true
-	}
-	for lvl := 0; lvl < n; lvl++ {
-		if inner[lvl] {
-			continue
-		}
-		tr.Extended = append(tr.Extended, ExtendedStatement{OrigLevel: lvl, BoundTerm: tr.inv[lvl]})
-	}
 	return tr, nil
+}
+
+// complete extends Q to the unimodular T and sets InnerLevels and T⁻¹:
+// with the paper's unit rows when they give |det T| = 1, with
+// latticeRows otherwise.
+func (tr *Transformed) complete() error {
+	rows := unitCompletion(tr.Q, tr.Nest.Depth())
+	inv := intlin.FromRows(rows).UnimodularInverse()
+	if inv == nil {
+		rows = append(rows[:tr.K], tr.latticeRows()...)
+		if inv = intlin.FromRows(rows).UnimodularInverse(); inv == nil {
+			return fmt.Errorf("transform: T = %v is not unimodular", rows)
+		}
+	}
+	for _, w := range rows[tr.K:] {
+		tr.InnerLevels = append(tr.InnerLevels, unitLevel(w))
+	}
+	tr.T, tr.Inv = intlin.FromRows(rows), inv
+	return nil
+}
+
+// unitCompletion is the paper's completion of q to an n×n T: the unit
+// rows e_z of the greedy earliest levels z whose e_z is not yet in the
+// span, each iterated as itself. T is nonsingular, and an iteration's
+// first nonzero difference to another of its block is at one of these
+// levels, so a block runs in lexicographic order; but |det T| may
+// exceed 1.
+func unitCompletion(q [][]int64, n int) [][]int64 {
+	rows := slices.Clone(q)
+	for z := 0; z < n && len(rows) < n; z++ {
+		unit := make([]int64, n)
+		unit[z] = 1
+		if intlin.FromRows(append(rows, unit)).Rank() > len(rows) {
+			rows = append(rows, unit)
+		}
+	}
+	return rows
+}
+
+// latticeRows returns G rows W that complete Q to a unimodular T and keep
+// each block in lexicographic order. With W₀ the last G rows of V⁻¹ from
+// Q's Smith form, [Q; W₀] is unimodular; W = X·W₀ for the unimodular X
+// that makes W·Pᵀ lower triangular with a positive diagonal (P is Ψ's
+// echelon basis), so for two iterations of a block, d = Pᵀ·c, the orders
+// of d, c and W·d = (W·Pᵀ)·c agree. X comes from the Hermite form of
+// [W₀·Pᵀ, columns reversed | W₀] over [0 | Q], rows reversed; the Q rows
+// reduce W modulo Q, which changes no W·Pᵀ.
+func (tr *Transformed) latticeRows() [][]int64 {
+	n, k, g := tr.Nest.Depth(), tr.K, tr.G
+	vi := intlin.SmithNormalForm(intlin.FromRows(tr.Q)).V.UnimodularInverse()
+	p := intlin.FromRows(tr.Psi.IntegerBasis())
+	aug := intlin.NewMat(g+k, g+n)
+	for i := range g {
+		w := vi.Row(k + i)
+		for j, x := range p.MulVec(w) {
+			aug.Set(i, g-1-j, x)
+		}
+		copy(aug.Row(i)[g:], w)
+	}
+	for i, q := range tr.Q {
+		copy(aug.Row(g + i)[g:], q)
+	}
+	h := aug.Hermite()
+	w := make([][]int64, g)
+	for i := range w {
+		w[i] = h.Row(g - 1 - i)[g:]
+	}
+	return w
+}
+
+// unitLevel returns u when row is the unit row e_u, else −1.
+func unitLevel(row []int64) int {
+	u := slices.Index(row, 1)
+	for j, x := range row {
+		if x != 0 && j != u {
+			return -1
+		}
+	}
+	return u
 }
 
 // dedupTerms drops duplicate terms and, among the purely constant terms,
@@ -433,35 +411,9 @@ func (b BoundTerm) equal(o BoundTerm) bool {
 	return b.Const == o.Const && b.Den == o.Den && slices.Equal(b.Coeffs, o.Coeffs)
 }
 
-// Original recovers the original iteration from a full new-variable point,
-// reporting ok=false when T⁻¹·J is not integral (possible only when T is
-// not unimodular).
-func (t *Transformed) Original(j []int64) ([]int64, bool) {
-	out := make([]int64, len(t.inv))
-	for i := range t.inv {
-		out[i] = t.inv[i].sum(j)
-	}
-	if !t.divide(out, out) {
-		return nil, false
-	}
-	return out, true
-}
-
-// divide writes T⁻¹·J into orig from its numerators, row by row,
-// reporting false when a row's denominator does not divide its
-// numerator. num and orig may be the same slice.
-func (t *Transformed) divide(num, orig []int64) bool {
-	for i, v := range num {
-		if d := t.inv[i].Den; d != 1 {
-			if v%d != 0 {
-				return false
-			}
-			v /= d
-		}
-		orig[i] = v
-	}
-	return true
-}
+// Original recovers the original iteration ī = T⁻¹·J from a full
+// new-variable point.
+func (t *Transformed) Original(j []int64) []int64 { return t.Inv.MulVec(j) }
 
 // NewPoint maps an original iteration to new coordinates J = T·ī.
 func (t *Transformed) NewPoint(orig []int64) []int64 { return t.T.MulVec(orig) }
@@ -469,18 +421,19 @@ func (t *Transformed) NewPoint(orig []int64) []int64 { return t.T.MulVec(orig) }
 // Visit enumerates the transformed loop: body is called for every
 // iteration, forall points in lexicographic order and, inside one forall
 // point (block), iterations in lexicographic original order. Both slices
-// are buffers Visit reuses: body must copy what it keeps.
+// are buffers Visit reuses: body must neither modify them nor keep them
+// without a copy.
 //
 // The bounds are exact: every constraint of the nest bounds the last new
-// variable it involves, so every integral T⁻¹·J the walk reaches is an
-// iteration.
+// variable it involves, and T is unimodular, so every point the walk
+// reaches is an iteration and each step is one.
 func (t *Transformed) Visit(body func(forall, orig []int64)) {
 	n := t.Nest.Depth()
 	if n == 0 {
 		return
 	}
 	last := n - 1
-	point, num, orig := make([]int64, n), make([]int64, n), make([]int64, n)
+	point, orig := make([]int64, n), make([]int64, n)
 	var rec func(m int)
 	rec = func(m int) {
 		lo, hi := t.Bounds[m].Eval(point[:m])
@@ -494,22 +447,19 @@ func (t *Transformed) Visit(body func(forall, orig []int64)) {
 		if lo > hi {
 			return
 		}
-		// The innermost level moves T⁻¹·J's numerators by the last column
-		// of T⁻¹ per step.
+		// The innermost level moves T⁻¹·J by T⁻¹'s last column per step.
 		point[last] = lo
-		for i := range t.inv {
-			num[i] = t.inv[i].sum(point)
+		for i := range orig {
+			orig[i] = (&BoundTerm{Coeffs: t.Inv.Row(i)}).sum(point)
 		}
 		for {
-			if t.divide(num, orig) {
-				body(point[:t.K], orig)
-			}
+			body(point[:t.K], orig)
 			if point[last] == hi {
 				return
 			}
 			point[last]++
-			for i := range num {
-				num[i] = intlin.Add(num[i], t.inv[i].Coeffs[last])
+			for i := range orig {
+				orig[i] = intlin.Add(orig[i], t.Inv.At(i, last))
 			}
 		}
 	}
@@ -567,8 +517,12 @@ func (t *Transformed) String() string {
 		fmt.Fprintf(&b, "%s%s %s = %s to %s\n", indent, kw, t.Names[m], lo, hi)
 		indent += "  "
 	}
-	for e, es := range t.Extended {
-		fmt.Fprintf(&b, "%sE%d: %s := %s\n", indent, e+1, t.Nest.Levels[es.OrigLevel].Name, es.render(t.Names))
+	e := 0
+	for lvl, lv := range t.Nest.Levels {
+		if !slices.Contains(t.InnerLevels, lvl) {
+			e++
+			fmt.Fprintf(&b, "%sE%d: %s := %s\n", indent, e, lv.Name, BoundTerm{Coeffs: t.Inv.Row(lvl), Den: 1}.render(t.Names))
+		}
 	}
 	fmt.Fprintf(&b, "%s[loop body]\n", indent)
 	for m := t.Nest.Depth() - 1; m >= 0; m-- {

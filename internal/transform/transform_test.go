@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,19 +79,16 @@ func TestTransformL4PaperBounds(t *testing.T) {
 func TestTransformL4ExtendedStatements(t *testing.T) {
 	tr := transformPaperL4(t)
 	// E1: i2 = i1' - i1; E2: i3 = i2' + i1. Check via Original().
-	orig, ok := tr.Original([]int64{5, 1, 2}) // i1'=5, i2'=1, i1=2
-	if !ok {
-		t.Fatal("integral point rejected")
-	}
+	orig := tr.Original([]int64{5, 1, 2}) // i1'=5, i2'=1, i1=2
 	if orig[0] != 2 || orig[1] != 3 || orig[2] != 3 {
 		t.Errorf("original = %v, want (2,3,3)", orig)
 	}
-	if len(tr.Extended) != 2 {
-		t.Fatalf("extended statements = %d, want 2", len(tr.Extended))
+	// The extended statements recover i2 and i3, their rows of T⁻¹.
+	if got := tr.String(); !strings.Contains(got, "E1: i2 := i1' - i1") || !strings.Contains(got, "E2: i3 := i2' + i1") || strings.Contains(got, "E3") {
+		t.Errorf("extended statements:\n%s", got)
 	}
-	// The extended statements recover i2 and i3.
-	if tr.Extended[0].OrigLevel != 1 || tr.Extended[1].OrigLevel != 2 {
-		t.Errorf("extended levels = %d, %d", tr.Extended[0].OrigLevel, tr.Extended[1].OrigLevel)
+	if !slices.Equal(tr.Inv.Row(1), []int64{1, 0, -1}) || !slices.Equal(tr.Inv.Row(2), []int64{0, 1, 1}) {
+		t.Errorf("T⁻¹ rows of i2, i3 = %v, %v", tr.Inv.Row(1), tr.Inv.Row(2))
 	}
 }
 
@@ -237,34 +235,23 @@ func TestTransformFullyParallelZeroPsi(t *testing.T) {
 	}
 }
 
+// TestTransformNonUnimodular: on the sweep transforms whose paper
+// completion (the complement's echelon basis plus greedy unit rows) is
+// not unimodular, T is unimodular now, and the walk covers the space
+// exactly once with one step per iteration.
 func TestTransformNonUnimodular(t *testing.T) {
-	// Ψ = span{(2,1)}: complement basis (1,-2); T = [(1,-2),(1,0)] has
-	// determinant 2, so half the J grid has no integral preimage. The
-	// enumeration must still cover the space exactly once.
-	nest := &loop.Nest{
-		Levels: []loop.Level{
-			{Name: "i", Lower: loop.ConstAffine(2, 1), Upper: loop.ConstAffine(2, 6)},
-			{Name: "j", Lower: loop.ConstAffine(2, 1), Upper: loop.ConstAffine(2, 6)},
-		},
-		Body: []*loop.Statement{{
-			Write: loop.Ref{Array: "A", H: [][]int64{{1, 0}, {0, 1}}, Offset: []int64{0, 0}},
-		}},
-	}
-	psi := space.Span(2, []int64{2, 1})
-	tr, err := Transform(nest, psi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	tr.Visit(func(_, orig []int64) {
-		k := fmt.Sprint(orig)
-		if seen[k] {
-			t.Fatalf("%v twice", orig)
+	for _, pn := range probeNests(t) {
+		seen := map[string]bool{}
+		pn.tr.Visit(func(_, orig []int64) {
+			k := fmt.Sprint(orig)
+			if seen[k] {
+				t.Fatalf("nest %d: %v twice", pn.index, orig)
+			}
+			seen[k] = true
+		})
+		if int64(len(seen)) != pn.tr.Nest.NumIterations() || walkSteps(pn.tr) != int64(len(seen)) {
+			t.Errorf("nest %d: enumerated %d in %d steps, want %d", pn.index, len(seen), walkSteps(pn.tr), pn.tr.Nest.NumIterations())
 		}
-		seen[k] = true
-	})
-	if len(seen) != 36 {
-		t.Errorf("enumerated %d, want 36", len(seen))
 	}
 }
 
@@ -291,10 +278,7 @@ func TestTransformNewPointRoundTrip(t *testing.T) {
 	tr := transformPaperL4(t)
 	for _, it := range loop.L4().Iterations() {
 		j := tr.NewPoint(it)
-		back, ok := tr.Original(j)
-		if !ok {
-			t.Fatalf("round trip lost integrality at %v", it)
-		}
+		back := tr.Original(j)
 		for k := range it {
 			if back[k] != it[k] {
 				t.Fatalf("round trip %v → %v → %v", it, j, back)
@@ -316,6 +300,10 @@ func TestTransformRejectsBadBasis(t *testing.T) {
 	// Dependent rows.
 	if _, err := TransformWithBasis(loop.L4(), psi, [][]int64{{1, 1, 0}, {2, 2, 0}}); err == nil {
 		t.Error("dependent basis accepted")
+	}
+	// A basis of a sublattice: (1,1,0) is not an integer combination.
+	if _, err := TransformWithBasis(loop.L4(), psi, [][]int64{{2, 2, 0}, {-1, 0, 1}}); err == nil || !strings.Contains(err.Error(), "lattice") {
+		t.Errorf("sublattice basis: err %v", err)
 	}
 	// Ambient mismatch.
 	if _, err := Transform(loop.L4(), space.Zero(2)); err == nil {

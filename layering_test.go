@@ -134,6 +134,27 @@ func panicsWith(name string) func(ast.Node) bool {
 	}
 }
 
+// results matches the declaration of a function or method of the given
+// name with more than limit results.
+func results(name string, limit int) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		return ok && fn.Name.Name == name && fn.Type.Results.NumFields() > limit
+	}
+}
+
+// emitsMod matches a string literal that writes a call of the generated
+// program's mod other than its definition and the strided forall start,
+// lo + mod(pe[m]-mod(lo, p), p).
+func emitsMod(n ast.Node) bool {
+	lit, ok := n.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return false
+	}
+	v := strings.NewReplacer("func mod(", "", "mod(pe[%d]-mod(lo%d, ", "").Replace(lit.Value)
+	return strings.Contains(v, "mod(")
+}
+
 func either(preds ...func(ast.Node) bool) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		for _, p := range preds {
@@ -193,6 +214,11 @@ var layeringRules = []layeringRule{
 		why:   "a second walk of the transformed loop: read Transformed.ForallPoints and BlockSizes",
 		files: []string{"internal/assign", "internal/selector", "internal/service"},
 		bad:   calls("", "Visit"),
+	},
+	{
+		why:   "a divisibility guard on the transformed loop: T is unimodular, so T⁻¹·J is an iteration at every point the bounds admit and Original has no failure to report",
+		files: []string{"internal/transform", "internal/codegen"},
+		bad:   either(names("divide"), results("Original", 1), emitsMod),
 	},
 	{
 		why:   "the blocking pool path is back: every caller goes through trySubmit",

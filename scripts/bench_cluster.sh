@@ -79,11 +79,13 @@ def overload(rep):
 # swing with ambient CPU contention (the assault point starves client
 # and fleet alike, so a lucky scheduling window can flatter the
 # baseline). They are recorded in the trajectory; CI fails only on the
-# invariant checks.
+# invariant checks. A miss of a non-gating check prints MISS, not FAIL,
+# and the summary line names it.
 checks = []
 def check(name, ok, detail, gating=True):
     checks.append((name, ok, gating))
-    print(f"bench_cluster: {'OK  ' if ok else 'FAIL'} {name}: {detail}")
+    label = "OK  " if ok else "FAIL" if gating else "MISS (recorded, not gated)"
+    print(f"bench_cluster: {label} {name}: {detail}")
 
 points = {}
 for point in ("knee", "assault"):
@@ -132,10 +134,12 @@ check("assault: controller engaged", ac["slo_shed_rate"] > 0,
       f"shed rate {ac['slo_shed_rate']:.3f}")
 
 failed = [name for name, ok, gating in checks if not ok and gating]
+missed = [name for name, ok, gating in checks if not ok and not gating]
+misses = f" (not gated, missed: {', '.join(missed)})" if missed else ""
 if mode == "gate":
     if failed:
-        sys.exit("bench_cluster: gate FAILED: " + ", ".join(failed))
-    print("bench_cluster: gate passed")
+        sys.exit("bench_cluster: gate FAILED: " + ", ".join(failed) + misses)
+    print("bench_cluster: gate passed" + misses)
     sys.exit(0)
 
 entry = {
@@ -153,5 +157,7 @@ with open(path, "w") as f:
     f.write("\n")
 print(f"bench_cluster: appended {entry['date']} entry to {path}")
 if failed:
-    sys.exit("bench_cluster: acceptance FAILED: " + ", ".join(failed))
+    sys.exit("bench_cluster: acceptance FAILED: " + ", ".join(failed) + misses)
+if missed:
+    print("bench_cluster: acceptance passed" + misses)
 PY
