@@ -10,7 +10,7 @@
 // Usage:
 //
 //	commfreed [-addr :8377] [-workers 8] [-queue 128] [-cache 256]
-//	          [-timeout 30s] [-max-iterations 4194304] [-engine kernel|oracle]
+//	          [-timeout 30s] [-max-iterations 4194304]
 //	          [-trace-ring 256] [-chaos-seed 0] [-debug]
 //	          [-store-dir DIR [-store-warm]]
 //	          [-node NAME -peers NAME=URL,... [-replicas 2]
@@ -144,13 +144,6 @@ func run() error {
 		advertise    = flag.String("advertise", "", "cluster: base URL peers reach this node at (with -join)")
 		leaveOnDrain = flag.Bool("leave-on-drain", false, "cluster: announce leave on shutdown, migrating this node's plans to the survivors before draining")
 	)
-	// flag.Func makes an unknown engine a usage error (message, usage,
-	// exit 2) instead of a silent fall-through to the default.
-	engine := "kernel"
-	flag.Func("engine", "execution engine: kernel (specialized, pooled arenas; the default) or oracle (map-based reference)", func(v string) (err error) {
-		engine, err = service.ParseEngine(v)
-		return err
-	})
 	flag.Parse()
 
 	svc, err := service.NewWithStore(service.Config{
@@ -159,7 +152,6 @@ func run() error {
 		CacheEntries:   *cacheN,
 		RequestTimeout: *timeout,
 		MaxIterations:  *maxIter,
-		Engine:         engine,
 		BatchWindow:    *batchWin,
 		BatchMax:       *batchMax,
 		TraceRing:      *traceRing,
@@ -256,8 +248,8 @@ func run() error {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("commfreed: listening on %s (%d workers, queue %d, cache %d entries, %s engine)",
-			*addr, *workers, *queue, *cacheN, engine)
+		log.Printf("commfreed: listening on %s (%d workers, queue %d, cache %d entries)",
+			*addr, *workers, *queue, *cacheN)
 		errc <- srv.ListenAndServe()
 	}()
 

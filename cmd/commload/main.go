@@ -72,11 +72,6 @@ func run() error {
 		hedgeAfter  = flag.Duration("hedge-after", 50*time.Millisecond, "fleet: hedge budget (0 disables)")
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "fleet: execute coalescing window (0 disables)")
 	)
-	engine := "kernel"
-	flag.Func("engine", "fleet: execution engine, kernel (default) or oracle", func(v string) (err error) {
-		engine, err = service.ParseEngine(v)
-		return err
-	})
 	flag.Parse()
 
 	var procList []int
@@ -121,7 +116,6 @@ func run() error {
 		fleet, err := cluster.NewLocal(*local, service.Config{
 			Workers:     *workers,
 			QueueDepth:  *queueDepth,
-			Engine:      engine,
 			BatchWindow: *batchWindow,
 			Admission:   *admission,
 			SLOTarget:   perNode,

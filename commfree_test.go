@@ -1,6 +1,9 @@
 package commfree
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -280,5 +283,44 @@ func TestTransformLoopFacade(t *testing.T) {
 	}
 	if tr.K != 2 || tr.G != 1 {
 		t.Errorf("K=%d G=%d", tr.K, tr.G)
+	}
+}
+
+// srcNaN computes 0/0 into every element: NaN on every engine, so the
+// parallel run must still validate against the sequential one.
+const srcNaN = "for i = 0 to 7\n  A[i] = 0/0\nend\n"
+
+func TestMismatchesCountsNaNAsNaN(t *testing.T) {
+	comp, err := Compile(srcNaN, NonDuplicate, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := comp.Execute(TransputerCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := Mismatches(rep.Final, SequentialReference(comp.Nest)); n != 0 {
+		t.Errorf("Mismatches = %d on a nest that computes NaN, want 0", n)
+	}
+}
+
+// TestCLIExecutesNaN: `commfree -exec` on a nest that computes NaN says
+// the result is identical to sequential execution and exits 0.
+func TestCLIExecutesNaN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the command")
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "nan.cf")
+	if err := os.WriteFile(src, []byte(srcNaN), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "commfree")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/commfree").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-file", src, "-p", "4", "-exec").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "result: identical to sequential execution (8 elements)") {
+		t.Errorf("commfree -exec: %v\n%s", err, out)
 	}
 }

@@ -137,22 +137,6 @@ func (a *Assignment) Workloads() []int64 {
 	return loads
 }
 
-// BlocksOf returns the forall points owned by the processor with the
-// given ID, in lexicographic order.
-func (a *Assignment) BlocksOf(id int) [][]int64 {
-	var out [][]int64
-	for _, f := range a.Tr.ForallPoints() {
-		if a.OwnerID(f) == id {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Imbalance returns (max load − min load) / mean load over all
-// processors; 0 is perfect.
-func (a *Assignment) Imbalance() float64 { return imbalance(a.Workloads()) }
-
 // imbalance is (max − min) / mean of per-processor loads.
 func imbalance(loads []int64) float64 {
 	if len(loads) == 0 {

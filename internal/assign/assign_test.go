@@ -1,7 +1,6 @@
 package assign
 
 import (
-	"fmt"
 	"testing"
 
 	"commfree/internal/loop"
@@ -70,8 +69,8 @@ func TestFig10Workloads(t *testing.T) {
 	if total != 64 {
 		t.Errorf("total = %d, want 64", total)
 	}
-	if a.Imbalance() != 0 {
-		t.Errorf("imbalance = %v, want 0", a.Imbalance())
+	if imb := imbalance(loads); imb != 0 {
+		t.Errorf("imbalance = %v, want 0", imb)
 	}
 }
 
@@ -95,23 +94,26 @@ func TestOwnerCyclic(t *testing.T) {
 	}
 }
 
-func TestOwnerIDConsistentWithBlocksOf(t *testing.T) {
+// TestOwnerIDCoversForallPoints: every forall point of L4 has one owner
+// on the machine, and every processor owns at least one of the 37.
+func TestOwnerIDCoversForallPoints(t *testing.T) {
 	a := Assign(l4Transformed(t), 4)
-	seen := map[string]bool{}
-	for id := 0; id < a.NumProcessors(); id++ {
-		for _, f := range a.BlocksOf(id) {
-			key := fmt.Sprint(f)
-			if seen[key] {
-				t.Fatalf("forall point %v owned twice", f)
-			}
-			seen[key] = true
-			if a.OwnerID(f) != id {
-				t.Errorf("OwnerID(%v) = %d, want %d", f, a.OwnerID(f), id)
-			}
-		}
+	points := a.Tr.ForallPoints()
+	if len(points) != 37 {
+		t.Fatalf("forall points = %d, want 37", len(points))
 	}
-	if len(seen) != 37 {
-		t.Errorf("assigned blocks = %d, want 37", len(seen))
+	owned := make([]int, a.NumProcessors())
+	for _, f := range points {
+		id := a.OwnerID(f)
+		if id < 0 || id >= len(owned) {
+			t.Fatalf("OwnerID(%v) = %d, outside 0..%d", f, id, len(owned)-1)
+		}
+		owned[id]++
+	}
+	for id, n := range owned {
+		if n == 0 {
+			t.Errorf("processor %d owns no forall point", id)
+		}
 	}
 }
 
@@ -176,7 +178,7 @@ func TestL1CyclicBalance(t *testing.T) {
 func TestSummary(t *testing.T) {
 	a := Assign(l4Transformed(t), 4)
 	s := a.Summary()
-	if s == "" || a.Imbalance() != 0 {
-		t.Errorf("summary = %q imbalance = %v", s, a.Imbalance())
+	if imb := imbalance(a.Workloads()); s == "" || imb != 0 {
+		t.Errorf("summary = %q imbalance = %v", s, imb)
 	}
 }

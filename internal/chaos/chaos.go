@@ -99,13 +99,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Persistent returns a config whose block failures outlast any per-block
-// retry cap — every parallel run under it fails, exercising the
-// service-level retry and graceful-degradation paths.
-func Persistent() Config {
-	return Config{BlockFailProb: 1, MaxBlockFails: 1 << 20}
-}
-
 // ClusterConfig is the membership-fault mix the cluster conformance
 // dimension runs under: every peer the schedule elects (see
 // PeerCrashVictim) crashes for a bounded window of heartbeat rounds,
@@ -116,17 +109,6 @@ func ClusterConfig() Config {
 		MaxCrashRounds:    6,
 		CrashHorizon:      8,
 		HeartbeatLossProb: 0.05,
-	}
-}
-
-// StoreConfig is the persistence-fault mix the restart/membership
-// conformance dimensions run under: a fifth of store writes are torn
-// and a fifth of migration sends are dropped — both must degrade to
-// "recompile on demand", never to a wrong plan.
-func StoreConfig() Config {
-	return Config{
-		TornWriteProb:     0.2,
-		MigrationDropProb: 0.2,
 	}
 }
 
@@ -415,22 +397,6 @@ func NewInjector(sched *Schedule) *Injector {
 // Default is NewInjector(NewSchedule(seed, DefaultConfig())).
 func Default(seed int64) *Injector {
 	return NewInjector(NewSchedule(seed, DefaultConfig()))
-}
-
-// Seed returns the schedule seed (0 for a nil injector).
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.sched.Seed
-}
-
-// Epoch returns the current schedule epoch.
-func (in *Injector) Epoch() int {
-	if in == nil {
-		return 0
-	}
-	return int(in.epoch.Load())
 }
 
 // NextEpoch advances the schedule epoch (called by service-level retry

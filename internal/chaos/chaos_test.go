@@ -134,7 +134,7 @@ func TestInjectorCountersAndNilSafety(t *testing.T) {
 	if r, d := nilInj.DistFault(0); r != 0 || d != 0 {
 		t.Error("nil injector injected a dist fault")
 	}
-	if nilInj.NodeDelayS(0) != 0 || nilInj.Jitter(1) != 0 || nilInj.Seed() != 0 {
+	if nilInj.NodeDelayS(0) != 0 || nilInj.Jitter(1) != 0 {
 		t.Error("nil injector not inert")
 	}
 	nilInj.CountRetry()
@@ -143,7 +143,7 @@ func TestInjectorCountersAndNilSafety(t *testing.T) {
 		t.Errorf("nil injector stats = %+v", st)
 	}
 
-	in := NewInjector(NewSchedule(11, Persistent()))
+	in := NewInjector(NewSchedule(11, persistent))
 	if fail, _ := in.BlockFault(5, 0); !fail {
 		t.Fatal("persistent config did not fail attempt 0")
 	}
@@ -154,9 +154,13 @@ func TestInjectorCountersAndNilSafety(t *testing.T) {
 	}
 }
 
+// persistent is a config whose block failures outlast any per-block
+// retry cap: every parallel run under it fails.
+var persistent = Config{BlockFailProb: 1, MaxBlockFails: 1 << 20}
+
 // Persistent schedules must out-fail any realistic per-block retry cap.
 func TestPersistentOutlastsRetries(t *testing.T) {
-	in := NewInjector(NewSchedule(3, Persistent()))
+	in := NewInjector(NewSchedule(3, persistent))
 	for attempt := 0; attempt < 64; attempt++ {
 		if fail, _ := in.BlockFault(0, attempt); !fail {
 			t.Fatalf("persistent schedule cleared at attempt %d", attempt)
@@ -177,7 +181,7 @@ func TestFaultErrorUnwrapsViaAs(t *testing.T) {
 // zero-prob config never fires, and torn writes always land a strict
 // prefix so the CRC envelope catches them.
 func TestStoreFaultSchedules(t *testing.T) {
-	s := NewSchedule(7, StoreConfig())
+	s := NewSchedule(7, Config{TornWriteProb: 0.2, MigrationDropProb: 0.2})
 	torn, whole := 0, 0
 	for seq := int64(0); seq < 400; seq++ {
 		n1, t1 := s.TornWrite(seq, 1000)

@@ -289,8 +289,8 @@ func unionPeers(a, b []Peer) []Peer {
 // regardless of old ownership filtering by self, since a departed node
 // owns nothing in the new ring by construction.
 func (n *Node) migrate(epoch int64, oldNames, newNames []string, departing bool) int {
-	oldRing := NewRing(oldNames, n.cfg.VNodes)
-	newRing := NewRing(newNames, n.cfg.VNodes)
+	oldRing := NewRing(oldNames, DefaultVNodes)
+	newRing := NewRing(newNames, DefaultVNodes)
 	m := n.svc.Metrics()
 	migrated := 0
 	for _, rec := range n.svc.ExportRecords() {

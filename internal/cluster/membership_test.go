@@ -95,7 +95,7 @@ func TestJoinMigratesExactlyMovedKeys(t *testing.T) {
 		if n.Epoch() != 1 {
 			t.Fatalf("%s epoch = %d, want 1", n.Self(), n.Epoch())
 		}
-		if got := n.Ring().Len(); got != 4 {
+		if got := len(n.Ring().peers); got != 4 {
 			t.Fatalf("%s ring has %d members, want 4", n.Self(), got)
 		}
 	}
@@ -170,8 +170,8 @@ func TestLeaveMigratesPlansOut(t *testing.T) {
 		if n.Self() == "n1" {
 			continue
 		}
-		if n.Epoch() != 1 || n.Ring().Len() != 2 {
-			t.Fatalf("%s did not adopt the leave epoch: epoch=%d ring=%d", n.Self(), n.Epoch(), n.Ring().Len())
+		if n.Epoch() != 1 || len(n.Ring().peers) != 2 {
+			t.Fatalf("%s did not adopt the leave epoch: epoch=%d ring=%d", n.Self(), n.Epoch(), len(n.Ring().peers))
 		}
 	}
 	if in := totalCounter(fleet, "cluster_migrations_in"); in < int64(len(corpus)) {

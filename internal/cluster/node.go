@@ -69,8 +69,6 @@ type Config struct {
 	// Replicas is R: one home plus R−1 replicas per plan (default 2,
 	// capped at the peer count).
 	Replicas int
-	// VNodes is the virtual-node count per peer (default DefaultVNodes).
-	VNodes int
 	// HedgeAfter is the latency budget after which a forwarded request
 	// is hedged to the next replica (0 disables hedging).
 	HedgeAfter time.Duration
@@ -120,9 +118,6 @@ func (c Config) withDefaults() (Config, error) {
 	// the live member set.
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
 	}
 	if c.LoadBound == 0 {
 		c.LoadBound = 1.25
@@ -212,7 +207,7 @@ func NewNode(svc *service.Service, cfg Config) (*Node, error) {
 	}
 	n.det = newDetector(cfg.Self, n.names, cfg.SuspectAfter, cfg.HeartbeatS, n.sched,
 		healthProbe(n.client, n.urlOf))
-	n.ring = NewRing(n.names, cfg.VNodes)
+	n.ring = NewRing(n.names, DefaultVNodes)
 	n.det.setOnChange(n.rebalance)
 	n.registerMetrics()
 	for _, p := range cfg.Peers {
@@ -338,7 +333,7 @@ func (n *Node) loadOf(peer string) *atomic.Int64 {
 // rebalance rebuilds the ring over the new alive set and re-derives
 // ownership of every tracked key, counting the moves.
 func (n *Node) rebalance(alive []string) {
-	ring := NewRing(alive, n.cfg.VNodes)
+	ring := NewRing(alive, DefaultVNodes)
 	n.ringMu.Lock()
 	n.ring = ring
 	n.ringMu.Unlock()

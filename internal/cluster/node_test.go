@@ -16,7 +16,7 @@ import (
 )
 
 func testBase() service.Config {
-	return service.Config{Workers: 2, QueueDepth: 64, Engine: "kernel"}
+	return service.Config{Workers: 2, QueueDepth: 64}
 }
 
 // sourceHomedOn synthesizes a valid nest whose routing key is homed on

@@ -20,7 +20,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
 
 	"commfree/internal/store"
@@ -46,8 +45,8 @@ type Ring struct {
 	points []point
 }
 
-// DefaultVNodes is the virtual-node count per peer when the caller
-// passes 0 — enough that the largest keyspace share stays within ~2×
+// DefaultVNodes is the virtual-node count per peer of every node's ring
+// (and what NewRing uses when the caller passes 0) — enough that the largest keyspace share stays within ~2×
 // the mean for small fleets.
 const DefaultVNodes = 64
 
@@ -108,12 +107,6 @@ func newRingHash(peers []string, vnodes int, hashFn func(peerHash uint64, vnode 
 	})
 	return r
 }
-
-// Peers returns the ring's member names, sorted.
-func (r *Ring) Peers() []string { return append([]string(nil), r.peers...) }
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.peers) }
 
 // Owner returns the key's home peer — the first virtual node at or
 // clockwise after the key. ok is false on an empty ring.
@@ -207,25 +200,4 @@ func MovedKeys(oldRing, newRing *Ring, keys []uint64) []uint64 {
 		}
 	}
 	return moved
-}
-
-// Shares returns each peer's owned fraction of the keyspace (arc length
-// of the hash circle), for balance diagnostics and tests.
-func (r *Ring) Shares() map[string]float64 {
-	out := make(map[string]float64, len(r.peers))
-	if len(r.points) == 0 {
-		return out
-	}
-	const span = float64(1<<63) * 2 // 2^64 as float
-	for i, pt := range r.points {
-		next := r.points[(i+1)%len(r.points)]
-		arc := next.hash - pt.hash // wraps correctly in uint64
-		out[r.peers[next.peer]] += float64(arc) / span
-	}
-	return out
-}
-
-// String renders a short diagnostic form.
-func (r *Ring) String() string {
-	return fmt.Sprintf("ring{peers=%d vnodes=%d}", len(r.peers), len(r.points))
 }

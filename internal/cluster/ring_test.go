@@ -107,9 +107,22 @@ func TestRingMembershipMoveProperty(t *testing.T) {
 	}
 }
 
+// keyspaceShares is each peer's owned fraction of the keyspace: the arcs
+// of the hash circle that end at its virtual nodes.
+func keyspaceShares(r *Ring) map[string]float64 {
+	out := make(map[string]float64, len(r.peers))
+	const span = float64(1<<63) * 2 // 2^64 as float
+	for i, pt := range r.points {
+		next := r.points[(i+1)%len(r.points)]
+		arc := next.hash - pt.hash // wraps correctly in uint64
+		out[r.peers[next.peer]] += float64(arc) / span
+	}
+	return out
+}
+
 func TestRingSharesRoughlyBalanced(t *testing.T) {
 	peers := []string{"n0", "n1", "n2", "n3", "n4"}
-	shares := NewRing(peers, 0).Shares()
+	shares := keyspaceShares(NewRing(peers, 0))
 	var total float64
 	for _, p := range peers {
 		s := shares[p]

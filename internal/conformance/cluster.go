@@ -76,10 +76,39 @@ func docOf(r *service.ExecuteResponse) execDoc {
 	}
 }
 
-// clusterCorpus filters lang.Corpus down to valid nests small enough
-// for the execution properties.
-func clusterCorpus() []string {
+// overCapStrides are the strides of the over-cap nests: each nest has
+// four iterations, but with stride c A's bounding box is (c+2) × (c+2)
+// elements, past the kernel's dense cap, so a service executes it on
+// the map oracle through the exec_compile fallback.
+var overCapStrides = []int{4096, 4099, 5003, 6007, 7919, 8192, 9001, 10007}
+
+// overCapCorpus is the oracle engine's corpus: one over-cap nest per
+// stride, distinct nests so a membership epoch has keys to move.
+func overCapCorpus() []string {
+	out := make([]string, len(overCapStrides))
+	for i, c := range overCapStrides {
+		out[i] = fmt.Sprintf(`for i = 1 to 2
+  for j = 1 to 2
+    A[i + %[1]dj, %[1]di + j] = A[i + %[1]dj - 1, %[1]di + j] + 1
+  end
+end
+`, c)
+	}
+	return out
+}
+
+// clusterCorpus is the corpus the cluster, membership and restart
+// dimensions sweep on the named served engine: "kernel" is lang.Corpus
+// filtered down to valid nests small enough for the execution
+// properties, "oracle" is overCapCorpus, and "" is both.
+func clusterCorpus(engine string) []string {
 	var out []string
+	if engine != "kernel" {
+		out = append(out, overCapCorpus()...)
+	}
+	if engine == "oracle" {
+		return out
+	}
 	for _, src := range lang.Corpus() {
 		nest, err := lang.Parse(src)
 		if err != nil || nest.Validate() != nil {
@@ -93,16 +122,36 @@ func clusterCorpus() []string {
 	return out
 }
 
+// servedEngine is the engine a service must report for a corpus nest:
+// the oracle fallback for an over-cap nest, the kernel otherwise.
+func servedEngine(src string) string {
+	for _, o := range overCapCorpus() {
+		if src == o {
+			return "oracle"
+		}
+	}
+	return "kernel"
+}
+
+// checkEngine demands the response ran on the engine the nest is
+// served by.
+func checkEngine(dim string, ci int, src, strat, got string) error {
+	if want := servedEngine(src); got != want {
+		return fmt.Errorf("conformance: %s: corpus[%d] %s ran on engine %q, want %q", dim, ci, strat, got, want)
+	}
+	return nil
+}
+
 // CheckCluster runs the cluster dimension: an n-node in-process fleet
-// against a single-node reference, corpus × four strategies on the
-// given engine. seed != 0 additionally replays a seeded membership
-// fault schedule (a crashed node, dropped heartbeats) during the sweep;
-// every request must still succeed with a bit-identical document.
+// against a single-node reference, the engine's corpus (see
+// clusterCorpus) × the strategies. seed != 0 additionally replays a
+// seeded membership fault schedule (a crashed node, dropped heartbeats)
+// during the sweep; every request must still succeed with a
+// bit-identical document.
 func CheckCluster(nodes int, engine string, seed int64) error {
 	base := service.Config{
 		Workers:    4,
 		QueueDepth: 64,
-		Engine:     engine,
 	}
 	ref := service.New(base)
 	defer ref.Close()
@@ -140,7 +189,7 @@ func CheckCluster(nodes int, engine string, seed int64) error {
 	}
 
 	client := fleet.Client()
-	corpus := clusterCorpus()
+	corpus := clusterCorpus(engine)
 	if len(corpus) == 0 {
 		return fmt.Errorf("conformance: cluster corpus is empty")
 	}
@@ -181,7 +230,7 @@ func CheckCluster(nodes int, engine string, seed int64) error {
 		if !got.Validated {
 			return fmt.Errorf("conformance: cluster: corpus[%d] %s: fleet result failed validation (%d mismatches)", ci, strat, got.Mismatches)
 		}
-		return nil
+		return checkEngine("cluster", ci, src, strat, got.Engine)
 	}
 
 	if seed != 0 {
@@ -237,6 +286,16 @@ func CheckCluster(nodes int, engine string, seed int64) error {
 				return err
 			}
 		}
+	}
+	var fallbacks int64
+	for _, svc := range fleet.Services {
+		fallbacks += svc.Metrics().Counter("exec_compile_fallbacks")
+	}
+	switch {
+	case engine == "kernel" && fallbacks != 0:
+		return fmt.Errorf("conformance: cluster: %d exec_compile fallbacks on the kernel corpus", fallbacks)
+	case engine != "kernel" && fallbacks == 0:
+		return fmt.Errorf("conformance: cluster: no fleet node counted an exec_compile fallback for the over-cap nests")
 	}
 	return nil
 }

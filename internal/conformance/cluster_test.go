@@ -10,7 +10,8 @@ import (
 var clusterCrashSeeds = []int64{1, 7, 1993}
 
 // TestClusterConformance3Node: a 3-node fleet must be bit-identical to
-// a single node for the corpus × four strategies, on both engines.
+// a single node for the corpus × the strategies, on both served
+// engines: the kernel, and the oracle that over-cap nests fall back to.
 func TestClusterConformance3Node(t *testing.T) {
 	for _, engine := range []string{"kernel", "oracle"} {
 		engine := engine
@@ -50,7 +51,7 @@ func TestClusterConformanceCrash(t *testing.T) {
 	for _, seed := range clusterCrashSeeds[:n] {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			if err := CheckCluster(3, "kernel", seed); err != nil {
+			if err := CheckCluster(3, "", seed); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -69,12 +70,12 @@ func TestClusterBatchCoalesces(t *testing.T) {
 // TestClusterPlacementPurity: same seed, same fleet ⇒ same placement.
 // Two independently built fleets must agree on every corpus key's home.
 func TestClusterPlacementPurity(t *testing.T) {
-	if err := CheckCluster(3, "kernel", 0); err != nil {
+	if err := CheckCluster(3, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	// CheckCluster already asserts all nodes of one fleet agree; running
 	// it twice asserts the derivation is reproducible across fleets.
-	if err := CheckCluster(3, "kernel", 0); err != nil {
+	if err := CheckCluster(3, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,11 +13,13 @@ import (
 // a strategy derived from the input (so the fuzzer exercises every
 // scheduler, MARS included). Seeds are the language corpus (the
 // paper's loops plus the parser's deliberate-rejection cases, which
-// exercise the skip path).
+// exercise the skip path) and a nest that computes NaN, which every
+// engine must reproduce as NaN.
 func FuzzConformance(f *testing.F) {
 	for _, src := range lang.Corpus() {
 		f.Add(src)
 	}
+	f.Add("for i=0to 7 A[i]=0/0end")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			t.Skip("oversized input")

@@ -31,12 +31,12 @@ import (
 // CheckMembership runs the membership dimension: an n-node fleet
 // absorbs a join (and, when the schedule is clean, a leave), and every
 // epoch must preserve bit-identical answers against a single-node
-// reference. seed != 0 arms the seed-pure migration-drop schedule.
+// reference, on the engine's corpus (see clusterCorpus). seed != 0
+// arms the seed-pure migration-drop schedule.
 func CheckMembership(nodes int, engine string, seed int64) error {
 	base := service.Config{
 		Workers:    4,
 		QueueDepth: 64,
-		Engine:     engine,
 	}
 	ref := service.New(base)
 	defer ref.Close()
@@ -56,7 +56,7 @@ func CheckMembership(nodes int, engine string, seed int64) error {
 	}
 	defer fleet.Close()
 
-	corpus := clusterCorpus()
+	corpus := clusterCorpus(engine)
 	if len(corpus) == 0 {
 		return fmt.Errorf("conformance: membership corpus is empty")
 	}
@@ -186,6 +186,9 @@ func (m *membershipRun) sweep(label string) error {
 				if rd := docOf(refRes); d != rd {
 					return fmt.Errorf("conformance: membership: corpus[%d] %s: fleet (via %s) diverges from single node:\n single: %+v\n fleet:  %+v",
 						ci, strat, servedBy, rd, d)
+				}
+				if err := checkEngine("membership", ci, src, strat, d.Engine); err != nil {
+					return err
 				}
 				m.docs[k] = d
 				continue

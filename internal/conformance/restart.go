@@ -28,11 +28,10 @@ type restartKey struct {
 // restartBase is the service config of the restart dimension. seed != 0
 // arms ONLY the persistence fault (torn writes): execution-path chaos
 // is the chaos dimension's property, not this one's.
-func restartBase(engine, dir string, seed int64) service.Config {
+func restartBase(dir string, seed int64) service.Config {
 	cfg := service.Config{
 		Workers:    4,
 		QueueDepth: 64,
-		Engine:     engine,
 		StoreDir:   dir,
 	}
 	if seed != 0 {
@@ -42,19 +41,20 @@ func restartBase(engine, dir string, seed int64) service.Config {
 	return cfg
 }
 
-// CheckRestartWarm runs the restart dimension on one engine: compile
-// and execute the corpus × all four strategies against a store-backed
-// service, close it, reopen the same directory, and demand
+// CheckRestartWarm runs the restart dimension on the engine's corpus
+// (see clusterCorpus): compile and execute it × the strategies against
+// a store-backed service, close it, reopen the same directory, and
+// demand
 //
 //   - bit-identical plan documents and execution documents, and
 //   - zero compiles on the restarted service (everything rehydrates),
 //     with store hits proving the store actually served them.
 func CheckRestartWarm(engine, dir string) error {
-	corpus := clusterCorpus()
+	corpus := clusterCorpus(engine)
 	if len(corpus) == 0 {
 		return fmt.Errorf("conformance: restart corpus is empty")
 	}
-	cfg := restartBase(engine, dir, 0)
+	cfg := restartBase(dir, 0)
 
 	cold, err := service.NewWithStore(cfg)
 	if err != nil {
@@ -88,17 +88,17 @@ func CheckRestartWarm(engine, dir string) error {
 	return nil
 }
 
-// CheckRestartTorn is the degraded variant: the first pass persists
-// under a seeded torn-write schedule, so some records land unreadable.
-// The restarted service must still answer every request bit-identically
-// — the torn records recompile (counted, and exactly as many as the
+// CheckRestartTorn is the degraded variant, on both engines' corpora:
+// the first pass persists under a seeded torn-write schedule, so some
+// records land unreadable. The restarted service must still answer
+// every request bit-identically — the torn records recompile (counted, and exactly as many as the
 // schedule tore), the intact ones rehydrate.
-func CheckRestartTorn(engine, dir string, seed int64) error {
-	corpus := clusterCorpus()
+func CheckRestartTorn(dir string, seed int64) error {
+	corpus := clusterCorpus("")
 	if len(corpus) == 0 {
 		return fmt.Errorf("conformance: restart corpus is empty")
 	}
-	cfg := restartBase(engine, dir, seed)
+	cfg := restartBase(dir, seed)
 
 	cold, err := service.NewWithStore(cfg)
 	if err != nil {
@@ -155,6 +155,9 @@ func restartSweep(svc *service.Service, corpus []string, want map[restartKey]str
 				return nil, nil, fmt.Errorf("execute corpus[%d] %s: %w", ci, strat, err)
 			}
 			if record {
+				if err := checkEngine("restart", ci, src, strat, eres.Engine); err != nil {
+					return nil, nil, err
+				}
 				want[k] = string(plan)
 				wantDocs[k] = docOf(eres)
 				continue

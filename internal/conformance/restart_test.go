@@ -7,7 +7,8 @@ import (
 
 // TestRestartConformance: a store-backed service restarted against the
 // same directory must be bit-identical with zero recompiles, on both
-// engines.
+// served engines: the kernel, and the oracle that over-cap nests fall
+// back to.
 func TestRestartConformance(t *testing.T) {
 	for _, engine := range []string{"kernel", "oracle"} {
 		engine := engine
@@ -34,7 +35,7 @@ func TestRestartConformanceTorn(t *testing.T) {
 	for _, seed := range restartTornSeeds[:n] {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			if err := CheckRestartTorn("kernel", t.TempDir(), seed); err != nil {
+			if err := CheckRestartTorn(t.TempDir(), seed); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -43,7 +44,8 @@ func TestRestartConformanceTorn(t *testing.T) {
 
 // TestMembershipConformance: join and leave epochs on a 3-node fleet
 // move exactly the ring-computed key set and stay bit-identical to a
-// single node, on both engines.
+// single node, on both served engines: the kernel, and the oracle that
+// over-cap nests fall back to.
 func TestMembershipConformance(t *testing.T) {
 	for _, engine := range []string{"kernel", "oracle"} {
 		engine := engine
@@ -70,7 +72,7 @@ func TestMembershipConformanceDrops(t *testing.T) {
 	for _, seed := range membershipDropSeeds[:n] {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			if err := CheckMembership(3, "kernel", seed); err != nil {
+			if err := CheckMembership(3, "", seed); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -46,20 +46,3 @@ func ExampleAnalysis_ReferenceGraph() {
 	//   r2 --δa--> w2  t=[1 -1]
 	//   r2 --δi--> r1  t=[2 -1]
 }
-
-// ExampleAnalysis_DirectionVector computes the classical direction-vector
-// abstraction for L5's accumulation dependence: carried by the innermost
-// loop, (=, =, <).
-func ExampleAnalysis_DirectionVector() {
-	a, _ := deps.Analyze(loop.L5(4))
-	for _, d := range a.Dependences("C") {
-		if d.Kind != deps.Flow {
-			continue
-		}
-		dirs, _ := a.DirectionVector(d)
-		lvl, _ := a.CarryingLevel(d)
-		fmt.Println(deps.RenderDirections(dirs), "carried by level", lvl)
-	}
-	// Output:
-	// (=, =, <) carried by level 3
-}

@@ -96,31 +96,6 @@ func accessKey(a Access) string {
 	return fmt.Sprintf("%d|%v|%d", a.Stmt, a.IsWrite, a.ReadIdx)
 }
 
-// VertexByName returns the vertex index with the given label, or -1.
-func (g *Graph) VertexByName(name string) int {
-	for i, v := range g.Vertices {
-		if v.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// HasEdge reports whether an edge of the given kind connects the named
-// vertices.
-func (g *Graph) HasEdge(from, to string, kind Kind) bool {
-	f, t := g.VertexByName(from), g.VertexByName(to)
-	if f < 0 || t < 0 {
-		return false
-	}
-	for _, e := range g.Edges {
-		if e.From == f && e.To == t && e.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the graph in the paper's δ notation, one edge per line:
 //
 //	G^A: w1 = S1 write A[i1,i2], …

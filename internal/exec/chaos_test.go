@@ -163,7 +163,7 @@ func TestChaosPersistentExhaustsRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, engine := range chaosEngines {
-		inj := chaos.NewInjector(chaos.NewSchedule(1, chaos.Persistent()))
+		inj := chaos.NewInjector(chaos.NewSchedule(1, chaos.Config{BlockFailProb: 1, MaxBlockFails: 1 << 20}))
 		_, err := chaosRun(t, res, 4, inj, engine)
 		var fe *chaos.FaultError
 		if !errors.As(err, &fe) {

@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -421,6 +422,11 @@ func runOracleBlock(res *partition.Result, n *machine.Node, b *partition.Block, 
 	}
 }
 
+// same is the element verdict of every state comparison: equal values,
+// or both NaN — a program that computes 0/0 computes it on every engine.
+// +0 and −0 stay equal.
+func same(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+
 // Equal compares two array states and returns the first difference.
 func Equal(a, b map[string]float64) error {
 	if len(a) != len(b) {
@@ -431,7 +437,7 @@ func Equal(a, b map[string]float64) error {
 		if !ok {
 			return fmt.Errorf("exec: element %s missing", k)
 		}
-		if v != w {
+		if !same(v, w) {
 			return fmt.Errorf("exec: element %s = %v vs %v", k, v, w)
 		}
 	}
@@ -448,7 +454,7 @@ func Mismatches(got, want map[string]float64) int {
 	for k, wv := range want {
 		if gv, ok := got[k]; !ok {
 			missing++
-		} else if gv != wv {
+		} else if !same(gv, wv) {
 			differing++
 		}
 	}

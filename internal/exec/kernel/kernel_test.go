@@ -61,9 +61,6 @@ func TestCompileTreeMatchesEval(t *testing.T) {
 		if code.StackNeed != c.stack || code.UsesIndex != c.usesIndex {
 			t.Errorf("%s: StackNeed=%d UsesIndex=%v, want %d %v", c.name, code.StackNeed, code.UsesIndex, c.stack, c.usesIndex)
 		}
-		if got := c.tree.UsesIndex(); got != c.usesIndex {
-			t.Errorf("%s: tree.UsesIndex=%v, want %v", c.name, got, c.usesIndex)
-		}
 		stack := make([]float64, code.StackNeed)
 		for _, pt := range points {
 			want := c.tree.Eval(pt.iter, pt.reads)

@@ -100,7 +100,7 @@ func (k *Kernel) mismatches(bufs [][]float64, ref *State) int {
 			continue
 		}
 		matched++
-		if bufs[c.arr][c.off] != ref.vals[c.arr][c.off] {
+		if !same(bufs[c.arr][c.off], ref.vals[c.arr][c.off]) {
 			differing++
 		}
 	}

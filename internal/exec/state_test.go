@@ -120,9 +120,10 @@ func cloneState(s *State) *State {
 }
 
 // TestDenseVerdictCountsLikeMismatches stages one defect at a time — a
-// differing cell, a NaN on both sides, a cell the run lacks, a cell the
-// reference lacks — and checks the dense count against Mismatches of
-// the keyed views, and that each defect counts once.
+// differing cell, a NaN against a number, a cell the run lacks, a cell
+// the reference lacks — and checks the dense count against Mismatches of
+// the keyed views, and that each defect counts once; a NaN on both sides
+// is no defect.
 func TestDenseVerdictCountsLikeMismatches(t *testing.T) {
 	cost := machine.Transputer()
 	res, err := partition.Compute(loop.L5(4), partition.Duplicate)
@@ -150,16 +151,18 @@ func TestDenseVerdictCountsLikeMismatches(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name  string
+		want  int
 		stage func(bufs [][]float64, ref *State)
 	}{
-		{"none", func([][]float64, *State) {}},
-		{"differing", func(_ [][]float64, ref *State) { ref.vals[owned.arr][owned.off]++ }},
-		{"NaN", func(bufs [][]float64, ref *State) {
+		{"none", 0, func([][]float64, *State) {}},
+		{"differing", 1, func(_ [][]float64, ref *State) { ref.vals[owned.arr][owned.off]++ }},
+		{"NaN", 1, func(bufs [][]float64, _ *State) { bufs[owned.arr][owned.off] = math.NaN() }},
+		{"NaN on both sides", 0, func(bufs [][]float64, ref *State) {
 			bufs[owned.arr][owned.off] = math.NaN()
 			ref.vals[owned.arr][owned.off] = math.NaN()
 		}},
-		{"missing", func(_ [][]float64, ref *State) { ref.written[readOnly][0] = true; ref.n++ }},
-		{"surplus", func(_ [][]float64, ref *State) { ref.written[owned.arr][owned.off] = false; ref.n-- }},
+		{"missing", 1, func(_ [][]float64, ref *State) { ref.written[readOnly][0] = true; ref.n++ }},
+		{"surplus", 1, func(_ [][]float64, ref *State) { ref.written[owned.arr][owned.off] = false; ref.n-- }},
 	} {
 		_, ar, err := kern.run(cost, Options{})
 		if err != nil {
@@ -168,12 +171,8 @@ func TestDenseVerdictCountsLikeMismatches(t *testing.T) {
 		mutated := cloneState(ref)
 		c.stage(ar.bufs, mutated)
 		dense, keyed := kern.mismatches(ar.bufs, mutated), Mismatches(kern.gather(ar.bufs), mutated.keyed())
-		want := 1
-		if c.name == "none" {
-			want = 0
-		}
-		if dense != keyed || dense != want {
-			t.Errorf("%s: dense verdict %d, keyed %d, want %d", c.name, dense, keyed, want)
+		if dense != keyed || dense != c.want {
+			t.Errorf("%s: dense verdict %d, keyed %d, want %d", c.name, dense, keyed, c.want)
 		}
 	}
 
@@ -238,5 +237,46 @@ func TestWarmValidateAllocatesNothingPerElement(t *testing.T) {
 	}
 	if allocs[8] != allocs[16] || allocs[8] != allocs[32] {
 		t.Errorf("warm Validate allocates %v at 8³, %v at 16³ and %v at 32³", allocs[8], allocs[16], allocs[32])
+	}
+}
+
+// TestNaNEqualsNaN: a program that computes 0/0 computes it on every
+// engine, so NaN is the same value as NaN in all three verdicts — Equal,
+// Mismatches and the kernel's dense one — while a NaN against a number
+// still differs and −0 still equals +0.
+func TestNaNEqualsNaN(t *testing.T) {
+	nan := math.NaN()
+	if err := Equal(map[string]float64{"A[0]": nan, "A[1]": math.Copysign(0, -1)}, map[string]float64{"A[0]": nan, "A[1]": 0}); err != nil {
+		t.Errorf("Equal: %v", err)
+	}
+	if err := Equal(map[string]float64{"A[0]": nan}, map[string]float64{"A[0]": 1}); err == nil {
+		t.Error("Equal: NaN equals 1")
+	}
+	if n := Mismatches(map[string]float64{"A[0]": nan, "A[1]": 2}, map[string]float64{"A[0]": nan, "A[1]": nan}); n != 1 {
+		t.Errorf("Mismatches = %d, want 1 (A[1] only)", n)
+	}
+
+	nest := lang.MustParse("for i = 0 to 7\n  A[i] = 0/0\nend")
+	res, err := partition.Compute(nest, partition.NonDuplicate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := CompilePartition(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern, err := prog.Specialize(res, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, verdict, err := kern.Validate(machine.Transputer(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elements, mismatches := verdict(prog.Reference()); elements != 8 || mismatches != 0 {
+		t.Errorf("dense verdict: %d mismatches in %d elements, want 0 in 8", mismatches, elements)
+	}
+	if got := prog.Sequential(); !math.IsNaN(got["A[0]"]) {
+		t.Fatalf("A[0] = %v, want NaN", got["A[0]"])
 	}
 }

@@ -151,15 +151,6 @@ func (a *AffineNest) Bind(vals map[string]int64) (*loop.Nest, error) {
 	return nest, nil
 }
 
-// MustParseAffine is ParseAffine that panics on error (tests, fixtures).
-func MustParseAffine(src string) *AffineNest {
-	a, err := ParseAffine(src)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // sortTerms orders symbolic terms deterministically: offset terms first,
 // then stride terms by level, ties broken by name.
 func sortTerms(terms []SymTerm) {

@@ -177,8 +177,7 @@ func (p *parser) rewriteVars(e Expr) Expr {
 	}
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) cur() token { return p.toks[p.pos] }
 
 func (p *parser) advance() token {
 	t := p.toks[p.pos]

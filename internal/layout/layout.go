@@ -19,7 +19,7 @@ type BlockLayout struct {
 	BlockID int
 	// Count is the number of resident elements. They get the dense local
 	// slots 0..Count-1 in lexicographic element order — the order the
-	// partition lists them in, so a slot is a position (see Slot).
+	// partition lists them in, so a slot is a position.
 	Count int
 	// BoxCells is the volume of the elements' bounding box — what a
 	// rectangular local allocation would reserve.
@@ -62,17 +62,6 @@ func Build(dp *partition.DataPartition) *Layout {
 		l.TotalBoxCells += bl.BoxCells
 	}
 	return l
-}
-
-// Slot returns the local address of an element within a block, and
-// whether the element is resident there.
-func (l *Layout) Slot(blockID int, elem []int64) (int, bool) {
-	for _, bl := range l.Blocks {
-		if bl.BlockID == blockID {
-			return slices.BinarySearchFunc(bl.elems, elem, slices.Compare[[]int64])
-		}
-	}
-	return 0, false
 }
 
 // ReplicationFactor is total resident elements / unique elements

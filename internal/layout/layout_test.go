@@ -111,7 +111,7 @@ func TestBuildMatchesReference(t *testing.T) {
 				}
 				for bi, db := range dp.Blocks {
 					for _, e := range db.Elements {
-						if s, ok := got.Slot(db.BlockID, e); !ok || s != slots[bi][fmt.Sprint(e)] {
+						if s, ok := slot(got, db.BlockID, e); !ok || s != slots[bi][fmt.Sprint(e)] {
 							t.Fatalf("nest %d, %s: Slot(%d, %s%v) = %d, %v; want %d", ni, name, db.BlockID, a, e, s, ok, slots[bi][fmt.Sprint(e)])
 						}
 					}
@@ -120,7 +120,7 @@ func TestBuildMatchesReference(t *testing.T) {
 						past[len(past)-1]++
 						before[len(before)-1]--
 						for _, out := range [][]int64{past, before} {
-							if _, ok := got.Slot(db.BlockID, out); ok {
+							if _, ok := slot(got, db.BlockID, out); ok {
 								t.Fatalf("nest %d, %s: Slot finds %s%v in block %d, which does not hold it", ni, name, a, out, db.BlockID)
 							}
 						}
@@ -163,23 +163,35 @@ func TestL5LayoutSavings(t *testing.T) {
 	}
 }
 
+// slot returns the local address of an element within a block, and
+// whether the element is resident there: its position in the block's
+// sorted element list.
+func slot(l *Layout, blockID int, elem []int64) (int, bool) {
+	for _, bl := range l.Blocks {
+		if bl.BlockID == blockID {
+			return slices.BinarySearchFunc(bl.elems, elem, slices.Compare[[]int64])
+		}
+	}
+	return 0, false
+}
+
 func TestSlotLookup(t *testing.T) {
 	l := build(t, loop.L1(), partition.NonDuplicate, "B")
 	// B[j, i+1] at iteration (1,1) = B[1,2]; its block is the one holding
 	// that element.
 	found := false
 	for _, bl := range l.Blocks {
-		if _, ok := l.Slot(bl.BlockID, []int64{1, 2}); ok {
+		if _, ok := slot(l, bl.BlockID, []int64{1, 2}); ok {
 			found = true
 		}
 	}
 	if !found {
 		t.Error("B[1,2] not resident anywhere")
 	}
-	if _, ok := l.Slot(999, []int64{1, 2}); ok {
+	if _, ok := slot(l, 999, []int64{1, 2}); ok {
 		t.Error("bogus block had the element")
 	}
-	if _, ok := l.Slot(l.Blocks[0].BlockID, []int64{99, 99}); ok {
+	if _, ok := slot(l, l.Blocks[0].BlockID, []int64{99, 99}); ok {
 		t.Error("absent element found")
 	}
 }

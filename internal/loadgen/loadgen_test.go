@@ -118,7 +118,6 @@ func TestRunFleetSmoke(t *testing.T) {
 	fleet, err := cluster.NewLocal(3, service.Config{
 		Workers:     2,
 		QueueDepth:  32,
-		Engine:      "kernel",
 		BatchWindow: 2 * time.Millisecond,
 		SLOTarget:   200 * time.Millisecond,
 	}, cluster.WithReplicas(2), cluster.WithHedgeAfter(50*time.Millisecond))

@@ -72,16 +72,6 @@ type Report struct {
 	ErrorStatuses map[int]int `json:"error_statuses,omitempty"`
 }
 
-// Phase returns the named phase report (nil if absent).
-func (r *Report) Phase(name string) *PhaseReport {
-	for i := range r.Phases {
-		if r.Phases[i].Name == name {
-			return &r.Phases[i]
-		}
-	}
-	return nil
-}
-
 // percentile returns the pth percentile (0 < p ≤ 100) of the sorted
 // durations in ms (0 for an empty set).
 func percentile(sorted []time.Duration, p float64) float64 {

@@ -107,17 +107,6 @@ func (e *ExprTree) Render(reads, index []string) string {
 	return "(" + e.L.Render(reads, index) + " " + exprSym[e.Op] + " " + e.R.Render(reads, index) + ")"
 }
 
-// UsesIndex reports whether any node reads a loop index.
-func (e *ExprTree) UsesIndex() bool {
-	if e == nil {
-		return false
-	}
-	if e.Op == ExprIndex {
-		return true
-	}
-	return e.L.UsesIndex() || e.R.UsesIndex()
-}
-
 // DefaultTree returns the tree of the default statement semantics,
 // 1 + Σ reads, matching Statement.EvalExpr's accumulation order
 // (((1 + r0) + r1) + … ).

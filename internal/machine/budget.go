@@ -57,13 +57,3 @@ func (b *Budget) Spend(n int64) error {
 	}
 	return nil
 }
-
-// Remaining reports the iterations left (math.MaxInt64 semantics: any
-// negative value means the budget is spent; unlimited budgets report
-// -1 distinctly as ok=false).
-func (b *Budget) Remaining() (n int64, ok bool) {
-	if b == nil || !b.limited {
-		return 0, false
-	}
-	return b.remaining.Load(), true
-}

@@ -48,8 +48,8 @@ func TestFaultInjectorDoesNotTouchNodeState(t *testing.T) {
 	if v, ok := m.Node(0).Value("A[1]"); !ok || v != 7 {
 		t.Fatalf("datum corrupted by injection: %v %v", v, ok)
 	}
-	if m.Node(0).MemSize() != 1 {
-		t.Errorf("node memory size = %d, want 1", m.Node(0).MemSize())
+	if n := len(m.Node(0).mem); n != 1 {
+		t.Errorf("node memory size = %d, want 1", n)
 	}
 }
 

@@ -114,27 +114,12 @@ func (n *Node) store(key string, v float64) {
 	n.mem[key] = v
 }
 
-// Has reports whether the datum is resident.
-func (n *Node) Has(key string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.mem[key]
-	return ok
-}
-
 // Value returns the local value (and whether it exists) without counting.
 func (n *Node) Value(key string) (float64, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	v, ok := n.mem[key]
 	return v, ok
-}
-
-// MemSize returns the number of resident data.
-func (n *Node) MemSize() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.mem)
 }
 
 // CountIteration charges one loop iteration to the node.

@@ -48,6 +48,12 @@ func TestNodeLocalMemory(t *testing.T) {
 	}
 }
 
+// has reports whether the datum is resident on the node.
+func has(m *Machine, node int, key string) bool {
+	_, ok := m.Node(node).Value(key)
+	return ok
+}
+
 func TestDistributionCosts(t *testing.T) {
 	c := CostModel{TComp: 1, TStart: 10, TComm: 1}
 	m := New(Mesh{P1: 2, P2: 2}, c)
@@ -56,7 +62,7 @@ func TestDistributionCosts(t *testing.T) {
 	if got := m.DistributionTime(); got != 15 {
 		t.Errorf("unicast time = %v, want 15", got)
 	}
-	if !m.Node(0).Has("a") || m.Node(1).Has("a") {
+	if !has(m, 0, "a") || has(m, 1, "a") {
 		t.Error("unicast delivered to wrong nodes")
 	}
 	// One stream of 3 words to 2 nodes, 6 copies left behind: 10 + (3 + 1).
@@ -75,7 +81,7 @@ func TestDistributionCosts(t *testing.T) {
 	if got := m2i.DistributionTime(); got != 14 || m2i.DataMoved() != 6 {
 		t.Errorf("multicast install time = %v moved = %d, want 14 and 6", got, m2i.DataMoved())
 	}
-	if !m2i.Node(1).Has("x") || !m2i.Node(2).Has("x") || m2i.Node(0).Has("x") {
+	if !has(m2i, 1, "x") || !has(m2i, 2, "x") || has(m2i, 0, "x") {
 		t.Error("multicast delivery wrong")
 	}
 	// Broadcast of 2 words on the diameter-2 mesh: 10 + 2·2.

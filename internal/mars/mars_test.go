@@ -1,14 +1,11 @@
 package mars_test
 
 import (
-	"fmt"
 	"testing"
 
-	"commfree/internal/deps"
 	"commfree/internal/lang"
 	"commfree/internal/mars"
 	"commfree/internal/partition"
-	"commfree/internal/redundant"
 )
 
 // cosetStrategies are the paper's four globally-computable strategies.
@@ -114,53 +111,6 @@ func TestMarsBeatsSelectiveOnRedundantFeed(t *testing.T) {
 		}
 		if v := sel.RedundantCopyVolume(res.Redundant); v <= 0 {
 			t.Errorf("selective %v: redundant-copy volume = %d, want > 0 (strict MARS improvement)", dup, v)
-		}
-	}
-}
-
-// TestMarsAtomicSets hand-checks the decomposition on the
-// partial-overlap seed: A[i] is consumed by S2(i), S2(i+1) (in
-// bounds), and S3(i) — distinct consumer sets per i, so every
-// producer of A is its own atomic set.
-func TestMarsAtomicSets(t *testing.T) {
-	nest := lang.MustParse("for i = 1 to 4\n S1: A[i] = B[i] + 1\n S2: C[i] = A[i] + A[i-1]\n S3: D[i] = A[i] * 2\nend")
-	a, err := deps.Analyze(nest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red, err := redundant.Eliminate(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := mars.Decompose(a, red)
-	producers := map[string]*mars.AtomicSet{}
-	for _, set := range dec.Sets {
-		if len(set.Producers) == 0 {
-			t.Fatal("atomic set with no producers")
-		}
-		for _, p := range set.Producers {
-			producers[p.String()] = set
-		}
-	}
-	// S1(i) writes A[i]; its consumers are S2(i), S3(i), and S2(i+1)
-	// when i+1 ≤ 4. The signatures differ across i, so the four
-	// producers of A land in four distinct atomic sets.
-	seen := map[*mars.AtomicSet]bool{}
-	for i := int64(1); i <= 4; i++ {
-		set := producers[fmt.Sprintf("S1[%d]", i)]
-		if set == nil {
-			t.Fatalf("no atomic set for S1[%d]", i)
-		}
-		if seen[set] {
-			t.Fatalf("S1[%d] shares an atomic set with an earlier producer", i)
-		}
-		seen[set] = true
-		wantConsumers := 2
-		if i < 4 {
-			wantConsumers = 3 // S2(i), S3(i), S2(i+1)
-		}
-		if got := len(set.Consumers); got != wantConsumers {
-			t.Errorf("S1[%d]: %d consumers, want %d (%v)", i, got, wantConsumers, set.Consumers)
 		}
 	}
 }

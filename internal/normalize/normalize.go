@@ -97,34 +97,9 @@ type RowMap struct {
 	Sym   []lang.SymTerm
 }
 
-// IsIdentity reports whether the row was not relabeled.
-func (m RowMap) IsIdentity() bool {
-	return m.Scale == 1 && m.Shift == 0 && len(m.Sym) == 0
-}
-
-// Old maps a normalized data coordinate back to the original one, using
-// vals to ground the symbolic terms.
-func (m RowMap) Old(idx int64, vals map[string]int64) int64 {
-	v := m.Scale*idx + m.Shift
-	for _, t := range m.Sym {
-		v += t.Coeff * vals[t.Name]
-	}
-	return v
-}
-
 // ArrayMap is the full relabel of one array, one RowMap per dimension.
 type ArrayMap struct {
 	Rows []RowMap
-}
-
-// IsIdentity reports whether no dimension was relabeled.
-func (am *ArrayMap) IsIdentity() bool {
-	for _, r := range am.Rows {
-		if !r.IsIdentity() {
-			return false
-		}
-	}
-	return true
 }
 
 // Result is a successful normalization: the uniform concrete nest, plus
@@ -153,9 +128,10 @@ func (r *Result) OldIndex(array string, idx []int64, vals map[string]int64) []in
 	if am == nil {
 		return out
 	}
-	for i := range out {
-		if i < len(am.Rows) {
-			out[i] = am.Rows[i].Old(out[i], vals)
+	for i, m := range am.Rows[:min(len(am.Rows), len(out))] {
+		out[i] = m.Scale*out[i] + m.Shift
+		for _, t := range m.Sym {
+			out[i] += t.Coeff * vals[t.Name]
 		}
 	}
 	return out

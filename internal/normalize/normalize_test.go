@@ -15,8 +15,17 @@ for i = 1 to 4
   end
 end`
 
+// mustParseAffine is lang.ParseAffine that panics on error.
+func mustParseAffine(src string) *lang.AffineNest {
+	a, err := lang.ParseAffine(src)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func TestIdentityOnUniform(t *testing.T) {
-	a := lang.MustParseAffine(uniformSrc)
+	a := mustParseAffine(uniformSrc)
 	res, err := Apply(a)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +136,7 @@ end`)
 	// the original (relabeled-back) coordinates; mapping every written
 	// element through OldIndex must reproduce exactly the state of the
 	// raw affine nest bound at d=3.
-	a := lang.MustParseAffine(`
+	a := mustParseAffine(`
 for i = 1 to 6
   A[2i+1+d] = A[2i-1+d] + 1
 end`)

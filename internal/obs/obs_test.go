@@ -190,8 +190,8 @@ func TestRingEvictionAndLookup(t *testing.T) {
 		ids = append(ids, tr.ID())
 		r.Add(tr)
 	}
-	if r.Len() != 3 || r.Cap() != 3 {
-		t.Fatalf("len=%d cap=%d, want 3/3", r.Len(), r.Cap())
+	if r.Len() != 3 || len(r.buf) != 3 {
+		t.Fatalf("len=%d cap=%d, want 3/3", r.Len(), len(r.buf))
 	}
 	for _, id := range ids[:2] {
 		if r.Get(id) != nil {

@@ -60,9 +60,6 @@ func (r *Ring) Len() int {
 	return r.next
 }
 
-// Cap reports the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
 // Recent returns up to n traces, newest first.
 func (r *Ring) Recent(n int) []*Trace {
 	r.mu.Lock()

@@ -46,10 +46,10 @@ const (
 	// Selective duplicates only a chosen subset of the arrays (Section
 	// IV's L5′ duplicates array B but not A). Use ComputeSelective.
 	Selective
-	// Mars is the usage-based atomic partitioning after Ferry et al.
-	// (Maximal Atomic irRedundant Sets): iteration points whose produced
-	// values have identical consumer sets form atomic sets, and blocks
-	// are the finest flow-closed grouping of those sets. MARS partitions
+	// Mars is the usage-based partitioning after Ferry et al. (Maximal
+	// Atomic irRedundant Sets): blocks are the finest grouping of
+	// iteration points closed under the flow of non-redundant values
+	// (FlowGroups). MARS partitions
 	// are computed by package mars (mars.Compute), which emits them
 	// through this package's Result shape with Ψ = the zero space and
 	// explicitly grouped blocks (PartitionIterationsGrouped).

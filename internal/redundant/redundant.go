@@ -136,26 +136,6 @@ func (r *Result) slotOf(acc deps.Access) int {
 	return r.Index.First[acc.Stmt] + acc.ReadIdx
 }
 
-// Val returns the element set Val(ref, S): the data-space points the
-// access touches over the non-redundant iterations of its statement, in
-// lexicographic order.
-func (r *Result) Val(acc deps.Access) [][]int64 {
-	slot, seen := r.slotOf(acc), map[int32]bool{}
-	var ids []int32
-	for pos := range r.Index.Points {
-		if e := r.Index.Row(pos)[slot]; !r.RedundantAt(acc.Stmt, pos) && !seen[e] {
-			seen[e] = true
-			ids = append(ids, e)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return r.Index.ElemRank(ids[i]) < r.Index.ElemRank(ids[j]) })
-	out := make([][]int64, len(ids))
-	for i, e := range ids {
-		_, out[i] = r.Index.Elem(e)
-	}
-	return out
-}
-
 // classifyDeps splits the analysis' dependences into useful and false by
 // the Val-intersection criterion.
 func (r *Result) classifyDeps() {

@@ -2,12 +2,33 @@ package redundant
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"commfree/internal/deps"
 	"commfree/internal/loop"
 )
+
+// val returns the element set Val(ref, S): the data-space points the
+// access touches over the non-redundant iterations of its statement, in
+// lexicographic order.
+func val(r *Result, acc deps.Access) [][]int64 {
+	slot, seen := r.slotOf(acc), map[int32]bool{}
+	var ids []int32
+	for pos := range r.Index.Points {
+		if e := r.Index.Row(pos)[slot]; !r.RedundantAt(acc.Stmt, pos) && !seen[e] {
+			seen[e] = true
+			ids = append(ids, e)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return r.Index.ElemRank(ids[i]) < r.Index.ElemRank(ids[j]) })
+	out := make([][]int64, len(ids))
+	for i, e := range ids {
+		_, out[i] = r.Index.Elem(e)
+	}
+	return out
+}
 
 func eliminate(t *testing.T, n *loop.Nest) *Result {
 	t.Helper()
@@ -183,7 +204,7 @@ func TestValSets(t *testing.T) {
 		// Build directly: S1's write access.
 		w1 = deps.Access{Stmt: 0, IsWrite: true, Ref: loop.L3().Body[0].Write}
 	}
-	val := r.Val(w1)
+	val := val(r, w1)
 	if len(val) != 4 {
 		t.Fatalf("Val(w1,S1) size = %d, want 4: %v", len(val), val)
 	}

@@ -122,6 +122,14 @@ type admission struct {
 	obsCount    int64
 }
 
+// The breach window and the recovery hysteresis: shedding starts once
+// the queue-delay EWMA has stayed over the bound for sloWindow, and stops
+// once it falls below sloResumeFrac of the bound.
+const (
+	sloWindow     = 100 * time.Millisecond
+	sloResumeFrac = 0.5
+)
+
 // newAdmission builds the controller from the (defaulted) service
 // config. onShed is invoked (outside the lock) for every SLO-triggered
 // rejection so the service can count it.
@@ -129,23 +137,12 @@ func newAdmission(cfg Config, onShed func()) *admission {
 	return &admission{
 		slo:        cfg.Admission != "queue",
 		alpha:      0.2,
-		resumeFrac: cfg.SLOResumeFrac,
-		window:     cfg.SLOWindow,
+		resumeFrac: sloResumeFrac,
+		window:     sloWindow,
 		probeDepth: cfg.Workers,
 		onShed:     onShed,
 		targetNS:   float64(cfg.SLOTarget.Nanoseconds()),
 	}
-}
-
-// setTarget reconfigures the SLO target at runtime (commfreed admin,
-// tests). Safe concurrently with admissions and observations.
-func (a *admission) setTarget(d time.Duration) {
-	if a == nil || d <= 0 {
-		return
-	}
-	a.mu.Lock()
-	a.targetNS = float64(d.Nanoseconds())
-	a.mu.Unlock()
 }
 
 // boundNSLocked is the admissible queue-delay bound: the SLO target
@@ -271,16 +268,6 @@ func (a *admission) retryAfterLocked(depth int) time.Duration {
 		d = 30 * time.Second
 	}
 	return d
-}
-
-// retryAfter is the exported (locked) form.
-func (a *admission) retryAfter(depth int) time.Duration {
-	if a == nil {
-		return time.Second
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.retryAfterLocked(depth)
 }
 
 // observeQueueDelay feeds one dequeue's measured queue wait (called by

@@ -5,25 +5,27 @@ package service
 // windows and hysteresis are exact, not sleep-approximated.
 
 import (
-	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
 
-// admCfg builds a controller with a 100ms target, 50ms breach window,
-// 0.5 resume fraction, 4-worker probe floor — small round numbers the
-// table cases reason about directly.
+// admCfg configures a controller with a 100ms target and a 4-worker
+// probe floor; newTestAdmission gives it a 50ms breach window (and the
+// 0.5 resume fraction) — small round numbers the table cases reason
+// about directly.
 func admCfg() Config {
 	return Config{
-		Admission:     "slo",
-		SLOTarget:     100 * time.Millisecond,
-		SLOWindow:     50 * time.Millisecond,
-		SLOResumeFrac: 0.5,
-		Workers:       4,
+		Admission: "slo",
+		SLOTarget: 100 * time.Millisecond,
+		Workers:   4,
 	}.withDefaults()
+}
+
+func newTestAdmission(cfg Config, onShed func()) *admission {
+	a := newAdmission(cfg, onShed)
+	a.window = 50 * time.Millisecond
+	return a
 }
 
 // feed pushes n identical queue-delay observations spaced step apart
@@ -57,7 +59,7 @@ func TestAdmissionEWMAConvergence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := newAdmission(admCfg(), nil)
+			a := newTestAdmission(admCfg(), nil)
 			now := time.Unix(0, 0)
 			for _, d := range tc.inputs {
 				a.observeQueueDelay(now, d)
@@ -97,7 +99,7 @@ func TestAdmissionShedOnBreach(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := newAdmission(admCfg(), nil)
+			a := newTestAdmission(admCfg(), nil)
 			now := feed(a, time.Unix(0, 0), tc.n, tc.delay, tc.step)
 			err := a.gate(now, 100 /* deep queue: no probe */, true)
 			if tc.wantSheds && err == nil {
@@ -123,7 +125,7 @@ func TestAdmissionStageEWMATightensBound(t *testing.T) {
 	// With the service stages themselves eating ~80ms of the 100ms
 	// target, a 30ms queue delay — harmless on an idle service — is a
 	// breach: bound = clamp(100−80) = 20ms.
-	a := newAdmission(admCfg(), nil)
+	a := newTestAdmission(admCfg(), nil)
 	for i := 0; i < 40; i++ {
 		a.observeStage("exec_run", (80 * time.Millisecond).Nanoseconds())
 	}
@@ -135,7 +137,7 @@ func TestAdmissionStageEWMATightensBound(t *testing.T) {
 		t.Fatalf("gate admitted under tightened bound (stats %+v)", a.stats())
 	}
 	// Irrelevant span names must not move the stage EWMA.
-	b := newAdmission(admCfg(), nil)
+	b := newTestAdmission(admCfg(), nil)
 	b.observeStage("parse", (500 * time.Millisecond).Nanoseconds())
 	b.observeStage("queue_wait", (500 * time.Millisecond).Nanoseconds())
 	if got := b.stats().StageEWMA; got != 0 {
@@ -144,7 +146,7 @@ func TestAdmissionStageEWMATightensBound(t *testing.T) {
 }
 
 func TestAdmissionRecoveryHysteresis(t *testing.T) {
-	a := newAdmission(admCfg(), nil)
+	a := newTestAdmission(admCfg(), nil)
 	// Drive into shedding.
 	now := feed(a, time.Unix(0, 0), 30, 300*time.Millisecond, 5*time.Millisecond)
 	if err := a.gate(now, 100, true); err == nil {
@@ -180,7 +182,7 @@ func TestAdmissionRecoveryHysteresis(t *testing.T) {
 }
 
 func TestAdmissionProbeWhileShedding(t *testing.T) {
-	a := newAdmission(admCfg(), nil)
+	a := newTestAdmission(admCfg(), nil)
 	now := feed(a, time.Unix(0, 0), 30, 300*time.Millisecond, 5*time.Millisecond)
 	if err := a.gate(now, a.probeDepth+1, true); err == nil {
 		t.Fatal("above the probe floor: want shed")
@@ -198,7 +200,7 @@ func TestAdmissionProbeWhileShedding(t *testing.T) {
 // rejection is reason "stale" and unwraps to ErrOverloaded like every
 // other shed.
 func TestAdmissionHeadDrop(t *testing.T) {
-	a := newAdmission(admCfg(), nil)
+	a := newTestAdmission(admCfg(), nil)
 	// Calm controller: even an ancient task runs (excursions ride through).
 	if err := a.admitAged(time.Hour, 10); err != nil {
 		t.Fatalf("head-drop while not shedding: %v", err)
@@ -223,7 +225,7 @@ func TestAdmissionHeadDrop(t *testing.T) {
 		t.Fatalf("head-drop does not unwrap to ErrOverloaded: %v", err)
 	}
 	// Queue mode and nil controller never head-drop.
-	q := newAdmission(Config{Admission: "queue"}.withDefaults(), nil)
+	q := newTestAdmission(Config{Admission: "queue"}.withDefaults(), nil)
 	if err := q.admitAged(time.Hour, 10); err != nil {
 		t.Fatalf("queue-mode head-drop: %v", err)
 	}
@@ -241,7 +243,7 @@ func TestAdmissionProjectedCap(t *testing.T) {
 	// 1ms per completion: depth 200 projects 200ms against a 100ms
 	// bound; depth 50 projects 50ms.
 	drained := func() *admission {
-		a := newAdmission(admCfg(), nil)
+		a := newTestAdmission(admCfg(), nil)
 		now := time.Unix(0, 0)
 		for i := 0; i < 50; i++ {
 			a.observeDone(now)
@@ -270,7 +272,7 @@ func TestAdmissionProjectedCap(t *testing.T) {
 	}
 
 	// No drain measurement, no projection: depth alone is not evidence.
-	fresh := newAdmission(admCfg(), nil)
+	fresh := newTestAdmission(admCfg(), nil)
 	if err := fresh.gate(now, 1<<20, true); err != nil {
 		t.Fatalf("projection-shed without a measured drain gap: %v", err)
 	}
@@ -286,7 +288,7 @@ func TestAdmissionProjectedCap(t *testing.T) {
 	// Queue mode never projects.
 	cfg := admCfg()
 	cfg.Admission = "queue"
-	q := newAdmission(cfg, nil)
+	q := newTestAdmission(cfg, nil)
 	for i := 0; i < 50; i++ {
 		q.observeDone(time.Unix(0, int64(i)*int64(time.Millisecond)))
 	}
@@ -297,7 +299,7 @@ func TestAdmissionProjectedCap(t *testing.T) {
 
 func TestAdmissionRetryAfterMonotone(t *testing.T) {
 	// Fix the drain gap at 100ms/completion so the estimate is exact.
-	a := newAdmission(admCfg(), nil)
+	a := newTestAdmission(admCfg(), nil)
 	now := time.Unix(0, 0)
 	for i := 0; i < 50; i++ {
 		a.observeDone(now)
@@ -307,27 +309,27 @@ func TestAdmissionRetryAfterMonotone(t *testing.T) {
 	// Monotone in queue depth.
 	prev := time.Duration(0)
 	for _, depth := range []int{0, 1, 10, 50, 100, 1000} {
-		ra := a.retryAfter(depth)
+		ra := a.retryAfterLocked(depth)
 		if ra < prev {
 			t.Fatalf("retryAfter(depth=%d) = %v < %v: not monotone in depth", depth, ra, prev)
 		}
 		prev = ra
 	}
-	if ra := a.retryAfter(0); ra < time.Second {
+	if ra := a.retryAfterLocked(0); ra < time.Second {
 		t.Fatalf("retryAfter floor = %v, want ≥ 1s", ra)
 	}
-	if ra := a.retryAfter(1 << 20); ra > 30*time.Second {
+	if ra := a.retryAfterLocked(1 << 20); ra > 30*time.Second {
 		t.Fatalf("retryAfter cap = %v, want ≤ 30s", ra)
 	}
 
 	// Monotone in queue delay: same depth, rising queue-delay EWMA.
 	prev = 0
 	for _, qd := range []time.Duration{0, 100 * time.Millisecond, time.Second, 5 * time.Second} {
-		b := newAdmission(admCfg(), nil)
+		b := newTestAdmission(admCfg(), nil)
 		for i := 0; i < 40; i++ {
 			b.observeQueueDelay(now, qd)
 		}
-		ra := b.retryAfter(8)
+		ra := b.retryAfterLocked(8)
 		if ra < prev {
 			t.Fatalf("retryAfter(queueEWMA=%v) = %v < %v: not monotone in queue delay", qd, ra, prev)
 		}
@@ -338,7 +340,7 @@ func TestAdmissionRetryAfterMonotone(t *testing.T) {
 func TestAdmissionQueueModeNeverGates(t *testing.T) {
 	cfg := admCfg()
 	cfg.Admission = "queue"
-	a := newAdmission(cfg, nil)
+	a := newTestAdmission(cfg, nil)
 	now := feed(a, time.Unix(0, 0), 100, time.Second, 5*time.Millisecond)
 	if err := a.gate(now, 1<<20, true); err != nil {
 		t.Fatalf("queue mode gated: %v", err)
@@ -363,69 +365,10 @@ func TestAdmissionNilSafe(t *testing.T) {
 	a.observeDone(time.Now())
 	a.observeStage("exec_run", 1)
 	a.ObserveTrace(nil)
-	a.setTarget(time.Second)
 	if got := a.stats(); got.SLO {
 		t.Fatalf("nil stats = %+v", got)
 	}
 	if !errors.Is(a.overloadFull(1), ErrOverloaded) {
 		t.Fatal("nil overloadFull must still be ErrOverloaded")
-	}
-}
-
-// TestAdmissionSubmitWhileReconfigure hammers a live service from 16
-// goroutines while the SLO target is concurrently reconfigured — the
-// race detector is the assertion; secondarily, every response must be
-// a result or a well-formed overload/drain error.
-func TestAdmissionSubmitWhileReconfigure(t *testing.T) {
-	s := newTestService(t, Config{
-		Workers:    2,
-		QueueDepth: 4,
-		SLOTarget:  5 * time.Millisecond, // tight: reconfigure matters
-		SLOWindow:  time.Millisecond,
-	})
-	const goroutines = 16
-	const perG = 25
-	stop := make(chan struct{})
-	var reconf sync.WaitGroup
-	reconf.Add(1)
-	go func() { // reconfigure loop, racing against every submit
-		defer reconf.Done()
-		targets := []time.Duration{time.Microsecond, 5 * time.Millisecond, time.Second}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				s.SetSLOTarget(targets[i%len(targets)])
-			}
-		}
-	}()
-	errCh := make(chan error, goroutines*perG)
-	var subs sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		subs.Add(1)
-		go func(g int) {
-			defer subs.Done()
-			for i := 0; i < perG; i++ {
-				// Distinct processor counts defeat the cache/single-flight
-				// so most submissions actually traverse the pool.
-				req := ExecuteRequest{CompileRequest: CompileRequest{
-					Source:     srcL1,
-					Processors: 1 + (g*perG+i)%8,
-				}}
-				_, err := s.Execute(context.Background(), req)
-				if err != nil && !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrDraining) {
-					errCh <- fmt.Errorf("goroutine %d: %w", g, err)
-					return
-				}
-			}
-		}(g)
-	}
-	subs.Wait()
-	close(stop)
-	reconf.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"commfree/internal/exec"
+	"commfree/internal/machine"
 )
 
 // BenchmarkExecuteRevived is the first execute of a stored plan: the
@@ -81,7 +82,7 @@ func BenchmarkExecuteWarm(b *testing.B) {
 			b.Run("kernel", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := kern.Run(s.cfg.Cost, exec.Options{}); err != nil {
+					if _, err := kern.Run(machine.Transputer(), exec.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
-	"time"
 
 	"commfree/internal/chaos"
 )
@@ -63,10 +62,8 @@ func TestExecuteChaosRecovers(t *testing.T) {
 // still return a validated result.
 func TestExecuteChaosDegradesToSequential(t *testing.T) {
 	s := newTestService(t, Config{
-		ChaosSeed:      3,
-		Chaos:          chaos.Persistent(),
-		MaxExecRetries: 2,
-		RetryBackoff:   time.Microsecond,
+		ChaosSeed: 3,
+		Chaos:     chaos.Config{BlockFailProb: 1, MaxBlockFails: 1 << 20},
 	})
 	resp, err := s.Execute(context.Background(), execReq(CompileRequest{Source: srcL1, Processors: 4}))
 	if err != nil {

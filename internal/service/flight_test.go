@@ -138,8 +138,11 @@ func warmEntry(t *testing.T, s *Service, req CompileRequest) *cacheEntry {
 // the next request for the key is a correct 200.
 func TestPanicAtEachFlightSite(t *testing.T) {
 	req := CompileRequest{Source: srcL1, Strategy: "duplicate", Processors: 4}
-	lazySite := func(t *testing.T, cfg Config, pick func(c *compiled) (arm func(chan struct{}), joined func() int)) panicSite {
-		s := newTestService(t, cfg)
+	// A plan past the kernel's dense cap runs on the map oracle, through
+	// the batch leader and the keyed sequential reference.
+	overCap := CompileRequest{Source: srcOverCap, Strategy: "duplicate", Processors: 4}
+	lazySite := func(t *testing.T, req CompileRequest, pick func(c *compiled) (arm func(chan struct{}), joined func() int)) panicSite {
+		s := newTestService(t, Config{Workers: 2})
 		arm, joined := pick(warmEntry(t, s, req).comp)
 		release := make(chan struct{})
 		arm(release)
@@ -163,8 +166,8 @@ func TestPanicAtEachFlightSite(t *testing.T) {
 		"batch leader": func(t *testing.T) panicSite {
 			// A node of the simulated machine panics: its statement reads
 			// a loop index the nest does not have.
-			s := newTestService(t, Config{Workers: 2, Engine: "oracle", BatchWindow: time.Minute, BatchMax: 2, RequestTimeout: 2 * time.Minute})
-			body := warmEntry(t, s, req).comp.res.Iter.Nest.Body
+			s := newTestService(t, Config{Workers: 2, BatchWindow: time.Minute, BatchMax: 2, RequestTimeout: 2 * time.Minute})
+			body := warmEntry(t, s, overCap).comp.res.Iter.Nest.Body
 			tree := body[0].Tree
 			body[0].Tree = &loop.ExprTree{Op: loop.ExprIndex, Arg: 99}
 			joined := func() int {
@@ -173,7 +176,7 @@ func TestPanicAtEachFlightSite(t *testing.T) {
 				}
 				return groupJoined(&s.batches)
 			}
-			call := executeCall(s, req)
+			call := executeCall(s, overCap)
 			pair := func(ctx context.Context) error {
 				errs := make(chan error, 2)
 				for range 2 {
@@ -185,22 +188,22 @@ func TestPanicAtEachFlightSite(t *testing.T) {
 				disarm: func() { body[0].Tree = tree }, value: "index out of range", next: pair}
 		},
 		"program build": func(t *testing.T) panicSite {
-			return lazySite(t, Config{Workers: 2}, func(c *compiled) (func(chan struct{}), func() int) {
+			return lazySite(t, req, func(c *compiled) (func(chan struct{}), func() int) {
 				return func(r chan struct{}) { panicOnce(&c.program, r) }, func() int { return lazyJoined(&c.kernel) }
 			})
 		},
 		"kernel build": func(t *testing.T) panicSite {
-			return lazySite(t, Config{Workers: 2}, func(c *compiled) (func(chan struct{}), func() int) {
+			return lazySite(t, req, func(c *compiled) (func(chan struct{}), func() int) {
 				return func(r chan struct{}) { panicOnce(&c.kernel, r) }, func() int { return lazyJoined(&c.kernel) }
 			})
 		},
 		"reference build": func(t *testing.T) panicSite {
-			return lazySite(t, Config{Workers: 2}, func(c *compiled) (func(chan struct{}), func() int) {
+			return lazySite(t, req, func(c *compiled) (func(chan struct{}), func() int) {
 				return func(r chan struct{}) { panicOnce(&c.reference, r) }, func() int { return lazyJoined(&c.reference) }
 			})
 		},
 		"sequential build": func(t *testing.T) panicSite {
-			return lazySite(t, Config{Workers: 2, Engine: "oracle"}, func(c *compiled) (func(chan struct{}), func() int) {
+			return lazySite(t, overCap, func(c *compiled) (func(chan struct{}), func() int) {
 				return func(r chan struct{}) { panicOnce(&c.sequential, r) }, func() int { return lazyJoined(&c.sequential) }
 			})
 		},
@@ -282,10 +285,10 @@ func TestPanicAtEachFlightSite(t *testing.T) {
 // 500 naming the request's trace, not the end of the process; the daemon
 // still answers /healthz and the next request.
 func TestNodePanicIsContained(t *testing.T) {
-	s := newTestService(t, Config{Workers: 1, Engine: "oracle"})
+	s := newTestService(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	req := CompileRequest{Source: srcL1, Processors: 4}
+	req := CompileRequest{Source: srcOverCap, Processors: 4}
 	body := warmEntry(t, s, req).comp.res.Iter.Nest.Body
 	tree := body[0].Tree
 	body[0].Tree = &loop.ExprTree{Op: loop.ExprIndex, Arg: 99}

@@ -136,7 +136,7 @@ func handleJSON[T any, R interface{ traceID() string }](s *Service, w http.Respo
 		return
 	}
 	var req T
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxSourceBytes)+4096))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSourceBytes+4096))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -30,6 +30,26 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out
 }
 
+// TestHTTPExecuteValidatesNaN: a nest that computes 0/0 computes NaN on
+// the kernel and in the reference alike, so the served answer is
+// validated with no mismatch.
+func TestHTTPExecuteValidatesNaN(t *testing.T) {
+	s := newTestService(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/v1/execute", CompileRequest{Source: "for i = 0 to 7\n  A[i] = 0/0\nend\n", Processors: 4})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute status %d: %s", resp.StatusCode, body)
+	}
+	var er ExecuteResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if !er.Validated || er.Mismatches != 0 || er.Elements != 8 {
+		t.Errorf("validated=%v mismatches=%d elements=%d, want true, 0 of 8", er.Validated, er.Mismatches, er.Elements)
+	}
+}
+
 func TestHTTPCompileAndExecute(t *testing.T) {
 	s := newTestService(t, Config{})
 	ts := httptest.NewServer(s.Handler())

@@ -168,13 +168,6 @@ func (m *Metrics) ObserveTrace(trc *obs.Trace) {
 	}
 }
 
-// Time runs fn and records its wall-clock duration under the stage.
-func (m *Metrics) Time(stage string, fn func()) {
-	t0 := time.Now()
-	fn()
-	m.Observe(stage, time.Since(t0))
-}
-
 // Inc adds n to the named counter.
 func (m *Metrics) Inc(name string, n int64) {
 	m.mu.Lock()

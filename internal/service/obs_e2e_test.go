@@ -305,8 +305,7 @@ func TestHTTPErrorPathsTable(t *testing.T) {
 		},
 		{
 			name:   "oversized program",
-			cfg:    Config{MaxSourceBytes: 16},
-			req:    CompileRequest{Source: srcL1},
+			req:    CompileRequest{Source: srcL1 + strings.Repeat(" ", maxSourceBytes)},
 			status: http.StatusBadRequest,
 		},
 		{

@@ -20,6 +20,7 @@ import (
 
 	"commfree/internal/exec"
 	"commfree/internal/lang"
+	"commfree/internal/machine"
 	"commfree/internal/obs"
 	"commfree/internal/store"
 )
@@ -81,8 +82,8 @@ func TestRevivalMatchesCompile(t *testing.T) {
 					t.Fatalf("%q %s p=%d: kernel compiled err=%v, revived err=%v", src, strat, p, errA, errB)
 				}
 				if errA == nil {
-					ra, errA := ka.Run(s.cfg.Cost, exec.Options{})
-					rb, errB := kb.Run(s.cfg.Cost, exec.Options{})
+					ra, errA := ka.Run(machine.Transputer(), exec.Options{})
+					rb, errB := kb.Run(machine.Transputer(), exec.Options{})
 					if errA != nil || errB != nil {
 						t.Fatalf("%q %s p=%d: kernel runs: %v, %v", src, strat, p, errA, errB)
 					}

@@ -61,17 +61,6 @@ type Config struct {
 	// count — and a simulated execution may spend no more (both are
 	// machine.ErrBudgetExhausted, HTTP 422).
 	MaxIterations int64
-	// MaxSourceBytes bounds the submitted program (default 1 MiB).
-	MaxSourceBytes int
-	// Cost is the machine cost model (default machine.Transputer()).
-	Cost machine.CostModel
-	// Engine selects the /v1/execute executor: "kernel" (the default,
-	// and what any unrecognised value means — the binaries refuse those
-	// with ParseEngine) runs the per-plan specialized kernel (fused
-	// bounds, bytecode or fast-shape RHS, pooled arenas), falling back
-	// to the map-based oracle when a nest exceeds the compile caps;
-	// "oracle" forces the map-based interpreter.
-	Engine string
 	// BatchWindow enables request coalescing on /v1/execute when
 	// positive: the first request for a plan waits this long for
 	// identical requests (same canonical source, strategy, and
@@ -91,12 +80,6 @@ type Config struct {
 	// chaos.DefaultConfig().
 	ChaosSeed int64
 	Chaos     chaos.Config
-	// MaxExecRetries bounds whole-run re-executions after an injected
-	// fault exhausts a block's retry budget (default 2, negative
-	// disables); RetryBackoff is the base of the exponential backoff
-	// between them (default 1ms).
-	MaxExecRetries int
-	RetryBackoff   time.Duration
 	// Admission selects the overload policy on the front door: "slo"
 	// (default) sheds with 429s when the measured queue delay would
 	// push admitted requests past SLOTarget (EWMA of per-stage latency
@@ -106,14 +89,8 @@ type Config struct {
 	// full).
 	Admission string
 	// SLOTarget is the end-to-end latency objective admission control
-	// defends (default 150ms). SLOWindow is how long the queue-delay
-	// EWMA must stay in breach before shedding starts (default 100ms);
-	// SLOResumeFrac is the recovery hysteresis — shedding stops once
-	// the EWMA falls below this fraction of the admissible bound
-	// (default 0.5).
-	SLOTarget     time.Duration
-	SLOWindow     time.Duration
-	SLOResumeFrac float64
+	// defends (default 150ms).
+	SLOTarget time.Duration
 	// StoreDir, when non-empty, backs the plan cache with a persistent
 	// content-addressed store at that directory (opened by NewWithStore);
 	// Store injects an already-open store directly and wins over
@@ -125,23 +102,19 @@ type Config struct {
 	Store    store.Store
 }
 
-// Two bounds nothing has ever needed to set: the plan cache's approximate
-// size in bytes, and the largest machine a request may ask for.
+// Bounds nothing has ever needed to set: the plan cache's approximate
+// size in bytes, the largest machine a request may ask for, the largest
+// program accepted, and the whole-run re-executions after an injected
+// fault exhausts a block's retry budget, with the base of the
+// exponential backoff between them. Executions run on the machine cost
+// model machine.Transputer().
 const (
-	cacheBytes    = 64 << 20
-	maxProcessors = 1024
+	cacheBytes     = 64 << 20
+	maxProcessors  = 1024
+	maxSourceBytes = 1 << 20
+	maxExecRetries = 2
+	retryBackoff   = time.Millisecond
 )
-
-// ParseEngine validates an engine name arriving from outside the
-// program (a command-line flag): Config itself maps anything but
-// "oracle" to the kernel, so a misspelt or retired name must be refused
-// before it gets that far.
-func ParseEngine(name string) (string, error) {
-	if name == "kernel" || name == "oracle" {
-		return name, nil
-	}
-	return "", fmt.Errorf("unknown engine %q (accepted: kernel, oracle)", name)
-}
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -159,15 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 1 << 22
 	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 1 << 20
-	}
-	if c.Cost == (machine.CostModel{}) {
-		c.Cost = machine.Transputer()
-	}
-	if c.Engine != "oracle" {
-		c.Engine = "kernel"
-	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
 	}
@@ -177,26 +141,11 @@ func (c Config) withDefaults() Config {
 	if c.Chaos == (chaos.Config{}) {
 		c.Chaos = chaos.DefaultConfig()
 	}
-	if c.MaxExecRetries == 0 {
-		c.MaxExecRetries = 2
-	}
-	if c.MaxExecRetries < 0 {
-		c.MaxExecRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
-	}
 	if c.Admission != "queue" {
 		c.Admission = "slo"
 	}
 	if c.SLOTarget <= 0 {
 		c.SLOTarget = 150 * time.Millisecond
-	}
-	if c.SLOWindow <= 0 {
-		c.SLOWindow = 100 * time.Millisecond
-	}
-	if c.SLOResumeFrac <= 0 || c.SLOResumeFrac >= 1 {
-		c.SLOResumeFrac = 0.5
 	}
 	return c
 }
@@ -427,12 +376,6 @@ func New(cfg Config) *Service {
 	s.metrics.Gauge("queue_capacity", func() int64 { return int64(s.pool.queueCap()) })
 	s.metrics.Gauge("in_flight", func() int64 { return s.pool.running() })
 	s.metrics.Gauge("workers", func() int64 { return int64(cfg.Workers) })
-	s.metrics.Gauge("engine_kernel", func() int64 {
-		if cfg.Engine == "kernel" {
-			return 1
-		}
-		return 0
-	})
 	s.metrics.Gauge("batch_window_us", func() int64 { return cfg.BatchWindow.Microseconds() })
 	s.metrics.Gauge("admission_slo", func() int64 {
 		if s.adm.stats().SLO {
@@ -469,22 +412,15 @@ func New(cfg Config) *Service {
 // Metrics exposes the registry (for tests and the HTTP layer).
 func (s *Service) Metrics() *Metrics { return s.metrics }
 
-// Admission snapshots the admission-control state.
-func (s *Service) Admission() AdmissionStats { return s.adm.stats() }
-
-// SetSLOTarget reconfigures the admission controller's latency target
-// at runtime. Safe concurrently with in-flight requests.
-func (s *Service) SetSLOTarget(d time.Duration) { s.adm.setTarget(d) }
-
 // Traces exposes the recent-trace ring (for tests and the HTTP layer).
 func (s *Service) Traces() *obs.Ring { return s.traces }
 
 // CacheStats exposes the cache counters.
 func (s *Service) CacheStats() CacheStats { return s.cache.stats() }
 
-// MaxSourceBytes exposes the configured source-size bound (the cluster
-// router sizes its body reader from it).
-func (s *Service) MaxSourceBytes() int { return s.cfg.MaxSourceBytes }
+// MaxSourceBytes exposes the source-size bound (the cluster router
+// sizes its body reader from it).
+func (s *Service) MaxSourceBytes() int { return maxSourceBytes }
 
 // BeginDrain flips the service into drain mode without waiting: new
 // requests (local or forwarded) fail immediately with ErrDraining so
@@ -569,8 +505,8 @@ func (s *Service) validate(req *CompileRequest) error {
 	if len(req.Source) == 0 {
 		return badRequest("empty source")
 	}
-	if len(req.Source) > s.cfg.MaxSourceBytes {
-		return badRequest("source is %d bytes, limit %d", len(req.Source), s.cfg.MaxSourceBytes)
+	if len(req.Source) > maxSourceBytes {
+		return badRequest("source is %d bytes, limit %d", len(req.Source), maxSourceBytes)
 	}
 	if req.Processors == 0 {
 		req.Processors = 16
@@ -743,7 +679,7 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 	var ev *selector.Evaluation
 	pc, err := partition.NewContext(cn, trc, ssp.ID())
 	if err == nil {
-		ev, err = selector.Evaluate(ctx, pc, procs, s.cfg.Cost, pin)
+		ev, err = selector.Evaluate(ctx, pc, procs, machine.Transputer(), pin)
 	}
 	if err == nil {
 		ssp.SetInt("candidates", int64(len(ev.Ranking)))
@@ -913,7 +849,7 @@ func (s *Service) countError(err error) {
 // chaos_seed), the run proceeds through a resilience state machine:
 // per-block retry inside the engines absorbs scheduled faults first;
 // a run that still dies with *chaos.FaultError is re-executed up to
-// MaxExecRetries times under exponential backoff with deterministic
+// maxExecRetries times under exponential backoff with deterministic
 // jitter (each re-run advances the schedule epoch, so transient faults
 // decorrelate); and when the retry budget is exhausted the request
 // degrades to the sequential oracle, which cannot fault.
@@ -970,7 +906,7 @@ func (s *Service) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteResp
 
 // executeWithRetry runs the resilience state machine for one request:
 // execute on a pool worker, re-execute on *chaos.FaultError up to
-// MaxExecRetries times under backoff, then degrade to the sequential
+// maxExecRetries times under backoff, then degrade to the sequential
 // oracle.
 func (s *Service) executeWithRetry(ctx context.Context, entry *cacheEntry, req ExecuteRequest, cached bool, trc *obs.Trace, inj *chaos.Injector, seed int64) (*ExecuteResponse, error) {
 	var resp *ExecuteResponse
@@ -987,7 +923,7 @@ func (s *Service) executeWithRetry(ctx context.Context, entry *cacheEntry, req E
 		if !errors.As(err, &fe) {
 			return nil, err
 		}
-		if attempt >= s.cfg.MaxExecRetries {
+		if attempt >= maxExecRetries {
 			// Retry budget exhausted: degrade to the sequential oracle.
 			v, err = s.runPooled(ctx, trc, true, func(ctx context.Context) (any, error) {
 				return s.executeSequential(ctx, entry, req, cached, trc)
@@ -1003,7 +939,7 @@ func (s *Service) executeWithRetry(ctx context.Context, entry *cacheEntry, req E
 		retries++
 		s.metrics.Inc("execute_retries", 1)
 		inj.NextEpoch()
-		if err := sleepBackoff(ctx, s.cfg.RetryBackoff, attempt, inj); err != nil {
+		if err := sleepBackoff(ctx, retryBackoff, attempt, inj); err != nil {
 			return nil, err
 		}
 	}
@@ -1042,22 +978,19 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	// specialized kernel (amortized: built once per cache entry). Nests
 	// beyond the compile caps fall back to the map-based oracle, and
 	// the span says why.
-	engine := s.cfg.Engine
-	var kern *exec.Kernel
-	var err error
-	if engine == "kernel" {
-		csp := trc.Start(0, "exec_compile")
-		if kern, err = entry.comp.kernel.get(ctx, s, trc); err != nil && ctx.Err() == nil && !panicked(err) {
-			s.metrics.Inc("exec_compile_fallbacks", 1)
-			engine = "oracle"
-			csp.SetStr("fallback", engine)
-			csp.SetStr("reason", err.Error())
-			err = nil
-		}
-		csp.End()
-		if err != nil {
-			return nil, err
-		}
+	engine := "kernel"
+	csp := trc.Start(0, "exec_compile")
+	kern, err := entry.comp.kernel.get(ctx, s, trc)
+	if err != nil && ctx.Err() == nil && !panicked(err) {
+		s.metrics.Inc("exec_compile_fallbacks", 1)
+		engine = "oracle"
+		csp.SetStr("fallback", engine)
+		csp.SetStr("reason", err.Error())
+		err = nil
+	}
+	csp.End()
+	if err != nil {
+		return nil, err
 	}
 
 	// Stage: exec_run — the simulated parallel execution. The
@@ -1073,9 +1006,9 @@ func (s *Service) executeOnce(ctx context.Context, entry *cacheEntry, req Execut
 	var rep *exec.Report
 	var verdict func(*exec.State) (elements, mismatches int)
 	if kern != nil {
-		rep, verdict, err = kern.Validate(s.cfg.Cost, opts)
+		rep, verdict, err = kern.Validate(machine.Transputer(), opts)
 	} else {
-		rep, err = exec.ParallelOpts(entry.comp.res, req.Processors, s.cfg.Cost, opts)
+		rep, err = exec.ParallelOpts(entry.comp.res, req.Processors, machine.Transputer(), opts)
 	}
 	if inj != nil {
 		st := inj.Stats()

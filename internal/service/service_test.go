@@ -26,6 +26,16 @@ const srcL1 = `for i = 1 to 4
 end
 `
 
+// srcOverCap has four iterations, but A's bounding box is 4098 × 4098
+// elements, past the kernel's dense cap: it executes on the map oracle
+// through the exec_compile fallback.
+const srcOverCap = `for i = 1 to 2
+  for j = 1 to 2
+    A[i + 4096j, 4096i + j] = A[i + 4096j - 1, 4096i + j] + 1
+  end
+end
+`
+
 const srcL1Renamed = `# same program, renamed indices and different spacing
 for x = 1 to 4
  for y = 1 to 4
@@ -195,19 +205,26 @@ func TestExecuteValidatesAgainstSequential(t *testing.T) {
 }
 
 func TestExecuteReportsEngine(t *testing.T) {
-	// The default engine is the specialized kernel; forcing the oracle
-	// must be reported and validate identically.
-	for _, engine := range []string{"kernel", "oracle"} {
-		s := newTestService(t, Config{Engine: engine})
-		resp, err := s.Execute(context.Background(), execReq(CompileRequest{Source: srcL1, Strategy: "duplicate", Processors: 4}))
+	// A plan runs on the specialized kernel; one whose footprint is past
+	// the kernel's dense cap falls back to the map oracle, which must be
+	// reported, counted and validate identically.
+	for _, c := range []struct {
+		engine, src string
+		fallbacks   int64
+	}{{"kernel", srcL1, 0}, {"oracle", srcOverCap, 1}} {
+		s := newTestService(t, Config{})
+		resp, err := s.Execute(context.Background(), execReq(CompileRequest{Source: c.src, Strategy: "duplicate", Processors: 4}))
 		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
+			t.Fatalf("%s: %v", c.engine, err)
 		}
-		if resp.Engine != engine {
-			t.Errorf("engine = %q, want %q", resp.Engine, engine)
+		if resp.Engine != c.engine {
+			t.Errorf("engine = %q, want %q", resp.Engine, c.engine)
 		}
 		if !resp.Validated || resp.InterNodeMessages != 0 {
-			t.Errorf("%s: validated=%v inter-node=%d", engine, resp.Validated, resp.InterNodeMessages)
+			t.Errorf("%s: validated=%v inter-node=%d", c.engine, resp.Validated, resp.InterNodeMessages)
+		}
+		if got := s.Metrics().Counter("exec_compile_fallbacks"); got != c.fallbacks {
+			t.Errorf("%s: exec_compile_fallbacks = %d, want %d", c.engine, got, c.fallbacks)
 		}
 	}
 }
@@ -386,19 +403,5 @@ func TestKernelFallbackRecordsReason(t *testing.T) {
 	}
 	if attrs["fallback"] != "oracle" || attrs["reason"] != capErr.Error() {
 		t.Errorf("exec_compile attrs = %v, want fallback=oracle reason=%q", attrs, capErr)
-	}
-}
-
-func TestParseEngine(t *testing.T) {
-	for _, ok := range []string{"kernel", "oracle"} {
-		if got, err := ParseEngine(ok); err != nil || got != ok {
-			t.Errorf("ParseEngine(%q) = %q, %v", ok, got, err)
-		}
-	}
-	for _, bad := range []string{"compiled", "orcale", "", "Kernel"} {
-		_, err := ParseEngine(bad)
-		if err == nil || !strings.Contains(err.Error(), "kernel, oracle") {
-			t.Errorf("ParseEngine(%q) err = %v, want an error naming the accepted values", bad, err)
-		}
 	}
 }

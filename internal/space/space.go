@@ -77,12 +77,6 @@ func (s *Space) IntegerBasis() [][]int64 {
 	return out
 }
 
-// Contains reports whether vector v lies in the subspace: v ∈ span(B)
-// iff rank(B ∪ {v}) == rank(B).
-func (s *Space) Contains(v []int64) bool {
-	return Span(s.n, append(slices.Clip(s.basis), v)...).Dim() == s.Dim()
-}
-
 // Union returns the smallest subspace containing both s and t (their sum).
 func (s *Space) Union(t *Space) *Space {
 	return Span(s.n, append(slices.Clip(s.basis), t.basis...)...)

@@ -72,7 +72,7 @@ func BenchmarkStorePut(b *testing.B) {
 func BenchmarkStoreOpen(b *testing.B) {
 	const records = 4096
 	b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-		dir := benchStore(b, records).Dir()
+		dir := benchStore(b, records).dir
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s, err := Open(dir, Options{})

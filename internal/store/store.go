@@ -162,9 +162,6 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *FileStore) Dir() string { return s.dir }
-
 // setEntry points key at its record file. Called with s.mu held (or,
 // in Open, before the store is shared).
 func (s *FileStore) setEntry(key string, e indexEntry) {

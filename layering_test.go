@@ -1,17 +1,20 @@
 package commfree_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // A layering rule: in the non-test files it names (directories, "./..."
@@ -399,4 +402,226 @@ func everyPackageIsReached(t *testing.T) {
 			t.Errorf("%s is reached now; drop it from unreachedByDesign (%s)", dir, why)
 		}
 	}
+}
+
+// shipsByDesign are the non-test functions no command, example, the
+// benchmark or a facade function links, each with the test, fuzz target
+// or harness that needs it. Keys are "dir.Func", "dir.Type.Method" or a
+// file, "dir/name.go", for every function it declares; dir is relative
+// to the module root.
+var shipsByDesign = map[string]string{
+	"internal/chaos.Injector.MaxFailuresPerBlock": "conformance.CheckChaos bounds the retry count by it",
+	"internal/cluster.WithSeed":                   "conformance.CheckCluster seeds the fleet's detectors",
+	"internal/cluster.WithNodeConfig":             "conformance.CheckMembership arms the migration-drop fault; the cluster hop and membership tests",
+	"internal/cluster.Local.Node":                 "the cluster shed, hop and node tests reach one node of the in-process fleet",
+	"internal/cluster.Local.Tick":                 "conformance.CheckCluster steps the heartbeat rounds of the crash replay",
+	"internal/cluster.Local.Join":                 "conformance.CheckMembership's join epoch",
+	"internal/cluster.Local.Leave":                "conformance.CheckMembership's leave epoch",
+	"internal/cluster.Local.membershipOp":         "Local.Join and Local.Leave",
+	"internal/cluster.MovedKeys":                  "conformance.CheckMembership: the key set a join must move",
+	"internal/cluster.MapTransport.SetFail":       "conformance.CheckCluster's crash schedule; the cluster node and hop tests",
+	"internal/cluster.MapTransport.SetDelay":      "the cluster hop, node and hedging-experiment tests",
+	"internal/exec.ParseKey":                      "conformance.CheckNormalize maps keyed states back through OldIndex; normalize_test.go",
+	"internal/intlin.Mat.Det":                     "conformance.Check and transform's unimodularity tests: T is unimodular",
+	"internal/lang.AffineNest.SymNames":           "loopgen's affine generator; affine_test.go",
+	"internal/lang.AffineNest.Bind":               "conformance.CheckNormalize and FuzzNormalize ground the symbolic nest",
+	"internal/lang.CanonicalSource":               "bench/bench_test.go compares the generated corpus by canonical form",
+	"internal/lang.FormatAffineNest":              "loopgen's affine generator and TestNormalizeConformanceRoundTrip",
+	"internal/lang.formatRefSyms":                 "FormatAffineNest",
+	"internal/lang.formatSymTerm":                 "FormatAffineNest",
+	"internal/loop.DefaultTree":                   "kernel's TestRecognize and TestCompileTreeMatchesEval: the default statement semantics as a tree",
+	"internal/loop.Nest.Iterations":               "the reference enumeration the Index, Walk, partition and transform tests check against",
+	"internal/loop.LexLess":                       "the iteration order the Index, Walk and transform order tests check against",
+	"internal/machine.Machine.DataMoved":          "conformance.CheckNormalize compares machine accounting; the machine and distplan tests",
+	"internal/machine/routing.go":                 "the link-level mesh simulator: routing_test.go and BenchmarkLinkLevelTableI cross-check Tables I–II with it",
+	"internal/normalize.Result.OldIndex":          "conformance.CheckNormalize maps normalized elements back to the source's",
+	"internal/report.Figure":                      "BenchmarkFig1–10 and figures_test.go render one figure at a time",
+	"internal/space.Space.SubspaceOf":             "conformance.Check's Ψ lattice inclusions; loopgen's tests",
+	"internal/transform.Transformed.Original":     "conformance.Check: Original(NewPoint(ī)) = ī",
+	"internal/transform.Transformed.NewPoint":     "conformance.Check: Original(NewPoint(ī)) = ī",
+}
+
+// TestEveryFunctionShips: every non-test function outside the test
+// harnesses is linked into a command, an example, the benchmark or a
+// program that references every exported function of the facade and
+// every method of *Compilation, or is named in shipsByDesign. The
+// binaries are built with inlining off in this module's packages, so
+// `go tool nm` lists every function a binary can call.
+func TestEveryFunctionShips(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds every command, example and the benchmark")
+	}
+	start := time.Now()
+	const module = "commfree"
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "bin") + string(filepath.Separator)
+	env := append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOTOOLCHAIN=local", "GOWORK=off")
+	build := func(dir, out string, pkgs ...string) {
+		cmd := exec.Command("go", append([]string{"build", "-gcflags=" + module + "/...=-l", "-o", out}, pkgs...)...)
+		cmd.Dir, cmd.Env = dir, env
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go build %v in %s: %v\n%s", pkgs, dir, err, msg)
+		}
+	}
+
+	// The facade root: a main that references every exported function of
+	// package commfree and every exported method of *Compilation.
+	facade := filepath.Join(tmp, "facade")
+	if err := os.Mkdir(facade, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var refs []string
+	for _, p := range nonTestFiles(t, ".") {
+		file, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			switch {
+			case !ok || !fn.Name.IsExported():
+			case fn.Recv == nil:
+				refs = append(refs, module+"."+fn.Name.Name)
+			case receiverType(fn) == "Compilation":
+				refs = append(refs, "(*"+module+".Compilation)."+fn.Name.Name)
+			}
+		}
+	}
+	files := map[string]string{
+		"go.mod": fmt.Sprintf("module facaderoot\n\ngo 1.22\n\nrequire %s v0.0.0\n\nreplace %s => %s\n", module, module, root),
+		"main.go": "package main\n\nimport (\n\t\"fmt\"\n\t\"os\"\n\n\t\"" + module + "\"\n)\n\n" +
+			"var roots = []any{\n\t" + strings.Join(refs, ",\n\t") + ",\n}\n\n" +
+			"func main() {\n\tif len(os.Args) > 1 {\n\t\tfmt.Println(roots...)\n\t}\n}\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(facade, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Every binary, each with the import path its package main stands for.
+	build(root, bin, "./cmd/...", "./examples/...")
+	build(filepath.Join(root, "bench"), filepath.Join(tmp, "bench.bin"), ".")
+	build(facade, filepath.Join(tmp, "facade.bin"), ".")
+	mains := map[string]string{filepath.Join(tmp, "bench.bin"): "", filepath.Join(tmp, "facade.bin"): ""}
+	for _, dir := range packageDirs(t) {
+		if top, _, _ := strings.Cut(dir, "/"); top == "cmd" || top == "examples" {
+			mains[filepath.Join(bin, path.Base(dir))] = module + "/" + dir
+		}
+	}
+
+	linked := map[string]bool{}
+	for binary, mainPath := range mains {
+		cmd := exec.Command("go", "tool", "nm", binary)
+		cmd.Env = env
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", binary, err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			f := strings.Fields(stripTypeArgs(line))
+			if len(f) < 3 || f[1] != "T" && f[1] != "t" {
+				continue
+			}
+			name := f[2]
+			if rest, ok := strings.CutPrefix(name, "main."); ok {
+				if mainPath == "" {
+					continue
+				}
+				name = mainPath + "." + rest
+			}
+			linked[strings.NewReplacer("(*", "", ")", "").Replace(name)] = true
+		}
+	}
+
+	// declared holds every function key and file key; excuses counts the
+	// unlinked functions each allowlist entry excuses — an entry that
+	// excuses none is stale.
+	declared, excuses := map[string]bool{}, map[string]int{}
+	functions := 0
+	for _, dir := range packageDirs(t) {
+		if _, harness := unreachedByDesign[dir]; harness {
+			continue
+		}
+		for _, p := range nonTestFiles(t, dir) {
+			file, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fileKey := path.Join(dir, filepath.Base(p))
+			declared[fileKey] = true
+			for _, d := range file.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil && (fn.Name.Name == "init" || fn.Name.Name == "main") || fn.Name.Name == "_" {
+					continue
+				}
+				functions++
+				name := fn.Name.Name
+				if fn.Recv != nil {
+					name = receiverType(fn) + "." + name
+				}
+				key := dir + "." + name
+				declared[key] = true
+				if linked[path.Join(module, dir)+"."+name] {
+					continue
+				}
+				switch {
+				case shipsByDesign[fileKey] != "":
+					excuses[fileKey]++
+				case shipsByDesign[key] != "":
+					excuses[key]++
+				default:
+					t.Errorf("%s.%s: no command, example, the benchmark or the facade links it; delete it, move it into the test that needs it, or name that test in shipsByDesign", path.Join(module, dir), name)
+				}
+			}
+		}
+	}
+	for key, why := range shipsByDesign {
+		switch {
+		case !declared[key]:
+			t.Errorf("shipsByDesign names %s, which is not declared; drop it", key)
+		case excuses[key] == 0:
+			t.Errorf("shipsByDesign: everything %s names is linked now; drop it (%s)", key, why)
+		}
+	}
+	t.Logf("%d functions declared, %d binaries read in %v", functions, len(mains), time.Since(start).Round(time.Millisecond))
+}
+
+// receiverType names a method's receiver type without its pointer or
+// type parameters.
+func receiverType(fn *ast.FuncDecl) string {
+	t := fn.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	return t.(*ast.Ident).Name
+}
+
+// stripTypeArgs drops every bracketed span, nested ones included, so an
+// instantiation such as `service.handleJSON[go.shape.struct { A []int }]`
+// reads as the generic function's name.
+func stripTypeArgs(s string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range s {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']' && depth > 0:
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }

@@ -15,27 +15,28 @@
 #       those rows beside the new ones, with the per-row speedups.
 #
 #   scripts/bench_compile.sh gate [benchtime]     run extents 8 and 16
-#       (default -benchtime=3x) and fail if, over those rows, the geometric
-#       mean of ns/op regressed more than 2x, or that of allocs/op more
-#       than 1.1x, against the latest recorded entry. allocs/op is a
-#       near-exact count, so one run decides it; ns/op gets the wide
-#       bound. CI runs this so a re-grown compile path cannot land
-#       silently.
+#       five times each (-count=5, default -benchtime=3x), take each row's
+#       median ns/op and allocs/op, and fail if, over those rows, the
+#       geometric mean of the medians regressed more than 2x in ns/op, or
+#       more than 1.1x in allocs/op, against the latest recorded entry.
+#       allocs/op is a near-exact count; ns/op gets the wide bound, and
+#       the median keeps one slow sample on a busy machine from deciding
+#       it. CI runs this so a re-grown compile path cannot land silently.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-append}"
 case "$mode" in
-  append) benchtime="${2:-5x}"; pattern='^BenchmarkCompileCold$' ;;
-  gate)   benchtime="${2:-3x}"; pattern='^BenchmarkCompileCold$/./^(8|16)$' ;;
+  append) benchtime="${2:-5x}"; count=1; pattern='^BenchmarkCompileCold$' ;;
+  gate)   benchtime="${2:-3x}"; count=5; pattern='^BenchmarkCompileCold$/./^(8|16)$' ;;
   *) echo "usage: $0 [append|gate] [benchtime]" >&2; exit 2 ;;
 esac
 
-raw="$(go test . -run=NONE -bench="$pattern" -benchtime="$benchtime" -benchmem)"
+raw="$(go test . -run=NONE -bench="$pattern" -benchtime="$benchtime" -count="$count" -benchmem)"
 echo "$raw"
 
 BENCH_MODE="$mode" BENCH_RAW="$raw" python3 - <<'PY'
-import json, math, os, re, sys, datetime
+import json, math, os, re, statistics, sys, datetime
 
 mode = os.environ["BENCH_MODE"]
 raw = os.environ["BENCH_RAW"]
@@ -73,11 +74,19 @@ doc = json.load(open(path))
 if mode == "gate":
     if not doc["entries"]:
         sys.exit("bench_compile: BENCH_compile.json has no entry to gate against")
+    samples = {}
+    for r in results:
+        samples.setdefault(key(r), []).append(r)
+    medians = [
+        dict(rs[0], **{f: int(statistics.median(r[f] for r in rs)) for f in ("ns_op", "b_op", "allocs_op")})
+        for rs in samples.values()
+    ]
+    runs = min(len(rs) for rs in samples.values())
     failed = []
     for field, bound in (("ns_op", 2.0), ("allocs_op", 1.1)):
-        ratio, n = geomean_ratio(results, doc["entries"][-1]["results"], field)
+        ratio, n = geomean_ratio(medians, doc["entries"][-1]["results"], field)
         status = "OK" if ratio <= bound else "REGRESSED"
-        print(f"gate: CompileCold geomean over {n} rows: {ratio:.2f}x the recorded {field} (bound {bound}x) {status}")
+        print(f"gate: CompileCold geomean over {n} rows (median of {runs} runs each): {ratio:.2f}x the recorded {field} (bound {bound}x) {status}")
         if ratio > bound:
             failed.append(f"{field} {ratio:.2f}x > {bound}x")
     if failed:
