@@ -6,11 +6,19 @@
 //
 // Usage:
 //
-//	commfree -file loop.cf [-strategy duplicate] [-p 16] [-exec] [-chaos-seed 7] [-compare-baseline] [-trace]
+//	commfree -file loop.cf [-strategy duplicate|auto|…] [-p 16] [-exec] [-chaos-seed 7] [-compare-baseline] [-trace]
 //
-// -trace prints the pipeline's span tree (parse → deps → redundant →
-// partition → transform → assign, plus per-block execution spans under
-// -exec) after the report.
+// -strategy takes the names the compilation service takes: one of the
+// five strategies, or auto, which prints the ranking of every
+// allocation by simulated cost and compiles the cheapest. Every name
+// runs the service's compile pipeline: admission (at most 1<<22
+// iterations), selection, verify. A refusal or a verification failure
+// exits 1 before the report.
+//
+// -trace prints the pipeline's span tree after the report: parse, then
+// selection (deps, redundant, and one class span per distinct partition
+// holding its partition, transform and assign), then verify, plus
+// per-block execution spans under -exec.
 //
 // -remote URL submits the request to a running commfreed (or any node
 // of a commfreed cluster — the fleet routes it to the plan's home node)
@@ -39,6 +47,7 @@ import (
 
 	"commfree"
 	"commfree/internal/intlin"
+	"commfree/internal/selector"
 )
 
 const demoSrc = `# Loop L1 from Chen & Sheu (1993).
@@ -53,12 +62,11 @@ end
 func main() {
 	var (
 		file      = flag.String("file", "", "loop DSL source file (default: built-in demo L1)")
-		strategy  = flag.String("strategy", "non-duplicate", "partitioning strategy: non-duplicate | duplicate | minimal-non-duplicate | minimal-duplicate | mars")
+		strategy  = flag.String("strategy", "non-duplicate", "partitioning strategy: non-duplicate | duplicate | minimal-non-duplicate | minimal-duplicate | mars | auto (rank every allocation by simulated cost and compile the cheapest)")
 		procs     = flag.Int("p", 4, "number of processors")
 		execute   = flag.Bool("exec", false, "execute on the simulated multicomputer and validate against sequential execution")
 		compare   = flag.Bool("compare-baseline", false, "also run the Ramanujam–Sadayappan hyperplane baseline")
 		emit      = flag.String("emit", "", "write a standalone Go SPMD program implementing the compiled loop to this path ('-' for stdout)")
-		auto      = flag.Bool("auto", false, "rank all allocation strategies by simulated cost and compile the best one (overrides -strategy)")
 		trace     = flag.Bool("trace", false, "print the pipeline span tree (stage timings, per-block execution spans under -exec)")
 		chaosSeed = flag.Int64("chaos-seed", 0, "with -exec: inject a deterministic fault schedule derived from this seed (block crashes, message loss, slow nodes) and prove recovery is bit-identical; 0 disables")
 		remote    = flag.String("remote", "", "submit to a running commfreed (or cluster node) at this base URL instead of compiling in-process")
@@ -111,57 +119,19 @@ func main() {
 		return
 	}
 
-	var strat commfree.Strategy
-	switch *strategy {
-	case "non-duplicate":
-		strat = commfree.NonDuplicate
-	case "duplicate":
-		strat = commfree.Duplicate
-	case "minimal-non-duplicate":
-		strat = commfree.MinimalNonDuplicate
-	case "minimal-duplicate":
-		strat = commfree.MinimalDuplicate
-	case "mars":
-		strat = commfree.Mars
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	pin, err := selector.PinFor(*strategy)
+	if err != nil {
+		fatal(err)
 	}
-
-	var comp *commfree.Compilation
-	if *auto {
-		// -auto ranks every allocation strategy by simulated cost and
-		// compiles the winner (overriding -strategy). The source goes
-		// through the affine front end first; a nest the normalization
-		// pass provably cannot uniformize fails here with its
-		// classification (rejection class, offending reference, failed
-		// condition).
-		nres, err := commfree.NormalizeSource(src)
-		if err != nil {
-			fatal(err)
-		}
-		nest := nres.Nest
-		if !nres.Identity {
-			fmt.Println("front end: affine references normalized to uniformly generated form")
-		}
-		var all []commfree.StrategyCandidate
-		comp, all, err = commfree.CompileAuto(nest, *procs, commfree.TransputerCost())
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(commfree.StrategyRanking(all))
-		fmt.Printf("\nselected: %s\n\n", all[0].Label)
-	} else {
-		var err error
-		comp, err = commfree.CompileTraced(src, strat, *procs, trc)
-		if err != nil {
-			fatal(err)
-		}
+	comp, err := commfree.CompileTraced(src, pin, *procs, trc)
+	if err != nil {
+		fatal(err)
+	}
+	if pin == "" {
+		fmt.Print(commfree.StrategyRanking(comp.Ranking))
+		fmt.Printf("\nselected: %s\n\n", comp.Chosen.Label)
 	}
 	fmt.Print(comp.Report())
-
-	if err := comp.Verify(); err != nil {
-		fatal(fmt.Errorf("communication-freeness verification FAILED: %w", err))
-	}
 	fmt.Println("\ncommunication-freeness: verified exhaustively on the iteration space")
 
 	if *emit != "" {

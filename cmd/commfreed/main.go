@@ -84,6 +84,7 @@ import (
 	"time"
 
 	"commfree/internal/cluster"
+	"commfree/internal/loop"
 	"commfree/internal/service"
 )
 
@@ -121,7 +122,7 @@ func run() error {
 		queue     = flag.Int("queue", 128, "request queue depth")
 		cacheN    = flag.Int("cache", 256, "plan cache entries")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		maxIter   = flag.Int64("max-iterations", 1<<22, "per-request iteration budget: larger nests are refused uncompiled, executions may spend no more (negative = unlimited)")
+		maxIter   = flag.Int64("max-iterations", loop.DefaultMaxIterations, "per-request iteration budget: larger nests are refused uncompiled, executions may spend no more (negative = unlimited)")
 		batchWin  = flag.Duration("batch-window", 0, "coalesce identical /v1/execute requests arriving within this window into one execution (0 disables)")
 		batchMax  = flag.Int("batch-max", 16, "cap on requests per coalesced execution batch (leader included)")
 		drainFor  = flag.Duration("drain", 60*time.Second, "graceful-shutdown drain limit")

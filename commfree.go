@@ -236,68 +236,68 @@ func SelectStrategy(nest *Nest, p int, cost CostModel) (StrategyCandidate, []Str
 	return selector.Best(nest, p, cost)
 }
 
-// CompileAuto is SelectStrategy followed by CompileCandidate on the
-// winner, in one evaluation: the nest is analyzed once, every distinct
-// partition among the candidates is priced once, and the winner's
-// partition, transformation and assignment are the ones that were
-// priced. The ranking's first entry is the compiled candidate.
+// CompileAuto compiles the cheapest allocation SelectStrategy would pick
+// for the nest under the cost model, in one evaluation: the nest is
+// analyzed once, every distinct partition among the candidates is priced
+// once, and the winner's partition, transformation and assignment are
+// the ones that were priced. The ranking's first entry is the compiled
+// candidate.
 func CompileAuto(nest *Nest, p int, cost CostModel) (*Compilation, []StrategyCandidate, error) {
-	if p < 1 {
-		return nil, nil, fmt.Errorf("commfree: processors = %d", p)
-	}
-	pc, err := partition.NewContext(nest, nil, 0)
+	c, err := compile(nest, "", p, cost, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev, err := selector.Evaluate(context.Background(), pc, p, cost, "")
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Compilation{
-		Nest:        nest,
-		Strategy:    ev.Result.Strategy,
-		Processors:  p,
-		Partition:   ev.Result,
-		Transformed: ev.Transformed,
-		Assignment:  ev.Assignment,
-	}, ev.Ranking, nil
+	return c, c.Ranking, nil
 }
 
 // StrategyRanking renders a SelectStrategy ranking.
 func StrategyRanking(all []StrategyCandidate) string { return selector.Report(all) }
 
-// Compilation bundles the full pipeline output for one nest.
+// Compilation bundles the full pipeline output for one nest: the
+// compiled candidate with its predicted cost, every candidate the
+// selection priced (cheapest first), and the compiled candidate's
+// partition, forall transformation and processor assignment.
 type Compilation struct {
 	Nest        *Nest
 	Strategy    Strategy
 	Processors  int
+	Chosen      StrategyCandidate
+	Ranking     []StrategyCandidate
 	Partition   *PartitionResult
 	Transformed *Transformed
 	Assignment  *Assignment
 }
 
 // Trace is a structured span tree recording one pipeline run: every
-// stage (parse, deps, redundant, partition, transform, assign,
-// exec_run with per-block children) becomes a timed span. Start one
-// with NewTrace, pass it to CompileTraced / Compilation.ExecuteTraced,
-// and render it with Trace.Tree() or export it with Trace.Export(). A
-// nil *Trace is always legal and free.
+// stage (parse, then selection with deps, redundant and one class span
+// per distinct partition, each holding partition, transform and assign;
+// then verify; exec_run with per-block children) becomes a timed span.
+// Start one with NewTrace, pass it to CompileTraced /
+// Compilation.ExecuteTraced, and render it with Trace.Tree() or export
+// it with Trace.Export(). A nil *Trace is always legal and free.
 type Trace = obs.Trace
 
 // NewTrace starts a named trace.
 func NewTrace(name string) *Trace { return obs.New(name) }
 
-// Compile parses, partitions, transforms, and assigns in one call.
+// Compile parses, partitions, transforms, assigns and verifies in one
+// call, under one strategy.
 func Compile(src string, strat Strategy, processors int) (*Compilation, error) {
-	return CompileTraced(src, strat, processors, nil)
+	return CompileTraced(src, strat.String(), processors, nil)
 }
 
-// CompileTraced is Compile with stage spans recorded into trc. Sources
-// are parsed in the affine grammar and normalized first, so non-uniform
-// references that the pass can rewrite compile transparently; uniform
-// sources flow through byte-identically (the pass is the identity on
-// them), and unnormalizable nests fail with a *ClassifyError.
-func CompileTraced(src string, strat Strategy, processors int, trc *Trace) (*Compilation, error) {
+// CompileTraced runs the compile pipeline on src with its stage spans
+// recorded into trc, compiling the candidate labelled pin: a strategy
+// (its String: "duplicate", "minimal non-duplicate", …), a selective
+// subset ("selective{B}"), or "" for the cheapest under the Transputer
+// cost model. Sources are parsed in the affine grammar and normalized
+// first, so non-uniform references that the pass can rewrite compile
+// transparently; uniform sources flow through byte-identically (the pass
+// is the identity on them), and unnormalizable nests fail with a
+// *ClassifyError. The pipeline then admits the nest (at most
+// 1<<22 iterations), prices every candidate and verifies the one it
+// compiles, exactly as the compilation service does.
+func CompileTraced(src, pin string, processors int, trc *Trace) (*Compilation, error) {
 	psp := trc.Start(0, "parse")
 	nres, err := normalize.Source(src)
 	if err == nil && !nres.Identity {
@@ -307,66 +307,35 @@ func CompileTraced(src string, strat Strategy, processors int, trc *Trace) (*Com
 	if err != nil {
 		return nil, err
 	}
-	return compileNestTraced(nres.Nest, strat, processors, trc)
+	return compile(nres.Nest, pin, processors, TransputerCost(), trc)
 }
 
 // CompileNest is Compile for an already-built nest.
 func CompileNest(nest *Nest, strat Strategy, processors int) (*Compilation, error) {
-	return compileNestTraced(nest, strat, processors, nil)
-}
-
-func compileNestTraced(nest *Nest, strat Strategy, processors int, trc *Trace) (*Compilation, error) {
-	if processors < 1 {
-		return nil, fmt.Errorf("commfree: processors = %d", processors)
-	}
-	pc, err := partition.NewContext(nest, trc, 0)
-	if err != nil {
-		return nil, err
-	}
-	res, err := pc.Compute(strat, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return finishCompilationTraced(nest, res, processors, trc)
+	return compile(nest, strat.String(), processors, TransputerCost(), nil)
 }
 
 // CompileCandidate compiles the allocation a SelectStrategy candidate
 // describes (including selective duplication subsets).
 func CompileCandidate(nest *Nest, cand StrategyCandidate, processors int) (*Compilation, error) {
-	if processors < 1 {
-		return nil, fmt.Errorf("commfree: processors = %d", processors)
-	}
-	pc, err := partition.NewContext(nest, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	dup := map[string]bool{}
-	for _, a := range cand.Duplicated {
-		dup[a] = true
-	}
-	res, err := pc.Compute(cand.Strategy, dup, 0)
-	if err != nil {
-		return nil, err
-	}
-	return finishCompilationTraced(nest, res, processors, nil)
+	return compile(nest, cand.Label, processors, TransputerCost(), nil)
 }
 
-func finishCompilationTraced(nest *Nest, res *PartitionResult, processors int, trc *Trace) (*Compilation, error) {
-	tsp := trc.Start(0, "transform")
-	tr, err := transform.Transform(nest, res.Psi)
-	tsp.End()
+// compile is every Compile* function's view of selector.Compile.
+func compile(nest *Nest, pin string, processors int, cost CostModel, trc *Trace) (*Compilation, error) {
+	ev, err := selector.Compile(context.Background(), nest, processors, cost, pin, loop.DefaultMaxIterations, trc)
 	if err != nil {
 		return nil, err
 	}
-	asp := trc.Start(0, "assign")
-	defer asp.End()
 	return &Compilation{
 		Nest:        nest,
-		Strategy:    res.Strategy,
+		Strategy:    ev.Result.Strategy,
 		Processors:  processors,
-		Partition:   res,
-		Transformed: tr,
-		Assignment:  assign.Assign(tr, processors),
+		Chosen:      ev.Chosen,
+		Ranking:     ev.Ranking,
+		Partition:   ev.Result,
+		Transformed: ev.Transformed,
+		Assignment:  ev.Assignment,
 	}, nil
 }
 

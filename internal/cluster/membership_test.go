@@ -80,11 +80,11 @@ func TestJoinMigratesExactlyMovedKeys(t *testing.T) {
 		t.Fatalf("fleet ran %d compiles for %d sources", got, len(corpus))
 	}
 
-	oldRing := NewRing(fleet.Names, 0)
+	oldRing := NewRing(fleet.Names)
 	if _, err := fleet.Join("n0", testBase()); err != nil {
 		t.Fatal(err)
 	}
-	newRing := NewRing(fleet.Names, 0)
+	newRing := NewRing(fleet.Names)
 	moved := MovedKeys(oldRing, newRing, keys)
 	if len(moved) == 0 {
 		t.Skip("degenerate: no corpus key moved on this join")
@@ -323,11 +323,11 @@ func TestMigrationDropRecompiles(t *testing.T) {
 		want[src] = compileVia(t, fleet, fleet.Names[i%3], src)
 		keys = append(keys, keyOf(t, src))
 	}
-	oldRing := NewRing(fleet.Names, 0)
+	oldRing := NewRing(fleet.Names)
 	if _, err := fleet.Join("n0", testBase(), WithNodeConfig(dropAll)); err != nil {
 		t.Fatal(err)
 	}
-	moved := MovedKeys(oldRing, NewRing(fleet.Names, 0), keys)
+	moved := MovedKeys(oldRing, NewRing(fleet.Names), keys)
 	if len(moved) == 0 {
 		t.Skip("degenerate: no corpus key moved on this join")
 	}

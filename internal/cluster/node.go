@@ -207,7 +207,7 @@ func NewNode(svc *service.Service, cfg Config) (*Node, error) {
 	}
 	n.det = newDetector(cfg.Self, n.names, cfg.SuspectAfter, cfg.HeartbeatS, n.sched,
 		healthProbe(n.client, n.urlOf))
-	n.ring = NewRing(n.names, DefaultVNodes)
+	n.ring = NewRing(n.names)
 	n.det.setOnChange(n.rebalance)
 	n.registerMetrics()
 	for _, p := range cfg.Peers {
@@ -333,7 +333,7 @@ func (n *Node) loadOf(peer string) *atomic.Int64 {
 // rebalance rebuilds the ring over the new alive set and re-derives
 // ownership of every tracked key, counting the moves.
 func (n *Node) rebalance(alive []string) {
-	ring := NewRing(alive, DefaultVNodes)
+	ring := NewRing(alive)
 	n.ringMu.Lock()
 	n.ring = ring
 	n.ringMu.Unlock()

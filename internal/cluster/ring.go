@@ -45,9 +45,9 @@ type Ring struct {
 	points []point
 }
 
-// DefaultVNodes is the virtual-node count per peer of every node's ring
-// (and what NewRing uses when the caller passes 0) — enough that the largest keyspace share stays within ~2×
-// the mean for small fleets.
+// DefaultVNodes is the virtual-node count per peer of every ring —
+// enough that the largest keyspace share stays within ~2× the mean for
+// small fleets.
 const DefaultVNodes = 64
 
 // pointHash derives a virtual node's position. splitmix64-style
@@ -63,19 +63,17 @@ func pointHash(peerHash uint64, vnode int) uint64 {
 	return h
 }
 
-// NewRing builds a ring over the peers (deduped, sorted) with the given
-// virtual-node count per peer (0 = DefaultVNodes).
-func NewRing(peers []string, vnodes int) *Ring {
-	return newRingHash(peers, vnodes, pointHash)
+// NewRing builds a ring over the peers (deduped, sorted) with
+// DefaultVNodes virtual nodes per peer.
+func NewRing(peers []string) *Ring {
+	return newRingHash(peers, DefaultVNodes, pointHash)
 }
 
-// newRingHash is NewRing with an injectable point-hash — tests use it
-// to force every virtual node onto one position and check that the
-// total order still routes deterministically.
+// newRingHash is NewRing with an injectable virtual-node count and
+// point-hash — tests use it to force every virtual node onto one
+// position and check that the total order still routes
+// deterministically.
 func newRingHash(peers []string, vnodes int, hashFn func(peerHash uint64, vnode int) uint64) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
 	uniq := map[string]bool{}
 	var ps []string
 	for _, p := range peers {

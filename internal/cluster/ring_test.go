@@ -7,7 +7,7 @@ import (
 )
 
 func TestRingSingleNode(t *testing.T) {
-	r := NewRing([]string{"solo"}, 0)
+	r := NewRing([]string{"solo"})
 	for _, key := range []uint64{0, 1, ^uint64(0), 0x9e3779b97f4a7c15} {
 		owner, ok := r.Owner(key)
 		if !ok || owner != "solo" {
@@ -20,7 +20,7 @@ func TestRingSingleNode(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if _, ok := r.Owner(42); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
@@ -74,7 +74,7 @@ func TestRingMembershipMoveProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			peers = append(peers, fmt.Sprintf("n%d", i))
 		}
-		before := NewRing(peers, 0)
+		before := NewRing(peers)
 		removed := peers[rnd.Intn(n)]
 		var rest []string
 		for _, p := range peers {
@@ -82,7 +82,7 @@ func TestRingMembershipMoveProperty(t *testing.T) {
 				rest = append(rest, p)
 			}
 		}
-		after := NewRing(rest, 0)
+		after := NewRing(rest)
 
 		const keys = 4096
 		moved := 0
@@ -122,7 +122,7 @@ func keyspaceShares(r *Ring) map[string]float64 {
 
 func TestRingSharesRoughlyBalanced(t *testing.T) {
 	peers := []string{"n0", "n1", "n2", "n3", "n4"}
-	shares := keyspaceShares(NewRing(peers, 0))
+	shares := keyspaceShares(NewRing(peers))
 	var total float64
 	for _, p := range peers {
 		s := shares[p]
@@ -137,7 +137,7 @@ func TestRingSharesRoughlyBalanced(t *testing.T) {
 }
 
 func TestRouteAliveAndBoundedLoad(t *testing.T) {
-	r := NewRing([]string{"n0", "n1", "n2"}, 0)
+	r := NewRing([]string{"n0", "n1", "n2"})
 	key := uint64(12345)
 	reps := r.Replicas(key, 3)
 
@@ -191,7 +191,7 @@ func FuzzClusterRoute(f *testing.F) {
 		for i := 0; i < n; i++ {
 			peers = append(peers, fmt.Sprintf("n%d", i))
 		}
-		r := NewRing(peers, 16)
+		r := newRingHash(peers, 16, pointHash)
 		alive := func(p string) bool {
 			var i int
 			fmt.Sscanf(p, "n%d", &i)

@@ -241,7 +241,7 @@ func CheckCluster(nodes int, engine string, seed int64) error {
 		// replica, and still return the reference document.
 		victim := sched.PeerCrashVictim(0, nodes)
 		start, wlen := sched.PeerCrashWindow(0, victim)
-		fullRing := cluster.NewRing(fleet.Names, 0)
+		fullRing := cluster.NewRing(fleet.Names)
 		var probes []int
 		for ci, src := range corpus {
 			nest, _ := lang.Parse(src)

@@ -82,11 +82,11 @@ func CheckMembership(nodes int, engine string, seed int64) error {
 
 	// Epoch 1: join. Exactly the ring-computed moved records migrate
 	// (or, under the seeded schedule, are dropped — and counted).
-	oldRing := cluster.NewRing(fleet.Names, 0)
+	oldRing := cluster.NewRing(fleet.Names)
 	if _, err := fleet.Join(fleet.Names[0], base, opts...); err != nil {
 		return fmt.Errorf("conformance: membership: join: %w", err)
 	}
-	moved := cluster.MovedKeys(oldRing, cluster.NewRing(fleet.Names, 0), keys)
+	moved := cluster.MovedKeys(oldRing, cluster.NewRing(fleet.Names), keys)
 	if len(moved) == 0 {
 		return fmt.Errorf("conformance: membership: join moved no corpus key — widen the corpus")
 	}

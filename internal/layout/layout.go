@@ -24,8 +24,6 @@ type BlockLayout struct {
 	// BoxCells is the volume of the elements' bounding box — what a
 	// rectangular local allocation would reserve.
 	BoxCells int64
-
-	elems [][]int64 // the data block's elements, shared with the partition
 }
 
 // Layout is the local layout of one array across all blocks.
@@ -44,7 +42,7 @@ type Layout struct {
 func Build(dp *partition.DataPartition) *Layout {
 	l := &Layout{Array: dp.Array, UniqueElements: dp.Unique}
 	for _, db := range dp.Blocks {
-		bl := &BlockLayout{BlockID: db.BlockID, Count: len(db.Elements), elems: db.Elements}
+		bl := &BlockLayout{BlockID: db.BlockID, Count: len(db.Elements)}
 		if bl.Count > 0 {
 			lo, hi := slices.Clone(db.Elements[0]), slices.Clone(db.Elements[0])
 			for _, e := range db.Elements[1:] {

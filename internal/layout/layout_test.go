@@ -103,15 +103,12 @@ func TestBuildMatchesReference(t *testing.T) {
 				dp := res.DataPartition(a)
 				got := Build(dp)
 				want, slots := referenceBuild(dp)
-				for bi, bl := range want.Blocks {
-					bl.elems = dp.Blocks[bi].Elements
-				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("nest %d, %s, array %s:\n got %+v\nwant %+v", ni, name, a, got, want)
 				}
 				for bi, db := range dp.Blocks {
 					for _, e := range db.Elements {
-						if s, ok := slot(got, db.BlockID, e); !ok || s != slots[bi][fmt.Sprint(e)] {
+						if s, ok := slot(dp, db.BlockID, e); !ok || s != slots[bi][fmt.Sprint(e)] {
 							t.Fatalf("nest %d, %s: Slot(%d, %s%v) = %d, %v; want %d", ni, name, db.BlockID, a, e, s, ok, slots[bi][fmt.Sprint(e)])
 						}
 					}
@@ -120,7 +117,7 @@ func TestBuildMatchesReference(t *testing.T) {
 						past[len(past)-1]++
 						before[len(before)-1]--
 						for _, out := range [][]int64{past, before} {
-							if _, ok := slot(got, db.BlockID, out); ok {
+							if _, ok := slot(dp, db.BlockID, out); ok {
 								t.Fatalf("nest %d, %s: Slot finds %s%v in block %d, which does not hold it", ni, name, a, out, db.BlockID)
 							}
 						}
@@ -166,17 +163,21 @@ func TestL5LayoutSavings(t *testing.T) {
 // slot returns the local address of an element within a block, and
 // whether the element is resident there: its position in the block's
 // sorted element list.
-func slot(l *Layout, blockID int, elem []int64) (int, bool) {
-	for _, bl := range l.Blocks {
-		if bl.BlockID == blockID {
-			return slices.BinarySearchFunc(bl.elems, elem, slices.Compare[[]int64])
+func slot(dp *partition.DataPartition, blockID int, elem []int64) (int, bool) {
+	for _, db := range dp.Blocks {
+		if db.BlockID == blockID {
+			return slices.BinarySearchFunc(db.Elements, elem, slices.Compare[[]int64])
 		}
 	}
 	return 0, false
 }
 
 func TestSlotLookup(t *testing.T) {
-	l := build(t, loop.L1(), partition.NonDuplicate, "B")
+	res, err := partition.Compute(loop.L1(), partition.NonDuplicate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := res.DataPartition("B")
 	// B[j, i+1] at iteration (1,1) = B[1,2]; its block is the one holding
 	// that element.
 	found := false

@@ -11,8 +11,11 @@ package loop
 // compile passes run over flat arrays.
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
+
+	"commfree/internal/machine"
 )
 
 // RankOverflowError reports a box too large to rank in an int64.
@@ -305,6 +308,55 @@ type Index struct {
 // a map otherwise. Only rank-deficient subscripts (A[i, i] in a one-deep
 // loop: N² cells for N accesses) take the map.
 const idTableRatio = 4
+
+// DefaultMaxIterations is the iteration limit every compile runs under
+// unless its caller sets another: the library and the command line
+// always, the service by default.
+const DefaultMaxIterations = 1 << 22
+
+// Admit refuses a nest that spans more than limit iterations; a negative
+// limit admits every nest. It runs before the two places that enumerate
+// one — the compile pipeline's analysis, NewIndex in a store revival —
+// because those allocate per iteration and heed no context: a 60-byte
+// program can name 10¹⁰ iterations. Constant bounds are multiplied out
+// (a box too large to rank is too large), outermost first and only down
+// to an empty level: that is what a walk of the nest steps through, even
+// when it then finds no iteration. Dependent bounds count the walk's
+// steps, every value any level takes, because a level can be empty under
+// every outer value (for i = 1 to 10⁸ / for j = i to 0). With the
+// levels inside level k pinned to one value, the nest has one point per
+// value level k takes; that nest is walked for each k, outermost first,
+// and the points summed stop the walk at the limit. The refusal wraps
+// machine.ErrBudgetExhausted.
+func (l *Nest) Admit(limit int64) error {
+	if limit < 0 {
+		return nil
+	}
+	over := false
+	if lo, hi, ok := l.ConstBounds(); ok {
+		k := 0
+		for k < len(lo) && lo[k] <= hi[k] {
+			k++
+		}
+		box, err := NewRanker("iteration box", lo[:k], hi[:k])
+		over = err != nil || box.Volume > limit
+	} else {
+		n := l.Depth()
+		pinned := &Nest{Levels: make([]Level, n)}
+		for k := range pinned.Levels {
+			pinned.Levels[k] = Level{Lower: ConstAffine(n, 0), Upper: ConstAffine(n, 0)}
+		}
+		var steps int64
+		for k := 0; k < n && !over; k++ {
+			pinned.Levels[k] = l.Levels[k]
+			over = !pinned.Walk(func([]int64) bool { steps++; return steps <= limit })
+		}
+	}
+	if over {
+		return fmt.Errorf("loop: nest spans more than %d iterations: %w", limit, machine.ErrBudgetExhausted)
+	}
+	return nil
+}
 
 // NewIndex enumerates the nest.
 func NewIndex(nest *Nest) (*Index, error) {

@@ -80,6 +80,31 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
+// wireNames spell the strategies in requests, plan records and on the
+// command line. "selective" names records only: a request reaches a
+// selective subset through "auto", which names no strategy.
+var wireNames = [NumStrategies]string{
+	NonDuplicate:        "non-duplicate",
+	Duplicate:           "duplicate",
+	MinimalNonDuplicate: "minimal-non-duplicate",
+	MinimalDuplicate:    "minimal-duplicate",
+	Selective:           "selective",
+	Mars:                "mars",
+}
+
+// WireName names the strategy in requests and plan records.
+func (s Strategy) WireName() string { return wireNames[s] }
+
+// Named returns the strategy a wire name spells.
+func Named(name string) (Strategy, bool) {
+	for s, n := range wireNames {
+		if n == name {
+			return Strategy(s), true
+		}
+	}
+	return 0, false
+}
+
 // Minimal reports whether the strategy requires redundant-computation
 // elimination first. Every Strategy value is classified explicitly —
 // Mars builds on the eliminated (irredundant) program, so it counts as

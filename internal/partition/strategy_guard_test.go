@@ -16,22 +16,24 @@ const (
 )
 
 // TestStrategyRoundTrip is the table-driven satellite test: every
-// Strategy value must have a distinct paper name, survive a JSON
-// round-trip unchanged, and be explicitly classified by Minimal() —
+// Strategy value must have a distinct paper name and wire name, survive
+// a JSON round-trip and a wire-name round-trip unchanged, and be
+// explicitly classified by Minimal() —
 // a fallthrough to the default String() spelling means a switch
 // missed the value.
 func TestStrategyRoundTrip(t *testing.T) {
 	tests := []struct {
 		strat   Strategy
 		name    string
+		wire    string
 		minimal bool
 	}{
-		{NonDuplicate, "non-duplicate", false},
-		{Duplicate, "duplicate", false},
-		{MinimalNonDuplicate, "minimal non-duplicate", true},
-		{MinimalDuplicate, "minimal duplicate", true},
-		{Selective, "selective duplicate", false},
-		{Mars, "mars", true},
+		{NonDuplicate, "non-duplicate", "non-duplicate", false},
+		{Duplicate, "duplicate", "duplicate", false},
+		{MinimalNonDuplicate, "minimal non-duplicate", "minimal-non-duplicate", true},
+		{MinimalDuplicate, "minimal duplicate", "minimal-duplicate", true},
+		{Selective, "selective duplicate", "selective", false},
+		{Mars, "mars", "mars", true},
 	}
 	if len(tests) != NumStrategies {
 		t.Fatalf("table covers %d strategies, enum has %d — add the new value here", len(tests), NumStrategies)
@@ -45,6 +47,12 @@ func TestStrategyRoundTrip(t *testing.T) {
 			t.Errorf("duplicate strategy name %q", tc.name)
 		}
 		seen[tc.name] = true
+		if got := tc.strat.WireName(); got != tc.wire {
+			t.Errorf("%s.WireName() = %q, want %q", tc.strat, got, tc.wire)
+		}
+		if back, ok := Named(tc.wire); !ok || back != tc.strat {
+			t.Errorf("Named(%q) = %s, %v; want %s", tc.wire, back, ok, tc.strat)
+		}
 		if got := tc.strat.Minimal(); got != tc.minimal {
 			t.Errorf("%s.Minimal() = %v, want %v", tc.strat, got, tc.minimal)
 		}
@@ -68,6 +76,9 @@ func TestStrategyRoundTrip(t *testing.T) {
 		if got := s.String(); len(got) >= len("Strategy(") && got[:len("Strategy(")] == "Strategy(" {
 			t.Errorf("Strategy(%d) has no explicit String case", int(s))
 		}
+	}
+	if s, ok := Named("auto"); ok {
+		t.Errorf(`Named("auto") = %s: "auto" names no strategy`, s)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"commfree/internal/loopgen"
 	"commfree/internal/machine"
 	"commfree/internal/obs"
-	"commfree/internal/partition"
 )
 
 func TestBestConcurrentOnSharedNest(t *testing.T) {
@@ -103,11 +102,7 @@ func TestEvaluateIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 	evaluate := func(nest *loop.Nest, procs int, pin string) outcome {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		pc, err := partition.NewContext(nest, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := Evaluate(context.Background(), pc, 8, machine.Transputer(), pin)
+		ev, err := Evaluate(context.Background(), nest, 8, machine.Transputer(), pin, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,15 +131,11 @@ func TestEvaluateIndependentOfGOMAXPROCS(t *testing.T) {
 // re-raise's own stack no longer names it.
 func TestClassPanicKeepsItsStack(t *testing.T) {
 	trc := obs.New("panic")
-	pc, err := partition.NewContext(loop.L1(), trc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var v any
 	func() {
 		defer func() { v = recover() }()
 		// Zero processors: assign.Assign refuses them by panicking.
-		Evaluate(context.Background(), pc, 0, machine.Transputer(), "")
+		Evaluate(context.Background(), loop.L1(), 0, machine.Transputer(), "", trc)
 	}()
 	perr, ok := v.(error)
 	if !ok || !strings.Contains(perr.Error(), "processor count 0") {

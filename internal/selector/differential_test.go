@@ -149,11 +149,7 @@ func TestEvaluateKeepsTheChosenCandidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pin := range append([]string{""}, labels(ranking)...) {
-			pc, err := partition.NewContext(nest, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev, err := Evaluate(context.Background(), pc, 4, machine.Transputer(), pin)
+			ev, err := Evaluate(context.Background(), nest, 4, machine.Transputer(), pin, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,8 +191,7 @@ func TestEvaluateKeepsTheChosenCandidate(t *testing.T) {
 				t.Errorf("pin %q: kept transformation/assignment missing or unrelated", pin)
 			}
 		}
-		pc, _ := partition.NewContext(nest, nil, 0)
-		if ev, err := Evaluate(context.Background(), pc, 4, machine.Transputer(), "no such candidate"); err != nil || ev.Result != nil {
+		if ev, err := Evaluate(context.Background(), nest, 4, machine.Transputer(), "no such candidate", nil); err != nil || ev.Result != nil {
 			t.Errorf("unknown pin: result %v, err %v; want a priced ranking and no kept result", ev.Result, err)
 		}
 	}
@@ -239,11 +234,7 @@ func TestEvaluateStopsBetweenClasses(t *testing.T) {
 		return n
 	}
 	trc := obs.New("full")
-	pc, err := partition.NewContext(nest, trc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(context.Background(), pc, 4, machine.Transputer(), "")
+	ev, err := Evaluate(context.Background(), nest, 4, machine.Transputer(), "", trc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +243,7 @@ func TestEvaluateStopsBetweenClasses(t *testing.T) {
 	}
 	for k := 0; k < ev.Classes; k++ {
 		trc := obs.New("cancelled")
-		pc, err := partition.NewContext(nest, trc, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Evaluate(&pollCtx{Context: context.Background(), polls: k}, pc, 4, machine.Transputer(), "")
+		_, err := Evaluate(&pollCtx{Context: context.Background(), polls: k}, nest, 4, machine.Transputer(), "", trc)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled after %d polls: err = %v, want context.Canceled", k, err)
 		}

@@ -56,17 +56,68 @@ func (c Candidate) String() string {
 }
 
 // Best evaluates all candidates for the nest on p processors and returns
-// the cheapest plus the full ranking (ascending total time).
+// the cheapest plus the full ranking (ascending total time). It runs the
+// selection stage only: no admission and no verification.
 func Best(nest *loop.Nest, p int, cost machine.CostModel) (Candidate, []Candidate, error) {
-	pc, err := partition.NewContext(nest, nil, 0)
-	if err != nil {
-		return Candidate{}, nil, err
-	}
-	ev, err := Evaluate(context.Background(), pc, p, cost, "")
+	ev, err := Evaluate(context.Background(), nest, p, cost, "", nil)
 	if err != nil {
 		return Candidate{}, nil, err
 	}
 	return ev.Ranking[0], ev.Ranking, nil
+}
+
+// PinFor maps a requested strategy name to the candidate label Compile
+// pins: "auto" pins none, so the cheapest candidate is compiled, and a
+// strategy's wire name pins that strategy's own candidate. "selective"
+// names plan records, not requests: its subsets are reached through
+// "auto".
+func PinFor(name string) (string, error) {
+	if name == "auto" {
+		return "", nil
+	}
+	if s, ok := partition.Named(name); ok && s != partition.Selective {
+		return s.String(), nil
+	}
+	return "", fmt.Errorf("unknown strategy %q", name)
+}
+
+// Compile is the compile pipeline, the one the library, the command
+// line and the service all run. Its stages are
+//
+//  1. admission: a nest past maxIterations (loop.Nest.Admit) is refused
+//     before anything enumerates it;
+//  2. selection: Evaluate prices every candidate on p processors and
+//     keeps the one labelled pin, or the cheapest when pin is "";
+//  3. verify: that candidate's partition is checked communication-free
+//     on the whole iteration space.
+//
+// Selection and verify are recorded as top-level spans of trc. The
+// returned evaluation's Result, Transformed and Assignment are the
+// compiled candidate's.
+func Compile(ctx context.Context, nest *loop.Nest, p int, cost machine.CostModel, pin string, maxIterations int64, trc *obs.Trace) (*Evaluation, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("selector: processors = %d", p)
+	}
+	if err := nest.Admit(maxIterations); err != nil {
+		return nil, err
+	}
+	ev, err := Evaluate(ctx, nest, p, cost, pin, trc)
+	if err != nil {
+		return nil, err
+	}
+	if ev.Result == nil {
+		return nil, fmt.Errorf("selector: %q is not among the evaluated candidates", pin)
+	}
+	sp := trc.Start(0, "verify")
+	err = ev.Result.Verify()
+	sp.End()
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ev, nil
 }
 
 // Evaluation is the outcome of pricing every candidate of one nest.
@@ -107,15 +158,23 @@ type class struct {
 	pruned bool
 }
 
-// Evaluate prices every candidate of the context's nest on p processors:
-// the four theorems, MARS, and every selective subset of at most four
-// arrays. Each class of candidates is partitioned, planned and priced
-// once, classes concurrently (see price); ctx is checked before each
-// class starts. pin is the label of the candidate the caller will compile
-// ("" for the cheapest): only that candidate's partition outlives its
-// pricing. The outcome does not depend on GOMAXPROCS.
-func Evaluate(ctx context.Context, pc *partition.Context, p int, cost machine.CostModel, pin string) (*Evaluation, error) {
-	nest := pc.Analysis.Nest
+// Evaluate prices every candidate of the nest on p processors: the four
+// theorems, MARS, and every selective subset of at most four arrays. The
+// nest is analysed once, and each class of candidates is partitioned,
+// planned and priced once, classes concurrently (see price); ctx is
+// checked before each class starts. pin is the label of the candidate
+// the caller will compile ("" for the cheapest): only that candidate's
+// partition outlives its pricing. Everything is recorded under one
+// top-level "selection" span of trc, annotated with the candidate and
+// class counts and the winner. The outcome does not depend on
+// GOMAXPROCS.
+func Evaluate(ctx context.Context, nest *loop.Nest, p int, cost machine.CostModel, pin string, trc *obs.Trace) (*Evaluation, error) {
+	ssp := trc.Start(0, "selection")
+	defer ssp.End()
+	pc, err := partition.NewContext(nest, trc, ssp.ID())
+	if err != nil {
+		return nil, err
+	}
 	var specs []spec
 	var classes []class
 	add := func(label string, strat partition.Strategy, names []string) error {
@@ -190,6 +249,12 @@ func Evaluate(ctx context.Context, pc *partition.Context, p int, cost machine.Co
 		ev.Ranking = append(ev.Ranking, sp.Candidate)
 	}
 	sort.SliceStable(ev.Ranking, func(i, j int) bool { return ev.Ranking[i].Total < ev.Ranking[j].Total })
+	ssp.SetInt("candidates", int64(len(ev.Ranking)))
+	ssp.SetInt("classes", int64(ev.Classes))
+	ssp.SetStr("winner", ev.Ranking[0].Label)
+	if ev.SelectiveSkipped {
+		ssp.SetInt("selective_skipped", 1)
+	}
 	return ev, nil
 }
 

@@ -1,12 +1,15 @@
 package selector
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"commfree/internal/lang"
 	"commfree/internal/loop"
 	"commfree/internal/machine"
+	"commfree/internal/obs"
 	"commfree/internal/partition"
 )
 
@@ -123,5 +126,70 @@ func TestReportRendering(t *testing.T) {
 	r := Report(all)
 	if !strings.Contains(r, "strategy ranking") || !strings.Contains(r, "1. ") {
 		t.Errorf("report = %q", r)
+	}
+}
+
+// TestCompileRunsItsStagesInOrder: the pipeline refuses a nest past the
+// limit before it analyses anything, then selects and verifies, and a
+// pin that names no candidate stops it before verify.
+func TestCompileRunsItsStagesInOrder(t *testing.T) {
+	nest := loop.L1() // 16 iterations
+	top := func(trc *obs.Trace) (names []string) {
+		for _, sp := range trc.Spans() {
+			if sp.Parent == 0 {
+				names = append(names, sp.Name)
+			}
+		}
+		return names
+	}
+	for _, c := range []struct {
+		pin         string
+		p           int
+		limit       int64
+		stages, err string
+	}{
+		{"", 4, 16, "selection verify", ""},
+		{"duplicate", 4, -1, "selection verify", ""},
+		{"", 4, 15, "", "nest spans more than 15 iterations"},
+		{"no such candidate", 4, 16, "selection", "not among the evaluated candidates"},
+		{"", 0, 16, "", "processors = 0"},
+	} {
+		trc := obs.New("compile")
+		ev, err := Compile(context.Background(), nest, c.p, machine.Transputer(), c.pin, c.limit, trc)
+		if got := strings.Join(top(trc), " "); got != c.stages {
+			t.Errorf("pin %q, p %d, limit %d: stages %q, want %q", c.pin, c.p, c.limit, got, c.stages)
+		}
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("pin %q, p %d, limit %d: %v", c.pin, c.p, c.limit, err)
+		case c.err == "" && (ev.Result == nil || c.pin != "" && ev.Chosen.Label != c.pin):
+			t.Errorf("pin %q: compiled %q", c.pin, ev.Chosen.Label)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("pin %q, p %d, limit %d: err = %v, want %q", c.pin, c.p, c.limit, err, c.err)
+		}
+	}
+	if _, err := Compile(context.Background(), nest, 4, machine.Transputer(), "", 15, nil); !errors.Is(err, machine.ErrBudgetExhausted) {
+		t.Errorf("refusal %v does not wrap machine.ErrBudgetExhausted", err)
+	}
+}
+
+// TestPinFor: a request names a strategy by its wire name or asks for
+// "auto"; "selective" names records only.
+func TestPinFor(t *testing.T) {
+	for name, want := range map[string]string{
+		"auto":                  "",
+		"non-duplicate":         "non-duplicate",
+		"minimal-non-duplicate": "minimal non-duplicate",
+		"minimal-duplicate":     "minimal duplicate",
+		"mars":                  "mars",
+	} {
+		if got, err := PinFor(name); err != nil || got != want {
+			t.Errorf("PinFor(%q) = %q, %v; want %q", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"selective", "", "minimal duplicate", "bogus"} {
+		if _, err := PinFor(name); err == nil {
+			t.Errorf("PinFor(%q) accepted", name)
+		}
 	}
 }

@@ -112,7 +112,7 @@ func TestCompileCancelledMidSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	trc := obs.New("compile")
-	_, err = s.compile(&pollCtx{Context: context.Background(), polls: 2}, "k", nest, partition.Duplicate, false, 4, trc)
+	_, err = s.compile(&pollCtx{Context: context.Background(), polls: 2}, "k", nest, partition.Duplicate.String(), 4, trc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -9,9 +9,10 @@
 //   - a canonicalizing plan cache (cache.go): nests are normalized via
 //     internal/lang's canonical renderer so α-equivalent programs hit
 //     the same LRU entry, with entry/byte bounds and hit/miss counters;
-//   - a bounded worker pool (pool.go) running parse→partition→select→
-//     codegen off a request queue with per-request timeouts, context
-//     cancellation, and graceful drain;
+//   - a bounded worker pool (pool.go) running canonical → the compile
+//     pipeline (selector.Compile: admission, selection, verify) →
+//     codegen → plan off a request queue with per-request timeouts,
+//     context cancellation, and graceful drain;
 //   - a metrics registry (metrics.go) of per-stage latency histograms,
 //     cache hit rate, queue depth, and in-flight count.
 //
@@ -54,9 +55,10 @@ type Config struct {
 	CacheEntries int
 	// RequestTimeout caps one request end to end (default 30s).
 	RequestTimeout time.Duration
-	// MaxIterations is the per-request iteration budget (default 1<<22
-	// iterations; 0 keeps the default, negative means unlimited). A
-	// nest with more iterations is refused before it is enumerated —
+	// MaxIterations is the per-request iteration budget (default
+	// loop.DefaultMaxIterations, 1<<22 iterations; 0 keeps the default,
+	// negative means unlimited). A nest with more iterations is refused
+	// by the compile pipeline's admission before it is enumerated —
 	// compiling or reviving it costs time and memory linear in that
 	// count — and a simulated execution may spend no more (both are
 	// machine.ErrBudgetExhausted, HTTP 422).
@@ -130,7 +132,7 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 30 * time.Second
 	}
 	if c.MaxIterations == 0 {
-		c.MaxIterations = 1 << 22
+		c.MaxIterations = loop.DefaultMaxIterations
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
@@ -480,26 +482,6 @@ func newTrace(ctx context.Context, name string) *obs.Trace {
 	return trc
 }
 
-// parseStrategy maps the wire strategy name.
-func parseStrategy(name string) (strat partition.Strategy, auto bool, err error) {
-	switch name {
-	case "", "non-duplicate":
-		return partition.NonDuplicate, false, nil
-	case "duplicate":
-		return partition.Duplicate, false, nil
-	case "minimal-non-duplicate":
-		return partition.MinimalNonDuplicate, false, nil
-	case "minimal-duplicate":
-		return partition.MinimalDuplicate, false, nil
-	case "mars":
-		return partition.Mars, false, nil
-	case "auto":
-		return partition.NonDuplicate, true, nil
-	default:
-		return 0, false, badRequest("unknown strategy %q", name)
-	}
-}
-
 // validate checks request bounds and fills defaults.
 func (s *Service) validate(req *CompileRequest) error {
 	if len(req.Source) == 0 {
@@ -563,9 +545,13 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 	if err := s.validate(&req); err != nil {
 		return nil, false, err
 	}
-	strat, auto, err := parseStrategy(req.Strategy)
+	name := req.Strategy
+	if name == "" {
+		name = partition.NonDuplicate.WireName()
+	}
+	pin, err := selector.PinFor(name)
 	if err != nil {
-		return nil, false, err
+		return nil, false, &BadRequestError{err}
 	}
 	// Stage: parse — derive the cache key on the caller, so the cache
 	// fast path never touches the pool. A source text seen before costs
@@ -588,11 +574,7 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 		return nil, false, err
 	}
 
-	stratName := req.Strategy
-	if stratName == "" {
-		stratName = strat.String()
-	}
-	key := "s=" + stratName + "|p=" + strconv.Itoa(req.Processors) + "|" + sk.Canonical
+	key := "s=" + name + "|p=" + strconv.Itoa(req.Processors) + "|" + sk.Canonical
 	if e, ok := s.cache.get(key); ok {
 		return e, true, nil
 	}
@@ -628,7 +610,7 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 				}
 				nest = nres.Nest
 			}
-			return s.compile(ctx, key, nest, strat, auto, req.Processors, trc)
+			return s.compile(ctx, key, nest, pin, req.Processors, trc)
 		})
 		if err != nil {
 			return nil, err
@@ -643,18 +625,21 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 	return e, err == nil && (hit || !led), err
 }
 
-// compile runs the partition→select→codegen pipeline (on a pool
-// worker) and builds the cache entry. Stage spans land in trc; the
-// stage histograms are folded in from the spans at request end.
-func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, strat partition.Strategy, auto bool, procs int, trc *obs.Trace) (*cacheEntry, error) {
-	if err := s.admitNest(nest); err != nil {
-		return nil, err
-	}
-	// compiles counts full pipeline runs — and only those. Store
-	// rehydrations and cache hits leave it untouched, which is what lets
-	// the conformance suite prove "served without recompilation" from
-	// the counter instead of assuming it.
-	s.metrics.Inc("compiles", 1)
+// compile runs the compile pipeline (selector.Compile) on the canonical
+// nest, on a pool worker, and builds the cache entry from the candidate
+// it compiled: the one labelled pin, or the cheapest when pin is "".
+// Stage spans land in trc; the stage histograms are folded in from the
+// spans at request end.
+func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, pin string, procs int, trc *obs.Trace) (e *cacheEntry, err error) {
+	// compiles counts pipeline runs past admission — and only those.
+	// Refusals, store rehydrations and cache hits leave it untouched,
+	// which is what lets the conformance suite prove "served without
+	// recompilation" from the counter instead of assuming it.
+	defer func() {
+		if !errors.Is(err, machine.ErrBudgetExhausted) {
+			s.metrics.Inc("compiles", 1)
+		}
+	}()
 	// Stage: canonical — compile the canonical nest, so cached plans are
 	// identical for all α-equivalent spellings of the program.
 	ksp := trc.Start(0, "canonical")
@@ -664,49 +649,11 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 	if err != nil {
 		return nil, fmt.Errorf("service: canonical source does not re-parse: %w", err)
 	}
-
-	// Stage: selection — one evaluation context for the nest, every
-	// allocation alternative priced in it (deps, redundant and one class
-	// span per distinct partition nest under the selection span), and
-	// the requested candidate's compiled form kept: the strategy the
-	// request pins, or the selector's winner — possibly a selective
-	// subset — under "auto".
-	pin := ""
-	if !auto {
-		pin = strat.String()
-	}
-	ssp := trc.Start(0, "selection")
-	var ev *selector.Evaluation
-	pc, err := partition.NewContext(cn, trc, ssp.ID())
-	if err == nil {
-		ev, err = selector.Evaluate(ctx, pc, procs, machine.Transputer(), pin)
-	}
-	if err == nil {
-		ssp.SetInt("candidates", int64(len(ev.Ranking)))
-		ssp.SetInt("classes", int64(ev.Classes))
-		ssp.SetStr("winner", ev.Ranking[0].Label)
-		if ev.SelectiveSkipped {
-			ssp.SetInt("selective_skipped", 1)
-		}
-	}
-	ssp.End()
+	ev, err := selector.Compile(ctx, cn, procs, machine.Transputer(), pin, s.cfg.MaxIterations, trc)
 	if err != nil {
 		return nil, err
 	}
 	predicted, res, tr, asg := &ev.Chosen, ev.Result, ev.Transformed, ev.Assignment
-	if res == nil {
-		return nil, fmt.Errorf("service: strategy %q is not among the evaluated candidates", pin)
-	}
-
-	vsp := trc.Start(0, "verify")
-	err = res.Verify()
-	vsp.End()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 
 	// Stage: codegen — the standalone SPMD Go program for the forall
 	// transformation and processor assignment the selection priced.
@@ -741,50 +688,6 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, stra
 		return nil, err
 	}
 	return &cacheEntry{key: key, label: plan.Strategy, plan: plan, comp: newCompiled(cn, res, procs), rec: rec, bytes: entryBytes(rec)}, nil
-}
-
-// admitNest refuses a nest that spans more than MaxIterations
-// iterations. It runs before the two places that enumerate one —
-// partition.NewContext in a compile, loop.NewIndex in a revival —
-// because those allocate per iteration and heed no context: a 60-byte
-// program can name 10¹⁰ iterations. Constant bounds are multiplied out
-// (a box too large to rank is too large), outermost first and only down
-// to an empty level: that is what a walk of the nest steps through, even
-// when it then finds no iteration. Dependent bounds count the walk's
-// steps, every value any level takes, because a level can be empty under
-// every outer value (for i = 1 to 10⁸ / for j = i to 0). With the
-// levels inside level k pinned to one value, the nest has one point per
-// value level k takes; that nest is walked for each k, outermost first,
-// and the points summed stop the walk at the limit.
-func (s *Service) admitNest(nest *loop.Nest) error {
-	limit := s.cfg.MaxIterations
-	if limit < 0 {
-		return nil
-	}
-	over := false
-	if lo, hi, ok := nest.ConstBounds(); ok {
-		k := 0
-		for k < len(lo) && lo[k] <= hi[k] {
-			k++
-		}
-		box, err := loop.NewRanker("iteration box", lo[:k], hi[:k])
-		over = err != nil || box.Volume > limit
-	} else {
-		n := nest.Depth()
-		pinned := &loop.Nest{Levels: make([]loop.Level, n)}
-		for k := range pinned.Levels {
-			pinned.Levels[k] = loop.Level{Lower: loop.ConstAffine(n, 0), Upper: loop.ConstAffine(n, 0)}
-		}
-		var steps int64
-		for k := 0; k < n && !over; k++ {
-			pinned.Levels[k] = nest.Levels[k]
-			over = !pinned.Walk(func([]int64) bool { steps++; return steps <= limit })
-		}
-	}
-	if over {
-		return fmt.Errorf("service: nest spans more than %d iterations: %w", limit, machine.ErrBudgetExhausted)
-	}
-	return nil
 }
 
 // runPooled runs fn on a pool worker via trySubmit and records the

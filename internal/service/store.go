@@ -93,26 +93,6 @@ func (s *Service) StoreStats() *store.Stats {
 	return &stats
 }
 
-// wireStrategy maps a partition strategy back to its wire name (the
-// inverse of parseStrategy, plus "selective" which has no request
-// spelling — it is only reached through "auto").
-func wireStrategy(st partition.Strategy) string {
-	switch st {
-	case partition.Duplicate:
-		return "duplicate"
-	case partition.MinimalNonDuplicate:
-		return "minimal-non-duplicate"
-	case partition.MinimalDuplicate:
-		return "minimal-duplicate"
-	case partition.Selective:
-		return "selective"
-	case partition.Mars:
-		return "mars"
-	default:
-		return "non-duplicate"
-	}
-}
-
 // recordFor builds the persistent record of one compilation.
 func recordFor(key string, plan *Plan, res *partition.Result, duplicated []string) (*store.Record, error) {
 	payload, err := json.Marshal(plan)
@@ -122,7 +102,7 @@ func recordFor(key string, plan *Plan, res *partition.Result, duplicated []strin
 	rec := &store.Record{
 		Key:             key,
 		CanonicalSource: plan.CanonicalSource,
-		Strategy:        wireStrategy(res.Strategy),
+		Strategy:        res.Strategy.WireName(),
 		Processors:      plan.Processors,
 		Label:           plan.Strategy,
 		PsiBasis:        plan.Partition.PsiBasis,
@@ -267,12 +247,9 @@ func (s *Service) rehydrate(rec *store.Record, trc *obs.Trace) (*cacheEntry, err
 	if rec.Label == "" {
 		return nil, fmt.Errorf("service: record %q carries no label to revive under", rec.Key)
 	}
-	strat, _, err := parseStrategy(rec.Strategy)
-	if rec.Strategy == "selective" {
-		strat, err = partition.Selective, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("service: record %q: %w", rec.Key, err)
+	strat, ok := partition.Named(rec.Strategy)
+	if !ok {
+		return nil, fmt.Errorf("service: record %q: unknown strategy %q", rec.Key, rec.Strategy)
 	}
 	sp := trc.Start(rsp.ID(), "parse")
 	cn, err := lang.Parse(rec.CanonicalSource)
@@ -285,7 +262,7 @@ func (s *Service) rehydrate(rec *store.Record, trc *obs.Trace) (*cacheEntry, err
 			return nil, fmt.Errorf("service: record %q Ψ vector %v is not of depth %d", rec.Key, row, cn.Depth())
 		}
 	}
-	if err := s.admitNest(cn); err != nil {
+	if err := cn.Admit(s.cfg.MaxIterations); err != nil {
 		return nil, err
 	}
 	sp = trc.Start(rsp.ID(), "index")

@@ -26,9 +26,9 @@ func benchRecord(i int) *Record {
 // benchStore opens a store holding `records` benchRecords, their pages
 // flushed: left dirty, the kernel writes them back underneath the timed
 // section and every row measures that (2x to 20x, at random) instead.
-func benchStore(b *testing.B, records int) *FileStore {
+func benchStore(b *testing.B, dir string, records int) *FileStore {
 	b.Helper()
-	s, err := Open(b.TempDir(), Options{})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func benchStore(b *testing.B, records int) *FileStore {
 func BenchmarkStorePut(b *testing.B) {
 	for _, records := range []int{64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			s := benchStore(b, records)
+			s := benchStore(b, b.TempDir(), records)
 			fresh := benchRecord(records)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -72,7 +72,8 @@ func BenchmarkStorePut(b *testing.B) {
 func BenchmarkStoreOpen(b *testing.B) {
 	const records = 4096
 	b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-		dir := benchStore(b, records).dir
+		dir := b.TempDir()
+		benchStore(b, dir, records)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s, err := Open(dir, Options{})

@@ -108,7 +108,6 @@ func (e *TornWriteError) Error() string {
 
 // FileStore is the disk-backed Store.
 type FileStore struct {
-	dir     string
 	objects string
 	opts    Options
 
@@ -125,7 +124,6 @@ type FileStore struct {
 // and stay on disk until a Put of their key overwrites them.
 func Open(dir string, opts Options) (*FileStore, error) {
 	s := &FileStore{
-		dir:     dir,
 		objects: filepath.Join(dir, "objects"),
 		opts:    opts,
 		index:   map[string]indexEntry{},

@@ -260,6 +260,18 @@ var layeringRules = []layeringRule{
 		bad:    panicsWith("ErrOverflow"),
 	},
 	{
+		why:    "a second compile sequence: compile through the one pipeline, selector.Compile (admission, selection, verify), or rank with selector.Best",
+		files:  []string{"./..."},
+		except: []string{"internal/selector", "internal/report", "internal/conformance"},
+		bad:    calls("partition", "NewContext"),
+	},
+	{
+		why:    "selection outside the pipeline: call selector.Compile, which admits the nest before Evaluate analyses it and verifies what it keeps",
+		files:  []string{"./..."},
+		except: []string{"internal/selector"},
+		bad:    calls("selector", "Evaluate"),
+	},
+	{
 		why:    "a second materialized enumeration of a nest: step through it with Nest.Walk, or read the compile's loop.Index",
 		files:  []string{"./..."},
 		except: []string{"internal/loop"},
