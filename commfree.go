@@ -438,7 +438,7 @@ func (c *Compilation) Layouts() []*MemoryLayout {
 // Report renders a full human-readable compilation report.
 func (c *Compilation) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== source ==\n%s\n", c.Nest)
+	fmt.Fprintf(&b, "== source ==\n%s\n", lang.Format(c.Nest))
 	fmt.Fprintf(&b, "== dependence analysis ==\n%s\n", c.Partition.Analysis.Summary())
 	fmt.Fprintf(&b, "== partition ==\n%s\n", c.Partition.Summary())
 	if c.Partition.Redundant != nil {

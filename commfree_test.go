@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"commfree/internal/lang"
+	"commfree/internal/loop"
 )
 
 const srcL1 = `
@@ -49,6 +52,26 @@ func TestCompileReportSections(t *testing.T) {
 	for _, want := range []string{"== source ==", "== partition ==", "== transformed loop ==", "== processor assignment", "forall"} {
 		if !strings.Contains(rpt, want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+}
+
+// TestReportSourceReparses: the report's source section is the nest as
+// DSL text — every subscript and body spelled out — so it parses back to
+// the nest that was compiled, canonical text for canonical text.
+func TestReportSourceReparses(t *testing.T) {
+	for _, src := range []string{srcL1, lang.Format(LoopL3()), lang.Format(loop.L5(3))} {
+		comp, err := Compile(src, Duplicate, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		section, _, _ := strings.Cut(strings.TrimPrefix(comp.Report(), "== source ==\n"), "\n== ")
+		nest, err := lang.Parse(section)
+		if err != nil {
+			t.Fatalf("the report's source section does not parse: %v\n%s", err, section)
+		}
+		if got, want := lang.Canonical(nest), lang.Canonical(comp.Nest); got != want {
+			t.Errorf("the report's source section canonicalizes to\n%s\nthe compiled nest to\n%s", got, want)
 		}
 	}
 }

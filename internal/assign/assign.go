@@ -82,21 +82,13 @@ func Assign(tr *transform.Transformed, p int) *Assignment {
 	return &Assignment{Placement: Place(tr.Q, p), Tr: tr, P: p}
 }
 
-// OwnerCoords returns the grid coordinates of the processor owning the
-// forall point: aᵢ = forall_i mod pᵢ (canonical, non-negative).
-func (pl Placement) OwnerCoords(forall []int64) []int {
-	coords := make([]int, len(pl.Dims))
-	for i, d := range pl.Dims {
-		coords[i] = int((forall[i]%int64(d) + int64(d)) % int64(d))
-	}
-	return coords
-}
-
-// OwnerID linearizes OwnerCoords row-major into [0, NumProcessors()).
+// OwnerID returns the processor owning the forall point: its grid
+// coordinates aᵢ = forall_i mod pᵢ (canonical, non-negative), linearized
+// row-major into [0, NumProcessors()).
 func (pl Placement) OwnerID(forall []int64) int {
 	id := 0
-	for i, co := range pl.OwnerCoords(forall) {
-		id = id*pl.Dims[i] + co
+	for i, d := range pl.Dims {
+		id = id*d + int((forall[i]%int64(d)+int64(d))%int64(d))
 	}
 	return id
 }

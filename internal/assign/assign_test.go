@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"slices"
 	"testing"
 
 	"commfree/internal/loop"
@@ -78,20 +79,30 @@ func TestOwnerCyclic(t *testing.T) {
 	a := Assign(l4Transformed(t), 4)
 	// Neighboring forall points along each axis land on different
 	// processors (mod distribution).
-	c1 := a.OwnerCoords([]int64{2, 0})
-	c2 := a.OwnerCoords([]int64{3, 0})
+	c1 := ownerCoords(a.Placement, []int64{2, 0})
+	c2 := ownerCoords(a.Placement, []int64{3, 0})
 	if c1[0] == c2[0] {
 		t.Error("adjacent i1' blocks share the first grid coordinate")
 	}
-	c3 := a.OwnerCoords([]int64{2, 1})
+	c3 := ownerCoords(a.Placement, []int64{2, 1})
 	if c1[1] == c3[1] {
 		t.Error("adjacent i2' blocks share the second grid coordinate")
 	}
 	// Negative keys map canonically.
-	c := a.OwnerCoords([]int64{2, -3})
-	if c[1] < 0 || c[1] > 1 {
-		t.Errorf("negative key coords = %v", c)
+	if c, want := ownerCoords(a.Placement, []int64{2, -3}), []int{0, 1}; !slices.Equal(c, want) {
+		t.Errorf("negative key coords of (2, -3) on %v = %v, want %v", a.Dims, c, want)
 	}
+}
+
+// ownerCoords reads the grid coordinates of the forall point's owner
+// back out of OwnerID's row-major linearization.
+func ownerCoords(pl Placement, forall []int64) []int {
+	id := pl.OwnerID(forall)
+	coords := make([]int, len(pl.Dims))
+	for i := len(pl.Dims) - 1; i >= 0; i-- {
+		coords[i], id = id%pl.Dims[i], id/pl.Dims[i]
+	}
+	return coords
 }
 
 // TestOwnerIDCoversForallPoints: every forall point of L4 has one owner

@@ -32,13 +32,13 @@ func (a *Assignment) Info() Info {
 		GridDims:   a.Dims,
 		Workloads:  loads,
 		Imbalance:  imbalance(loads),
-		Blocks:     []BlockOwner{},
+		Blocks:     make([]BlockOwner, len(a.Tr.ForallPoints())),
 	}
 	if info.GridDims == nil {
 		info.GridDims = []int{}
 	}
-	for _, f := range a.Tr.ForallPoints() {
-		info.Blocks = append(info.Blocks, BlockOwner{Forall: f, Processor: a.OwnerID(f)})
+	for i, f := range a.Tr.ForallPoints() {
+		info.Blocks[i] = BlockOwner{Forall: f, Processor: a.OwnerID(f)}
 	}
 	return info
 }

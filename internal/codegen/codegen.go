@@ -53,16 +53,24 @@ type Options struct {
 // free).
 func PETable(res *partition.Result, tr *transform.Transformed, asg *assign.Assignment) [][][]int64 {
 	// Program order is position order in the partition's Index.
-	pos := make([][]int32, asg.NumProcessors())
-	for _, b := range res.Iter.Blocks {
-		id := asg.OwnerOf(b.Base)
-		pos[id] = append(pos[id], b.Pos...)
+	owner, sizes := make([]int, len(res.Iter.Blocks)), make([]int, asg.NumProcessors())
+	for bi, b := range res.Iter.Blocks {
+		owner[bi] = asg.OwnerOf(b.Base)
+		sizes[owner[bi]] += b.Size()
+	}
+	pos := make([][]int32, len(sizes))
+	for id, n := range sizes {
+		pos[id] = make([]int32, 0, n)
+	}
+	for bi, b := range res.Iter.Blocks {
+		pos[owner[bi]] = append(pos[owner[bi]], b.Pos...)
 	}
 	table := make([][][]int64, len(pos))
 	for id, ps := range pos {
 		slices.Sort(ps)
-		for _, p := range ps {
-			table[id] = append(table[id], res.Iter.Index.Points[p])
+		table[id] = make([][]int64, len(ps))
+		for i, p := range ps {
+			table[id][i] = res.Iter.Index.Points[p]
 		}
 	}
 	return table
@@ -282,16 +290,14 @@ func mod(a, p int64) int64 { return ((a % p) + p) % p }
 
 `
 
+// goIdent spells a loop variable's name as a Go identifier.
+var goIdent = strings.NewReplacer("'", "p", "-", "_")
+
 // varName returns the Go identifier of new-loop variable m.
-func (g *gen) varName(m int) string {
-	name := g.tr.Names[m]
-	return strings.NewReplacer("'", "p", "-", "_").Replace(name)
-}
+func (g *gen) varName(m int) string { return goIdent.Replace(g.tr.Names[m]) }
 
 // origName returns the Go identifier of original index lvl.
-func (g *gen) origName(lvl int) string {
-	return strings.NewReplacer("'", "p", "-", "_").Replace(g.tr.Nest.Levels[lvl].Name)
-}
+func (g *gen) origName(lvl int) string { return goIdent.Replace(g.tr.Nest.Levels[lvl].Name) }
 
 // linear renders Σ coeffs[j]·name(j) + konst as Go, leaving out zero
 // terms and a zero constant (unless nothing else is left).

@@ -152,9 +152,10 @@ func Check(nest *loop.Nest, execStrat partition.Strategy) error {
 	return checkParallelExecution(nest, results[execStrat])
 }
 
-// checkBijectivity verifies that T is unimodular and that Visit reaches
+// checkBijectivity verifies that T is unimodular, that Visit reaches
 // every iteration ī exactly once, inside its block Q·ī, with
-// Original(NewPoint(ī)) = ī.
+// Original(NewPoint(ī)) = ī, and that the partition's forall view is
+// Visit's.
 func checkBijectivity(nest *loop.Nest, res *partition.Result) error {
 	tr, err := transform.Transform(nest, res.Psi)
 	if err != nil {
@@ -177,7 +178,25 @@ func checkBijectivity(nest *loop.Nest, res *partition.Result) error {
 	if pos := slices.IndexFunc(visits, func(v int) bool { return v != 1 }); pos >= 0 {
 		fail = cmp.Or(fail, fmt.Errorf("transformed loop visits %v %d times", ix.Points[pos], visits[pos]))
 	}
-	return fail
+	if fail != nil {
+		return fail
+	}
+	return checkForallView(tr, res)
+}
+
+// checkForallView verifies that the forall space a compile reads off the
+// partition (transform.OfPartition) is the one Visit enumerates: the same
+// nonempty forall points in the same order, with the same sizes.
+func checkForallView(walked *transform.Transformed, res *partition.Result) error {
+	view, err := transform.OfPartition(res.Iter)
+	if err != nil {
+		return fmt.Errorf("transform of the partition failed: %w", err)
+	}
+	if !slices.EqualFunc(view.ForallPoints(), walked.ForallPoints(), slices.Equal[[]int64]) || !slices.Equal(view.BlockSizes(), walked.BlockSizes()) {
+		return fmt.Errorf("the partition's forall space %v sized %v is not Visit's %v sized %v",
+			view.ForallPoints(), view.BlockSizes(), walked.ForallPoints(), walked.BlockSizes())
+	}
+	return nil
 }
 
 // checkInclusions verifies the partition-space lattice: duplication and

@@ -98,80 +98,104 @@ func BuildFor(res *partition.Result, place assign.Placement) *Plan {
 		plan.BlockNode[bi] = place.OwnerOf(b.Base)
 	}
 
-	// Every (element, reading block) pair once: one pass counts them per
-	// element, a second places them, blocks ascending within an element.
+	// Every (element, reading block) pair once: one walk of the reads
+	// meets them in block order and counts them per element, then the
+	// pairs are distributed by element, blocks ascending within one.
+	// first[e] runs as element e's cursor, ending at its end, which is
+	// where e+1 starts.
+	scratch := make([]int32, ix.NumElems())
 	plan.first = make([]int32, ix.NumElems()+1)
-	stamp := make([]int32, ix.NumElems()) // last block (1-based) that read the element
-	readPairs(res, stamp, plan.first[1:], nil)
+	elems, ends := readPairs(res, plan.first[1:], scratch)
 	for e := 0; e < ix.NumElems(); e++ {
 		plan.first[e+1] += plan.first[e]
 	}
-	plan.consumers = make([]int32, plan.first[ix.NumElems()])
-	clear(stamp)
-	readPairs(res, stamp, slices.Clone(plan.first[:ix.NumElems()]), plan.consumers)
-
-	// Group elements by identical consumer NODE sets (the wire pattern).
-	// A set of one node joins that node's pipelined unicast. A larger set
-	// is a multicast (a broadcast when it is every node), looked up by its
-	// nodes' bytes and labelled "[n1 n2 …]" once; the labels fix the step
-	// order, and with it the order simulated times are summed in.
-	type group struct {
-		label     string
-		nodes     []int
-		elems     []int32
-		delivered int
+	plan.consumers = make([]int32, len(elems))
+	start := int32(0)
+	for bi, end := range ends {
+		for _, e := range elems[start:end] {
+			plan.consumers[plan.first[e]] = int32(bi)
+			plan.first[e]++
+		}
+		start = end
 	}
-	unicast := make([]group, used)
-	groups := map[string]*group{}
+	copy(plan.first[1:], plan.first)
+	plan.first[0] = 0
+
+	// Group elements by identical consumer NODE sets (the wire pattern),
+	// each found by stamping its readers' nodes. A set of one node joins
+	// that node's pipelined unicast. A larger set is a multicast (a
+	// broadcast when it is every node), looked up by its nodes' bytes and
+	// labelled "[n1 n2 …]" once; the labels fix the step order, and with
+	// it the order simulated times are summed in.
+	type group struct {
+		label            string
+		nodes            []int
+		words, delivered int
+		elems            []int32
+	}
+	groups := make([]group, used) // the unicasts, node by node, then the multicasts as met
+	multicast := map[string]int32{}
+	of := scratch // 1 + the group of every element read
+	clear(of)
+	stamp := make([]int32, used) // last element (1-based) whose readers include the node
 	var nodes []int
 	var key []byte
+	read := 0
 	for e := int32(0); int(e) < ix.NumElems(); e++ {
 		readers := plan.consumers[plan.first[e]:plan.first[e+1]]
 		if len(readers) == 0 {
 			continue // written only
 		}
-		n0 := plan.BlockNode[readers[0]]
-		g := &unicast[n0]
-		for _, b := range readers[1:] {
-			if plan.BlockNode[b] != n0 {
-				g = nil
-				break
+		nodes = nodes[:0]
+		for _, b := range readers {
+			if n := plan.BlockNode[b]; stamp[n] != e+1 {
+				stamp[n] = e + 1
+				nodes = append(nodes, n)
 			}
 		}
-		if g == nil {
-			nodes = nodes[:0]
-			for _, b := range readers {
-				nodes = append(nodes, plan.BlockNode[b])
-			}
+		gi := int32(nodes[0])
+		if len(nodes) > 1 {
 			slices.Sort(nodes)
-			nodes = slices.Compact(nodes)
 			key = key[:0]
 			for _, n := range nodes {
 				key = binary.LittleEndian.AppendUint32(key, uint32(n))
 			}
-			if g = groups[string(key)]; g == nil {
-				g = &group{label: label(nodes), nodes: slices.Clone(nodes)}
-				groups[string(key)] = g
+			var ok bool
+			if gi, ok = multicast[string(key)]; !ok {
+				gi = int32(len(groups))
+				groups = append(groups, group{label: label(nodes), nodes: slices.Clone(nodes)})
+				multicast[string(key)] = gi
 			}
 		}
-		g.elems = append(g.elems, e)
-		g.delivered += len(readers)
+		of[e] = gi + 1
+		groups[gi].words++
+		groups[gi].delivered += len(readers)
+		read++
 	}
-	multi := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		multi = append(multi, g)
+	// Every group's elements, ascending, sliced from one array.
+	members := make([]int32, read)
+	for i := range groups {
+		g := &groups[i]
+		g.elems, members = members[:0:g.words], members[g.words:]
 	}
-	slices.SortFunc(multi, func(a, b *group) int { return strings.Compare(a.label, b.label) })
+	for e, gi := range of {
+		if gi > 0 {
+			g := &groups[gi-1]
+			g.elems = append(g.elems, int32(e))
+		}
+	}
+	multi := groups[used:]
+	slices.SortFunc(multi, func(a, b group) int { return strings.Compare(a.label, b.label) })
 	for _, g := range multi {
 		kind := Multicast
 		if len(g.nodes) == used {
 			kind = Broadcast
 		}
-		plan.Steps = append(plan.Steps, Step{Kind: kind, Nodes: g.nodes, Words: len(g.elems), Delivered: g.delivered, elems: g.elems})
+		plan.Steps = append(plan.Steps, Step{Kind: kind, Nodes: g.nodes, Words: g.words, Delivered: g.delivered, elems: g.elems})
 	}
-	for n, g := range unicast {
-		if len(g.elems) > 0 {
-			plan.Steps = append(plan.Steps, Step{Kind: Unicast, Nodes: []int{n}, Words: len(g.elems), Delivered: g.delivered, elems: g.elems})
+	for n, g := range groups[:used] {
+		if g.words > 0 {
+			plan.Steps = append(plan.Steps, Step{Kind: Unicast, Nodes: []int{n}, Words: g.words, Delivered: g.delivered, elems: g.elems})
 		}
 	}
 	return plan
@@ -189,12 +213,20 @@ func label(nodes []int) string {
 	return string(append(b, ']'))
 }
 
-// readPairs walks the blocks' non-redundant reads and meets every
-// distinct (element, block) pair once, in block order: with consumers
-// nil it counts the pair at at[e]; otherwise it also writes the block at
-// consumers[at[e]] before advancing at[e]. stamp must be zero on entry.
-func readPairs(res *partition.Result, stamp, at, consumers []int32) {
+// readPairs walks the blocks' non-redundant reads once and meets every
+// distinct (element, block) pair once, in block order: it counts the
+// pair at count[e] and lists the block's elements, in the order met, as
+// elems[ends[bi−1]:ends[bi]] (from 0 for the first block). stamp, one
+// zeroed word per element, keeps the last block (1-based) that read it.
+func readPairs(res *partition.Result, count, stamp []int32) (elems, ends []int32) {
 	ix, red := res.Iter.Index, res.Redundant
+	ends = make([]int32, len(res.Iter.Blocks))
+	// A block meets at most its reads, and at most every element, once.
+	reads, most := len(ix.Slots)-len(res.Iter.Nest.Body), 0
+	for _, b := range res.Iter.Blocks {
+		most += min(b.Size()*reads, ix.NumElems())
+	}
+	elems = make([]int32, 0, most)
 	for bi, b := range res.Iter.Blocks {
 		mark := int32(bi + 1)
 		for _, pos := range b.Pos {
@@ -204,18 +236,17 @@ func readPairs(res *partition.Result, stamp, at, consumers []int32) {
 					continue
 				}
 				for _, e := range row[ix.First[s] : ix.First[s+1]-1] {
-					if stamp[e] == mark {
-						continue
+					if stamp[e] != mark {
+						stamp[e] = mark
+						count[e]++
+						elems = append(elems, e)
 					}
-					stamp[e] = mark
-					if consumers != nil {
-						consumers[at[e]] = int32(bi)
-					}
-					at[e]++
 				}
 			}
 		}
+		ends[bi] = int32(len(elems))
 	}
+	return elems, ends
 }
 
 // Charge accounts the plan's wire costs on a machine without installing

@@ -387,13 +387,16 @@ func newIndex(nest *Nest, table func(cells, accesses int64) bool) (*Index, error
 	for _, sl := range f.Slots {
 		accesses[sl.Array] += f.Count
 	}
+	var cells int64 // elements of the tabled arrays: at most every cell
 	for a, box := range f.Elems {
 		if table(box.Volume, accesses[a]) {
 			tables[a] = make([]int32, box.Volume)
+			cells += min(box.Volume, accesses[a])
 		} else {
 			maps[a] = map[int64]int32{}
 		}
 	}
+	ix.elemSlot, ix.elemRank = make([]int32, 0, cells), make([]int64, 0, cells)
 	fresh := func(s int, rank int64) int32 {
 		ix.elemSlot = append(ix.elemSlot, int32(s))
 		ix.elemRank = append(ix.elemRank, rank)

@@ -18,6 +18,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -232,20 +233,14 @@ type IterationPartition struct {
 // large to rank).
 func PartitionIterations(ix *loop.Index, psi *space.Space) (*IterationPartition, error) {
 	q := psi.OrthogonalComplementIntegerBasis()
-	k := len(q)
-	keys := make([]int64, 0, len(ix.Points)*k)
-	lo, hi := make([]int64, k), make([]int64, k)
+	lo, hi := make([]int64, len(q)), make([]int64, len(q))
 	for pos, it := range ix.Points {
 		for r, row := range q {
-			var v int64
-			for c, x := range row {
-				v += x * it[c]
-			}
+			v := dot(row, it)
 			if pos == 0 {
 				lo[r], hi[r] = v, v
 			}
 			lo[r], hi[r] = min(lo[r], v), max(hi[r], v)
-			keys = append(keys, v)
 		}
 	}
 	box, err := loop.NewRanker("block key box", lo, hi)
@@ -253,10 +248,21 @@ func PartitionIterations(ix *loop.Index, psi *space.Space) (*IterationPartition,
 		return nil, err
 	}
 	label := make([]int64, len(ix.Points))
-	for pos := range label {
-		label[pos] = box.Rank(keys[pos*k : (pos+1)*k])
+	for pos, it := range ix.Points {
+		for r, row := range q {
+			label[pos] += (dot(row, it) - lo[r]) * box.Radix[r]
+		}
 	}
-	return assemble(ix, psi, q, label), nil
+	return assemble(ix, psi, q, label, box.Volume), nil
+}
+
+// dot is row·it: one coordinate of Q·ī.
+func dot(row, it []int64) int64 {
+	var v int64
+	for c, x := range row {
+		v += x * it[c]
+	}
+	return v
 }
 
 // PartitionIterationsGrouped builds an IterationPartition from explicit
@@ -272,7 +278,7 @@ func PartitionIterationsGrouped(ix *loop.Index, psi *space.Space, base []int32) 
 	for pos, b := range base {
 		label[pos] = int64(b)
 	}
-	return assemble(ix, psi, psi.OrthogonalComplementIntegerBasis(), label)
+	return assemble(ix, psi, psi.OrthogonalComplementIntegerBasis(), label, int64(len(base)))
 }
 
 // FlowGroups labels every iteration (by position in the redundancy
@@ -327,37 +333,114 @@ func FlowGroups(red *redundant.Result) []int32 {
 	return parent
 }
 
-// assemble materializes the blocks of a labelling of the iterations:
-// one block per distinct label, numbered by ascending label — for packed
-// keys, the lexicographic order of Q·ī.
-func assemble(ix *loop.Index, psi *space.Space, q [][]int64, label []int64) *IterationPartition {
-	distinct := slices.Clone(label)
-	slices.Sort(distinct)
-	distinct = slices.Compact(distinct)
+// assemble materializes the blocks of a labelling of the iterations,
+// every label in [0, volume): one block per distinct label, numbered by
+// ascending label — for packed keys, the lexicographic order of Q·ī.
+// The positions are grouped by counting (byLabel), so a block's
+// positions come out ascending, its base point first.
+func assemble(ix *loop.Index, psi *space.Space, q [][]int64, label []int64, volume int64) *IterationPartition {
+	order := byLabel(label, volume)
+	first := func(i int) bool { return i == 0 || label[order[i]] != label[order[i-1]] }
+	blocks := 0
+	for i := range order {
+		if first(i) {
+			blocks++
+		}
+	}
 	p := &IterationPartition{Nest: ix.Nest, Psi: psi, Q: q, Index: ix,
-		blockOf: make([]int32, len(label)), Blocks: make([]*Block, len(distinct))}
-	sizes := make([]int, len(distinct))
-	for pos, l := range label {
-		b, _ := slices.BinarySearch(distinct, l)
+		blockOf: make([]int32, len(label)), Blocks: make([]*Block, blocks)}
+	store := make([]Block, blocks)
+	b := -1
+	for i, pos := range order {
+		if first(i) {
+			b++
+			store[b] = Block{ID: b + 1, Base: ix.Points[pos], Pos: order[i:i]}
+			p.Blocks[b] = &store[b]
+		}
+		store[b].Pos = store[b].Pos[:len(store[b].Pos)+1]
 		p.blockOf[pos] = int32(b)
-		sizes[b]++
-	}
-	store := make([]Block, len(distinct))
-	poss := make([]int32, len(label))
-	for i := range store {
-		b := &store[i]
-		b.ID = i + 1
-		b.Pos, poss = poss[:0:sizes[i]], poss[sizes[i]:]
-		p.Blocks[i] = b
-	}
-	for pos, bi := range p.blockOf { // ascending pos: lexicographic order inside every block
-		b := &store[bi]
-		b.Pos = append(b.Pos, int32(pos))
 	}
 	for i := range store {
-		store[i].Base = ix.Points[store[i].Pos[0]]
+		store[i].Pos = slices.Clip(store[i].Pos)
 	}
 	return p
+}
+
+// byLabel returns the positions 0…len(label)−1 stably ordered by label,
+// every label in [0, volume): a least-significant-digit radix sort whose
+// digit spans up to 8·len(label) buckets, so a label box of that many
+// ranks — the block keys of every nest the benchmark compiles — takes one
+// counting pass, and a wider box one more pass per digit.
+func byLabel(label []int64, volume int64) []int32 {
+	width := bits.Len64(uint64(max(volume, 1) - 1))
+	digit, passes := min(width, max(8, bits.Len(uint(len(label)))+2)), 1
+	if width > 0 {
+		passes = (width + digit - 1) / digit
+		digit = (width + passes - 1) / passes
+	}
+	mask := int64(1)<<digit - 1
+	count := make([]int32, 1<<digit)
+	var order, next []int32 // order is nil in the first pass: the identity
+	for pass := range passes {
+		shift := pass * digit
+		clear(count)
+		for _, l := range label {
+			count[l>>shift&mask]++
+		}
+		var at int32
+		for d, c := range count {
+			count[d], at = at, at+c
+		}
+		if next == nil {
+			next = make([]int32, len(label))
+		}
+		for i := range label {
+			pos := int32(i)
+			if order != nil {
+				pos = order[i]
+			}
+			d := label[pos] >> shift & mask
+			next[count[d]] = pos
+			count[d]++
+		}
+		order, next = next, order
+	}
+	return order
+}
+
+// Forall is the forall space of the nest transformed for this partition
+// (Section IV), read off the blocks instead of walked: the nonempty
+// forall points in lexicographic order with their iteration counts,
+// which is what Transformed.Visit enumerates. A coset block is one
+// forall point, Q·b̄ of its base point, and the blocks are numbered in
+// the lexicographic order of Q·ī. Under Ψ = 0 — a grouped partition's
+// Ψ too — Q is the identity: every iteration is its own forall point,
+// in the Index's lexicographic order. The points share one backing
+// array.
+func (p *IterationPartition) Forall() (points [][]int64, sizes []int64) {
+	var bases [][]int64
+	if p.Psi.IsZero() {
+		bases, sizes = p.Index.Points, make([]int64, len(p.Index.Points))
+		for i := range sizes {
+			sizes[i] = 1
+		}
+	} else {
+		bases, sizes = make([][]int64, len(p.Blocks)), make([]int64, len(p.Blocks))
+		for i, b := range p.Blocks {
+			bases[i], sizes[i] = b.Base, int64(b.Size())
+		}
+	}
+	k := len(p.Q)
+	flat := make([]int64, len(bases)*k)
+	points = make([][]int64, len(bases))
+	for i, base := range bases {
+		pt := flat[i*k : (i+1)*k : (i+1)*k]
+		for r, row := range p.Q {
+			pt[r] = dot(row, base)
+		}
+		points[i] = pt
+	}
+	return points, sizes
 }
 
 // BlockOf returns the block containing the iteration (nil if the

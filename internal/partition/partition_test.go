@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -380,6 +383,33 @@ func TestSummaryContents(t *testing.T) {
 	for _, want := range []string{"non-duplicate", "Ψ_A", "span{(1,1)}", "7 blocks"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// TestByLabelIsAStableSort holds the counting sort to a stable
+// comparison sort over label boxes of one to several digits, skewed and
+// empty label sets included.
+func TestByLabelIsAStableSort(t *testing.T) {
+	rnd := rand.New(rand.NewSource(47))
+	for _, c := range []struct {
+		n      int
+		volume int64
+	}{{0, 1}, {1, 1}, {5, 1}, {100, 7}, {1000, 1 << 12}, {300, 1 << 20}, {2000, 1 << 40}, {64, 1<<62 + 5}} {
+		label := make([]int64, c.n)
+		for i := range label {
+			label[i] = rnd.Int63n(c.volume)
+			if i%3 == 0 {
+				label[i] = c.volume - 1 // many repeats of the widest label
+			}
+		}
+		want := make([]int32, c.n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(label[a], label[b]) })
+		if got := byLabel(label, c.volume); !slices.Equal(got, want) {
+			t.Errorf("%d labels in [0, %d): byLabel = %v, want %v", c.n, c.volume, got, want)
 		}
 	}
 }

@@ -340,8 +340,9 @@ func price(ctx context.Context, pc *partition.Context, classes []class, views []
 }
 
 // materialize partitions a class once, in the shape of one member's
-// view, and derives its forall transformation and processor assignment;
-// the stages are recorded as spans under parent.
+// view, and derives its forall transformation — whose forall space is the
+// partition's blocks, never walked — and processor assignment; the stages
+// are recorded as spans under parent.
 func materialize(pc *partition.Context, c class, view *spec, p int, parent obs.SpanID) (*partition.Result, *transform.Transformed, *assign.Assignment, error) {
 	var res *partition.Result
 	var err error
@@ -354,7 +355,7 @@ func materialize(pc *partition.Context, c class, view *spec, p int, parent obs.S
 		return nil, nil, nil, err
 	}
 	sp := pc.Trace.Start(parent, "transform")
-	tr, err := transform.Transform(pc.Analysis.Nest, res.Psi)
+	tr, err := transform.OfPartition(res.Iter)
 	sp.End()
 	if err != nil {
 		return nil, nil, nil, err

@@ -562,8 +562,8 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 	// to uniformly generated form.
 	psp := trc.Start(0, "parse")
 	psp.SetInt("bytes", int64(len(req.Source)))
-	sk, nest, err := s.deriveKey(req.Source)
-	if err == nil && nest == nil {
+	sk, memo, err := s.deriveKey(req.Source)
+	if err == nil && memo {
 		psp.SetInt("memo", 1)
 	}
 	if sk.Normalized {
@@ -601,16 +601,7 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 				hit = true
 				return e, nil
 			}
-			if nest == nil {
-				// The memo knew the key but neither tier holds the plan:
-				// only now is the nest itself needed.
-				nres, err := s.parseSource(req.Source)
-				if err != nil {
-					return nil, err
-				}
-				nest = nres.Nest
-			}
-			return s.compile(ctx, key, nest, pin, req.Processors, trc)
+			return s.compile(ctx, key, sk.Canonical, pin, req.Processors, trc)
 		})
 		if err != nil {
 			return nil, err
@@ -625,12 +616,12 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 	return e, err == nil && (hit || !led), err
 }
 
-// compile runs the compile pipeline (selector.Compile) on the canonical
-// nest, on a pool worker, and builds the cache entry from the candidate
-// it compiled: the one labelled pin, or the cheapest when pin is "".
-// Stage spans land in trc; the stage histograms are folded in from the
-// spans at request end.
-func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, pin string, procs int, trc *obs.Trace) (e *cacheEntry, err error) {
+// compile runs the compile pipeline (selector.Compile) on canonSrc, the
+// canonical text deriveKey rendered, on a pool worker, and builds the
+// cache entry from the candidate it compiled: the one labelled pin, or
+// the cheapest when pin is "". Stage spans land in trc; the stage
+// histograms are folded in from the spans at request end.
+func (s *Service) compile(ctx context.Context, key, canonSrc, pin string, procs int, trc *obs.Trace) (e *cacheEntry, err error) {
 	// compiles counts pipeline runs past admission — and only those.
 	// Refusals, store rehydrations and cache hits leave it untouched,
 	// which is what lets the conformance suite prove "served without
@@ -643,7 +634,6 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, pin 
 	// Stage: canonical — compile the canonical nest, so cached plans are
 	// identical for all α-equivalent spellings of the program.
 	ksp := trc.Start(0, "canonical")
-	canonSrc := lang.Canonical(nest)
 	cn, err := lang.Parse(canonSrc)
 	ksp.End()
 	if err != nil {
@@ -669,7 +659,7 @@ func (s *Service) compile(ctx context.Context, key string, nest *loop.Nest, pin 
 	}
 
 	// Stage: plan — the wire views of the partition, the forall loop and
-	// the assignment, and the store record they are marshalled into.
+	// the assignment, and the store record they are encoded into.
 	psp := trc.Start(0, "plan")
 	plan := &Plan{
 		CanonicalSource: canonSrc,

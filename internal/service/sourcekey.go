@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"commfree/internal/lang"
-	"commfree/internal/loop"
 	"commfree/internal/normalize"
 	"commfree/internal/store"
 )
@@ -105,23 +104,22 @@ func (s *Service) parseSource(src string) (*normalize.Result, error) {
 	return nres, nil
 }
 
-// deriveKey returns the source's key: from the memo — then nest is nil,
-// the memo holds text only — or from the front end, together with the
-// nest it parsed. Errors are never memoized: the diagnostic is cheap to
-// recompute and the source may be edited next.
-func (s *Service) deriveKey(src string) (k SourceKey, nest *loop.Nest, err error) {
+// deriveKey returns the source's key: from the memo (memo is true) or
+// from the front end. Errors are never memoized: the diagnostic is cheap
+// to recompute and the source may be edited next.
+func (s *Service) deriveKey(src string) (k SourceKey, memo bool, err error) {
 	if k, ok := s.keys.get(src); ok {
-		return k, nil, nil
+		return k, true, nil
 	}
 	nres, err := s.parseSource(src)
 	if err != nil {
-		return SourceKey{}, nil, err
+		return SourceKey{}, false, err
 	}
 	k.Canonical = lang.Canonical(nres.Nest)
 	k.Hash = store.KeyHash(k.Canonical)
 	k.Normalized = !nres.Identity
 	s.keys.add(src, k)
-	return k, nres.Nest, nil
+	return k, false, nil
 }
 
 // SourceKey derives (or recalls) the canonical text and routing hash of

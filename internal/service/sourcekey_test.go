@@ -202,7 +202,7 @@ func TestSourceKeyMemoKeepsTheCounters(t *testing.T) {
 		return trc
 	}
 
-	// Cold: one derivation, whose nest the compile reuses.
+	// Cold: one derivation, whose canonical text the compile reuses.
 	r1, err := s.Compile(ctx, CompileRequest{Source: srcL1, Processors: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -236,12 +236,13 @@ func TestSourceKeyMemoKeepsTheCounters(t *testing.T) {
 	}
 
 	// A memoized text under a strategy nothing holds a plan for: the memo
-	// answers the key, the miss parses for the nest, the pipeline runs.
+	// answers the key, the pipeline runs on its canonical text, and the
+	// request's own text is not parsed again.
 	r4, err := s.Compile(ctx, CompileRequest{Source: srcL1, Strategy: "duplicate", Processors: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, p, h, m := counters(); c != 2 || p != 3 || h != 2 || m != 2 || r4.Cached {
+	if c, p, h, m := counters(); c != 2 || p != 2 || h != 2 || m != 2 || r4.Cached {
 		t.Fatalf("memo hit, cache miss: compiles %d parses %d hits %d misses %d cached %v", c, p, h, m, r4.Cached)
 	}
 	if a := parseSpan(t, traceOf(r4.TraceID)); a["memo"] != 1 {

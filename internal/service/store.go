@@ -95,9 +95,9 @@ func (s *Service) StoreStats() *store.Stats {
 
 // recordFor builds the persistent record of one compilation.
 func recordFor(key string, plan *Plan, res *partition.Result, duplicated []string) (*store.Record, error) {
-	payload, err := json.Marshal(plan)
+	payload, err := encodePlan(plan)
 	if err != nil {
-		return nil, fmt.Errorf("service: plan does not marshal: %w", err)
+		return nil, err
 	}
 	rec := &store.Record{
 		Key:             key,

@@ -61,6 +61,42 @@ func TestForallSpaceIsTheIterationPartition(t *testing.T) {
 	}
 }
 
+// TestForallViewIsVisits: the forall space a compile reads off the
+// partition (OfPartition) is the one Visit enumerates, point for point
+// and size for size, over the analysis sweep under the five coset
+// strategies and MARS — and reading it never walks the loop. The K = 0
+// point is [], not null, as Visit's is.
+func TestForallViewIsVisits(t *testing.T) {
+	for i, nest := range sweep(37) {
+		pc, err := partition.NewContext(nest, nil, 0)
+		if err != nil {
+			t.Fatalf("nest %d: %v", i, err)
+		}
+		dup := map[string]bool{pc.Index.Arrays[0]: true}
+		for _, strat := range []partition.Strategy{partition.NonDuplicate, partition.Duplicate,
+			partition.MinimalNonDuplicate, partition.MinimalDuplicate, partition.Selective, partition.Mars} {
+			res, err := pc.Compute(strat, dup, 0)
+			if err != nil {
+				t.Fatalf("nest %d %s: %v", i, strat, err)
+			}
+			walked, err := Transform(nest, res.Psi)
+			if err != nil {
+				t.Fatalf("nest %d %s: %v", i, strat, err)
+			}
+			view, err := OfPartition(res.Iter)
+			if err != nil {
+				t.Fatalf("nest %d %s: %v", i, strat, err)
+			}
+			view.Bounds = nil // a walk would index the bounds and panic
+			points, sizes := view.ForallPoints(), view.BlockSizes()
+			if !reflect.DeepEqual(points, walked.ForallPoints()) || !slices.Equal(sizes, walked.BlockSizes()) {
+				t.Fatalf("nest %d %s: the partition's forall space %v sized %v, Visit's %v sized %v\n%s",
+					i, strat, points, sizes, walked.ForallPoints(), walked.BlockSizes(), nest)
+			}
+		}
+	}
+}
+
 // TestForallSpaceIsEnumeratedOnce races 16 first readers of one
 // Transformed: all of them see the same, complete enumeration.
 func TestForallSpaceIsEnumeratedOnce(t *testing.T) {

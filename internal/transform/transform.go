@@ -22,6 +22,7 @@ import (
 
 	"commfree/internal/intlin"
 	"commfree/internal/loop"
+	"commfree/internal/partition"
 	"commfree/internal/polyhedron"
 	"commfree/internal/space"
 )
@@ -184,7 +185,9 @@ type Transformed struct {
 	// Names of the new variables in loop order.
 	Names []string
 
-	// The enumerated forall space (see enumerate).
+	// The enumerated forall space (see enumerate), read off part when
+	// the loop was transformed for a partition.
+	part       *partition.IterationPartition
 	forallOnce sync.Once
 	forall     [][]int64
 	sizes      []int64
@@ -194,6 +197,21 @@ type Transformed struct {
 // basis psi.OrthogonalComplementIntegerBasis.
 func Transform(nest *loop.Nest, psi *space.Space) (*Transformed, error) {
 	return TransformWithBasis(nest, psi, nil)
+}
+
+// OfPartition is Transform for a partition's nest, Ψ and Q, with the
+// forall space read off the partition's blocks (IterationPartition.Forall)
+// instead of walked: each forall point is one of its blocks.
+func OfPartition(p *partition.IterationPartition) (*Transformed, error) {
+	if err := p.Nest.Validate(); err != nil {
+		return nil, err
+	}
+	tr, err := build(p.Nest, p.Psi, p.Q)
+	if err != nil {
+		return nil, err
+	}
+	tr.part = p
+	return tr, nil
 }
 
 // TransformWithBasis is Transform with a caller-chosen basis Q of the
@@ -215,6 +233,12 @@ func TransformWithBasis(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transf
 		!slices.Equal(intlin.FromRows(q).Hermite().A, intlin.FromRows(lattice).Hermite().A) {
 		return nil, fmt.Errorf("transform: %v is not a basis of the lattice Ψ^⊥ ∩ Zⁿ, %v for Ψ = %s", q, lattice, psi)
 	}
+	return build(nest, psi, q)
+}
+
+// build transforms a validated nest for Ψ and a basis q of Ψ^⊥ ∩ Zⁿ.
+func build(nest *loop.Nest, psi *space.Space, q [][]int64) (*Transformed, error) {
+	n := nest.Depth()
 	_, pivots := intlin.FromRows(q).RREF()
 	tr := &Transformed{Nest: nest, Psi: psi, Q: q, K: len(q), G: n - len(q), PivotCols: pivots}
 	if err := tr.complete(); err != nil {
@@ -470,9 +494,14 @@ func (t *Transformed) Visit(body func(forall, orig []int64)) {
 // hold at least one iteration, in Visit order, with their iteration
 // counts. Everything that asks how the loop splits into blocks — the
 // block list, workloads, the wire views — reads this one enumeration.
-// The points share one backing array.
+// The points share one backing array. A loop transformed for a
+// partition reads them off its blocks and never walks.
 func (t *Transformed) enumerate() {
 	t.forallOnce.Do(func() {
+		if t.part != nil {
+			t.forall, t.sizes = t.part.Forall()
+			return
+		}
 		k := t.K
 		flat := []int64{} // never nil: the K = 0 point is [] on the wire, not null
 		t.Visit(func(forall, _ []int64) {

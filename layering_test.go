@@ -158,6 +158,27 @@ func emitsMod(n ast.Node) bool {
 	return strings.Contains(v, "mod(")
 }
 
+// inFunc matches the declaration of a function or method named name
+// whose body holds a node matching bad.
+func inFunc(name string, bad func(ast.Node) bool) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != name || fn.Body == nil {
+			return false
+		}
+		found := false
+		ast.Inspect(fn.Body, func(b ast.Node) bool {
+			found = found || b != nil && bad(b)
+			return !found
+		})
+		return found
+	}
+}
+
+// sortsOrSearches matches a comparison sort or a binary search.
+var sortsOrSearches = either(calls("slices", "Sort"), calls("slices", "SortFunc"), calls("slices", "SortStableFunc"),
+	calls("slices", "BinarySearch"), calls("sort", "Slice"), calls("sort", "SliceStable"))
+
 func either(preds ...func(ast.Node) bool) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		for _, p := range preds {
@@ -217,6 +238,16 @@ var layeringRules = []layeringRule{
 		why:   "a second walk of the transformed loop: read Transformed.ForallPoints and BlockSizes",
 		files: []string{"internal/assign", "internal/selector", "internal/service"},
 		bad:   calls("", "Visit"),
+	},
+	{
+		why:   "a compile transforms the partition it priced: transform.OfPartition reads the forall space off its blocks, where Transform would walk the loop for it again",
+		files: []string{"internal/selector", "internal/service"},
+		bad:   either(calls("transform", "Transform"), calls("transform", "TransformWithBasis")),
+	},
+	{
+		why:   "blocks come from counting the labels, which are ranks in a known box: no comparison sort or binary search per iteration",
+		files: []string{"internal/partition"},
+		bad:   either(inFunc("assemble", sortsOrSearches), inFunc("byLabel", sortsOrSearches), inFunc("PartitionIterations", sortsOrSearches)),
 	},
 	{
 		why:   "a divisibility guard on the transformed loop: T is unimodular, so T⁻¹·J is an iteration at every point the bounds admit and Original has no failure to report",
