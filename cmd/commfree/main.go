@@ -12,12 +12,12 @@
 // five strategies, or auto, which prints the ranking of every
 // allocation by simulated cost and compiles the cheapest. Every name
 // runs the service's compile pipeline: admission (at most 1<<22
-// iterations), selection, verify. A refusal or a verification failure
-// exits 1 before the report.
+// iterations), selection, verify, transform, assign. A refusal or a
+// verification failure exits 1 before the report.
 //
 // -trace prints the pipeline's span tree after the report: parse, then
 // selection (deps, redundant, and one class span per distinct partition
-// holding its partition, transform and assign), then verify, plus
+// holding its partition), then verify, transform and assign, plus
 // per-block execution spans under -exec.
 //
 // -remote URL submits the request to a running commfreed (or any node
@@ -169,9 +169,14 @@ func main() {
 		}
 		want := commfree.SequentialReference(comp.Nest)
 		mismatches := commfree.Mismatches(rep.Final, want)
+		busy := 0 // nodes that ran at least one iteration
+		for _, n := range rep.IterationsPerNode {
+			if n > 0 {
+				busy++
+			}
+		}
 		fmt.Printf("\n== simulated execution ==\n")
-		fmt.Printf("processors busy: %d, inter-node messages: %d\n",
-			len(rep.IterationsPerNode), rep.Machine.InterNodeMessages())
+		fmt.Printf("processors busy: %d, inter-node messages: %d\n", busy, rep.Machine.InterNodeMessages())
 		fmt.Printf("distribution %.6fs + compute %.6fs = %.6fs simulated\n",
 			rep.Machine.DistributionTime(), rep.Machine.ComputeTime(), rep.Machine.Elapsed())
 		if *chaosSeed != 0 {

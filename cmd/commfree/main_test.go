@@ -13,9 +13,10 @@ import (
 // TestCLISpeaksThePipeline builds the command and drives it the way the
 // service is driven: every strategy name, auto included, runs the one
 // compile pipeline, whose trace shows the selection with one class span
-// per distinct partition and then verify; "selective" is refused as a
-// request; and a nest past the iteration limit is refused by admission,
-// at once and before anything is printed.
+// per distinct partition and then verify, transform and assign; an
+// execution counts the processors that ran iterations; "selective" is
+// refused as a request; and a nest past the iteration limit is refused
+// by admission, at once and before anything is printed.
 func TestCLISpeaksThePipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the command")
@@ -64,9 +65,16 @@ func TestCLISpeaksThePipeline(t *testing.T) {
 				classes++
 			}
 		}
-		if strings.Join(top, " ") != "parse selection verify" || classes == 0 {
-			t.Errorf("-strategy %s -trace: top-level spans %v with %d class spans under selection, want parse selection verify with at least one\n%s", strategy, top, classes, tree)
+		if strings.Join(top, " ") != "parse selection verify transform assign" || classes == 0 {
+			t.Errorf("-strategy %s -trace: top-level spans %v with %d class spans under selection, want parse selection verify transform assign with at least one\n%s", strategy, top, classes, tree)
 		}
+	}
+
+	// MARS puts all of matmul on one node at p = 4: the busy count is the
+	// nodes that ran iterations, not the machine size.
+	matmul := filepath.Join("..", "..", "testdata", "matmul.cf")
+	if out, errOut, code := run("-file", matmul, "-p", "4", "-strategy", "mars", "-exec"); code != 0 || !strings.Contains(out, "\nprocessors busy: 1,") {
+		t.Errorf("-file matmul.cf -p 4 -strategy mars -exec: exit %d, want 1 busy processor\n%s%s", code, out, errOut)
 	}
 
 	if _, errOut, code := run("-strategy", "selective"); code != 1 || !strings.Contains(errOut, `unknown strategy "selective"`) {

@@ -270,8 +270,9 @@ type Compilation struct {
 
 // Trace is a structured span tree recording one pipeline run: every
 // stage (parse, then selection with deps, redundant and one class span
-// per distinct partition, each holding partition, transform and assign;
-// then verify; exec_run with per-block children) becomes a timed span.
+// per distinct partition, each holding its partition; then verify, and
+// transform and assign for the compiled candidate; exec_run with
+// per-block children) becomes a timed span.
 // Start one with NewTrace, pass it to CompileTraced /
 // Compilation.ExecuteTraced, and render it with Trace.Tree() or export
 // it with Trace.Export(). A nil *Trace is always legal and free.

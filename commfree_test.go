@@ -175,8 +175,8 @@ func TestRunL5Facades(t *testing.T) {
 		if n := Mismatches(rep.Final, want); n != 0 {
 			t.Errorf("%s: %d elements differ from sequential execution", name, n)
 		}
-		if plan.Nodes != 4 {
-			t.Errorf("%s: plan addresses %d processors, want 4", name, plan.Nodes)
+		if len(plan.Loads) != 4 {
+			t.Errorf("%s: plan addresses %d processors, want 4", name, len(plan.Loads))
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"math"
 	"strings"
 
+	"commfree/internal/partition"
 	"commfree/internal/transform"
 )
 
@@ -70,7 +71,7 @@ func Place(q [][]int64, p int) Placement {
 }
 
 // Assignment is the cyclic placement of a transformed loop, with the
-// loop whose enumerated forall space gives its workloads and block lists.
+// loop whose blocks it places.
 type Assignment struct {
 	Placement
 	Tr *transform.Transformed
@@ -80,33 +81,6 @@ type Assignment struct {
 // Assign builds the cyclic assignment for p processors.
 func Assign(tr *transform.Transformed, p int) *Assignment {
 	return &Assignment{Placement: Place(tr.Q, p), Tr: tr, P: p}
-}
-
-// OwnerID returns the processor owning the forall point: its grid
-// coordinates aᵢ = forall_i mod pᵢ (canonical, non-negative), linearized
-// row-major into [0, NumProcessors()).
-func (pl Placement) OwnerID(forall []int64) int {
-	id := 0
-	for i, d := range pl.Dims {
-		id = id*d + int((forall[i]%int64(d)+int64(d))%int64(d))
-	}
-	return id
-}
-
-// OwnerOf returns the processor that runs the block containing the
-// original iteration orig: the cyclic owner of its forall point Q·ī. The
-// forall point is constant across a coset block (Q ⊥ Ψ), so a block's
-// base point names its processor.
-func (pl Placement) OwnerOf(orig []int64) int {
-	id := 0
-	for i, d := range pl.Dims {
-		var f int64
-		for j, q := range pl.Q[i] {
-			f += q * orig[j]
-		}
-		id = id*d + int((f%int64(d)+int64(d))%int64(d))
-	}
-	return id
 }
 
 // NumProcessors returns the number of grid processors actually used
@@ -119,13 +93,52 @@ func (pl Placement) NumProcessors() int {
 	return n
 }
 
-// Workloads returns the iteration count executed by each processor ID.
-func (a *Assignment) Workloads() []int64 {
-	loads := make([]int64, a.NumProcessors())
-	sizes := a.Tr.BlockSizes()
-	for i, f := range a.Tr.ForallPoints() {
-		loads[a.OwnerID(f)] += sizes[i]
+// Blocks places a partition: block B_j runs whole on node[j], the owner
+// of its forall point Q·b̄_j (a MARS block, Ψ = 0, spans many forall
+// points and runs where its base point's is), and loads[id] counts the
+// iterations processor id runs.
+func (pl Placement) Blocks(it *partition.IterationPartition) (node []int, loads []int64) {
+	return pl.place(len(it.Blocks), pl.Q, func(j int) ([]int64, int64) { return it.Blocks[j].Base, int64(it.Blocks[j].Size()) })
+}
+
+// place is the one placement: block j, of block(j) = (x, size), runs on
+// the owner of its forall point — q·x for an iteration x, or x when q is
+// nil — whose grid coordinates forall_i mod pᵢ are linearized row-major.
+func (pl Placement) place(blocks int, q [][]int64, block func(j int) (x []int64, size int64)) (node []int, loads []int64) {
+	node, loads = make([]int, blocks), make([]int64, pl.NumProcessors())
+	for j := range node {
+		x, size := block(j)
+		id := 0
+		for i, d := range pl.Dims {
+			var f int64
+			if q == nil {
+				f = x[i]
+			} else {
+				for c, a := range q[i] {
+					f += a * x[c]
+				}
+			}
+			id = id*d + int((f%int64(d)+int64(d))%int64(d))
+		}
+		node[j] = id
+		loads[id] += size
 	}
+	return node, loads
+}
+
+// placed places the partition the loop was transformed for, or a walked
+// loop's coset blocks, one per forall point.
+func (a *Assignment) placed() (node []int, loads []int64) {
+	if it := a.Tr.Partition(); it != nil {
+		return a.Blocks(it)
+	}
+	points, sizes := a.Tr.ForallPoints(), a.Tr.BlockSizes()
+	return a.place(len(points), nil, func(j int) ([]int64, int64) { return points[j], sizes[j] })
+}
+
+// Workloads returns the iteration count each processor ID runs.
+func (a *Assignment) Workloads() []int64 {
+	_, loads := a.placed()
 	return loads
 }
 

@@ -94,10 +94,12 @@ func TestOwnerCyclic(t *testing.T) {
 	}
 }
 
-// ownerCoords reads the grid coordinates of the forall point's owner
-// back out of OwnerID's row-major linearization.
+// ownerCoords reads the grid coordinates of the forall point's owner —
+// where the placement puts a block at that point — back out of their
+// row-major linearization.
 func ownerCoords(pl Placement, forall []int64) []int {
-	id := pl.OwnerID(forall)
+	node, _ := pl.place(1, nil, func(int) ([]int64, int64) { return forall, 1 })
+	id := node[0]
 	coords := make([]int, len(pl.Dims))
 	for i := len(pl.Dims) - 1; i >= 0; i-- {
 		coords[i], id = id%pl.Dims[i], id/pl.Dims[i]
@@ -109,17 +111,16 @@ func ownerCoords(pl Placement, forall []int64) []int {
 // on the machine, and every processor owns at least one of the 37.
 func TestOwnerIDCoversForallPoints(t *testing.T) {
 	a := Assign(l4Transformed(t), 4)
-	points := a.Tr.ForallPoints()
-	if len(points) != 37 {
-		t.Fatalf("forall points = %d, want 37", len(points))
+	blocks := a.Info().Blocks
+	if len(blocks) != 37 {
+		t.Fatalf("forall points = %d, want 37", len(blocks))
 	}
 	owned := make([]int, a.NumProcessors())
-	for _, f := range points {
-		id := a.OwnerID(f)
-		if id < 0 || id >= len(owned) {
-			t.Fatalf("OwnerID(%v) = %d, outside 0..%d", f, id, len(owned)-1)
+	for _, b := range blocks {
+		if b.Processor < 0 || b.Processor >= len(owned) {
+			t.Fatalf("owner of %v = %d, outside 0..%d", b.Forall, b.Processor, len(owned)-1)
 		}
-		owned[id]++
+		owned[b.Processor]++
 	}
 	for id, n := range owned {
 		if n == 0 {

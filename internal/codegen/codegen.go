@@ -47,17 +47,14 @@ type Options struct {
 }
 
 // PETable builds Options.PEIterations for a grouped partition: every
-// block runs wholly on the processor owning its base point, and each
+// block runs wholly on the processor the assignment's Blocks puts it on
+// (its base point's), and each
 // processor's list is sorted to program order (intra-block flow needs
 // writers before readers; blocks are private so inter-block order is
 // free).
 func PETable(res *partition.Result, tr *transform.Transformed, asg *assign.Assignment) [][][]int64 {
 	// Program order is position order in the partition's Index.
-	owner, sizes := make([]int, len(res.Iter.Blocks)), make([]int, asg.NumProcessors())
-	for bi, b := range res.Iter.Blocks {
-		owner[bi] = asg.OwnerOf(b.Base)
-		sizes[owner[bi]] += b.Size()
-	}
+	owner, sizes := asg.Blocks(res.Iter)
 	pos := make([][]int32, len(sizes))
 	for id, n := range sizes {
 		pos[id] = make([]int32, 0, n)

@@ -22,13 +22,13 @@ import (
 func keyedBuildFor(res *partition.Result, place assign.Placement) *Plan {
 	ix, red, blocks := res.Iter.Index, res.Redundant, res.Iter.Blocks
 	used := place.NumProcessors()
-	plan := &Plan{Nodes: used, BlockNode: make([]int, len(blocks)), res: res}
+	plan := &Plan{res: res}
+	plan.BlockNode, plan.Loads = place.Blocks(res.Iter)
 	type pair struct{ elem, block int32 }
 	var pairs []pair
 	stamp := make([]int32, ix.NumElems())
 	plan.first = make([]int32, ix.NumElems()+1)
 	for bi, b := range blocks {
-		plan.BlockNode[bi] = place.OwnerOf(b.Base)
 		for _, pos := range b.Pos {
 			row := ix.Row(int(pos))
 			for s := range res.Iter.Nest.Body {
@@ -153,8 +153,8 @@ func TestBuildForIsTheKeyedGrouping(t *testing.T) {
 				if !reflect.DeepEqual(got.Steps, want.Steps) {
 					t.Fatalf("%s: steps\n%+v\nwant\n%+v\n%s", what, got.Steps, want.Steps, nest)
 				}
-				if !reflect.DeepEqual(got.BlockNode, want.BlockNode) || got.Nodes != want.Nodes {
-					t.Fatalf("%s: block nodes %v on %d, want %v on %d", what, got.BlockNode, got.Nodes, want.BlockNode, want.Nodes)
+				if !reflect.DeepEqual(got.BlockNode, want.BlockNode) || !reflect.DeepEqual(got.Loads, want.Loads) {
+					t.Fatalf("%s: block nodes %v loading %v, want %v loading %v", what, got.BlockNode, got.Loads, want.BlockNode, want.Loads)
 				}
 				if !reflect.DeepEqual(got.first, want.first) || !reflect.DeepEqual(got.consumers, want.consumers) {
 					t.Fatalf("%s: consumers %v at %v, want %v at %v", what, got.consumers, got.first, want.consumers, want.first)

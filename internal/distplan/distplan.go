@@ -72,13 +72,11 @@ type Step struct {
 // Plan is the full distribution schedule.
 type Plan struct {
 	Steps []Step
-	// Nodes is the number of processors the plan addresses.
-	Nodes int
-	// BlockNode is the processor of every block, indexed by block ID − 1.
-	// Placement is block-granular (node of the block's base point):
-	// identical to the per-forall owner for coset strategies, and the
-	// only correct choice for MARS blocks that span forall points.
+	// BlockNode is the processor of every block, indexed by block ID − 1,
+	// and Loads the iterations of every processor the plan addresses:
+	// the placement's Blocks.
 	BlockNode []int
+	Loads     []int64
 
 	res *partition.Result
 	// consumers[first[e]:first[e+1]] are the blocks (ID − 1, ascending)
@@ -91,12 +89,9 @@ type Plan struct {
 // consumer set of an element is the set of processors whose iterations
 // read it (redundant computations excluded under minimal strategies).
 func BuildFor(res *partition.Result, place assign.Placement) *Plan {
-	ix, blocks := res.Iter.Index, res.Iter.Blocks
-	used := place.NumProcessors()
-	plan := &Plan{Nodes: used, BlockNode: make([]int, len(blocks)), res: res}
-	for bi, b := range blocks {
-		plan.BlockNode[bi] = place.OwnerOf(b.Base)
-	}
+	plan := &Plan{res: res}
+	plan.BlockNode, plan.Loads = place.Blocks(res.Iter)
+	ix, used := res.Iter.Index, len(plan.Loads)
 
 	// Every (element, reading block) pair once: one walk of the reads
 	// meets them in block order and counts them per element, then the
@@ -313,7 +308,7 @@ func (p *Plan) String() string {
 	var b strings.Builder
 	st := p.Stats()
 	fmt.Fprintf(&b, "distribution plan for %d processors: %d unicasts, %d multicasts, %d broadcasts (%d words, %d delivered)\n",
-		p.Nodes, st.Unicasts, st.Multicasts, st.Broadcasts, st.Words, st.DeliveredWords)
+		len(p.Loads), st.Unicasts, st.Multicasts, st.Broadcasts, st.Words, st.DeliveredWords)
 	for _, s := range p.Steps {
 		fmt.Fprintf(&b, "  %s → %v: %d words\n", s.Kind, s.Nodes, s.Words)
 	}
@@ -325,7 +320,7 @@ func (p *Plan) String() string {
 // unicasts), returning the plan alongside the report.
 func ParallelPlanned(res *partition.Result, p int, cost machine.CostModel) (*exec.Report, *Plan, error) {
 	plan := BuildFor(res, assign.Place(res.Iter.Q, p))
-	mach := machine.New(machine.MeshFor(plan.Nodes), cost)
+	mach := machine.New(machine.MeshFor(len(plan.Loads)), cost)
 	plan.Execute(mach)
 	rep, err := exec.RunDistributed(res, mach, plan.BlockNode, nil, exec.Options{})
 	if err != nil {

@@ -158,22 +158,14 @@ func Parallel(res *partition.Result, p int, cost machine.CostModel) (*Report, er
 	return ParallelOpts(res, p, cost, Options{})
 }
 
-// placeBlocks puts every block on the processor of its base point —
-// Section IV's (Q·b̄_j) mod (p₁,…,p_k) — and lists each processor's
-// blocks (indexes into res.Iter.Blocks, ascending). The forall point is
-// constant across a coset block (Q ⊥ Ψ), so this is the per-iteration
-// owner; MARS blocks group iterations across forall points and must not
-// be split, so block granularity is the only correct choice there.
-func placeBlocks(res *partition.Result, p int) (blockNode []int, perNode [][]int) {
-	place := assign.Place(res.Iter.Q, p)
-	blockNode = make([]int, len(res.Iter.Blocks))
-	perNode = make([][]int, place.NumProcessors())
-	for bi, b := range res.Iter.Blocks {
-		id := place.OwnerOf(b.Base)
-		blockNode[bi] = id
+// byNode lists each of nodes processors' blocks (indexes into the
+// partition's Blocks, ascending) under the placement blockNode.
+func byNode(blockNode []int, nodes int) [][]int {
+	perNode := make([][]int, nodes)
+	for bi, id := range blockNode {
 		perNode[id] = append(perNode[id], bi)
 	}
-	return blockNode, perNode
+	return perNode
 }
 
 // ParallelOpts is the oracle scheduler under the full option set —
@@ -181,7 +173,8 @@ func placeBlocks(res *partition.Result, p int) (blockNode []int, perNode [][]int
 // then RunDistributed.
 func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Options) (*Report, error) {
 	nest, red, ix, blocks := res.Iter.Nest, res.Redundant, res.Iter.Index, res.Iter.Blocks
-	blockNode, perNode := placeBlocks(res, p)
+	blockNode, loads := assign.Place(res.Iter.Q, p).Blocks(res.Iter)
+	perNode := byNode(blockNode, len(loads))
 	mach := machine.New(machine.MeshFor(len(perNode)), cost)
 	mach.EnableTrace()
 	if opts.Chaos != nil {
@@ -253,10 +246,7 @@ func ParallelOpts(res *partition.Result, p int, cost machine.CostModel, opts Opt
 func RunDistributed(res *partition.Result, mach *machine.Machine, blockNode, blockWords []int, opts Options) (*Report, error) {
 	nest, red, ix, blocks := res.Iter.Nest, res.Redundant, res.Iter.Index, res.Iter.Blocks
 	inj := opts.Chaos
-	perNode := make([][]int, mach.NumNodes())
-	for bi, id := range blockNode {
-		perNode[id] = append(perNode[id], bi)
-	}
+	perNode := byNode(blockNode, mach.NumNodes())
 
 	// The oracle runs one goroutine per node, so worker id == node id in
 	// block spans.

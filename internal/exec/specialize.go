@@ -43,6 +43,7 @@ import (
 	"sync"
 	"time"
 
+	"commfree/internal/assign"
 	"commfree/internal/chaos"
 	"commfree/internal/exec/kernel"
 	"commfree/internal/machine"
@@ -126,8 +127,7 @@ func (prog *Program) Specialize(res *partition.Result, p int) (*Kernel, error) {
 // partition blocks.
 type blockStats struct {
 	perNode [][]int // block indexes per processor
-	iters   []int64 // iteration count per block
-	total   int64   // Σ iters
+	total   int64   // iterations of all blocks
 	words   []int   // distribution word count per processor
 	bwords  []int   // distribution word count per block (span attribute)
 	// owner[a][off] is the index of the block performing the globally
@@ -137,8 +137,8 @@ type blockStats struct {
 }
 
 // prepass sweeps the blocks once, sequentially, computing the block→
-// processor map, per-block iteration counts, per-node distribution
-// words, and per-element write ownership. For non-duplicate strategies
+// processor map, the iteration total, per-node distribution words,
+// and per-element write ownership. For non-duplicate strategies
 // it also asserts that block footprints are disjoint — the property
 // that lets the execution phase skip locking entirely.
 func (prog *Program) prepass(res *partition.Result, p int) (*blockStats, error) {
@@ -147,10 +147,10 @@ func (prog *Program) prepass(res *partition.Result, p int) (*blockStats, error) 
 		return nil, fmt.Errorf("exec: %d blocks exceed the kernel scheduler's range", len(blocks))
 	}
 	dupOK := res.AllowsDuplication()
-	blockNode, perNode := placeBlocks(res, p)
+	blockNode, loads := assign.Place(res.Iter.Q, p).Blocks(res.Iter)
+	perNode := byNode(blockNode, len(loads))
 	st := &blockStats{
 		perNode: perNode,
-		iters:   make([]int64, len(blocks)),
 		words:   make([]int, len(perNode)),
 		bwords:  make([]int, len(blocks)),
 		owner:   make([][]int32, len(prog.arrays)),
@@ -172,8 +172,7 @@ func (prog *Program) prepass(res *partition.Result, p int) (*blockStats, error) 
 	nstmts := int64(len(prog.stmts))
 	for bi, b := range blocks {
 		node := blockNode[bi]
-		st.iters[bi] = int64(b.Size())
-		st.total += st.iters[bi]
+		st.total += int64(b.Size())
 		seq := int32(bi)
 		for _, pos := range b.Pos {
 			it := pts[pos]
@@ -651,10 +650,10 @@ func (k *Kernel) runDisjoint(mach *machine.Machine, ar *kernArena, workers int, 
 				if err := budget.Spend(0); err != nil {
 					return err
 				}
-				pl.ExecBlock(bi, st.iters[bi], shared, kw.scr)
+				pl.ExecBlock(bi, int64(blocks[bi].Size()), shared, kw.scr)
 			} else {
 				kw.checkpoint(pl, bi, shared)
-				err := chaosRetryBlock(inj, nd.ID, blocks[bi].ID, opts.maxRetries(), st.iters[bi], budget,
+				err := chaosRetryBlock(inj, nd.ID, blocks[bi].ID, opts.maxRetries(), int64(blocks[bi].Size()), budget,
 					func(count int64) { pl.ExecBlock(bi, count, shared, kw.scr) },
 					func() {}, // shared-buffer writes are the commit
 					func() { kw.restore(pl, bi, shared) },
@@ -666,10 +665,10 @@ func (k *Kernel) runDisjoint(mach *machine.Machine, ar *kernArena, workers int, 
 					mach.AddComputeSeconds(d)
 				}
 			}
-			nd.AddIterations(st.iters[bi])
+			nd.AddIterations(int64(blocks[bi].Size()))
 			if bt != nil {
 				now := bt.tr.Since()
-				bt.record(bi, blocks[bi].ID, w, nd.ID, st.iters[bi], st.bwords[bi], last, now)
+				bt.record(bi, blocks[bi].ID, w, nd.ID, int64(blocks[bi].Size()), st.bwords[bi], last, now)
 				last = now
 			}
 		}
@@ -700,10 +699,10 @@ func (k *Kernel) runDuplicate(mach *machine.Machine, ar *kernArena, workers int,
 				if err := budget.Spend(0); err != nil {
 					return err
 				}
-				pl.ExecBlock(bi, st.iters[bi], kw.priv, kw.scr)
+				pl.ExecBlock(bi, int64(blocks[bi].Size()), kw.priv, kw.scr)
 				k.commitAndReset(bi, seq, kw.priv, final)
 			} else {
-				err := chaosRetryBlock(inj, nd.ID, blocks[bi].ID, opts.maxRetries(), st.iters[bi], budget,
+				err := chaosRetryBlock(inj, nd.ID, blocks[bi].ID, opts.maxRetries(), int64(blocks[bi].Size()), budget,
 					func(count int64) { pl.ExecBlock(bi, count, kw.priv, kw.scr) },
 					func() { k.commitAndReset(bi, seq, kw.priv, final) },
 					func() { k.resetRanges(bi, kw.priv) },
@@ -715,10 +714,10 @@ func (k *Kernel) runDuplicate(mach *machine.Machine, ar *kernArena, workers int,
 					mach.AddComputeSeconds(d)
 				}
 			}
-			nd.AddIterations(st.iters[bi])
+			nd.AddIterations(int64(blocks[bi].Size()))
 			if bt != nil {
 				now := bt.tr.Since()
-				bt.record(bi, blocks[bi].ID, w, nd.ID, st.iters[bi], st.bwords[bi], last, now)
+				bt.record(bi, blocks[bi].ID, w, nd.ID, int64(blocks[bi].Size()), st.bwords[bi], last, now)
 				last = now
 			}
 		}

@@ -443,6 +443,15 @@ func (p *IterationPartition) Forall() (points [][]int64, sizes []int64) {
 	return points, sizes
 }
 
+// ForallBlock is the index in Blocks of the block holding forall point
+// i of Forall: i, or under Ψ = 0 the block of iteration i.
+func (p *IterationPartition) ForallBlock(i int) int {
+	if p.Psi.IsZero() {
+		return int(p.blockOf[i])
+	}
+	return i
+}
+
 // BlockOf returns the block containing the iteration (nil if the
 // iteration is outside the iteration space).
 func (p *IterationPartition) BlockOf(it []int64) *Block {

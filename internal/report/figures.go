@@ -292,18 +292,18 @@ func fig10() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pts, sizes := a.Tr.ForallPoints(), a.Tr.BlockSizes()
+	pts, sizes, info := a.Tr.ForallPoints(), a.Tr.BlockSizes(), a.Info()
 	rows, lo, hi := grid(pts, func(at []int) string {
 		if len(at) == 0 {
 			return "     ·"
 		}
-		return fmt.Sprintf(" %2d@P%d", sizes[at[0]], a.OwnerID(pts[at[0]]))
+		return fmt.Sprintf(" %2d@P%d", sizes[at[0]], info.Blocks[at[0]].Processor)
 	})
 	var b strings.Builder
 	b.WriteString("Fig. 10 — processor assignment of loop L4′ on a 2×2 grid\n\n")
 	fmt.Fprintf(&b, "(rows: i1' = %d..%d; cols: i2' = %d..%d; cells: iterations@PE)\n%s", lo[0], hi[0], lo[1], hi[1], rows)
 	b.WriteString("\nper-processor workloads:\n")
-	for id, l := range a.Workloads() {
+	for id, l := range info.Workloads {
 		fmt.Fprintf(&b, "  PE%d: %d iterations\n", id, l)
 	}
 	b.WriteString("blocked (contiguous ranges) instead:")

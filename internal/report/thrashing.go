@@ -54,14 +54,13 @@ func thrashing(p int) ([]thrashRow, error) {
 }
 
 // placed is the node of every iteration, by position, when each block
-// runs where Section IV's cyclic placement puts its base point.
+// runs where Section IV's cyclic placement (assign's Blocks) puts it.
 func placed(res *partition.Result, p int) []int {
-	pl := assign.Place(res.Iter.Q, p)
+	blockNode, _ := assign.Place(res.Iter.Q, p).Blocks(res.Iter)
 	node := make([]int, len(res.Iter.Index.Points))
-	for _, blk := range res.Iter.Blocks {
-		n := pl.OwnerOf(blk.Base)
+	for bi, blk := range res.Iter.Blocks {
 		for _, pos := range blk.Pos {
-			node[pos] = n
+			node[pos] = blockNode[bi]
 		}
 	}
 	return node

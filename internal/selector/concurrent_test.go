@@ -134,7 +134,7 @@ func TestClassPanicKeepsItsStack(t *testing.T) {
 	var v any
 	func() {
 		defer func() { v = recover() }()
-		// Zero processors: assign.Assign refuses them by panicking.
+		// Zero processors: assign.Place refuses them by panicking.
 		Evaluate(context.Background(), loop.L1(), 0, machine.Transputer(), "", trc)
 	}()
 	perr, ok := v.(error)
@@ -149,7 +149,7 @@ func TestClassPanicKeepsItsStack(t *testing.T) {
 		}
 		if sp.Name == "class" && attrs["panic"] == perr.Error() {
 			found = true
-			if !strings.Contains(attrs["stack"], "commfree/internal/assign.Assign(") {
+			if !strings.Contains(attrs["stack"], "commfree/internal/assign.Place(") {
 				t.Errorf("class span's stack does not name the failing frame:\n%s", attrs["stack"])
 			}
 		}

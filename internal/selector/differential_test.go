@@ -26,7 +26,6 @@ import (
 	"commfree/internal/mars"
 	"commfree/internal/obs"
 	"commfree/internal/partition"
-	"commfree/internal/transform"
 )
 
 func independent(nest *loop.Nest, p int, cost machine.CostModel) ([]Candidate, error) {
@@ -35,11 +34,7 @@ func independent(nest *loop.Nest, p int, cost machine.CostModel) ([]Candidate, e
 		if err != nil {
 			return err
 		}
-		tr, err := transform.Transform(nest, res.Psi)
-		if err != nil {
-			return err
-		}
-		c := estimate(res, assign.Assign(tr, p), cost)
+		c := estimate(res, assign.Place(res.Iter.Q, p), cost)
 		c.Label, c.Duplicated = label, duplicated
 		all = append(all, c)
 		return nil
@@ -139,9 +134,10 @@ func TestSharedEvaluationMatchesIndependent(t *testing.T) {
 }
 
 // TestEvaluateKeepsTheChosenCandidate: whatever candidate is pinned (or
-// wins), the evaluation hands back that candidate's own view — strategy,
-// per-array spaces, redundancy oracle — over its class's partition, and
-// it is the partition an independent compile of the candidate produces.
+// wins), the compile hands back that candidate's own view — strategy,
+// per-array spaces, redundancy oracle — over its class's partition, it
+// is the partition an independent compile of the candidate produces, and
+// the forall loop and assignment are derived for that partition.
 func TestEvaluateKeepsTheChosenCandidate(t *testing.T) {
 	for _, nest := range []*loop.Nest{loop.L1(), loop.L3(), loop.L5(4)} {
 		_, ranking, err := Best(nest, 4, machine.Transputer())
@@ -149,7 +145,7 @@ func TestEvaluateKeepsTheChosenCandidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pin := range append([]string{""}, labels(ranking)...) {
-			ev, err := Evaluate(context.Background(), nest, 4, machine.Transputer(), pin, nil)
+			ev, err := Compile(context.Background(), nest, 4, machine.Transputer(), pin, -1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +183,7 @@ func TestEvaluateKeepsTheChosenCandidate(t *testing.T) {
 			if err := ev.Result.Verify(); err != nil {
 				t.Errorf("pin %q: %v", pin, err)
 			}
-			if ev.Transformed == nil || ev.Assignment == nil || ev.Assignment.Tr != ev.Transformed {
+			if ev.Transformed == nil || ev.Assignment == nil || ev.Assignment.Tr != ev.Transformed || ev.Transformed.Partition() != ev.Result.Iter {
 				t.Errorf("pin %q: kept transformation/assignment missing or unrelated", pin)
 			}
 		}

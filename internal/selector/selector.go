@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -89,11 +90,12 @@ func PinFor(name string) (string, error) {
 //  2. selection: Evaluate prices every candidate on p processors and
 //     keeps the one labelled pin, or the cheapest when pin is "";
 //  3. verify: that candidate's partition is checked communication-free
-//     on the whole iteration space.
+//     on the whole iteration space;
+//  4. transform and assign: its forall loop and processor assignment.
 //
-// Selection and verify are recorded as top-level spans of trc. The
-// returned evaluation's Result, Transformed and Assignment are the
-// compiled candidate's.
+// Each stage after admission is a top-level span of trc. The returned
+// evaluation's Result, Transformed and Assignment are the compiled
+// candidate's.
 func Compile(ctx context.Context, nest *loop.Nest, p int, cost machine.CostModel, pin string, maxIterations int64, trc *obs.Trace) (*Evaluation, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("selector: processors = %d", p)
@@ -117,6 +119,15 @@ func Compile(ctx context.Context, nest *loop.Nest, p int, cost machine.CostModel
 	if err != nil {
 		return nil, err
 	}
+	sp = trc.Start(0, "transform")
+	ev.Transformed, err = transform.OfPartition(ev.Result.Iter)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	sp = trc.Start(0, "assign")
+	ev.Assignment = assign.Assign(ev.Transformed, p)
+	sp.End()
 	return ev, nil
 }
 
@@ -132,10 +143,9 @@ type Evaluation struct {
 	// SelectiveSkipped reports that the nest has more than four arrays,
 	// so its selective duplication subsets were not enumerated.
 	SelectiveSkipped bool
-	// Chosen is the pinned candidate (Ranking[0] when none was pinned);
-	// Result, Transformed and Assignment are its compiled form, exactly
-	// as its class was priced. Result is nil when the pin names no
-	// candidate.
+	// Chosen is the pinned candidate (Ranking[0] when none was pinned)
+	// and Result its partition, as its class was priced (nil when the pin
+	// names no candidate); Compile adds its Transformed and Assignment.
 	Chosen      Candidate
 	Result      *partition.Result
 	Transformed *transform.Transformed
@@ -259,7 +269,7 @@ func Evaluate(ctx context.Context, nest *loop.Nest, p int, cost machine.CostMode
 }
 
 // price materializes and prices every class as its view, min(classes,
-// GOMAXPROCS) at a time, and records the chosen class's compiled form on
+// GOMAXPROCS) at a time, and records the chosen class's partition on
 // ev. The dispatcher polls ctx and starts each class's span in class
 // order; a worker writes only its class's slot of the returned prices.
 // The winner so far is held under a mutex and ordered by (Total, class
@@ -305,13 +315,13 @@ func price(ctx context.Context, pc *partition.Context, classes []class, views []
 					failed.Store(true)
 				}
 			}()
-			res, tr, asg, err := materialize(pc, c, &views[ci], p, csp.ID())
+			res, err := materialize(pc, c, &views[ci], csp.ID())
 			if err != nil {
 				errs[ci] = err
 				failed.Store(true)
 				return
 			}
-			priced := estimate(res, asg, cost)
+			priced := estimate(res, assign.Place(res.Iter.Q, p), cost)
 			prices[ci] = priced
 			csp.SetInt("psi_dim", int64(res.Psi.Dim()))
 			csp.SetInt("blocks", int64(priced.Blocks))
@@ -323,7 +333,7 @@ func price(ctx context.Context, pc *partition.Context, classes []class, views []
 				best = ci
 				ev.Chosen = views[ci].Candidate
 				ev.Chosen.Blocks, ev.Chosen.DistributionTime, ev.Chosen.ComputeTime, ev.Chosen.Total = priced.Blocks, priced.DistributionTime, priced.ComputeTime, priced.Total
-				ev.Result, ev.Transformed, ev.Assignment = res, tr, asg
+				ev.Result = res
 			}
 		}()
 	}
@@ -340,51 +350,22 @@ func price(ctx context.Context, pc *partition.Context, classes []class, views []
 }
 
 // materialize partitions a class once, in the shape of one member's
-// view, and derives its forall transformation — whose forall space is the
-// partition's blocks, never walked — and processor assignment; the stages
-// are recorded as spans under parent.
-func materialize(pc *partition.Context, c class, view *spec, p int, parent obs.SpanID) (*partition.Result, *transform.Transformed, *assign.Assignment, error) {
-	var res *partition.Result
-	var err error
+// view, under parent.
+func materialize(pc *partition.Context, c class, view *spec, parent obs.SpanID) (*partition.Result, error) {
 	if c.psi == nil {
-		res, err = pc.Compute(partition.Mars, nil, parent)
-	} else {
-		res, err = pc.Partition(view.Strategy, view.perArray, c.psi, parent)
+		return pc.Compute(partition.Mars, nil, parent)
 	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sp := pc.Trace.Start(parent, "transform")
-	tr, err := transform.OfPartition(res.Iter)
-	sp.End()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sp = pc.Trace.Start(parent, "assign")
-	defer sp.End()
-	return res, tr, assign.Assign(tr, p), nil
+	return pc.Partition(view.Strategy, view.perArray, c.psi, parent)
 }
 
-// estimate prices one partitioning under its assignment: the
-// distribution plan's simulated time plus max-workload·t_comp for the
-// compute phase. Workloads count iterations per processor at block
-// granularity: a block runs wholly on the node owning its base point.
-// For coset strategies this matches the per-forall count; MARS blocks
-// span forall points and must not be split.
-func estimate(res *partition.Result, asg *assign.Assignment, cost machine.CostModel) Candidate {
-	plan := distplan.BuildFor(res, asg.Placement)
-	mach := machine.New(machine.MeshFor(plan.Nodes), cost)
+// estimate prices one partitioning under a placement: the distribution
+// plan's simulated time plus max-workload·t_comp for the compute phase.
+func estimate(res *partition.Result, place assign.Placement, cost machine.CostModel) Candidate {
+	plan := distplan.BuildFor(res, place)
+	mach := machine.New(machine.MeshFor(len(plan.Loads)), cost)
 	plan.Charge(mach)
-	loads := make([]int64, plan.Nodes)
-	var max int64
-	for bi, b := range res.Iter.Blocks {
-		n := plan.BlockNode[bi]
-		if loads[n] += int64(b.Size()); loads[n] > max {
-			max = loads[n]
-		}
-	}
 	dist := mach.DistributionTime()
-	comp := float64(max) * cost.TComp
+	comp := float64(slices.Max(plan.Loads)) * cost.TComp
 	return Candidate{
 		Strategy:         res.Strategy,
 		Blocks:           res.Iter.NumBlocks(),

@@ -130,7 +130,8 @@ func TestReportRendering(t *testing.T) {
 }
 
 // TestCompileRunsItsStagesInOrder: the pipeline refuses a nest past the
-// limit before it analyses anything, then selects and verifies, and a
+// limit before it analyses anything, then selects, verifies, and derives
+// the forall loop and the assignment of the one compiled candidate, and a
 // pin that names no candidate stops it before verify.
 func TestCompileRunsItsStagesInOrder(t *testing.T) {
 	nest := loop.L1() // 16 iterations
@@ -148,8 +149,8 @@ func TestCompileRunsItsStagesInOrder(t *testing.T) {
 		limit       int64
 		stages, err string
 	}{
-		{"", 4, 16, "selection verify", ""},
-		{"duplicate", 4, -1, "selection verify", ""},
+		{"", 4, 16, "selection verify transform assign", ""},
+		{"duplicate", 4, -1, "selection verify transform assign", ""},
 		{"", 4, 15, "", "nest spans more than 15 iterations"},
 		{"no such candidate", 4, 16, "selection", "not among the evaluated candidates"},
 		{"", 0, 16, "", "processors = 0"},

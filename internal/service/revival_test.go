@@ -357,8 +357,9 @@ end
 
 // TestStoreV2RecordsRecompile: a version-2 record holds a plan whose
 // Section IV transform may predate the lattice basis — nest 128's Q and
-// T moved — so it is not revived but recompiled, while the same record
-// framed as version 3 revives.
+// T moved — and a version-3 one may report MARS workloads the run does
+// not execute, so neither is revived but recompiled, while the same
+// record framed as the current version revives.
 func TestStoreV2RecordsRecompile(t *testing.T) {
 	dir := t.TempDir()
 	req := CompileRequest{Source: nest128, Strategy: "non-duplicate", Processors: 4}
@@ -372,18 +373,21 @@ func TestStoreV2RecordsRecompile(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("records on disk: %v", files)
 	}
-	v3, err := os.ReadFile(files[0])
+	cur, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := append([]byte(nil), v3...)
-	binary.LittleEndian.PutUint32(v2[4:], 2) // the CRC covers the payload only
+	framed := func(version uint32) []byte {
+		file := append([]byte(nil), cur...)
+		binary.LittleEndian.PutUint32(file[4:], version) // the CRC covers the payload only
+		return file
+	}
 
 	for _, c := range []struct {
 		name                string
 		file                []byte
 		compiles, rehydrate int64
-	}{{"v2", v2, 1, 0}, {"v3", v3, 0, 1}} {
+	}{{"v2", framed(2), 1, 0}, {"v3", framed(3), 1, 0}, {"current", cur, 0, 1}} {
 		if err := os.WriteFile(files[0], c.file, 0o644); err != nil {
 			t.Fatal(err)
 		}

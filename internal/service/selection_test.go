@@ -27,8 +27,10 @@ func spanAttrs(sp obs.Span) map[string]any {
 
 // TestSelectionSpanRecordsTheDecision: a cold compile's trace says what
 // the selector decided on the caller's behalf — how many candidates fell
-// into how many classes, who won — with one child span per class, and
-// the analysis stages appear once, under the selection they now serve.
+// into how many classes, who won — with one child span per class holding
+// that class's partition, the analysis stages appear once, under the
+// selection they now serve, and the forall loop and the assignment are
+// derived once, after verify, for the compiled candidate.
 func TestSelectionSpanRecordsTheDecision(t *testing.T) {
 	s := newTestService(t, Config{})
 	resp, err := s.Compile(context.Background(), CompileRequest{Source: lang.Format(loop.L5(4)), Strategy: "auto", Processors: 4})
@@ -61,15 +63,27 @@ func TestSelectionSpanRecordsTheDecision(t *testing.T) {
 	if len(byName["class"]) != 5 || members != 11 {
 		t.Errorf("%d class spans holding %d candidates, want 5 holding 11", len(byName["class"]), members)
 	}
-	for _, stage := range []string{"deps", "redundant", "verify", "codegen"} {
+	for _, stage := range []string{"deps", "redundant", "verify", "transform", "assign", "codegen"} {
 		if len(byName[stage]) != 1 {
 			t.Errorf("stage %q recorded %d times, want once", stage, len(byName[stage]))
 		}
 	}
-	for _, stage := range []string{"partition", "transform", "assign"} {
-		if len(byName[stage]) != 5 {
-			t.Errorf("stage %q recorded %d times, want once per class", stage, len(byName[stage]))
+	for _, stage := range []string{"transform", "assign"} {
+		if sps := byName[stage]; len(sps) == 1 && sps[0].Parent != 0 {
+			t.Errorf("stage %q under span %d, want it top-level, for the compiled candidate alone", stage, sps[0].Parent)
 		}
+	}
+	partitions := map[obs.SpanID]int{}
+	for _, sp := range byName["partition"] {
+		partitions[sp.Parent]++
+	}
+	for _, c := range byName["class"] {
+		if partitions[c.ID] != 1 {
+			t.Errorf("class span %d holds %d partition spans, want 1", c.ID, partitions[c.ID])
+		}
+	}
+	if len(byName["partition"]) != 5 {
+		t.Errorf("stage \"partition\" recorded %d times, want once per class", len(byName["partition"]))
 	}
 
 	// More than four arrays: the subsets are dropped, and the span says so.

@@ -10,7 +10,8 @@
 //     internal/lang's canonical renderer so α-equivalent programs hit
 //     the same LRU entry, with entry/byte bounds and hit/miss counters;
 //   - a bounded worker pool (pool.go) running canonical → the compile
-//     pipeline (selector.Compile: admission, selection, verify) →
+//     pipeline (selector.Compile: admission, selection, verify,
+//     transform, assign) →
 //     codegen → plan off a request queue with per-request timeouts,
 //     context cancellation, and graceful drain;
 //   - a metrics registry (metrics.go) of per-stage latency histograms,

@@ -36,10 +36,11 @@ import (
 // FormatVersion is the current record format. Readers accept only this
 // version; unknown versions (version 1 framed the whole record as one
 // JSON payload; version 2 plans predate the unimodular Section IV
-// transform, whose Q revival would pair with their old program text)
-// are treated as corrupt records (skip, then recompile) rather than
-// errors, so a rollback after an upgrade leaves the store usable.
-const FormatVersion = 3
+// transform, whose Q revival would pair with their old program text;
+// version 3 MARS plans report workloads the run does not execute) are
+// treated as corrupt records (skip, then recompile) rather than errors,
+// so a rollback after an upgrade leaves the store usable.
+const FormatVersion = 4
 
 // magic identifies a plan-store record file.
 var magic = [4]byte{'C', 'F', 'P', 'S'}

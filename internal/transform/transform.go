@@ -518,6 +518,9 @@ func (t *Transformed) enumerate() {
 	})
 }
 
+// Partition is the partition the loop was transformed for, nil if walked.
+func (t *Transformed) Partition() *partition.IterationPartition { return t.part }
+
 // ForallPoints returns the nonempty forall points in lexicographic
 // order. The slice is shared by every caller and must not be modified.
 func (t *Transformed) ForallPoints() [][]int64 {

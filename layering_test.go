@@ -175,6 +175,10 @@ func inFunc(name string, bad func(ast.Node) bool) func(ast.Node) bool {
 	}
 }
 
+// perCandidateOnly matches the derivations a compile makes for its
+// compiled candidate alone.
+var perCandidateOnly = either(calls("transform", "OfPartition"), calls("assign", "Assign"))
+
 // sortsOrSearches matches a comparison sort or a binary search.
 var sortsOrSearches = either(calls("slices", "Sort"), calls("slices", "SortFunc"), calls("slices", "SortStableFunc"),
 	calls("slices", "BinarySearch"), calls("sort", "Slice"), calls("sort", "SliceStable"))
@@ -210,7 +214,7 @@ var layeringRules = []layeringRule{
 		bad:   either(calls("", "NewContext"), imports("deps", "transform", "assign")),
 	},
 	{
-		why:   "exec derives what the partition already holds: place blocks with assign.Place(res.Iter.Q, p), test redundancy with RedundantAt(stmt, pos)",
+		why:   "exec derives what the partition already holds: place blocks with assign.Place(res.Iter.Q, p).Blocks, test redundancy with RedundantAt(stmt, pos)",
 		files: []string{"internal/exec"},
 		bad:   either(imports("transform"), calls("assign", "Assign"), names("redundantBits", "maxRankedBits")),
 	},
@@ -301,6 +305,17 @@ var layeringRules = []layeringRule{
 		files:  []string{"./..."},
 		except: []string{"internal/selector"},
 		bad:    calls("selector", "Evaluate"),
+	},
+	{
+		why:    "a second block placement: place blocks with assign.Placement.Blocks, read an assignment's nodes from Workloads or Info",
+		files:  []string{"./..."},
+		except: []string{"internal/assign"},
+		bad:    either(calls("", "OwnerID"), calls("", "OwnerOf")),
+	},
+	{
+		why:   "pricing reads only the placement: a class worker prices with assign.Place(res.Iter.Q, p), and Compile derives the forall loop and assignment of the one candidate it keeps",
+		files: []string{"internal/selector"},
+		bad:   either(inFunc("price", perCandidateOnly), inFunc("materialize", perCandidateOnly), inFunc("estimate", perCandidateOnly)),
 	},
 	{
 		why:    "a second materialized enumeration of a nest: step through it with Nest.Walk, or read the compile's loop.Index",

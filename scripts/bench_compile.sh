@@ -7,32 +7,37 @@
 # (L1 shape) under minimal-duplicate and redundant (L3 shape) under mars
 # at extents 16/32.
 #
-#   scripts/bench_compile.sh append [benchtime]   run the full set (default
-#       -benchtime=5x), parse the -benchmem output and append a dated entry
-#       to BENCH_compile.json. Set BENCH_NOTE to label the entry. Set
+#   scripts/bench_compile.sh append [benchtime]   run the full set five
+#       times (-count=5, default -benchtime=5x), parse the -benchmem output,
+#       take each row's median and append a dated entry of the medians to
+#       BENCH_compile.json. Set BENCH_NOTE to label the entry. Set
 #       BENCH_BASELINE_RAW to a file holding the same benchmark's output
 #       from another commit (and BENCH_BASELINE_NOTE to name it) to record
-#       those rows beside the new ones, with the per-row speedups.
+#       that output's medians beside the new ones, with the per-row
+#       speedups.
 #
 #   scripts/bench_compile.sh gate [benchtime]     run extents 8 and 16
 #       five times each (-count=5, default -benchtime=3x), take each row's
 #       median ns/op and allocs/op, and fail if, over those rows, the
 #       geometric mean of the medians regressed more than 2x in ns/op, or
 #       more than 1.1x in allocs/op, against the latest recorded entry.
-#       allocs/op is a near-exact count; ns/op gets the wide bound, and
-#       the median keeps one slow sample on a busy machine from deciding
-#       it. CI runs this so a re-grown compile path cannot land silently.
+#       allocs/op is a near-exact count; ns/op gets the wide bound.
+#       CI runs this so a re-grown compile path cannot land silently.
+#
+# Both modes record or judge medians of five runs, not single passes: on
+# a busy machine one pass of a row can be off by 2x, and the median keeps
+# one slow sample from deciding an entry or a gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-append}"
 case "$mode" in
-  append) benchtime="${2:-5x}"; count=1; pattern='^BenchmarkCompileCold$' ;;
-  gate)   benchtime="${2:-3x}"; count=5; pattern='^BenchmarkCompileCold$/./^(8|16)$' ;;
+  append) benchtime="${2:-5x}"; pattern='^BenchmarkCompileCold$' ;;
+  gate)   benchtime="${2:-3x}"; pattern='^BenchmarkCompileCold$/./^(8|16)$' ;;
   *) echo "usage: $0 [append|gate] [benchtime]" >&2; exit 2 ;;
 esac
 
-raw="$(go test . -run=NONE -bench="$pattern" -benchtime="$benchtime" -count="$count" -benchmem)"
+raw="$(go test . -run=NONE -bench="$pattern" -benchtime="$benchtime" -count=5 -benchmem)"
 echo "$raw"
 
 BENCH_MODE="$mode" BENCH_RAW="$raw" python3 - <<'PY'
@@ -57,6 +62,17 @@ def parse(text):
 def key(r):
     return (r["family"], r["extent"], r["strategy"])
 
+def medians(rows):
+    """One row per benchmark, each field the median over its runs, and
+    the fewest runs any benchmark had."""
+    samples = {}
+    for r in rows:
+        samples.setdefault(key(r), []).append(r)
+    return [
+        dict(rs[0], **{f: int(statistics.median(r[f] for r in rs)) for f in ("ns_op", "b_op", "allocs_op")})
+        for rs in samples.values()
+    ], min(len(rs) for rs in samples.values())
+
 def geomean_ratio(new, old, field="ns_op"):
     """Geometric mean of new/old field over the rows both sides have."""
     olds = {key(r): r for r in old}
@@ -65,28 +81,21 @@ def geomean_ratio(new, old, field="ns_op"):
         sys.exit("bench_compile: no rows in common with the recorded entry")
     return math.exp(sum(logs) / len(logs)), len(logs)
 
-results = parse(raw)
-if not results:
+runs = parse(raw)
+if not runs:
     sys.exit("bench_compile: no benchmark rows parsed from output")
+results, count = medians(runs)
 
 doc = json.load(open(path))
 
 if mode == "gate":
     if not doc["entries"]:
         sys.exit("bench_compile: BENCH_compile.json has no entry to gate against")
-    samples = {}
-    for r in results:
-        samples.setdefault(key(r), []).append(r)
-    medians = [
-        dict(rs[0], **{f: int(statistics.median(r[f] for r in rs)) for f in ("ns_op", "b_op", "allocs_op")})
-        for rs in samples.values()
-    ]
-    runs = min(len(rs) for rs in samples.values())
     failed = []
     for field, bound in (("ns_op", 2.0), ("allocs_op", 1.1)):
-        ratio, n = geomean_ratio(medians, doc["entries"][-1]["results"], field)
+        ratio, n = geomean_ratio(results, doc["entries"][-1]["results"], field)
         status = "OK" if ratio <= bound else "REGRESSED"
-        print(f"gate: CompileCold geomean over {n} rows (median of {runs} runs each): {ratio:.2f}x the recorded {field} (bound {bound}x) {status}")
+        print(f"gate: CompileCold geomean over {n} rows (median of {count} runs each): {ratio:.2f}x the recorded {field} (bound {bound}x) {status}")
         if ratio > bound:
             failed.append(f"{field} {ratio:.2f}x > {bound}x")
     if failed:
@@ -105,6 +114,7 @@ for line in raw.splitlines():
 entry = {
     "date": datetime.date.today().isoformat(),
     "note": os.environ.get("BENCH_NOTE", "appended by scripts/bench_compile.sh"),
+    "runs": count,
     "cpu": cpu, "goos": goos, "goarch": goarch,
     "results": results,
 }
@@ -113,6 +123,7 @@ if base_path:
     base = parse(open(base_path).read())
     if not base:
         sys.exit(f"bench_compile: no benchmark rows parsed from {base_path}")
+    base, _ = medians(base)
     olds = {key(r): r for r in base}
     ratio, n = geomean_ratio(results, base)
     entry["baseline"] = {
