@@ -123,8 +123,6 @@ func run() error {
 		cacheN    = flag.Int("cache", 256, "plan cache entries")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 		maxIter   = flag.Int64("max-iterations", loop.DefaultMaxIterations, "per-request iteration budget: larger nests are refused uncompiled, executions may spend no more (negative = unlimited)")
-		batchWin  = flag.Duration("batch-window", 0, "coalesce identical /v1/execute requests arriving within this window into one execution (0 disables)")
-		batchMax  = flag.Int("batch-max", 16, "cap on requests per coalesced execution batch (leader included)")
 		drainFor  = flag.Duration("drain", 60*time.Second, "graceful-shutdown drain limit")
 		traceRing = flag.Int("trace-ring", 256, "recent request traces kept for GET /v1/trace/{id}")
 		admission = flag.String("admission", "slo", "overload policy: slo (shed with 429s when measured queue delay breaches -slo-target) or queue (reject only on a physically full queue)")
@@ -153,8 +151,6 @@ func run() error {
 		CacheEntries:   *cacheN,
 		RequestTimeout: *timeout,
 		MaxIterations:  *maxIter,
-		BatchWindow:    *batchWin,
-		BatchMax:       *batchMax,
 		TraceRing:      *traceRing,
 		Admission:      *admission,
 		SLOTarget:      *sloTarget,

@@ -3,8 +3,7 @@
 // no sockets — the benchmarking mode) or any running daemons
 // (-targets), firing a seed-pure Zipfian workload through warmup →
 // steady → overload → recovery phases and reporting per-phase
-// p50/p99/p999 latency, goodput, hedge win rate, batch coalescing,
-// and shed rate.
+// p50/p99/p999 latency, goodput, hedge win rate and shed rate.
 //
 //	# 3-node in-process fleet, SLO admission, default phase profile
 //	commload -local 3 -seed 42
@@ -65,12 +64,11 @@ func run() error {
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request client budget")
 
 		// -local fleet shape.
-		admission   = flag.String("admission", "slo", "fleet admission mode: slo or queue")
-		workers     = flag.Int("workers", 2, "fleet: worker-pool size per node")
-		queueDepth  = flag.Int("queue-depth", 512, "fleet: request queue depth per node")
-		replicas    = flag.Int("replicas", 2, "fleet: replicas per plan")
-		hedgeAfter  = flag.Duration("hedge-after", 50*time.Millisecond, "fleet: hedge budget (0 disables)")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "fleet: execute coalescing window (0 disables)")
+		admission  = flag.String("admission", "slo", "fleet admission mode: slo or queue")
+		workers    = flag.Int("workers", 2, "fleet: worker-pool size per node")
+		queueDepth = flag.Int("queue-depth", 512, "fleet: request queue depth per node")
+		replicas   = flag.Int("replicas", 2, "fleet: replicas per plan")
+		hedgeAfter = flag.Duration("hedge-after", 50*time.Millisecond, "fleet: hedge budget (0 disables)")
 	)
 	flag.Parse()
 
@@ -114,11 +112,10 @@ func run() error {
 			perNode = *sloT / 2
 		}
 		fleet, err := cluster.NewLocal(*local, service.Config{
-			Workers:     *workers,
-			QueueDepth:  *queueDepth,
-			BatchWindow: *batchWindow,
-			Admission:   *admission,
-			SLOTarget:   perNode,
+			Workers:    *workers,
+			QueueDepth: *queueDepth,
+			Admission:  *admission,
+			SLOTarget:  perNode,
 		}, cluster.WithReplicas(*replicas), cluster.WithHedgeAfter(*hedgeAfter))
 		if err != nil {
 			return err

@@ -319,20 +319,13 @@ func checkPlacementAgreement(fleet *cluster.Local, key uint64) error {
 	return nil
 }
 
-// CheckClusterBatch runs the coalescing dimension: with request
-// batching enabled on every node, `requests` concurrent identical
-// execute requests sprayed across rotating entry nodes must all route
-// to the plan's home node and coalesce there — exactly one compile in
-// the whole fleet, batches plus followers accounting for every
-// request, at least one request riding as a follower, and all
-// responses carrying the same validated execution document.
-func CheckClusterBatch(nodes, requests int) error {
-	base := service.Config{
-		Workers:     4,
-		QueueDepth:  64,
-		BatchWindow: 250 * time.Millisecond,
-		BatchMax:    2 * requests,
-	}
+// CheckClusterCompileFlight runs the compile-flight dimension:
+// `requests` concurrent identical execute requests sprayed across
+// rotating entry nodes must all route to the plan's home node and share
+// its compile flight there — exactly one compile in the whole fleet,
+// and all responses carrying the same validated execution document.
+func CheckClusterCompileFlight(nodes, requests int) error {
+	base := service.Config{Workers: 4, QueueDepth: 64}
 	// One replica per plan: load-aware routing would otherwise be free
 	// to spread concurrent requests over the replica set, which is
 	// correct but defeats the single-compile assertion this check makes.
@@ -360,29 +353,21 @@ func CheckClusterBatch(nodes, requests int) error {
 
 	for i := 0; i < requests; i++ {
 		if errs[i] != nil {
-			return fmt.Errorf("conformance: cluster: batched request %d lost: %w", i, errs[i])
+			return fmt.Errorf("conformance: cluster: request %d lost: %w", i, errs[i])
 		}
 		if !resps[i].Validated {
-			return fmt.Errorf("conformance: cluster: batched request %d failed validation (%d mismatches)", i, resps[i].Mismatches)
+			return fmt.Errorf("conformance: cluster: request %d failed validation (%d mismatches)", i, resps[i].Mismatches)
 		}
 		if d1, d2 := docOf(resps[0]), docOf(resps[i]); d1 != d2 {
-			return fmt.Errorf("conformance: cluster: batched request %d diverges:\n first: %+v\n this:  %+v", i, d1, d2)
+			return fmt.Errorf("conformance: cluster: request %d diverges:\n first: %+v\n this:  %+v", i, d1, d2)
 		}
 	}
-	var compiles, batches, followers int64
+	var compiles int64
 	for _, svc := range fleet.Services {
 		compiles += svc.Metrics().Counter("compiles")
-		batches += svc.Metrics().Counter("execute_batches")
-		followers += svc.Metrics().Counter("execute_batch_followers")
 	}
 	if compiles != 1 {
 		return fmt.Errorf("conformance: cluster: %d compiles across the fleet for %d identical requests, want exactly 1", compiles, requests)
-	}
-	if batches < 1 || batches+followers != int64(requests) {
-		return fmt.Errorf("conformance: cluster: batches (%d) + followers (%d) do not account for %d requests", batches, followers, requests)
-	}
-	if followers == 0 {
-		return fmt.Errorf("conformance: cluster: no request ever coalesced (batches %d, requests %d)", batches, requests)
 	}
 	return nil
 }

@@ -58,11 +58,11 @@ func TestClusterConformanceCrash(t *testing.T) {
 	}
 }
 
-// TestClusterBatchCoalesces: identical concurrent execute requests
-// sprayed across the fleet coalesce at the plan's home node — one
-// compile, one (or few) executions serving all of them.
-func TestClusterBatchCoalesces(t *testing.T) {
-	if err := CheckClusterBatch(3, 6); err != nil {
+// TestClusterCompileFlight: identical concurrent execute requests
+// sprayed across the fleet share the compile flight at the plan's home
+// node — one compile fleet-wide, one validated document for all.
+func TestClusterCompileFlight(t *testing.T) {
+	if err := CheckClusterCompileFlight(3, 6); err != nil {
 		t.Fatal(err)
 	}
 }

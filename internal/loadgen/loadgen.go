@@ -2,8 +2,8 @@
 // for the commfree serving stack: it drives a single node or an
 // in-process MapTransport fleet with Zipfian plan popularity over the
 // corpus, through warmup → steady → overload → recovery phases, and
-// reports per-phase latency percentiles, goodput, hedge win rate,
-// batch coalescing, and shed rate.
+// reports per-phase latency percentiles, goodput, hedge win rate and
+// shed rate.
 //
 // Two properties shape the design:
 //

@@ -116,10 +116,9 @@ func TestPercentile(t *testing.T) {
 // test CI runs under -race.
 func TestRunFleetSmoke(t *testing.T) {
 	fleet, err := cluster.NewLocal(3, service.Config{
-		Workers:     2,
-		QueueDepth:  32,
-		BatchWindow: 2 * time.Millisecond,
-		SLOTarget:   200 * time.Millisecond,
+		Workers:    2,
+		QueueDepth: 32,
+		SLOTarget:  200 * time.Millisecond,
 	}, cluster.WithReplicas(2), cluster.WithHedgeAfter(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,6 @@ type PhaseReport struct {
 	// phase boundaries while requests may still be in flight).
 	Hedges       int64   `json:"hedges"`
 	HedgeWinRate float64 `json:"hedge_win_rate"`
-	BatchLeaders int64   `json:"batch_leaders"`
-	BatchJoined  int64   `json:"batch_joined"`
-	CoalesceRate float64 `json:"coalesce_rate"`
 	Sheds        int64   `json:"sheds"`
 	Retries      int64   `json:"retries"`
 	Degraded     int64   `json:"degraded"`
@@ -100,7 +97,6 @@ type result struct {
 // counterKeys are the fleet counters diffed per phase.
 var counterKeys = []string{
 	"cluster_hedges", "cluster_hedges_won",
-	"execute_batches", "execute_batch_followers",
 	"admission_sheds", "overload_rejections",
 	"execute_retries", "execute_degraded",
 }
@@ -137,11 +133,6 @@ func buildPhase(ph Phase, offered int, results []result, slo time.Duration, delt
 	pr.Hedges = delta["cluster_hedges"]
 	if pr.Hedges > 0 {
 		pr.HedgeWinRate = float64(delta["cluster_hedges_won"]) / float64(pr.Hedges)
-	}
-	pr.BatchLeaders = delta["execute_batches"]
-	pr.BatchJoined = delta["execute_batch_followers"]
-	if total := pr.BatchLeaders + pr.BatchJoined; total > 0 {
-		pr.CoalesceRate = float64(pr.BatchJoined) / float64(total)
 	}
 	pr.Sheds = delta["admission_sheds"] + delta["overload_rejections"]
 	pr.Retries = delta["execute_retries"]

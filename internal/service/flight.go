@@ -2,8 +2,8 @@ package service
 
 // Coalescing, sound because a plan and all built from it are a pure
 // function of (canonical nest, strategy, processors): a group shares one
-// run of fn per key (the compile flight; with a window and a cap, execute
-// batching), and a lazy builds a cache entry's value once and keeps it.
+// run of fn per key while it runs (the compile flight), and a lazy builds
+// a cache entry's value once and keeps it.
 // fn runs on its own goroutine, so every waiter leaves on its own context;
 // a panic in fn is contained there once, on the first caller's trace, and
 // every waiter gets that error.
@@ -13,7 +13,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"commfree/internal/obs"
 )
@@ -26,7 +25,6 @@ type flight[V any] struct {
 	err     error
 	waiters int
 	cancel  context.CancelFunc // ends fn's context
-	shut    context.CancelFunc // ends the window
 }
 
 // panicError marks an error Service.contain made of a panic: no caller
@@ -37,40 +35,28 @@ func (e panicError) Unwrap() error { return e.error }
 
 func panicked(err error) bool { return errors.As(err, new(panicError)) }
 
-// group coalesces calls by key while fn runs or, with window > 0, until
-// the window ends, max callers wait, or the first caller's context ends.
+// group coalesces calls by key while fn runs.
 type group[V any] struct {
-	window time.Duration
-	max    int
-
 	mu      sync.Mutex
 	flights map[string]*flight[V]
 }
 
 // do returns the result of the run of fn for key that this call joins,
-// or starts (led). fn gets the number of callers waiting once the window
-// closes (1 without a window).
-func (g *group[V]) do(ctx context.Context, s *Service, trc *obs.Trace, key string, fn func(ctx context.Context, size int) (V, error)) (v V, led bool, err error) {
+// or starts (led).
+func (g *group[V]) do(ctx context.Context, s *Service, trc *obs.Trace, key string, fn func(ctx context.Context) (V, error)) (v V, led bool, err error) {
 	g.mu.Lock()
 	f := g.flights[key]
 	if led = f == nil; led {
 		f = &flight[V]{done: make(chan struct{})}
 		var fctx context.Context
 		fctx, f.cancel = context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
-		window := ctx
-		if g.window > 0 {
-			window, f.shut = context.WithTimeout(ctx, g.window)
-		}
 		if g.flights == nil {
 			g.flights = map[string]*flight[V]{}
 		}
 		g.flights[key] = f
-		go g.run(fctx, window, s, trc, key, f, fn)
+		go g.run(fctx, s, trc, key, f, fn)
 	}
-	if f.waiters++; g.window > 0 && f.waiters == g.max {
-		f.shut()
-		delete(g.flights, key)
-	}
+	f.waiters++
 	g.mu.Unlock()
 
 	select {
@@ -94,7 +80,7 @@ func (g *group[V]) release(key string, f *flight[V]) {
 	}
 }
 
-func (g *group[V]) run(ctx, window context.Context, s *Service, trc *obs.Trace, key string, f *flight[V], fn func(context.Context, int) (V, error)) {
+func (g *group[V]) run(ctx context.Context, s *Service, trc *obs.Trace, key string, f *flight[V], fn func(context.Context) (V, error)) {
 	defer func() {
 		g.mu.Lock()
 		g.release(key, f)
@@ -103,18 +89,7 @@ func (g *group[V]) run(ctx, window context.Context, s *Service, trc *obs.Trace, 
 		close(f.done)
 	}()
 	defer s.contain(trc, &f.err)
-	size := 1
-	if g.window > 0 {
-		sp := trc.Start(0, "batch_window")
-		<-window.Done()
-		f.shut()
-		sp.End()
-		g.mu.Lock()
-		g.release(key, f) // later callers start a new batch
-		size = f.waiters
-		g.mu.Unlock()
-	}
-	f.v, f.err = fn(ctx, size)
+	f.v, f.err = fn(ctx)
 }
 
 // lazy builds a value on first use through a group and keeps it, as it
@@ -132,7 +107,7 @@ func (l *lazy[V]) get(ctx context.Context, s *Service, trc *obs.Trace) (V, error
 	if f := l.kept.Load(); f != nil {
 		return f.v, f.err
 	}
-	v, _, err := l.g.do(ctx, s, trc, "", func(context.Context, int) (v V, err error) {
+	v, _, err := l.g.do(ctx, s, trc, "", func(context.Context) (v V, err error) {
 		if f := l.kept.Load(); f != nil {
 			return f.v, f.err
 		}

@@ -6,6 +6,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -101,9 +102,6 @@ type panicSite struct {
 	// not undo itself.
 	release chan struct{}
 	disarm  func()
-	value   string // what the panic span's value holds
-	// next is the request after the panic (call when nil).
-	next func(ctx context.Context) error
 }
 
 func compileCall(s *Service, req CompileRequest) func(context.Context) error {
@@ -135,18 +133,19 @@ func warmEntry(t *testing.T, s *Service, req CompileRequest) *cacheEntry {
 // carries the panic span; that a concurrent request sharing the run gets
 // the same error well before RequestTimeout; that the panic is counted
 // once; that in_flight returns to 0 and no key stays registered; and that
-// the next request for the key is a correct 200.
+// the next request for the key is a correct 200. An execute, which
+// shares no run, gets a 500 of its own for each panic.
 func TestPanicAtEachFlightSite(t *testing.T) {
 	req := CompileRequest{Source: srcL1, Strategy: "duplicate", Processors: 4}
-	// A plan past the kernel's dense cap runs on the map oracle, through
-	// the batch leader and the keyed sequential reference.
+	// A plan past the kernel's dense cap runs on the map oracle and the
+	// keyed sequential reference.
 	overCap := CompileRequest{Source: srcOverCap, Strategy: "duplicate", Processors: 4}
 	lazySite := func(t *testing.T, req CompileRequest, pick func(c *compiled) (arm func(chan struct{}), joined func() int)) panicSite {
 		s := newTestService(t, Config{Workers: 2})
 		arm, joined := pick(warmEntry(t, s, req).comp)
 		release := make(chan struct{})
 		arm(release)
-		return panicSite{s: s, call: executeCall(s, req), joined: joined, release: release, value: injected}
+		return panicSite{s: s, call: executeCall(s, req), joined: joined, release: release}
 	}
 	storeSite := func(t *testing.T, op string) panicSite {
 		gs := &gateStore{Store: store.NewMem(0), op: op, release: make(chan struct{})}
@@ -158,35 +157,11 @@ func TestPanicAtEachFlightSite(t *testing.T) {
 				s.cache.remove(e)
 			}
 		}
-		return panicSite{s: s, call: compileCall(s, req), joined: func() int { return groupJoined(&s.compiles) }, release: gs.release, disarm: evict, value: injected}
+		return panicSite{s: s, call: compileCall(s, req), joined: func() int { return groupJoined(&s.compiles) }, release: gs.release, disarm: evict}
 	}
 	sites := map[string]func(t *testing.T) panicSite{
 		"compile pooled part": func(t *testing.T) panicSite { return storeSite(t, "get") },
 		"compile tail":        func(t *testing.T) panicSite { return storeSite(t, "put") },
-		"batch leader": func(t *testing.T) panicSite {
-			// A node of the simulated machine panics: its statement reads
-			// a loop index the nest does not have.
-			s := newTestService(t, Config{Workers: 2, BatchWindow: time.Minute, BatchMax: 2, RequestTimeout: 2 * time.Minute})
-			body := warmEntry(t, s, overCap).comp.res.Iter.Nest.Body
-			tree := body[0].Tree
-			body[0].Tree = &loop.ExprTree{Op: loop.ExprIndex, Arg: 99}
-			joined := func() int {
-				if s.Metrics().Counter("execute_batches") > 0 {
-					return 1 + int(s.Metrics().Counter("execute_batch_followers"))
-				}
-				return groupJoined(&s.batches)
-			}
-			call := executeCall(s, overCap)
-			pair := func(ctx context.Context) error {
-				errs := make(chan error, 2)
-				for range 2 {
-					go func() { errs <- call(ctx) }()
-				}
-				return errors.Join(<-errs, <-errs)
-			}
-			return panicSite{s: s, call: call, joined: joined, release: make(chan struct{}),
-				disarm: func() { body[0].Tree = tree }, value: "index out of range", next: pair}
-		},
 		"program build": func(t *testing.T) panicSite {
 			return lazySite(t, req, func(c *compiled) (func(chan struct{}), func() int) {
 				return func(r chan struct{}) { panicOnce(&c.program, r) }, func() int { return lazyJoined(&c.kernel) }
@@ -216,7 +191,7 @@ func TestPanicAtEachFlightSite(t *testing.T) {
 			e := warmEntry(t, s, req) // revives; decodes nothing
 			release := make(chan struct{})
 			panicOnce(&e.decoded, release)
-			return panicSite{s: s, call: compileCall(s, req), joined: func() int { return lazyJoined(&e.decoded) }, release: release, value: injected}
+			return panicSite{s: s, call: compileCall(s, req), joined: func() int { return lazyJoined(&e.decoded) }, release: release}
 		},
 	}
 	for name, setup := range sites {
@@ -241,43 +216,71 @@ func TestPanicAtEachFlightSite(t *testing.T) {
 			if got[0] == nil || got[1] == nil || got[0].Error() != got[1].Error() {
 				t.Fatalf("errors %v and %v, want one error for both", got[0], got[1])
 			}
-			m := traceInError.FindStringSubmatch(got[0].Error())
-			if statusFor(got[0]) != http.StatusInternalServerError || m == nil {
-				t.Fatalf("err = %v, want a 500 naming its trace", got[0])
-			}
-			value := ""
-			if trc := s.Traces().Get(m[1]); trc != nil {
-				for _, sp := range trc.Spans() {
-					for _, a := range sp.Attrs {
-						if sp.Name == "panic" && a.Key == "value" {
-							value = a.Str
-						}
-					}
-				}
-			}
-			if !strings.Contains(value, site.value) {
-				t.Errorf("trace %s: panic value %q, want one naming %q", m[1], value, site.value)
-			}
-			if n := s.Metrics().Counter("panics"); n != 1 {
-				t.Errorf("panics = %d, want 1", n)
-			}
-			if n := s.Metrics().Snapshot().Gauges["in_flight"]; n != 0 {
-				t.Errorf("in_flight = %d after the panic", n)
-			}
-			if n := groupJoined(&s.compiles) + groupJoined(&s.batches); n != 0 {
+			checkPanicked(t, s, got[0], injected, 1)
+			if n := groupJoined(&s.compiles); n != 0 {
 				t.Errorf("a flight is still registered with %d callers", n)
 			}
 
 			if site.disarm != nil {
 				site.disarm()
 			}
-			if site.next == nil {
-				site.next = site.call
-			}
-			if err := site.next(context.Background()); err != nil {
+			if err := site.call(context.Background()); err != nil {
 				t.Errorf("the next request: %v", err)
 			}
 		})
+	}
+
+	// An execute shares no run: a node of the simulated machine panics
+	// in each request (its statement reads a loop index the nest does not
+	// have), and each gets its own 500.
+	t.Run("execute", func(t *testing.T) {
+		s := newTestService(t, Config{Workers: 2})
+		body := warmEntry(t, s, overCap).comp.res.Iter.Nest.Body
+		tree := body[0].Tree
+		body[0].Tree = &loop.ExprTree{Op: loop.ExprIndex, Arg: 99}
+		call := executeCall(s, overCap)
+		errs := make(chan error, 2)
+		for range 2 {
+			go func() { errs <- call(context.Background()) }()
+		}
+		got := [2]error{<-errs, <-errs}
+		for _, err := range got {
+			checkPanicked(t, s, err, "index out of range", 2)
+		}
+		body[0].Tree = tree
+		if err := call(context.Background()); err != nil {
+			t.Errorf("the next request: %v", err)
+		}
+	})
+}
+
+// checkPanicked checks that err is a 500 naming a trace whose panic span
+// holds value, that panics counts want of them, and that in_flight is
+// back to 0.
+func checkPanicked(t *testing.T, s *Service, err error, value string, want int64) {
+	t.Helper()
+	m := traceInError.FindStringSubmatch(fmt.Sprint(err))
+	if statusFor(err) != http.StatusInternalServerError || m == nil {
+		t.Fatalf("err = %v, want a 500 naming its trace", err)
+	}
+	got := ""
+	if trc := s.Traces().Get(m[1]); trc != nil {
+		for _, sp := range trc.Spans() {
+			for _, a := range sp.Attrs {
+				if sp.Name == "panic" && a.Key == "value" {
+					got = a.Str
+				}
+			}
+		}
+	}
+	if !strings.Contains(got, value) {
+		t.Errorf("trace %s: panic value %q, want one naming %q", m[1], got, value)
+	}
+	if n := s.Metrics().Counter("panics"); n != want {
+		t.Errorf("panics = %d, want %d", n, want)
+	}
+	if n := s.Metrics().Snapshot().Gauges["in_flight"]; n != 0 {
+		t.Errorf("in_flight = %d after the panic", n)
 	}
 }
 
@@ -341,13 +344,63 @@ func TestLazyFollowerLeavesOnItsContext(t *testing.T) {
 	}
 }
 
+// TestCompileFlightLeaderCancelled pins the sibling guard on the
+// compile flight: a joiner of a flight whose first caller died of its own
+// cancellation must be served rather than inherit the dead caller's
+// context error. The compile waits on the queue behind a busy worker, so
+// both callers meet in the flight before the cancellation.
+func TestCompileFlightLeaderCancelled(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	req := CompileRequest{Source: srcL1, Strategy: "duplicate", Processors: 4}
+
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	go s.pool.trySubmit(context.Background(), false, func(ctx context.Context) (any, error) {
+		close(started)
+		<-gate
+		return nil, nil
+	})
+	<-started
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.Compile(leaderCtx, req)
+		leaderErr <- err
+	}()
+	waitFor(t, "the leader's flight is registered", func() bool { return groupJoined(&s.compiles) >= 1 })
+	joinerErr := make(chan error, 1)
+	var resp *CompileResponse
+	go func() {
+		r, err := s.Compile(context.Background(), req)
+		resp = r
+		joinerErr <- err
+	}()
+	waitFor(t, "the joiner joins it", func() bool { return groupJoined(&s.compiles) >= 2 })
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled leader: err = %v, want its own context.Canceled", err)
+	}
+	close(gate)
+
+	if err := <-joinerErr; err != nil {
+		t.Fatalf("joiner poisoned by canceled leader: %v", err)
+	}
+	if resp == nil || resp.Plan == nil {
+		t.Fatalf("joiner produced no plan: %+v", resp)
+	}
+	if got := s.Metrics().Counter("compiles"); got != 1 {
+		t.Errorf("compiles = %d, want 1 for the flight both requests shared", got)
+	}
+}
+
 // TestFlightContextEndsWithItsLastWaiter: fn's context outlives the
 // caller that started it while another waits, and ends once none is left.
 func TestFlightContextEndsWithItsLastWaiter(t *testing.T) {
 	s := newTestService(t, Config{})
 	var g group[int]
 	started, fnDone := make(chan context.Context, 1), make(chan error, 1)
-	fn := func(ctx context.Context, _ int) (int, error) {
+	fn := func(ctx context.Context) (int, error) {
 		started <- ctx
 		<-ctx.Done()
 		fnDone <- ctx.Err()

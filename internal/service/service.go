@@ -64,15 +64,6 @@ type Config struct {
 	// count — and a simulated execution may spend no more (both are
 	// machine.ErrBudgetExhausted, HTTP 422).
 	MaxIterations int64
-	// BatchWindow enables request coalescing on /v1/execute when
-	// positive: the first request for a plan waits this long for
-	// identical requests (same canonical source, strategy, and
-	// processor count) to arrive, then one execution serves the whole
-	// batch. BatchMax caps a batch (leader included, default 16); a
-	// full batch executes immediately. Requests with fault injection
-	// active never batch — their failure schedules are per-request.
-	BatchWindow time.Duration
-	BatchMax    int
 	// TraceRing bounds the ring of recent request traces behind
 	// GET /v1/trace/{id} (default 256 traces).
 	TraceRing int
@@ -134,9 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIterations == 0 {
 		c.MaxIterations = loop.DefaultMaxIterations
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
 	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 256
@@ -245,11 +233,6 @@ type ExecuteResponse struct {
 	// (the latter also when a compile-cap fallback downgraded the
 	// request), or "sequential" for a degraded run.
 	Engine string `json:"engine"`
-	// Batched reports that this response was served by an execution
-	// coalesced with other identical requests; BatchSize is how many
-	// requests (leader included) that execution served.
-	Batched   bool `json:"batched,omitempty"`
-	BatchSize int  `json:"batch_size,omitempty"`
 	// Validated reports element-exact agreement with sequential
 	// execution over Elements array elements.
 	Validated  bool `json:"validated"`
@@ -342,11 +325,8 @@ type Service struct {
 	traces  *obs.Ring
 	keys    *keyMemo
 
-	// compiles runs one compile per cache key at a time; batches
-	// coalesces concurrent /v1/execute requests for one cache key into a
-	// single execution (batch.go).
+	// compiles runs one compile per cache key at a time.
 	compiles group[*cacheEntry]
-	batches  group[*ExecuteResponse]
 
 	// st is the plan store (nil until configured or lazily created by
 	// ensureStore); ownsStore marks stores opened by NewWithStore, which
@@ -371,7 +351,6 @@ func New(cfg Config) *Service {
 		metrics: NewMetrics(),
 		traces:  obs.NewRing(cfg.TraceRing),
 		keys:    newKeyMemo(cfg.CacheEntries),
-		batches: group[*ExecuteResponse]{window: cfg.BatchWindow, max: cfg.BatchMax},
 	}
 	s.adm = newAdmission(cfg, func() { s.metrics.Inc("admission_sheds", 1) })
 	s.pool.adm = s.adm
@@ -379,7 +358,6 @@ func New(cfg Config) *Service {
 	s.metrics.Gauge("queue_capacity", func() int64 { return int64(s.pool.queueCap()) })
 	s.metrics.Gauge("in_flight", func() int64 { return s.pool.running() })
 	s.metrics.Gauge("workers", func() int64 { return int64(cfg.Workers) })
-	s.metrics.Gauge("batch_window_us", func() int64 { return cfg.BatchWindow.Microseconds() })
 	s.metrics.Gauge("admission_slo", func() int64 {
 		if s.adm.stats().SLO {
 			return 1
@@ -586,7 +564,7 @@ func (s *Service) compileEntry(ctx context.Context, req CompileRequest, trc *obs
 	// hit is set by the run this call starts, and read only once that
 	// run's result is in.
 	hit := false
-	e, led, err := s.compiles.do(ctx, s, trc, key, func(ctx context.Context, _ int) (*cacheEntry, error) {
+	e, led, err := s.compiles.do(ctx, s, trc, key, func(ctx context.Context) (*cacheEntry, error) {
 		// A flight that finished between our miss and this one's start
 		// has filled the cache.
 		if e, ok := s.cache.peek(key); ok {
@@ -781,7 +759,7 @@ func (s *Service) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteResp
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 
-	resp, err := s.execute(ctx, entry, req, cached, trc, inj, seed)
+	resp, err := s.executeWithRetry(ctx, entry, req, cached, trc, inj, seed)
 	if err != nil {
 		s.countError(err)
 		return nil, err
